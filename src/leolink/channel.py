@@ -3,6 +3,17 @@
 Covers the power-gain PDF/CDF, steady-state probabilities of the amplitude
 partition, the level-crossing rate of the envelope, and the average fade
 duration used as the mean waiting time in the no-transmission state.
+
+The power gain is a negative-binomial mixture of gamma laws (Abdi et al.,
+IEEE TWC 2003; Paris, Electron. Lett. 2010): with probability
+
+    w_k = (1 - r)^m (m)_k r^k / k!,   r = delta / beta = omega / (2 b0 m + omega) < 1,
+
+it is Gamma(k + 1) with rate beta. So the CDF is sum_k w_k P(k+1, beta x),
+the tail sum_k w_k Q(k+1, beta x) and the tail first moment
+sum_k w_k (k+1)/beta Q(k+2, beta x), with P and Q the regularized incomplete
+gamma functions. Every distribution quantity here sums one of these series;
+the 1F1 density and its quadrature are kept as the independent oracle.
 """
 
 import math
@@ -10,16 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.special import gammainc, hyp1f1, ive
 
-from .special import (
-    DEFAULT_SERIES,
-    NonConvergent,
-    SeriesControl,
-    bessel_i,
-    confluent_1f1,
-    log_gamma,
-    pochhammer,
-)
+from .special import DEFAULT_SERIES, NonConvergent, SeriesControl, confluent_1f1
 
 __all__ = [
     "SrFading",
@@ -30,7 +34,6 @@ __all__ = [
     "sr_pdf",
     "sr_cdf",
     "sr_cdf_quadrature",
-    "sr_cdf_many",
     "tail_mass",
     "state_probs",
     "state_prob_matrix",
@@ -38,14 +41,16 @@ __all__ = [
     "afd",
     "doppler_moments",
     "tail_mean_gain",
-    "gain_quantile",
     "equal_probability_partition",
 ]
 
 _INT_M_TOL = 1e-9
 
-# Density evaluations feed 1e-10 quadratures; keep their series tighter.
-_PDF_SERIES = SeriesControl(rel_tol=1e-13, max_terms=10_000)
+# Every mixture series stops once a geometric bound on its unsummed terms
+# is below _REL_TOL of the partial sum. r near 1 needs about 40 / (1 - r)
+# terms, so the cap admits r up to about 0.9996.
+_REL_TOL = 1e-17
+_MAX_TERMS = 100_000
 
 
 class ZeroCrossingRate(ArithmeticError):
@@ -133,115 +138,118 @@ def doppler_moments(fading: SrFading, dop: DopplerSpec) -> tuple[float, float]:
     b0 = fading.b0
     f = dop.f_scatter_max_hz
     cos_aoa = math.cos(dop.mean_aoa_rad)
-    i0 = bessel_i(0, dop.aoa_width)
-    i1 = bessel_i(1, dop.aoa_width)
-    i2 = bessel_i(2, dop.aoa_width)
-    b1 = b0 * 2.0 * math.pi * f * cos_aoa * i1 / i0
-    b2 = b0 * 2.0 * math.pi**2 * f**2 * (i0 + cos_aoa * i2) / i0
+    # Exponentially scaled Bessel functions: the ratios stay finite at any width.
+    i0 = ive(0, dop.aoa_width)
+    i1_ratio = float(ive(1, dop.aoa_width) / i0)
+    i2_ratio = float(ive(2, dop.aoa_width) / i0)
+    b1 = b0 * 2.0 * math.pi * f * cos_aoa * i1_ratio
+    b2 = b0 * 2.0 * math.pi**2 * f**2 * (1.0 + cos_aoa * i2_ratio)
     if b0 * b2 - b1 * b1 <= 0:
         raise ValueError("degenerate Doppler spectrum: b0*b2 - b1^2 <= 0")
     return b1, b2
 
 
-def _pdf_coeffs_integer_m(fading: SrFading) -> np.ndarray:
-    # zeta_k = (-1)^k (1-m)_k delta^k / (k!)^2, k = 0..m-1; all positive.
-    m = fading.integer_m
-    coeffs = np.empty(m)
-    for k in range(m):
-        coeffs[k] = ((-1.0) ** k * pochhammer(1.0 - m, k) * fading.delta**k
-                     / math.factorial(k) ** 2)
-    return coeffs
+def _mixture_ratio(fading: SrFading) -> float:
+    return fading.omega / (2.0 * fading.b0 * fading.m + fading.omega)
 
 
-def _hyp1f1_m_1_array(m: float, x: np.ndarray, rel_tol: float = 1e-13,
-                      max_terms: int = 10_000) -> np.ndarray:
-    # 1F1(m; 1; x) on an array of x >= 0; positive-term recurrence.
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for n in range(max_terms):
-        term = term * ((m + n) * x / ((1.0 + n) * (n + 1.0)))
-        total += term
-        if np.all(term <= rel_tol * total):
+def _ratio_bound(r: float, m: float, k: int) -> float:
+    # Bounds c_{j+1} / c_j for every j >= k, for both coefficient sequences
+    # of the series, c_j = w_j and c_j = (j+1) w_j; it never rises with k.
+    return r * max(1.0, (m + k) / (k + 1.0)) * (k + 2.0) / (k + 1.0)
+
+
+def _rest_bound(c: float, rho: float) -> float:
+    # Geometric bound on the terms after one of size c whose successors
+    # shrink by at least rho each.
+    return c * rho / (1.0 - rho) if rho < 1.0 else math.inf
+
+
+def _not_converged(fading: SrFading) -> NonConvergent:
+    return NonConvergent(
+        f"shadowed-Rician series for {fading} did not converge within "
+        f"{_MAX_TERMS} terms"
+    )
+
+
+def _weights(fading: SrFading) -> np.ndarray:
+    """Mixture weights w_0..w_{K-1}, cut where the bound on the remaining
+    weight is below _REL_TOL of the sum.
+
+    P(k+1, y) is at most 1 and falls with k, so this cut also bounds the
+    relative error of the CDF series at every y.
+    """
+    r, m = _mixture_ratio(fading), fading.m
+    w = [(1.0 - r) ** m]
+    total = w[0]
+    for k in range(_MAX_TERMS):
+        if _rest_bound(w[-1], _ratio_bound(r, m, k)) <= _REL_TOL * total:
+            return np.array(w)
+        w.append(w[-1] * r * (m + k) / (k + 1.0))
+        total += w[-1]
+    raise _not_converged(fading)
+
+
+def _upper_series(fading: SrFading, y: np.ndarray, moment: bool) -> np.ndarray:
+    """sum_k c_k Q(k+1+s, y) with s = 0, c_k = w_k (tail) or s = 1,
+    c_k = (k+1) w_k (tail first moment, times beta).
+
+    Q runs upward, Q(n+1, y) = Q(n, y) + e^-y y^n / n!, each increment
+    formed in log space so that tails keep their digits where e^-y alone
+    underflows. Q(n+1, y) / Q(n, y) never rises with n (the Poisson CDF is
+    log-concave), so with _ratio_bound it bounds every later term ratio.
+    That bound and the last term's share of the sum both rise with y, so
+    the stopping test at the largest y holds for every point.
+    """
+    r, m, s = _mixture_ratio(fading), fading.m, int(moment)
+    top = int(np.argmax(y))
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    q = np.exp(-y) * (1.0 + y) if moment else np.exp(-y)  # Q(1+s, y)
+    c = (1.0 - r) ** m
+    total = c * q
+    for k in range(_MAX_TERMS):
+        n = k + 1 + s
+        q_next = q + np.exp(n * log_y - y - math.lgamma(n + 1.0))
+        rho = _ratio_bound(r, m, k)
+        rest = _rest_bound(c, rho)  # Q <= 1
+        q_top = float(q[top])
+        if q_top > 0.0:
+            rest = min(rest, _rest_bound(c * q_top, rho * float(q_next[top]) / q_top))
+        if rest <= _REL_TOL * float(total[top]):
             return total
-    raise ArithmeticError("1F1 array evaluation did not converge")
+        c *= r * (m + k) / (k + 1.0) * ((k + 2.0) / (k + 1.0)) ** s
+        q = q_next
+        total = total + c * q
+    raise _not_converged(fading)
 
 
-def _scaled_hyp1f1_b1(a: float, z: float) -> float:
-    # exp(-z) * 1F1(a; 1; z) without forming exp(z). Direct product while
-    # 1F1 stays in range; large-argument expansion beyond:
-    # z^(a-1)/Gamma(a) * sum_k [(1-a)_k]^2 / (k! z^k), truncated at the
-    # smallest term.
-    if z <= 600.0:
-        return math.exp(-z) * confluent_1f1(a, 1.0, z, _PDF_SERIES)
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    k = 0
-    while True:
-        k += 1
-        term *= (k - a) ** 2 / (k * z)
-        if abs(term) >= prev or abs(term) < 1e-17 * abs(total):
-            break
-        total += term
-        prev = abs(term)
-    return math.exp((a - 1.0) * math.log(z) - log_gamma(a)) * total
+def _gains(x) -> tuple[np.ndarray, bool]:
+    """x as a 1-D float array of power gains, and whether it was a scalar."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError("power gains must be a scalar or a 1-D array")
+    if np.any(arr < 0.0):
+        raise ValueError(f"power gain must be >= 0, got {float(np.min(arr))}")
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def sr_pdf(fading: SrFading, y):
     """Power-gain density alpha * exp(-beta y) * 1F1(m; 1; delta y).
 
-    Accepts a scalar or ndarray; integer m uses the finite polynomial
-    expansion, otherwise the series form is summed directly.
+    Accepts a scalar or ndarray. Evaluated in log form after Kummer's
+    transformation, exp(-beta y) 1F1(m; 1; delta y) =
+    exp(-(beta - delta) y) 1F1(1 - m; 1; -delta y), so values neither
+    overflow nor underflow before the denormal floor.
     """
-    if isinstance(y, (int, float)):  # fast path for quadrature integrands
-        if y < 0:
-            raise ValueError("power gain must be >= 0")
-        m_int = fading.integer_m
-        if m_int is not None:
-            coeffs = _pdf_coeffs_integer_m(fading)
-            poly = 0.0
-            for c in reversed(coeffs):
-                poly = poly * y + c
-            return fading.alpha * poly * math.exp(-(fading.beta - fading.delta) * y)
-        by = fading.beta * y
-        if by < 700.0:
-            return (fading.alpha * math.exp(-by)
-                    * confluent_1f1(fading.m, 1.0, fading.delta * y, _PDF_SERIES))
-        # exp(-beta y) alone would underflow; fold everything into one
-        # exponent so values survive down to the denormal floor.
-        scaled = _scaled_hyp1f1_b1(fading.m, fading.delta * y)
-        log_pdf = (math.log(fading.alpha)
-                   - (fading.beta - fading.delta) * y
-                   + math.log(scaled))
-        return math.exp(log_pdf) if log_pdf > -745.0 else 0.0
-    x = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(x < 0):
+    arr = np.asarray(y, dtype=float)
+    if np.any(arr < 0):
         raise ValueError("power gain must be >= 0")
-    m_int = fading.integer_m
-    if m_int is not None:
-        coeffs = _pdf_coeffs_integer_m(fading)
-        poly = np.polynomial.polynomial.polyval(x, coeffs)
-        out = fading.alpha * poly * np.exp(-(fading.beta - fading.delta) * x)
-    else:
-        out = (fading.alpha * np.exp(-fading.beta * x)
-               * _hyp1f1_m_1_array(fading.m, fading.delta * x))
-    return out
-
-
-def _cdf_closed_integer_m(fading: SrFading, x: float) -> float:
-    # 1 - alpha * sum_k zeta_k sum_{p<=k} k!/p! x^p e^{-(b-d)x} / (b-d)^{k+1-p}
-    m = fading.integer_m
-    bd = fading.beta - fading.delta
-    coeffs = _pdf_coeffs_integer_m(fading)
-    expo = math.exp(-bd * x)
-    total = 0.0
-    for k in range(m):
-        inner = 0.0
-        for p in range(k + 1):
-            inner += (math.factorial(k) / math.factorial(p)
-                      * x**p * expo / bd ** (k + 1 - p))
-        total += coeffs[k] * inner
-    return 1.0 - fading.alpha * total
+    log_pdf = (math.log(fading.alpha)
+               - (fading.beta - fading.delta) * arr
+               + np.log(hyp1f1(1.0 - fading.m, 1.0, -fading.delta * arr)))
+    out = np.exp(log_pdf)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _tail_cutoff(fading: SrFading) -> float:
@@ -272,89 +280,38 @@ def sr_cdf_quadrature(fading: SrFading, x: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def sr_cdf(fading: SrFading, x: float) -> float:
-    """Power-gain CDF at x >= 0.
+def sr_cdf(fading: SrFading, x):
+    """Power-gain CDF sum_k w_k P(k+1, beta x) at a scalar or 1-D array of
+    gains x >= 0.
 
-    Integer m takes the closed form; non-integer m integrates the density
-    (adaptive quadrature, abs tol 1e-10).
+    P runs downward from P(K, y), P(k, y) = P(k+1, y) + e^-y y^k / k!, so
+    small CDF values keep their digits. Time is O(n K), extra memory O(n).
     """
-    if x < 0:
-        raise ValueError(f"power gain must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if fading.integer_m is not None:
-        return min(max(float(_cdf_closed_integer_m(fading, x)), 0.0), 1.0)
-    return sr_cdf_quadrature(fading, x)
+    x, scalar = _gains(x)
+    y = fading.beta * x
+    w = _weights(fading)
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    p = gammainc(len(w), y)
+    total = w[-1] * p
+    for k in range(len(w) - 1, 0, -1):
+        p += np.exp(k * log_y - y - math.lgamma(k + 1.0))
+        total += w[k - 1] * p
+    total = np.minimum(total, 1.0)
+    return float(total[0]) if scalar else total
 
 
-def tail_mass(fading: SrFading, x: float) -> float:
-    """Complementary CDF P(G >= x), stable deep into the tail.
+def tail_mass(fading: SrFading, x):
+    """Complementary CDF P(G >= x) = sum_k w_k Q(k+1, beta x) at a scalar or
+    1-D array of gains x >= 0.
 
-    Formally 1 - sr_cdf(x), but evaluated without the cancellation that
-    flushes tail probabilities below ~1e-16 to zero: integer m keeps the
-    closed form's explicit tail term, non-integer m integrates the density
-    over [x, cutoff] directly.
+    The series has no cancellation, so tail probabilities far below 1e-16
+    keep their digits.
     """
-    if x < 0:
-        raise ValueError(f"power gain must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    m_int = fading.integer_m
-    if m_int is not None:
-        bd = fading.beta - fading.delta
-        coeffs = _pdf_coeffs_integer_m(fading)
-        expo = math.exp(-bd * x)
-        total = 0.0
-        for k in range(m_int):
-            inner = 0.0
-            for p in range(k + 1):
-                inner += (math.factorial(k) / math.factorial(p)
-                          * x**p * expo / bd ** (k + 1 - p))
-            total += coeffs[k] * inner
-        return min(max(float(fading.alpha) * total, 0.0), 1.0)
-    hi = x + (80.0 + 20.0 * max(fading.m, 1.0)) / (fading.beta - fading.delta)
-    f = lambda y: sr_pdf(fading, y)
-    mean = fading.mean_gain
-    if x < mean < hi:
-        v1, _ = integrate.quad(f, x, mean, epsabs=1e-300, epsrel=1e-11, limit=200)
-        v2, _ = integrate.quad(f, mean, hi, epsabs=1e-300, epsrel=1e-11, limit=200)
-        val = v1 + v2
-    else:
-        val, _ = integrate.quad(f, x, hi, epsabs=1e-300, epsrel=1e-11, limit=200)
-    return min(max(val, 0.0), 1.0)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def sr_cdf_many(fading: SrFading, xs: np.ndarray) -> np.ndarray:
-    """CDF at many points at once (same values as sr_cdf, vectorized).
-
-    Anchors at the smallest point with the scalar routine, then accumulates
-    panel integrals of the density between consecutive sorted points with
-    8-node Gauss-Legendre quadrature.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("xs must be one-dimensional")
-    if np.any(xs < 0):
-        raise ValueError("power gain must be >= 0")
-    order = np.argsort(xs)
-    sx = xs[order]
-    out_sorted = np.empty_like(sx)
-    out_sorted[0] = sr_cdf(fading, sx[0])
-    if len(sx) > 1:
-        a = sx[:-1]
-        b = sx[1:]
-        halfw = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes = mid[None, :] + halfw[None, :] * _GL_NODES[:, None]
-        vals = sr_pdf(fading, nodes.ravel()).reshape(nodes.shape)
-        panels = halfw * np.einsum("i,ij->j", _GL_WEIGHTS, vals)
-        out_sorted[1:] = out_sorted[0] + np.cumsum(panels)
-    out = np.empty_like(out_sorted)
-    out[order] = np.clip(out_sorted, 0.0, 1.0)
-    return out
+    x, scalar = _gains(x)
+    total = np.minimum(_upper_series(fading, fading.beta * x, moment=False), 1.0)
+    total[x == 0.0] = 1.0  # the truncated weights sum to 1 only up to rounding
+    return float(total[0]) if scalar else total
 
 
 @dataclass(frozen=True)
@@ -425,12 +382,13 @@ def state_probs(fading: SrFading, part: GainPartition) -> np.ndarray:
     takes the remaining tail mass.
     """
     k = part.n_states
+    gains = part.thresholds**2
     # Interior probabilities as complementary-CDF differences: identical to
     # CDF differences in exact arithmetic but they keep deep-tail states
     # from cancelling to zero.
-    tails = np.array([tail_mass(fading, float(mu) ** 2) for mu in part.thresholds])
+    tails = tail_mass(fading, gains)
     pi = np.empty(k)
-    pi[0] = sr_cdf(fading, float(part.thresholds[1]) ** 2)
+    pi[0] = sr_cdf(fading, float(gains[1]))
     pi[1:-1] = tails[1:-1] - tails[2:]
     pi[-1] = tails[-1]
     return np.clip(pi, 0.0, 1.0)
@@ -475,13 +433,13 @@ def lcr(
     z = fading.delta * r_th * r_th
 
     def xi(n: int) -> float:
-        scale = math.exp(log_gamma(n + m) - n * math.log(2.0) - log_gamma(n + 1.0))
+        scale = math.exp(math.lgamma(n + m) - n * math.log(2.0) - math.lgamma(n + 1.0))
         power = 2.0 if xi_exponent == "squared" else float(n)
         return (scale * bracket**power * q**n
                 * confluent_1f1(n + m, n + 1.0, z, ctl))
 
     prefactor = (
-        1.0 / (math.sqrt(2.0 * math.pi) * math.exp(log_gamma(m)))
+        1.0 / (math.sqrt(2.0 * math.pi) * math.exp(math.lgamma(m)))
         * (2.0 * b0 * m / (2.0 * b0 * m + om)) ** m
         * math.sqrt(det / b0)
         * (r_th / b0)
@@ -522,41 +480,19 @@ def afd(fading: SrFading, dop: DopplerSpec, r_th: float,
 def tail_mean_gain(fading: SrFading, x: float) -> float:
     """Conditional mean power gain E[G | G >= x].
 
-    Both the tail mass and the tail first moment are integrated over the
-    same interval, so the ratio stays accurate even where each underflows
-    relative to 1.
+    The tail first moment sum_k w_k (k+1)/beta Q(k+2, beta x) over the tail
+    mass; neither series cancels, so the ratio stays accurate even where
+    each underflows relative to 1.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return fading.mean_gain
-    hi = x + (80.0 + 20.0 * max(fading.m, 1.0)) / (fading.beta - fading.delta)
-    mean = fading.mean_gain
-    pieces = [x, mean, hi] if x < mean < hi else [x, hi]
-    mass = 0.0
-    moment = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        v, _ = integrate.quad(lambda y: sr_pdf(fading, y), a, b,
-                              epsabs=1e-300, epsrel=1e-11, limit=200)
-        w, _ = integrate.quad(lambda y: y * sr_pdf(fading, y), a, b,
-                              epsabs=1e-300, epsrel=1e-11, limit=200)
-        mass += v
-        moment += w
+    moment = _upper_series(fading, np.array([fading.beta * x]), moment=True)[0] / fading.beta
+    mass = tail_mass(fading, x)
     if mass <= 0.0 or not math.isfinite(moment / mass):
         raise ValueError(f"no resolvable tail mass above x={x}")
     return moment / mass
-
-
-def gain_quantile(fading: SrFading, p: float) -> float:
-    """Power gain g with F(g) = p, for p in (0, 1)."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    hi = fading.mean_gain
-    while sr_cdf(fading, hi) < p:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ArithmeticError(f"quantile search diverged for p={p}")
-    return optimize.brentq(lambda g: sr_cdf(fading, g) - p, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
 
 
 def _tail_quantile(fading: SrFading, target: float, lo_gain: float) -> float:

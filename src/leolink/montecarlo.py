@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainPartition, SrFading, sr_cdf_many
+from .channel import GainPartition, SrFading, sr_cdf
 from .geometry import PassGeometry, PassTimeline, sub_point_speed
 from .schemes import LinkBudget, PatConfig, RatConfig, TrafficSpec
 
@@ -288,6 +288,6 @@ def ks_statistic(fading: SrFading, gains: np.ndarray) -> float:
     n = len(xs)
     if n < 1:
         raise ValueError("need at least one sample")
-    f = sr_cdf_many(fading, xs)
+    f = sr_cdf(fading, xs)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

@@ -1,4 +1,4 @@
-"""Scalar special functions used by the fading and crossing-rate formulas.
+"""Scalar special functions used by the crossing-rate formula.
 
 Everything here is evaluated in plain double precision with explicit
 truncation control; no arbitrary-precision backend is involved.
@@ -11,20 +11,12 @@ __all__ = [
     "SeriesControl",
     "DEFAULT_SERIES",
     "NonConvergent",
-    "UnsupportedOrder",
-    "pochhammer",
     "confluent_1f1",
-    "bessel_i",
-    "log_gamma",
 ]
 
 
 class NonConvergent(ArithmeticError):
     """A series hit its term cap before reaching the requested tolerance."""
-
-
-class UnsupportedOrder(ValueError):
-    """Bessel order outside the implemented set {0, 1, 2}."""
 
 
 @dataclass(frozen=True)
@@ -48,16 +40,6 @@ class SeriesControl:
 DEFAULT_SERIES = SeriesControl()
 
 
-def pochhammer(w: float, k: int) -> float:
-    """Rising factorial w(w+1)...(w+k-1), with the empty product equal to 1."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    out = 1.0
-    for i in range(k):
-        out *= w + i
-    return out
-
-
 def confluent_1f1(a: float, b: float, x: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
     """Kummer's function 1F1(a; b; x) by direct term summation.
 
@@ -79,70 +61,3 @@ def confluent_1f1(a: float, b: float, x: float, ctl: SeriesControl = DEFAULT_SER
         f"1F1({a}; {b}; {x}) did not reach rel_tol={ctl.rel_tol} "
         f"within {ctl.max_terms} terms"
     )
-
-
-# Above this point the ascending series for I_n needs hundreds of terms and
-# the large-argument expansion is already accurate to ~1e-12.
-_BESSEL_ASYMPTOTIC_CUTOVER = 40.0
-
-
-def bessel_i(n: int, x: float) -> float:
-    """Modified Bessel function I_n(x) for n in {0, 1, 2} and x >= 0.
-
-    Ascending power series for x <= 40, large-argument expansion beyond.
-    """
-    if n not in (0, 1, 2):
-        raise UnsupportedOrder(f"only orders 0, 1, 2 are supported, got {n}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x <= _BESSEL_ASYMPTOTIC_CUTOVER:
-        return _bessel_i_series(n, x)
-    return _bessel_i_asymptotic(n, x)
-
-
-def _bessel_i_series(n: int, x: float) -> float:
-    # I_n(x) = sum_k (x/2)^(2k+n) / (k! (k+n)!); all terms positive.
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    h = x / 2.0
-    term = h**n / math.factorial(n)
-    if term == 0.0:  # (x/2)^n underflowed; the sum is indistinguishable from it
-        return 0.0
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= h * h / (k * (k + n))
-        total += term
-        if term <= 1e-17 * total:
-            return total
-        if k > 1000:  # unreachable for x <= 40
-            raise NonConvergent(f"I_{n}({x}) series stalled")
-
-
-def _bessel_i_asymptotic(n: int, x: float) -> float:
-    # I_n(x) ~ e^x / sqrt(2 pi x) * sum_j (-1)^j a_j(n) / x^j with
-    # a_j(n) = prod_{i=1..j} (4n^2 - (2i-1)^2) / (j! 8^j); truncated at the
-    # smallest term, which bounds the error of this divergent expansion.
-    mu = 4.0 * n * n
-    term = 1.0
-    total = 1.0
-    prev = math.inf
-    j = 0
-    while True:
-        j += 1
-        term *= ((2 * j - 1) ** 2 - mu) / (8.0 * j * x)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if prev < 1e-17 * abs(total):
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
-    return math.lgamma(x)

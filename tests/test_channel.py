@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,8 @@ from leolink.channel import (
     afd,
     doppler_moments,
     equal_probability_partition,
-    gain_quantile,
     lcr,
     sr_cdf,
-    sr_cdf_many,
     sr_cdf_quadrature,
     sr_pdf,
     state_prob_matrix,
@@ -30,6 +29,12 @@ from leolink.montecarlo import sample_sr_gain
 from leolink.special import SeriesControl
 
 TABLE_FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
+# Abdi et al. 2003 light, average and heavy shadowing (m, b0, omega).
+ABDI_SETS = {
+    "light": (19.4, 0.158, 1.29),
+    "average": (10.1, 0.126, 0.835),
+    "heavy": (0.739, 0.063, 8.97e-4),
+}
 TABLE_DOPPLER = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=1.55, aoa_width=24.2)
 
 
@@ -105,11 +110,17 @@ class TestSrCdf:
         assert closed == pytest.approx(0.518263618025867237, rel=1e-10)
         assert abs(closed - quad) < 1e-8
 
-    @pytest.mark.parametrize("m", [1, 2, 5])
-    def test_closed_vs_quadrature_grid(self, m):
-        f = SrFading(float(m), 0.126, 0.825)
-        for x in np.linspace(0.02, 8.0, 25):
-            assert abs(sr_cdf(f, float(x)) - sr_cdf_quadrature(f, float(x))) < 1e-8
+    @pytest.mark.parametrize(
+        "params",
+        [pytest.param((float(m), 0.126, 0.825), id=str(m)) for m in (1, 2, 5)]
+        + [pytest.param(p, id=name) for name, p in ABDI_SETS.items()],
+    )
+    def test_closed_vs_quadrature_grid(self, params):
+        f = SrFading(*params)
+        for x in np.linspace(0.02, 8.0, 25) * f.mean_gain:
+            quad = sr_cdf_quadrature(f, float(x))
+            assert abs(sr_cdf(f, float(x)) - quad) < 1e-8
+            assert abs(tail_mass(f, float(x)) - (1.0 - quad)) < 1e-8
 
     def test_monotone(self):
         xs = np.linspace(0.0, 8.0, 60)
@@ -119,10 +130,13 @@ class TestSrCdf:
         assert vals[-1] <= 1.0
 
     def test_many_matches_scalar(self):
-        xs = np.linspace(0.01, 6.0, 50)
-        many = sr_cdf_many(TABLE_FADING, xs)
-        for x, v in zip(xs, many):
-            assert v == pytest.approx(sr_cdf(TABLE_FADING, float(x)), abs=1e-9)
+        # unsorted, with repeats and zeros
+        xs = np.array([3.0, 0.0, 0.5, 40.0, 0.5, 1e-9, 0.0, 6.0, 0.01, 3.0])
+        for fn in (sr_cdf, tail_mass):
+            many = fn(TABLE_FADING, xs)
+            assert many.shape == xs.shape
+            for x, v in zip(xs, many):
+                assert abs(v - fn(TABLE_FADING, float(x))) <= 1e-15
 
     def test_tail_mass_complements_cdf(self):
         for fading in [TABLE_FADING, SrFading(3.0, 0.2, 0.6)]:
@@ -135,6 +149,24 @@ class TestSrCdf:
         # far beyond float complement resolution, but representable directly
         s = tail_mass(TABLE_FADING, 128.0)
         assert 0.0 < s < 1e-100
+
+    @pytest.mark.parametrize("x", [84.0, 226.0])  # tails near 5e-99 and 4e-280
+    def test_tail_mass_deep_tail_reference(self, x):
+        f = TABLE_FADING
+        with mpmath.workdps(40):
+            m, b0, om = mpmath.mpf(f.m), mpmath.mpf(f.b0), mpmath.mpf(f.omega)
+            alpha = (2 * b0 * m / (2 * b0 * m + om)) ** m / (2 * b0)
+            beta = 1 / (2 * b0)
+            delta = om / (2 * b0 * (2 * b0 * m + om))
+
+            def pdf(y):
+                return alpha * mpmath.exp(-beta * y) * mpmath.hyp1f1(m, 1, delta * y)
+
+            # quad's tolerance is absolute: integrate the density relative
+            # to its value at x
+            scale = pdf(x)
+            want = float(scale * mpmath.quad(lambda u: pdf(x + u) / scale, [0, 1, 4, 16, 64]))
+        assert tail_mass(f, x) == pytest.approx(want, rel=1e-13)
 
 
 class TestPartition:
@@ -227,12 +259,18 @@ class TestEqualProbabilityPartition:
         assert all(m > 0.0 for m in masses)
         assert np.allclose(masses, masses[0], rtol=1e-6)
 
-    def test_quantile_roundtrip(self):
-        g = gain_quantile(TABLE_FADING, 0.37)
-        assert sr_cdf(TABLE_FADING, g) == pytest.approx(0.37, abs=1e-10)
-
     def test_tail_mean_unconditional(self):
         assert tail_mean_gain(TABLE_FADING, 0.0) == TABLE_FADING.mean_gain
+
+    @pytest.mark.parametrize("params", list(ABDI_SETS.values()), ids=list(ABDI_SETS))
+    def test_tail_mean_against_quadrature(self, params):
+        f = SrFading(*params)
+        for x in (0.5 * f.mean_gain, 3.0 * f.mean_gain):
+            hi = x + 200.0 / (f.beta - f.delta)
+            mass, _ = integrate.quad(lambda y: sr_pdf(f, y), x, hi, epsabs=0, epsrel=1e-12)
+            moment, _ = integrate.quad(lambda y: y * sr_pdf(f, y), x, hi, epsabs=0,
+                                       epsrel=1e-12)
+            assert tail_mean_gain(f, x) == pytest.approx(moment / mass, rel=1e-9)
 
     def test_tail_mean_increases(self):
         a = tail_mean_gain(TABLE_FADING, 0.5)

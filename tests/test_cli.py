@@ -50,6 +50,15 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "dor = 1.0" in out
 
+    @pytest.mark.parametrize("width", ["800", "1000"])
+    def test_wide_aoa_does_not_overflow(self, tmp_path, capsys, width):
+        # I_n(width) alone overflows a double above about 709
+        path = reduced_scenario(
+            tmp_path, "reference_rat.scn", **{"aoa_width = 24.2": f"aoa_width = {width}"}
+        )
+        assert main(["analyze", "--scenario", path]) == 0
+        assert "lambda_s = " in capsys.readouterr().out
+
     def test_pat_below_knee_has_certain_outage(self, tmp_path, capsys):
         # delivery takes 8.33 ms; a 2 ms budget cannot be met
         path = reduced_scenario(
@@ -202,8 +211,7 @@ class TestValidate:
             assert f"PASS {name}" in out
 
     def test_integer_severity_scenario_passes(self, tmp_path, capsys):
-        # exercises the closed-form CDF route end to end, with the outage
-        # strictly inside (0, 1)
+        # an integer severity end to end, with the outage strictly inside (0, 1)
         path = tmp_path / "integer_m.scn"
         path.write_text(INTEGER_M_SCENARIO)
         assert main(["validate", "--scenario", str(path)]) == 0

@@ -2,56 +2,10 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from leolink.special import (
-    DEFAULT_SERIES,
-    NonConvergent,
-    SeriesControl,
-    UnsupportedOrder,
-    bessel_i,
-    confluent_1f1,
-    log_gamma,
-    pochhammer,
-)
-
-
-def bessel_series_oracle(n: int, x: float, terms: int = 200) -> float:
-    """Extended-precision truncated power series for I_n."""
-    with mpmath.workdps(40):
-        xm = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        for k in range(terms):
-            total += (xm / 2) ** (2 * k + n) / (
-                mpmath.factorial(k) * mpmath.factorial(k + n)
-            )
-        return float(total)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-
-    def test_small_product(self):
-        assert pochhammer(3, 2) == 12.0
-
-    def test_negative_base(self):
-        # (1 - 10.1)_3 = (-9.1)(-8.1)(-7.1)
-        assert pochhammer(1 - 10.1, 3) == pytest.approx(-523.341, rel=1e-12)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
-
-    @given(
-        w=st.floats(min_value=-20, max_value=20, allow_nan=False),
-        k=st.integers(min_value=0, max_value=30),
-    )
-    def test_recurrence(self, w, k):
-        assert pochhammer(w, k + 1) == pytest.approx(
-            pochhammer(w, k) * (w + k), rel=1e-12, abs=1e-300
-        )
+from leolink.special import DEFAULT_SERIES, NonConvergent, SeriesControl, confluent_1f1
 
 
 class TestConfluent1F1:
@@ -109,38 +63,6 @@ class TestConfluent1F1:
         assert confluent_1f1(a, b, 0.0) == 1.0
 
 
-class TestBesselI:
-    def test_trivial_values(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(1, 0.0) == 0.0
-        assert bessel_i(2, 0.0) == 0.0
-
-    def test_series_oracle_value(self):
-        # 200-term series at 40 digits: 2637670764.4370002147
-        assert bessel_i(0, 24.2) == pytest.approx(2637670764.4370002, rel=1e-10)
-
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrder):
-            bessel_i(3, 1.0)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i(0, -0.5)
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_against_series_oracle(self, n):
-        # covers both the series branch and the large-argument branch
-        for x in [0.1, 1.0, 5.0, 12.7, 24.2, 39.5, 41.0, 45.0, 50.0]:
-            want = bessel_series_oracle(n, x)
-            assert bessel_i(n, x) == pytest.approx(want, rel=1e-10)
-
-    @given(x=st.floats(min_value=0, max_value=60, allow_nan=False))
-    @settings(max_examples=60)
-    def test_order_monotonicity(self, x):
-        i0, i1, i2 = bessel_i(0, x), bessel_i(1, x), bessel_i(2, x)
-        assert i0 >= i1 >= i2 >= 0.0
-
-
 class TestSeriesControl:
     def test_defaults(self):
         assert DEFAULT_SERIES.rel_tol == 1e-12
@@ -153,12 +75,3 @@ class TestSeriesControl:
             SeriesControl(rel_tol=1e-2)
         with pytest.raises(ValueError):
             SeriesControl(max_terms=10)
-
-
-class TestLogGamma:
-    def test_matches_factorial(self):
-        assert log_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
