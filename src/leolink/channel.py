@@ -9,11 +9,19 @@ IEEE TWC 2003; Paris, Electron. Lett. 2010): with probability
 
     w_k = (1 - r)^m (m)_k r^k / k!,   r = delta / beta = omega / (2 b0 m + omega) < 1,
 
-it is Gamma(k + 1) with rate beta. So the CDF is sum_k w_k P(k+1, beta x),
-the tail sum_k w_k Q(k+1, beta x) and the tail first moment
-sum_k w_k (k+1)/beta Q(k+2, beta x), with P and Q the regularized incomplete
-gamma functions. Every distribution quantity here sums one of these series;
-the 1F1 density and its quadrature are kept as the independent oracle.
+it is Gamma(k + 1) with rate beta. With K ~ NB(m, r) the mixture index and
+N ~ Poisson(beta x), Q(k+1, beta x) = P(N <= k), so the tail is
+sum_k w_k Q(k+1, beta x) = P(N <= K). Every distribution quantity here sums
+that series in the other order, over the Poisson index n:
+
+    P(G >= x) = sum_n p_n(beta x) P(K >= n),   P(G < x) = sum_n p_n(beta x) P(K < n),
+
+with p_n the Poisson pmf and the negative-binomial probabilities in closed
+form (regularized incomplete beta). The Poisson weights confine each sum to
+a window of O(sqrt(beta x)) terms, plus about log(1 / P(G >= x)) for a
+tail, whatever r; summed over k it needs about 40 / (1 - r) terms, which
+grows without bound as the line of sight dominates.
+The 1F1 density and its quadrature are kept as the independent oracle.
 """
 
 import math
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import gammainc, hyp1f1, ive
+from scipy.special import betainc, betaincc, gammaln, hyp1f1, ive, xlog1py, xlogy
 
 from .special import DEFAULT_SERIES, NonConvergent, SeriesControl, confluent_1f1
 
@@ -46,11 +54,25 @@ __all__ = [
 
 _INT_M_TOL = 1e-9
 
-# Every mixture series stops once a geometric bound on its unsummed terms
-# is below _REL_TOL of the partial sum. r near 1 needs about 40 / (1 - r)
-# terms, so the cap admits r up to about 0.9996.
+# Each series omits at most _REL_TOL of its sum on either side of its
+# window; the CDF's upper cut, at most the larger of that and e^-_LOG_FLOOR
+# (past the denormal floor).
 _REL_TOL = 1e-17
-_MAX_TERMS = 100_000
+_LOG_2_OVER_TOL = math.log(2.0 / _REL_TOL)
+_LOG_FLOOR = 745.0
+# Terms are formed for at most _ROWS points at a time, in blocks of at most
+# _BLOCK terms.
+_ROWS = 2048
+_BLOCK = 1 << 18
+# stirlerr(n) = log n! - (n + 1/2) log n + n - log(2 pi) / 2 for n = 1..15
+# (entry 0 unused); above, its asymptotic series is exact to double precision.
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 
 class ZeroCrossingRate(ArithmeticError):
@@ -149,79 +171,145 @@ def doppler_moments(fading: SrFading, dop: DopplerSpec) -> tuple[float, float]:
     return b1, b2
 
 
-def _mixture_ratio(fading: SrFading) -> float:
-    return fading.omega / (2.0 * fading.b0 * fading.m + fading.omega)
+def _mixture(fading: SrFading) -> tuple[float, float]:
+    """(r, 1 - r) of the negative-binomial mixture index, each formed
+    without cancellation."""
+    den = 2.0 * fading.b0 * fading.m + fading.omega
+    return fading.omega / den, 2.0 * fading.b0 * fading.m / den
 
 
-def _ratio_bound(r: float, m: float, k: int) -> float:
-    # Bounds c_{j+1} / c_j for every j >= k, for both coefficient sequences
-    # of the series, c_j = w_j and c_j = (j+1) w_j; it never rises with k.
-    return r * max(1.0, (m + k) / (k + 1.0)) * (k + 2.0) / (k + 1.0)
+def _log_poisson(n, y):
+    """log(e^-y y^n / n!) in Loader's saddle-point form,
+    -stirlerr(n) - (n log(n/y) - (n - y)) - log(2 pi n) / 2, which keeps the
+    digits that n log y - y - log n! loses to cancellation; -y at n = 0."""
+    n = np.asarray(n, dtype=float)
+    big = np.maximum(n, 16.0)
+    series = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188 * big**2)) / big**2) / big**2)
+              / big**2) / big
+    stirlerr = np.where(n < 16.0, _STIRLERR[np.minimum(n, 15.0).astype(int)], series)
+    d = n - y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # n log(n/y), through log1p where n/y is near 1 so it keeps its
+        # digits, and without forming n/y where that would overflow
+        n_log = np.where(d > -0.5 * y, xlog1py(n, d / y), xlogy(n, n / y))
+        n_log = np.where(d > y, xlogy(n, n) - xlogy(n, y), n_log)
+        saddle = -stirlerr - (n_log - d) - 0.5 * np.log(2.0 * math.pi * n)
+    return np.where(n > 0.0, saddle, -y)
 
 
-def _rest_bound(c: float, rho: float) -> float:
-    # Geometric bound on the terms after one of size c whose successors
-    # shrink by at least rho each.
-    return c * rho / (1.0 - rho) if rho < 1.0 else math.inf
+def _nb_below(n, m: float, r: float, q: float):
+    # P(K < n) = I_q(m, n) for K ~ NB(m, r) and n >= 1, taken from whichever
+    # of r and q = 1 - r is the smaller, as the other loses digits to 1 - x
+    return betainc(m, n, q) if q <= 0.5 else betaincc(n, m, r)
 
 
-def _not_converged(fading: SrFading) -> NonConvergent:
-    return NonConvergent(
-        f"shadowed-Rician series for {fading} did not converge within "
-        f"{_MAX_TERMS} terms"
-    )
+def _nb_above(n, m: float, r: float, q: float):
+    # P(K >= n) = I_r(n, m), likewise
+    return betainc(n, m, r) if r <= 0.5 else betaincc(m, n, q)
 
 
-def _weights(fading: SrFading) -> np.ndarray:
-    """Mixture weights w_0..w_{K-1}, cut where the bound on the remaining
-    weight is below _REL_TOL of the sum.
+def _log_nb_tilted(n, m: float, q: float):
+    # log(w_n / r^n) = log((1 - r)^m (m)_n / n!), q = 1 - r
+    return gammaln(m + n) - gammaln(m) - gammaln(n + 1.0) + m * math.log(q)
 
-    P(k+1, y) is at most 1 and falls with k, so this cut also bounds the
-    relative error of the CDF series at every y.
+
+def _cut_below(lam, a):
+    """Index below which N ~ Poisson(lam) has mass at most e^-a (Chernoff:
+    P(N <= lam - t) <= e^(-t^2 / 2 lam))."""
+    return np.maximum(np.floor(lam - np.sqrt(2.0 * lam * a)), 0.0)
+
+
+def _cut_above(lam, a):
+    """Index above which N ~ Poisson(lam) has mass at most e^-a (Bernstein:
+    P(N >= lam + t) <= e^(-t^2 / 2(lam + t/3)))."""
+    return np.ceil(lam + a / 3.0 + np.sqrt(a * a / 9.0 + 2.0 * lam * a))
+
+
+def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
+    """sum over n in [lo_i, hi_i] of e^-y_i y_i^n / n! * c_n for each y_i > 0,
+    with log_coef(n) = log c_n and (lo, hi) = window(y).
+
+    Points go in order of y, in groups of at most _ROWS whose y lie within
+    [y0, y0 + sqrt(y0) + 4]. Each group sums over the union of its windows
+    in blocks of at most _BLOCK terms, so memory stays bounded whatever the
+    window. Each term is formed whole in log space, so no factor underflows
+    on its own, relative to n0, the index of the largest term of the group's
+    middle point: log p_n(y) = log p_n0(y) + (n - n0) log(y / n0)
+    - log(n! / n0!), each piece small where the terms matter.
     """
-    r, m = _mixture_ratio(fading), fading.m
-    w = [(1.0 - r) ** m]
-    total = w[0]
-    for k in range(_MAX_TERMS):
-        if _rest_bound(w[-1], _ratio_bound(r, m, k)) <= _REL_TOL * total:
-            return np.array(w)
-        w.append(w[-1] * r * (m + k) / (k + 1.0))
-        total += w[-1]
-    raise _not_converged(fading)
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    out = np.empty_like(y)
+    start = 0
+    while start < len(ys):
+        y0 = ys[start]
+        stop = min(start + _ROWS, int(np.searchsorted(ys, y0 + math.sqrt(y0) + 4.0, "right")))
+        idx = order[start:stop]
+        yi = ys[start:stop]
+        lo, hi = window(yi)
+        first, last = lo.min(), hi.max()
+        n0, best = 1.0, -math.inf
+        for a in np.arange(first, last + 1.0, _BLOCK):
+            n = np.arange(a, min(a + _BLOCK, last + 1.0))
+            t = _log_poisson(n, yi[len(yi) // 2]) + log_coef(n)
+            if t.max() > best:
+                n0, best = max(1.0, float(n[np.argmax(t)])), t.max()
+        ref = _log_poisson(n0, yi)[:, None]
+        slope = np.log(yi / n0)[:, None]
+        step = max(1, _BLOCK // len(yi))
+        total = np.zeros(len(yi))
+        # log(n! / n0!) runs outward from n0: upward, then downward.
+        log_fact = 0.0
+        for a in np.arange(max(n0, first), last + 1.0, step):
+            n = np.arange(a, min(a + step, last + 1.0))
+            lf = log_fact + np.cumsum(np.log(n / n0))
+            log_fact = lf[-1]
+            total += _sum_terms(ref, slope, n - n0, log_coef(n) - lf)
+        log_fact = 0.0
+        for b in np.arange(n0, first, -step):
+            n = np.arange(max(b - step, first), b)
+            lf = log_fact - np.cumsum(np.log((n + 1.0) / n0)[::-1])[::-1]
+            log_fact = lf[0]
+            total += _sum_terms(ref, slope, n - n0, log_coef(n) - lf)
+        out[idx] = total
+        start = stop
+    return out
 
 
-def _upper_series(fading: SrFading, y: np.ndarray, moment: bool) -> np.ndarray:
-    """sum_k c_k Q(k+1+s, y) with s = 0, c_k = w_k (tail) or s = 1,
-    c_k = (k+1) w_k (tail first moment, times beta).
+def _sum_terms(ref: np.ndarray, slope: np.ndarray, dn: np.ndarray, base: np.ndarray) -> np.ndarray:
+    # row sums of exp(ref + slope * dn + base), formed in one buffer
+    terms = slope * dn
+    terms += ref
+    terms += base
+    return np.exp(terms, out=terms).sum(axis=1)
 
-    Q runs upward, Q(n+1, y) = Q(n, y) + e^-y y^n / n!, each increment
-    formed in log space so that tails keep their digits where e^-y alone
-    underflows. Q(n+1, y) / Q(n, y) never rises with n (the Poisson CDF is
-    log-concave), so with _ratio_bound it bounds every later term ratio.
-    That bound and the last term's share of the sum both rise with y, so
-    the stopping test at the largest y holds for every point.
+
+def _upper_sum(fading: SrFading, y: np.ndarray, s: int, m: float) -> np.ndarray:
+    """sum_k w_k Q(k+1+s, y) at y > 0, w_k the mixture weights with shape m:
+    P(N <= K + s) = sum_n p_n(y) P(K >= n - s), K ~ NB(m, r).
+
+    P(K >= j) does not rise with j, so the omitted mass above the window is
+    below _REL_TOL of the sum. Below it, the sum is e^-((1-r) y) times
+    sum_n p_n(r y) c_n with c_n = P(K >= n - s) / r^n, so the cut below r y
+    omits below _REL_TOL of the sum when c_n does not fall with n, as for
+    m >= 1. For m < 1 it falls, from r^-s at n = s to no less than
+    r^-s w_j / r^j at the top, j = hi - s, and the cut widens by that ratio.
     """
-    r, m, s = _mixture_ratio(fading), fading.m, int(moment)
-    top = int(np.argmax(y))
-    with np.errstate(divide="ignore"):
-        log_y = np.log(y)
-    q = np.exp(-y) * (1.0 + y) if moment else np.exp(-y)  # Q(1+s, y)
-    c = (1.0 - r) ** m
-    total = c * q
-    for k in range(_MAX_TERMS):
-        n = k + 1 + s
-        q_next = q + np.exp(n * log_y - y - math.lgamma(n + 1.0))
-        rho = _ratio_bound(r, m, k)
-        rest = _rest_bound(c, rho)  # Q <= 1
-        q_top = float(q[top])
-        if q_top > 0.0:
-            rest = min(rest, _rest_bound(c * q_top, rho * float(q_next[top]) / q_top))
-        if rest <= _REL_TOL * float(total[top]):
-            return total
-        c *= r * (m + k) / (k + 1.0) * ((k + 2.0) / (k + 1.0)) ** s
-        q = q_next
-        total = total + c * q
-    raise _not_converged(fading)
+    r, q = _mixture(fading)
+
+    def window(y):
+        hi = _cut_above(y, _LOG_2_OVER_TOL)
+        a_lo = _LOG_2_OVER_TOL
+        if m < 1.0:
+            a_lo = a_lo - _log_nb_tilted(hi - s, m, q)
+        return _cut_below(r * y, a_lo), hi
+
+    def log_survival(n):
+        j = n - s
+        with np.errstate(divide="ignore"):
+            return np.where(j >= 1.0, np.log(_nb_above(np.maximum(j, 1.0), m, r, q)), 0.0)
+
+    return _poisson_sum(y, log_survival, window)
 
 
 def _gains(x) -> tuple[np.ndarray, bool]:
@@ -229,7 +317,7 @@ def _gains(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     if arr.ndim > 1:
         raise ValueError("power gains must be a scalar or a 1-D array")
-    if np.any(arr < 0.0):
+    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError(f"power gain must be >= 0, got {float(np.min(arr))}")
     return np.atleast_1d(arr), arr.ndim == 0
 
@@ -281,36 +369,47 @@ def sr_cdf_quadrature(fading: SrFading, x: float) -> float:
 
 
 def sr_cdf(fading: SrFading, x):
-    """Power-gain CDF sum_k w_k P(k+1, beta x) at a scalar or 1-D array of
-    gains x >= 0.
+    """Power-gain CDF sum_n p_n(beta x) P(K < n) at a scalar or 1-D array of
+    gains x >= 0, with P(K < n) = I_(1-r)(m, n).
 
-    P runs downward from P(K, y), P(k, y) = P(k+1, y) + e^-y y^k / k!, so
-    small CDF values keep their digits. Time is O(n K), extra memory O(n).
+    Every term is positive, so small CDF values keep their digits. The
+    omitted mass below the window is below _REL_TOL of the sum, P(K < n)
+    being nondecreasing; above it, below _REL_TOL of the lower bound
+    max(w_0 P(1, y), p_n(y) w_(n-1)) at n near r y + m.
     """
     x, scalar = _gains(x)
-    y = fading.beta * x
-    w = _weights(fading)
-    with np.errstate(divide="ignore"):
-        log_y = np.log(y)
-    p = gammainc(len(w), y)
-    total = w[-1] * p
-    for k in range(len(w) - 1, 0, -1):
-        p += np.exp(k * log_y - y - math.lgamma(k + 1.0))
-        total += w[k - 1] * p
-    total = np.minimum(total, 1.0)
+    inner = (x > 0.0) & (x < math.inf)
+    y = fading.beta * x[inner]
+    r, q = _mixture(fading)
+    m = fading.m
+
+    def window(y):
+        n = np.maximum(np.rint(r * y + m), 1.0)
+        log_lb = np.maximum(m * math.log(q) + np.log(-np.expm1(-y)),
+                            _log_poisson(n, y) + _log_nb_tilted(n - 1.0, m, q) + xlogy(n - 1.0, r))
+        a_hi = np.minimum(_LOG_2_OVER_TOL - log_lb, _LOG_FLOOR)
+        return _cut_below(y, _LOG_2_OVER_TOL), _cut_above(y, a_hi)
+
+    def log_below(n):
+        with np.errstate(divide="ignore"):
+            return np.where(n >= 1.0, np.log(_nb_below(np.maximum(n, 1.0), m, r, q)), -np.inf)
+
+    total = np.where(x == math.inf, 1.0, 0.0)
+    total[inner] = np.minimum(_poisson_sum(y, log_below, window), 1.0)
     return float(total[0]) if scalar else total
 
 
 def tail_mass(fading: SrFading, x):
-    """Complementary CDF P(G >= x) = sum_k w_k Q(k+1, beta x) at a scalar or
-    1-D array of gains x >= 0.
+    """Complementary CDF P(G >= x) = sum_n p_n(beta x) P(K >= n) at a scalar
+    or 1-D array of gains x >= 0.
 
     The series has no cancellation, so tail probabilities far below 1e-16
     keep their digits.
     """
     x, scalar = _gains(x)
-    total = np.minimum(_upper_series(fading, fading.beta * x, moment=False), 1.0)
-    total[x == 0.0] = 1.0  # the truncated weights sum to 1 only up to rounding
+    inner = (x > 0.0) & (x < math.inf)
+    total = np.where(x == math.inf, 0.0, 1.0)
+    total[inner] = np.minimum(_upper_sum(fading, fading.beta * x[inner], 0, fading.m), 1.0)
     return float(total[0]) if scalar else total
 
 
@@ -481,14 +580,19 @@ def tail_mean_gain(fading: SrFading, x: float) -> float:
     """Conditional mean power gain E[G | G >= x].
 
     The tail first moment sum_k w_k (k+1)/beta Q(k+2, beta x) over the tail
-    mass; neither series cancels, so the ratio stays accurate even where
-    each underflows relative to 1.
+    mass. As k w_k(m) = m r/(1-r) w_(k-1)(m+1), the moment splits into two
+    tail series, one with shape m + 1; none cancels, so the ratio stays
+    accurate even where each underflows relative to 1.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return fading.mean_gain
-    moment = _upper_series(fading, np.array([fading.beta * x]), moment=True)[0] / fading.beta
+    r, q = _mixture(fading)
+    y = np.array([fading.beta * x])
+    m = fading.m
+    moment = float(_upper_sum(fading, y, 1, m)[0]
+                   + m * r / q * _upper_sum(fading, y, 2, m + 1.0)[0]) / fading.beta
     mass = tail_mass(fading, x)
     if mass <= 0.0 or not math.isfinite(moment / mass):
         raise ValueError(f"no resolvable tail mass above x={x}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from leolink.channel import (
     DopplerSpec,
@@ -34,6 +34,12 @@ ABDI_SETS = {
     "light": (19.4, 0.158, 1.29),
     "average": (10.1, 0.126, 0.835),
     "heavy": (0.739, 0.063, 8.97e-4),
+}
+# Line-of-sight-dominated sets, mixture ratio r = 0.9997 and 0.9999: summed
+# over the mixture index, these series need about 40 / (1 - r) terms.
+LOS_SETS = {
+    "los-m1.5": (1.5, 1e-4, 1.0),
+    "los-m0.5": (0.5, 1e-3, 10.0),
 }
 TABLE_DOPPLER = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=1.55, aoa_width=24.2)
 
@@ -113,7 +119,7 @@ class TestSrCdf:
     @pytest.mark.parametrize(
         "params",
         [pytest.param((float(m), 0.126, 0.825), id=str(m)) for m in (1, 2, 5)]
-        + [pytest.param(p, id=name) for name, p in ABDI_SETS.items()],
+        + [pytest.param(p, id=name) for name, p in {**ABDI_SETS, **LOS_SETS}.items()],
     )
     def test_closed_vs_quadrature_grid(self, params):
         f = SrFading(*params)
@@ -121,6 +127,21 @@ class TestSrCdf:
             quad = sr_cdf_quadrature(f, float(x))
             assert abs(sr_cdf(f, float(x)) - quad) < 1e-8
             assert abs(tail_mass(f, float(x)) - (1.0 - quad)) < 1e-8
+
+    def test_infinite_and_nan_gains(self):
+        assert sr_cdf(TABLE_FADING, math.inf) == 1.0
+        assert tail_mass(TABLE_FADING, math.inf) == 0.0
+        for fn in (sr_cdf, tail_mass):
+            with pytest.raises(ValueError):
+                fn(TABLE_FADING, math.nan)
+
+    def test_nakagami_limit(self):
+        # b0 -> 0 leaves the Nakagami line of sight, power Gamma(m, omega/m);
+        # here r = 1 - 4e-8, about 1e9 terms summed over the mixture index
+        f = SrFading(2.0, 1e-8, 1.0)
+        for x in (0.5, 1.0, 2.0):
+            assert sr_cdf(f, x) == pytest.approx(special.gammainc(2.0, 2.0 * x), abs=1e-7)
+            assert tail_mass(f, x) == pytest.approx(special.gammaincc(2.0, 2.0 * x), abs=1e-7)
 
     def test_monotone(self):
         xs = np.linspace(0.0, 8.0, 60)
@@ -234,6 +255,14 @@ class TestEqualProbabilityPartition:
         assert np.allclose(upper, upper[0], rtol=1e-6)
         assert abs(pi.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("params", list(LOS_SETS.values()), ids=list(LOS_SETS))
+    def test_line_of_sight_partition(self, params):
+        f = SrFading(*params)
+        part = equal_probability_partition(f, 0.6 * math.sqrt(f.omega), 8)
+        pi = state_probs(f, part)
+        assert np.allclose(pi[1:], pi[1], rtol=1e-6)
+        assert abs(pi.sum() - 1.0) < 1e-9
+
     def test_explicit_thresholds(self):
         part = equal_probability_partition(
             TABLE_FADING, 0.3, 4, upper_thresholds=[0.8, 1.2]
@@ -262,7 +291,8 @@ class TestEqualProbabilityPartition:
     def test_tail_mean_unconditional(self):
         assert tail_mean_gain(TABLE_FADING, 0.0) == TABLE_FADING.mean_gain
 
-    @pytest.mark.parametrize("params", list(ABDI_SETS.values()), ids=list(ABDI_SETS))
+    @pytest.mark.parametrize("params", [*ABDI_SETS.values(), *LOS_SETS.values()],
+                             ids=[*ABDI_SETS, *LOS_SETS])
     def test_tail_mean_against_quadrature(self, params):
         f = SrFading(*params)
         for x in (0.5 * f.mean_gain, 3.0 * f.mean_gain):
