@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import betainc, betaincc, gammaln, hyp1f1, ive, xlog1py, xlogy
 
 from .special import DEFAULT_SERIES, NonConvergent, SeriesControl, confluent_1f1
@@ -53,6 +52,8 @@ __all__ = [
 ]
 
 _INT_M_TOL = 1e-9
+# scipy.optimize.brentq's default iteration cap
+_BRENTQ_MAXITER = 100
 
 # Each series omits at most _REL_TOL of its sum on either side of its
 # window; the CDF's upper cut, at most the larger of that and e^-_LOG_FLOOR
@@ -352,6 +353,9 @@ def sr_cdf_quadrature(fading: SrFading, x: float) -> float:
     The interval is split at the distribution mean so the quadrature sees
     the exponential tail separately; absolute tolerance 1e-10.
     """
+    # Imported on first use: only the oracle needs it, and it is slow to import.
+    from scipy import integrate
+
     if x < 0:
         raise ValueError(f"power gain must be >= 0, got {x}")
     if x == 0.0:
@@ -599,6 +603,77 @@ def tail_mean_gain(fading: SrFading, x: float) -> float:
     return moment / mass
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f between xa and xb by Brent's method, as scipy.optimize.brentq
+    computes it (scipy/optimize/Zeros/brentq.c): the same iterates, hence the
+    same root to the last bit, and its default cap of 100 iterations.
+
+    rtol must be at least 4 machine epsilons, so that every step moves x.
+    Raises NonConvergent when f returns NaN or the cap is reached, and
+    ArithmeticError when f(xa) and f(xb) have the same sign.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NonConvergent(f"root finder: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ArithmeticError(
+            f"root finder: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} "
+            "have the same sign"
+        )
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:  # in C, inf or NaN: fails the test too
+                pass
+        if good:
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NonConvergent(
+        f"root finder did not converge within {_BRENTQ_MAXITER} iterations "
+        f"(last x = {xcur!r})"
+    )
+
+
 def _tail_quantile(fading: SrFading, target: float, lo_gain: float) -> float:
     """Gain g >= lo_gain with tail_mass(g) = target (target < tail at lo)."""
     hi = max(2.0 * lo_gain, fading.mean_gain)
@@ -607,7 +682,7 @@ def _tail_quantile(fading: SrFading, target: float, lo_gain: float) -> float:
         if hi > 1e12:
             raise ArithmeticError(f"tail quantile search diverged at target={target}")
     # Ratio form keeps the root-finder stable when target is deep in the tail.
-    return optimize.brentq(
+    return _brentq(
         lambda g: tail_mass(fading, g) / target - 1.0,
         lo_gain, hi, xtol=1e-13, rtol=8.9e-16,
     )

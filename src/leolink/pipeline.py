@@ -3,11 +3,11 @@ optional simulation columns, simulation runs, and the oracle cross-check
 suite behind the `validate` subcommand.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import channel, montecarlo, schemes
 from .channel import GainPartition, StateProbMatrix, afd, equal_probability_partition
@@ -29,6 +29,8 @@ __all__ = [
     "run_validate",
 ]
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class ScenarioParts:
@@ -47,8 +49,9 @@ def prepare(scn: Scenario) -> ScenarioParts:
 
     When the crossing rate at the first threshold underflows double
     precision the waiting-time mean is astronomically large; the closed
-    forms are evaluated in their exact infinite-wait limit (lam_s = inf).
-    Simulation entry points reject that limit instead of sampling it.
+    forms are evaluated in their exact infinite-wait limit (lam_s = inf),
+    and a warning naming the first threshold is logged. Simulation entry
+    points reject that limit instead of sampling it.
     """
     tl = build_timeline(scn.geometry, scn.slot_len_s)
     d_max = distance_range(scn.geometry, all_terminals=True)[1]
@@ -62,7 +65,8 @@ def prepare(scn: Scenario) -> ScenarioParts:
     probs = channel.state_prob_matrix(scn.fading, part, tl.n_slots)
     try:
         lam = afd(scn.fading, scn.doppler, first)
-    except channel.ZeroCrossingRate:
+    except channel.ZeroCrossingRate as exc:
+        log.warning("lambda taken as infinite at first threshold %r: %s", first, exc)
         lam = math.inf
     return ScenarioParts(
         timeline=tl,
@@ -258,7 +262,9 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     base_seed = scn.sim.seed if seed is None else seed
     n_samples = scn.sim.n_samples
 
-    # Density normalization.
+    # Density normalization. Imported on first use: only the oracle needs it.
+    from scipy import integrate
+
     cutoff = channel._tail_cutoff(fading)
     mass, _ = integrate.quad(
         lambda y: channel.sr_pdf(fading, y), 0.0, cutoff,

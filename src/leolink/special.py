@@ -16,7 +16,8 @@ __all__ = [
 
 
 class NonConvergent(ArithmeticError):
-    """A series hit its term cap before reaching the requested tolerance."""
+    """A series or a root finder hit its cap before reaching the requested
+    tolerance, or met a NaN."""
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
+from leolink import channel
 from leolink.channel import (
     DopplerSpec,
     GainPartition,
@@ -26,7 +27,7 @@ from leolink.channel import (
     tail_mean_gain,
 )
 from leolink.montecarlo import sample_sr_gain
-from leolink.special import SeriesControl
+from leolink.special import NonConvergent, SeriesControl
 
 TABLE_FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
 # Abdi et al. 2003 light, average and heavy shadowing (m, b0, omega).
@@ -306,6 +307,74 @@ class TestEqualProbabilityPartition:
         a = tail_mean_gain(TABLE_FADING, 0.5)
         b = tail_mean_gain(TABLE_FADING, 2.0)
         assert TABLE_FADING.mean_gain < a < b
+
+
+# Brent's method as the partition calls it: xtol 1e-13, rtol 8.9e-16.
+BRENT_TOL = {"xtol": 1e-13, "rtol": 8.9e-16}
+# A sign change inside [a, b]: smooth or stepped, values from 1e-200 to 1e300,
+# brackets up to 2e12 wide, a root at an end.
+BRENT_CASES = {
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 0.0, 4.0),
+    "exp": (lambda x: math.exp(x) - 3.0, -1.0, 5.0),
+    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "steep-atan": (lambda x: math.atan(50.0 * (x - 0.3)), -2.0, 5.0),
+    "steep-tanh": (lambda x: math.tanh(1e3 * (x - 1.0 / 3.0)), 0.0, 1.0),
+    "x21": (lambda x: x**21 - 0.5, 0.5, 1.5),
+    "tiny-values": (lambda x: 1e-200 * (x - 0.123456789), 0.0, 1.0),
+    "step": (lambda x: -1.0 if x < 0.3 else 1e300, 0.0, 1.0),
+    "wide-cbrt": (lambda x: math.copysign(abs(x - 0.3) ** (1 / 9), x - 0.3), -1e12, 1e12),
+    "root-at-end": (lambda x: x - 2.0, 0.0, 2.0),
+}
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("case", list(BRENT_CASES.values()), ids=list(BRENT_CASES))
+    def test_matches_scipy_bit_for_bit(self, case):
+        f, a, b = case
+        assert channel._brentq(f, a, b, **BRENT_TOL) == optimize.brentq(f, a, b, **BRENT_TOL)
+        assert channel._brentq(f, b, a, **BRENT_TOL) == optimize.brentq(f, b, a, **BRENT_TOL)
+
+    @pytest.mark.parametrize("params", [*ABDI_SETS.values(), *LOS_SETS.values()],
+                             ids=[*ABDI_SETS, *LOS_SETS])
+    def test_partition_solves_match_scipy(self, monkeypatch, params):
+        # every tail-quantile solve of an 8-state partition, against scipy
+        # on the same function and bracket
+        solves = []
+        brentq = channel._brentq
+
+        def both(f, a, b, xtol, rtol):
+            got = brentq(f, a, b, xtol=xtol, rtol=rtol)
+            solves.append((got, optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)))
+            return got
+
+        monkeypatch.setattr(channel, "_brentq", both)
+        fading = SrFading(*params)
+        equal_probability_partition(fading, 0.6 * math.sqrt(fading.mean_gain), 8)
+        assert len(solves) == 6
+        assert all(got == want for got, want in solves)
+
+    def test_nan_raises_nonconvergent(self):
+        with pytest.raises(NonConvergent, match="NaN"):
+            channel._brentq(lambda x: math.nan, 0.0, 1.0, **BRENT_TOL)
+        # finite at both ends, NaN at the first iterate
+        with pytest.raises(NonConvergent, match="NaN"):
+            channel._brentq(lambda x: x - 0.25 if x in (0.0, 1.0) else math.nan,
+                            0.0, 1.0, **BRENT_TOL)
+
+    def test_iteration_cap_raises_nonconvergent(self):
+        # so flat near its root that 100 steps do not narrow the bracket
+        # to 1e-13; scipy gives up on it too
+        def flat(x):
+            return math.copysign(abs(x - 0.3) ** 15, x - 0.3)
+
+        _, info = optimize.brentq(flat, 0.0, 1.0, full_output=True, disp=False, **BRENT_TOL)
+        assert not info.converged
+        with pytest.raises(NonConvergent, match="100 iterations"):
+            channel._brentq(flat, 0.0, 1.0, **BRENT_TOL)
+
+    def test_same_sign_raises(self):
+        with pytest.raises(ArithmeticError, match="same sign"):
+            channel._brentq(lambda x: x * x + 1.0, -1.0, 1.0, **BRENT_TOL)
 
 
 class TestDoppler:

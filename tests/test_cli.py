@@ -1,12 +1,24 @@
 import csv
 import io
+import json
+import logging
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from leolink import channel
 from leolink.cli import main
+from leolink.geometry import distance_range
+from leolink.scenario import parse_scenario
+from leolink.schemes import pat_first_threshold
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 RAT_SCN = str(SCENARIO_DIR / "reference_rat.scn")
@@ -242,22 +254,70 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("E_NUMERIC")
 
-    def test_analyze_takes_unbounded_wait_limit(self, tmp_path, capsys):
+    def test_analyze_takes_unbounded_wait_limit(self, tmp_path, capsys, caplog):
         # same configuration analytically: closed forms evaluate in the
         # infinite-wait limit, where the outage sticks at the bottom-state
-        # mass (here ~1) above the knee
+        # mass (here ~1) above the knee; the fallback logs one warning that
+        # names the first threshold, off stdout
         extreme = reduced_scenario(
             tmp_path, "reference_pat.scn",
             **{"fixed_rate = 60 Mbit/s": "fixed_rate = 600 Mbit/s"},
         )
-        assert main(["analyze", "--scenario", extreme]) == 0
+        with caplog.at_level(logging.WARNING, logger="leolink"):
+            assert main(["analyze", "--scenario", extreme]) == 0
         out = capsys.readouterr().out
         assert "lambda_s = inf" in out
         dor = float(next(l for l in out.splitlines() if l.startswith("dor")).split("=")[1])
         assert dor == pytest.approx(1.0, abs=1e-9)
+
+        scn = parse_scenario(Path(extreme).read_text())
+        first = pat_first_threshold(
+            scn.budget, scn.pat, distance_range(scn.geometry, all_terminals=True)[1]
+        )
+        records = [r for r in caplog.records if r.name == "leolink.pipeline"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert repr(first) in records[0].getMessage()
+        assert "infinite" not in out
+
+    def test_root_finder_nan_exits_3(self, monkeypatch, capsys):
+        # a NaN tail mass reaches the partition's root finder
+        monkeypatch.setattr(channel, "tail_mass", lambda fading, x: math.nan)
+        assert main(["analyze", "--scenario", RAT_SCN]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("E_NUMERIC NonConvergent")
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "garbage.scn"
         path.write_text("[geometry\nearth_radius = 1")
         assert main(["analyze", "--scenario", str(path)]) == 2
         assert "E_PARSE" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_analyze_loads_neither_optimize_nor_integrate(self):
+        # In a fresh interpreter: analyze must not import scipy.optimize or
+        # scipy.integrate; validate imports scipy.integrate on first use.
+        script = textwrap.dedent(f"""
+            import json, sys
+            from pathlib import Path
+            from leolink.cli import main
+            from leolink.pipeline import run_validate
+            from leolink.scenario import parse_scenario
+            code = main(["analyze", "--scenario", {RAT_SCN!r}])
+            loaded = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+            checks = run_validate(parse_scenario(Path({RAT_SCN!r}).read_text()))
+            failed = [c.name for c in checks if not c.passed]
+            print(json.dumps([code, loaded, failed, "scipy.integrate" in sys.modules]))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, failed, integrate_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert loaded == []
+        assert failed == []
+        assert integrate_loaded
