@@ -5,6 +5,8 @@ metrics for rate- and power-adaptive transmission, and a Monte-Carlo
 oracle that cross-validates every closed form.
 """
 
+import logging
+
 from .channel import (
     DopplerSpec,
     GainPartition,
@@ -44,3 +46,6 @@ from .schemes import (
 )
 
 __version__ = "0.1.0"
+
+# A library leaves the handling of its log records to the application.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -11,6 +11,7 @@ validation error, 3 numerical failure.
 import argparse
 import csv
 import io
+import logging
 import sys
 from pathlib import Path
 
@@ -81,6 +82,20 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # WARNING and above from leolink go to stderr for this call only, so
+    # repeated calls do not stack handlers.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log = logging.getLogger("leolink")
+    log.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         scenario_text = args.scenario.read_text(encoding="utf-8")
     except OSError as exc:

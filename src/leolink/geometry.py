@@ -175,7 +175,7 @@ def build_timeline(geo: PassGeometry, slot_len_s: float) -> PassTimeline:
         n += 1
     remainder = t_s - n * slot_len_s
     if remainder > 1e-9 * t_s:
-        log.warning(
+        log.info(
             "pass duration %.6g s is not a multiple of the %.6g s slot; "
             "dropping the trailing %.6g s", t_s, slot_len_s, remainder,
         )

@@ -34,6 +34,13 @@ _RNG_NAME = "philox4x64-10"
 # D > KS_CRIT_ALPHA01 / sqrt(n).
 KS_CRIT_ALPHA01 = 1.62762
 
+# Sorted-sample stride of ks_statistic's first CDF pass. Measured on 1e6
+# sampled gains of the reference fading, Abdi's three sets and two
+# line-of-sight sets (r > 0.999): s = 64 evaluates F at 1.9-4.7% of the
+# samples and was fastest, or within 10% of the fastest, on five of the six;
+# s = 16 evaluates 6.4%, s = 128 up to 9% and s = 256 up to 36%.
+_KS_STRIDE = 64
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -281,13 +288,40 @@ def _check_scheme(cfg: SimConfig, scheme: RatConfig | PatConfig):
         raise ValueError(f"SimConfig.scheme={cfg.scheme!r} but a {want} config was passed")
 
 
+def _ks_gap(i: np.ndarray, f: np.ndarray, n: int) -> float:
+    # largest max((i+1)/n - F_i, F_i - i/n) over 0-based sorted positions i
+    return max(np.max((i + 1) / n - f), np.max(f - i / n))
+
+
 def ks_statistic(fading: SrFading, gains: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance between sampled gains and the analytic
-    CDF; compare against KS_CRIT_ALPHA01 / sqrt(n)."""
+    """Kolmogorov-Smirnov distance D between sampled gains and the analytic
+    CDF F; compare against KS_CRIT_ALPHA01 / sqrt(n).
+
+    D is exact, but F is evaluated only where it can set D. F does not fall,
+    so for evaluated sorted positions a < b (0-based) every sample i between
+    them has F_a <= F_i <= F_b, and its gap max((i+1)/n - F_i, F_i - i/n)
+    is at most max(b/n - F_a, F_b - (a+1)/n). A first pass evaluates F at
+    every _KS_STRIDE-th sorted sample and at the last one; a second pass
+    evaluates it inside each segment whose bound exceeds the largest gap
+    found so far. Every sample left out is thus proven not to exceed the
+    returned D. The first and last sorted samples are always evaluated, so
+    NaN and negative gains are rejected. At worst every segment is refined,
+    and F is evaluated once at every sample, as by a full pass, over two
+    calls.
+    """
     xs = np.sort(np.asarray(gains, dtype=float))
     n = len(xs)
     if n < 1:
         raise ValueError("need at least one sample")
-    f = sr_cdf(fading, xs)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+    knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    f_knots = sr_cdf(fading, xs[knots])
+    d = _ks_gap(knots, f_knots, n)
+    a, b = knots[:-1], knots[1:]
+    hot = np.maximum(b / n - f_knots[:-1], f_knots[1:] - (a + 1) / n) > d
+    # positions 0 .. n-2 by segment, less the knots already evaluated
+    refine = np.repeat(hot, b - a)
+    refine[a] = False
+    inner = np.flatnonzero(refine)
+    if len(inner):
+        d = max(d, _ks_gap(inner, sr_cdf(fading, xs[inner]), n))
+    return float(d)

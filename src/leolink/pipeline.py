@@ -44,14 +44,15 @@ class ScenarioParts:
     lam_s: float
 
 
-def prepare(scn: Scenario) -> ScenarioParts:
+def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
     """Timeline, partition, state probabilities, and waiting-time mean.
 
     When the crossing rate at the first threshold underflows double
     precision the waiting-time mean is astronomically large; the closed
     forms are evaluated in their exact infinite-wait limit (lam_s = inf),
-    and a warning naming the first threshold is logged. Simulation entry
-    points reject that limit instead of sampling it.
+    and a warning naming the first threshold is logged. With finite_wait,
+    as for the simulation entry points, that limit raises ZeroCrossingRate
+    instead of being sampled.
     """
     tl = build_timeline(scn.geometry, scn.slot_len_s)
     d_max = distance_range(scn.geometry, all_terminals=True)[1]
@@ -66,8 +67,11 @@ def prepare(scn: Scenario) -> ScenarioParts:
     try:
         lam = afd(scn.fading, scn.doppler, first)
     except channel.ZeroCrossingRate as exc:
-        log.warning("lambda taken as infinite at first threshold %r: %s", first, exc)
+        if not finite_wait:
+            log.warning("lambda taken as infinite at first threshold %r: %s", first, exc)
         lam = math.inf
+    if finite_wait:
+        _require_finite_wait(lam)
     return ScenarioParts(
         timeline=tl,
         d_max_m=d_max,
@@ -162,7 +166,7 @@ def run_sweep(
     rows = []
     for i, value in enumerate(sweep.values):
         point = apply_sweep_value(scn, sweep.path, value)
-        parts = prepare(point)
+        parts = prepare(point, finite_wait=with_sim)
         report = run_analyze(point, parts)
         row = [
             _fmt(value),
@@ -173,7 +177,6 @@ def run_sweep(
             _fmt(report.dor),
         ]
         if with_sim:
-            _require_finite_wait(parts.lam_s)
             cfg = SimConfig(
                 n_samples=point.sim.n_samples, seed=base_seed + i, scheme=point.scheme
             )
@@ -210,8 +213,7 @@ SIMULATE_CSV_HEADER = [
 
 def run_simulate(scn: Scenario, seed: int | None = None) -> tuple[list[str], list[str]]:
     """Monte-Carlo estimates for the scenario itself (header, one row)."""
-    parts = prepare(scn)
-    _require_finite_wait(parts.lam_s)
+    parts = prepare(scn, finite_wait=True)
     cfg = SimConfig(
         n_samples=scn.sim.n_samples,
         seed=scn.sim.seed if seed is None else seed,
@@ -255,8 +257,7 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     closed form against its definitional time integral.
     """
     checks: list[CheckResult] = []
-    parts = prepare(scn)
-    _require_finite_wait(parts.lam_s)
+    parts = prepare(scn, finite_wait=True)
     report = run_analyze(scn, parts)
     fading = scn.fading
     base_seed = scn.sim.seed if seed is None else seed

@@ -254,6 +254,18 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("E_NUMERIC")
 
+    def test_simulation_of_unbounded_wait_prints_only_the_error(self, tmp_path, capsys):
+        # simulate refuses the infinite-wait limit rather than taking it, so
+        # stderr holds the one error line and no fallback warning
+        extreme = reduced_scenario(
+            tmp_path, "reference_pat.scn",
+            **{"fixed_rate = 60 Mbit/s": "fixed_rate = 600 Mbit/s"},
+        )
+        for command in ("simulate", "validate"):
+            assert main([command, "--scenario", extreme]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("E_NUMERIC ZeroCrossingRate")
+
     def test_analyze_takes_unbounded_wait_limit(self, tmp_path, capsys, caplog):
         # same configuration analytically: closed forms evaluate in the
         # infinite-wait limit, where the outage sticks at the bottom-state
@@ -265,7 +277,7 @@ class TestErrorPaths:
         )
         with caplog.at_level(logging.WARNING, logger="leolink"):
             assert main(["analyze", "--scenario", extreme]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "lambda_s = inf" in out
         dor = float(next(l for l in out.splitlines() if l.startswith("dor")).split("=")[1])
         assert dor == pytest.approx(1.0, abs=1e-9)
@@ -278,6 +290,19 @@ class TestErrorPaths:
         assert [r.levelno for r in records] == [logging.WARNING]
         assert repr(first) in records[0].getMessage()
         assert "infinite" not in out
+        assert err == f"WARNING leolink.pipeline: {records[0].getMessage()}\n"
+
+    def test_warning_printed_once_per_call(self, tmp_path, capsys):
+        # main() attaches its stderr handler for the call only
+        extreme = reduced_scenario(
+            tmp_path, "reference_pat.scn",
+            **{"fixed_rate = 60 Mbit/s": "fixed_rate = 600 Mbit/s"},
+        )
+        for _ in range(2):
+            assert main(["analyze", "--scenario", extreme]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("WARNING leolink.pipeline: lambda taken as infinite")
 
     def test_root_finder_nan_exits_3(self, monkeypatch, capsys):
         # a NaN tail mass reaches the partition's root finder
@@ -291,6 +316,24 @@ class TestErrorPaths:
         path.write_text("[geometry\nearth_radius = 1")
         assert main(["analyze", "--scenario", str(path)]) == 2
         assert "E_PARSE" in capsys.readouterr().err
+
+
+class TestSubprocess:
+    @pytest.mark.parametrize("scn,golden", [
+        (RAT_SCN, "reference_rat_analyze.txt"),
+        (PAT_SCN, "reference_pat_analyze.txt"),
+    ])
+    def test_reference_analyze_writes_nothing_to_stderr(self, scn, golden):
+        # the slot-remainder note is INFO, and the CLI prints WARNING and up
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-m", "leolink", "analyze", "--scenario", scn],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == (GOLDEN_DIR / golden).read_text()
 
 
 class TestImports:

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from leolink import montecarlo
 from leolink.channel import (
     DopplerSpec,
     GainPartition,
     SrFading,
     afd,
     equal_probability_partition,
+    sr_cdf,
     state_prob_matrix,
     state_probs,
 )
 from leolink.geometry import PassGeometry, build_timeline, distance_range
 from leolink.montecarlo import (
+    _KS_STRIDE,
     KS_CRIT_ALPHA01,
     SimConfig,
     SimResult,
@@ -37,6 +40,8 @@ from leolink.schemes import (
     rat_throughput_bounds,
 )
 
+from fading_sets import ABDI_SETS, LOS_SETS
+
 FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
 DOPPLER = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=1.55, aoa_width=24.2)
 SIGMA2 = 10.0 ** ((-66.0 - 30.0) / 10.0)
@@ -49,6 +54,7 @@ GEO = PassGeometry(
     sat_speed_ms=7600.0,
 )
 D_MAX = distance_range(GEO, all_terminals=True)[1]
+FADING_SETS = [pytest.param(p, id=name) for name, p in {**ABDI_SETS, **LOS_SETS}.items()]
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -99,9 +105,92 @@ class TestSampler:
         fake = rng.uniform(0.0, 2.0, 20_000)
         assert ks_statistic(FADING, fake) > KS_CRIT_ALPHA01 / math.sqrt(20_000)
 
+    @pytest.mark.parametrize("params", FADING_SETS)
+    def test_ks_against_analytic_cdf_all_sets(self, params):
+        fading = SrFading(*params)
+        gains = sample_sr_gain(fading, rng_for(11), 100_000)
+        assert ks_statistic(fading, gains) < KS_CRIT_ALPHA01 / math.sqrt(len(gains))
+
     def test_scalar_draw(self):
         g = sample_sr_gain(FADING, rng_for(3))
         assert isinstance(g, float) and g >= 0.0
+
+
+def ks_full(fading: SrFading, gains: np.ndarray) -> float:
+    # the analytic CDF at every sorted sample
+    xs = np.sort(gains)
+    n = len(xs)
+    f = sr_cdf(fading, xs)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+class TestKsStatistic:
+    @pytest.mark.parametrize("n", [1, 2, _KS_STRIDE - 1, _KS_STRIDE, _KS_STRIDE + 1,
+                                   1000, 100_000])
+    @pytest.mark.parametrize("law", ["sampled", "uniform"])
+    @pytest.mark.parametrize("params", FADING_SETS)
+    def test_matches_full_evaluation(self, params, law, n):
+        fading = SrFading(*params)
+        rng = rng_for(n)
+        if law == "sampled":
+            gains = sample_sr_gain(fading, rng, n)
+        else:  # nothing like the fading law: D is large
+            gains = rng.uniform(0.0, 2.0 * fading.mean_gain, n)
+        assert abs(ks_statistic(fading, gains) - ks_full(fading, gains)) <= 1e-14
+
+    @pytest.mark.parametrize("params", FADING_SETS)
+    def test_repeated_gains_and_zeros(self, params):
+        fading = SrFading(*params)
+        gains = sample_sr_gain(fading, rng_for(17), 5_000)
+        gains = np.round(gains / fading.mean_gain, 2) * fading.mean_gain  # ties
+        gains[:300] = 0.0
+        assert len(np.unique(gains)) < 1_000
+        assert abs(ks_statistic(fading, gains) - ks_full(fading, gains)) <= 1e-14
+        same = np.full(3 * _KS_STRIDE, fading.mean_gain)
+        assert abs(ks_statistic(fading, same) - ks_full(fading, same)) <= 1e-14
+        assert ks_statistic(fading, np.zeros(_KS_STRIDE + 5)) == 1.0
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_gap_at_segment_edge(self, side):
+        # A tie run fills a whole segment between knots, so D sits on an
+        # unevaluated sample where its monotonicity bound is attained:
+        # zeros at 0 .. s-1 give (i+1)/n - F_i = s/n at i = s-1, and
+        # infinities at s+1 .. 2s give F_i - i/n = s/n at i = s+1. The
+        # knots' own gaps are at most (s - 1/2)/n.
+        fading = SrFading(m=3.0, b0=0.7, omega=0.0)  # F(x) = 1 - e^(-x / 1.4)
+        s, n = _KS_STRIDE, 2 * _KS_STRIDE + 1
+        p = (np.arange(n) + 0.5) / n
+        if side == "below":
+            p[:s], p[s] = 0.0, 1.5 / n
+        else:
+            p[s + 1:], p[s] = 1.0, 1.0 - 1.5 / n
+        with np.errstate(divide="ignore"):
+            gains = -1.4 * np.log1p(-p)
+        assert ks_statistic(fading, gains) == pytest.approx(s / n, abs=1e-12)
+
+    def test_evaluates_few_samples(self, monkeypatch):
+        seen = []
+
+        def counting_cdf(fading, x):
+            seen.append(len(x))
+            return sr_cdf(fading, x)
+
+        monkeypatch.setattr(montecarlo, "sr_cdf", counting_cdf)
+        gains = sample_sr_gain(FADING, rng_for(31), 100_000)
+        ks_statistic(FADING, gains)
+        assert sum(seen) <= 0.1 * len(gains)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3])
+    def test_rejects_nan_and_negative(self, bad):
+        gains = sample_sr_gain(FADING, rng_for(8), 1_000)
+        gains[500] = bad
+        with pytest.raises(ValueError):
+            ks_statistic(FADING, gains)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            ks_statistic(FADING, np.array([]))
 
 
 class TestSimulateRatePower:
