@@ -52,8 +52,11 @@ __all__ = [
 ]
 
 _INT_M_TOL = 1e-9
-# scipy.optimize.brentq's default iteration cap
-_BRENTQ_MAXITER = 100
+# The partition's root finder stops an entry once its bracket is within
+# about 2 ulp, or after _ROOT_MAXITER iterations (brentq's default cap).
+_ROOT_XRTOL = 2.0 * np.finfo(float).eps
+_ROOT_XATOL = 4.0 * np.finfo(float).tiny
+_ROOT_MAXITER = 100
 
 # Each series omits at most _REL_TOL of its sum on either side of its
 # window; the CDF's upper cut, at most the larger of that and e^-_LOG_FLOOR
@@ -231,12 +234,13 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
     with log_coef(n) = log c_n and (lo, hi) = window(y).
 
     Points go in order of y, in groups of at most _ROWS whose y lie within
-    [y0, y0 + sqrt(y0) + 4]. Each group sums over the union of its windows
-    in blocks of at most _BLOCK terms, so memory stays bounded whatever the
-    window. Each term is formed whole in log space, so no factor underflows
-    on its own, relative to n0, the index of the largest term of the group's
-    middle point: log p_n(y) = log p_n0(y) + (n - n0) log(y / n0)
-    - log(n! / n0!), each piece small where the terms matter.
+    [y0, y0 + sqrt(y0) + 4]. Each group evaluates log_coef once over the
+    union of its windows, a 1-D array, and sums over it in blocks of at most
+    _BLOCK terms, so memory stays bounded whatever the window. Each term is
+    formed whole in log space, so no factor underflows on its own, relative
+    to n0, the index of the largest term of the group's middle point:
+    log p_n(y) = log p_n0(y) + (n - n0) log(y / n0) - log(n! / n0!), each
+    piece small where the terms matter.
     """
     order = np.argsort(y, kind="stable")
     ys = y[order]
@@ -249,12 +253,10 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
         yi = ys[start:stop]
         lo, hi = window(yi)
         first, last = lo.min(), hi.max()
-        n0, best = 1.0, -math.inf
-        for a in np.arange(first, last + 1.0, _BLOCK):
-            n = np.arange(a, min(a + _BLOCK, last + 1.0))
-            t = _log_poisson(n, yi[len(yi) // 2]) + log_coef(n)
-            if t.max() > best:
-                n0, best = max(1.0, float(n[np.argmax(t)])), t.max()
+        n_all = np.arange(first, last + 1.0)
+        coef = log_coef(n_all)
+        t = _log_poisson(n_all, yi[len(yi) // 2]) + coef
+        n0 = max(1.0, float(n_all[np.argmax(t)]))
         ref = _log_poisson(n0, yi)[:, None]
         slope = np.log(yi / n0)[:, None]
         step = max(1, _BLOCK // len(yi))
@@ -265,13 +267,15 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
             n = np.arange(a, min(a + step, last + 1.0))
             lf = log_fact + np.cumsum(np.log(n / n0))
             log_fact = lf[-1]
-            total += _sum_terms(ref, slope, n - n0, log_coef(n) - lf)
+            i = int(a - first)
+            total += _sum_terms(ref, slope, n - n0, coef[i:i + len(n)] - lf)
         log_fact = 0.0
         for b in np.arange(n0, first, -step):
             n = np.arange(max(b - step, first), b)
             lf = log_fact - np.cumsum(np.log((n + 1.0) / n0)[::-1])[::-1]
             log_fact = lf[0]
-            total += _sum_terms(ref, slope, n - n0, log_coef(n) - lf)
+            i = int(n[0] - first)
+            total += _sum_terms(ref, slope, n - n0, coef[i:i + len(n)] - lf)
         out[idx] = total
         start = stop
     return out
@@ -603,88 +607,67 @@ def tail_mean_gain(fading: SrFading, x: float) -> float:
     return moment / mass
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f between xa and xb by Brent's method, as scipy.optimize.brentq
-    computes it (scipy/optimize/Zeros/brentq.c): the same iterates, hence the
-    same root to the last bit, and its default cap of 100 iterations.
+def _find_root(f, x1, x2, f1, f2, *args):
+    """Roots of an elementwise function inside the brackets [x1, x2], by
+    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+    (Adv. Eng. Software 28, 1997), with the steps of
+    scipy.optimize.elementwise.find_root.
 
-    rtol must be at least 4 machine epsilons, so that every step moves x.
-    Raises NonConvergent when f returns NaN or the cap is reached, and
-    ArithmeticError when f(xa) and f(xb) have the same sign.
+    f1 = f(x1, *args) and f2 = f(x2, *args) are given. Each iteration calls
+    f once, on the entries still open, with args cut to those entries. An
+    entry closes when f vanishes there or its bracket is narrower than
+    _ROOT_XRTOL |x| + _ROOT_XATOL, about 2 ulp.
+
+    Raises NonConvergent when f returns NaN or an entry is still open after
+    _ROOT_MAXITER iterations, and ArithmeticError when f1 and f2 share a sign.
     """
-
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise NonConvergent(f"root finder: f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ArithmeticError(
-            f"root finder: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} "
-            "have the same sign"
-        )
-    for _ in range(_BRENTQ_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        good = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-            except ZeroDivisionError:  # in C, inf or NaN: fails the test too
-                pass
-        if good:
-            spre, scur = scur, stry
-        else:  # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (x1, x2, f1, f2))
+    if np.any(np.isnan(f1) | np.isnan(f2)):
+        raise NonConvergent("root finder: f is NaN at a bracket end")
+    if np.any(np.sign(f1) * np.sign(f2) > 0.0):
+        raise ArithmeticError("root finder: f has the same sign at both ends of a bracket")
+    roots = np.empty_like(x1)
+    active = np.arange(len(x1))
+    t = 0.5
+    for it in range(_ROOT_MAXITER + 1):
+        near = np.abs(f1) < np.abs(f2)
+        xmin = np.where(near, x1, x2)
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * _ROOT_XRTOL + _ROOT_XATOL
+        done = (np.where(near, f1, f2) == 0.0) | (dx < tol)
+        roots[active[done]] = xmin[done]
+        if done.all():
+            return roots
+        if it == _ROOT_MAXITER:
+            break
+        keep = ~done
+        active, x1, x2, f1, f2, dx, tol = (v[keep] for v in (active, x1, x2, f1, f2, dx, tol))
+        args = [a[keep] for a in args]
+        if it > 0:
+            x3, f3 = x3[keep], f3[keep]
+            # inverse quadratic interpolation where it stays inside the
+            # bracket (Chandrupatla's test on xi and phi), else bisection
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quad = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            # and no closer to an end than half the tolerance
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1.0 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = np.asarray(f(x, *args), dtype=float)
+        if np.any(np.isnan(fx)):
+            raise NonConvergent(f"root finder: f is NaN at x = {x[np.isnan(fx)]!r}")
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
     raise NonConvergent(
-        f"root finder did not converge within {_BRENTQ_MAXITER} iterations "
-        f"(last x = {xcur!r})"
-    )
-
-
-def _tail_quantile(fading: SrFading, target: float, lo_gain: float) -> float:
-    """Gain g >= lo_gain with tail_mass(g) = target (target < tail at lo)."""
-    hi = max(2.0 * lo_gain, fading.mean_gain)
-    while tail_mass(fading, hi) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ArithmeticError(f"tail quantile search diverged at target={target}")
-    # Ratio form keeps the root-finder stable when target is deep in the tail.
-    return _brentq(
-        lambda g: tail_mass(fading, g) / target - 1.0,
-        lo_gain, hi, xtol=1e-13, rtol=8.9e-16,
+        f"root finder did not converge within {_ROOT_MAXITER} iterations "
+        f"(last x = {xmin[~done]!r})"
     )
 
 
@@ -722,12 +705,20 @@ def equal_probability_partition(
                 f"no resolvable probability mass above threshold {first_threshold} "
                 f"(tail mass {s1:.3g})"
             )
-        uppers = []
-        lo_gain = first_threshold**2
-        for j in range(2, n_states):
-            target = s1 * (n_states - j) / (n_states - 1)
-            lo_gain = _tail_quantile(fading, target, lo_gain)
-            uppers.append(math.sqrt(lo_gain))
-        thresholds = np.concatenate(([0.0, first_threshold], uppers))
+        # Every target shares the bracket [first^2, hi]; hi doubles where
+        # the tail still exceeds the target. The ratio form keeps the root
+        # finder stable when targets are deep in the tail.
+        targets = s1 * np.arange(n_states - 2, 0, -1) / (n_states - 1)
+        lo = first_threshold**2
+        hi = np.full(len(targets), max(2.0 * lo, fading.mean_gain))
+        f_hi = tail_mass(fading, hi) / targets - 1.0
+        while np.any(up := f_hi > 0.0):
+            hi[up] *= 2.0
+            if hi.max() > 1e12:
+                raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
+            f_hi[up] = tail_mass(fading, hi[up]) / targets[up] - 1.0
+        gains = _find_root(lambda g, tg: tail_mass(fading, g) / tg - 1.0,
+                           np.full(len(targets), lo), hi, s1 / targets - 1.0, f_hi, targets)
+        thresholds = np.concatenate(([0.0, first_threshold], np.sqrt(gains)))
     top = tail_mean_gain(fading, float(thresholds[-1]) ** 2)
     return GainPartition(thresholds=thresholds, top_mean_gain=top)

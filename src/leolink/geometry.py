@@ -127,16 +127,15 @@ def service_duration(geo: PassGeometry) -> float:
     return 2.0 * geo.half_track_m / sub_point_speed(geo)
 
 
-def distance_at(geo: PassGeometry, t: float) -> float:
-    """Slant range at elapsed pass time t in [0, T_s]."""
+def distance_at(geo: PassGeometry, t):
+    """Slant range at elapsed pass time t in [0, T_s], a scalar or an array."""
     t_s = service_duration(geo)
-    if not (0.0 <= t <= t_s):
+    arr = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= arr) & (arr <= t_s)):
         raise OutOfPass(f"t={t} outside [0, {t_s}]")
-    v = sub_point_speed(geo)
-    along = geo.half_track_m - v * t
-    return math.sqrt(along * along
-                     + geo.terminal_offset_m**2
-                     + geo.orbit_height_m**2)
+    along = geo.half_track_m - sub_point_speed(geo) * arr
+    d = np.sqrt(along * along + geo.terminal_offset_m**2 + geo.orbit_height_m**2)
+    return float(d) if arr.ndim == 0 else d
 
 
 def distance_range(geo: PassGeometry, all_terminals: bool = False) -> tuple[float, float]:
@@ -179,18 +178,14 @@ def build_timeline(geo: PassGeometry, slot_len_s: float) -> PassTimeline:
             "pass duration %.6g s is not a multiple of the %.6g s slot; "
             "dropping the trailing %.6g s", t_s, slot_len_s, remainder,
         )
-    v = sub_point_speed(geo)
-    t_mid = geo.half_track_m / v
-    d_min = np.empty(n)
-    d_max = np.empty(n)
-    for i in range(n):
-        t0 = i * slot_len_s
-        t1 = min((i + 1) * slot_len_s, t_s)  # last edge can round past T_s
-        candidates = [distance_at(geo, t0), distance_at(geo, t1)]
-        if t0 < t_mid < t1:
-            candidates.append(distance_at(geo, t_mid))
-        d_min[i] = min(candidates)
-        d_max[i] = max(candidates)
+    t_mid = geo.half_track_m / sub_point_speed(geo)
+    t0 = np.arange(n) * slot_len_s
+    t1 = np.minimum(np.arange(1, n + 1) * slot_len_s, t_s)  # last edge can round past T_s
+    d0, d1 = distance_at(geo, t0), distance_at(geo, t1)
+    # NaN outside the one slot whose interior holds the mid-pass point
+    mid = np.where((t0 < t_mid) & (t_mid < t1), distance_at(geo, t_mid), np.nan)
+    d_min = np.fmin(np.minimum(d0, d1), mid)
+    d_max = np.fmax(np.maximum(d0, d1), mid)
     return PassTimeline(
         service_time_s=t_s,
         slot_len_s=slot_len_s,

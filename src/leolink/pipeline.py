@@ -5,7 +5,7 @@ suite behind the `validate` subcommand.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,15 +158,25 @@ def run_sweep(
 
     Simulation columns (when requested) use the scenario's replication
     count with a per-point seed derived from the base seed by offset.
+    prepare() reads neither the traffic nor the sim section, so points that
+    differ only there share one prepare(), kept until its last use.
     """
     header = [sweep_column_name(sweep.path)] + list(SWEEP_CSV_COLUMNS)
     if with_sim:
         header += _SIM_COLUMNS
     base_seed = scn.sim.seed if seed is None else seed
+    points = [apply_sweep_value(scn, sweep.path, value) for value in sweep.values]
+    keys = [replace(point, traffic=None, sim=None) for point in points]
+    last_use = {key: i for i, key in enumerate(keys)}
+    prepared: dict[Scenario, ScenarioParts] = {}
+    # Points that share a prepare() repeat most columns; equal cells share
+    # one string, so a long budget sweep keeps a fraction of the text.
+    cells: dict[str, str] = {}
     rows = []
-    for i, value in enumerate(sweep.values):
-        point = apply_sweep_value(scn, sweep.path, value)
-        parts = prepare(point, finite_wait=with_sim)
+    for i, (value, point, key) in enumerate(zip(sweep.values, points, keys)):
+        parts = prepared.pop(key, None) or prepare(point, finite_wait=with_sim)
+        if last_use[key] > i:
+            prepared[key] = parts
         report = run_analyze(point, parts)
         row = [
             _fmt(value),
@@ -195,7 +205,7 @@ def run_sweep(
                 _fmt(dor.dor),
                 _fmt(dor.dor_se),
             ]
-        rows.append(row)
+        rows.append([cells.setdefault(c, c) for c in row])
     return header, rows
 
 

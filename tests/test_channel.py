@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, special
+from scipy import integrate, special
+from scipy.optimize.elementwise import find_root
 
 from leolink import channel
 from leolink.channel import (
@@ -299,72 +300,102 @@ class TestEqualProbabilityPartition:
         assert TABLE_FADING.mean_gain < a < b
 
 
-# Brent's method as the partition calls it: xtol 1e-13, rtol 8.9e-16.
-BRENT_TOL = {"xtol": 1e-13, "rtol": 8.9e-16}
+# The partition solver's stopping rule, as find_root takes it.
+ROOT_TOL = {"xatol": channel._ROOT_XATOL, "xrtol": channel._ROOT_XRTOL,
+            "fatol": 0.0, "frtol": 0.0}
 # A sign change inside [a, b]: smooth or stepped, values from 1e-200 to 1e300,
 # brackets up to 2e12 wide, a root at an end.
-BRENT_CASES = {
+ROOT_CASES = {
     "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 0.0, 4.0),
-    "exp": (lambda x: math.exp(x) - 3.0, -1.0, 5.0),
-    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
-    "steep-atan": (lambda x: math.atan(50.0 * (x - 0.3)), -2.0, 5.0),
-    "steep-tanh": (lambda x: math.tanh(1e3 * (x - 1.0 / 3.0)), 0.0, 1.0),
+    "exp": (lambda x: np.exp(x) - 3.0, -1.0, 5.0),
+    "cos": (lambda x: np.cos(x) - x, 0.0, 1.0),
+    "steep-atan": (lambda x: np.arctan(50.0 * (x - 0.3)), -2.0, 5.0),
+    "steep-tanh": (lambda x: np.tanh(1e3 * (x - 1.0 / 3.0)), 0.0, 1.0),
     "x21": (lambda x: x**21 - 0.5, 0.5, 1.5),
     "tiny-values": (lambda x: 1e-200 * (x - 0.123456789), 0.0, 1.0),
-    "step": (lambda x: -1.0 if x < 0.3 else 1e300, 0.0, 1.0),
-    "wide-cbrt": (lambda x: math.copysign(abs(x - 0.3) ** (1 / 9), x - 0.3), -1e12, 1e12),
+    "step": (lambda x: np.where(x < 0.3, -1.0, 1e300), 0.0, 1.0),
+    "wide-cbrt": (lambda x: np.copysign(np.abs(x - 0.3) ** (1 / 9), x - 0.3), -1e12, 1e12),
     "root-at-end": (lambda x: x - 2.0, 0.0, 2.0),
 }
 
 
-class TestBrentq:
-    @pytest.mark.parametrize("case", list(BRENT_CASES.values()), ids=list(BRENT_CASES))
+def solve(f, a, b):
+    """channel._find_root on one bracket of a one-argument function."""
+    fa, fb = f(np.array([a])), f(np.array([b]))
+    return channel._find_root(f, [a], [b], fa, fb)[0]
+
+
+class TestFindRoot:
+    @pytest.mark.parametrize("case", list(ROOT_CASES.values()), ids=list(ROOT_CASES))
     def test_matches_scipy_bit_for_bit(self, case):
         f, a, b = case
-        assert channel._brentq(f, a, b, **BRENT_TOL) == optimize.brentq(f, a, b, **BRENT_TOL)
-        assert channel._brentq(f, b, a, **BRENT_TOL) == optimize.brentq(f, b, a, **BRENT_TOL)
+        for lo, hi in ((a, b), (b, a)):
+            want = find_root(f, (lo, hi), tolerances=ROOT_TOL, maxiter=100)
+            assert want.success
+            assert solve(f, lo, hi) == want.x
 
-    @pytest.mark.parametrize("params", [*ABDI_SETS.values(), *LOS_SETS.values()],
-                             ids=[*ABDI_SETS, *LOS_SETS])
-    def test_partition_solves_match_scipy(self, monkeypatch, params):
-        # every tail-quantile solve of an 8-state partition, against scipy
-        # on the same function and bracket
-        solves = []
-        brentq = channel._brentq
+    def test_entries_solve_independently(self):
+        # many brackets at once give each entry the root it gets alone
+        c = np.linspace(-4.0, 30.0, 23)
+        lo, hi = np.full_like(c, -3.0), np.linspace(4.0, 40.0, 23)
 
-        def both(f, a, b, xtol, rtol):
-            got = brentq(f, a, b, xtol=xtol, rtol=rtol)
-            solves.append((got, optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)))
-            return got
+        def f(x, c):
+            return x**3 - 2.0 * x - c
 
-        monkeypatch.setattr(channel, "_brentq", both)
+        roots = channel._find_root(f, lo, hi, f(lo, c), f(hi, c), c)
+        alone = [solve(lambda x, ci=ci: f(x, ci), a, b) for ci, a, b in zip(c, lo, hi)]
+        assert roots.tolist() == alone
+
+    @pytest.mark.parametrize("params,first", [
+        *[(p, 0.6 * math.sqrt(SrFading(*p).mean_gain)) for p in ABDI_SETS.values()],
+        *[(p, 0.6 * math.sqrt(SrFading(*p).mean_gain)) for p in LOS_SETS.values()],
+        ((2.0, 0.2, 0.5), 0.354),
+        ((TABLE_FADING.m, TABLE_FADING.b0, TABLE_FADING.omega), 11.335),
+    ], ids=[*ABDI_SETS, *LOS_SETS, "integer-m", "deep-tail"])
+    def test_partition_equal_tail_masses(self, monkeypatch, params, first):
+        # every solved gain carries its target tail mass to 1e-13; the
+        # gains are taken before the partition stores their square roots
+        solved = []
+        solver = channel._find_root
+
+        def recorded(*args):
+            solved.append(solver(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(channel, "_find_root", recorded)
         fading = SrFading(*params)
-        equal_probability_partition(fading, 0.6 * math.sqrt(fading.mean_gain), 8)
-        assert len(solves) == 6
-        assert all(got == want for got, want in solves)
+        equal_probability_partition(fading, first, 8)
+        s1 = tail_mass(fading, first**2)
+        targets = s1 * np.arange(6, 0, -1) / 7
+        tails = np.array([tail_mass(fading, float(g)) for g in solved[0]])
+        assert np.max(np.abs(tails / targets - 1.0)) <= 1e-13
 
     def test_nan_raises_nonconvergent(self):
+        nan = lambda x: np.full_like(x, math.nan)
         with pytest.raises(NonConvergent, match="NaN"):
-            channel._brentq(lambda x: math.nan, 0.0, 1.0, **BRENT_TOL)
+            channel._find_root(nan, [0.0], [1.0], [-1.0], [math.nan])
         # finite at both ends, NaN at the first iterate
         with pytest.raises(NonConvergent, match="NaN"):
-            channel._brentq(lambda x: x - 0.25 if x in (0.0, 1.0) else math.nan,
-                            0.0, 1.0, **BRENT_TOL)
+            channel._find_root(nan, [0.0], [1.0], [-0.25], [0.75])
 
     def test_iteration_cap_raises_nonconvergent(self):
-        # so flat near its root that 100 steps do not narrow the bracket
-        # to 1e-13; scipy gives up on it too
-        def flat(x):
-            return math.copysign(abs(x - 0.3) ** 15, x - 0.3)
+        # a step inside [-1e300, 1e300]: every step bisects, and 100 halvings
+        # leave the bracket far wider than 2 ulp; find_root stops there too
+        def step(x):
+            return np.where(x < 0.3, -1.0, 1.0)
 
-        _, info = optimize.brentq(flat, 0.0, 1.0, full_output=True, disp=False, **BRENT_TOL)
-        assert not info.converged
+        res = find_root(step, (-1e300, 1e300), tolerances=ROOT_TOL, maxiter=100)
+        assert res.status == -2
         with pytest.raises(NonConvergent, match="100 iterations"):
-            channel._brentq(flat, 0.0, 1.0, **BRENT_TOL)
+            solve(step, -1e300, 1e300)
 
     def test_same_sign_raises(self):
         with pytest.raises(ArithmeticError, match="same sign"):
-            channel._brentq(lambda x: x * x + 1.0, -1.0, 1.0, **BRENT_TOL)
+            solve(lambda x: x * x + 1.0, -1.0, 1.0)
+        # one bad bracket among good ones
+        with pytest.raises(ArithmeticError, match="same sign"):
+            channel._find_root(lambda x: x - 0.5, [0.0, 0.0], [1.0, 0.25], [-0.5, -0.5],
+                               [0.5, -0.25])
 
 
 class TestDoppler:

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from leolink import channel
+from leolink import channel, pipeline
 from leolink.cli import main
 from leolink.geometry import distance_range
-from leolink.scenario import parse_scenario
+from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
 from leolink.schemes import pat_first_threshold
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +137,44 @@ class TestSweep:
             assert lo == hi
             rate, se = float(row[6]), float(row[7])
             assert abs(rate - lo) <= 3.0 * se
+
+    @pytest.mark.parametrize("base,spec,n_partitions", [
+        # prepare() reads no traffic input: one partition for the sweep
+        ("reference_pat.scn", "traffic.delay_threshold=0:0.02:6", 1),
+        # noise and bandwidth move the first threshold: one per point
+        ("reference_rat.scn", "link.noise_power=1e-10:4e-10:4", 4),
+        ("reference_pat.scn", "link.bandwidth=40e6:80e6:3", 3),
+    ])
+    def test_sweep_prepares_once_per_distinct_input(self, monkeypatch, base, spec,
+                                                   n_partitions):
+        calls = []
+        build = pipeline.equal_probability_partition
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(pipeline, "equal_probability_partition", counted)
+        scn = parse_scenario((SCENARIO_DIR / base).read_text())
+        sweep = parse_sweep(spec)
+        _, rows = pipeline.run_sweep(scn, sweep)
+        assert len(calls) == n_partitions
+        # each row is byte-identical to the point analyzed on its own
+        for value, row in zip(sweep.values, rows):
+            report = pipeline.run_analyze(apply_sweep_value(scn, sweep.path, value))
+            assert row[1:] == [repr(float(getattr(report, c)))
+                               for c in pipeline.SWEEP_CSV_COLUMNS]
+
+    def test_unbounded_wait_budget_sweep_warns_once(self, tmp_path, capsys):
+        extreme = reduced_scenario(
+            tmp_path, "reference_pat.scn",
+            **{"fixed_rate = 60 Mbit/s": "fixed_rate = 600 Mbit/s"},
+        )
+        assert main(["sweep", "--scenario", extreme,
+                     "--sweep", "traffic.delay_threshold=0.001:0.1:5"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("WARNING leolink.pipeline: lambda taken as infinite")
 
     def test_bad_sweep_path_exits_2(self, capsys):
         assert main([

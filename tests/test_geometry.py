@@ -111,6 +111,13 @@ class TestDistanceAt:
             distance_at(geo, -0.1)
         with pytest.raises(OutOfPass):
             distance_at(geo, service_duration(geo) + 0.1)
+        with pytest.raises(OutOfPass):
+            distance_at(geo, np.array([0.0, 1.0, service_duration(geo) + 0.1]))
+
+    def test_array_matches_scalar(self):
+        geo = make_geo(terminal_offset_m=100e3)
+        ts = np.linspace(0.0, service_duration(geo), 41)
+        assert distance_at(geo, ts).tolist() == [distance_at(geo, float(t)) for t in ts]
 
 
 class TestDistanceRange:
@@ -179,6 +186,23 @@ class TestBuildTimeline:
             ds = np.array([distance_at(geo, float(t)) for t in ts])
             assert ds.min() >= tl.slot_dist_min[n] * (1 - 1e-12)
             assert ds.max() <= tl.slot_dist_max[n] * (1 + 1e-12)
+
+    @pytest.mark.parametrize("slot_len", [0.1, 1.0, 7.3, 60.0])
+    @pytest.mark.parametrize("height", [300e3, 550e3, 1200e3])
+    @pytest.mark.parametrize("offset", [0.0, 150e3])
+    def test_matches_scalar_slot_loop(self, slot_len, height, offset):
+        # the slot-by-slot bracketing from scalar distances, bit for bit
+        geo = make_geo(orbit_height_m=height, terminal_offset_m=offset,
+                       sat_speed_ms=circular_orbit_speed(6371e3, height))
+        tl = build_timeline(geo, slot_len)
+        t_s = service_duration(geo)
+        t_mid = geo.half_track_m / sub_point_speed(geo)
+        for i in range(tl.n_slots):
+            t0, t1 = i * slot_len, min((i + 1) * slot_len, t_s)
+            ds = [distance_at(geo, t0), distance_at(geo, t1)]
+            if t0 < t_mid < t1:
+                ds.append(distance_at(geo, t_mid))
+            assert (tl.slot_dist_min[i], tl.slot_dist_max[i]) == (min(ds), max(ds))
 
     def test_slot_too_long(self):
         geo = make_geo()
