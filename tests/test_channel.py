@@ -325,7 +325,10 @@ def solve(f, a, b):
     return channel._find_root(f, [a], [b], fa, fb)[0]
 
 
-class TestFindRoot:
+class TestBrentq:
+    """channel._find_root, the partition's root finder. It replaced a port
+    of scipy's brentq, whose test ids the class keeps."""
+
     @pytest.mark.parametrize("case", list(ROOT_CASES.values()), ids=list(ROOT_CASES))
     def test_matches_scipy_bit_for_bit(self, case):
         f, a, b = case
@@ -345,6 +348,28 @@ class TestFindRoot:
         roots = channel._find_root(f, lo, hi, f(lo, c), f(hi, c), c)
         alone = [solve(lambda x, ci=ci: f(x, ci), a, b) for ci, a, b in zip(c, lo, hi)]
         assert roots.tolist() == alone
+
+    @pytest.mark.parametrize("params", [*ABDI_SETS.values(), *LOS_SETS.values()],
+                             ids=[*ABDI_SETS, *LOS_SETS])
+    def test_partition_solves_match_scipy(self, monkeypatch, params):
+        # the one solve of an 8-state partition, against find_root on the
+        # same function, brackets and targets
+        solves = []
+        solver = channel._find_root
+
+        def both(f, x1, x2, f1, f2, *args):
+            got = solver(f, x1, x2, f1, f2, *args)
+            solves.append((got, find_root(f, (x1, x2), args=args, tolerances=ROOT_TOL,
+                                          maxiter=100)))
+            return got
+
+        monkeypatch.setattr(channel, "_find_root", both)
+        fading = SrFading(*params)
+        equal_probability_partition(fading, 0.6 * math.sqrt(fading.mean_gain), 8)
+        assert len(solves) == 1
+        got, want = solves[0]
+        assert len(got) == 6 and want.success.all()
+        assert got.tolist() == want.x.tolist()
 
     @pytest.mark.parametrize("params,first", [
         *[(p, 0.6 * math.sqrt(SrFading(*p).mean_gain)) for p in ABDI_SETS.values()],
