@@ -82,6 +82,17 @@ class TestAnalyze:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("scheme", ["rat", "pat"])
+    @pytest.mark.parametrize("sweep,golden", [
+        ("geometry.orbit_height=500e3:1100e3:7", "sweep_height"),
+        ("traffic.delay_threshold=0.001:0.3:6", "sweep_delay"),
+    ])
+    def test_matches_golden(self, capsys, scheme, sweep, golden):
+        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
+        assert main(["sweep", "--scenario", scn, "--sweep", sweep]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN_DIR / f"reference_{scheme}_{golden}.csv").read_text()
+
     def test_height_sweep_monotone(self, capsys):
         assert main([
             "sweep", "--scenario", RAT_SCN,
