@@ -427,12 +427,12 @@ class GainPartition:
     gain partition; mu_0 = 0 and the top state is open-ended.
 
     mu_1 == 0 is tolerated as the degenerate no-outage partition.
-    top_mean_gain optionally records E[G | G >= mu_{K-1}^2]; when present
-    it gives the open-ended top state a finite upper-bound gain.
+    top_mean_gain is E[G | G >= mu_{K-1}^2], the finite gain that the
+    open-ended top state takes in upper bounds.
     """
 
     thresholds: np.ndarray
-    top_mean_gain: float | None = None
+    top_mean_gain: float
 
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=float)
@@ -443,7 +443,7 @@ class GainPartition:
             raise ValueError(f"mu_0 must be 0, got {t[0]}")
         if t[1] < 0.0 or np.any(np.diff(t[1:]) <= 0.0):
             raise ValueError("thresholds must be strictly increasing above mu_0")
-        if self.top_mean_gain is not None and self.top_mean_gain < t[-1] ** 2:
+        if self.top_mean_gain < t[-1] ** 2:
             raise ValueError("top_mean_gain below the top threshold's gain")
 
     @property

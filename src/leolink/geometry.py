@@ -41,7 +41,6 @@ class PassGeometry:
     half_track_m: half the sub-satellite ground track served per pass.
     sat_speed_ms: orbital speed of the satellite.
     terminal_offset_m: cross-track distance of the terminal from the track.
-    path_loss_exp: path-loss exponent (>= 2).
     """
 
     earth_radius_m: float
@@ -50,7 +49,6 @@ class PassGeometry:
     half_track_m: float
     sat_speed_ms: float
     terminal_offset_m: float = 0.0
-    path_loss_exp: float = 2.0
 
     def __post_init__(self):
         if self.earth_radius_m <= 0:
@@ -65,8 +63,6 @@ class PassGeometry:
             raise ValueError(f"sat_speed_ms must be > 0, got {self.sat_speed_ms}")
         if self.terminal_offset_m < 0:
             raise ValueError(f"terminal_offset_m must be >= 0, got {self.terminal_offset_m}")
-        if self.path_loss_exp < 2:
-            raise ValueError(f"path_loss_exp must be >= 2, got {self.path_loss_exp}")
 
 
 @dataclass(frozen=True)
@@ -138,22 +134,9 @@ def distance_at(geo: PassGeometry, t):
     return float(d) if arr.ndim == 0 else d
 
 
-def distance_range(geo: PassGeometry, all_terminals: bool = False) -> tuple[float, float]:
-    """(min, max) slant range.
-
-    Default is the envelope for this terminal's offset; with all_terminals
-    the footprint-wide envelope (H, sqrt(H^2 + R^2)) is returned.
-    """
-    if all_terminals:
-        return (
-            geo.orbit_height_m,
-            math.hypot(geo.orbit_height_m, geo.coverage_radius_m),
-        )
-    lo = math.hypot(geo.terminal_offset_m, geo.orbit_height_m)
-    hi = math.sqrt(geo.half_track_m**2
-                   + geo.terminal_offset_m**2
-                   + geo.orbit_height_m**2)
-    return lo, hi
+def distance_range(geo: PassGeometry) -> tuple[float, float]:
+    """(min, max) slant range over the whole footprint: (H, sqrt(H^2 + R^2))."""
+    return geo.orbit_height_m, math.hypot(geo.orbit_height_m, geo.coverage_radius_m)
 
 
 def build_timeline(geo: PassGeometry, slot_len_s: float) -> PassTimeline:

@@ -44,17 +44,14 @@ _KS_STRIDE = 64
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication count, master seed, and which scheme is simulated."""
+    """Replication count and master seed."""
 
     n_samples: int
     seed: int
-    scheme: str
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.scheme not in ("rat", "pat"):
-            raise ValueError(f"scheme must be 'rat' or 'pat', got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +179,6 @@ def simulate_rate_power(
     fixed-rate scheme inverts its power against the drawn gain at the
     slot's reference range, subject to the cap.
     """
-    _check_scheme(cfg, scheme)
     blocks = _block_rngs(cfg.seed, cfg.n_samples)
     partials = [
         _rate_power_block(geo, tl, fading, part, budget, scheme, rng, count)
@@ -261,7 +257,6 @@ def simulate_dor(
     lam_s before draining in the slot where the wait ends; other arrivals
     drain immediately at their state's rate.
     """
-    _check_scheme(cfg, scheme)
     if lam_s <= 0 or not math.isfinite(lam_s):
         raise ValueError(f"lam_s must be positive and finite, got {lam_s}")
     blocks = _block_rngs(cfg.seed, cfg.n_samples)
@@ -280,12 +275,6 @@ def simulate_dor(
         dor=p,
         dor_se=se,
     )
-
-
-def _check_scheme(cfg: SimConfig, scheme: RatConfig | PatConfig):
-    want = "rat" if isinstance(scheme, RatConfig) else "pat"
-    if cfg.scheme != want:
-        raise ValueError(f"SimConfig.scheme={cfg.scheme!r} but a {want} config was passed")
 
 
 def _ks_gap(i: np.ndarray, f: np.ndarray, n: int) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from . import channel, montecarlo, schemes
 from .channel import GainPartition, StateProbMatrix, afd, equal_probability_partition
 from .geometry import PassTimeline, build_timeline, distance_range
-from .montecarlo import KS_CRIT_ALPHA01, SimConfig, ks_statistic, sample_sr_gain
+from .montecarlo import KS_CRIT_ALPHA01, ks_statistic, sample_sr_gain
 from .scenario import Scenario, SweepSpec, apply_sweep_value
 from .schemes import SchemeReport
 
@@ -55,7 +55,7 @@ def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
     instead of being sampled.
     """
     tl = build_timeline(scn.geometry, scn.slot_len_s)
-    d_max = distance_range(scn.geometry, all_terminals=True)[1]
+    d_max = distance_range(scn.geometry)[1]
     if scn.scheme == "rat":
         first = schemes.rat_first_threshold(scn.budget, scn.rat, d_max)
     else:
@@ -187,9 +187,7 @@ def run_sweep(
             _fmt(report.dor),
         ]
         if with_sim:
-            cfg = SimConfig(
-                n_samples=point.sim.n_samples, seed=base_seed + i, scheme=point.scheme
-            )
+            cfg = replace(point.sim, seed=base_seed + i)
             scheme_cfg = point.rat if point.scheme == "rat" else point.pat
             rate = montecarlo.simulate_rate_power(
                 point.geometry, parts.timeline, point.fading, parts.partition,
@@ -224,11 +222,7 @@ SIMULATE_CSV_HEADER = [
 def run_simulate(scn: Scenario, seed: int | None = None) -> tuple[list[str], list[str]]:
     """Monte-Carlo estimates for the scenario itself (header, one row)."""
     parts = prepare(scn, finite_wait=True)
-    cfg = SimConfig(
-        n_samples=scn.sim.n_samples,
-        seed=scn.sim.seed if seed is None else seed,
-        scheme=scn.scheme,
-    )
+    cfg = scn.sim if seed is None else replace(scn.sim, seed=seed)
     scheme_cfg = scn.rat if scn.scheme == "rat" else scn.pat
     rate = montecarlo.simulate_rate_power(
         scn.geometry, parts.timeline, scn.fading, parts.partition,
@@ -317,7 +311,7 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     ))
 
     # Closed forms against simulation.
-    cfg = SimConfig(n_samples=n_samples, seed=base_seed + 1, scheme=scn.scheme)
+    cfg = replace(scn.sim, seed=base_seed + 1)
     scheme_cfg = scn.rat if scn.scheme == "rat" else scn.pat
     rate = montecarlo.simulate_rate_power(
         scn.geometry, parts.timeline, fading, parts.partition, scn.budget,

@@ -91,13 +91,17 @@ def _parse_number(text: str, where: str) -> float:
         value = float(parts[0])
     except ValueError:
         raise ParseError(f"{where}: cannot parse number {parts[0]!r}") from None
-    if len(parts) == 1:
-        return value
-    unit = parts[1].lower()
-    conv = _UNITS.get(unit)
-    if conv is None:
-        raise ParseError(f"{where}: unknown unit {parts[1]!r}")
-    return conv(value) if callable(conv) else value * conv
+    if len(parts) == 2:
+        conv = _UNITS.get(parts[1].lower())
+        if conv is None:
+            raise ParseError(f"{where}: unknown unit {parts[1]!r}")
+        try:
+            value = conv(value) if callable(conv) else value * conv
+        except OverflowError:  # e.g. 10 ** (v / 10) of a huge dB value
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: must be a finite number, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -204,6 +208,9 @@ _FIELD_TO_KEY = {
     "seed": "seed",
 }
 
+# keys that one section's object takes from another section
+_KEY_SECTION = {"path_loss_exp": "geometry"}
+
 
 def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     """Raw sections: section -> key -> (value text, line number)."""
@@ -229,9 +236,10 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         key, value = (s.strip() for s in line.split("=", 1))
         if not key or not value:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        key = key.lower()
         if key in sections[current]:
             raise ParseError(f"line {lineno}: duplicate key {current}.{key}")
-        sections[current][key.lower()] = (value, lineno)
+        sections[current][key] = (value, lineno)
     return sections
 
 
@@ -281,6 +289,7 @@ def _build(section: str, cls, kwargs: dict, lines) -> object:
         msg = str(exc)
         field = msg.split(" ", 1)[0]
         key = _FIELD_TO_KEY.get(field, field)
+        section = _KEY_SECTION.get(key, section)
         lineno = lines.get(section, {}).get(key)
         at = f" (line {lineno})" if lineno is not None else ""
         raise ValidationError(f"{section}.{key}{at}: {msg}") from None
@@ -316,7 +325,6 @@ def scenario_from_sections(values: dict, lines: dict | None = None) -> Scenario:
         half_track_m=half_track,
         sat_speed_ms=sat_speed,
         terminal_offset_m=g.get("terminal_offset", 0.0),
-        path_loss_exp=g.get("path_loss_exp", 2.0),
     ), lines)
     slot_len = g["slot_len"]
     if slot_len <= 0:
@@ -366,7 +374,6 @@ def scenario_from_sections(values: dict, lines: dict | None = None) -> Scenario:
     sim = _build("sim", SimConfig, dict(
         n_samples=values["sim"]["n_samples"],
         seed=values["sim"]["seed"],
-        scheme=scheme,
     ), lines)
 
     return Scenario(
@@ -402,7 +409,7 @@ def scenario_to_sections(scn: Scenario) -> dict[str, dict[str, object]]:
             "half_track": geo.half_track_m,
             "sat_speed": geo.sat_speed_ms,
             "terminal_offset": geo.terminal_offset_m,
-            "path_loss_exp": geo.path_loss_exp,
+            "path_loss_exp": scn.budget.path_loss_exp,
             "slot_len": scn.slot_len_s,
         },
         "fading": {
@@ -479,6 +486,8 @@ def parse_sweep(arg: str) -> SweepSpec:
             values = tuple(float(s) for s in spec.split(","))
         except ValueError:
             raise ParseError(f"cannot parse sweep values {spec!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"sweep {path}: values must be finite numbers, got {spec!r}")
     return SweepSpec(path=path, values=values)
 
 

@@ -1,9 +1,11 @@
 """Closed-form throughput, energy efficiency, and delay outage rate for the
 rate-adaptive (fixed power) and power-adaptive (fixed rate) schemes.
 
-Rates and powers are evaluated per (state, slot) cell on the K x N grid of
-state probabilities; lower bounds pair each state's lower gain edge with the
-slot's largest distance and upper bounds do the opposite.
+Each scheme has one K x N grid of per-(state, slot) rates or powers, built
+once by _rat_rate_grids or _pat_power_grids; lower bounds pair each state's
+lower gain edge with the slot's largest distance and upper bounds do the
+opposite. Throughput, mean power, energy efficiency and the delay outage
+rate are all read from that grid and the state probabilities.
 """
 
 import math
@@ -23,15 +25,12 @@ __all__ = [
     "ZeroPower",
     "DimensionMismatch",
     "rat_first_threshold",
-    "rat_snr_bounds",
     "rat_throughput_bounds",
     "rat_avg_power",
-    "rat_ee_bounds",
     "rat_dor",
     "rat_dor_integral",
     "rat_report",
     "pat_first_threshold",
-    "pat_power_bounds",
     "pat_report",
     "pat_dor_integral",
 ]
@@ -154,43 +153,6 @@ def rat_first_threshold(budget: LinkBudget, rat: RatConfig, d_max_m: float) -> f
     )
 
 
-def _top_gain(part: GainPartition) -> float:
-    # Gain assigned to the open-ended top state when evaluating upper
-    # bounds: its recorded conditional mean if available, else unbounded.
-    if part.top_mean_gain is not None:
-        return part.top_mean_gain
-    return math.inf
-
-
-def rat_snr_bounds(
-    budget: LinkBudget,
-    rat: RatConfig,
-    part: GainPartition,
-    tl: PassTimeline,
-    k: int,
-    n: int,
-) -> tuple[float, float]:
-    """SNR bracket for state k (1-based) in slot n (1-based).
-
-    State 1 never transmits. The lower edge pairs the state's lower gain
-    threshold with the slot's largest distance, the upper edge its upper
-    threshold with the smallest distance.
-    """
-    if not (1 <= k <= part.n_states):
-        raise IndexError(f"state k={k} outside 1..{part.n_states}")
-    if not (1 <= n <= tl.n_slots):
-        raise IndexError(f"slot n={n} outside 1..{tl.n_slots}")
-    if k == 1:
-        return 0.0, 0.0
-    rho = budget.path_loss_exp
-    scale = rat.tx_power_w / budget.noise_power_w
-    gain_lo = float(part.thresholds[k - 1]) ** 2
-    gain_hi = _top_gain(part) if k == part.n_states else float(part.thresholds[k]) ** 2
-    lo = scale * gain_lo / float(tl.slot_dist_max[n - 1]) ** rho
-    hi = scale * gain_hi / float(tl.slot_dist_min[n - 1]) ** rho
-    return lo, hi
-
-
 def _rat_rate_grids(
     budget: LinkBudget, rat: RatConfig, part: GainPartition, tl: PassTimeline
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +161,7 @@ def _rat_rate_grids(
     rho = budget.path_loss_exp
     scale = rat.tx_power_w / budget.noise_power_w
     gains_lo = part.thresholds**2
-    gains_hi = np.append(part.thresholds[2:] ** 2, _top_gain(part))
+    gains_hi = np.append(part.thresholds[2:] ** 2, part.top_mean_gain)
     d_max = np.asarray(tl.slot_dist_max, dtype=float) ** rho
     d_min = np.asarray(tl.slot_dist_min, dtype=float) ** rho
     rate_lo = np.zeros((k_states, tl.n_slots))
@@ -235,33 +197,6 @@ def rat_avg_power(rat: RatConfig, probs: StateProbMatrix) -> float:
     return rat.tx_power_w * float(np.mean(1.0 - probs.probs[0]))
 
 
-def rat_ee_bounds(
-    budget: LinkBudget,
-    rat: RatConfig,
-    part: GainPartition,
-    tl: PassTimeline,
-    probs: StateProbMatrix,
-) -> tuple[float, float]:
-    """Energy-efficiency bracket: throughput bounds over mean power."""
-    power = rat_avg_power(rat, probs)
-    if power <= 0.0:
-        raise ZeroPower("all probability mass sits in the no-transmission state")
-    lo, hi = rat_throughput_bounds(budget, rat, part, tl, probs)
-    return lo / power, hi / power
-
-
-def _rat_wait_rates(
-    budget: LinkBudget, rat: RatConfig, part: GainPartition, tl: PassTimeline
-) -> np.ndarray:
-    # Rate used to drain the packet once the channel leaves the bottom
-    # state: the state-2 lower-edge rate of the completion slot.
-    rho = budget.path_loss_exp
-    scale = rat.tx_power_w / budget.noise_power_w
-    gain = float(part.thresholds[1]) ** 2
-    d = np.asarray(tl.slot_dist_max, dtype=float) ** rho
-    return budget.bandwidth_hz * np.log2(1.0 + scale * gain / d)
-
-
 def rat_dor(
     budget: LinkBudget,
     rat: RatConfig,
@@ -289,9 +224,8 @@ def rat_dor(
     served = probs.probs[1:] * _step(t_th - drain)
     term_states = float(np.sum(served)) / n
 
-    r2 = _rat_wait_rates(budget, rat, part, tl)
-    with np.errstate(divide="ignore"):
-        margin = t_th - np.where(r2 > 0.0, d_bits / r2, np.inf)
+    # After a wait the packet drains at the state-2 lower-edge rate.
+    margin = t_th - drain[0]
     decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / lam_s)
     waited = probs.probs[0] * decay * _step(margin)
     term_wait = float(np.sum(waited)) / n
@@ -322,7 +256,7 @@ def rat_dor_integral(
     t_th = traffic.delay_threshold_s
     d_bits = traffic.packet_bits
     rate_lo, _ = _rat_rate_grids(budget, rat, part, tl)
-    r2 = _rat_wait_rates(budget, rat, part, tl)
+    r2 = rate_lo[1]  # drain rate once the wait in the bottom state ends
 
     def delivery_cdf_at_threshold(m: int) -> float:
         # F_DT(T_th) for a delivery completing in slot m (0-based).
@@ -359,15 +293,16 @@ def rat_report(
     """All rate-adaptive metrics in one report."""
     thr_lo, thr_hi = rat_throughput_bounds(budget, rat, part, tl, probs)
     power = rat_avg_power(rat, probs)
-    ee_lo, ee_hi = rat_ee_bounds(budget, rat, part, tl, probs)
+    if power <= 0.0:
+        raise ZeroPower("all probability mass sits in the no-transmission state")
     dor = rat_dor(budget, rat, part, tl, probs, traffic, lam_s)
     return SchemeReport(
         throughput_lo_bps=thr_lo,
         throughput_hi_bps=thr_hi,
         avg_power_lo_w=power,
         avg_power_hi_w=power,
-        ee_lo_bpj=ee_lo,
-        ee_hi_bpj=ee_hi,
+        ee_lo_bpj=thr_lo / power,
+        ee_hi_bpj=thr_hi / power,
         dor=dor,
         lam_s=lam_s,
     )
@@ -405,23 +340,6 @@ def _pat_power_grids(
             gain_hi = float(part.thresholds[k]) ** 2
             power_lo[k - 1] = np.minimum(base / gain_hi, pat.max_power_w)
     return power_lo, power_hi
-
-
-def pat_power_bounds(
-    budget: LinkBudget,
-    pat: PatConfig,
-    part: GainPartition,
-    tl: PassTimeline,
-    k: int,
-    n: int,
-) -> tuple[float, float]:
-    """Transmit-power bracket for state k in slot n (both 1-based)."""
-    if not (1 <= k <= part.n_states):
-        raise IndexError(f"state k={k} outside 1..{part.n_states}")
-    if not (1 <= n <= tl.n_slots):
-        raise IndexError(f"slot n={n} outside 1..{tl.n_slots}")
-    power_lo, power_hi = _pat_power_grids(budget, pat, part, tl)
-    return float(power_lo[k - 1, n - 1]), float(power_hi[k - 1, n - 1])
 
 
 def pat_dor_value(

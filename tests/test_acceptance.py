@@ -44,8 +44,8 @@ from leolink.schemes import (
     pat_first_threshold,
     rat_dor,
     rat_dor_integral,
-    rat_ee_bounds,
     rat_first_threshold,
+    rat_report,
     rat_throughput_bounds,
 )
 
@@ -69,7 +69,6 @@ def make_geo(height_m: float = 500e3) -> PassGeometry:
         half_track_m=500e3,
         sat_speed_ms=7600.0,
         terminal_offset_m=0.0,
-        path_loss_exp=2.0,
     )
 
 
@@ -80,7 +79,7 @@ def rat_stack(height_m: float, p_t_w: float, n_states: int = 8):
     tl = build_timeline(geo, 1.0)
     budget = LinkBudget(bandwidth_hz=60e6, noise_power_w=SIGMA2, path_loss_exp=2.0)
     rat = RatConfig(tx_power_w=p_t_w, min_snr=1.0)
-    d_max = distance_range(geo, all_terminals=True)[1]
+    d_max = distance_range(geo)[1]
     mu1 = rat_first_threshold(budget, rat, d_max)
     part = equal_probability_partition(FADING, mu1, n_states)
     probs = state_prob_matrix(FADING, part, tl.n_slots)
@@ -95,7 +94,7 @@ def pat_stack(p_max_w: float, rate_bps: float = 60e6):
     tl = build_timeline(geo, 1.0)
     budget = LinkBudget(bandwidth_hz=60e6, noise_power_w=SIGMA2, path_loss_exp=2.0)
     pat = PatConfig(max_power_w=p_max_w, fixed_rate_bps=rate_bps)
-    d_max = distance_range(geo, all_terminals=True)[1]
+    d_max = distance_range(geo)[1]
     u1 = pat_first_threshold(budget, pat, d_max)
     part = equal_probability_partition(FADING, u1, 8)
     probs = state_prob_matrix(FADING, part, tl.n_slots)
@@ -154,10 +153,11 @@ def test_acceptance_3_bracket_reproduction():
     checked = 0
     for p_dbw in (30.0, 36.0, 42.0):
         for h_km in (500.0, 800.0, 1100.0):
-            geo, tl, budget, rat, part, probs, _ = rat_stack(h_km * 1e3, dbw(p_dbw))
-            lo, hi = rat_throughput_bounds(budget, rat, part, tl, probs)
-            ee_lo, ee_hi = rat_ee_bounds(budget, rat, part, tl, probs)
-            cfg = SimConfig(n_samples=100_000, seed=seed, scheme="rat")
+            geo, tl, budget, rat, part, probs, lam = rat_stack(h_km * 1e3, dbw(p_dbw))
+            rep = rat_report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, 1e-3), lam)
+            lo, hi = rep.throughput_lo_bps, rep.throughput_hi_bps
+            ee_lo, ee_hi = rep.ee_lo_bpj, rep.ee_hi_bpj
+            cfg = SimConfig(n_samples=100_000, seed=seed)
             seed += 1
             sim = simulate_rate_power(geo, tl, FADING, part, budget, rat, cfg)
             slack = 3.0 * sim.rate_se_bps
@@ -189,7 +189,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
             gap = abs(closed - integral)
             worst_gap = max(worst_gap, gap)
             assert gap < 1e-9
-            cfg = SimConfig(n_samples=100_000, seed=seed, scheme="rat")
+            cfg = SimConfig(n_samples=100_000, seed=seed)
             seed += 1
             sim = simulate_dor(tl, FADING, part, budget, rat, traffic, lam, cfg)
             assert abs(sim.dor - closed) <= 3.0 * sim.dor_se + 1e-9, (p_dbw, t_th)
@@ -213,7 +213,7 @@ def test_acceptance_5_pat_outage_piecewise_law():
 
     traffic = TrafficSpec(TRAFFIC_BITS, 1.2 * knee)
     closed = pat_dor_value(probs, pat, traffic, lam)
-    cfg = SimConfig(n_samples=100_000, seed=51_000, scheme="pat")
+    cfg = SimConfig(n_samples=100_000, seed=51_000)
     sim = simulate_dor(tl, FADING, part, budget, pat, traffic, lam, cfg)
     assert abs(sim.dor - closed) <= 3.0 * sim.dor_se + 1e-9
 
@@ -273,7 +273,7 @@ def test_acceptance_7_geometry_identities():
     t_s = service_duration(geo)
     assert distance_at(geo, t_s / 2.0) == geo.orbit_height_m
     assert distance_at(geo, 0.0) == pytest.approx(distance_at(geo, t_s), rel=1e-12)
-    lo, hi = distance_range(geo, all_terminals=True)
+    lo, hi = distance_range(geo)
     assert lo == geo.orbit_height_m
     assert hi == math.hypot(geo.orbit_height_m, geo.coverage_radius_m)
     elapsed = time.monotonic() - start

@@ -185,26 +185,26 @@ class TestSrCdf:
 class TestPartition:
     def test_requires_leading_zero(self):
         with pytest.raises(ValueError):
-            GainPartition(thresholds=np.array([0.1, 0.5]))
+            GainPartition(thresholds=np.array([0.1, 0.5]), top_mean_gain=1.0)
 
     def test_requires_increasing(self):
         with pytest.raises(ValueError):
-            GainPartition(thresholds=np.array([0.0, 0.5, 0.4]))
+            GainPartition(thresholds=np.array([0.0, 0.5, 0.4]), top_mean_gain=1.0)
 
     def test_degenerate_two_state(self):
-        part = GainPartition(thresholds=np.array([0.0, 0.0]))
+        part = GainPartition(thresholds=np.array([0.0, 0.0]), top_mean_gain=1.0)
         pi = state_probs(TABLE_FADING, part)
         assert pi[0] == 0.0
         assert pi[1] == 1.0
 
     def test_probabilities_sum_to_one(self):
-        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]))
+        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]), top_mean_gain=1.0)
         pi = state_probs(TABLE_FADING, part)
         assert abs(pi.sum() - 1.0) < 1e-9
         assert np.all(pi >= 0.0)
 
     def test_against_sampled_frequencies(self):
-        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]))
+        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]), top_mean_gain=1.0)
         pi = state_probs(TABLE_FADING, part)
         n = 1_000_000
         rng = np.random.Generator(np.random.Philox(20240301))
@@ -214,13 +214,13 @@ class TestPartition:
         assert np.all(np.abs(freq - pi) <= 3.0 * se)
 
     def test_classify_edges(self):
-        part = GainPartition(thresholds=np.array([0.0, 0.5, 1.0]))
+        part = GainPartition(thresholds=np.array([0.0, 0.5, 1.0]), top_mean_gain=1.0)
         gains = np.array([0.0, 0.24, 0.25, 0.99, 1.0, 9.0])
         # amplitude regions [0, .5), [.5, 1), [1, inf) in gain: [0,.25), [.25,1), [1,inf)
         assert list(part.classify(gains)) == [1, 1, 2, 2, 3, 3]
 
     def test_matrix_shape_and_columns(self):
-        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]))
+        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]), top_mean_gain=1.0)
         pi = state_probs(TABLE_FADING, part)
         mat = state_prob_matrix(TABLE_FADING, part, 5)
         assert mat.probs.shape == (3, 5)
@@ -229,7 +229,7 @@ class TestPartition:
             assert abs(mat.probs[:, col].sum() - 1.0) < 1e-9
 
     def test_single_column(self):
-        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]))
+        part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]), top_mean_gain=1.0)
         mat = state_prob_matrix(TABLE_FADING, part, 1)
         assert mat.probs.shape == (3, 1)
         assert np.allclose(mat.probs[:, 0], state_probs(TABLE_FADING, part))

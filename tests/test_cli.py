@@ -333,7 +333,7 @@ class TestErrorPaths:
 
         scn = parse_scenario(Path(extreme).read_text())
         first = pat_first_threshold(
-            scn.budget, scn.pat, distance_range(scn.geometry, all_terminals=True)[1]
+            scn.budget, scn.pat, distance_range(scn.geometry)[1]
         )
         records = [r for r in caplog.records if r.name == "leolink.pipeline"]
         assert [r.levelno for r in records] == [logging.WARNING]

@@ -28,7 +28,6 @@ def make_geo(**kw) -> PassGeometry:
         half_track_m=1000e3,
         sat_speed_ms=7600.0,
         terminal_offset_m=0.0,
-        path_loss_exp=2.0,
     )
     base.update(kw)
     return PassGeometry(**base)
@@ -121,30 +120,16 @@ class TestDistanceAt:
 
 
 class TestDistanceRange:
-    def test_degenerate_pass(self):
-        geo = make_geo(half_track_m=1e-9, terminal_offset_m=0.0)
-        lo, hi = distance_range(geo)
-        assert lo == geo.orbit_height_m
-        assert hi == pytest.approx(geo.orbit_height_m, rel=1e-12)
-
     def test_all_terminal_envelope(self):
         geo = make_geo()
-        lo, hi = distance_range(geo, all_terminals=True)
+        lo, hi = distance_range(geo)
         assert lo == geo.orbit_height_m
         assert hi == math.hypot(geo.orbit_height_m, geo.coverage_radius_m)
 
     def test_all_terminal_reference_value(self):
         geo = make_geo(orbit_height_m=500e3, coverage_radius_m=500e3)
-        assert distance_range(geo, all_terminals=True)[1] == pytest.approx(
+        assert distance_range(geo)[1] == pytest.approx(
             707106.7811865475, rel=1e-12
-        )
-
-    def test_fixed_terminal_range(self):
-        geo = make_geo(terminal_offset_m=200e3)
-        lo, hi = distance_range(geo)
-        assert lo == pytest.approx(math.hypot(200e3, 500e3), rel=1e-12)
-        assert hi == pytest.approx(
-            math.sqrt(1000e3**2 + 200e3**2 + 500e3**2), rel=1e-12
         )
 
 

@@ -53,7 +53,7 @@ GEO = PassGeometry(
     half_track_m=500e3,
     sat_speed_ms=7600.0,
 )
-D_MAX = distance_range(GEO, all_terminals=True)[1]
+D_MAX = distance_range(GEO)[1]
 FADING_SETS = [pytest.param(p, id=name) for name, p in {**ABDI_SETS, **LOS_SETS}.items()]
 
 
@@ -196,39 +196,33 @@ class TestKsStatistic:
 class TestSimulateRatePower:
     def test_rat_rate_within_bounds(self, timeline, rat_setup):
         rat, part, probs, _ = rat_setup
-        cfg = SimConfig(n_samples=100_000, seed=42, scheme="rat")
+        cfg = SimConfig(n_samples=100_000, seed=42)
         res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
         lo, hi = rat_throughput_bounds(BUDGET, rat, part, timeline, probs)
         assert lo - 3.0 * res.rate_se_bps <= res.mean_rate_bps <= hi + 3.0 * res.rate_se_bps
 
     def test_rat_power_matches_closed_form(self, timeline, rat_setup):
         rat, part, probs, _ = rat_setup
-        cfg = SimConfig(n_samples=100_000, seed=43, scheme="rat")
+        cfg = SimConfig(n_samples=100_000, seed=43)
         res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
         assert abs(res.mean_power_w - rat_avg_power(rat, probs)) <= 3.0 * res.power_se_w
 
     def test_pat_degenerate_rate_exact(self, timeline):
         # all mass above the first threshold and an unreachable cap: the
         # scheme sends every slot at the fixed rate
-        part = GainPartition(thresholds=np.array([0.0, 1e-9]))
+        part = GainPartition(thresholds=np.array([0.0, 1e-9]), top_mean_gain=FADING.mean_gain)
         pat = PatConfig(max_power_w=1e15, fixed_rate_bps=60e6)
-        cfg = SimConfig(n_samples=20_000, seed=11, scheme="pat")
+        cfg = SimConfig(n_samples=20_000, seed=11)
         res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, pat, cfg)
         assert res.mean_rate_bps == 60e6
         assert res.rate_se_bps == 0.0
-
-    def test_scheme_config_mismatch(self, timeline, rat_setup):
-        rat, part, _, _ = rat_setup
-        cfg = SimConfig(n_samples=100, seed=1, scheme="pat")
-        with pytest.raises(ValueError):
-            simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
 
 
 class TestSimulateDor:
     def test_zero_budget_certain_outage(self, timeline, rat_setup):
         rat, part, _, lam = rat_setup
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=0.0)
-        cfg = SimConfig(n_samples=5_000, seed=4, scheme="rat")
+        cfg = SimConfig(n_samples=5_000, seed=4)
         res = simulate_dor(timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
         assert res.dor == 1.0
 
@@ -237,7 +231,7 @@ class TestSimulateDor:
         u1 = pat_first_threshold(BUDGET, pat, D_MAX)
         part = equal_probability_partition(FADING, u1, 8)
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=5e-3)
-        cfg = SimConfig(n_samples=5_000, seed=4, scheme="pat")
+        cfg = SimConfig(n_samples=5_000, seed=4)
         res = simulate_dor(timeline, FADING, part, BUDGET, pat, traffic, 80.0, cfg)
         assert res.dor == 1.0
 
@@ -250,7 +244,7 @@ class TestSimulateDor:
         lam = afd(FADING, DOPPLER, mu1)
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
         closed = rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam)
-        cfg = SimConfig(n_samples=100_000, seed=77, scheme="rat")
+        cfg = SimConfig(n_samples=100_000, seed=77)
         res = simulate_dor(timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
         assert abs(res.dor - closed) <= 3.0 * res.dor_se + 1e-9
 
@@ -258,7 +252,7 @@ class TestSimulateDor:
 class TestDeterminismAndBlocks:
     def test_identical_seed_identical_result(self, timeline, rat_setup):
         rat, part, _, lam = rat_setup
-        cfg = SimConfig(n_samples=70_000, seed=99, scheme="rat")
+        cfg = SimConfig(n_samples=70_000, seed=99)
         a = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
         b = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
         assert a == b
@@ -271,11 +265,11 @@ class TestDeterminismAndBlocks:
         rat, part, _, _ = rat_setup
         a = simulate_rate_power(
             GEO, timeline, FADING, part, BUDGET, rat,
-            SimConfig(n_samples=10_000, seed=1, scheme="rat"),
+            SimConfig(n_samples=10_000, seed=1),
         )
         b = simulate_rate_power(
             GEO, timeline, FADING, part, BUDGET, rat,
-            SimConfig(n_samples=10_000, seed=2, scheme="rat"),
+            SimConfig(n_samples=10_000, seed=2),
         )
         assert a.mean_rate_bps != b.mean_rate_bps
 
@@ -283,7 +277,7 @@ class TestDeterminismAndBlocks:
         # the concurrency contract: block results computed in any order,
         # reduced in block order, give the sequential aggregate exactly
         rat, part, _, _ = rat_setup
-        cfg = SimConfig(n_samples=150_000, seed=123, scheme="rat")
+        cfg = SimConfig(n_samples=150_000, seed=123)
         sequential = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
         blocks = _block_rngs(cfg.seed, cfg.n_samples)
         partials = [None] * len(blocks)
@@ -303,7 +297,7 @@ class TestDeterminismAndBlocks:
         rat, part, _, _ = rat_setup
         ses = []
         for n in (1_000, 10_000, 100_000):
-            cfg = SimConfig(n_samples=n, seed=5, scheme="rat")
+            cfg = SimConfig(n_samples=n, seed=5)
             res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
             ses.append(res.rate_se_bps)
         assert ses[0] / ses[1] == pytest.approx(math.sqrt(10.0), rel=0.4)
@@ -321,6 +315,4 @@ class TestSimResultValidation:
 
     def test_sim_config_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(n_samples=0, seed=1, scheme="rat")
-        with pytest.raises(ValueError):
-            SimConfig(n_samples=10, seed=1, scheme="other")
+            SimConfig(n_samples=0, seed=1)

@@ -142,6 +142,33 @@ class TestValidation:
     def test_duplicate_key(self):
         with pytest.raises(ParseError):
             parse_scenario(MINIMAL.replace("seed = 7", "seed = 7\nseed = 8"))
+        # keys are case-insensitive, so a case variant is the same key
+        with pytest.raises(ParseError) as err:
+            parse_scenario(MINIMAL.replace("m = 2", "m = 2\nM = 0.7"))
+        assert "duplicate key fading.m" in str(err.value)
+
+    @pytest.mark.parametrize("old,new", [
+        ("omega = 0.5", "omega = nan"),
+        ("orbit_height = 500 km", "orbit_height = inf"),
+        ("n_states = 4", "n_states = inf"),
+        ("b0 = 0.2", "b0 = inf"),
+        ("noise_power = -66 dBm", "noise_power = 4000 dBm"),
+        ("coverage_radius = 500 km", "coverage_radius = 1e306 km"),
+    ])
+    def test_non_finite_number_rejected(self, old, new):
+        key = new.split(" = ")[0]
+        lineno = MINIMAL.splitlines().index(old) + 1
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(MINIMAL.replace(old, new))
+        assert f"line {lineno}: " in str(err.value)
+        assert f".{key}: must be a finite number" in str(err.value)
+
+    def test_path_loss_exp_error_names_geometry_key(self):
+        text = MINIMAL.replace("slot_len = 1 s", "slot_len = 1 s\npath_loss_exp = 1.5")
+        lineno = text.splitlines().index("path_loss_exp = 1.5") + 1
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert f"geometry.path_loss_exp (line {lineno})" in str(err.value)
 
     def test_garbage_line(self):
         with pytest.raises(ParseError) as err:
@@ -197,6 +224,16 @@ class TestSweep:
             parse_sweep("a.b=1:2")
         with pytest.raises(ParseError):
             parse_sweep("a.b=x,y")
+
+    @pytest.mark.parametrize("arg", [
+        "geometry.orbit_height=500e3:inf:3",
+        "rat.tx_power=1000,nan",
+        "rat.tx_power=-1e308:1e308:3",
+    ])
+    def test_non_finite_values_rejected(self, arg):
+        with pytest.raises(ValidationError) as err:
+            parse_sweep(arg)
+        assert "must be finite" in str(err.value)
 
     def test_apply_revalidates(self):
         scn = parse_scenario(MINIMAL)

@@ -5,7 +5,6 @@ import pytest
 
 from leolink.channel import (
     DopplerSpec,
-    GainPartition,
     SrFading,
     StateProbMatrix,
     afd,
@@ -21,18 +20,17 @@ from leolink.schemes import (
     SchemeReport,
     TrafficSpec,
     ZeroPower,
+    _pat_power_grids,
+    _rat_rate_grids,
     pat_dor_integral,
     pat_dor_value,
     pat_first_threshold,
-    pat_power_bounds,
     pat_report,
     rat_avg_power,
     rat_dor,
     rat_dor_integral,
-    rat_ee_bounds,
     rat_first_threshold,
     rat_report,
-    rat_snr_bounds,
     rat_throughput_bounds,
 )
 
@@ -47,7 +45,7 @@ GEO = PassGeometry(
     half_track_m=500e3,
     sat_speed_ms=7600.0,
 )
-D_MAX = distance_range(GEO, all_terminals=True)[1]
+D_MAX = distance_range(GEO)[1]
 TRAFFIC = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e-3)
 
 
@@ -111,44 +109,47 @@ class TestRatFirstThreshold:
         assert want == pytest.approx(0.3543928909, rel=1e-9)
 
 
+def spectral_efficiency(rate_bps):
+    # SNR behind a data rate of the rate grid: 2^(R / B) - 1
+    return 2.0 ** (rate_bps / BUDGET.bandwidth_hz) - 1.0
+
+
 class TestRatSnrBounds:
     def test_bottom_state_is_silent(self, timeline, rat_setup):
         rat, part, _, _ = rat_setup
-        for n in (1, timeline.n_slots):
-            assert rat_snr_bounds(BUDGET, rat, part, timeline, 1, n) == (0.0, 0.0)
+        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, timeline)
+        assert not rate_lo[0].any() and not rate_hi[0].any()
 
     def test_ordering(self, timeline, rat_setup):
         rat, part, _, _ = rat_setup
-        for k in range(1, part.n_states + 1):
-            for n in (1, timeline.n_slots // 2, timeline.n_slots):
-                lo, hi = rat_snr_bounds(BUDGET, rat, part, timeline, k, n)
-                assert lo <= hi
+        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, timeline)
+        assert np.all(rate_lo <= rate_hi)
+        # each state's lower edge is the state below's upper gain edge
+        assert np.all(rate_lo[1:-1] < rate_lo[2:])
 
     def test_single_slot_hand_evaluation(self):
         tl, rat, part = single_slot_setup()
         assert tl.n_slots == 1
-        lo, hi = rat_snr_bounds(BUDGET, rat, part, tl, 2, 1)
+        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, tl)
         # slot max equals d_max here, so the state-2 lower SNR is exactly
         # gamma_min; the upper edge pairs mu_2^2 with the overhead range H.
-        assert lo == pytest.approx(1.0, rel=1e-9)
+        assert spectral_efficiency(rate_lo[1, 0]) == pytest.approx(1.0, rel=1e-9)
         scale = rat.tx_power_w / SIGMA2
         want_hi = scale * float(part.thresholds[2]) ** 2 / GEO.orbit_height_m**2
-        assert hi == pytest.approx(want_hi, rel=1e-12)
+        assert spectral_efficiency(rate_hi[1, 0]) == pytest.approx(want_hi, rel=1e-9)
+        # the open-ended top state takes its conditional mean gain
+        want_top = scale * part.top_mean_gain / GEO.orbit_height_m**2
+        assert spectral_efficiency(rate_hi[-1, 0]) == pytest.approx(want_top, rel=1e-9)
 
     def test_index_errors(self, timeline, rat_setup):
+        # one row per state and one column per slot, and no cell outside them
         rat, part, _, _ = rat_setup
-        with pytest.raises(IndexError):
-            rat_snr_bounds(BUDGET, rat, part, timeline, 0, 1)
-        with pytest.raises(IndexError):
-            rat_snr_bounds(BUDGET, rat, part, timeline, part.n_states + 1, 1)
-        with pytest.raises(IndexError):
-            rat_snr_bounds(BUDGET, rat, part, timeline, 1, timeline.n_slots + 1)
-
-    def test_unbounded_top_state_without_mean(self, timeline, rat_setup):
-        rat, part, _, _ = rat_setup
-        bare = GainPartition(thresholds=part.thresholds)
-        _, hi = rat_snr_bounds(BUDGET, rat, bare, timeline, bare.n_states, 1)
-        assert math.isinf(hi)
+        for grid in _rat_rate_grids(BUDGET, rat, part, timeline):
+            assert grid.shape == (part.n_states, timeline.n_slots)
+            with pytest.raises(IndexError):
+                grid[part.n_states, 0]
+            with pytest.raises(IndexError):
+                grid[0, timeline.n_slots]
 
 
 class TestRatThroughput:
@@ -193,7 +194,7 @@ class TestRatThroughput:
                 half_track_m=500e3, sat_speed_ms=7600.0,
             )
             tl = build_timeline(geo, 1.0)
-            d_max = distance_range(geo, all_terminals=True)[1]
+            d_max = distance_range(geo)[1]
             mu1 = rat_first_threshold(BUDGET, rat, d_max)
             part = equal_probability_partition(FADING, mu1, 8)
             probs = state_prob_matrix(FADING, part, tl.n_slots)
@@ -223,7 +224,7 @@ class TestRatPowerAndEe:
         assert rat_avg_power(rat, probs) == pytest.approx(0.7 * 500.0, rel=1e-12)
 
     def test_zero_power_guard(self, timeline, rat_setup):
-        rat, part, _, _ = rat_setup
+        rat, part, _, lam = rat_setup
         silent = StateProbMatrix(
             probs=np.vstack([
                 np.ones(timeline.n_slots),
@@ -231,15 +232,17 @@ class TestRatPowerAndEe:
             ])
         )
         with pytest.raises(ZeroPower):
-            rat_ee_bounds(BUDGET, rat, part, timeline, silent)
+            rat_report(BUDGET, rat, part, timeline, silent, TRAFFIC, lam)
 
     def test_ee_recomposition(self, timeline, rat_setup):
-        rat, part, probs, _ = rat_setup
+        rat, part, probs, lam = rat_setup
         thr = rat_throughput_bounds(BUDGET, rat, part, timeline, probs)
         power = rat_avg_power(rat, probs)
-        ee = rat_ee_bounds(BUDGET, rat, part, timeline, probs)
-        assert ee[0] == pytest.approx(thr[0] / power, rel=1e-12)
-        assert ee[1] == pytest.approx(thr[1] / power, rel=1e-12)
+        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        assert (rep.throughput_lo_bps, rep.throughput_hi_bps) == thr
+        assert rep.avg_power_lo_w == rep.avg_power_hi_w == power
+        assert rep.ee_lo_bpj == thr[0] / power
+        assert rep.ee_hi_bpj == thr[1] / power
 
 
 class TestRatDor:
@@ -335,13 +338,14 @@ class TestPatFirstThreshold:
 class TestPatPowerBounds:
     def test_bottom_state_is_silent(self, timeline, pat_setup):
         pat, part, _, _ = pat_setup
-        assert pat_power_bounds(BUDGET, pat, part, timeline, 1, 1) == (0.0, 0.0)
+        power_lo, power_hi = _pat_power_grids(BUDGET, pat, part, timeline)
+        assert not power_lo[0].any() and not power_hi[0].any()
 
     def test_ordering(self, timeline, pat_setup):
         pat, part, _, _ = pat_setup
-        for k in range(2, part.n_states + 1):
-            lo, hi = pat_power_bounds(BUDGET, pat, part, timeline, k, 1)
-            assert 0.0 <= lo <= hi <= pat.max_power_w
+        power_lo, power_hi = _pat_power_grids(BUDGET, pat, part, timeline)
+        assert np.all((0.0 <= power_lo) & (power_lo <= power_hi)
+                      & (power_hi <= pat.max_power_w))
 
     def test_cap_reached_exactly_at_worst_case(self):
         # single-slot pass: slot max distance equals the envelope d_max, so
@@ -351,21 +355,24 @@ class TestPatPowerBounds:
         pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=60e6)
         u1 = pat_first_threshold(BUDGET, pat, D_MAX)
         part = equal_probability_partition(FADING, u1, 4)
-        _, hi = pat_power_bounds(BUDGET, pat, part, tl, 2, 1)
-        assert hi == pytest.approx(pat.max_power_w, rel=1e-12)
+        _, power_hi = _pat_power_grids(BUDGET, pat, part, tl)
+        assert power_hi[1, 0] == pytest.approx(pat.max_power_w, rel=1e-12)
 
     def test_top_state_lower_bound_is_zero(self, timeline, pat_setup):
         pat, part, _, _ = pat_setup
-        lo, hi = pat_power_bounds(BUDGET, pat, part, timeline, part.n_states, 1)
-        assert lo == 0.0
-        assert hi > 0.0
+        power_lo, power_hi = _pat_power_grids(BUDGET, pat, part, timeline)
+        assert not power_lo[-1].any()
+        assert np.all(power_hi[-1] > 0.0)
 
     def test_index_errors(self, timeline, pat_setup):
+        # one row per state and one column per slot, and no cell outside them
         pat, part, _, _ = pat_setup
-        with pytest.raises(IndexError):
-            pat_power_bounds(BUDGET, pat, part, timeline, 0, 1)
-        with pytest.raises(IndexError):
-            pat_power_bounds(BUDGET, pat, part, timeline, 2, 0)
+        for grid in _pat_power_grids(BUDGET, pat, part, timeline):
+            assert grid.shape == (part.n_states, timeline.n_slots)
+            with pytest.raises(IndexError):
+                grid[part.n_states, 0]
+            with pytest.raises(IndexError):
+                grid[0, timeline.n_slots]
 
 
 class TestPatReport:
