@@ -1,8 +1,8 @@
 """Closed-form throughput, energy efficiency, and delay outage rate for the
 rate-adaptive (fixed power) and power-adaptive (fixed rate) schemes.
 
-Each scheme has one K x N grid of per-(state, slot) rates or powers, built
-once by _rat_rate_grids or _pat_power_grids; lower bounds pair each state's
+Each scheme has one route to its K x N grid of per-(state, slot) rates or
+powers, _rat_rate_grids or _pat_power_grids; lower bounds pair each state's
 lower gain edge with the slot's largest distance and upper bounds do the
 opposite. Throughput, mean power, energy efficiency and the delay outage
 rate are all read from that grid and the state probabilities.
