@@ -93,6 +93,14 @@ class TestSweep:
         out = capsys.readouterr().out
         assert out == (GOLDEN_DIR / f"reference_{scheme}_{golden}.csv").read_text()
 
+    @pytest.mark.parametrize("scheme", ["rat", "pat"])
+    def test_with_sim_matches_golden(self, capsys, scheme):
+        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
+        assert main(["sweep", "--scenario", scn, "--with-sim",
+                     "--sweep", "geometry.orbit_height=500e3:1100e3:3"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN_DIR / f"reference_{scheme}_sweep_height_sim.csv").read_text()
+
     def test_height_sweep_monotone(self, capsys):
         assert main([
             "sweep", "--scenario", RAT_SCN,
@@ -195,6 +203,13 @@ class TestSweep:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("scheme", ["rat", "pat"])
+    def test_matches_golden(self, capsys, scheme):
+        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
+        assert main(["simulate", "--scenario", scn]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN_DIR / f"reference_{scheme}_simulate.csv").read_text()
+
     def test_byte_identical_repeats(self, tmp_path):
         path = reduced_scenario(tmp_path, "reference_rat.scn", n_samples=30_000)
         out1 = tmp_path / "a.csv"
@@ -258,6 +273,13 @@ seed = 99
 
 
 class TestValidate:
+    @pytest.mark.parametrize("scheme", ["rat", "pat"])
+    def test_matches_golden(self, capsys, scheme):
+        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
+        assert main(["validate", "--scenario", scn]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN_DIR / f"reference_{scheme}_validate.txt").read_text()
+
     @pytest.mark.parametrize("base", ["reference_rat.scn", "reference_pat.scn"])
     def test_reference_scenarios_pass(self, tmp_path, capsys, base):
         path = reduced_scenario(tmp_path, base)
