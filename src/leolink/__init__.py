@@ -30,7 +30,7 @@ from .geometry import (
     service_duration,
     sub_point_speed,
 )
-from .montecarlo import SimConfig, SimResult, sample_sr_gain, simulate_dor, simulate_rate_power
+from .montecarlo import SimConfig, SimResult, sample_sr_gain, simulate
 from .pipeline import prepare, run_analyze, run_simulate, run_sweep, run_validate
 from .scenario import Scenario, SweepSpec, parse_scenario, render_scenario
 from .schemes import (

@@ -1,6 +1,8 @@
 """Stochastic oracle for the closed forms: draws shadowed-Rician gains,
 arrival times, and waiting periods, and reports empirical rate, power, and
-delay-outage estimates with standard errors.
+delay-outage estimates with standard errors. One pass gives all three: each
+replication's arrival time, gain and state serve the rate, the power and the
+outage alike.
 
 Replications are split into fixed-size blocks, each driven by its own
 counter-based generator spawned from the master seed, so block results can
@@ -21,8 +23,7 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "sample_sr_gain",
-    "simulate_rate_power",
-    "simulate_dor",
+    "simulate",
     "ks_statistic",
     "KS_CRIT_ALPHA01",
 ]
@@ -56,23 +57,21 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Empirical estimates with standard errors; fields the run does not
-    produce stay None."""
+    """Empirical estimates with standard errors."""
 
     n_samples: int
     rng: str
-    mean_rate_bps: float | None = None
-    rate_se_bps: float | None = None
-    mean_power_w: float | None = None
-    power_se_w: float | None = None
-    dor: float | None = None
-    dor_se: float | None = None
+    mean_rate_bps: float
+    rate_se_bps: float
+    mean_power_w: float
+    power_se_w: float
+    dor: float
+    dor_se: float
 
     def __post_init__(self):
-        for se in (self.rate_se_bps, self.power_se_w, self.dor_se):
-            if se is not None and se < 0:
-                raise ValueError("standard errors must be >= 0")
-        if self.dor is not None and not (0.0 <= self.dor <= 1.0):
+        if any(se < 0 for se in (self.rate_se_bps, self.power_se_w, self.dor_se)):
+            raise ValueError("standard errors must be >= 0")
+        if not (0.0 <= self.dor <= 1.0):
             raise ValueError(f"dor must be in [0, 1], got {self.dor}")
 
 
@@ -124,26 +123,35 @@ def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _rate_power_block(
+def _block(
     geo: PassGeometry,
     tl: PassTimeline,
     fading: SrFading,
     part: GainPartition,
     budget: LinkBudget,
     scheme: RatConfig | PatConfig,
+    traffic: TrafficSpec,
+    lam_s: float,
     rng: np.random.Generator,
     count: int,
-) -> tuple[float, float, float, float]:
-    """One block of rate/power replications; returns (sum r, sum r^2,
-    sum p, sum p^2)."""
-    t = rng.uniform(0.0, tl.span_s, count)
+) -> tuple[float, float, float, float, float]:
+    """One block of replications; returns (sum r, sum r^2, sum p, sum p^2,
+    outage count).
+
+    Each replication draws one arrival fraction u and one gain. The rate and
+    power use the instant u * span_s of the discretized pass; the packet
+    arriving at u * service_time_s then draws its wait.
+    """
+    u = rng.random(count)
     g = sample_sr_gain(fading, rng, count)
     state = part.classify(g)
-    transmitting = state >= 2
     rho = budget.path_loss_exp
-    if isinstance(scheme, RatConfig):
-        d = _slant_range(geo, t)
-        snr = scheme.tx_power_w / budget.noise_power_w * g / d**rho
+    is_rat = isinstance(scheme, RatConfig)
+
+    t = tl.span_s * u
+    transmitting = state >= 2
+    if is_rat:
+        snr = scheme.tx_power_w / budget.noise_power_w * g / _slant_range(geo, t) ** rho
         rate = np.where(transmitting, budget.bandwidth_hz * np.log2(1.0 + snr), 0.0)
         power = np.where(transmitting, scheme.tx_power_w, 0.0)
     else:
@@ -154,79 +162,25 @@ def _rate_power_block(
         on = transmitting & (needed <= scheme.max_power_w)
         rate = np.where(on, scheme.fixed_rate_bps, 0.0)
         power = np.where(on, needed, 0.0)
-    return (
+    sums = (
         float(np.sum(rate)),
         float(np.sum(rate * rate)),
         float(np.sum(power)),
         float(np.sum(power * power)),
     )
+    # Freed before the outage draws, to keep peak memory near that of
+    # separate rate and outage passes.
+    del rate, power, transmitting
 
-
-def simulate_rate_power(
-    geo: PassGeometry,
-    tl: PassTimeline,
-    fading: SrFading,
-    part: GainPartition,
-    budget: LinkBudget,
-    scheme: RatConfig | PatConfig,
-    cfg: SimConfig,
-) -> SimResult:
-    """Empirical mean rate and transmit power over random arrival instants.
-
-    Each replication draws an instant in the discretized pass and a gain;
-    the fixed-power scheme then transmits at the instantaneous capacity of
-    the drawn gain and exact range whenever the state allows, while the
-    fixed-rate scheme inverts its power against the drawn gain at the
-    slot's reference range, subject to the cap.
-    """
-    blocks = _block_rngs(cfg.seed, cfg.n_samples)
-    partials = [
-        _rate_power_block(geo, tl, fading, part, budget, scheme, rng, count)
-        for rng, count in blocks
-    ]
-    sum_r = sum_r2 = sum_p = sum_p2 = 0.0
-    for r1, r2_, p1, p2 in partials:  # reduce in block order
-        sum_r += r1
-        sum_r2 += r2_
-        sum_p += p1
-        sum_p2 += p2
-    mean_rate, rate_se = _mean_se(sum_r, sum_r2, cfg.n_samples)
-    mean_power, power_se = _mean_se(sum_p, sum_p2, cfg.n_samples)
-    return SimResult(
-        n_samples=cfg.n_samples,
-        rng=_RNG_NAME,
-        mean_rate_bps=mean_rate,
-        rate_se_bps=rate_se,
-        mean_power_w=mean_power,
-        power_se_w=power_se,
-    )
-
-
-def _dor_block(
-    tl: PassTimeline,
-    fading: SrFading,
-    part: GainPartition,
-    budget: LinkBudget,
-    scheme: RatConfig | PatConfig,
-    traffic: TrafficSpec,
-    lam_s: float,
-    rng: np.random.Generator,
-    count: int,
-) -> float:
-    """One block of packet arrivals; returns the outage count."""
-    t = rng.uniform(0.0, tl.service_time_s, count)
-    g = sample_sr_gain(fading, rng, count)
-    state = part.classify(g)
+    # Arrivals in the bottom state wait; completion slot is
+    # ceil((t + wait)/slot) wrapped onto 1..N, then 0-based.
+    t = tl.service_time_s * u
     waiting = state == 1
     t_wait = np.where(waiting, rng.exponential(lam_s, count), 0.0)
-
-    # Completion slot: ceil((t + wait)/slot) wrapped onto 1..N, then 0-based.
     idx = np.ceil((t + t_wait) / tl.slot_len_s).astype(np.int64) % tl.n_slots
     slot = np.where(idx == 0, tl.n_slots, idx) - 1
-
-    if isinstance(scheme, RatConfig):
+    if is_rat:
         # Drain at the lower-edge rate of the state (state 2 after a wait).
-        rho = budget.path_loss_exp
         edge_state = np.where(waiting, 2, state)
         edge_gain = np.asarray(part.thresholds)[edge_state - 1] ** 2
         snr = (scheme.tx_power_w / budget.noise_power_w * edge_gain
@@ -234,14 +188,13 @@ def _dor_block(
         rate = budget.bandwidth_hz * np.log2(1.0 + snr)
     else:
         rate = np.full(count, scheme.fixed_rate_bps)
-
     with np.errstate(divide="ignore"):
         drain = np.where(rate > 0.0, traffic.packet_bits / rate, np.inf)
-    delivery = t_wait + drain
-    return float(np.sum(delivery > traffic.delay_threshold_s))
+    return sums + (float(np.sum(t_wait + drain > traffic.delay_threshold_s)),)
 
 
-def simulate_dor(
+def simulate(
+    geo: PassGeometry,
     tl: PassTimeline,
     fading: SrFading,
     part: GainPartition,
@@ -251,29 +204,42 @@ def simulate_dor(
     lam_s: float,
     cfg: SimConfig,
 ) -> SimResult:
-    """Empirical delay outage rate over random packet arrivals.
+    """Empirical mean rate, transmit power and delay outage rate.
 
-    Arrivals landing in the bottom state wait an exponential time with mean
-    lam_s before draining in the slot where the wait ends; other arrivals
-    drain immediately at their state's rate.
+    Each replication draws an instant in the pass and a gain. For the rate
+    and power, the fixed-power scheme transmits at the instantaneous
+    capacity of the drawn gain and exact range whenever the state allows,
+    while the fixed-rate scheme inverts its power against the drawn gain at
+    the slot's reference range, subject to the cap. For the outage, a packet
+    arriving in the bottom state waits an exponential time with mean lam_s
+    before draining in the slot where the wait ends; other packets drain
+    immediately at their state's rate.
     """
     if lam_s <= 0 or not math.isfinite(lam_s):
         raise ValueError(f"lam_s must be positive and finite, got {lam_s}")
-    blocks = _block_rngs(cfg.seed, cfg.n_samples)
     partials = [
-        _dor_block(tl, fading, part, budget, scheme, traffic, lam_s, rng, count)
-        for rng, count in blocks
+        _block(geo, tl, fading, part, budget, scheme, traffic, lam_s, rng, count)
+        for rng, count in _block_rngs(cfg.seed, cfg.n_samples)
     ]
-    outages = 0.0
-    for c in partials:  # reduce in block order
+    sum_r = sum_r2 = sum_p = sum_p2 = outages = 0.0
+    for r1, r2, p1, p2, c in partials:  # reduce in block order
+        sum_r += r1
+        sum_r2 += r2
+        sum_p += p1
+        sum_p2 += p2
         outages += c
-    p = outages / cfg.n_samples
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / cfg.n_samples)
+    mean_rate, rate_se = _mean_se(sum_r, sum_r2, cfg.n_samples)
+    mean_power, power_se = _mean_se(sum_p, sum_p2, cfg.n_samples)
+    dor = outages / cfg.n_samples
     return SimResult(
         n_samples=cfg.n_samples,
         rng=_RNG_NAME,
-        dor=p,
-        dor_se=se,
+        mean_rate_bps=mean_rate,
+        rate_se_bps=rate_se,
+        mean_power_w=mean_power,
+        power_se_w=power_se,
+        dor=dor,
+        dor_se=math.sqrt(max(dor * (1.0 - dor), 0.0) / cfg.n_samples),
     )
 
 

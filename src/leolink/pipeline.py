@@ -156,15 +156,15 @@ def run_sweep(
 ) -> tuple[list[str], list[list[str]]]:
     """One CSV row per sweep value, in input order.
 
-    Simulation columns (when requested) use the scenario's replication
-    count with a per-point seed derived from the base seed by offset.
+    Simulation columns (when requested) use the point's replication count,
+    and point i is seeded with i plus its own sim.seed (or plus seed, when
+    given), so a swept sim.seed takes effect.
     prepare() reads neither the traffic nor the sim section, so points that
     differ only there share one prepare(), kept until its last use.
     """
     header = [sweep_column_name(sweep.path)] + list(SWEEP_CSV_COLUMNS)
     if with_sim:
         header += _SIM_COLUMNS
-    base_seed = scn.sim.seed if seed is None else seed
     points = [apply_sweep_value(scn, sweep.path, value) for value in sweep.values]
     keys = [replace(point, traffic=None, sim=None) for point in points]
     last_use = {key: i for i, key in enumerate(keys)}
@@ -187,21 +187,13 @@ def run_sweep(
             _fmt(report.dor),
         ]
         if with_sim:
-            cfg = replace(point.sim, seed=base_seed + i)
-            scheme_cfg = point.rat if point.scheme == "rat" else point.pat
-            rate = montecarlo.simulate_rate_power(
-                point.geometry, parts.timeline, point.fading, parts.partition,
-                point.budget, scheme_cfg, cfg,
-            )
-            dor = montecarlo.simulate_dor(
-                parts.timeline, point.fading, parts.partition, point.budget,
-                scheme_cfg, point.traffic, parts.lam_s, cfg,
-            )
+            base_seed = point.sim.seed if seed is None else seed
+            sim = _simulate(point, parts, replace(point.sim, seed=base_seed + i))
             row += [
-                _fmt(rate.mean_rate_bps),
-                _fmt(rate.rate_se_bps),
-                _fmt(dor.dor),
-                _fmt(dor.dor_se),
+                _fmt(sim.mean_rate_bps),
+                _fmt(sim.rate_se_bps),
+                _fmt(sim.dor),
+                _fmt(sim.dor_se),
             ]
         rows.append([cells.setdefault(c, c) for c in row])
     return header, rows
@@ -219,28 +211,29 @@ SIMULATE_CSV_HEADER = [
 ]
 
 
-def run_simulate(scn: Scenario, seed: int | None = None) -> tuple[list[str], list[str]]:
-    """Monte-Carlo estimates for the scenario itself (header, one row)."""
-    parts = prepare(scn, finite_wait=True)
-    cfg = scn.sim if seed is None else replace(scn.sim, seed=seed)
+def _simulate(scn: Scenario, parts: ScenarioParts, cfg: montecarlo.SimConfig):
     scheme_cfg = scn.rat if scn.scheme == "rat" else scn.pat
-    rate = montecarlo.simulate_rate_power(
-        scn.geometry, parts.timeline, scn.fading, parts.partition,
-        scn.budget, scheme_cfg, cfg,
-    )
-    dor = montecarlo.simulate_dor(
-        parts.timeline, scn.fading, parts.partition, scn.budget,
+    return montecarlo.simulate(
+        scn.geometry, parts.timeline, scn.fading, parts.partition, scn.budget,
         scheme_cfg, scn.traffic, parts.lam_s, cfg,
     )
+
+
+def run_simulate(scn: Scenario, seed: int | None = None) -> tuple[list[str], list[str]]:
+    """Monte-Carlo rate, power and outage estimates for the scenario itself
+    (header, one row), all from one simulation pass."""
+    parts = prepare(scn, finite_wait=True)
+    cfg = scn.sim if seed is None else replace(scn.sim, seed=seed)
+    sim = _simulate(scn, parts, cfg)
     row = [
-        _fmt(rate.mean_rate_bps),
-        _fmt(rate.rate_se_bps),
-        _fmt(rate.mean_power_w),
-        _fmt(rate.power_se_w),
-        _fmt(dor.dor),
-        _fmt(dor.dor_se),
+        _fmt(sim.mean_rate_bps),
+        _fmt(sim.rate_se_bps),
+        _fmt(sim.mean_power_w),
+        _fmt(sim.power_se_w),
+        _fmt(sim.dor),
+        _fmt(sim.dor_se),
         str(cfg.n_samples),
-        rate.rng,
+        sim.rng,
     ]
     return SIMULATE_CSV_HEADER, row
 
@@ -257,8 +250,9 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
 
     Exercises the density normalization, the two CDF evaluation routes,
     state probabilities against sampled frequencies, the sampler against
-    the analytic CDF, the closed forms against simulation, and the outage
-    closed form against its definitional time integral.
+    the analytic CDF, the rate, EE and outage closed forms against one
+    simulation pass, the outage closed form against its definitional time
+    integral, and a bit-identical repeat of the simulation pass.
     """
     checks: list[CheckResult] = []
     parts = prepare(scn, finite_wait=True)
@@ -310,26 +304,22 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         "sampler_ks", ks < crit, f"D = {ks:.5f}, crit(1%) = {crit:.5f}"
     ))
 
-    # Closed forms against simulation.
+    # Closed forms against simulation, from one pass.
     cfg = replace(scn.sim, seed=base_seed + 1)
-    scheme_cfg = scn.rat if scn.scheme == "rat" else scn.pat
-    rate = montecarlo.simulate_rate_power(
-        scn.geometry, parts.timeline, fading, parts.partition, scn.budget,
-        scheme_cfg, cfg,
-    )
-    slack = 3.0 * rate.rate_se_bps
-    in_rate = (report.throughput_lo_bps - slack <= rate.mean_rate_bps
+    sim = _simulate(scn, parts, cfg)
+    slack = 3.0 * sim.rate_se_bps
+    in_rate = (report.throughput_lo_bps - slack <= sim.mean_rate_bps
                <= report.throughput_hi_bps + slack)
     checks.append(CheckResult(
         "rate_bracket", in_rate,
-        f"sim {rate.mean_rate_bps:.6g} vs [{report.throughput_lo_bps:.6g}, "
+        f"sim {sim.mean_rate_bps:.6g} vs [{report.throughput_lo_bps:.6g}, "
         f"{report.throughput_hi_bps:.6g}] (3se = {slack:.3g})",
     ))
-    if rate.mean_power_w > 0:
-        ee = rate.mean_rate_bps / rate.mean_power_w
+    if sim.mean_power_w > 0:
+        ee = sim.mean_rate_bps / sim.mean_power_w
         rel = math.sqrt(
-            (rate.rate_se_bps / max(rate.mean_rate_bps, 1e-300)) ** 2
-            + (rate.power_se_w / rate.mean_power_w) ** 2
+            (sim.rate_se_bps / max(sim.mean_rate_bps, 1e-300)) ** 2
+            + (sim.power_se_w / sim.mean_power_w) ** 2
         )
         ee_slack = 3.0 * ee * rel
         in_ee = report.ee_lo_bpj - ee_slack <= ee <= report.ee_hi_bpj + ee_slack
@@ -338,15 +328,11 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
             f"sim {ee:.6g} vs [{report.ee_lo_bpj:.6g}, {report.ee_hi_bpj:.6g}]",
         ))
 
-    dor_sim = montecarlo.simulate_dor(
-        parts.timeline, fading, parts.partition, scn.budget, scheme_cfg,
-        scn.traffic, parts.lam_s, cfg,
-    )
-    tol = 3.0 * dor_sim.dor_se + 1e-9
-    dor_ok = abs(dor_sim.dor - report.dor) <= tol
+    tol = 3.0 * sim.dor_se + 1e-9
+    dor_ok = abs(sim.dor - report.dor) <= tol
     checks.append(CheckResult(
         "dor_closed_vs_sim", dor_ok,
-        f"sim {dor_sim.dor:.6g} vs closed {report.dor:.6g} (tol {tol:.3g})",
+        f"sim {sim.dor:.6g} vs closed {report.dor:.6g} (tol {tol:.3g})",
     ))
 
     # Outage closed form against the definitional time integral.
@@ -364,13 +350,9 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         "dor_integral", diff < 1e-9, f"|integral - closed| = {diff:.3e}"
     ))
 
-    # Determinism of the simulation pipeline.
-    again = montecarlo.simulate_dor(
-        parts.timeline, fading, parts.partition, scn.budget, scheme_cfg,
-        scn.traffic, parts.lam_s, cfg,
-    )
+    # Determinism of the simulation pipeline: rate, power and outage.
     checks.append(CheckResult(
-        "determinism", again == dor_sim, "bit-identical repeat run"
+        "determinism", _simulate(scn, parts, cfg) == sim, "bit-identical repeat run"
     ))
 
     return checks

@@ -502,7 +502,8 @@ def apply_sweep_value(scn: Scenario, path: str, value: float) -> Scenario:
     if not isinstance(sections[section][key], (int, float)):
         raise ValidationError(f"sweep path {path!r} is not numeric")
     if isinstance(sections[section][key], int):
-        sections[section][key] = int(value)
-    else:
-        sections[section][key] = value
+        if value != int(value):
+            raise ValidationError(f"sweep {path}: expected an integer, got {value!r}")
+        value = int(value)
+    sections[section][key] = value
     return scenario_from_sections(sections)

@@ -32,8 +32,7 @@ from leolink.montecarlo import (
     SimConfig,
     ks_statistic,
     sample_sr_gain,
-    simulate_dor,
-    simulate_rate_power,
+    simulate,
 )
 from leolink.scenario import parse_scenario
 from leolink.schemes import (
@@ -154,12 +153,13 @@ def test_acceptance_3_bracket_reproduction():
     for p_dbw in (30.0, 36.0, 42.0):
         for h_km in (500.0, 800.0, 1100.0):
             geo, tl, budget, rat, part, probs, lam = rat_stack(h_km * 1e3, dbw(p_dbw))
-            rep = rat_report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, 1e-3), lam)
+            traffic = TrafficSpec(TRAFFIC_BITS, 1e-3)
+            rep = rat_report(budget, rat, part, tl, probs, traffic, lam)
             lo, hi = rep.throughput_lo_bps, rep.throughput_hi_bps
             ee_lo, ee_hi = rep.ee_lo_bpj, rep.ee_hi_bpj
             cfg = SimConfig(n_samples=100_000, seed=seed)
             seed += 1
-            sim = simulate_rate_power(geo, tl, FADING, part, budget, rat, cfg)
+            sim = simulate(geo, tl, FADING, part, budget, rat, traffic, lam, cfg)
             slack = 3.0 * sim.rate_se_bps
             assert lo - slack <= sim.mean_rate_bps <= hi + slack, (p_dbw, h_km)
             ee = sim.mean_rate_bps / sim.mean_power_w
@@ -181,7 +181,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
     seed = 41_000
     worst_gap = 0.0
     for p_dbw in (30.0, 40.0):
-        _, tl, budget, rat, part, probs, lam = rat_stack(500e3, dbw(p_dbw))
+        geo, tl, budget, rat, part, probs, lam = rat_stack(500e3, dbw(p_dbw))
         for t_th in (0.2e-3, 0.5e-3, 1.0e-3):
             traffic = TrafficSpec(packet_bits=TRAFFIC_BITS, delay_threshold_s=t_th)
             closed = rat_dor(budget, rat, part, tl, probs, traffic, lam)
@@ -191,7 +191,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
             assert gap < 1e-9
             cfg = SimConfig(n_samples=100_000, seed=seed)
             seed += 1
-            sim = simulate_dor(tl, FADING, part, budget, rat, traffic, lam, cfg)
+            sim = simulate(geo, tl, FADING, part, budget, rat, traffic, lam, cfg)
             assert abs(sim.dor - closed) <= 3.0 * sim.dor_se + 1e-9, (p_dbw, t_th)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
@@ -202,7 +202,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
 
 def test_acceptance_5_pat_outage_piecewise_law():
     start = time.monotonic()
-    _, tl, budget, pat, part, probs, lam = pat_stack(dbw(30.0))
+    geo, tl, budget, pat, part, probs, lam = pat_stack(dbw(30.0))
     knee = TRAFFIC_BITS / pat.fixed_rate_bps
 
     below = pat_dor_value(probs, pat, TrafficSpec(TRAFFIC_BITS, 0.9 * knee), lam)
@@ -214,7 +214,7 @@ def test_acceptance_5_pat_outage_piecewise_law():
     traffic = TrafficSpec(TRAFFIC_BITS, 1.2 * knee)
     closed = pat_dor_value(probs, pat, traffic, lam)
     cfg = SimConfig(n_samples=100_000, seed=51_000)
-    sim = simulate_dor(tl, FADING, part, budget, pat, traffic, lam, cfg)
+    sim = simulate(geo, tl, FADING, part, budget, pat, traffic, lam, cfg)
     assert abs(sim.dor - closed) <= 3.0 * sim.dor_se + 1e-9
 
     elapsed = time.monotonic() - start

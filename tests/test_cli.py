@@ -195,6 +195,34 @@ class TestSweep:
         assert len(err) == 1
         assert err[0].startswith("WARNING leolink.pipeline: lambda taken as infinite")
 
+    def test_fractional_integer_sweep_exits_2(self, capsys):
+        assert main([
+            "sweep", "--scenario", RAT_SCN, "--sweep", "partition.n_states=2,2.9,3",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("E_VALIDATION")
+        assert "partition.n_states" in captured.err and "2.9" in captured.err
+
+    def test_swept_seed_seeds_the_simulation(self, tmp_path, capsys):
+        # point i runs with its own sim.seed + i, or with --seed + i
+        path = reduced_scenario(tmp_path, "reference_pat.scn", n_samples=2_000)
+
+        def sim_columns(*args):
+            assert main(["sweep", "--scenario", path, "--with-sim", *args]) == 0
+            return [row[6:] for row in read_csv(capsys.readouterr().out)[1]]
+
+        def simulated(seed):
+            assert main(["simulate", "--scenario", path, "--seed", str(seed)]) == 0
+            row = read_csv(capsys.readouterr().out)[1][0]
+            return [row[0], row[1], row[4], row[5]]
+
+        five_nine = sim_columns("--sweep", "sim.seed=5,9")
+        assert five_nine == [simulated(5), simulated(10)]
+        assert sim_columns("--sweep", "sim.seed=1,9")[0] != five_nine[0]
+        assert sim_columns("--sweep", "sim.seed=1,9", "--seed", "5") == [
+            simulated(5), simulated(6)]
+
     def test_bad_sweep_path_exits_2(self, capsys):
         assert main([
             "sweep", "--scenario", RAT_SCN, "--sweep", "nope.key=1:2:2",

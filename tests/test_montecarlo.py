@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +21,12 @@ from leolink.montecarlo import (
     KS_CRIT_ALPHA01,
     SimConfig,
     SimResult,
+    _block,
     _block_rngs,
-    _dor_block,
-    _rate_power_block,
+    _mean_se,
     ks_statistic,
     sample_sr_gain,
-    simulate_dor,
-    simulate_rate_power,
+    simulate,
 )
 from leolink.schemes import (
     LinkBudget,
@@ -54,6 +54,7 @@ GEO = PassGeometry(
     sat_speed_ms=7600.0,
 )
 D_MAX = distance_range(GEO)[1]
+TRAFFIC = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e-3)
 FADING_SETS = [pytest.param(p, id=name) for name, p in {**ABDI_SETS, **LOS_SETS}.items()]
 
 
@@ -195,16 +196,16 @@ class TestKsStatistic:
 
 class TestSimulateRatePower:
     def test_rat_rate_within_bounds(self, timeline, rat_setup):
-        rat, part, probs, _ = rat_setup
+        rat, part, probs, lam = rat_setup
         cfg = SimConfig(n_samples=100_000, seed=42)
-        res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
+        res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
         lo, hi = rat_throughput_bounds(BUDGET, rat, part, timeline, probs)
         assert lo - 3.0 * res.rate_se_bps <= res.mean_rate_bps <= hi + 3.0 * res.rate_se_bps
 
     def test_rat_power_matches_closed_form(self, timeline, rat_setup):
-        rat, part, probs, _ = rat_setup
+        rat, part, probs, lam = rat_setup
         cfg = SimConfig(n_samples=100_000, seed=43)
-        res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
+        res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
         assert abs(res.mean_power_w - rat_avg_power(rat, probs)) <= 3.0 * res.power_se_w
 
     def test_pat_degenerate_rate_exact(self, timeline):
@@ -213,7 +214,7 @@ class TestSimulateRatePower:
         part = GainPartition(thresholds=np.array([0.0, 1e-9]), top_mean_gain=FADING.mean_gain)
         pat = PatConfig(max_power_w=1e15, fixed_rate_bps=60e6)
         cfg = SimConfig(n_samples=20_000, seed=11)
-        res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, pat, cfg)
+        res = simulate(GEO, timeline, FADING, part, BUDGET, pat, TRAFFIC, 80.0, cfg)
         assert res.mean_rate_bps == 60e6
         assert res.rate_se_bps == 0.0
 
@@ -223,7 +224,7 @@ class TestSimulateDor:
         rat, part, _, lam = rat_setup
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=0.0)
         cfg = SimConfig(n_samples=5_000, seed=4)
-        res = simulate_dor(timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
+        res = simulate(GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
         assert res.dor == 1.0
 
     def test_pat_below_knee_exact(self, timeline):
@@ -232,7 +233,7 @@ class TestSimulateDor:
         part = equal_probability_partition(FADING, u1, 8)
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=5e-3)
         cfg = SimConfig(n_samples=5_000, seed=4)
-        res = simulate_dor(timeline, FADING, part, BUDGET, pat, traffic, 80.0, cfg)
+        res = simulate(GEO, timeline, FADING, part, BUDGET, pat, traffic, 80.0, cfg)
         assert res.dor == 1.0
 
     @pytest.mark.parametrize("p_dbw,t_th", [(30.0, 1e-3), (50.0, 1e-3), (50.0, 9e-3)])
@@ -245,30 +246,33 @@ class TestSimulateDor:
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
         closed = rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam)
         cfg = SimConfig(n_samples=100_000, seed=77)
-        res = simulate_dor(timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
+        res = simulate(GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
         assert abs(res.dor - closed) <= 3.0 * res.dor_se + 1e-9
+
+    def test_rejects_unbounded_wait(self, timeline, rat_setup):
+        rat, part, _, _ = rat_setup
+        cfg = SimConfig(n_samples=1_000, seed=4)
+        for lam in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
 
 
 class TestDeterminismAndBlocks:
     def test_identical_seed_identical_result(self, timeline, rat_setup):
         rat, part, _, lam = rat_setup
         cfg = SimConfig(n_samples=70_000, seed=99)
-        a = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
-        b = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
+        a = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
+        b = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
         assert a == b
-        traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e-3)
-        da = simulate_dor(timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
-        db = simulate_dor(timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
-        assert da == db
 
     def test_different_seed_differs(self, timeline, rat_setup):
-        rat, part, _, _ = rat_setup
-        a = simulate_rate_power(
-            GEO, timeline, FADING, part, BUDGET, rat,
+        rat, part, _, lam = rat_setup
+        a = simulate(
+            GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam,
             SimConfig(n_samples=10_000, seed=1),
         )
-        b = simulate_rate_power(
-            GEO, timeline, FADING, part, BUDGET, rat,
+        b = simulate(
+            GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam,
             SimConfig(n_samples=10_000, seed=2),
         )
         assert a.mean_rate_bps != b.mean_rate_bps
@@ -276,42 +280,71 @@ class TestDeterminismAndBlocks:
     def test_out_of_order_blocks_reduce_identically(self, timeline, rat_setup):
         # the concurrency contract: block results computed in any order,
         # reduced in block order, give the sequential aggregate exactly
-        rat, part, _, _ = rat_setup
+        rat, part, _, lam = rat_setup
+        traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=20e-3)
         cfg = SimConfig(n_samples=150_000, seed=123)
-        sequential = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
+        sequential = simulate(GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
+        assert 0.0 < sequential.dor < 1.0
         blocks = _block_rngs(cfg.seed, cfg.n_samples)
         partials = [None] * len(blocks)
         for i in reversed(range(len(blocks))):
             rng, count = blocks[i]
-            partials[i] = _rate_power_block(
-                GEO, timeline, FADING, part, BUDGET, rat, rng, count
+            partials[i] = _block(
+                GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, rng, count
             )
-        sums = [0.0, 0.0, 0.0, 0.0]
+        sums = [0.0] * 5
         for p in partials:
-            for j in range(4):
+            for j in range(5):
                 sums[j] += p[j]
-        mean = sums[0] / cfg.n_samples
-        assert mean == sequential.mean_rate_bps
+        n = cfg.n_samples
+        assert _mean_se(sums[0], sums[1], n) == (sequential.mean_rate_bps,
+                                                 sequential.rate_se_bps)
+        assert _mean_se(sums[2], sums[3], n) == (sequential.mean_power_w,
+                                                 sequential.power_se_w)
+        assert sums[4] / n == sequential.dor
+
+    def test_rate_and_outage_read_their_own_time_scales(self, timeline, rat_setup):
+        # The reference pass lasts service_time_s = 141.905 s over 141 whole
+        # slots (span_s = 141 s). Rate and power are sampled over the slots,
+        # arrivals over the whole service time, from one arrival fraction.
+        assert timeline.service_time_s != timeline.span_s
+        rat, part, _, lam = rat_setup
+        traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=7e-3)
+        cfg = SimConfig(n_samples=100_000, seed=8)
+        res = simulate(GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
+        slots_only = replace(timeline, service_time_s=timeline.span_s)
+        ref = simulate(GEO, slots_only, FADING, part, BUDGET, rat, traffic, lam, cfg)
+        rate_power = ("mean_rate_bps", "rate_se_bps", "mean_power_w", "power_se_w")
+        assert [getattr(res, f) for f in rate_power] == [getattr(ref, f) for f in rate_power]
+        assert res.dor != ref.dor
 
     def test_standard_error_scaling(self, timeline, rat_setup):
-        rat, part, _, _ = rat_setup
+        rat, part, _, lam = rat_setup
         ses = []
         for n in (1_000, 10_000, 100_000):
             cfg = SimConfig(n_samples=n, seed=5)
-            res = simulate_rate_power(GEO, timeline, FADING, part, BUDGET, rat, cfg)
+            res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
             ses.append(res.rate_se_bps)
         assert ses[0] / ses[1] == pytest.approx(math.sqrt(10.0), rel=0.4)
         assert ses[1] / ses[2] == pytest.approx(math.sqrt(10.0), rel=0.4)
 
 
+def sim_result(**fields) -> SimResult:
+    estimates = dict(mean_rate_bps=1.0, rate_se_bps=0.0, mean_power_w=1.0,
+                     power_se_w=0.0, dor=0.5, dor_se=0.0)
+    return SimResult(n_samples=10, rng="philox4x64-10", **{**estimates, **fields})
+
+
 class TestSimResultValidation:
     def test_rejects_negative_se(self):
-        with pytest.raises(ValueError):
-            SimResult(n_samples=10, rng="philox4x64-10", dor=0.5, dor_se=-1.0)
+        sim_result()
+        for se in ("rate_se_bps", "power_se_w", "dor_se"):
+            with pytest.raises(ValueError):
+                sim_result(**{se: -1.0})
 
     def test_rejects_out_of_range_dor(self):
         with pytest.raises(ValueError):
-            SimResult(n_samples=10, rng="philox4x64-10", dor=1.5, dor_se=0.0)
+            sim_result(dor=1.5)
 
     def test_sim_config_validation(self):
         with pytest.raises(ValueError):

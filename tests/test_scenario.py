@@ -253,6 +253,19 @@ class TestSweep:
         assert out.geometry.orbit_height_m == 800e3
         assert out.fading == scn.fading
 
+    @pytest.mark.parametrize("path", ["partition.n_states", "sim.n_samples", "sim.seed"])
+    def test_apply_rejects_fractional_integer(self, path):
+        scn = parse_scenario(MINIMAL)
+        with pytest.raises(ValidationError) as err:
+            apply_sweep_value(scn, path, 2.9)
+        assert path in str(err.value) and "2.9" in str(err.value)
+
+    def test_apply_takes_integral_range_values(self):
+        scn = parse_scenario(MINIMAL)
+        sweep = parse_sweep("partition.n_states=2:8:7")
+        states = [apply_sweep_value(scn, sweep.path, v).n_states for v in sweep.values]
+        assert states == [2, 3, 4, 5, 6, 7, 8]
+
 
 class TestRoundTripProperty:
     @given(
