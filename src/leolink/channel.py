@@ -20,7 +20,10 @@ with p_n the Poisson pmf and the negative-binomial probabilities in closed
 form (regularized incomplete beta). The Poisson weights confine each sum to
 a window of O(sqrt(beta x)) terms, plus about log(1 / P(G >= x)) for a
 tail, whatever r; summed over k it needs about 40 / (1 - r) terms, which
-grows without bound as the line of sight dominates.
+grows without bound as the line of sight dominates. Each value depends on
+its own gain alone, bit for bit, whatever other gains share the call, so
+the partitions of many sweep points can be solved in one batch and each
+still equals the partition of its point alone.
 The 1F1 density and its quadrature are kept as the independent oracle.
 """
 
@@ -64,10 +67,15 @@ _ROOT_MAXITER = 100
 _REL_TOL = 1e-17
 _LOG_2_OVER_TOL = math.log(2.0 / _REL_TOL)
 _LOG_FLOOR = 745.0
-# Terms are formed for at most _ROWS points at a time, in blocks of at most
+# Terms are formed for at most _ROWS points at a time, in blocks of about
 # _BLOCK terms.
 _ROWS = 2048
 _BLOCK = 1 << 18
+# Terms are summed in runs of _RUN, and the runs one after another.
+_RUN = 8
+# Terms of the deviance series in _log_poisson: with v^2 < 0.0025 the
+# omitted part is below 1e-16 of the sum.
+_BD0_TERMS = 6
 # stirlerr(n) = log n! - (n + 1/2) log n + n - log(2 pi) / 2 for n = 1..15
 # (entry 0 unused); above, its asymptotic series is exact to double precision.
 _STIRLERR = np.array([
@@ -183,22 +191,36 @@ def _mixture(fading: SrFading) -> tuple[float, float]:
 
 
 def _log_poisson(n, y):
-    """log(e^-y y^n / n!) in Loader's saddle-point form,
-    -stirlerr(n) - (n log(n/y) - (n - y)) - log(2 pi n) / 2, which keeps the
-    digits that n log y - y - log n! loses to cancellation; -y at n = 0."""
-    n = np.asarray(n, dtype=float)
+    """log(e^-y y^n / n!) for arrays n >= 1 and y > 0 of one shape, in
+    Loader's saddle-point form -stirlerr(n) - bd0(n, y) - log(2 pi n) / 2
+    with the deviance bd0 = n log(n/y) - (n - y), which keeps the digits
+    that n log y - y - log n! loses to cancellation."""
     big = np.maximum(n, 16.0)
-    series = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188 * big**2)) / big**2) / big**2)
-              / big**2) / big
-    stirlerr = np.where(n < 16.0, _STIRLERR[np.minimum(n, 15.0).astype(int)], series)
+    inv = 1.0 / (big * big)
+    stirlerr = (1/12 - inv * (1/360 - inv * (1/1260 - inv * (1/1680 - inv / 1188)))) / big
+    small = n < 16.0
+    if small.any():
+        stirlerr[small] = _STIRLERR[n[small].astype(int)]
     d = n - y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # n log(n/y), through log1p where n/y is near 1 so it keeps its
         # digits, and without forming n/y where that would overflow
         n_log = np.where(d > -0.5 * y, xlog1py(n, d / y), xlogy(n, n / y))
         n_log = np.where(d > y, xlogy(n, n) - xlogy(n, y), n_log)
-        saddle = -stirlerr - (n_log - d) - 0.5 * np.log(2.0 * math.pi * n)
-    return np.where(n > 0.0, saddle, -y)
+    bd0 = n_log - d
+    # within 5% of y, bd0 = d v + 2 n v sum_k>=1 v^2k / (2k + 1),
+    # v = d / (n + y): the difference above would lose the digits of |d|
+    # to cancellation
+    v = d / (n + y)
+    near = np.abs(v) < 0.05
+    if near.any():
+        v, dn, nn = v[near], d[near], n[near]
+        v2 = v * v
+        series = 1.0 / (2 * _BD0_TERMS + 1)
+        for k in range(_BD0_TERMS - 1, 0, -1):
+            series = series * v2 + 1.0 / (2 * k + 1)
+        bd0[near] = v * (dn + 2.0 * nn * v2 * series)
+    return -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * n)
 
 
 def _nb_below(n, m: float, r: float, q: float):
@@ -233,60 +255,179 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
     """sum over n in [lo_i, hi_i] of e^-y_i y_i^n / n! * c_n for each y_i > 0,
     with log_coef(n) = log c_n and (lo, hi) = window(y).
 
-    Points go in order of y, in groups of at most _ROWS whose y lie within
-    [y0, y0 + sqrt(y0) + 4]. Each group evaluates log_coef once over the
-    union of its windows, a 1-D array, and sums over it in blocks of at most
-    _BLOCK terms, so memory stays bounded whatever the window. Each term is
-    formed whole in log space, so no factor underflows on its own, relative
-    to n0, the index of the largest term of the group's middle point:
-    log p_n(y) = log p_n0(y) + (n - n0) log(y / n0) - log(n! / n0!), each
-    piece small where the terms matter.
+    Each entry is a function of its own y alone, whichever entries share
+    the call. Its cell on a lattice of y fixed in advance (_cell) gives its
+    reference index n0: the largest term of the cell's middle y, from the
+    low end of the window at the cell's top edge to the high end of the
+    window at its bottom edge, indices that every window of the cell holds
+    as windows move with y. Each term is formed whole in log space relative
+    to n0, so no factor underflows on its own,
+
+        log p_n(y) = log p_n0(y) + (n - n0) log(y / n0) - log(n! / n0!),
+
+    each piece small where the terms matter; log(n! / n0!) is accumulated
+    outward from n0, one index after another. The terms of the entry's own
+    window are then added in an order fixed by their n alone (_row_sums),
+    which neither other entries nor block boundaries can change.
+
+    Cells go in chunks of at most _BLOCK index-by-cell entries (or one
+    cell); a chunk evaluates log_coef once over the union of its cells'
+    ranges, a 1-D array, and forms its points' terms in blocks of about
+    _BLOCK, so memory stays bounded whatever the window.
     """
+    out = np.empty_like(y)
+    if len(y) == 0:
+        return out
     order = np.argsort(y, kind="stable")
     ys = y[order]
-    out = np.empty_like(y)
-    start = 0
-    while start < len(ys):
-        y0 = ys[start]
-        stop = min(start + _ROWS, int(np.searchsorted(ys, y0 + math.sqrt(y0) + 4.0, "right")))
-        idx = order[start:stop]
-        yi = ys[start:stop]
-        lo, hi = window(yi)
-        first, last = lo.min(), hi.max()
-        n_all = np.arange(first, last + 1.0)
-        coef = log_coef(n_all)
-        t = _log_poisson(n_all, yi[len(yi) // 2]) + coef
-        n0 = max(1.0, float(n_all[np.argmax(t)]))
-        ref = _log_poisson(n0, yi)[:, None]
-        slope = np.log(yi / n0)[:, None]
-        step = max(1, _BLOCK // len(yi))
-        total = np.zeros(len(yi))
-        # log(n! / n0!) runs outward from n0: upward, then downward.
-        log_fact = 0.0
-        for a in np.arange(max(n0, first), last + 1.0, step):
-            n = np.arange(a, min(a + step, last + 1.0))
-            lf = log_fact + np.cumsum(np.log(n / n0))
-            log_fact = lf[-1]
-            i = int(a - first)
-            total += _sum_terms(ref, slope, n - n0, coef[i:i + len(n)] - lf)
-        log_fact = 0.0
-        for b in np.arange(n0, first, -step):
-            n = np.arange(max(b - step, first), b)
-            lf = log_fact - np.cumsum(np.log((n + 1.0) / n0)[::-1])[::-1]
-            log_fact = lf[0]
-            i = int(n[0] - first)
-            total += _sum_terms(ref, slope, n - n0, coef[i:i + len(n)] - lf)
-        out[idx] = total
-        start = stop
+    cell = _cell(ys)
+    new = np.empty(len(ys), dtype=bool)
+    new[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], len(ys))
+    # each cell's middle and edges
+    key = cell[first][:, None] + np.array([0.5, 0.0, 1.0])
+    yc, y_lo, y_hi = np.maximum((0.5 * key) ** 2 - 16.0, 1.0).T
+    octave = key[:, 0] < 0.0
+    if octave.any():
+        yc[octave], y_lo[octave], y_hi[octave] = np.exp2(key[octave]).T
+    # n0 is searched in [the low edge of y_hi's window, the high edge of
+    # y_lo's]; each cell's range holds that and its points' windows
+    lo, hi = window(np.concatenate((ys, y_hi, y_lo)))
+    near, reach = lo[len(ys):-len(yc)], np.maximum(hi[-len(yc):], lo[len(ys):-len(yc)])
+    lo, hi = lo[:len(ys)], hi[:len(ys)]
+    start = np.minimum(near, np.minimum.reduceat(lo, first))
+    width = np.maximum(reach, np.maximum.reduceat(hi, first)) - start + 1.0
+    a = 0
+    while a < len(first):
+        b, span = a + 1, width[a]
+        while b < len(first) and (b + 1 - a) * max(span, width[b]) <= _BLOCK:
+            span = max(span, width[b])
+            b += 1
+        rows = slice(first[a], last[b - 1])
+        cells = np.repeat(np.arange(b - a), last[a:b] - first[a:b])
+        out[order[rows]] = _cell_sums(ys[rows], lo[rows], hi[rows], cells, yc[a:b],
+                                      near[a:b], reach[a:b], start[a:b], width[a:b], log_coef)
+        a = b
     return out
 
 
-def _sum_terms(ref: np.ndarray, slope: np.ndarray, dn: np.ndarray, base: np.ndarray) -> np.ndarray:
-    # row sums of exp(ref + slope * dn + base), formed in one buffer
-    terms = slope * dn
-    terms += ref
-    terms += base
-    return np.exp(terms, out=terms).sum(axis=1)
+def _cell(y):
+    # The lattice of _poisson_sum: from y = 1, 2 sqrt(y + 16) in [c, c + 1),
+    # cells about sqrt(y) + 4 wide; below 1, octaves log2(y) in [c, c + 1),
+    # so that a small y's middle is within a factor sqrt(2) of it.
+    cell = 2.0 * np.sqrt(y + 16.0)
+    small = y < 1.0
+    if small.any():
+        cell[small] = np.log2(y[small])
+    return np.floor(cell, out=cell)
+
+
+def _cell_sums(y, lo, hi, cell, yc, near, reach, start, width, log_coef) -> np.ndarray:
+    # The sums of _poisson_sum for the points y of one chunk of cells: point
+    # i lies in cell[i], and cell k has middle yc[k], searches n0 in
+    # [near[k], reach[k]] and has range start[k] + [0, width[k]).
+    h = int(width.max())
+    # log_coef over the union of the cells' ranges
+    if len(start) == 1:
+        n = np.arange(start[0], start[0] + width[0])
+    else:
+        by_start = np.argsort(start, kind="stable")
+        s, e = start[by_start], np.maximum.accumulate((start + width)[by_start])
+        cut = np.flatnonzero(s[1:] > e[:-1])
+        n = np.concatenate([np.arange(a, b) for a, b in zip(
+            s[np.concatenate(([0], cut + 1))], e[np.append(cut, len(s) - 1)])])
+    coef = log_coef(n)
+    at = np.searchsorted(n, start)
+    g = coef[np.minimum(at[:, None] + np.arange(h), len(coef) - 1)]
+    del coef
+    n = start[:, None] + np.arange(h)
+    # log p_n(yc) less its constant -yc, to the precision of gammaln, is
+    # enough to find the largest term
+    t = xlogy(n, yc[:, None]) - gammaln(n + 1.0) + g
+    t[(n < near[:, None]) | (n > reach[:, None])] = -np.inf
+    n0 = np.maximum(start + np.argmax(t, axis=1), 1.0)[:, None]
+    del t
+    # g becomes log c_n - log(n! / n0!) + (n - n0) log n0; the sums run
+    # outward from n0, each adding one log(k / n0), so an entry depends
+    # only on its n and its cell's n0. Each is log1p((k - n0) / n0), exact
+    # to its last bits, where log(k / n0) would be off by up to an ulp of 1.
+    up = np.log1p((np.maximum(n, n0) - n0) / n0)
+    g -= np.cumsum(up, axis=1, out=up)
+    down = np.log1p((np.minimum(n, n0 - 1.0) + 1.0 - n0) / n0)[:, ::-1]
+    g += np.cumsum(down, axis=1, out=down)[:, ::-1]
+    del n, up, down
+
+    n0 = n0[cell, 0]
+    ref = _log_poisson(n0, y)
+    # log(y / n0), through log1p where y is near n0 so it keeps its digits
+    slope = np.log1p(np.maximum((y - n0) / n0, -0.5))
+    far = y < 0.5 * n0
+    if far.any():
+        slope[far] = np.log(y[far] / n0[far])
+    w = (hi - lo + 1.0).astype(np.intp)
+    # point i's terms start at g[cell[i], lo[i] - start]; the padding after
+    # the last cell is never summed
+    base = cell * h + (lo - start[cell]).astype(np.intp)
+    flat = np.concatenate((g.ravel(), np.full(int(w.max()) + _RUN, -np.inf)))
+    d = lo - n0
+    # past a point's window its terms are never kept, and may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(y) <= _ROWS:
+            return _row_sums(flat, base, w, ref, slope, d)
+        # rows of like width go together, so that little is padded
+        out = np.empty_like(y)
+        by_width = np.argsort(w, kind="stable")
+        for r in range(0, len(y), _ROWS):
+            rr = by_width[r:r + _ROWS]
+            out[rr] = _row_sums(flat, base[rr], w[rr], ref[rr], slope[rr], d[rr])
+    return out
+
+
+def _row_sums(flat, base, w, ref, slope, d) -> np.ndarray:
+    # sum_{j < w_i} exp(ref_i + slope_i (d_i + j) + flat[base_i + j]) for
+    # each point i, in an order fixed by j alone: runs of _RUN terms, each
+    # added in order of j, then run after run, the last one cut at w_i.
+    # flat holds at least max(base) + max(w) + _RUN entries. Terms are
+    # formed index-major, a block of about _BLOCK at a time; each block's
+    # first run takes the running sum, and each point keeps the partial sum
+    # up to its own last term.
+    span = _RUN * -(-int(w.max()) // _RUN)
+    step = min(span, _RUN * max(1, _BLOCK // (_RUN * len(w))))
+    # by_index[j, b] = flat[b + j], a view
+    by_index = np.ndarray((step, len(flat) - step + 1), flat.dtype, flat, 0,
+                          (flat.strides[0],) * 2)
+    points = np.arange(len(w))
+    total = np.zeros(len(w))
+    for a in range(0, span, step):
+        j = np.arange(a, min(a + step, span), dtype=float)
+        terms = by_index[:len(j), base + a]
+        shift = j[:, None] + d
+        shift *= slope
+        terms += shift
+        terms += ref
+        np.exp(terms, out=terms)
+        # partial sums within each run, and before each run
+        runs = terms.reshape(-1, _RUN, len(w))
+        _accumulate(runs.transpose(1, 0, 2))
+        before = np.concatenate((total[None], runs[:, -1]))
+        _accumulate(before)
+        # the sum before the point's last run, then that run up to w_i
+        i = points if a == 0 else points[w > a]
+        r, k = np.divmod(np.minimum(w[i] - 1 - a, len(j) - 1), _RUN)
+        total[i] = before[r, i] + runs[r, k, i]
+    return total
+
+
+def _accumulate(a: np.ndarray) -> None:
+    # a[k] += a[k - 1] for k = 1, 2, ..., in place. np.cumsum adds the same
+    # pairs, but is slow across many columns.
+    if a.shape[-1] < 256:
+        np.cumsum(a, axis=0, out=a)
+    else:
+        for k in range(1, len(a)):
+            a[k] += a[k - 1]
 
 
 def _upper_sum(fading: SrFading, y: np.ndarray, s: int, m: float) -> np.ndarray:
@@ -488,16 +629,21 @@ def state_probs(fading: SrFading, part: GainPartition) -> np.ndarray:
     pi_k = F(mu_k^2) - F(mu_{k-1}^2) for interior states; the top state
     takes the remaining tail mass.
     """
-    k = part.n_states
-    gains = part.thresholds**2
-    # Interior probabilities as complementary-CDF differences: identical to
-    # CDF differences in exact arithmetic but they keep deep-tail states
-    # from cancelling to zero.
-    tails = tail_mass(fading, gains)
-    pi = np.empty(k)
-    pi[0] = sr_cdf(fading, float(gains[1]))
-    pi[1:-1] = tails[1:-1] - tails[2:]
-    pi[-1] = tails[-1]
+    return _state_probs(fading, part.thresholds[None, :])[0]
+
+
+def _state_probs(fading: SrFading, thresholds: np.ndarray) -> np.ndarray:
+    # state_probs of P partitions of one fading at once, their thresholds a
+    # P x K array, from one tail_mass and one sr_cdf call. Interior
+    # probabilities are complementary-CDF differences: identical to CDF
+    # differences in exact arithmetic, but they keep deep-tail states from
+    # cancelling to zero.
+    gains = thresholds**2
+    tails = tail_mass(fading, gains[:, 1:].ravel()).reshape(len(gains), -1)
+    pi = np.empty_like(gains)
+    pi[:, 0] = sr_cdf(fading, gains[:, 1])
+    pi[:, 1:-1] = tails[:, :-1] - tails[:, 1:]
+    pi[:, -1] = tails[:, -1]
     return np.clip(pi, 0.0, 1.0)
 
 
@@ -508,9 +654,13 @@ def state_prob_matrix(fading: SrFading, part: GainPartition, n_slots: int) -> St
     the same vector; the matrix shape stays so slot-varying fading can be
     introduced without touching consumers.
     """
+    return _prob_columns(state_probs(fading, part), n_slots)
+
+
+def _prob_columns(pi: np.ndarray, n_slots: int) -> StateProbMatrix:
+    # the state-probability matrix whose n_slots columns are all pi
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    pi = state_probs(fading, part)
     return StateProbMatrix(probs=np.tile(pi[:, None], (1, n_slots)))
 
 
@@ -574,8 +724,11 @@ def afd(fading: SrFading, dop: DopplerSpec, r_th: float,
     """Average fade duration below amplitude r_th: CDF mass / crossing rate."""
     if r_th <= 0:
         raise ValueError(f"r_th must be > 0, got {r_th}")
-    rate = lcr(fading, dop, r_th, ctl)
-    mass = sr_cdf(fading, r_th * r_th)
+    return _fade_duration(r_th, lcr(fading, dop, r_th, ctl), sr_cdf(fading, r_th * r_th))
+
+
+def _fade_duration(r_th: float, rate: float, mass: float) -> float:
+    # afd from the crossing rate and the CDF mass below r_th
     if rate <= 0.0 or mass <= 0.0:
         raise ZeroCrossingRate(
             f"fade duration undefined at r_th={r_th}: crossing rate {rate}, "
@@ -584,27 +737,34 @@ def afd(fading: SrFading, dop: DopplerSpec, r_th: float,
     return mass / rate
 
 
-def tail_mean_gain(fading: SrFading, x: float) -> float:
-    """Conditional mean power gain E[G | G >= x].
+def tail_mean_gain(fading: SrFading, x):
+    """Conditional mean power gain E[G | G >= x] at a scalar or 1-D array
+    of gains x >= 0.
 
     The tail first moment sum_k w_k (k+1)/beta Q(k+2, beta x) over the tail
     mass. As k w_k(m) = m r/(1-r) w_(k-1)(m+1), the moment splits into two
     tail series, one with shape m + 1; none cancels, so the ratio stays
     accurate even where each underflows relative to 1.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return fading.mean_gain
-    r, q = _mixture(fading)
-    y = np.array([fading.beta * x])
-    m = fading.m
-    moment = float(_upper_sum(fading, y, 1, m)[0]
-                   + m * r / q * _upper_sum(fading, y, 2, m + 1.0)[0]) / fading.beta
-    mass = tail_mass(fading, x)
-    if mass <= 0.0 or not math.isfinite(moment / mass):
-        raise ValueError(f"no resolvable tail mass above x={x}")
-    return moment / mass
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError(f"x must be >= 0, got {arr[arr < 0][0]}")
+    x = np.atleast_1d(arr)
+    out = np.full(len(x), fading.mean_gain)
+    tail = x != 0.0
+    if tail.any():
+        mass = tail_mass(fading, x[tail])
+        r, q = _mixture(fading)
+        y = fading.beta * x[tail]
+        m = fading.m
+        moment = (_upper_sum(fading, y, 1, m)
+                  + m * r / q * _upper_sum(fading, y, 2, m + 1.0)) / fading.beta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[tail] = moment / mass
+        bad = (mass <= 0.0) | ~np.isfinite(out[tail])
+        if bad.any():
+            raise ValueError(f"no resolvable tail mass above x={x[tail][bad][0]}")
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _find_root(f, x1, x2, f1, f2, *args):
@@ -673,10 +833,10 @@ def _find_root(f, x1, x2, f1, f2, *args):
 
 def equal_probability_partition(
     fading: SrFading,
-    first_threshold: float,
+    first_threshold,
     n_states: int,
     upper_thresholds: np.ndarray | None = None,
-) -> GainPartition:
+):
     """Build the K-state partition above a scheme-defined first threshold.
 
     By default the states above the first threshold share the remaining
@@ -684,33 +844,41 @@ def equal_probability_partition(
     first thresholds far into the tail); pass upper_thresholds (amplitudes,
     length K - 2) to pin them explicitly instead. The top state's
     conditional mean gain is recorded for finite upper-bound evaluation.
+
+    Given a 1-D array of first thresholds, returns a list with one
+    partition per entry, all solved together: one root-finder call for
+    every equal-mass threshold of every entry. Each partition equals the
+    one its entry gives alone, bit for bit.
     """
+    firsts = np.asarray(first_threshold, dtype=float)
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")
-    if first_threshold < 0:
-        raise ValueError(f"first_threshold must be >= 0, got {first_threshold}")
+    if np.any(firsts < 0):
+        raise ValueError(f"first_threshold must be >= 0, got {firsts[firsts < 0][0]}")
+    first = np.atleast_1d(firsts)[:, None]
     if upper_thresholds is not None:
         uppers = np.asarray(upper_thresholds, dtype=float)
         if len(uppers) != n_states - 2:
             raise ValueError(
                 f"need {n_states - 2} upper thresholds for K={n_states}, got {len(uppers)}"
             )
-        thresholds = np.concatenate(([0.0, first_threshold], uppers))
+        amplitudes = np.broadcast_to(uppers, (len(first), len(uppers)))
     else:
-        s1 = tail_mass(fading, first_threshold**2)
+        s1 = tail_mass(fading, first[:, 0] ** 2)
         # Below ~1e-290 the quantile targets leave the normal double range
         # and the root finder sees quantized garbage; fail explicitly.
-        if s1 < 1e-290:
+        if np.any(s1 < 1e-290):
+            i = np.flatnonzero(s1 < 1e-290)[0]
             raise ArithmeticError(
-                f"no resolvable probability mass above threshold {first_threshold} "
-                f"(tail mass {s1:.3g})"
+                f"no resolvable probability mass above threshold {first[i, 0]} "
+                f"(tail mass {s1[i]:.3g})"
             )
-        # Every target shares the bracket [first^2, hi]; hi doubles where
-        # the tail still exceeds the target. The ratio form keeps the root
-        # finder stable when targets are deep in the tail.
-        targets = s1 * np.arange(n_states - 2, 0, -1) / (n_states - 1)
-        lo = first_threshold**2
-        hi = np.full(len(targets), max(2.0 * lo, fading.mean_gain))
+        # Every target of a partition shares the bracket [first^2, hi]; hi
+        # doubles where the tail still exceeds the target. The ratio form
+        # keeps the root finder stable when targets are deep in the tail.
+        targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1)) / (n_states - 1)).ravel()
+        lo = np.repeat(first[:, 0] ** 2, n_states - 2)
+        hi = np.maximum(2.0 * lo, fading.mean_gain)
         f_hi = tail_mass(fading, hi) / targets - 1.0
         while np.any(up := f_hi > 0.0):
             hi[up] *= 2.0
@@ -718,7 +886,10 @@ def equal_probability_partition(
                 raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
             f_hi[up] = tail_mass(fading, hi[up]) / targets[up] - 1.0
         gains = _find_root(lambda g, tg: tail_mass(fading, g) / tg - 1.0,
-                           np.full(len(targets), lo), hi, s1 / targets - 1.0, f_hi, targets)
-        thresholds = np.concatenate(([0.0, first_threshold], np.sqrt(gains)))
-    top = tail_mean_gain(fading, float(thresholds[-1]) ** 2)
-    return GainPartition(thresholds=thresholds, top_mean_gain=top)
+                           lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
+        amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
+    thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
+    tops = tail_mean_gain(fading, thresholds[:, -1] ** 2)
+    parts = [GainPartition(thresholds=t, top_mean_gain=float(top))
+             for t, top in zip(thresholds, tops)]
+    return parts[0] if firsts.ndim == 0 else parts

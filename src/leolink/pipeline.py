@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel, montecarlo, schemes
-from .channel import GainPartition, StateProbMatrix, afd, equal_probability_partition
+from .channel import GainPartition, StateProbMatrix, equal_probability_partition
 from .geometry import PassTimeline, build_timeline, distance_range
 from .montecarlo import KS_CRIT_ALPHA01, ks_statistic, sample_sr_gain
 from .scenario import Scenario, SweepSpec, apply_sweep_value
@@ -52,34 +52,60 @@ def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
     forms are evaluated in their exact infinite-wait limit (lam_s = inf),
     and a warning naming the first threshold is logged. With finite_wait,
     as for the simulation entry points, that limit raises ZeroCrossingRate
-    instead of being sampled.
+    instead of being sampled. This is a sweep's route with one point.
     """
-    tl = build_timeline(scn.geometry, scn.slot_len_s)
-    d_max = distance_range(scn.geometry)[1]
-    if scn.scheme == "rat":
-        first = schemes.rat_first_threshold(scn.budget, scn.rat, d_max)
-    else:
-        first = schemes.pat_first_threshold(scn.budget, scn.pat, d_max)
-    part = equal_probability_partition(
-        scn.fading, first, scn.n_states, scn.upper_thresholds
-    )
-    probs = channel.state_prob_matrix(scn.fading, part, tl.n_slots)
-    try:
-        lam = afd(scn.fading, scn.doppler, first)
-    except channel.ZeroCrossingRate as exc:
-        if not finite_wait:
-            log.warning("lambda taken as infinite at first threshold %r: %s", first, exc)
-        lam = math.inf
-    if finite_wait:
-        _require_finite_wait(lam)
-    return ScenarioParts(
-        timeline=tl,
-        d_max_m=d_max,
-        first_threshold=first,
-        partition=part,
-        probs=probs,
-        lam_s=lam,
-    )
+    return _prepare_all([scn], finite_wait)[0]
+
+
+def _prepare_all(scns: list[Scenario], finite_wait: bool) -> list[ScenarioParts]:
+    """prepare() of each scenario, each equal to its prepare() alone.
+
+    Scenarios with equal fading, state count and pinned thresholds share
+    one partition solve and one evaluation of their state-probability
+    tails and below-threshold masses; the crossing rate is taken per
+    scenario. The infinite-wait warnings are logged, in order, once every
+    scenario has succeeded.
+    """
+    timelines = [build_timeline(s.geometry, s.slot_len_s) for s in scns]
+    d_max = [distance_range(s.geometry)[1] for s in scns]
+    firsts = [schemes.rat_first_threshold(s.budget, s.rat, d) if s.scheme == "rat"
+              else schemes.pat_first_threshold(s.budget, s.pat, d)
+              for s, d in zip(scns, d_max)]
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(scns):
+        groups.setdefault((s.fading, s.n_states, s.upper_thresholds), []).append(i)
+    partitions: list[GainPartition] = [None] * len(scns)
+    pi: list[np.ndarray] = [None] * len(scns)
+    for (fading, n_states, uppers), idx in groups.items():
+        parts = equal_probability_partition(fading, np.array([firsts[i] for i in idx]),
+                                            n_states, uppers)
+        probs = channel._state_probs(fading, np.array([p.thresholds for p in parts]))
+        for i, part, p in zip(idx, parts, probs):
+            partitions[i], pi[i] = part, p
+    out, unbounded = [], []
+    for i, s in enumerate(scns):
+        probs = channel._prob_columns(pi[i], timelines[i].n_slots)
+        try:
+            # pi[i][0] is the CDF mass below the first threshold
+            rate = channel.lcr(s.fading, s.doppler, firsts[i])
+            lam = channel._fade_duration(firsts[i], rate, pi[i][0])
+        except channel.ZeroCrossingRate as exc:
+            if not finite_wait:
+                unbounded.append((firsts[i], exc))
+            lam = math.inf
+        if finite_wait:
+            _require_finite_wait(lam)
+        out.append(ScenarioParts(
+            timeline=timelines[i],
+            d_max_m=d_max[i],
+            first_threshold=firsts[i],
+            partition=partitions[i],
+            probs=probs,
+            lam_s=lam,
+        ))
+    for first, exc in unbounded:
+        log.warning("lambda taken as infinite at first threshold %r: %s", first, exc)
+    return out
 
 
 def run_analyze(scn: Scenario, parts: ScenarioParts | None = None) -> SchemeReport:
@@ -160,23 +186,31 @@ def run_sweep(
     and point i is seeded with i plus its own sim.seed (or plus seed, when
     given), so a swept sim.seed takes effect.
     prepare() reads neither the traffic nor the sim section, so points that
-    differ only there share one prepare(), kept until its last use.
+    differ only there share one prepare(). The distinct points are prepared
+    together (see _prepare_all), and each row equals its point run alone.
+    If that fails, they are prepared one at a time instead, so the sweep
+    stops at its first failing point with that point's own error.
     """
     header = [sweep_column_name(sweep.path)] + list(SWEEP_CSV_COLUMNS)
     if with_sim:
         header += _SIM_COLUMNS
     points = [apply_sweep_value(scn, sweep.path, value) for value in sweep.values]
     keys = [replace(point, traffic=None, sim=None) for point in points]
-    last_use = {key: i for i, key in enumerate(keys)}
-    prepared: dict[Scenario, ScenarioParts] = {}
+    distinct: dict[Scenario, Scenario] = {}
+    for key, point in zip(keys, points):
+        distinct.setdefault(key, point)
+    try:
+        prepared = dict(zip(distinct, _prepare_all(list(distinct.values()), with_sim)))
+    except (ArithmeticError, ValueError):
+        prepared = {}
     # Points that share a prepare() repeat most columns; equal cells share
     # one string, so a long budget sweep keeps a fraction of the text.
     cells: dict[str, str] = {}
     rows = []
     for i, (value, point, key) in enumerate(zip(sweep.values, points, keys)):
-        parts = prepared.pop(key, None) or prepare(point, finite_wait=with_sim)
-        if last_use[key] > i:
-            prepared[key] = parts
+        if key not in prepared:
+            prepared[key] = prepare(point, finite_wait=with_sim)
+        parts = prepared[key]
         report = run_analyze(point, parts)
         row = [
             _fmt(value),

@@ -185,8 +185,13 @@ def rat_throughput_bounds(
 ) -> tuple[float, float]:
     """Slot-averaged throughput bracket sum_n sum_k pi R / N."""
     _check_grid(part, tl, probs)
-    rate_lo, rate_hi = _rat_rate_grids(budget, rat, part, tl)
-    n = tl.n_slots
+    return _rat_throughput(_rat_rate_grids(budget, rat, part, tl), probs)
+
+
+def _rat_throughput(grids: tuple[np.ndarray, np.ndarray],
+                    probs: StateProbMatrix) -> tuple[float, float]:
+    rate_lo, rate_hi = grids
+    n = probs.n_slots
     lo = float(np.sum(probs.probs * rate_lo)) / n
     hi = float(np.sum(probs.probs * rate_hi)) / n
     return lo, hi
@@ -211,14 +216,17 @@ def rat_dor(
     lam_s is the mean waiting time in the bottom state (the average fade
     duration at the first threshold).
     """
+    _check_grid(part, tl, probs)
+    return _rat_dor(_rat_rate_grids(budget, rat, part, tl)[0], probs, traffic, lam_s)
+
+
+def _rat_dor(rate_lo: np.ndarray, probs: StateProbMatrix, traffic: TrafficSpec,
+             lam_s: float) -> float:
     if lam_s <= 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
-    _check_grid(part, tl, probs)
-    n = tl.n_slots
+    n = probs.n_slots
     t_th = traffic.delay_threshold_s
     d_bits = traffic.packet_bits
-
-    rate_lo, _ = _rat_rate_grids(budget, rat, part, tl)
     with np.errstate(divide="ignore"):
         drain = np.where(rate_lo[1:] > 0.0, d_bits / rate_lo[1:], np.inf)
     served = probs.probs[1:] * _step(t_th - drain)
@@ -290,12 +298,14 @@ def rat_report(
     traffic: TrafficSpec,
     lam_s: float,
 ) -> SchemeReport:
-    """All rate-adaptive metrics in one report."""
-    thr_lo, thr_hi = rat_throughput_bounds(budget, rat, part, tl, probs)
+    """All rate-adaptive metrics in one report, from one rate grid."""
+    _check_grid(part, tl, probs)
+    grids = _rat_rate_grids(budget, rat, part, tl)
+    thr_lo, thr_hi = _rat_throughput(grids, probs)
     power = rat_avg_power(rat, probs)
     if power <= 0.0:
         raise ZeroPower("all probability mass sits in the no-transmission state")
-    dor = rat_dor(budget, rat, part, tl, probs, traffic, lam_s)
+    dor = _rat_dor(grids[0], probs, traffic, lam_s)
     return SchemeReport(
         throughput_lo_bps=thr_lo,
         throughput_hi_bps=thr_hi,

@@ -365,11 +365,14 @@ class TestBrentq:
 
         monkeypatch.setattr(channel, "_find_root", both)
         fading = SrFading(*params)
-        equal_probability_partition(fading, 0.6 * math.sqrt(fading.mean_gain), 8)
-        assert len(solves) == 1
-        got, want = solves[0]
-        assert len(got) == 6 and want.success.all()
-        assert got.tolist() == want.x.tolist()
+        first = 0.6 * math.sqrt(fading.mean_gain)
+        equal_probability_partition(fading, first, 8)
+        # and the one solve of three partitions at once
+        equal_probability_partition(fading, np.array([0.5, 1.0, 1.5]) * first, 8)
+        assert len(solves) == 2
+        for (got, want), n in zip(solves, (6, 18)):
+            assert len(got) == n and want.success.all()
+            assert got.tolist() == want.x.tolist()
 
     @pytest.mark.parametrize("params,first", [
         *[(p, 0.6 * math.sqrt(SrFading(*p).mean_gain)) for p in ABDI_SETS.values()],
@@ -421,6 +424,69 @@ class TestBrentq:
         with pytest.raises(ArithmeticError, match="same sign"):
             channel._find_root(lambda x: x - 0.5, [0.0, 0.0], [1.0, 0.25], [-0.5, -0.5],
                                [0.5, -0.25])
+
+
+# Every fading of the row-independence properties, with a gain whose tail
+# mass is about 1e-280.
+PROPERTY_SETS = {**ABDI_SETS, **LOS_SETS, "integer-m": (2.0, 0.2, 0.5)}
+DEEP_GAIN = {"light": 266.8, "average": 227.1, "heavy": 81.93, "los-m1.5": 432.2,
+             "los-m0.5": 12820.0, "integer-m": 422.7}
+
+
+@st.composite
+def fading_and_gains(draw):
+    """A fading set, gains with repeats, 0, inf and deep-tail values, and a
+    permutation and length of a subset of them."""
+    name = draw(st.sampled_from(sorted(PROPERTY_SETS)))
+    fading = SrFading(*PROPERTY_SETS[name])
+    body = st.floats(0.0, 8.0).map(lambda u: u * fading.mean_gain)
+    deep = st.floats(0.5, 1.0).map(lambda u: u * DEEP_GAIN[name])
+    edge = st.sampled_from([0.0, math.inf, 1e-300, 1e-12 * fading.mean_gain])
+    gains = draw(st.lists(st.one_of(body, body, deep, edge), min_size=1, max_size=7))
+    gains += draw(st.lists(st.sampled_from(gains), max_size=3))
+    order = draw(st.permutations(range(len(gains))))
+    return fading, np.array(gains), np.array(order), draw(st.integers(1, len(gains)))
+
+
+class TestRowIndependence:
+    """Each value of the shadowed-Rician series depends on its own gain
+    alone, whichever other gains share the call."""
+
+    @given(case=fading_and_gains())
+    @settings(max_examples=25, deadline=None)
+    def test_series_entries_match_one_at_a_time(self, case):
+        fading, x, order, k = case
+        for fn in (tail_mass, sr_cdf):
+            alone = np.array([fn(fading, float(v)) for v in x])
+            assert fn(fading, x).tolist() == alone.tolist()
+            assert fn(fading, x[order][:k]).tolist() == alone[order][:k].tolist()
+        y = fading.beta * x[(x > 0.0) & (x < math.inf)]
+        for s, m in ((1, fading.m), (2, fading.m + 1.0)):
+            alone = [channel._upper_sum(fading, np.array([v]), s, m)[0] for v in y]
+            assert channel._upper_sum(fading, y, s, m).tolist() == alone
+
+    @pytest.mark.parametrize("name", ["average", "heavy", "integer-m"])
+    def test_many_gains_match_one_at_a_time(self, name):
+        # past 256 gains the partial sums take another route, which must
+        # add the same pairs
+        fading = SrFading(*PROPERTY_SETS[name])
+        x = np.random.default_rng(5).exponential(fading.mean_gain, 300)
+        for fn in (tail_mass, sr_cdf):
+            assert fn(fading, x).tolist() == [fn(fading, float(v)) for v in x]
+
+    @given(name=st.sampled_from(sorted(PROPERTY_SETS)),
+           scale=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
+           repeat=st.booleans(), n_states=st.sampled_from([2, 3, 8]))
+    @settings(max_examples=12, deadline=None)
+    def test_batched_partition_matches_single(self, name, scale, repeat, n_states):
+        fading = SrFading(*PROPERTY_SETS[name])
+        firsts = np.array(scale + scale[:1] * repeat) * math.sqrt(fading.mean_gain)
+        parts = equal_probability_partition(fading, firsts, n_states)
+        assert len(parts) == len(firsts)
+        for first, part in zip(firsts, parts):
+            alone = equal_probability_partition(fading, float(first), n_states)
+            assert part.thresholds.tolist() == alone.thresholds.tolist()
+            assert part.top_mean_gain == alone.top_mean_gain
 
 
 class TestDoppler:

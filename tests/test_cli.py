@@ -9,6 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leolink import channel, pipeline
@@ -163,26 +164,50 @@ class TestSweep:
         # noise and bandwidth move the first threshold: one per point
         ("reference_rat.scn", "link.noise_power=1e-10:4e-10:4", 4),
         ("reference_pat.scn", "link.bandwidth=40e6:80e6:3", 3),
+        ("reference_rat.scn", "geometry.orbit_height=500e3:1100e3:4", 4),
+        # points of different fading cannot share a solve
+        ("reference_rat.scn", "fading.m=5,10.1,5,15", 3),
     ])
     def test_sweep_prepares_once_per_distinct_input(self, monkeypatch, base, spec,
                                                    n_partitions):
-        calls = []
+        # partitions built, and one solve for all points of equal fading
+        built, solves = [], []
         build = pipeline.equal_probability_partition
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        def counted(fading, first, *args):
+            built.extend(np.atleast_1d(first))
+            solves.append(fading)
+            return build(fading, first, *args)
 
         monkeypatch.setattr(pipeline, "equal_probability_partition", counted)
         scn = parse_scenario((SCENARIO_DIR / base).read_text())
         sweep = parse_sweep(spec)
         _, rows = pipeline.run_sweep(scn, sweep)
-        assert len(calls) == n_partitions
+        assert len(built) == n_partitions
+        assert sorted(map(repr, solves)) == sorted(
+            {repr(apply_sweep_value(scn, sweep.path, v).fading) for v in sweep.values})
         # each row is byte-identical to the point analyzed on its own
         for value, row in zip(sweep.values, rows):
             report = pipeline.run_analyze(apply_sweep_value(scn, sweep.path, value))
             assert row[1:] == [repr(float(getattr(report, c)))
                                for c in pipeline.SWEEP_CSV_COLUMNS]
+
+    # A later point fails in the timeline, the partition or the crossing
+    # rate; each expectation is the output of running the points one at a
+    # time, which stops at the failing point with its own error.
+    @pytest.mark.parametrize("spec,code,error", [
+        ("geometry.slot_len=0.5,1,200", 2, "E_VALIDATION SlotTooLong: slot_len_s=200.0 "
+         "exceeds service duration 141.90534411684524"),
+        ("rat.tx_power=1000,0.3", 3, "E_NUMERIC ArithmeticError: no resolvable probability "
+         "mass above threshold 20.46088313306467 (tail mass 0)"),
+        ("fading.aoa_width=24.2,0", 3, "E_NUMERIC NonConvergent: crossing-rate series at "
+         "r_th=0.3543928915419708 did not reach rel_tol=1e-12 within 10000 terms"),
+    ])
+    def test_failing_later_point_fails_as_alone(self, capsys, spec, code, error):
+        assert main(["sweep", "--scenario", RAT_SCN, "--sweep", spec]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == error + "\n"
 
     def test_unbounded_wait_budget_sweep_warns_once(self, tmp_path, capsys):
         extreme = reduced_scenario(

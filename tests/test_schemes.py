@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from leolink import schemes
 from leolink.channel import (
     DopplerSpec,
     SrFading,
@@ -307,6 +308,24 @@ class TestRatReport:
         assert rep.ee_lo_bpj <= rep.ee_hi_bpj
         assert 0.0 <= rep.dor <= 1.0
         assert rep.lam_s == lam
+
+    def test_one_rate_grid_per_report(self, monkeypatch, timeline, rat_setup):
+        # the report reads throughput and outage from one grid, and equals
+        # the values of the separate functions, each building its own
+        rat, part, probs, lam = rat_setup
+        grids = []
+
+        def counted(*args):
+            grids.append(_rat_rate_grids(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(schemes, "_rat_rate_grids", counted)
+        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        assert len(grids) == 1
+        assert (rep.throughput_lo_bps, rep.throughput_hi_bps) == rat_throughput_bounds(
+            BUDGET, rat, part, timeline, probs)
+        assert rep.dor == rat_dor(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        assert len(grids) == 3
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
