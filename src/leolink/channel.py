@@ -28,6 +28,8 @@ The 1F1 density and its quadrature are kept as the independent oracle.
 """
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,7 +424,10 @@ def _row_sums(flat, base, w, ref, slope, d) -> np.ndarray:
 
 def _accumulate(a: np.ndarray) -> None:
     # a[k] += a[k - 1] for k = 1, 2, ..., in place. np.cumsum adds the same
-    # pairs, but is slow across many columns.
+    # pairs; it is the faster route on few columns and a row loop on many
+    # (either route alone, measured: a 1e6-sample ks_statistic 12% slower
+    # with np.cumsum only, a one-gain tail_mass 17% and prepare() 5% slower
+    # with the loop only).
     if a.shape[-1] < 256:
         np.cumsum(a, axis=0, out=a)
     else:
@@ -455,7 +460,55 @@ def _upper_sum(fading: SrFading, y: np.ndarray, s: int, m: float) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.where(j >= 1.0, np.log(_nb_above(np.maximum(j, 1.0), m, r, q)), 0.0)
 
+    kept = _kept.get()
+    if kept is not None:
+        log_survival = kept.setdefault((fading, s, m), _Coefs(log_survival))
     return _poisson_sum(y, log_survival, window)
+
+
+# While a partition is solved, the coefficients of each series it sums are
+# kept (_keep_coefficients), up to _KEEP of them: its root finder evaluates
+# one fading near the same gains again and again, and each log c_n depends
+# on n alone. Like np.errstate, the scope belongs to the running context
+# (a solve in another thread keeps its own), which lets tail_mass keep its
+# signature.
+_kept: ContextVar[dict | None] = ContextVar("_kept", default=None)
+_KEEP = 1 << 20
+
+
+@contextmanager
+def _keep_coefficients():
+    token = _kept.set({})
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
+class _Coefs:
+    """log_coef of _poisson_sum for one series, each value formed once: a
+    call on sorted, distinct n forms only the n it has not seen, and keeps
+    them while it holds at most _KEEP."""
+
+    def __init__(self, log_coef):
+        self.log_coef = log_coef
+        self.n = np.empty(0)
+        self.value = np.empty(0)
+
+    def __call__(self, n: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self.n, n)
+        seen = np.zeros(len(n), dtype=bool)
+        if len(self.n):
+            seen = self.n[np.minimum(at, len(self.n) - 1)] == n
+        out = np.empty(len(n))
+        out[seen] = self.value[at[seen]]
+        new = ~seen
+        if new.any():
+            out[new] = self.log_coef(n[new])
+            if len(self.n) + np.count_nonzero(new) <= _KEEP:
+                self.n = np.insert(self.n, at[new], n[new])
+                self.value = np.insert(self.value, at[new], out[new])
+        return out
 
 
 def _gains(x) -> tuple[np.ndarray, bool]:
@@ -614,6 +667,13 @@ class StateProbMatrix:
         if np.any(np.abs(colsums - 1.0) > 1e-9):
             raise ValueError("each slot's state probabilities must sum to 1")
 
+    @classmethod
+    def constant(cls, pi: np.ndarray, n_slots: int) -> "StateProbMatrix":
+        """The matrix whose n_slots columns all equal pi."""
+        if n_slots < 1:
+            raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+        return cls(probs=np.tile(pi[:, None], (1, n_slots)))
+
     @property
     def n_states(self) -> int:
         return self.probs.shape[0]
@@ -623,28 +683,26 @@ class StateProbMatrix:
         return self.probs.shape[1]
 
 
-def state_probs(fading: SrFading, part: GainPartition) -> np.ndarray:
+def state_probs(fading: SrFading, part):
     """Steady-state probability of each gain state.
 
     pi_k = F(mu_k^2) - F(mu_{k-1}^2) for interior states; the top state
-    takes the remaining tail mass.
+    takes the remaining tail mass. Given a sequence of partitions with one
+    state count, returns one row per partition from one tail_mass and one
+    sr_cdf call, each row equal to its partition's probabilities alone.
     """
-    return _state_probs(fading, part.thresholds[None, :])[0]
-
-
-def _state_probs(fading: SrFading, thresholds: np.ndarray) -> np.ndarray:
-    # state_probs of P partitions of one fading at once, their thresholds a
-    # P x K array, from one tail_mass and one sr_cdf call. Interior
-    # probabilities are complementary-CDF differences: identical to CDF
-    # differences in exact arithmetic, but they keep deep-tail states from
-    # cancelling to zero.
-    gains = thresholds**2
+    single = isinstance(part, GainPartition)
+    gains = np.array([p.thresholds for p in ([part] if single else part)]) ** 2
+    # Interior probabilities are complementary-CDF differences: identical
+    # to CDF differences in exact arithmetic, but they keep deep-tail
+    # states from cancelling to zero.
     tails = tail_mass(fading, gains[:, 1:].ravel()).reshape(len(gains), -1)
     pi = np.empty_like(gains)
     pi[:, 0] = sr_cdf(fading, gains[:, 1])
     pi[:, 1:-1] = tails[:, :-1] - tails[:, 1:]
     pi[:, -1] = tails[:, -1]
-    return np.clip(pi, 0.0, 1.0)
+    pi = np.clip(pi, 0.0, 1.0)
+    return pi[0] if single else pi
 
 
 def state_prob_matrix(fading: SrFading, part: GainPartition, n_slots: int) -> StateProbMatrix:
@@ -654,14 +712,7 @@ def state_prob_matrix(fading: SrFading, part: GainPartition, n_slots: int) -> St
     the same vector; the matrix shape stays so slot-varying fading can be
     introduced without touching consumers.
     """
-    return _prob_columns(state_probs(fading, part), n_slots)
-
-
-def _prob_columns(pi: np.ndarray, n_slots: int) -> StateProbMatrix:
-    # the state-probability matrix whose n_slots columns are all pi
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    return StateProbMatrix(probs=np.tile(pi[:, None], (1, n_slots)))
+    return StateProbMatrix.constant(state_probs(fading, part), n_slots)
 
 
 def lcr(
@@ -719,22 +770,30 @@ def lcr(
     )
 
 
-def afd(fading: SrFading, dop: DopplerSpec, r_th: float,
-        ctl: SeriesControl = DEFAULT_SERIES) -> float:
-    """Average fade duration below amplitude r_th: CDF mass / crossing rate."""
-    if r_th <= 0:
-        raise ValueError(f"r_th must be > 0, got {r_th}")
-    return _fade_duration(r_th, lcr(fading, dop, r_th, ctl), sr_cdf(fading, r_th * r_th))
+def afd(fading: SrFading, dop: DopplerSpec, r_th,
+        ctl: SeriesControl = DEFAULT_SERIES):
+    """Average fade duration below amplitude r_th: CDF mass / crossing rate.
 
-
-def _fade_duration(r_th: float, rate: float, mass: float) -> float:
-    # afd from the crossing rate and the CDF mass below r_th
-    if rate <= 0.0 or mass <= 0.0:
-        raise ZeroCrossingRate(
-            f"fade duration undefined at r_th={r_th}: crossing rate {rate}, "
-            f"below-threshold mass {mass}"
-        )
-    return mass / rate
+    Given a 1-D array of amplitudes, returns an array, with the CDF masses
+    from one sr_cdf call and the crossing rate taken at each amplitude.
+    Raises ZeroCrossingRate at the first amplitude where the duration is
+    undefined.
+    """
+    arr = np.asarray(r_th, dtype=float)
+    if np.any(arr <= 0):
+        raise ValueError(f"r_th must be > 0, got {arr[arr <= 0][0]}")
+    amplitudes = np.atleast_1d(arr)
+    masses = sr_cdf(fading, amplitudes * amplitudes)
+    out = np.empty(len(amplitudes))
+    for i, (amp, mass) in enumerate(zip(amplitudes.tolist(), masses.tolist())):
+        rate = lcr(fading, dop, amp, ctl)
+        if rate <= 0.0 or mass <= 0.0:
+            raise ZeroCrossingRate(
+                f"fade duration undefined at r_th={amp}: crossing rate {rate}, "
+                f"below-threshold mass {mass}"
+            )
+        out[i] = mass / rate
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def tail_mean_gain(fading: SrFading, x):
@@ -864,29 +923,31 @@ def equal_probability_partition(
             )
         amplitudes = np.broadcast_to(uppers, (len(first), len(uppers)))
     else:
-        s1 = tail_mass(fading, first[:, 0] ** 2)
-        # Below ~1e-290 the quantile targets leave the normal double range
-        # and the root finder sees quantized garbage; fail explicitly.
-        if np.any(s1 < 1e-290):
-            i = np.flatnonzero(s1 < 1e-290)[0]
-            raise ArithmeticError(
-                f"no resolvable probability mass above threshold {first[i, 0]} "
-                f"(tail mass {s1[i]:.3g})"
-            )
-        # Every target of a partition shares the bracket [first^2, hi]; hi
-        # doubles where the tail still exceeds the target. The ratio form
-        # keeps the root finder stable when targets are deep in the tail.
-        targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1)) / (n_states - 1)).ravel()
-        lo = np.repeat(first[:, 0] ** 2, n_states - 2)
-        hi = np.maximum(2.0 * lo, fading.mean_gain)
-        f_hi = tail_mass(fading, hi) / targets - 1.0
-        while np.any(up := f_hi > 0.0):
-            hi[up] *= 2.0
-            if hi.max() > 1e12:
-                raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
-            f_hi[up] = tail_mass(fading, hi[up]) / targets[up] - 1.0
-        gains = _find_root(lambda g, tg: tail_mass(fading, g) / tg - 1.0,
-                           lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
+        with _keep_coefficients():
+            s1 = tail_mass(fading, first[:, 0] ** 2)
+            # Below ~1e-290 the quantile targets leave the normal double range
+            # and the root finder sees quantized garbage; fail explicitly.
+            if np.any(s1 < 1e-290):
+                i = np.flatnonzero(s1 < 1e-290)[0]
+                raise ArithmeticError(
+                    f"no resolvable probability mass above threshold {first[i, 0]} "
+                    f"(tail mass {s1[i]:.3g})"
+                )
+            # Every target of a partition shares the bracket [first^2, hi]; hi
+            # doubles where the tail still exceeds the target. The ratio form
+            # keeps the root finder stable when targets are deep in the tail.
+            targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1))
+                       / (n_states - 1)).ravel()
+            lo = np.repeat(first[:, 0] ** 2, n_states - 2)
+            hi = np.maximum(2.0 * lo, fading.mean_gain)
+            f_hi = tail_mass(fading, hi) / targets - 1.0
+            while np.any(up := f_hi > 0.0):
+                hi[up] *= 2.0
+                if hi.max() > 1e12:
+                    raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
+                f_hi[up] = tail_mass(fading, hi[up]) / targets[up] - 1.0
+            gains = _find_root(lambda g, tg: tail_mass(fading, g) / tg - 1.0,
+                               lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
         amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
     thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
     tops = tail_mean_gain(fading, thresholds[:, -1] ** 2)

@@ -54,58 +54,89 @@ def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
     as for the simulation entry points, that limit raises ZeroCrossingRate
     instead of being sampled. This is a sweep's route with one point.
     """
-    return _prepare_all([scn], finite_wait)[0]
+    timeline = build_timeline(scn.geometry, scn.slot_len_s)
+    return _assemble(timeline, _solve([scn])[0], finite_wait)
 
 
-def _prepare_all(scns: list[Scenario], finite_wait: bool) -> list[ScenarioParts]:
-    """prepare() of each scenario, each equal to its prepare() alone.
+@dataclass(frozen=True)
+class _Solved:
+    """What prepare() solves for a scenario, apart from its timeline. An
+    infinite lam_s comes with the ZeroCrossingRate that caused it."""
+
+    d_max_m: float
+    first_threshold: float
+    partition: GainPartition
+    pi: np.ndarray
+    lam_s: float
+    unbounded: channel.ZeroCrossingRate | None
+
+
+def _solve(scns: list[Scenario]) -> list[_Solved]:
+    """_Solved of each scenario, each equal to that of the scenario alone.
 
     Scenarios with equal fading, state count and pinned thresholds share
-    one partition solve and one evaluation of their state-probability
-    tails and below-threshold masses; the crossing rate is taken per
-    scenario. The infinite-wait warnings are logged, in order, once every
-    scenario has succeeded.
+    one partition solve and one evaluation of their state probabilities;
+    those with equal fading and Doppler spectrum share one evaluation of
+    their below-threshold masses, with the crossing rate taken for each.
     """
-    timelines = [build_timeline(s.geometry, s.slot_len_s) for s in scns]
     d_max = [distance_range(s.geometry)[1] for s in scns]
     firsts = [schemes.rat_first_threshold(s.budget, s.rat, d) if s.scheme == "rat"
               else schemes.pat_first_threshold(s.budget, s.pat, d)
               for s, d in zip(scns, d_max)]
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(scns):
-        groups.setdefault((s.fading, s.n_states, s.upper_thresholds), []).append(i)
-    partitions: list[GainPartition] = [None] * len(scns)
-    pi: list[np.ndarray] = [None] * len(scns)
-    for (fading, n_states, uppers), idx in groups.items():
+    partitions, pi, waits = [None] * len(scns), [None] * len(scns), [None] * len(scns)
+    for (fading, n_states, uppers), idx in _groups(
+            scns, lambda s: (s.fading, s.n_states, s.upper_thresholds)).items():
         parts = equal_probability_partition(fading, np.array([firsts[i] for i in idx]),
                                             n_states, uppers)
-        probs = channel._state_probs(fading, np.array([p.thresholds for p in parts]))
-        for i, part, p in zip(idx, parts, probs):
+        for i, part, p in zip(idx, parts, channel.state_probs(fading, parts)):
             partitions[i], pi[i] = part, p
-    out, unbounded = [], []
+    for (fading, dop), idx in _groups(scns, lambda s: (s.fading, s.doppler)).items():
+        for i, wait in zip(idx, _waits(fading, dop, [firsts[i] for i in idx])):
+            waits[i] = wait
+    solved = []
+    for d, first, part, p, wait in zip(d_max, firsts, partitions, pi, waits):
+        unbounded = wait if isinstance(wait, channel.ZeroCrossingRate) else None
+        solved.append(_Solved(d, first, part, p, math.inf if unbounded else wait, unbounded))
+    return solved
+
+
+def _groups(scns: list[Scenario], key) -> dict[tuple, list[int]]:
+    groups: dict[tuple, list[int]] = {}
     for i, s in enumerate(scns):
-        probs = channel._prob_columns(pi[i], timelines[i].n_slots)
+        groups.setdefault(key(s), []).append(i)
+    return groups
+
+
+def _waits(fading, dop, firsts: list[float]) -> list:
+    # afd at each first threshold, or the ZeroCrossingRate it raises there
+    try:
+        return channel.afd(fading, dop, np.array(firsts)).tolist()
+    except channel.ZeroCrossingRate:
+        pass
+    # some threshold waits forever: take each alone to see which
+    waits = []
+    for first in firsts:
         try:
-            # pi[i][0] is the CDF mass below the first threshold
-            rate = channel.lcr(s.fading, s.doppler, firsts[i])
-            lam = channel._fade_duration(firsts[i], rate, pi[i][0])
+            waits.append(channel.afd(fading, dop, first))
         except channel.ZeroCrossingRate as exc:
-            if not finite_wait:
-                unbounded.append((firsts[i], exc))
-            lam = math.inf
-        if finite_wait:
-            _require_finite_wait(lam)
-        out.append(ScenarioParts(
-            timeline=timelines[i],
-            d_max_m=d_max[i],
-            first_threshold=firsts[i],
-            partition=partitions[i],
-            probs=probs,
-            lam_s=lam,
-        ))
-    for first, exc in unbounded:
-        log.warning("lambda taken as infinite at first threshold %r: %s", first, exc)
-    return out
+            waits.append(exc)
+    return waits
+
+
+def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> ScenarioParts:
+    if solved.unbounded is not None and not finite_wait:
+        log.warning("lambda taken as infinite at first threshold %r: %s",
+                    solved.first_threshold, solved.unbounded)
+    if finite_wait:
+        _require_finite_wait(solved.lam_s)
+    return ScenarioParts(
+        timeline=timeline,
+        d_max_m=solved.d_max_m,
+        first_threshold=solved.first_threshold,
+        partition=solved.partition,
+        probs=StateProbMatrix.constant(solved.pi, timeline.n_slots),
+        lam_s=solved.lam_s,
+    )
 
 
 def run_analyze(scn: Scenario, parts: ScenarioParts | None = None) -> SchemeReport:
@@ -186,31 +217,35 @@ def run_sweep(
     and point i is seeded with i plus its own sim.seed (or plus seed, when
     given), so a swept sim.seed takes effect.
     prepare() reads neither the traffic nor the sim section, so points that
-    differ only there share one prepare(). The distinct points are prepared
-    together (see _prepare_all), and each row equals its point run alone.
-    If that fails, they are prepared one at a time instead, so the sweep
-    stops at its first failing point with that point's own error.
+    differ only there share one prepare(), kept until its last use. The
+    distinct points are solved together (see _solve), and each row equals
+    its point run alone; if that fails, each point is solved alone when it
+    comes up, so the sweep stops at its first failing point with that
+    point's own error.
     """
     header = [sweep_column_name(sweep.path)] + list(SWEEP_CSV_COLUMNS)
     if with_sim:
         header += _SIM_COLUMNS
     points = [apply_sweep_value(scn, sweep.path, value) for value in sweep.values]
     keys = [replace(point, traffic=None, sim=None) for point in points]
-    distinct: dict[Scenario, Scenario] = {}
-    for key, point in zip(keys, points):
-        distinct.setdefault(key, point)
+    last_use = {key: i for i, key in enumerate(keys)}
+    distinct = list(dict.fromkeys(keys))
     try:
-        prepared = dict(zip(distinct, _prepare_all(list(distinct.values()), with_sim)))
+        solved = dict(zip(distinct, _solve(distinct)))
     except (ArithmeticError, ValueError):
-        prepared = {}
+        solved = {}
+    prepared: dict[Scenario, ScenarioParts] = {}
     # Points that share a prepare() repeat most columns; equal cells share
     # one string, so a long budget sweep keeps a fraction of the text.
     cells: dict[str, str] = {}
     rows = []
     for i, (value, point, key) in enumerate(zip(sweep.values, points, keys)):
-        if key not in prepared:
-            prepared[key] = prepare(point, finite_wait=with_sim)
-        parts = prepared[key]
+        parts = prepared.pop(key, None)
+        if parts is None:
+            timeline = build_timeline(point.geometry, point.slot_len_s)
+            parts = _assemble(timeline, solved.pop(key, None) or _solve([point])[0], with_sim)
+        if last_use[key] > i:
+            prepared[key] = parts
         report = run_analyze(point, parts)
         row = [
             _fmt(value),

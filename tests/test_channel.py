@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -238,6 +240,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             StateProbMatrix(probs=np.array([[0.6, 0.6], [0.6, 0.6]]))
 
+    def test_many_partitions_match_one_at_a_time(self):
+        parts = [GainPartition(thresholds=np.array(t), top_mean_gain=9.0)
+                 for t in ([0.0, 0.3, 0.9], [0.0, 0.0, 1.7], [0.0, 2.9, 3.0])]
+        rows = state_probs(TABLE_FADING, parts)
+        assert rows.shape == (3, 3)
+        for part, row in zip(parts, rows):
+            assert row.tolist() == state_probs(TABLE_FADING, part).tolist()
+
 
 class TestEqualProbabilityPartition:
     def test_equal_upper_masses(self):
@@ -474,6 +484,54 @@ class TestRowIndependence:
         for fn in (tail_mass, sr_cdf):
             assert fn(fading, x).tolist() == [fn(fading, float(v)) for v in x]
 
+    @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
+    def test_kept_coefficients_change_no_bit(self, monkeypatch, name):
+        # a partition solve forms each coefficient once; formed afresh on
+        # every call, they give the same partition
+        fading = SrFading(*PROPERTY_SETS[name])
+        firsts = np.array([0.3, 0.6]) * math.sqrt(fading.mean_gain)
+        kept = equal_probability_partition(fading, firsts, 8)
+        monkeypatch.setattr(channel, "_keep_coefficients", contextlib.nullcontext)
+        for part, first in zip(kept, firsts):
+            fresh = equal_probability_partition(fading, first, 8)
+            assert part.thresholds.tolist() == fresh.thresholds.tolist()
+            assert part.top_mean_gain == fresh.top_mean_gain
+
+    def test_coefficients_formed_once(self):
+        formed = []
+
+        def log_coef(n):
+            formed.extend(n.tolist())
+            return np.log1p(n)
+
+        coefs = channel._Coefs(log_coef)
+        for lo, hi in ((5, 20), (0, 8), (15, 30), (0, 30), (40, 41)):
+            n = np.arange(lo, hi, dtype=float)
+            assert coefs(n).tolist() == np.log1p(n).tolist()
+        assert sorted(formed) == list(range(30)) + [40]
+
+    def test_kept_coefficients_belong_to_the_solve(self):
+        # kept only inside a solve, and not by solves in other threads
+        equal_probability_partition(SrFading(*PROPERTY_SETS["average"]), 0.6, 4)
+        assert channel._kept.get() is None
+        seen = []
+        with channel._keep_coefficients():
+            worker = threading.Thread(target=lambda: seen.append(channel._kept.get()))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert channel._kept.get() == {}
+        assert seen == [None]
+        assert channel._kept.get() is None
+
+    def test_kept_coefficients_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(channel, "_KEEP", 25)
+        coefs = channel._Coefs(np.log1p)
+        for lo in (0, 20, 40, 0):
+            n = np.arange(lo, lo + 20, dtype=float)
+            assert coefs(n).tolist() == np.log1p(n).tolist()
+        assert coefs.n.tolist() == list(range(20))
+
     @given(name=st.sampled_from(sorted(PROPERTY_SETS)),
            scale=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
            repeat=st.booleans(), n_states=st.sampled_from([2, 3, 8]))
@@ -581,3 +639,14 @@ class TestAfd:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             afd(TABLE_FADING, TABLE_DOPPLER, 0.0)
+        with pytest.raises(ValueError):
+            afd(TABLE_FADING, TABLE_DOPPLER, np.array([0.3, 0.0]))
+
+    def test_many_thresholds_match_one_at_a_time(self):
+        r = np.array([2.5, 0.1, 0.3, 0.1])
+        assert afd(TABLE_FADING, TABLE_DOPPLER, r).tolist() == [
+            afd(TABLE_FADING, TABLE_DOPPLER, float(v)) for v in r]
+
+    def test_underflow_among_many_raises(self):
+        with pytest.raises(ZeroCrossingRate, match="r_th=12.0"):
+            afd(TABLE_FADING, TABLE_DOPPLER, np.array([0.3, 12.0, 13.0]))

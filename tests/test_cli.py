@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,53 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("WARNING leolink.pipeline: lambda taken as infinite")
+
+    @pytest.mark.parametrize("spec", ["geometry.orbit_height=500e3:1100e3:5",
+                                      "traffic.delay_threshold=0:0.02:5"])
+    def test_sweep_holds_one_prepared_point_at_a_time(self, monkeypatch, spec):
+        # the points are solved together, but each point's timeline and
+        # probability matrix are built when it comes up and dropped after
+        # its last use
+        built, held = [], []
+        assemble, analyze = pipeline._assemble, pipeline.run_analyze
+
+        def tracked(*args):
+            parts = assemble(*args)
+            built.append(weakref.ref(parts))
+            return parts
+
+        def counting(point, parts=None):
+            held.append(sum(ref() is not None for ref in built))
+            return analyze(point, parts)
+
+        monkeypatch.setattr(pipeline, "_assemble", tracked)
+        monkeypatch.setattr(pipeline, "run_analyze", counting)
+        pipeline.run_sweep(parse_scenario(Path(RAT_SCN).read_text()), parse_sweep(spec))
+        assert held == [1] * 5
+
+    def test_sweep_warns_only_for_points_it_reached(self, monkeypatch, caplog):
+        # 600 and 650 Mbit/s wait forever; the report of the 60 Mbit/s point
+        # between them fails, so only the first point's warning is logged,
+        # as when the points run one at a time
+        scn = parse_scenario(Path(PAT_SCN).read_text())
+        sweep = parse_sweep("pat.fixed_rate=600e6,60e6,650e6")
+        analyze = pipeline.run_analyze
+
+        def failing(point, parts=None):
+            if point.pat.fixed_rate_bps == 60e6:
+                raise ArithmeticError("report failed")
+            return analyze(point, parts)
+
+        monkeypatch.setattr(pipeline, "run_analyze", failing)
+        with caplog.at_level(logging.WARNING, logger="leolink"):
+            with pytest.raises(ArithmeticError, match="report failed"):
+                pipeline.run_sweep(scn, sweep)
+        first = apply_sweep_value(scn, sweep.path, sweep.values[0])
+        threshold = pat_first_threshold(first.budget, first.pat,
+                                        distance_range(first.geometry)[1])
+        records = [r for r in caplog.records if r.name == "leolink.pipeline"]
+        assert len(records) == 1
+        assert f"at first threshold {threshold!r}:" in records[0].getMessage()
 
     def test_fractional_integer_sweep_exits_2(self, capsys):
         assert main([
