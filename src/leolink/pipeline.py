@@ -61,14 +61,15 @@ def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
 @dataclass(frozen=True)
 class _Solved:
     """What prepare() solves for a scenario, apart from its timeline. An
-    infinite lam_s comes with the ZeroCrossingRate that caused it."""
+    infinite lam_s comes with the message of the ZeroCrossingRate that
+    caused it."""
 
     d_max_m: float
     first_threshold: float
     partition: GainPartition
     pi: np.ndarray
     lam_s: float
-    unbounded: channel.ZeroCrossingRate | None
+    unbounded: str | None
 
 
 def _solve(scns: list[Scenario]) -> list[_Solved]:
@@ -95,8 +96,10 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
             waits[i] = wait
     solved = []
     for d, first, part, p, wait in zip(d_max, firsts, partitions, pi, waits):
-        unbounded = wait if isinstance(wait, channel.ZeroCrossingRate) else None
-        solved.append(_Solved(d, first, part, p, math.inf if unbounded else wait, unbounded))
+        if isinstance(wait, channel.ZeroCrossingRate):
+            solved.append(_Solved(d, first, part, p, math.inf, str(wait)))
+        else:
+            solved.append(_Solved(d, first, part, p, wait, None))
     return solved
 
 
