@@ -69,10 +69,14 @@ _ROOT_MAXITER = 100
 _REL_TOL = 1e-17
 _LOG_2_OVER_TOL = math.log(2.0 / _REL_TOL)
 _LOG_FLOOR = 745.0
-# Terms are formed for at most _ROWS points at a time, in blocks of about
-# _BLOCK terms.
-_ROWS = 2048
-_BLOCK = 1 << 18
+# A chunk of cells forms a few arrays of at most _CHUNK index-by-cell
+# entries, and each coefficient once for all its cells; its points' terms
+# are formed in blocks of about _BLOCK, whose arrays fit in a core's cache.
+# A window of more than _MAX_WINDOW terms is refused: its cell alone would
+# take a few arrays of that many floats.
+_CHUNK = 1 << 18
+_BLOCK = 1 << 16
+_MAX_WINDOW = 1 << 24
 # Terms are summed in runs of _RUN, and the runs one after another.
 _RUN = 8
 # Terms of the deviance series in _log_poisson: with v^2 < 0.0025 the
@@ -272,10 +276,13 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
     window are then added in an order fixed by their n alone (_row_sums),
     which neither other entries nor block boundaries can change.
 
-    Cells go in chunks of at most _BLOCK index-by-cell entries (or one
+    Cells go in chunks of at most _CHUNK index-by-cell entries (or one
     cell); a chunk evaluates log_coef once over the union of its cells'
-    ranges, a 1-D array, and forms its points' terms in blocks of about
-    _BLOCK, so memory stays bounded whatever the window.
+    ranges and forms a few arrays of that many entries, then its points'
+    terms in blocks of about _BLOCK. Memory is thus a few arrays of the
+    larger of _CHUNK and the widest cell range, which spans its points'
+    windows; a window of more than _MAX_WINDOW terms raises ArithmeticError
+    before anything is formed.
     """
     out = np.empty_like(y)
     if len(y) == 0:
@@ -299,12 +306,17 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
     lo, hi = window(np.concatenate((ys, y_hi, y_lo)))
     near, reach = lo[len(ys):-len(yc)], np.maximum(hi[-len(yc):], lo[len(ys):-len(yc)])
     lo, hi = lo[:len(ys)], hi[:len(ys)]
+    if np.any(hi - lo >= _MAX_WINDOW):
+        i = np.argmax(hi - lo)
+        raise ArithmeticError(
+            f"series window too wide: {hi[i] - lo[i] + 1.0:.4g} terms at beta*x = "
+            f"{ys[i]:.6g}, more than {_MAX_WINDOW}")
     start = np.minimum(near, np.minimum.reduceat(lo, first))
     width = np.maximum(reach, np.maximum.reduceat(hi, first)) - start + 1.0
     a = 0
     while a < len(first):
         b, span = a + 1, width[a]
-        while b < len(first) and (b + 1 - a) * max(span, width[b]) <= _BLOCK:
+        while b < len(first) and (b + 1 - a) * max(span, width[b]) <= _CHUNK:
             span = max(span, width[b])
             b += 1
         rows = slice(first[a], last[b - 1])
@@ -332,14 +344,13 @@ def _cell_sums(y, lo, hi, cell, yc, near, reach, start, width, log_coef) -> np.n
     # [near[k], reach[k]] and has range start[k] + [0, width[k]).
     h = int(width.max())
     # log_coef over the union of the cells' ranges
-    if len(start) == 1:
-        n = np.arange(start[0], start[0] + width[0])
-    else:
-        by_start = np.argsort(start, kind="stable")
-        s, e = start[by_start], np.maximum.accumulate((start + width)[by_start])
-        cut = np.flatnonzero(s[1:] > e[:-1])
-        n = np.concatenate([np.arange(a, b) for a, b in zip(
-            s[np.concatenate(([0], cut + 1))], e[np.append(cut, len(s) - 1)])])
+    union = []
+    for a, b in sorted(zip(start.tolist(), (start + width).tolist())):
+        if union and a <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], b)
+        else:
+            union.append([a, b])
+    n = np.concatenate([np.arange(a, b) for a, b in union])
     coef = log_coef(n)
     at = np.searchsorted(n, start)
     g = coef[np.minimum(at[:, None] + np.arange(h), len(coef) - 1)]
@@ -368,71 +379,54 @@ def _cell_sums(y, lo, hi, cell, yc, near, reach, start, width, log_coef) -> np.n
     far = y < 0.5 * n0
     if far.any():
         slope[far] = np.log(y[far] / n0[far])
-    w = (hi - lo + 1.0).astype(np.intp)
-    # point i's terms start at g[cell[i], lo[i] - start]; the padding after
-    # the last cell is never summed
+    # point i's terms start at g[cell[i], lo[i] - start]
     base = cell * h + (lo - start[cell]).astype(np.intp)
-    flat = np.concatenate((g.ravel(), np.full(int(w.max()) + _RUN, -np.inf)))
-    d = lo - n0
-    # past a point's window its terms are never kept, and may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(y) <= _ROWS:
-            return _row_sums(flat, base, w, ref, slope, d)
-        # rows of like width go together, so that little is padded
-        out = np.empty_like(y)
-        by_width = np.argsort(w, kind="stable")
-        for r in range(0, len(y), _ROWS):
-            rr = by_width[r:r + _ROWS]
-            out[rr] = _row_sums(flat, base[rr], w[rr], ref[rr], slope[rr], d[rr])
+    return _row_sums(g.ravel(), base, (hi - lo + 1.0).astype(np.intp), ref, slope, lo - n0)
+
+
+def _row_sums(g, base, w, ref, slope, d) -> np.ndarray:
+    # sum_{j < w_i} exp(ref_i + slope_i (d_i + j) + g[base_i + j]) for each
+    # point i, in an order fixed by j alone: the terms of each run of _RUN
+    # added in order of j, then the runs in order (np.cumsum adds in order;
+    # np.sum would pair terms by the row's length). Each point has one row,
+    # and past its own width its terms are exactly 0, which change no sum.
+    # Rows go in order of width, about _BLOCK terms at a time, padded to the
+    # widest; a wider row goes one block of columns at a time, its running
+    # sum carried across.
+    out = np.empty(len(w))
+    by_width = np.argsort(w, kind="stable")
+    span = _RUN * -(-w[by_width] // _RUN)
+    # rows a..b-1 fit in _BLOCK terms, (b - a) span[b - 1] <= _BLOCK, when
+    # last[b - 1] <= a; last rises with the row
+    last = np.arange(1, len(w) + 1) - _BLOCK // span
+    a = 0
+    while a < len(w):
+        b = max(a + 1, np.searchsorted(last, a, "right"))
+        i = by_width[a:b, None]
+        step = min(span[b - 1], _RUN * max(1, _BLOCK // (_RUN * (b - a))))
+        total = np.zeros(b - a)
+        for c in range(0, span[b - 1], step):
+            j = np.arange(c, min(c + step, span[b - 1]))
+            # an index past a point's width may run off g; its term is set
+            # to 0 below
+            terms = np.take(g, base[i] + j, mode="clip")
+            shift = d[i] + j
+            shift *= slope[i]
+            terms += shift
+            terms += ref[i]
+            # terms past a point's width, all past the narrowest row's, become 0
+            cut = max(w[by_width[a]] - c, 0)
+            terms[:, cut:][j[cut:] >= w[i]] = -np.inf
+            np.exp(terms, out=terms)
+            terms = terms.reshape(b - a, -1, _RUN)
+            runs = terms[..., 0] + terms[..., 1]
+            for k in range(2, _RUN):
+                runs += terms[..., k]
+            runs[:, 0] += total
+            total = np.cumsum(runs, axis=1, out=runs)[:, -1]
+        out[by_width[a:b]] = total
+        a = b
     return out
-
-
-def _row_sums(flat, base, w, ref, slope, d) -> np.ndarray:
-    # sum_{j < w_i} exp(ref_i + slope_i (d_i + j) + flat[base_i + j]) for
-    # each point i, in an order fixed by j alone: runs of _RUN terms, each
-    # added in order of j, then run after run, the last one cut at w_i.
-    # flat holds at least max(base) + max(w) + _RUN entries. Terms are
-    # formed index-major, a block of about _BLOCK at a time; each block's
-    # first run takes the running sum, and each point keeps the partial sum
-    # up to its own last term.
-    span = _RUN * -(-int(w.max()) // _RUN)
-    step = min(span, _RUN * max(1, _BLOCK // (_RUN * len(w))))
-    # by_index[j, b] = flat[b + j], a view
-    by_index = np.ndarray((step, len(flat) - step + 1), flat.dtype, flat, 0,
-                          (flat.strides[0],) * 2)
-    points = np.arange(len(w))
-    total = np.zeros(len(w))
-    for a in range(0, span, step):
-        j = np.arange(a, min(a + step, span), dtype=float)
-        terms = by_index[:len(j), base + a]
-        shift = j[:, None] + d
-        shift *= slope
-        terms += shift
-        terms += ref
-        np.exp(terms, out=terms)
-        # partial sums within each run, and before each run
-        runs = terms.reshape(-1, _RUN, len(w))
-        _accumulate(runs.transpose(1, 0, 2))
-        before = np.concatenate((total[None], runs[:, -1]))
-        _accumulate(before)
-        # the sum before the point's last run, then that run up to w_i
-        i = points if a == 0 else points[w > a]
-        r, k = np.divmod(np.minimum(w[i] - 1 - a, len(j) - 1), _RUN)
-        total[i] = before[r, i] + runs[r, k, i]
-    return total
-
-
-def _accumulate(a: np.ndarray) -> None:
-    # a[k] += a[k - 1] for k = 1, 2, ..., in place. np.cumsum adds the same
-    # pairs; it is the faster route on few columns and a row loop on many
-    # (either route alone, measured: a 1e6-sample ks_statistic 12% slower
-    # with np.cumsum only, a one-gain tail_mass 17% and prepare() 5% slower
-    # with the loop only).
-    if a.shape[-1] < 256:
-        np.cumsum(a, axis=0, out=a)
-    else:
-        for k in range(1, len(a)):
-            a[k] += a[k - 1]
 
 
 def _upper_sum(fading: SrFading, y: np.ndarray, s: int, m: float) -> np.ndarray:

@@ -477,12 +477,33 @@ class TestRowIndependence:
 
     @pytest.mark.parametrize("name", ["average", "heavy", "integer-m"])
     def test_many_gains_match_one_at_a_time(self, name):
-        # past 256 gains the partial sums take another route, which must
-        # add the same pairs
+        # many gains share each block of rows, padded to the widest window
+        # among them; each sum still equals its gain's alone
         fading = SrFading(*PROPERTY_SETS[name])
         x = np.random.default_rng(5).exponential(fading.mean_gain, 300)
         for fn in (tail_mass, sr_cdf):
             assert fn(fading, x).tolist() == [fn(fading, float(v)) for v in x]
+
+    @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
+    def test_block_boundaries_change_no_bit(self, monkeypatch, name):
+        # with chunks and blocks of 64 terms, cells go one chunk each,
+        # points a few rows at a time, and a line-of-sight window of
+        # thousands of terms many blocks of columns; every sum adds the same
+        # terms in the same order
+        fading = SrFading(*PROPERTY_SETS[name])
+        x = np.random.default_rng(6).exponential(fading.mean_gain, 300)
+        x = np.append(x, DEEP_GAIN[name])
+        y = fading.beta * x
+
+        def values():
+            return [tail_mass(fading, x).tolist(), sr_cdf(fading, x).tolist(),
+                    channel._upper_sum(fading, y, 1, fading.m).tolist(),
+                    channel._upper_sum(fading, y, 2, fading.m + 1.0).tolist()]
+
+        whole = values()
+        monkeypatch.setattr(channel, "_CHUNK", 64)
+        monkeypatch.setattr(channel, "_BLOCK", 64)
+        assert values() == whole
 
     @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
     def test_kept_coefficients_change_no_bit(self, monkeypatch, name):

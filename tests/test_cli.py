@@ -476,6 +476,21 @@ class TestErrorPaths:
             assert len(err) == 1
             assert err[0].startswith("WARNING leolink.pipeline: lambda taken as infinite")
 
+    def test_window_too_wide_exits_3(self, tmp_path, capsys):
+        # at 1e-9 W the first threshold lies so far in the tail (beta x about
+        # 5e11) that its series window would hold 3.8e11 terms; it is refused
+        # before any of it is formed
+        far = reduced_scenario(tmp_path, "reference_rat.scn",
+                               **{"tx_power = 30 dBW": "tx_power = 1e-9 W"})
+        for argv in (["sweep", "--scenario", RAT_SCN, "--sweep", "rat.tx_power=1000,1e-9"],
+                     ["analyze", "--scenario", far]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("E_NUMERIC ArithmeticError: series window too wide: "
+                                    "3.764e+11 terms at beta*x = 4.9839e+11, more than "
+                                    "16777216\n")
+
     def test_root_finder_nan_exits_3(self, monkeypatch, capsys):
         # a NaN tail mass reaches the partition's root finder
         monkeypatch.setattr(channel, "tail_mass", lambda fading, x: math.nan)
