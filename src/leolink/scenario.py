@@ -8,7 +8,7 @@ stored in SI / linear form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import DopplerSpec, SrFading
 from .geometry import PassGeometry, circular_orbit_speed, half_track_from_plane
@@ -24,8 +24,6 @@ __all__ = [
     "UnknownKey",
     "parse_scenario",
     "render_scenario",
-    "scenario_to_sections",
-    "scenario_from_sections",
     "parse_sweep",
     "apply_sweep_value",
 ]
@@ -121,6 +119,18 @@ class Scenario:
     traffic: TrafficSpec
     sim: SimConfig
 
+    def __post_init__(self):
+        if self.slot_len_s <= 0:
+            raise ValueError(f"slot_len_s must be > 0, got {self.slot_len_s}")
+        if self.n_states < 2:
+            raise ValueError(f"n_states must be >= 2, got {self.n_states}")
+        uppers = self.upper_thresholds
+        if uppers is not None and len(uppers) != self.n_states - 2:
+            raise ValueError(
+                f"upper_thresholds must hold {self.n_states - 2} values for "
+                f"n_states={self.n_states}, got {len(uppers)}"
+            )
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -134,82 +144,75 @@ class SweepSpec:
             raise ValidationError("sweep needs at least one value")
 
 
-# section -> key -> (required, kind); kind: f float, i int, list float list
-_SCHEMA = {
+# section -> key -> (Scenario field, field of that object or None, kind,
+# required); kind: f float, i int, list float list. sats_per_plane has no
+# Scenario field: the parser turns it into half_track. Sections render in
+# this order.
+_KEYS = {
     "geometry": {
-        "earth_radius": (True, "f"),
-        "orbit_height": (True, "f"),
-        "coverage_radius": (True, "f"),
-        "half_track": (False, "f"),
-        "sats_per_plane": (False, "i"),
-        "sat_speed": (False, "f"),
-        "terminal_offset": (False, "f"),
-        "path_loss_exp": (False, "f"),
-        "slot_len": (True, "f"),
+        "earth_radius": ("geometry", "earth_radius_m", "f", True),
+        "orbit_height": ("geometry", "orbit_height_m", "f", True),
+        "coverage_radius": ("geometry", "coverage_radius_m", "f", True),
+        "half_track": ("geometry", "half_track_m", "f", False),
+        "sats_per_plane": (None, None, "i", False),
+        "sat_speed": ("geometry", "sat_speed_ms", "f", False),
+        "terminal_offset": ("geometry", "terminal_offset_m", "f", False),
+        "path_loss_exp": ("budget", "path_loss_exp", "f", False),
+        "slot_len": ("slot_len_s", None, "f", True),
     },
     "fading": {
-        "m": (True, "f"),
-        "b0": (True, "f"),
-        "omega": (True, "f"),
-        "f_scatter_max": (True, "f"),
-        "mean_aoa": (False, "f"),
-        "aoa_width": (False, "f"),
+        "m": ("fading", "m", "f", True),
+        "b0": ("fading", "b0", "f", True),
+        "omega": ("fading", "omega", "f", True),
+        "f_scatter_max": ("doppler", "f_scatter_max_hz", "f", True),
+        "mean_aoa": ("doppler", "mean_aoa_rad", "f", False),
+        "aoa_width": ("doppler", "aoa_width", "f", False),
     },
     "partition": {
-        "n_states": (True, "i"),
-        "upper_thresholds": (False, "list"),
+        "n_states": ("n_states", None, "i", True),
+        "upper_thresholds": ("upper_thresholds", None, "list", False),
     },
     "link": {
-        "bandwidth": (True, "f"),
-        "noise_power": (True, "f"),
-    },
-    "rat": {
-        "tx_power": (True, "f"),
-        "min_snr": (True, "f"),
-    },
-    "pat": {
-        "max_power": (True, "f"),
-        "fixed_rate": (True, "f"),
+        "bandwidth": ("budget", "bandwidth_hz", "f", True),
+        "noise_power": ("budget", "noise_power_w", "f", True),
     },
     "traffic": {
-        "packet_bits": (True, "f"),
-        "delay_threshold": (True, "f"),
+        "packet_bits": ("traffic", "packet_bits", "f", True),
+        "delay_threshold": ("traffic", "delay_threshold_s", "f", True),
     },
     "sim": {
-        "n_samples": (True, "i"),
-        "seed": (True, "i"),
+        "n_samples": ("sim", "n_samples", "i", True),
+        "seed": ("sim", "seed", "i", True),
+    },
+    "rat": {
+        "tx_power": ("rat", "tx_power_w", "f", True),
+        "min_snr": ("rat", "min_snr", "f", True),
+    },
+    "pat": {
+        "max_power": ("pat", "max_power_w", "f", True),
+        "fixed_rate": ("pat", "fixed_rate_bps", "f", True),
     },
 }
 
-# dataclass field name -> scenario key, for invariant error reporting
-_FIELD_TO_KEY = {
-    "earth_radius_m": "earth_radius",
-    "orbit_height_m": "orbit_height",
-    "coverage_radius_m": "coverage_radius",
-    "half_track_m": "half_track",
-    "sat_speed_ms": "sat_speed",
-    "terminal_offset_m": "terminal_offset",
-    "path_loss_exp": "path_loss_exp",
-    "m": "m",
-    "b0": "b0",
-    "omega": "omega",
-    "f_scatter_max_hz": "f_scatter_max",
-    "mean_aoa_rad": "mean_aoa",
-    "aoa_width": "aoa_width",
-    "bandwidth_hz": "bandwidth",
-    "noise_power_w": "noise_power",
-    "tx_power_w": "tx_power",
-    "min_snr": "min_snr",
-    "max_power_w": "max_power",
-    "fixed_rate_bps": "fixed_rate",
-    "packet_bits": "packet_bits",
-    "delay_threshold_s": "delay_threshold",
-    "n_samples": "n_samples",
-    "seed": "seed",
+# Scenario field -> class of the object it holds, built in this order
+_CLASSES = {
+    "geometry": PassGeometry,
+    "fading": SrFading,
+    "doppler": DopplerSpec,
+    "budget": LinkBudget,
+    "rat": RatConfig,
+    "pat": PatConfig,
+    "traffic": TrafficSpec,
+    "sim": SimConfig,
 }
 
-# keys that one section's object takes from another section
-_KEY_SECTION = {"path_loss_exp": "geometry"}
+# dataclass field (or parse-time input) -> (section, key), to name the key
+# of a rejected value
+_KEY_OF = {
+    sub or field or key: (section, key)
+    for section, keys in _KEYS.items()
+    for key, (field, sub, _, _) in keys.items()
+}
 
 
 def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -244,20 +247,19 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _convert_sections(raw: dict[str, dict[str, tuple[str, int]]]):
-    """Typed values plus line numbers, checked against the schema."""
+    """Typed values, plus (section, key) -> line number, checked against _KEYS."""
     values: dict[str, dict[str, object]] = {}
-    lines: dict[str, dict[str, int]] = {}
+    lines: dict[tuple[str, str], int] = {}
     for section, entries in raw.items():
-        schema = _SCHEMA.get(section)
-        if schema is None:
+        keys = _KEYS.get(section)
+        if keys is None:
             first_line = min(line for _, line in entries.values()) if entries else 0
             raise UnknownKey(f"line {first_line}: unknown section [{section}]")
         values[section] = {}
-        lines[section] = {}
         for key, (text, lineno) in entries.items():
-            if key not in schema:
+            if key not in keys:
                 raise UnknownKey(f"line {lineno}: unknown key {section}.{key}")
-            kind = schema[key][1]
+            kind = keys[key][2]
             where = f"line {lineno}: {section}.{key}"
             if kind == "f":
                 values[section][key] = _parse_number(text, where)
@@ -270,193 +272,84 @@ def _convert_sections(raw: dict[str, dict[str, tuple[str, int]]]):
                 values[section][key] = tuple(
                     _parse_number(part.strip(), where) for part in text.split(",")
                 )
-            lines[section][key] = lineno
+            lines[section, key] = lineno
     return values, lines
 
 
-def _require(values, lines, section: str, keys_schema) -> None:
-    if section not in values:
-        raise ValidationError(f"missing required section [{section}]")
-    for key, (required, _) in keys_schema.items():
-        if required and key not in values[section]:
-            raise ValidationError(f"missing required key {section}.{key}")
-
-
-def _build(section: str, cls, kwargs: dict, lines) -> object:
+def _build(make, lines: dict, *args, **kwargs):
+    """make(*args, **kwargs), naming the section.key of a rejected field."""
     try:
-        return cls(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        msg = str(exc)
-        field = msg.split(" ", 1)[0]
-        key = _FIELD_TO_KEY.get(field, field)
-        section = _KEY_SECTION.get(key, section)
-        lineno = lines.get(section, {}).get(key)
+        section, key = _KEY_OF[str(exc).split(" ", 1)[0]]
+        lineno = lines.get((section, key))
         at = f" (line {lineno})" if lineno is not None else ""
-        raise ValidationError(f"{section}.{key}{at}: {msg}") from None
+        raise ValidationError(f"{section}.{key}{at}: {exc}") from None
 
 
-def scenario_from_sections(values: dict, lines: dict | None = None) -> Scenario:
-    """Assemble and validate a Scenario from typed section values."""
-    lines = lines or {}
-    for section in ("geometry", "fading", "partition", "link", "traffic", "sim"):
-        _require(values, lines, section, _SCHEMA[section])
-    has_rat = "rat" in values
-    has_pat = "pat" in values
-    if has_rat == has_pat:
-        raise ValidationError("exactly one scheme section ([rat] or [pat]) is required")
-    scheme = "rat" if has_rat else "pat"
-    _require(values, lines, scheme, _SCHEMA[scheme])
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate scenario text; raises ScenarioError subclasses."""
+    values, lines = _convert_sections(_read_sections(text))
+    schemes = [section for section in ("rat", "pat") if section in values]
+    for section, keys in _KEYS.items():
+        if section in ("rat", "pat"):
+            if len(schemes) != 1:
+                raise ValidationError("exactly one scheme section ([rat] or [pat]) is required")
+            if section != schemes[0]:
+                continue
+        elif section not in values:
+            raise ValidationError(f"missing required section [{section}]")
+        for key, (*_, required) in keys.items():
+            if required and key not in values[section]:
+                raise ValidationError(f"missing required key {section}.{key}")
 
     g = values["geometry"]
     if ("half_track" in g) == ("sats_per_plane" in g):
         raise ValidationError(
             "geometry: give exactly one of half_track or sats_per_plane"
         )
-    half_track = g.get("half_track")
-    if half_track is None:
-        half_track = half_track_from_plane(g["earth_radius"], g["sats_per_plane"])
-    sat_speed = g.get("sat_speed")
-    if sat_speed is None:
-        sat_speed = circular_orbit_speed(g["earth_radius"], g["orbit_height"])
-    geometry = _build("geometry", PassGeometry, dict(
-        earth_radius_m=g["earth_radius"],
-        orbit_height_m=g["orbit_height"],
-        coverage_radius_m=g["coverage_radius"],
-        half_track_m=half_track,
-        sat_speed_ms=sat_speed,
-        terminal_offset_m=g.get("terminal_offset", 0.0),
-    ), lines)
-    slot_len = g["slot_len"]
-    if slot_len <= 0:
-        raise ValidationError(f"geometry.slot_len: must be > 0, got {slot_len}")
-
-    f = values["fading"]
-    fading = _build("fading", SrFading, dict(m=f["m"], b0=f["b0"], omega=f["omega"]), lines)
-    doppler = _build("fading", DopplerSpec, dict(
-        f_scatter_max_hz=f["f_scatter_max"],
-        mean_aoa_rad=f.get("mean_aoa", 0.0),
-        aoa_width=f.get("aoa_width", 0.0),
-    ), lines)
-
-    p = values["partition"]
-    n_states = p["n_states"]
-    if n_states < 2:
-        raise ValidationError(f"partition.n_states: must be >= 2, got {n_states}")
-    uppers = p.get("upper_thresholds")
-    if uppers is not None and len(uppers) != n_states - 2:
-        raise ValidationError(
-            f"partition.upper_thresholds: need {n_states - 2} values for "
-            f"n_states={n_states}, got {len(uppers)}"
+    if "sats_per_plane" in g:
+        g["half_track"] = _build(
+            half_track_from_plane, lines, g["earth_radius"], g["sats_per_plane"]
         )
+    if "sat_speed" not in g:
+        g["sat_speed"] = circular_orbit_speed(g["earth_radius"], g["orbit_height"])
 
-    budget = _build("link", LinkBudget, dict(
-        bandwidth_hz=values["link"]["bandwidth"],
-        noise_power_w=values["link"]["noise_power"],
-        path_loss_exp=g.get("path_loss_exp", 2.0),
-    ), lines)
-
-    rat = pat = None
-    if scheme == "rat":
-        rat = _build("rat", RatConfig, dict(
-            tx_power_w=values["rat"]["tx_power"],
-            min_snr=values["rat"]["min_snr"],
-        ), lines)
-    else:
-        pat = _build("pat", PatConfig, dict(
-            max_power_w=values["pat"]["max_power"],
-            fixed_rate_bps=values["pat"]["fixed_rate"],
-        ), lines)
-
-    traffic = _build("traffic", TrafficSpec, dict(
-        packet_bits=values["traffic"]["packet_bits"],
-        delay_threshold_s=values["traffic"]["delay_threshold"],
-    ), lines)
-    sim = _build("sim", SimConfig, dict(
-        n_samples=values["sim"]["n_samples"],
-        seed=values["sim"]["seed"],
-    ), lines)
-
-    return Scenario(
-        geometry=geometry,
-        slot_len_s=slot_len,
-        fading=fading,
-        doppler=doppler,
-        n_states=n_states,
-        upper_thresholds=tuple(uppers) if uppers is not None else None,
-        budget=budget,
-        scheme=scheme,
-        rat=rat,
-        pat=pat,
-        traffic=traffic,
-        sim=sim,
-    )
+    # absent optional keys take the dataclass defaults
+    fields = {"scheme": schemes[0], "upper_thresholds": None, "rat": None, "pat": None}
+    kwargs: dict[str, dict[str, object]] = {}
+    for section, entries in values.items():
+        for key, value in entries.items():
+            field, sub, _, _ = _KEYS[section][key]
+            if sub:
+                kwargs.setdefault(field, {})[sub] = value
+            elif field:
+                fields[field] = value
+    for field, cls in _CLASSES.items():
+        if field in kwargs:
+            fields[field] = _build(cls, lines, **kwargs[field])
+    return _build(Scenario, lines, **fields)
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; raises ScenarioError subclasses."""
-    values, lines = _convert_sections(_read_sections(text))
-    return scenario_from_sections(values, lines)
-
-
-def scenario_to_sections(scn: Scenario) -> dict[str, dict[str, object]]:
-    """Canonical SI-valued section mapping of a Scenario (render/sweep form)."""
-    geo = scn.geometry
-    sections: dict[str, dict[str, object]] = {
-        "geometry": {
-            "earth_radius": geo.earth_radius_m,
-            "orbit_height": geo.orbit_height_m,
-            "coverage_radius": geo.coverage_radius_m,
-            "half_track": geo.half_track_m,
-            "sat_speed": geo.sat_speed_ms,
-            "terminal_offset": geo.terminal_offset_m,
-            "path_loss_exp": scn.budget.path_loss_exp,
-            "slot_len": scn.slot_len_s,
-        },
-        "fading": {
-            "m": scn.fading.m,
-            "b0": scn.fading.b0,
-            "omega": scn.fading.omega,
-            "f_scatter_max": scn.doppler.f_scatter_max_hz,
-            "mean_aoa": scn.doppler.mean_aoa_rad,
-            "aoa_width": scn.doppler.aoa_width,
-        },
-        "partition": {"n_states": scn.n_states},
-        "link": {
-            "bandwidth": scn.budget.bandwidth_hz,
-            "noise_power": scn.budget.noise_power_w,
-        },
-        "traffic": {
-            "packet_bits": scn.traffic.packet_bits,
-            "delay_threshold": scn.traffic.delay_threshold_s,
-        },
-        "sim": {"n_samples": scn.sim.n_samples, "seed": scn.sim.seed},
-    }
-    if scn.upper_thresholds is not None:
-        sections["partition"]["upper_thresholds"] = scn.upper_thresholds
-    if scn.scheme == "rat":
-        sections["rat"] = {
-            "tx_power": scn.rat.tx_power_w,
-            "min_snr": scn.rat.min_snr,
-        }
-    else:
-        sections["pat"] = {
-            "max_power": scn.pat.max_power_w,
-            "fixed_rate": scn.pat.fixed_rate_bps,
-        }
-    return sections
+def _value(scn: Scenario, field: str | None, sub: str | None):
+    """What scn holds under one key of _KEYS, or None if it holds nothing."""
+    obj = getattr(scn, field) if field else None
+    return getattr(obj, sub) if sub and obj is not None else obj
 
 
 def render_scenario(scn: Scenario) -> str:
     """Canonical text form; parse_scenario(render_scenario(s)) == s."""
     out = []
-    for section, entries in scenario_to_sections(scn).items():
-        out.append(f"[{section}]")
-        for key, value in entries.items():
+    for section, keys in _KEYS.items():
+        entries = []
+        for key, (field, sub, _, _) in keys.items():
+            value = _value(scn, field, sub)
             if isinstance(value, tuple):
-                out.append(f"{key} = {', '.join(repr(v) for v in value)}")
-            else:
-                out.append(f"{key} = {value!r}")
-        out.append("")
+                entries.append(f"{key} = {', '.join(repr(v) for v in value)}")
+            elif value is not None:
+                entries.append(f"{key} = {value!r}")
+        if entries:
+            out += [f"[{section}]", *entries, ""]
     return "\n".join(out)
 
 
@@ -496,14 +389,18 @@ def apply_sweep_value(scn: Scenario, path: str, value: float) -> Scenario:
     if "." not in path:
         raise UnknownKey(f"sweep path must be section.key, got {path!r}")
     section, key = path.split(".", 1)
-    sections = scenario_to_sections(scn)
-    if section not in sections or key not in sections[section]:
+    entry = _KEYS.get(section, {}).get(key)
+    if entry is None or _value(scn, *entry[:2]) is None:
         raise UnknownKey(f"sweep path {path!r} does not name a scenario parameter")
-    if not isinstance(sections[section][key], (int, float)):
+    field, sub, kind, _ = entry
+    if kind == "list":
         raise ValidationError(f"sweep path {path!r} is not numeric")
-    if isinstance(sections[section][key], int):
+    if not math.isfinite(value):
+        raise ValidationError(f"sweep {path}: must be a finite number, got {value!r}")
+    if kind == "i":
         if value != int(value):
             raise ValidationError(f"sweep {path}: expected an integer, got {value!r}")
         value = int(value)
-    sections[section][key] = value
-    return scenario_from_sections(sections)
+    if sub:
+        value = _build(replace, {}, getattr(scn, field), **{sub: value})
+    return _build(replace, {}, scn, **{field: value})

@@ -50,6 +50,49 @@ n_samples = 1000
 seed = 7
 """
 
+PAT_MINIMAL = MINIMAL.replace("[rat]\ntx_power = 30 dBW\nmin_snr = 0 dB",
+                              "[pat]\nmax_power = 30 dBW\nfixed_rate = 60 Mbit/s")
+
+UPPERS = MINIMAL.replace("n_states = 4", "n_states = 4\nupper_thresholds = 0.8, 1.2")
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e9)
+
+# valid values for every numeric key a sweep can move; the scheme keys
+# apply to the scenario of their own scheme
+SWEEPABLE = {
+    "geometry.earth_radius": st.floats(min_value=1e6, max_value=1e8),
+    "geometry.orbit_height": st.floats(min_value=200e3, max_value=2000e3),
+    "geometry.coverage_radius": _POSITIVE,
+    "geometry.half_track": _POSITIVE,
+    "geometry.sat_speed": _POSITIVE,
+    "geometry.terminal_offset": st.floats(min_value=0.0, max_value=1e6),
+    "geometry.path_loss_exp": st.floats(min_value=2.0, max_value=6.0),
+    "geometry.slot_len": _POSITIVE,
+    "fading.m": st.floats(min_value=0.5, max_value=20.0),
+    "fading.b0": st.floats(min_value=1e-3, max_value=5.0),
+    "fading.omega": st.floats(min_value=0.0, max_value=10.0),
+    "fading.f_scatter_max": _POSITIVE,
+    "fading.mean_aoa": st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True),
+    "fading.aoa_width": st.floats(min_value=0.0, max_value=1e3),
+    "partition.n_states": st.integers(min_value=2, max_value=64),
+    "link.bandwidth": _POSITIVE,
+    "link.noise_power": st.floats(min_value=1e-20, max_value=1.0),
+    "traffic.packet_bits": _POSITIVE,
+    "traffic.delay_threshold": st.floats(min_value=0.0, max_value=10.0),
+    "sim.n_samples": st.integers(min_value=1, max_value=10**9),
+    "sim.seed": st.integers(min_value=0, max_value=2**32),
+}
+SCHEME_SWEEPABLE = {
+    "rat": {
+        "rat.tx_power": st.floats(min_value=1e-2, max_value=1e5),
+        "rat.min_snr": _POSITIVE,
+    },
+    "pat": {
+        "pat.max_power": st.floats(min_value=1e-2, max_value=1e5),
+        "pat.fixed_rate": _POSITIVE,
+    },
+}
+
 
 class TestReferenceFixtures:
     def test_rat_fixture_values(self, rat_scenario_text):
@@ -104,9 +147,7 @@ class TestUnits:
         assert scn.doppler.mean_aoa_rad == pytest.approx(math.pi / 4.0, rel=1e-12)
 
     def test_rate_suffix(self):
-        text = MINIMAL.replace("[rat]\ntx_power = 30 dBW\nmin_snr = 0 dB",
-                               "[pat]\nmax_power = 30 dBW\nfixed_rate = 60 Mbit/s")
-        scn = parse_scenario(text)
+        scn = parse_scenario(PAT_MINIMAL)
         assert scn.pat.fixed_rate_bps == 60e6
 
     def test_unknown_unit(self):
@@ -184,6 +225,9 @@ class TestValidation:
         assert scn.geometry.half_track_m == pytest.approx(
             math.pi * 6371e3 / 40.0, rel=1e-12
         )
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text.replace("sats_per_plane = 40", "sats_per_plane = 0"))
+        assert "geometry.sats_per_plane (line 6): " in str(err.value)
 
     def test_default_sat_speed_is_circular_orbit(self):
         text = MINIMAL.replace("sat_speed = 7600\n", "")
@@ -266,26 +310,68 @@ class TestSweep:
         states = [apply_sweep_value(scn, sweep.path, v).n_states for v in sweep.values]
         assert states == [2, 3, 4, 5, 6, 7, 8]
 
+    @pytest.mark.parametrize("path,value", [
+        ("fading.m", math.nan),
+        ("rat.tx_power", math.nan),
+        ("geometry.orbit_height", math.inf),
+        ("sim.seed", math.nan),
+        ("partition.n_states", -math.inf),
+    ])
+    def test_apply_rejects_non_finite_value(self, path, value):
+        scn = parse_scenario(MINIMAL)
+        with pytest.raises(ValidationError) as err:
+            apply_sweep_value(scn, path, value)
+        assert f"sweep {path}: must be a finite number" in str(err.value)
+
+    @pytest.mark.parametrize("text,path", [
+        (MINIMAL.replace("half_track = 500 km", "sats_per_plane = 40"),
+         "geometry.sats_per_plane"),
+        (MINIMAL, "pat.max_power"),
+        (PAT_MINIMAL, "rat.tx_power"),
+        (MINIMAL, "partition.upper_thresholds"),
+    ])
+    def test_apply_rejects_keys_the_scenario_does_not_hold(self, text, path):
+        with pytest.raises(UnknownKey):
+            apply_sweep_value(parse_scenario(text), path, 1.0)
+
+    def test_apply_rejects_list_key(self):
+        scn = parse_scenario(UPPERS)
+        with pytest.raises(ValidationError) as err:
+            apply_sweep_value(scn, "partition.upper_thresholds", 1.0)
+        assert "partition.upper_thresholds" in str(err.value)
+        assert "not numeric" in str(err.value)
+
+    @pytest.mark.parametrize("text,path,value,named", [
+        (MINIMAL, "geometry.slot_len", 0.0, ["geometry.slot_len"]),
+        (MINIMAL, "partition.n_states", 1.0, ["partition.n_states"]),
+        (UPPERS, "partition.n_states", 5.0, ["partition.upper_thresholds", "n_states=5"]),
+    ])
+    def test_apply_checks_scenario_invariants(self, text, path, value, named):
+        with pytest.raises(ValidationError) as err:
+            apply_sweep_value(parse_scenario(text), path, value)
+        assert all(part in str(err.value) for part in named)
+
+    def test_path_loss_exp_sweep_moves_the_link_budget(self):
+        scn = parse_scenario(MINIMAL)
+        out = apply_sweep_value(scn, "geometry.path_loss_exp", 2.5)
+        assert out.budget.path_loss_exp == 2.5
+        assert scn.budget.path_loss_exp == 2.0
+        assert out.geometry == scn.geometry
+
 
 class TestRoundTripProperty:
-    @given(
-        m=st.floats(min_value=0.5, max_value=20.0),
-        b0=st.floats(min_value=1e-3, max_value=5.0),
-        omega=st.floats(min_value=0.0, max_value=10.0),
-        height=st.floats(min_value=200e3, max_value=2000e3),
-        power=st.floats(min_value=1e-2, max_value=1e5),
-        t_th=st.floats(min_value=0.0, max_value=10.0),
-    )
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_scenarios_round_trip(self, m, b0, omega, height, power, t_th):
-        scn = parse_scenario(MINIMAL)
-        for path, value in [
-            ("fading.m", m),
-            ("fading.b0", b0),
-            ("fading.omega", omega),
-            ("geometry.orbit_height", height),
-            ("rat.tx_power", power),
-            ("traffic.delay_threshold", t_th),
-        ]:
-            scn = apply_sweep_value(scn, path, value)
-        assert parse_scenario(render_scenario(scn)) == scn
+    def test_random_scenarios_round_trip(self, data):
+        # every numeric key moved at once: each lands under its own key,
+        # and the rendered text parses back to the same scenario
+        for scheme, text in (("rat", MINIMAL), ("pat", PAT_MINIMAL)):
+            scn = parse_scenario(text)
+            drawn = {path: data.draw(strategy, label=path)
+                     for path, strategy in {**SWEEPABLE, **SCHEME_SWEEPABLE[scheme]}.items()}
+            for path, value in drawn.items():
+                scn = apply_sweep_value(scn, path, value)
+            rendered = render_scenario(scn)
+            for path, value in drawn.items():
+                assert f"\n{path.split('.')[1]} = {value!r}\n" in rendered
+            assert parse_scenario(rendered) == scn
