@@ -187,4 +187,8 @@ def half_track_from_plane(earth_radius_m: float, sats_per_plane: int) -> float:
 
 def circular_orbit_speed(earth_radius_m: float, orbit_height_m: float) -> float:
     """Orbital speed of a circular orbit at the given altitude."""
+    if earth_radius_m <= 0:
+        raise ValueError(f"earth_radius_m must be > 0, got {earth_radius_m}")
+    if orbit_height_m <= 0:
+        raise ValueError(f"orbit_height_m must be > 0, got {orbit_height_m}")
     return math.sqrt(MU_EARTH / (earth_radius_m + orbit_height_m))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GainPartition, SrFading, sr_cdf
-from .geometry import PassGeometry, PassTimeline, sub_point_speed
+from .geometry import PassGeometry, PassTimeline, distance_at
 from .schemes import LinkBudget, PatConfig, RatConfig, TrafficSpec
 
 __all__ = [
@@ -106,15 +106,6 @@ def sample_sr_gain(fading: SrFading, rng: np.random.Generator, size: int | None 
     return float(g[0]) if size is None else g
 
 
-def _slant_range(geo: PassGeometry, t: np.ndarray) -> np.ndarray:
-    # Vectorized slant range over elapsed pass times.
-    v = sub_point_speed(geo)
-    along = geo.half_track_m - v * t
-    return np.sqrt(along * along
-                   + geo.terminal_offset_m**2
-                   + geo.orbit_height_m**2)
-
-
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     mean = total / n
     if n < 2:
@@ -151,7 +142,10 @@ def _block(
     t = tl.span_s * u
     transmitting = state >= 2
     if is_rat:
-        snr = scheme.tx_power_w / budget.noise_power_w * g / _slant_range(geo, t) ** rho
+        # span_s can pass the service time by rounding when the pass is a
+        # whole number of slots
+        dist = distance_at(geo, np.minimum(t, tl.service_time_s))
+        snr = scheme.tx_power_w / budget.noise_power_w * g / dist**rho
         rate = np.where(transmitting, budget.bandwidth_hz * np.log2(1.0 + snr), 0.0)
         power = np.where(transmitting, scheme.tx_power_w, 0.0)
     else:

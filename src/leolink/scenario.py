@@ -264,16 +264,28 @@ def _convert_sections(raw: dict[str, dict[str, tuple[str, int]]]):
             if kind == "f":
                 values[section][key] = _parse_number(text, where)
             elif kind == "i":
-                num = _parse_number(text, where)
-                if num != int(num):
-                    raise ValidationError(f"{where}: expected an integer, got {text!r}")
-                values[section][key] = int(num)
+                try:
+                    values[section][key] = int(text)
+                except ValueError:  # a unit, an exponent or a fraction
+                    values[section][key] = _exact_int(_parse_number(text, where), where, text)
             else:
                 values[section][key] = tuple(
                     _parse_number(part.strip(), where) for part in text.split(",")
                 )
             lines[section, key] = lineno
     return values, lines
+
+
+def _exact_int(value: float, where: str, shown: str) -> int:
+    """An integer key's value that was read through a float. From 2^53 on,
+    a float can stand for more than one integer, so it is refused."""
+    if value != int(value):
+        raise ValidationError(f"{where}: expected an integer, got {shown!r}")
+    if abs(value) >= 2.0**53:
+        raise ValidationError(
+            f"{where}: {shown!r} reaches 2^53, where a float no longer holds every integer"
+        )
+    return int(value)
 
 
 def _build(make, lines: dict, *args, **kwargs):
@@ -313,7 +325,9 @@ def parse_scenario(text: str) -> Scenario:
             half_track_from_plane, lines, g["earth_radius"], g["sats_per_plane"]
         )
     if "sat_speed" not in g:
-        g["sat_speed"] = circular_orbit_speed(g["earth_radius"], g["orbit_height"])
+        g["sat_speed"] = _build(
+            circular_orbit_speed, lines, g["earth_radius"], g["orbit_height"]
+        )
 
     # absent optional keys take the dataclass defaults
     fields = {"scheme": schemes[0], "upper_thresholds": None, "rat": None, "pat": None}
@@ -398,9 +412,7 @@ def apply_sweep_value(scn: Scenario, path: str, value: float) -> Scenario:
     if not math.isfinite(value):
         raise ValidationError(f"sweep {path}: must be a finite number, got {value!r}")
     if kind == "i":
-        if value != int(value):
-            raise ValidationError(f"sweep {path}: expected an integer, got {value!r}")
-        value = int(value)
+        value = _exact_int(value, f"sweep {path}", value)
     if sub:
         value = _build(replace, {}, getattr(scn, field), **{sub: value})
     return _build(replace, {}, scn, **{field: value})

@@ -25,9 +25,6 @@ __all__ = [
     "ZeroPower",
     "DimensionMismatch",
     "rat_first_threshold",
-    "rat_throughput_bounds",
-    "rat_avg_power",
-    "rat_dor",
     "rat_dor_integral",
     "rat_report",
     "pat_first_threshold",
@@ -157,88 +154,17 @@ def _rat_rate_grids(
     budget: LinkBudget, rat: RatConfig, part: GainPartition, tl: PassTimeline
 ) -> tuple[np.ndarray, np.ndarray]:
     # (K, N) lower/upper data-rate grids, state-1 rows zero.
-    k_states = part.n_states
     rho = budget.path_loss_exp
     scale = rat.tx_power_w / budget.noise_power_w
     gains_lo = part.thresholds**2
     gains_hi = np.append(part.thresholds[2:] ** 2, part.top_mean_gain)
     d_max = np.asarray(tl.slot_dist_max, dtype=float) ** rho
     d_min = np.asarray(tl.slot_dist_min, dtype=float) ** rho
-    rate_lo = np.zeros((k_states, tl.n_slots))
-    rate_hi = np.zeros((k_states, tl.n_slots))
-    for k in range(2, k_states + 1):
-        rate_lo[k - 1] = budget.bandwidth_hz * np.log2(
-            1.0 + scale * gains_lo[k - 1] / d_max
-        )
-        rate_hi[k - 1] = budget.bandwidth_hz * np.log2(
-            1.0 + scale * gains_hi[k - 2] / d_min
-        )
+    rate_lo = np.zeros((part.n_states, tl.n_slots))
+    rate_hi = np.zeros((part.n_states, tl.n_slots))
+    rate_lo[1:] = budget.bandwidth_hz * np.log2(1.0 + scale * gains_lo[1:, None] / d_max)
+    rate_hi[1:] = budget.bandwidth_hz * np.log2(1.0 + scale * gains_hi[:, None] / d_min)
     return rate_lo, rate_hi
-
-
-def rat_throughput_bounds(
-    budget: LinkBudget,
-    rat: RatConfig,
-    part: GainPartition,
-    tl: PassTimeline,
-    probs: StateProbMatrix,
-) -> tuple[float, float]:
-    """Slot-averaged throughput bracket sum_n sum_k pi R / N."""
-    _check_grid(part, tl, probs)
-    return _rat_throughput(_rat_rate_grids(budget, rat, part, tl), probs)
-
-
-def _rat_throughput(grids: tuple[np.ndarray, np.ndarray],
-                    probs: StateProbMatrix) -> tuple[float, float]:
-    rate_lo, rate_hi = grids
-    n = probs.n_slots
-    lo = float(np.sum(probs.probs * rate_lo)) / n
-    hi = float(np.sum(probs.probs * rate_hi)) / n
-    return lo, hi
-
-
-def rat_avg_power(rat: RatConfig, probs: StateProbMatrix) -> float:
-    """Mean transmit power: P_T whenever the channel leaves the bottom state."""
-    return rat.tx_power_w * float(np.mean(1.0 - probs.probs[0]))
-
-
-def rat_dor(
-    budget: LinkBudget,
-    rat: RatConfig,
-    part: GainPartition,
-    tl: PassTimeline,
-    probs: StateProbMatrix,
-    traffic: TrafficSpec,
-    lam_s: float,
-) -> float:
-    """Closed-form average delay outage rate of the rate-adaptive scheme.
-
-    lam_s is the mean waiting time in the bottom state (the average fade
-    duration at the first threshold).
-    """
-    _check_grid(part, tl, probs)
-    return _rat_dor(_rat_rate_grids(budget, rat, part, tl)[0], probs, traffic, lam_s)
-
-
-def _rat_dor(rate_lo: np.ndarray, probs: StateProbMatrix, traffic: TrafficSpec,
-             lam_s: float) -> float:
-    if lam_s <= 0:
-        raise ValueError(f"lam_s must be > 0, got {lam_s}")
-    n = probs.n_slots
-    t_th = traffic.delay_threshold_s
-    d_bits = traffic.packet_bits
-    with np.errstate(divide="ignore"):
-        drain = np.where(rate_lo[1:] > 0.0, d_bits / rate_lo[1:], np.inf)
-    served = probs.probs[1:] * _step(t_th - drain)
-    term_states = float(np.sum(served)) / n
-
-    # After a wait the packet drains at the state-2 lower-edge rate.
-    margin = t_th - drain[0]
-    decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / lam_s)
-    waited = probs.probs[0] * decay * _step(margin)
-    term_wait = float(np.sum(waited)) / n
-
-    return min(max(1.0 - term_states - term_wait, 0.0), 1.0)
 
 
 def rat_dor_integral(
@@ -249,14 +175,13 @@ def rat_dor_integral(
     probs: StateProbMatrix,
     traffic: TrafficSpec,
     lam_s: float,
-    n_time: int = 1001,
 ) -> float:
     """Delay outage rate from its definition, by numerical time integration.
 
     At each arrival instant the delivery-time CDF is assembled from the
     per-state outcomes with the completion slot uniform over 1..N, and the
     resulting outage probability is averaged over the pass with the
-    trapezoid rule. Cross-checks the closed form in rat_dor.
+    trapezoid rule. Cross-checks the closed form in rat_report.
     """
     if lam_s <= 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
@@ -283,7 +208,7 @@ def rat_dor_integral(
         [1.0 - delivery_cdf_at_threshold(m) for m in range(tl.n_slots)]
     )
 
-    times = np.linspace(0.0, tl.span_s, n_time)
+    times = np.linspace(0.0, tl.span_s, 1001)
     dor_t = np.full_like(times, float(np.mean(per_slot)))
     integral = np.trapezoid(dor_t, times) / tl.span_s
     return min(max(float(integral), 0.0), 1.0)
@@ -298,14 +223,34 @@ def rat_report(
     traffic: TrafficSpec,
     lam_s: float,
 ) -> SchemeReport:
-    """All rate-adaptive metrics in one report, from one rate grid."""
+    """All rate-adaptive metrics in one report, from one rate grid.
+
+    Throughput is the slot average of sum_k pi R over each bound of the
+    grid; power is P_T whenever the channel leaves the bottom state. lam_s
+    is the mean waiting time in the bottom state (the average fade
+    duration at the first threshold).
+    """
     _check_grid(part, tl, probs)
-    grids = _rat_rate_grids(budget, rat, part, tl)
-    thr_lo, thr_hi = _rat_throughput(grids, probs)
-    power = rat_avg_power(rat, probs)
+    rate_lo, rate_hi = _rat_rate_grids(budget, rat, part, tl)
+    n = tl.n_slots
+    thr_lo = float(np.sum(probs.probs * rate_lo)) / n
+    thr_hi = float(np.sum(probs.probs * rate_hi)) / n
+    power = rat.tx_power_w * float(np.mean(1.0 - probs.probs[0]))
     if power <= 0.0:
         raise ZeroPower("all probability mass sits in the no-transmission state")
-    dor = _rat_dor(grids[0], probs, traffic, lam_s)
+    if lam_s <= 0:
+        raise ValueError(f"lam_s must be > 0, got {lam_s}")
+
+    t_th = traffic.delay_threshold_s
+    with np.errstate(divide="ignore"):
+        drain = np.where(rate_lo[1:] > 0.0, traffic.packet_bits / rate_lo[1:], np.inf)
+    term_states = float(np.sum(probs.probs[1:] * _step(t_th - drain))) / n
+    # After a wait the packet drains at the state-2 lower-edge rate.
+    margin = t_th - drain[0]
+    decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / lam_s)
+    term_wait = float(np.sum(probs.probs[0] * decay * _step(margin))) / n
+    dor = min(max(1.0 - term_states - term_wait, 0.0), 1.0)
+
     return SchemeReport(
         throughput_lo_bps=thr_lo,
         throughput_hi_bps=thr_hi,
@@ -333,37 +278,18 @@ def pat_first_threshold(budget: LinkBudget, pat: PatConfig, d_max_m: float) -> f
 def _pat_power_grids(
     budget: LinkBudget, pat: PatConfig, part: GainPartition, tl: PassTimeline
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (K, N) lower/upper transmit-power grids, capped at max_power_w.
-    k_states = part.n_states
+    # (K, N) lower/upper transmit-power grids, capped at max_power_w. The
+    # top state's gain is open-ended, so its power can be arbitrarily small.
     rho = budget.path_loss_exp
     snr_needed = 2.0 ** (pat.fixed_rate_bps / budget.bandwidth_hz) - 1.0
     d = np.asarray(tl.slot_dist_max, dtype=float) ** rho
     base = budget.noise_power_w * snr_needed * d
-    power_lo = np.zeros((k_states, tl.n_slots))
-    power_hi = np.zeros((k_states, tl.n_slots))
-    for k in range(2, k_states + 1):
-        gain_lo = float(part.thresholds[k - 1]) ** 2
-        power_hi[k - 1] = np.minimum(base / gain_lo, pat.max_power_w)
-        if k == k_states:
-            power_lo[k - 1] = 0.0  # open-ended gain: power can be arbitrarily small
-        else:
-            gain_hi = float(part.thresholds[k]) ** 2
-            power_lo[k - 1] = np.minimum(base / gain_hi, pat.max_power_w)
+    gains = part.thresholds**2
+    power_lo = np.zeros((part.n_states, tl.n_slots))
+    power_hi = np.zeros((part.n_states, tl.n_slots))
+    power_hi[1:] = np.minimum(base / gains[1:, None], pat.max_power_w)
+    power_lo[1:-1] = np.minimum(base / gains[2:, None], pat.max_power_w)
     return power_lo, power_hi
-
-
-def pat_dor_value(
-    probs: StateProbMatrix, pat: PatConfig, traffic: TrafficSpec, lam_s: float
-) -> float:
-    """Piecewise closed form of the power-adaptive delay outage rate."""
-    if lam_s <= 0:
-        raise ValueError(f"lam_s must be > 0, got {lam_s}")
-    service_time = traffic.packet_bits / pat.fixed_rate_bps
-    if traffic.delay_threshold_s < service_time:
-        return 1.0
-    margin = traffic.delay_threshold_s - service_time
-    dor = float(np.mean(probs.probs[0])) * math.exp(-margin / lam_s)
-    return min(max(dor, 0.0), 1.0)
 
 
 def pat_report(
@@ -378,7 +304,9 @@ def pat_report(
     """All power-adaptive metrics in one report.
 
     The partition's first threshold must be the pat_first_threshold value
-    for the same scenario; the power cap then binds only in state 1.
+    for the same scenario; the power cap then binds only in state 1. The
+    delay outage rate is 1 below the service time D / R_fix and
+    pi_1 exp(-margin / lam_s) above it.
     """
     _check_grid(part, tl, probs)
     power_lo, power_hi = _pat_power_grids(budget, pat, part, tl)
@@ -390,7 +318,15 @@ def pat_report(
         raise ZeroPower("all probability mass sits in the no-transmission state")
     ee_lo = throughput / p_hi
     ee_hi = throughput / p_lo if p_lo > 0.0 else math.inf
-    dor = pat_dor_value(probs, pat, traffic, lam_s)
+    if lam_s <= 0:
+        raise ValueError(f"lam_s must be > 0, got {lam_s}")
+    service_time = traffic.packet_bits / pat.fixed_rate_bps
+    if traffic.delay_threshold_s < service_time:
+        dor = 1.0
+    else:
+        margin = traffic.delay_threshold_s - service_time
+        dor = float(np.mean(probs.probs[0])) * math.exp(-margin / lam_s)
+        dor = min(max(dor, 0.0), 1.0)
     return SchemeReport(
         throughput_lo_bps=throughput,
         throughput_hi_bps=throughput,
@@ -409,13 +345,12 @@ def pat_dor_integral(
     tl: PassTimeline,
     traffic: TrafficSpec,
     lam_s: float,
-    n_time: int = 1001,
 ) -> float:
     """Power-adaptive delay outage rate from its definition.
 
     Assembles the delivery-time CDF (exponential wait in state 1 plus the
     fixed service time elsewhere) and averages the outage probability over
-    arrival times with the trapezoid rule. Cross-checks pat_dor_value.
+    arrival times with the trapezoid rule. Cross-checks pat_report.
     """
     if lam_s <= 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
@@ -431,6 +366,6 @@ def pat_dor_integral(
         return float(np.mean(per_slot))
 
     dor_now = 1.0 - delivery_cdf_at_threshold()
-    times = np.linspace(0.0, tl.span_s, n_time)
+    times = np.linspace(0.0, tl.span_s, 1001)
     integral = np.trapezoid(np.full_like(times, dor_now), times) / tl.span_s
     return min(max(float(integral), 0.0), 1.0)

@@ -39,13 +39,11 @@ from leolink.schemes import (
     PatConfig,
     RatConfig,
     TrafficSpec,
-    pat_dor_value,
     pat_first_threshold,
-    rat_dor,
+    pat_report,
     rat_dor_integral,
     rat_first_threshold,
     rat_report,
-    rat_throughput_bounds,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -184,7 +182,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
         geo, tl, budget, rat, part, probs, lam = rat_stack(500e3, dbw(p_dbw))
         for t_th in (0.2e-3, 0.5e-3, 1.0e-3):
             traffic = TrafficSpec(packet_bits=TRAFFIC_BITS, delay_threshold_s=t_th)
-            closed = rat_dor(budget, rat, part, tl, probs, traffic, lam)
+            closed = rat_report(budget, rat, part, tl, probs, traffic, lam).dor
             integral = rat_dor_integral(budget, rat, part, tl, probs, traffic, lam)
             gap = abs(closed - integral)
             worst_gap = max(worst_gap, gap)
@@ -205,14 +203,17 @@ def test_acceptance_5_pat_outage_piecewise_law():
     geo, tl, budget, pat, part, probs, lam = pat_stack(dbw(30.0))
     knee = TRAFFIC_BITS / pat.fixed_rate_bps
 
-    below = pat_dor_value(probs, pat, TrafficSpec(TRAFFIC_BITS, 0.9 * knee), lam)
+    def pat_report_dor(traffic):
+        return pat_report(budget, pat, part, tl, probs, traffic, lam).dor
+
+    below = pat_report_dor(TrafficSpec(TRAFFIC_BITS, 0.9 * knee))
     assert below == 1.0
 
-    at_knee = pat_dor_value(probs, pat, TrafficSpec(TRAFFIC_BITS, knee), lam)
+    at_knee = pat_report_dor(TrafficSpec(TRAFFIC_BITS, knee))
     assert at_knee == pytest.approx(float(np.mean(probs.probs[0])), rel=1e-12)
 
     traffic = TrafficSpec(TRAFFIC_BITS, 1.2 * knee)
-    closed = pat_dor_value(probs, pat, traffic, lam)
+    closed = pat_report_dor(traffic)
     cfg = SimConfig(n_samples=100_000, seed=51_000)
     sim = simulate(geo, tl, FADING, part, budget, pat, traffic, lam, cfg)
     assert abs(sim.dor - closed) <= 3.0 * sim.dor_se + 1e-9
@@ -230,8 +231,9 @@ def test_acceptance_6_monotonicity_suite():
     heights = [500e3, 600e3, 700e3, 800e3, 900e3, 1000e3, 1100e3]
     thr = []
     for h in heights:
-        _, tl, budget, rat, part, probs, _ = rat_stack(h, dbw(36.0))
-        thr.append(rat_throughput_bounds(budget, rat, part, tl, probs))
+        _, tl, budget, rat, part, probs, lam = rat_stack(h, dbw(36.0))
+        rep = rat_report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, 1e-3), lam)
+        thr.append((rep.throughput_lo_bps, rep.throughput_hi_bps))
     assert all(b[0] <= a[0] + 1e-9 and b[1] <= a[1] + 1e-9
                for a, b in zip(thr, thr[1:]))
 
@@ -240,15 +242,16 @@ def test_acceptance_6_monotonicity_suite():
     traffic = TrafficSpec(TRAFFIC_BITS, 1e-3)
     for p in powers:
         _, tl, budget, rat, part, probs, lam = rat_stack(500e3, p)
-        thr_p.append(rat_throughput_bounds(budget, rat, part, tl, probs))
-        dor_p.append(rat_dor(budget, rat, part, tl, probs, traffic, lam))
+        rep = rat_report(budget, rat, part, tl, probs, traffic, lam)
+        thr_p.append((rep.throughput_lo_bps, rep.throughput_hi_bps))
+        dor_p.append(rep.dor)
     assert all(a[0] <= b[0] + 1e-9 and a[1] <= b[1] + 1e-9
                for a, b in zip(thr_p, thr_p[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(dor_p, dor_p[1:]))
 
     _, tl, budget, rat, part, probs, lam = rat_stack(500e3, dbw(40.0))
     dor_t = [
-        rat_dor(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, t), lam)
+        rat_report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, t), lam).dor
         for t in (0.0, 0.5e-3, 1e-3, 3e-3, 6e-3, 9e-3, 15e-3)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(dor_t, dor_t[1:]))
@@ -257,7 +260,7 @@ def test_acceptance_6_monotonicity_suite():
     dor_cap = []
     for p in powers:
         _, tl, budget, pat, part, probs, lam = pat_stack(p)
-        dor_cap.append(pat_dor_value(probs, pat, knee_traffic, lam))
+        dor_cap.append(pat_report(budget, pat, part, tl, probs, knee_traffic, lam).dor)
     assert all(b <= a + 1e-12 for a, b in zip(dor_cap, dor_cap[1:]))
 
     elapsed = time.monotonic() - start

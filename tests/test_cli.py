@@ -8,12 +8,13 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leolink import channel, pipeline
+from leolink import channel, montecarlo, pipeline
 from leolink.cli import main
 from leolink.geometry import distance_range
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
@@ -394,6 +395,24 @@ class TestValidate:
         ]:
             assert f"PASS {name}" in out
 
+    def test_determinism_fails_with_unseeded_blocks(self, monkeypatch):
+        # the repeat is two runs of a two-block pass; with generators that
+        # ignore the seed, they differ
+        scn = parse_scenario(Path(RAT_SCN).read_text())
+        scn = replace(scn, sim=replace(scn.sim, n_samples=20_000))
+        seeded = montecarlo._block_rngs
+        passes = []
+
+        def unseeded(seed, n_samples):
+            passes.append(n_samples)
+            return [(np.random.default_rng(), count) for _, count in seeded(seed, n_samples)]
+
+        monkeypatch.setattr(montecarlo, "_block_rngs", unseeded)
+        checks = {c.name: c for c in pipeline.run_validate(scn)}
+        assert not checks["determinism"].passed
+        assert checks["determinism"].detail == "bit-identical repeat run"
+        assert passes == [20_000, 2 * montecarlo._BLOCK, 2 * montecarlo._BLOCK]
+
     def test_integer_severity_scenario_passes(self, tmp_path, capsys):
         # an integer severity end to end, with the outage strictly inside (0, 1)
         path = tmp_path / "integer_m.scn"
@@ -404,6 +423,23 @@ class TestValidate:
 
 
 class TestErrorPaths:
+    def test_default_speed_of_bad_height_exits_2(self, tmp_path, capsys):
+        bad = reduced_scenario(tmp_path, "reference_rat.scn", **{
+            "sat_speed = 7600             # m/s\n": "",
+            "orbit_height = 500 km": "orbit_height = -7000 km",
+        })
+        assert main(["analyze", "--scenario", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_VALIDATION: geometry.orbit_height (line 6): ")
+
+    def test_integer_sweep_beyond_2_53_exits_2(self, capsys):
+        # 2^53 + 1 parses to the float 2^53, which cannot tell it from 2^53
+        assert main(["sweep", "--scenario", RAT_SCN, "--with-sim",
+                     "--sweep", "sim.seed=9007199254740993"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("E_VALIDATION: sweep sim.seed: ")
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "--scenario", "/nonexistent.scn"]) == 2
         assert "E_IO" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from leolink.channel import (
     state_prob_matrix,
     state_probs,
 )
-from leolink.geometry import PassGeometry, build_timeline, distance_range
+from leolink.geometry import PassGeometry, build_timeline, distance_range, service_duration
 from leolink.montecarlo import (
     _KS_STRIDE,
     KS_CRIT_ALPHA01,
@@ -34,10 +34,8 @@ from leolink.schemes import (
     RatConfig,
     TrafficSpec,
     pat_first_threshold,
-    rat_avg_power,
-    rat_dor,
     rat_first_threshold,
-    rat_throughput_bounds,
+    rat_report,
 )
 
 from fading_sets import ABDI_SETS, LOS_SETS
@@ -199,14 +197,38 @@ class TestSimulateRatePower:
         rat, part, probs, lam = rat_setup
         cfg = SimConfig(n_samples=100_000, seed=42)
         res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
-        lo, hi = rat_throughput_bounds(BUDGET, rat, part, timeline, probs)
-        assert lo - 3.0 * res.rate_se_bps <= res.mean_rate_bps <= hi + 3.0 * res.rate_se_bps
+        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        slack = 3.0 * res.rate_se_bps
+        assert rep.throughput_lo_bps - slack <= res.mean_rate_bps <= rep.throughput_hi_bps + slack
 
     def test_rat_power_matches_closed_form(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
         cfg = SimConfig(n_samples=100_000, seed=43)
         res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
-        assert abs(res.mean_power_w - rat_avg_power(rat, probs)) <= 3.0 * res.power_se_w
+        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        assert abs(res.mean_power_w - rep.avg_power_lo_w) <= 3.0 * res.power_se_w
+
+    def test_rate_at_the_end_of_a_whole_slot_pass(self, rat_setup):
+        # a pass that is a whole number of slots up to rounding has span_s
+        # just past the service time; an instant drawn at its very end still
+        # gets a range
+        rat, part, _, lam = rat_setup
+        tl = build_timeline(GEO, service_duration(GEO) / 141 * (1.0 + 1e-12))
+        assert tl.n_slots == 141 and tl.span_s > tl.service_time_s
+
+        class EndOfPass:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, count):
+                return np.full(count, np.nextafter(1.0, 0.0))
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        sums = _block(GEO, tl, FADING, part, BUDGET, rat, TRAFFIC, lam,
+                      EndOfPass(rng_for(3)), 1_000)
+        assert all(math.isfinite(x) for x in sums) and sums[0] > 0.0
 
     def test_pat_degenerate_rate_exact(self, timeline):
         # all mass above the first threshold and an unreachable cap: the
@@ -244,7 +266,7 @@ class TestSimulateDor:
         probs = state_prob_matrix(FADING, part, timeline.n_slots)
         lam = afd(FADING, DOPPLER, mu1)
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-        closed = rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam)
+        closed = rat_report(BUDGET, rat, part, timeline, probs, traffic, lam).dor
         cfg = SimConfig(n_samples=100_000, seed=77)
         res = simulate(GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
         assert abs(res.dor - closed) <= 3.0 * res.dor_se + 1e-9

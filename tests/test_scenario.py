@@ -236,6 +236,18 @@ class TestValidation:
             math.sqrt(3.986004418e14 / 6871e3), rel=1e-12
         )
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("orbit_height = 500 km", "orbit_height = -7000 km", "geometry.orbit_height"),
+        ("earth_radius = 6371 km", "earth_radius = -7000 km", "geometry.earth_radius"),
+    ], ids=["orbit_height", "earth_radius"])
+    def test_default_sat_speed_of_bad_height_names_key(self, old, new, key):
+        # the default speed is computed before PassGeometry checks the heights
+        text = MINIMAL.replace("sat_speed = 7600\n", "").replace(old, new)
+        lineno = text.splitlines().index(new) + 1
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert f"{key} (line {lineno}): " in str(err.value)
+
     def test_upper_threshold_count_checked(self):
         text = MINIMAL.replace("n_states = 4", "n_states = 4\nupper_thresholds = 0.8")
         with pytest.raises(ValidationError):
@@ -247,6 +259,17 @@ class TestValidation:
     def test_non_integer_count_rejected(self):
         with pytest.raises(ValidationError):
             parse_scenario(MINIMAL.replace("n_samples = 1000", "n_samples = 10.5"))
+
+    def test_integer_literal_read_exactly(self):
+        # 2^53 + 1 has no float of its own
+        scn = parse_scenario(MINIMAL.replace("seed = 7", "seed = 9007199254740993"))
+        assert scn.sim.seed == 9007199254740993
+        assert parse_scenario(MINIMAL.replace("seed = 7", "seed = 1e3")).sim.seed == 1000
+
+    def test_integer_through_a_float_beyond_2_53_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(MINIMAL.replace("seed = 7", "seed = 9007199254740993.0"))
+        assert "sim.seed" in str(err.value) and "2^53" in str(err.value)
 
 
 class TestSweep:
@@ -303,6 +326,15 @@ class TestSweep:
         with pytest.raises(ValidationError) as err:
             apply_sweep_value(scn, path, 2.9)
         assert path in str(err.value) and "2.9" in str(err.value)
+
+    @pytest.mark.parametrize("value", [2.0**53, -1e300], ids=["2^53", "-1e300"])
+    def test_apply_rejects_integer_beyond_2_53(self, value):
+        # 2^53 + 1 reaches the sweep as the float 2^53
+        scn = parse_scenario(MINIMAL)
+        with pytest.raises(ValidationError) as err:
+            apply_sweep_value(scn, "sim.seed", value)
+        assert "sweep sim.seed" in str(err.value) and "2^53" in str(err.value)
+        assert apply_sweep_value(scn, "sim.seed", 2.0**53 - 1).sim.seed == 2**53 - 1
 
     def test_apply_takes_integral_range_values(self):
         scn = parse_scenario(MINIMAL)

@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from leolink import schemes
+from leolink.pipeline import prepare
+from leolink.scenario import apply_sweep_value, parse_scenario
 from leolink.channel import (
     DopplerSpec,
     SrFading,
@@ -24,15 +27,11 @@ from leolink.schemes import (
     _pat_power_grids,
     _rat_rate_grids,
     pat_dor_integral,
-    pat_dor_value,
     pat_first_threshold,
     pat_report,
-    rat_avg_power,
-    rat_dor,
     rat_dor_integral,
     rat_first_threshold,
     rat_report,
-    rat_throughput_bounds,
 )
 
 FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
@@ -79,13 +78,26 @@ def pat_setup(timeline):
     return pat, part, probs, lam
 
 
-def single_slot_setup():
+def single_slot_setup(n_states: int = 4, tx_power_w: float = dbw(30.0)):
     t_s = service_duration(GEO)
     tl = build_timeline(GEO, t_s)
-    rat = RatConfig(tx_power_w=dbw(30.0), min_snr=1.0)
+    rat = RatConfig(tx_power_w=tx_power_w, min_snr=1.0)
     mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-    part = equal_probability_partition(FADING, mu1, 4)
+    part = equal_probability_partition(FADING, mu1, n_states)
     return tl, rat, part
+
+
+def rat_report_throughput(rat, part, tl, probs):
+    rep = rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
+    return rep.throughput_lo_bps, rep.throughput_hi_bps
+
+
+def rat_report_dor(rat, part, tl, probs, traffic, lam):
+    return rat_report(BUDGET, rat, part, tl, probs, traffic, lam).dor
+
+
+def pat_report_dor(pat, part, tl, probs, traffic, lam):
+    return pat_report(BUDGET, pat, part, tl, probs, traffic, lam).dor
 
 
 class TestRatFirstThreshold:
@@ -142,6 +154,18 @@ class TestRatSnrBounds:
         want_top = scale * part.top_mean_gain / GEO.orbit_height_m**2
         assert spectral_efficiency(rate_hi[-1, 0]) == pytest.approx(want_top, rel=1e-9)
 
+    def test_rows_match_per_state_formula(self, timeline, rat_setup):
+        # the one-broadcast grid equals a state-by-state evaluation bit for bit
+        rat, part, _, _ = rat_setup
+        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, timeline)
+        scale = rat.tx_power_w / SIGMA2
+        gains_hi = [*(part.thresholds[2:] ** 2), part.top_mean_gain]
+        for k in range(1, part.n_states):
+            lo = np.log2(1.0 + scale * part.thresholds[k] ** 2 / timeline.slot_dist_max**2.0)
+            hi = np.log2(1.0 + scale * gains_hi[k - 1] / timeline.slot_dist_min**2.0)
+            assert np.array_equal(rate_lo[k], BUDGET.bandwidth_hz * lo)
+            assert np.array_equal(rate_hi[k], BUDGET.bandwidth_hz * hi)
+
     def test_index_errors(self, timeline, rat_setup):
         # one row per state and one column per slot, and no cell outside them
         rat, part, _, _ = rat_setup
@@ -155,25 +179,28 @@ class TestRatSnrBounds:
 
 class TestRatThroughput:
     def test_no_transmission_states(self, timeline, rat_setup):
-        rat, part, _, _ = rat_setup
-        probs = StateProbMatrix(
-            probs=np.vstack([
-                np.ones(timeline.n_slots),
-                np.zeros((part.n_states - 1, timeline.n_slots)),
-            ])
-        )
-        assert rat_throughput_bounds(BUDGET, rat, part, timeline, probs) == (0.0, 0.0)
+        # mass moved into the bottom state carries no throughput: halving
+        # every other state's share halves both bounds
+        rat, part, probs, _ = rat_setup
+        half = probs.probs.copy()
+        half[1:] /= 2.0
+        half[0] = 1.0 - half[1:].sum(axis=0)
+        lo, hi = rat_report_throughput(rat, part, timeline, probs)
+        half_lo, half_hi = rat_report_throughput(
+            rat, part, timeline, StateProbMatrix(probs=half))
+        assert half_lo == pytest.approx(lo / 2.0, rel=1e-12)
+        assert half_hi == pytest.approx(hi / 2.0, rel=1e-12)
 
     def test_bounds_ordered(self, timeline, rat_setup):
         rat, part, probs, _ = rat_setup
-        lo, hi = rat_throughput_bounds(BUDGET, rat, part, timeline, probs)
+        lo, hi = rat_report_throughput(rat, part, timeline, probs)
         assert 0.0 < lo <= hi < math.inf
 
     def test_dimension_mismatch(self, timeline, rat_setup):
         rat, part, _, _ = rat_setup
         bad = StateProbMatrix(probs=np.full((part.n_states, 3), 1.0 / part.n_states))
         with pytest.raises(DimensionMismatch):
-            rat_throughput_bounds(BUDGET, rat, part, timeline, bad)
+            rat_report(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
 
     def test_monotone_in_power(self, timeline):
         prev_lo = prev_hi = 0.0
@@ -182,7 +209,7 @@ class TestRatThroughput:
             mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
             part = equal_probability_partition(FADING, mu1, 8)
             probs = state_prob_matrix(FADING, part, timeline.n_slots)
-            lo, hi = rat_throughput_bounds(BUDGET, rat, part, timeline, probs)
+            lo, hi = rat_report_throughput(rat, part, timeline, probs)
             assert lo >= prev_lo and hi >= prev_hi
             prev_lo, prev_hi = lo, hi
 
@@ -199,30 +226,33 @@ class TestRatThroughput:
             mu1 = rat_first_threshold(BUDGET, rat, d_max)
             part = equal_probability_partition(FADING, mu1, 8)
             probs = state_prob_matrix(FADING, part, tl.n_slots)
-            lo, hi = rat_throughput_bounds(BUDGET, rat, part, tl, probs)
+            lo, hi = rat_report_throughput(rat, part, tl, probs)
             assert lo <= prev_lo and hi <= prev_hi
             prev_lo, prev_hi = lo, hi
 
 
 class TestRatPowerAndEe:
-    def test_all_waiting(self, timeline):
-        rat = RatConfig(tx_power_w=500.0, min_snr=1.0)
-        probs = StateProbMatrix(
-            probs=np.vstack([np.ones(timeline.n_slots), np.zeros((1, timeline.n_slots))])
-        )
-        assert rat_avg_power(rat, probs) == 0.0
+    def test_all_waiting(self):
+        # two states, all mass in the bottom one: nothing is ever sent
+        tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
+        probs = StateProbMatrix(probs=np.array([[1.0], [0.0]]))
+        with pytest.raises(ZeroPower):
+            rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
 
     def test_always_transmitting(self, timeline):
         rat = RatConfig(tx_power_w=500.0, min_snr=1.0)
+        part = equal_probability_partition(FADING, rat_first_threshold(BUDGET, rat, D_MAX), 2)
         probs = StateProbMatrix(
             probs=np.vstack([np.zeros((1, timeline.n_slots)), np.ones(timeline.n_slots)])
         )
-        assert rat_avg_power(rat, probs) == pytest.approx(500.0, rel=1e-12)
+        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, 1.0)
+        assert rep.avg_power_lo_w == pytest.approx(500.0, rel=1e-12)
 
     def test_mixed_column(self):
-        rat = RatConfig(tx_power_w=500.0, min_snr=1.0)
+        tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
         probs = StateProbMatrix(probs=np.array([[0.3], [0.7]]))
-        assert rat_avg_power(rat, probs) == pytest.approx(0.7 * 500.0, rel=1e-12)
+        rep = rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
+        assert rep.avg_power_lo_w == pytest.approx(0.7 * 500.0, rel=1e-12)
 
     def test_zero_power_guard(self, timeline, rat_setup):
         rat, part, _, lam = rat_setup
@@ -237,25 +267,22 @@ class TestRatPowerAndEe:
 
     def test_ee_recomposition(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
-        thr = rat_throughput_bounds(BUDGET, rat, part, timeline, probs)
-        power = rat_avg_power(rat, probs)
         rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
-        assert (rep.throughput_lo_bps, rep.throughput_hi_bps) == thr
-        assert rep.avg_power_lo_w == rep.avg_power_hi_w == power
-        assert rep.ee_lo_bpj == thr[0] / power
-        assert rep.ee_hi_bpj == thr[1] / power
+        assert rep.avg_power_lo_w == rep.avg_power_hi_w
+        assert rep.ee_lo_bpj == rep.throughput_lo_bps / rep.avg_power_lo_w
+        assert rep.ee_hi_bpj == rep.throughput_hi_bps / rep.avg_power_lo_w
 
 
 class TestRatDor:
     def test_zero_threshold(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=0.0)
-        assert rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam) == 1.0
+        assert rat_report_dor(rat, part, timeline, probs, traffic, lam) == 1.0
 
     def test_huge_threshold(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e9)
-        assert rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam) == pytest.approx(
+        assert rat_report_dor(rat, part, timeline, probs, traffic, lam) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -264,7 +291,7 @@ class TestRatDor:
         prev = 1.0
         for t_th in [0.0, 2e-4, 5e-4, 1e-3, 5e-3, 9e-3, 2e-2, 1e-1]:
             traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-            val = rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam)
+            val = rat_report_dor(rat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-15
             prev = val
 
@@ -277,7 +304,7 @@ class TestRatDor:
         probs = state_prob_matrix(FADING, part, timeline.n_slots)
         lam = afd(FADING, DOPPLER, mu1)
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-        closed = rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam)
+        closed = rat_report_dor(rat, part, timeline, probs, traffic, lam)
         integral = rat_dor_integral(BUDGET, rat, part, timeline, probs, traffic, lam)
         assert abs(closed - integral) < 1e-9
 
@@ -289,14 +316,13 @@ class TestRatDor:
         part = equal_probability_partition(FADING, mu1, 8)
         probs = state_prob_matrix(FADING, part, timeline.n_slots)
         lam = afd(FADING, DOPPLER, mu1)
-        short = rat_dor(BUDGET, rat, part, timeline, probs,
-                        TrafficSpec(500e3, 1e-3), lam)
+        short = rat_report_dor(rat, part, timeline, probs, TrafficSpec(500e3, 1e-3), lam)
         assert 0.0 < short < 1.0
 
     def test_rejects_bad_lambda(self, timeline, rat_setup):
         rat, part, probs, _ = rat_setup
         with pytest.raises(ValueError):
-            rat_dor(BUDGET, rat, part, timeline, probs, TRAFFIC, 0.0)
+            rat_report_dor(rat, part, timeline, probs, TRAFFIC, 0.0)
 
 
 class TestRatReport:
@@ -310,8 +336,7 @@ class TestRatReport:
         assert rep.lam_s == lam
 
     def test_one_rate_grid_per_report(self, monkeypatch, timeline, rat_setup):
-        # the report reads throughput and outage from one grid, and equals
-        # the values of the separate functions, each building its own
+        # the report builds one grid and reads its throughput bounds from it
         rat, part, probs, lam = rat_setup
         grids = []
 
@@ -322,10 +347,10 @@ class TestRatReport:
         monkeypatch.setattr(schemes, "_rat_rate_grids", counted)
         rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
         assert len(grids) == 1
-        assert (rep.throughput_lo_bps, rep.throughput_hi_bps) == rat_throughput_bounds(
-            BUDGET, rat, part, timeline, probs)
-        assert rep.dor == rat_dor(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
-        assert len(grids) == 3
+        rate_lo, rate_hi = grids[0]
+        n = timeline.n_slots
+        assert rep.throughput_lo_bps == float(np.sum(probs.probs * rate_lo)) / n
+        assert rep.throughput_hi_bps == float(np.sum(probs.probs * rate_hi)) / n
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -383,6 +408,26 @@ class TestPatPowerBounds:
         assert not power_lo[-1].any()
         assert np.all(power_hi[-1] > 0.0)
 
+    def test_gains_are_squared_thresholds(self):
+        # each state's gain edge is thresholds**2 bit for bit, as in
+        # GainPartition.classify; at 17 states and 720 km the PAT reference
+        # has a threshold whose libm square is one ulp off
+        text = (Path(__file__).resolve().parent.parent / "scenarios"
+                / "reference_pat.scn").read_text()
+        scn = apply_sweep_value(parse_scenario(text), "partition.n_states", 17)
+        scn = apply_sweep_value(scn, "geometry.orbit_height", 720e3)
+        p = prepare(scn)
+        gains = p.partition.thresholds**2
+        assert any(g != float(t) ** 2 for g, t in zip(gains, p.partition.thresholds))
+        snr_needed = 2.0 ** (scn.pat.fixed_rate_bps / scn.budget.bandwidth_hz) - 1.0
+        base = scn.budget.noise_power_w * snr_needed * p.timeline.slot_dist_max**2.0
+        cap = scn.pat.max_power_w
+        power_lo, power_hi = _pat_power_grids(scn.budget, scn.pat, p.partition, p.timeline)
+        for k in range(1, p.partition.n_states):
+            assert np.array_equal(power_hi[k], np.minimum(base / gains[k], cap))
+            if k + 1 < p.partition.n_states:
+                assert np.array_equal(power_lo[k], np.minimum(base / gains[k + 1], cap))
+
     def test_index_errors(self, timeline, pat_setup):
         # one row per state and one column per slot, and no cell outside them
         pat, part, _, _ = pat_setup
@@ -392,6 +437,46 @@ class TestPatPowerBounds:
                 grid[part.n_states, 0]
             with pytest.raises(IndexError):
                 grid[0, timeline.n_slots]
+
+
+class TestTwoStates:
+    # One slot at the envelope distance, so the state-2 lower edge sits
+    # exactly at the scheme's first threshold; 30% of the mass waits.
+    PROBS = StateProbMatrix(probs=np.array([[0.3], [0.7]]))
+    TRAFFIC = TrafficSpec(packet_bits=500e3, delay_threshold_s=20e-3)
+    LAM = 0.01
+
+    def waited_outage(self, service_s):
+        # only a packet that arrives in the bottom state and waits past the
+        # budget less its service time misses it
+        return 0.3 * math.exp(-(self.TRAFFIC.delay_threshold_s - service_s) / self.LAM)
+
+    def test_rat_hand_values(self):
+        tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
+        rep = rat_report(BUDGET, rat, part, tl, self.PROBS, self.TRAFFIC, self.LAM)
+        b = BUDGET.bandwidth_hz
+        top_snr = rat.tx_power_w / SIGMA2 * part.top_mean_gain / GEO.orbit_height_m**2
+        # min_snr = 1 at the lower edge: one bit per second per hertz
+        assert rep.throughput_lo_bps == pytest.approx(0.7 * b, rel=1e-9)
+        assert rep.throughput_hi_bps == pytest.approx(0.7 * b * math.log2(1.0 + top_snr),
+                                                      rel=1e-9)
+        assert rep.avg_power_lo_w == rep.avg_power_hi_w == pytest.approx(350.0, rel=1e-12)
+        assert rep.ee_lo_bpj == pytest.approx(0.7 * b / 350.0, rel=1e-9)
+        assert rep.dor == pytest.approx(self.waited_outage(500e3 / b), rel=1e-9)
+
+    def test_pat_hand_values(self):
+        tl = single_slot_setup()[0]
+        pat = PatConfig(max_power_w=500.0, fixed_rate_bps=60e6)
+        part = equal_probability_partition(FADING, pat_first_threshold(BUDGET, pat, D_MAX), 2)
+        rep = pat_report(BUDGET, pat, part, tl, self.PROBS, self.TRAFFIC, self.LAM)
+        assert rep.throughput_lo_bps == rep.throughput_hi_bps == pytest.approx(0.7 * 60e6,
+                                                                              rel=1e-12)
+        # the top state is open-ended: no lower power bound, no upper EE bound
+        assert rep.avg_power_lo_w == 0.0 and rep.ee_hi_bpj == math.inf
+        # the first threshold needs the whole cap at the envelope distance
+        assert rep.avg_power_hi_w == pytest.approx(0.7 * 500.0, rel=1e-9)
+        assert rep.ee_lo_bpj == pytest.approx(60e6 / 500.0, rel=1e-9)
+        assert rep.dor == pytest.approx(self.waited_outage(500e3 / 60e6), rel=1e-12)
 
 
 class TestPatReport:
@@ -426,7 +511,7 @@ class TestPatReport:
         knee = 500e3 / pat.fixed_rate_bps
         for t_th in [0.0, knee * 0.7, knee, knee * 1.3, knee * 10.0]:
             traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-            closed = pat_dor_value(probs, pat, traffic, lam)
+            closed = pat_report_dor(pat, part, timeline, probs, traffic, lam)
             integral = pat_dor_integral(probs, pat, timeline, traffic, lam)
             assert abs(closed - integral) < 1e-9
 
@@ -473,7 +558,7 @@ class TestMonotoneDorInPower:
             part = equal_probability_partition(FADING, mu1, 8)
             probs = state_prob_matrix(FADING, part, timeline.n_slots)
             lam = afd(FADING, DOPPLER, mu1)
-            val = rat_dor(BUDGET, rat, part, timeline, probs, traffic, lam)
+            val = rat_report_dor(rat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-12
             prev = val
 
@@ -486,6 +571,6 @@ class TestMonotoneDorInPower:
             part = equal_probability_partition(FADING, u1, 8)
             probs = state_prob_matrix(FADING, part, timeline.n_slots)
             lam = afd(FADING, DOPPLER, u1)
-            val = pat_dor_value(probs, pat, traffic, lam)
+            val = pat_report_dor(pat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-12
             prev = val
