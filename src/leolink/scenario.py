@@ -264,10 +264,7 @@ def _convert_sections(raw: dict[str, dict[str, tuple[str, int]]]):
             if kind == "f":
                 values[section][key] = _parse_number(text, where)
             elif kind == "i":
-                try:
-                    values[section][key] = int(text)
-                except ValueError:  # a unit, an exponent or a fraction
-                    values[section][key] = _exact_int(_parse_number(text, where), where, text)
+                values[section][key] = _read_int(text, where)
             else:
                 values[section][key] = tuple(
                     _parse_number(part.strip(), where) for part in text.split(",")
@@ -276,9 +273,18 @@ def _convert_sections(raw: dict[str, dict[str, tuple[str, int]]]):
     return values, lines
 
 
+def _read_int(text: str, where: str) -> int:
+    """An integer key's value: a plain integer exactly, at any size, and
+    anything else (a unit, an exponent or a fraction) through a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return _exact_int(_parse_number(text, where), where, text)
+
+
 def _exact_int(value: float, where: str, shown: str) -> int:
-    """An integer key's value that was read through a float. From 2^53 on,
-    a float can stand for more than one integer, so it is refused."""
+    """An integer key's value that is, or will be, held in a float. From
+    2^53 on, a float can stand for more than one integer, so it is refused."""
     if value != int(value):
         raise ValidationError(f"{where}: expected an integer, got {shown!r}")
     if abs(value) >= 2.0**53:
@@ -372,6 +378,8 @@ def parse_sweep(arg: str) -> SweepSpec:
     if "=" not in arg:
         raise ParseError(f"sweep must look like KEY=START:STOP:STEPS, got {arg!r}")
     path, spec = (s.strip() for s in arg.split("=", 1))
+    section, _, key = path.partition(".")
+    entry = _KEYS.get(section, {}).get(key)
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -388,6 +396,14 @@ def parse_sweep(arg: str) -> SweepSpec:
         else:
             step = (stop - start) / (steps - 1)
             values = tuple(start + i * step for i in range(steps))
+    elif entry is not None and entry[2] == "i":
+        # a sweep value is a float, so an integer is refused from 2^53 on,
+        # named as typed
+        where = f"sweep {path}"
+        values = tuple(
+            float(_exact_int(_read_int(text, where), where, text))
+            for text in map(str.strip, spec.split(","))
+        )
     else:
         try:
             values = tuple(float(s) for s in spec.split(","))

@@ -433,12 +433,14 @@ class TestErrorPaths:
         assert err.startswith("E_VALIDATION: geometry.orbit_height (line 6): ")
 
     def test_integer_sweep_beyond_2_53_exits_2(self, capsys):
-        # 2^53 + 1 parses to the float 2^53, which cannot tell it from 2^53
+        # 2^53 + 1 has no float of its own, so a sweep refuses it as typed
         assert main(["sweep", "--scenario", RAT_SCN, "--with-sim",
                      "--sweep", "sim.seed=9007199254740993"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("E_VALIDATION: sweep sim.seed: ")
+        assert captured.err == ("E_VALIDATION: sweep sim.seed: '9007199254740993' reaches 2^53, "
+                                "where a float no longer holds every integer\n")
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "--scenario", "/nonexistent.scn"]) == 2

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +18,16 @@ from leolink.channel import (
     state_prob_matrix,
     state_probs,
 )
-from leolink.geometry import PassGeometry, build_timeline, distance_range, service_duration
+from leolink.geometry import (
+    OutOfPass,
+    PassGeometry,
+    build_timeline,
+    distance_at,
+    distance_range,
+    service_duration,
+)
 from leolink.montecarlo import (
+    _BLOCK,
     _KS_STRIDE,
     KS_CRIT_ALPHA01,
     SimConfig,
@@ -75,6 +86,22 @@ def rat_setup(timeline):
     return rat, part, probs, lam
 
 
+@pytest.fixture(scope="module")
+def pat_setup(timeline):
+    pat = PatConfig(max_power_w=1000.0, fixed_rate_bps=60e6)
+    u1 = pat_first_threshold(BUDGET, pat, D_MAX)
+    part = equal_probability_partition(FADING, u1, 8)
+    probs = state_prob_matrix(FADING, part, timeline.n_slots)
+    lam = afd(FADING, DOPPLER, u1)
+    return pat, part, probs, lam
+
+
+def set_cores(monkeypatch, n: int) -> None:
+    # the cores this process may use, as simulate counts them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 class TestSampler:
     def test_rayleigh_limit_ks(self):
         # omega = 0 collapses to an exponential power gain with mean 2 b0
@@ -109,6 +136,29 @@ class TestSampler:
         fading = SrFading(*params)
         gains = sample_sr_gain(fading, rng_for(11), 100_000)
         assert ks_statistic(fading, gains) < KS_CRIT_ALPHA01 / math.sqrt(len(gains))
+
+    @pytest.mark.parametrize("params", [
+        (FADING.m, FADING.b0, FADING.omega), ABDI_SETS["heavy"], (3.0, 0.7, 0.0),
+    ], ids=["reference", "heavy", "rayleigh"])
+    def test_matches_textbook_expression(self, params):
+        # (re + sqrt(L) cos phi)^2 + (im + sqrt(L) sin phi)^2 from the same
+        # draws, in the same order, bit for bit
+        fading = SrFading(*params)
+        n = 10_000
+        rng = rng_for(17)
+        clone = np.random.Generator(np.random.Philox())
+        clone.bit_generator.state = rng.bit_generator.state
+        gains = sample_sr_gain(fading, rng, n)
+        sigma = math.sqrt(fading.b0)
+        re = clone.normal(0.0, sigma, n)
+        im = clone.normal(0.0, sigma, n)
+        if fading.omega > 0.0:
+            los_power = clone.gamma(fading.m, fading.omega / fading.m, n)
+            phase = clone.uniform(0.0, 2.0 * math.pi, n)
+            re = re + np.sqrt(los_power) * np.cos(phase)
+            im = im + np.sqrt(los_power) * np.sin(phase)
+        assert np.array_equal(gains, re**2 + im**2)
+        assert rng.random() == clone.random()  # no draw left over
 
     def test_scalar_draw(self):
         g = sample_sr_gain(FADING, rng_for(3))
@@ -324,6 +374,59 @@ class TestDeterminismAndBlocks:
         assert _mean_se(sums[2], sums[3], n) == (sequential.mean_power_w,
                                                  sequential.power_se_w)
         assert sums[4] / n == sequential.dor
+
+    @pytest.mark.parametrize("kind", ["rat", "pat"])
+    def test_worker_count_changes_no_bit(self, timeline, kind, request, monkeypatch):
+        scheme, part, _, lam = request.getfixturevalue(f"{kind}_setup")
+        traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=20e-3)
+        cfg = SimConfig(n_samples=150_000, seed=123)
+        workers = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        results = []
+        for cores in (1, 4):
+            set_cores(monkeypatch, cores)
+            results.append(simulate(GEO, timeline, FADING, part, BUDGET, scheme, traffic, lam, cfg))
+        assert workers == [1, 3]  # three blocks
+        assert 0.0 < results[0].dor < 1.0
+        assert results[0] == results[1]
+
+    def test_worker_errors_propagate(self, timeline, rat_setup, monkeypatch):
+        rat, part, _, lam = rat_setup
+        cfg = SimConfig(n_samples=150_000, seed=123)
+        last = cfg.n_samples - 2 * _BLOCK
+
+        def failing_in_last_block(geo, t):
+            if len(t) == last:
+                raise OutOfPass("t=-1 outside the pass")
+            return distance_at(geo, t)
+
+        monkeypatch.setattr(montecarlo, "distance_at", failing_in_last_block)
+        set_cores(monkeypatch, 4)
+        with pytest.raises(ValueError) as err:
+            simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
+        assert type(err.value) is OutOfPass
+        assert str(err.value) == "t=-1 outside the pass"
+
+    @pytest.mark.parametrize("kind", ["rat", "pat"])
+    def test_block_peak_memory(self, timeline, kind, request):
+        # blocks run side by side, so each keeps at most eight arrays of
+        # its doubles alive at once
+        scheme, part, _, lam = request.getfixturevalue(f"{kind}_setup")
+        args = (GEO, timeline, FADING, part, BUDGET, scheme, TRAFFIC, lam)
+        _block(*args, rng_for(1), _BLOCK)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            _block(*args, rng_for(1), _BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * _BLOCK
 
     def test_rate_and_outage_read_their_own_time_scales(self, timeline, rat_setup):
         # The reference pass lasts service_time_s = 141.905 s over 141 whole

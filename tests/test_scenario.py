@@ -336,6 +336,21 @@ class TestSweep:
         assert "sweep sim.seed" in str(err.value) and "2^53" in str(err.value)
         assert apply_sweep_value(scn, "sim.seed", 2.0**53 - 1).sim.seed == 2**53 - 1
 
+    @pytest.mark.parametrize("text", [
+        "9007199254740993", "-9007199254740993", "9.007199254740993e15", "9007199254740992",
+    ])
+    def test_integer_sweep_value_beyond_2_53_named_as_typed(self, text):
+        with pytest.raises(ValidationError) as err:
+            parse_sweep(f"sim.seed=7, {text}")
+        assert str(err.value) == (f"sweep sim.seed: {text!r} reaches 2^53, "
+                                  "where a float no longer holds every integer")
+
+    def test_integer_sweep_values_read_exactly(self):
+        assert parse_sweep("sim.seed=9007199254740991,1e3").values == (2.0**53 - 1, 1000.0)
+        with pytest.raises(ValidationError) as err:
+            parse_sweep("partition.n_states=4,4.5")
+        assert str(err.value) == "sweep partition.n_states: expected an integer, got '4.5'"
+
     def test_apply_takes_integral_range_values(self):
         scn = parse_scenario(MINIMAL)
         sweep = parse_sweep("partition.n_states=2:8:7")
