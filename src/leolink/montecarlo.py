@@ -5,13 +5,16 @@ replication's arrival time, gain and state serve the rate, the power and the
 outage alike.
 
 Replications are split into fixed-size blocks, each driven by its own
-counter-based generator spawned from the master seed. Blocks run on up to
-min(cores, blocks, 8) threads, counting the cores this process may use: the
+counter-based generator spawned from the master seed. Blocks run on
+min(cores, blocks, 2) threads, counting the cores this process may use: the
 numpy draws and arithmetic that make up a block release the interpreter
 lock. Block results are reduced in block order, so every output is
 bit-identical whatever the thread count. A block of _BLOCK replications
 holds at most about 3.6 MiB of arrays at once (7.1 arrays of _BLOCK
-doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme).
+doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme), so two
+blocks in flight take about as much as one block did before it worked in
+place. Each further thread adds a block's memory: at 4 threads the peak
+memory of a 1e6-replication run rose 13%.
 """
 
 import concurrent.futures
@@ -171,7 +174,7 @@ def _block(
         rate += 1.0
         np.log2(rate, out=rate)
         rate *= budget.bandwidth_hz
-        power = np.full(count, scheme.tx_power_w)
+        power = np.full(count, scheme.tx_power_w, dtype=float)
     else:
         t //= tl.slot_len_s
         slot = t.astype(np.int64)
@@ -185,7 +188,7 @@ def _block(
         power /= g
         del g
         off |= ~(power <= scheme.max_power_w)
-        rate = np.full(count, scheme.fixed_rate_bps)
+        rate = np.full(count, scheme.fixed_rate_bps, dtype=float)
     rate[off] = 0.0
     power[off] = 0.0
     del off
@@ -223,7 +226,7 @@ def _block(
         np.log2(rate, out=rate)
         rate *= budget.bandwidth_hz
     else:
-        rate = np.full(count, scheme.fixed_rate_bps)
+        rate = np.full(count, scheme.fixed_rate_bps, dtype=float)
     del slot, waiting
     # the drain time, infinite where the rate is not positive (or NaN)
     no_rate = ~(rate > 0.0)
@@ -272,8 +275,9 @@ def simulate(
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    # at most 8 blocks in flight: each holds about 3.6 MiB
-    workers = min(cores, len(blocks), 8)
+    # at most 2 blocks in flight: each holds about 3.6 MiB, and at 4 the
+    # peak memory of a 1e6-replication run rose 13% over one serial block
+    workers = min(cores, len(blocks), 2)
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
         partials = list(pool.map(
             lambda block: _block(geo, tl, fading, part, budget, scheme, traffic, lam_s, *block),

@@ -264,22 +264,16 @@ def _convert_sections(raw: dict[str, dict[str, tuple[str, int]]]):
             if kind == "f":
                 values[section][key] = _parse_number(text, where)
             elif kind == "i":
-                values[section][key] = _read_int(text, where)
+                try:
+                    values[section][key] = int(text)
+                except ValueError:  # a unit, an exponent or a fraction
+                    values[section][key] = _exact_int(_parse_number(text, where), where, text)
             else:
                 values[section][key] = tuple(
                     _parse_number(part.strip(), where) for part in text.split(",")
                 )
             lines[section, key] = lineno
     return values, lines
-
-
-def _read_int(text: str, where: str) -> int:
-    """An integer key's value: a plain integer exactly, at any size, and
-    anything else (a unit, an exponent or a fraction) through a float."""
-    try:
-        return int(text)
-    except ValueError:
-        return _exact_int(_parse_number(text, where), where, text)
 
 
 def _exact_int(value: float, where: str, shown: str) -> int:
@@ -378,8 +372,6 @@ def parse_sweep(arg: str) -> SweepSpec:
     if "=" not in arg:
         raise ParseError(f"sweep must look like KEY=START:STOP:STEPS, got {arg!r}")
     path, spec = (s.strip() for s in arg.split("=", 1))
-    section, _, key = path.partition(".")
-    entry = _KEYS.get(section, {}).get(key)
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -396,19 +388,20 @@ def parse_sweep(arg: str) -> SweepSpec:
         else:
             step = (stop - start) / (steps - 1)
             values = tuple(start + i * step for i in range(steps))
-    elif entry is not None and entry[2] == "i":
-        # a sweep value is a float, so an integer is refused from 2^53 on,
-        # named as typed
-        where = f"sweep {path}"
-        values = tuple(
-            float(_exact_int(_read_int(text, where), where, text))
-            for text in map(str.strip, spec.split(","))
-        )
     else:
+        texts = spec.split(",")
         try:
-            values = tuple(float(s) for s in spec.split(","))
+            values = tuple(float(s) for s in texts)
         except ValueError:
             raise ParseError(f"cannot parse sweep values {spec!r}") from None
+        section, _, key = path.partition(".")
+        entry = _KEYS.get(section, {}).get(key)
+        if entry is not None and entry[2] == "i":
+            # a sweep value is a float, so an integer is refused from 2^53
+            # on, named as typed
+            for value, text in zip(values, texts):
+                if math.isfinite(value):
+                    _exact_int(value, f"sweep {path}", text.strip())
     if not all(math.isfinite(v) for v in values):
         raise ValidationError(f"sweep {path}: values must be finite numbers, got {spec!r}")
     return SweepSpec(path=path, values=values)

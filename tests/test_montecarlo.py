@@ -379,7 +379,7 @@ class TestDeterminismAndBlocks:
     def test_worker_count_changes_no_bit(self, timeline, kind, request, monkeypatch):
         scheme, part, _, lam = request.getfixturevalue(f"{kind}_setup")
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=20e-3)
-        cfg = SimConfig(n_samples=150_000, seed=123)
+        cfg = SimConfig(n_samples=300_000, seed=123)  # five blocks
         workers = []
 
         class Recording(concurrent.futures.ThreadPoolExecutor):
@@ -389,11 +389,23 @@ class TestDeterminismAndBlocks:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         results = []
-        for cores in (1, 4):
+        for cores in (1, 8):
             set_cores(monkeypatch, cores)
             results.append(simulate(GEO, timeline, FADING, part, BUDGET, scheme, traffic, lam, cfg))
-        assert workers == [1, 3]  # three blocks
+        assert workers == [1, 2]  # two workers share five blocks
         assert 0.0 < results[0].dor < 1.0
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("kind", ["rat", "pat"])
+    def test_integer_scheme_values_give_the_float_result(self, timeline, kind, request):
+        scheme, part, _, lam = request.getfixturevalue(f"{kind}_setup")
+        if kind == "rat":
+            as_int = replace(scheme, tx_power_w=1000)
+        else:
+            as_int = replace(scheme, fixed_rate_bps=60_000_000)
+        cfg = SimConfig(n_samples=70_000, seed=4)
+        results = [simulate(GEO, timeline, FADING, part, BUDGET, s, TRAFFIC, lam, cfg)
+                   for s in (scheme, as_int)]
         assert results[0] == results[1]
 
     def test_worker_errors_propagate(self, timeline, rat_setup, monkeypatch):

@@ -345,6 +345,12 @@ class TestSweep:
         assert str(err.value) == (f"sweep sim.seed: {text!r} reaches 2^53, "
                                   "where a float no longer holds every integer")
 
+    @pytest.mark.parametrize("text", ["inf", "nan"])
+    def test_integer_sweep_value_not_finite(self, text):
+        with pytest.raises(ValidationError) as err:
+            parse_sweep(f"sim.seed=7,{text}")
+        assert str(err.value) == f"sweep sim.seed: values must be finite numbers, got '7,{text}'"
+
     def test_integer_sweep_values_read_exactly(self):
         assert parse_sweep("sim.seed=9007199254740991,1e3").values == (2.0**53 - 1, 1000.0)
         with pytest.raises(ValidationError) as err:
