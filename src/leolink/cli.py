@@ -15,7 +15,6 @@ import logging
 import sys
 from pathlib import Path
 
-from .channel import ZeroCrossingRate
 from .pipeline import (
     report_lines,
     run_analyze,
@@ -24,10 +23,6 @@ from .pipeline import (
     run_validate,
 )
 from .scenario import ScenarioError, parse_scenario, parse_sweep
-from .schemes import ZeroPower
-from .special import NonConvergent
-
-_NUMERICAL_ERRORS = (NonConvergent, ZeroCrossingRate, ZeroPower, ArithmeticError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,7 +120,7 @@ def _run(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:  # NonConvergent, ZeroCrossingRate, ZeroPower, ...
         print(f"E_NUMERIC {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # configuration rejected outside the parser

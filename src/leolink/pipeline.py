@@ -47,9 +47,9 @@ class ScenarioParts:
 def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
     """Timeline, partition, state probabilities, and waiting-time mean.
 
-    When the crossing rate at the first threshold underflows double
-    precision the waiting-time mean is astronomically large; the closed
-    forms are evaluated in their exact infinite-wait limit (lam_s = inf),
+    When the crossing rate or the mass below the first threshold underflows
+    double precision, afd returns an infinite waiting-time mean; the closed
+    forms are evaluated in that exact infinite-wait limit (lam_s = inf),
     and a warning naming the first threshold is logged. With finite_wait,
     as for the simulation entry points, that limit raises ZeroCrossingRate
     instead of being sampled. This is a sweep's route with one point.
@@ -60,16 +60,13 @@ def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
 
 @dataclass(frozen=True)
 class _Solved:
-    """What prepare() solves for a scenario, apart from its timeline. An
-    infinite lam_s comes with the message of the ZeroCrossingRate that
-    caused it."""
+    """What prepare() solves for a scenario, apart from its timeline."""
 
     d_max_m: float
     first_threshold: float
     partition: GainPartition
     pi: np.ndarray
     lam_s: float
-    unbounded: str | None
 
 
 def _solve(scns: list[Scenario]) -> list[_Solved]:
@@ -77,14 +74,13 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
 
     Scenarios with equal fading, state count and pinned thresholds share
     one partition solve and one evaluation of their state probabilities;
-    those with equal fading and Doppler spectrum share one evaluation of
-    their below-threshold masses, with the crossing rate taken for each.
+    those with equal fading and Doppler spectrum share one afd call.
     """
     d_max = [distance_range(s.geometry)[1] for s in scns]
     firsts = [schemes.rat_first_threshold(s.budget, s.rat, d) if s.scheme == "rat"
               else schemes.pat_first_threshold(s.budget, s.pat, d)
               for s, d in zip(scns, d_max)]
-    partitions, pi, waits = [None] * len(scns), [None] * len(scns), [None] * len(scns)
+    partitions, pi, lams = [None] * len(scns), [None] * len(scns), [None] * len(scns)
     for (fading, n_states, uppers), idx in _groups(
             scns, lambda s: (s.fading, s.n_states, s.upper_thresholds)).items():
         parts = equal_probability_partition(fading, np.array([firsts[i] for i in idx]),
@@ -92,15 +88,10 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
         for i, part, p in zip(idx, parts, channel.state_probs(fading, parts)):
             partitions[i], pi[i] = part, p
     for (fading, dop), idx in _groups(scns, lambda s: (s.fading, s.doppler)).items():
-        for i, wait in zip(idx, _waits(fading, dop, [firsts[i] for i in idx])):
-            waits[i] = wait
-    solved = []
-    for d, first, part, p, wait in zip(d_max, firsts, partitions, pi, waits):
-        if isinstance(wait, channel.ZeroCrossingRate):
-            solved.append(_Solved(d, first, part, p, math.inf, str(wait)))
-        else:
-            solved.append(_Solved(d, first, part, p, wait, None))
-    return solved
+        lam = channel.afd(fading, dop, np.array([firsts[i] for i in idx]))
+        for i, lam_s in zip(idx, lam.tolist()):
+            lams[i] = lam_s
+    return [_Solved(*fields) for fields in zip(d_max, firsts, partitions, pi, lams)]
 
 
 def _groups(scns: list[Scenario], key) -> dict[tuple, list[int]]:
@@ -110,28 +101,13 @@ def _groups(scns: list[Scenario], key) -> dict[tuple, list[int]]:
     return groups
 
 
-def _waits(fading, dop, firsts: list[float]) -> list:
-    # afd at each first threshold, or the ZeroCrossingRate it raises there
-    try:
-        return channel.afd(fading, dop, np.array(firsts)).tolist()
-    except channel.ZeroCrossingRate:
-        pass
-    # some threshold waits forever: take each alone to see which
-    waits = []
-    for first in firsts:
-        try:
-            waits.append(channel.afd(fading, dop, first))
-        except channel.ZeroCrossingRate as exc:
-            waits.append(exc)
-    return waits
-
-
 def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> ScenarioParts:
-    if solved.unbounded is not None and not finite_wait:
-        log.warning("lambda taken as infinite at first threshold %r: %s",
-                    solved.first_threshold, solved.unbounded)
     if finite_wait:
         _require_finite_wait(solved.lam_s)
+    elif math.isinf(solved.lam_s):
+        log.warning("lambda taken as infinite at first threshold %r: the fade "
+                    "duration there is undefined or beyond double precision",
+                    solved.first_threshold)
     return ScenarioParts(
         timeline=timeline,
         d_max_m=solved.d_max_m,
@@ -423,8 +399,9 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     ))
 
     # Determinism of the simulation pipeline: rate, power and outage. Two
-    # blocks cover the seeding of each block and their reduction.
-    short = replace(cfg, n_samples=2 * montecarlo._BLOCK)
+    # blocks, where the scenario asks for that many, cover the seeding of
+    # each block and their reduction.
+    short = replace(cfg, n_samples=min(n_samples, 2 * montecarlo._BLOCK))
     checks.append(CheckResult(
         "determinism", _simulate(scn, parts, short) == _simulate(scn, parts, short),
         "bit-identical repeat run",

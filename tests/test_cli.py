@@ -396,8 +396,8 @@ class TestValidate:
             assert f"PASS {name}" in out
 
     def test_determinism_fails_with_unseeded_blocks(self, monkeypatch):
-        # the repeat is two runs of a two-block pass; with generators that
-        # ignore the seed, they differ
+        # the repeat is two runs of the scenario's own pass, capped at two
+        # blocks; with generators that ignore the seed, they differ
         scn = parse_scenario(Path(RAT_SCN).read_text())
         scn = replace(scn, sim=replace(scn.sim, n_samples=20_000))
         seeded = montecarlo._block_rngs
@@ -411,7 +411,24 @@ class TestValidate:
         checks = {c.name: c for c in pipeline.run_validate(scn)}
         assert not checks["determinism"].passed
         assert checks["determinism"].detail == "bit-identical repeat run"
-        assert passes == [20_000, 2 * montecarlo._BLOCK, 2 * montecarlo._BLOCK]
+        assert passes == [20_000, 20_000, 20_000]
+
+    def test_determinism_repeat_capped_at_two_blocks(self, monkeypatch):
+        # a scenario of more than two blocks repeats two of them
+        monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
+        scn = parse_scenario(Path(RAT_SCN).read_text())
+        scn = replace(scn, sim=replace(scn.sim, n_samples=20_000))
+        seeded = montecarlo._block_rngs
+        passes = []
+
+        def counted(seed, n_samples):
+            passes.append(n_samples)
+            return seeded(seed, n_samples)
+
+        monkeypatch.setattr(montecarlo, "_block_rngs", counted)
+        checks = {c.name: c for c in pipeline.run_validate(scn)}
+        assert checks["determinism"].passed
+        assert passes == [20_000, 8192, 8192]
 
     def test_integer_severity_scenario_passes(self, tmp_path, capsys):
         # an integer severity end to end, with the outage strictly inside (0, 1)
