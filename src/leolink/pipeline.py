@@ -3,6 +3,7 @@ optional simulation columns, simulation runs, and the oracle cross-check
 suite behind the `validate` subcommand.
 """
 
+import concurrent.futures
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -293,6 +294,17 @@ class CheckResult:
     detail: str
 
 
+def _state_counts(part: GainPartition, sorted_gains: np.ndarray) -> np.ndarray:
+    """Samples in each of the K states, from gains sorted ascending.
+
+    Equals np.bincount(part.classify(gains), minlength=K + 1)[1:]: classify
+    puts a gain at or above a threshold's square in the state above it, and
+    a search from the left counts the gains strictly below each square.
+    """
+    below = np.searchsorted(sorted_gains, part.thresholds**2, side="left")
+    return np.diff(np.append(below, len(sorted_gains)))
+
+
 def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     """Oracle cross-check suite on one scenario.
 
@@ -301,6 +313,14 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     the analytic CDF, the rate, EE and outage closed forms against one
     simulation pass, the outage closed form against its definitional time
     integral, and a bit-identical repeat of a two-block simulation pass.
+
+    One side thread runs the simulation pass and then the two repeat
+    passes, while the calling thread runs the quadrature and sampler
+    checks; numpy's draws and array operations release the interpreter
+    lock, so the two overlap on two cores. Every check draws from its own
+    seeded stream, so the rows are bit-identical at any core count. Errors
+    surface in row order: a quadrature or sampler error first, then one
+    from the simulation pass, then one from the repeat.
     """
     checks: list[CheckResult] = []
     parts = prepare(scn, finite_wait=True)
@@ -308,103 +328,111 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     fading = scn.fading
     base_seed = scn.sim.seed if seed is None else seed
     n_samples = scn.sim.n_samples
-
-    # Density normalization. Imported on first use: only the oracle needs it.
-    from scipy import integrate
-
-    cutoff = channel._tail_cutoff(fading)
-    mass, _ = integrate.quad(
-        lambda y: channel.sr_pdf(fading, y), 0.0, cutoff,
-        epsabs=1e-12, epsrel=1e-12, limit=300,
-        points=[fading.mean_gain],
-    )
-    err = abs(mass - 1.0)
-    checks.append(CheckResult("pdf_normalization", err < 1e-6, f"|integral-1| = {err:.3e}"))
-
-    # Two independent CDF routes agree.
-    grid = np.linspace(0.05, 4.0, 25) * fading.mean_gain
-    worst = max(
-        abs((1.0 - channel.sr_cdf_quadrature(fading, float(x)))
-            - channel.tail_mass(fading, float(x)))
-        for x in grid
-    )
-    checks.append(CheckResult("cdf_routes_agree", worst < 1e-8, f"max diff = {worst:.3e}"))
-
-    # State probabilities: normalization and sampled frequencies.
-    pi = parts.probs.probs[:, 0]
-    sum_err = abs(float(pi.sum()) - 1.0)
-    checks.append(CheckResult("state_probs_sum", sum_err < 1e-9, f"|sum-1| = {sum_err:.3e}"))
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed)))
-    gains = sample_sr_gain(fading, rng, n_samples)
-    states = parts.partition.classify(gains)
-    freq = np.bincount(states, minlength=pi.size + 1)[1:] / n_samples
-    se = np.sqrt(np.maximum(pi * (1.0 - pi), 1e-300) / n_samples)
-    worst_z = float(np.max(np.abs(freq - pi) / np.maximum(se, 1e-15)))
-    checks.append(CheckResult(
-        "state_frequencies", worst_z <= 3.0, f"max |z| = {worst_z:.2f} (limit 3)"
-    ))
-
-    # Sampler against the analytic CDF.
-    ks = ks_statistic(fading, gains)
-    crit = KS_CRIT_ALPHA01 / math.sqrt(len(gains))
-    checks.append(CheckResult(
-        "sampler_ks", ks < crit, f"D = {ks:.5f}, crit(1%) = {crit:.5f}"
-    ))
-
-    # Closed forms against simulation, from one pass.
     cfg = replace(scn.sim, seed=base_seed + 1)
-    sim = _simulate(scn, parts, cfg)
-    slack = 3.0 * sim.rate_se_bps
-    in_rate = (report.throughput_lo_bps - slack <= sim.mean_rate_bps
-               <= report.throughput_hi_bps + slack)
-    checks.append(CheckResult(
-        "rate_bracket", in_rate,
-        f"sim {sim.mean_rate_bps:.6g} vs [{report.throughput_lo_bps:.6g}, "
-        f"{report.throughput_hi_bps:.6g}] (3se = {slack:.3g})",
-    ))
-    if sim.mean_power_w > 0:
-        ee = sim.mean_rate_bps / sim.mean_power_w
-        rel = math.sqrt(
-            (sim.rate_se_bps / max(sim.mean_rate_bps, 1e-300)) ** 2
-            + (sim.power_se_w / sim.mean_power_w) ** 2
-        )
-        ee_slack = 3.0 * ee * rel
-        in_ee = report.ee_lo_bpj - ee_slack <= ee <= report.ee_hi_bpj + ee_slack
-        checks.append(CheckResult(
-            "ee_bracket", in_ee,
-            f"sim {ee:.6g} vs [{report.ee_lo_bpj:.6g}, {report.ee_hi_bpj:.6g}]",
-        ))
-
-    tol = 3.0 * sim.dor_se + 1e-9
-    dor_ok = abs(sim.dor - report.dor) <= tol
-    checks.append(CheckResult(
-        "dor_closed_vs_sim", dor_ok,
-        f"sim {sim.dor:.6g} vs closed {report.dor:.6g} (tol {tol:.3g})",
-    ))
-
-    # Outage closed form against the definitional time integral.
-    if scn.scheme == "rat":
-        integral = schemes.rat_dor_integral(
-            scn.budget, scn.rat, parts.partition, parts.timeline, parts.probs,
-            scn.traffic, parts.lam_s,
-        )
-    else:
-        integral = schemes.pat_dor_integral(
-            parts.probs, scn.pat, parts.timeline, scn.traffic, parts.lam_s
-        )
-    diff = abs(integral - report.dor)
-    checks.append(CheckResult(
-        "dor_integral", diff < 1e-9, f"|integral - closed| = {diff:.3e}"
-    ))
-
     # Determinism of the simulation pipeline: rate, power and outage. Two
     # blocks, where the scenario asks for that many, cover the seeding of
     # each block and their reduction.
     short = replace(cfg, n_samples=min(n_samples, 2 * montecarlo._BLOCK))
-    checks.append(CheckResult(
-        "determinism", _simulate(scn, parts, short) == _simulate(scn, parts, short),
-        "bit-identical repeat run",
-    ))
 
+    side = concurrent.futures.ThreadPoolExecutor(1)
+    try:
+        pending_sim = side.submit(_simulate, scn, parts, cfg)
+        pending_repeat = side.submit(
+            lambda: _simulate(scn, parts, short) == _simulate(scn, parts, short)
+        )
+
+        # Density normalization. Imported on first use: only the oracle needs it.
+        from scipy import integrate
+
+        cutoff = channel._tail_cutoff(fading)
+        mass, _ = integrate.quad(
+            lambda y: channel.sr_pdf(fading, y), 0.0, cutoff,
+            epsabs=1e-12, epsrel=1e-12, limit=300,
+            points=[fading.mean_gain],
+        )
+        err = abs(mass - 1.0)
+        checks.append(CheckResult("pdf_normalization", err < 1e-6, f"|integral-1| = {err:.3e}"))
+
+        # Two independent CDF routes agree.
+        grid = np.linspace(0.05, 4.0, 25) * fading.mean_gain
+        worst = max(
+            abs((1.0 - channel.sr_cdf_quadrature(fading, x)) - tail)
+            for x, tail in zip(grid.tolist(), channel.tail_mass(fading, grid).tolist())
+        )
+        checks.append(CheckResult("cdf_routes_agree", worst < 1e-8, f"max diff = {worst:.3e}"))
+
+        # State probabilities: normalization and sampled frequencies.
+        pi = parts.probs.probs[:, 0]
+        sum_err = abs(float(pi.sum()) - 1.0)
+        checks.append(CheckResult("state_probs_sum", sum_err < 1e-9, f"|sum-1| = {sum_err:.3e}"))
+
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed)))
+        gains = sample_sr_gain(fading, rng, n_samples)
+        gains.sort()
+        freq = _state_counts(parts.partition, gains) / n_samples
+        se = np.sqrt(np.maximum(pi * (1.0 - pi), 1e-300) / n_samples)
+        worst_z = float(np.max(np.abs(freq - pi) / np.maximum(se, 1e-15)))
+        checks.append(CheckResult(
+            "state_frequencies", worst_z <= 3.0, f"max |z| = {worst_z:.2f} (limit 3)"
+        ))
+
+        # Sampler against the analytic CDF.
+        ks = ks_statistic(fading, gains)
+        crit = KS_CRIT_ALPHA01 / math.sqrt(len(gains))
+        checks.append(CheckResult(
+            "sampler_ks", ks < crit, f"D = {ks:.5f}, crit(1%) = {crit:.5f}"
+        ))
+
+        # Closed forms against simulation, from one pass.
+        sim = pending_sim.result()
+        slack = 3.0 * sim.rate_se_bps
+        in_rate = (report.throughput_lo_bps - slack <= sim.mean_rate_bps
+                   <= report.throughput_hi_bps + slack)
+        checks.append(CheckResult(
+            "rate_bracket", in_rate,
+            f"sim {sim.mean_rate_bps:.6g} vs [{report.throughput_lo_bps:.6g}, "
+            f"{report.throughput_hi_bps:.6g}] (3se = {slack:.3g})",
+        ))
+        if sim.mean_power_w > 0:
+            ee = sim.mean_rate_bps / sim.mean_power_w
+            rel = math.sqrt(
+                (sim.rate_se_bps / max(sim.mean_rate_bps, 1e-300)) ** 2
+                + (sim.power_se_w / sim.mean_power_w) ** 2
+            )
+            ee_slack = 3.0 * ee * rel
+            in_ee = report.ee_lo_bpj - ee_slack <= ee <= report.ee_hi_bpj + ee_slack
+            checks.append(CheckResult(
+                "ee_bracket", in_ee,
+                f"sim {ee:.6g} vs [{report.ee_lo_bpj:.6g}, {report.ee_hi_bpj:.6g}]",
+            ))
+
+        tol = 3.0 * sim.dor_se + 1e-9
+        dor_ok = abs(sim.dor - report.dor) <= tol
+        checks.append(CheckResult(
+            "dor_closed_vs_sim", dor_ok,
+            f"sim {sim.dor:.6g} vs closed {report.dor:.6g} (tol {tol:.3g})",
+        ))
+
+        # Outage closed form against the definitional time integral.
+        if scn.scheme == "rat":
+            integral = schemes.rat_dor_integral(
+                scn.budget, scn.rat, parts.partition, parts.timeline, parts.probs,
+                scn.traffic, parts.lam_s,
+            )
+        else:
+            integral = schemes.pat_dor_integral(
+                parts.probs, scn.pat, parts.timeline, scn.traffic, parts.lam_s
+            )
+        diff = abs(integral - report.dor)
+        checks.append(CheckResult(
+            "dor_integral", diff < 1e-9, f"|integral - closed| = {diff:.3e}"
+        ))
+
+        checks.append(CheckResult(
+            "determinism", pending_repeat.result(), "bit-identical repeat run"
+        ))
+    finally:
+        # after an error, drop the repeat if it has not started; a pass
+        # already running runs to its end
+        side.shutdown(cancel_futures=True)
     return checks

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +39,12 @@ def reduced_scenario(tmp_path, base: str, n_samples: int = 20_000, **overrides):
     path = tmp_path / base
     path.write_text(text)
     return str(path)
+
+
+def _validate_scenario(path: str):
+    """Reference scenario at 20000 replications, parsed."""
+    scn = parse_scenario(Path(path).read_text())
+    return replace(scn, sim=replace(scn.sim, n_samples=20_000))
 
 
 def read_csv(text: str):
@@ -429,6 +436,60 @@ class TestValidate:
         checks = {c.name: c for c in pipeline.run_validate(scn)}
         assert checks["determinism"].passed
         assert passes == [20_000, 8192, 8192]
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_sorted_state_counts_equal_classify(self, k):
+        thresholds = np.concatenate([[0.0], np.geomspace(0.3, 2.0, k - 1)])
+        part = channel.GainPartition(thresholds, top_mean_gain=10.0)
+        sq = thresholds**2
+        gains = np.concatenate([
+            sq, sq, np.nextafter(sq, -np.inf), np.nextafter(sq, np.inf),
+            [0.0, 0.0, 1.0, 1.0, np.inf, np.inf],
+        ])
+        np.random.default_rng(k).shuffle(gains)
+        want = np.bincount(part.classify(gains), minlength=k + 1)[1:]
+        assert pipeline._state_counts(part, np.sort(gains)).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("base", [RAT_SCN, PAT_SCN])
+    def test_rows_do_not_depend_on_core_count(self, monkeypatch, base):
+        # five blocks, so the simulation's own pool follows the core count too
+        monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
+        scn = _validate_scenario(base)
+        all_cores = pipeline.run_validate(scn)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert pipeline.run_validate(scn) == all_cores
+
+    def test_simulation_error_surfaces_unchanged(self, monkeypatch):
+        def fail(*args):
+            raise ArithmeticError("x")
+
+        monkeypatch.setattr(montecarlo, "simulate", fail)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            pipeline.run_validate(_validate_scenario(RAT_SCN))
+        assert type(raised.value) is ArithmeticError
+        assert str(raised.value) == "x"
+        assert threading.active_count() == threads
+
+    def test_sampler_error_comes_before_the_simulation(self, monkeypatch):
+        # a NaN gain fails the KS check's CDF; that row comes before the
+        # simulation's, so its error wins over a failing simulation pass
+        drawn = pipeline.sample_sr_gain
+
+        def with_nan(fading, rng, size):
+            gains = drawn(fading, rng, size)
+            gains[size // 2] = np.nan
+            return gains
+
+        def fail(*args):
+            raise ArithmeticError("x")
+
+        monkeypatch.setattr(pipeline, "sample_sr_gain", with_nan)
+        monkeypatch.setattr(montecarlo, "simulate", fail)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=r"^power gain must be >= 0, got nan$"):
+            pipeline.run_validate(_validate_scenario(RAT_SCN))
+        assert threading.active_count() == threads
 
     def test_integer_severity_scenario_passes(self, tmp_path, capsys):
         # an integer severity end to end, with the outage strictly inside (0, 1)
