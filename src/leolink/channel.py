@@ -296,14 +296,14 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
     out = np.empty_like(y)
     if len(y) == 0:
         return out
-    order = np.argsort(y, kind="stable")
+    order = y.argsort(kind="stable")
     ys = y[order]
     cell = _cell(ys)
     new = np.empty(len(ys), dtype=bool)
     new[0] = True
     np.not_equal(cell[1:], cell[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    last = np.append(first[1:], len(ys))
+    first = new.nonzero()[0]
+    last = np.concatenate((first[1:], [len(ys)]))
     # each cell's middle and edges
     key = cell[first][:, None] + np.array([0.5, 0.0, 1.0])
     yc, y_lo, y_hi = np.maximum((0.5 * key) ** 2 - 16.0, 1.0).T
@@ -315,7 +315,7 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
     lo, hi = window(np.concatenate((ys, y_hi, y_lo)))
     near, reach = lo[len(ys):-len(yc)], np.maximum(hi[-len(yc):], lo[len(ys):-len(yc)])
     lo, hi = lo[:len(ys)], hi[:len(ys)]
-    if np.any(hi - lo >= _MAX_WINDOW):
+    if (hi - lo >= _MAX_WINDOW).any():
         i = np.argmax(hi - lo)
         raise ArithmeticError(
             f"series window too wide: {hi[i] - lo[i] + 1.0:.4g} terms at beta*x = "
@@ -329,7 +329,7 @@ def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
             span = max(span, width[b])
             b += 1
         rows = slice(first[a], last[b - 1])
-        cells = np.repeat(np.arange(b - a), last[a:b] - first[a:b])
+        cells = np.arange(b - a).repeat(last[a:b] - first[a:b])
         out[order[rows]] = _cell_sums(ys[rows], lo[rows], hi[rows], cells, yc[a:b],
                                       near[a:b], reach[a:b], start[a:b], width[a:b], log_coef)
         a = b
@@ -361,7 +361,7 @@ def _cell_sums(y, lo, hi, cell, yc, near, reach, start, width, log_coef) -> np.n
             union.append([a, b])
     n = np.concatenate([np.arange(a, b) for a, b in union])
     coef = log_coef(n)
-    at = np.searchsorted(n, start)
+    at = n.searchsorted(start)
     g = coef[np.minimum(at[:, None] + np.arange(h), len(coef) - 1)]
     del coef
     n = start[:, None] + np.arange(h)
@@ -369,16 +369,16 @@ def _cell_sums(y, lo, hi, cell, yc, near, reach, start, width, log_coef) -> np.n
     # enough to find the largest term
     t = xlogy(n, yc[:, None]) - gammaln(n + 1.0) + g
     t[(n < near[:, None]) | (n > reach[:, None])] = -np.inf
-    n0 = np.maximum(start + np.argmax(t, axis=1), 1.0)[:, None]
+    n0 = np.maximum(start + t.argmax(axis=1), 1.0)[:, None]
     del t
     # g becomes log c_n - log(n! / n0!) + (n - n0) log n0; the sums run
     # outward from n0, each adding one log(k / n0), so an entry depends
     # only on its n and its cell's n0. Each is log1p((k - n0) / n0), exact
     # to its last bits, where log(k / n0) would be off by up to an ulp of 1.
     up = np.log1p((np.maximum(n, n0) - n0) / n0)
-    g -= np.cumsum(up, axis=1, out=up)
+    g -= up.cumsum(axis=1, out=up)
     down = np.log1p((np.minimum(n, n0 - 1.0) + 1.0 - n0) / n0)[:, ::-1]
-    g += np.cumsum(down, axis=1, out=down)[:, ::-1]
+    g += down.cumsum(axis=1, out=down)[:, ::-1]
     del n, up, down
 
     n0 = n0[cell, 0]
@@ -403,14 +403,14 @@ def _row_sums(g, base, w, ref, slope, d) -> np.ndarray:
     # widest; a wider row goes one block of columns at a time, its running
     # sum carried across.
     out = np.empty(len(w))
-    by_width = np.argsort(w, kind="stable")
+    by_width = w.argsort(kind="stable")
     span = _RUN * -(-w[by_width] // _RUN)
     # rows a..b-1 fit in _BLOCK terms, (b - a) span[b - 1] <= _BLOCK, when
     # last[b - 1] <= a; last rises with the row
     last = np.arange(1, len(w) + 1) - _BLOCK // span
     a = 0
     while a < len(w):
-        b = max(a + 1, np.searchsorted(last, a, "right"))
+        b = max(a + 1, last.searchsorted(a, "right"))
         i = by_width[a:b, None]
         step = min(span[b - 1], _RUN * max(1, _BLOCK // (_RUN * (b - a))))
         total = np.zeros(b - a)
@@ -418,7 +418,7 @@ def _row_sums(g, base, w, ref, slope, d) -> np.ndarray:
             j = np.arange(c, min(c + step, span[b - 1]))
             # an index past a point's width may run off g; its term is set
             # to 0 below
-            terms = np.take(g, base[i] + j, mode="clip")
+            terms = g.take(base[i] + j, mode="clip")
             shift = d[i] + j
             shift *= slope[i]
             terms += shift
@@ -432,7 +432,7 @@ def _row_sums(g, base, w, ref, slope, d) -> np.ndarray:
             for k in range(2, _RUN):
                 runs += terms[..., k]
             runs[:, 0] += total
-            total = np.cumsum(runs, axis=1, out=runs)[:, -1]
+            total = runs.cumsum(axis=1, out=runs)[:, -1]
         out[by_width[a:b]] = total
         a = b
     return out
@@ -470,7 +470,7 @@ def _upper_sum(fading: SrFading, y: np.ndarray, s: int, m: float) -> np.ndarray:
 
 
 # While a partition is solved, the coefficients of each series it sums are
-# kept (_keep_coefficients), up to _KEEP of them: its root finder evaluates
+# kept (_keep_coefficients), over up to _KEEP indices: its root finder evaluates
 # one fading near the same gains again and again, and each log c_n depends
 # on n alone. Like np.errstate, the scope belongs to the running context
 # (a solve in another thread keeps its own), which lets tail_mass keep its
@@ -489,28 +489,34 @@ def _keep_coefficients():
 
 
 class _Coefs:
-    """log_coef of _poisson_sum for one series, each value formed once: a
-    call on sorted, distinct n forms only the n it has not seen, and keeps
-    them while it holds at most _KEEP."""
+    """log_coef of _poisson_sum for one series, each value formed once: the
+    values are kept in one array indexed by n from its lowest, NaN where
+    not formed yet, while that array spans at most _KEEP indices."""
 
     def __init__(self, log_coef):
         self.log_coef = log_coef
-        self.n = np.empty(0)
+        self.start = 0.0
         self.value = np.empty(0)
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(self.n, n)
-        seen = np.zeros(len(n), dtype=bool)
-        if len(self.n):
-            seen = self.n[np.minimum(at, len(self.n) - 1)] == n
-        out = np.empty(len(n))
-        out[seen] = self.value[at[seen]]
-        new = ~seen
+        # n is sorted and distinct, as _cell_sums passes it
+        end = self.start + len(self.value)
+        lo, hi = n[0], n[-1] + 1.0
+        if len(self.value):
+            lo, hi = min(lo, self.start), max(hi, end)
+        if hi - lo > _KEEP:
+            return self.log_coef(n)
+        if lo < self.start or hi > end:
+            grown = np.full(int(hi - lo), np.nan)
+            at = int(self.start - lo)
+            grown[at:at + len(self.value)] = self.value
+            self.start, self.value = lo, grown
+        i = (n - self.start).astype(np.intp)
+        out = self.value[i]
+        new = np.isnan(out)
         if new.any():
             out[new] = self.log_coef(n[new])
-            if len(self.n) + np.count_nonzero(new) <= _KEEP:
-                self.n = np.insert(self.n, at[new], n[new])
-                self.value = np.insert(self.value, at[new], out[new])
+            self.value[i[new]] = out[new]
         return out
 
 
@@ -519,7 +525,7 @@ def _gains(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     if arr.ndim > 1:
         raise ValueError("power gains must be a scalar or a 1-D array")
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if not (arr >= 0.0).all():  # false at NaN too
         raise ValueError(f"power gain must be >= 0, got {float(np.min(arr))}")
     return np.atleast_1d(arr), arr.ndim == 0
 
@@ -696,16 +702,23 @@ def state_probs(fading: SrFading, part):
     """
     single = isinstance(part, GainPartition)
     gains = np.array([p.thresholds for p in ([part] if single else part)]) ** 2
+    tails = tail_mass(fading, gains[:, 1:].ravel()).reshape(len(gains), -1)
+    pi = _state_probs(sr_cdf(fading, gains[:, 1]), tails)
+    return pi[0] if single else pi
+
+
+def _state_probs(below: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """state_probs, one row per partition, from the CDF at each first
+    threshold's gain and the tail masses at its gains mu_1^2 .. mu_{K-1}^2
+    (one row each)."""
+    pi = np.empty((len(tails), tails.shape[1] + 1))
+    pi[:, 0] = below
     # Interior probabilities are complementary-CDF differences: identical
     # to CDF differences in exact arithmetic, but they keep deep-tail
     # states from cancelling to zero.
-    tails = tail_mass(fading, gains[:, 1:].ravel()).reshape(len(gains), -1)
-    pi = np.empty_like(gains)
-    pi[:, 0] = sr_cdf(fading, gains[:, 1])
     pi[:, 1:-1] = tails[:, :-1] - tails[:, 1:]
     pi[:, -1] = tails[:, -1]
-    pi = np.clip(pi, 0.0, 1.0)
-    return pi[0] if single else pi
+    return np.clip(pi, 0.0, 1.0)
 
 
 def state_prob_matrix(fading: SrFading, part: GainPartition, n_slots: int) -> StateProbMatrix:
@@ -782,14 +795,19 @@ def afd(fading: SrFading, dop: DopplerSpec, r_th):
     the ratio overflows; no warning is raised for either.
     """
     arr = np.asarray(r_th, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError(f"r_th must be > 0, got {arr[arr <= 0][0]}")
     amplitudes = np.atleast_1d(arr)
-    masses = sr_cdf(fading, amplitudes * amplitudes)
+    out = _afd(fading, dop, amplitudes, sr_cdf(fading, amplitudes * amplitudes))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def _afd(fading: SrFading, dop: DopplerSpec, amplitudes: np.ndarray,
+         masses: np.ndarray) -> np.ndarray:
+    """afd at a 1-D array of amplitudes, given the CDF mass below each."""
+    if np.any(amplitudes <= 0):
+        raise ValueError(f"r_th must be > 0, got {amplitudes[amplitudes <= 0][0]}")
     rates = np.array([lcr(fading, dop, amp) for amp in amplitudes.tolist()])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.where((rates > 0.0) & (masses > 0.0), masses / rates, np.inf)
-    return float(out[0]) if arr.ndim == 0 else out
+        return np.where((rates > 0.0) & (masses > 0.0), masses / rates, np.inf)
 
 
 def tail_mean_gain(fading: SrFading, x):
@@ -805,10 +823,17 @@ def tail_mean_gain(fading: SrFading, x):
     if np.any(arr < 0):
         raise ValueError(f"x must be >= 0, got {arr[arr < 0][0]}")
     x = np.atleast_1d(arr)
+    out = _tail_mean(fading, x, tail_mass(fading, x))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def _tail_mean(fading: SrFading, x: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """tail_mean_gain at a 1-D array of gains x >= 0, given the tail mass
+    at each."""
     out = np.full(len(x), fading.mean_gain)
     tail = x != 0.0
     if tail.any():
-        mass = tail_mass(fading, x[tail])
+        mass = mass[tail]
         r, q = _mixture(fading)
         y = fading.beta * x[tail]
         m = fading.m
@@ -819,7 +844,7 @@ def tail_mean_gain(fading: SrFading, x):
         bad = (mass <= 0.0) | ~np.isfinite(out[tail])
         if bad.any():
             raise ValueError(f"no resolvable tail mass above x={x[tail][bad][0]}")
-    return float(out[0]) if arr.ndim == 0 else out
+    return out
 
 
 def _find_root(f, x1, x2, f1, f2, *args):
@@ -855,11 +880,13 @@ def _find_root(f, x1, x2, f1, f2, *args):
             return roots
         if it == _ROOT_MAXITER:
             break
-        keep = ~done
-        active, x1, x2, f1, f2, dx, tol = (v[keep] for v in (active, x1, x2, f1, f2, dx, tol))
-        args = [a[keep] for a in args]
+        if done.any():
+            keep = ~done
+            active, x1, x2, f1, f2, dx, tol = (v[keep] for v in (active, x1, x2, f1, f2, dx, tol))
+            args = [a[keep] for a in args]
+            if it > 0:
+                x3, f3 = x3[keep], f3[keep]
         if it > 0:
-            x3, f3 = x3[keep], f3[keep]
             # inverse quadratic interpolation where it stays inside the
             # bracket (Chandrupatla's test on xi and phi), else bisection
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -874,7 +901,7 @@ def _find_root(f, x1, x2, f1, f2, *args):
             t = np.clip(t, tl, 1.0 - tl)
         x = x1 + t * (x2 - x1)
         fx = np.asarray(f(x, *args), dtype=float)
-        if np.any(np.isnan(fx)):
+        if np.isnan(fx).any():
             raise NonConvergent(f"root finder: f is NaN at x = {x[np.isnan(fx)]!r}")
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -906,20 +933,38 @@ def equal_probability_partition(
     one its entry gives alone, bit for bit.
     """
     firsts = np.asarray(first_threshold, dtype=float)
+    parts, _ = _partitions(fading, np.atleast_1d(firsts), n_states, upper_thresholds)
+    return parts[0] if firsts.ndim == 0 else parts
+
+
+def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int,
+                upper_thresholds) -> tuple[list[GainPartition], np.ndarray]:
+    """equal_probability_partition's partitions for a 1-D array of first
+    thresholds, and the tail masses at each one's gains mu_1^2 .. mu_{K-1}^2
+    (one row each), which serve both its top mean gain and its state
+    probabilities (_state_probs).
+
+    The whole solve keeps its series coefficients (_keep_coefficients), and
+    it evaluates each series at each gain once outside its root finder:
+    the tail at the first thresholds, the bracket ends hi and 2 hi in one
+    call, the tail at the other thresholds, and the two series of the top
+    mean gain.
+    """
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")
     if np.any(firsts < 0):
         raise ValueError(f"first_threshold must be >= 0, got {firsts[firsts < 0][0]}")
-    first = np.atleast_1d(firsts)[:, None]
-    if upper_thresholds is not None:
-        uppers = np.asarray(upper_thresholds, dtype=float)
-        if len(uppers) != n_states - 2:
-            raise ValueError(
-                f"need {n_states - 2} upper thresholds for K={n_states}, got {len(uppers)}"
-            )
-        amplitudes = np.broadcast_to(uppers, (len(first), len(uppers)))
-    else:
-        with _keep_coefficients():
+    first = firsts[:, None]
+    with _keep_coefficients():
+        if upper_thresholds is not None:
+            uppers = np.asarray(upper_thresholds, dtype=float)
+            if len(uppers) != n_states - 2:
+                raise ValueError(
+                    f"need {n_states - 2} upper thresholds for K={n_states}, got {len(uppers)}"
+                )
+            amplitudes = np.broadcast_to(uppers, (len(first), len(uppers)))
+            known = first[:, :0]
+        else:
             s1 = tail_mass(fading, first[:, 0] ** 2)
             # Below ~1e-290 the quantile targets leave the normal double range
             # and the root finder sees quantized garbage; fail explicitly.
@@ -932,21 +977,33 @@ def equal_probability_partition(
             # Every target of a partition shares the bracket [first^2, hi]; hi
             # doubles where the tail still exceeds the target. The ratio form
             # keeps the root finder stable when targets are deep in the tail.
+            # Most brackets close within one doubling, so the first call takes
+            # both hi and 2 hi.
             targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1))
                        / (n_states - 1)).ravel()
             lo = np.repeat(first[:, 0] ** 2, n_states - 2)
             hi = np.maximum(2.0 * lo, fading.mean_gain)
-            f_hi = tail_mass(fading, hi) / targets - 1.0
+            f_hi, f_twice = np.split(
+                tail_mass(fading, np.concatenate((hi, 2.0 * hi))) / np.tile(targets, 2) - 1.0, 2)
             while np.any(up := f_hi > 0.0):
                 hi[up] *= 2.0
                 if hi.max() > 1e12:
                     raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
-                f_hi[up] = tail_mass(fading, hi[up]) / targets[up] - 1.0
+                if f_twice is None:
+                    f_hi[up] = tail_mass(fading, hi[up]) / targets[up] - 1.0
+                else:
+                    f_hi[up], f_twice = f_twice[up], None
             gains = _find_root(lambda g, tg: tail_mass(fading, g) / tg - 1.0,
                                lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
-        amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
-    thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
-    tops = tail_mean_gain(fading, thresholds[:, -1] ** 2)
+            amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
+            known = s1[:, None]
+        thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
+        # the tails not known yet (an equal-mass solve knows s1), at the
+        # thresholds' squares as state_probs takes them: a solved gain and
+        # its threshold's square can differ by an ulp
+        rest = thresholds[:, 1 + known.shape[1]:]
+        tails = np.hstack((known, tail_mass(fading, rest.ravel() ** 2).reshape(rest.shape)))
+        tops = _tail_mean(fading, thresholds[:, -1] ** 2, tails[:, -1])
     parts = [GainPartition(thresholds=t, top_mean_gain=float(top))
              for t, top in zip(thresholds, tops)]
-    return parts[0] if firsts.ndim == 0 else parts
+    return parts, tails

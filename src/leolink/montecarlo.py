@@ -324,9 +324,13 @@ def ks_statistic(fading: SrFading, gains: np.ndarray) -> float:
     returned D. The first and last sorted samples are always evaluated, so
     NaN and negative gains are rejected. At worst every segment is refined,
     and F is evaluated once at every sample, as by a full pass, over two
-    calls.
+    calls. Gains already in ascending order, as run_validate passes them,
+    are not sorted again.
     """
-    xs = np.sort(np.asarray(gains, dtype=float))
+    xs = np.asarray(gains, dtype=float)
+    # NaN compares false, so gains holding one are sorted, NaN last
+    if not np.all(xs[1:] >= xs[:-1]):
+        xs = np.sort(xs)
     n = len(xs)
     if n < 1:
         raise ValueError("need at least one sample")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel, montecarlo, schemes
-from .channel import GainPartition, StateProbMatrix, equal_probability_partition
+from .channel import GainPartition, StateProbMatrix
 from .geometry import PassTimeline, build_timeline, distance_range
 from .montecarlo import KS_CRIT_ALPHA01, ks_statistic, sample_sr_gain
 from .scenario import Scenario, SweepSpec, apply_sweep_value
@@ -73,32 +73,40 @@ class _Solved:
 def _solve(scns: list[Scenario]) -> list[_Solved]:
     """_Solved of each scenario, each equal to that of the scenario alone.
 
-    Scenarios with equal fading, state count and pinned thresholds share
-    one partition solve and one evaluation of their state probabilities;
-    those with equal fading and Doppler spectrum share one afd call.
+    Scenarios with equal fading share one evaluation of the CDF at their
+    first thresholds, which gives both the first state's probability and
+    the mass of the fade duration. Those with equal state count and pinned
+    thresholds too share one partition solve, which gives the tail masses
+    of the other states; those with equal Doppler spectrum too share one
+    fade-duration call.
     """
     d_max = [distance_range(s.geometry)[1] for s in scns]
     firsts = [schemes.rat_first_threshold(s.budget, s.rat, d) if s.scheme == "rat"
               else schemes.pat_first_threshold(s.budget, s.pat, d)
               for s, d in zip(scns, d_max)]
+    first = np.array(firsts)
     partitions, pi, lams = [None] * len(scns), [None] * len(scns), [None] * len(scns)
-    for (fading, n_states, uppers), idx in _groups(
-            scns, lambda s: (s.fading, s.n_states, s.upper_thresholds)).items():
-        parts = equal_probability_partition(fading, np.array([firsts[i] for i in idx]),
-                                            n_states, uppers)
-        for i, part, p in zip(idx, parts, channel.state_probs(fading, parts)):
-            partitions[i], pi[i] = part, p
-    for (fading, dop), idx in _groups(scns, lambda s: (s.fading, s.doppler)).items():
-        lam = channel.afd(fading, dop, np.array([firsts[i] for i in idx]))
-        for i, lam_s in zip(idx, lam.tolist()):
-            lams[i] = lam_s
+    for fading, idx in _groups(scns, range(len(scns)), lambda s: s.fading).items():
+        solves = [(sub, *channel._partitions(fading, first[sub], n_states, uppers))
+                  for (n_states, uppers), sub in _groups(
+                      scns, idx, lambda s: (s.n_states, s.upper_thresholds)).items()]
+        below = np.empty(len(scns))
+        below[idx] = channel.sr_cdf(fading, first[idx] ** 2)
+        for sub, parts, tails in solves:
+            for i, part, p in zip(sub, parts, channel._state_probs(below[sub], tails)):
+                partitions[i], pi[i] = part, p
+        for dop, sub in _groups(scns, idx, lambda s: s.doppler).items():
+            lam = channel._afd(fading, dop, first[sub], below[sub])
+            for i, lam_s in zip(sub, lam.tolist()):
+                lams[i] = lam_s
     return [_Solved(*fields) for fields in zip(d_max, firsts, partitions, pi, lams)]
 
 
-def _groups(scns: list[Scenario], key) -> dict[tuple, list[int]]:
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(scns):
-        groups.setdefault(key(s), []).append(i)
+def _groups(scns: list[Scenario], idx, key) -> dict[object, list[int]]:
+    """The indices idx of scns, grouped by key of their scenario."""
+    groups: dict[object, list[int]] = {}
+    for i in idx:
+        groups.setdefault(key(scns[i]), []).append(i)
     return groups
 
 

@@ -552,7 +552,8 @@ class TestRowIndependence:
         for lo in (0, 20, 40, 0):
             n = np.arange(lo, lo + 20, dtype=float)
             assert coefs(n).tolist() == np.log1p(n).tolist()
-        assert coefs.n.tolist() == list(range(20))
+        assert coefs.start == 0.0
+        assert coefs.value.tolist() == np.log1p(np.arange(20.0)).tolist()
 
     @given(name=st.sampled_from(sorted(PROPERTY_SETS)),
            scale=st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),

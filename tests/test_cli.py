@@ -181,14 +181,14 @@ class TestSweep:
                                                    n_partitions):
         # partitions built, and one solve for all points of equal fading
         built, solves = [], []
-        build = pipeline.equal_probability_partition
+        build = channel._partitions
 
         def counted(fading, first, *args):
-            built.extend(np.atleast_1d(first))
+            built.extend(first)
             solves.append(fading)
             return build(fading, first, *args)
 
-        monkeypatch.setattr(pipeline, "equal_probability_partition", counted)
+        monkeypatch.setattr(channel, "_partitions", counted)
         scn = parse_scenario((SCENARIO_DIR / base).read_text())
         sweep = parse_sweep(spec)
         _, rows = pipeline.run_sweep(scn, sweep)
@@ -613,6 +613,16 @@ class TestErrorPaths:
         assert main(["analyze", "--scenario", RAT_SCN]) == 3
         err = capsys.readouterr().err
         assert err.startswith("E_NUMERIC NonConvergent")
+
+    def test_tail_quantile_search_diverged_exits_3(self, monkeypatch, capsys):
+        # a tail mass that never falls to its targets: the bracket's upper
+        # end doubles past 1e12
+        monkeypatch.setattr(channel, "tail_mass", lambda fading, x: 1.0)
+        assert main(["analyze", "--scenario", RAT_SCN]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "E_NUMERIC ArithmeticError: tail quantile search diverged at targets [")
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "garbage.scn"

@@ -237,6 +237,33 @@ class TestKsStatistic:
         with pytest.raises(ValueError):
             ks_statistic(FADING, gains)
 
+    @pytest.mark.parametrize("params", FADING_SETS)
+    def test_sorted_input_is_not_sorted_again(self, monkeypatch, params):
+        # run_validate passes its gains sorted in place; D is the same, bit
+        # for bit, and only input out of order is sorted
+        fading = SrFading(*params)
+        gains = sample_sr_gain(fading, rng_for(23), 10_000)
+        d = ks_statistic(fading, gains)
+        ascending, sort, sorted_sizes = np.sort(gains), np.sort, []
+
+        def counted_sort(a, *args, **kwargs):
+            sorted_sizes.append(len(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counted_sort)
+        assert ks_statistic(fading, ascending) == d
+        assert sorted_sizes == []
+        assert ks_statistic(fading, gains) == d
+        assert sorted_sizes == [len(gains)]
+
+    @pytest.mark.parametrize("at", [0, 500, 999])
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3])
+    def test_rejects_nan_and_negative_in_sorted_input(self, bad, at):
+        gains = np.sort(sample_sr_gain(FADING, rng_for(8), 1_000))
+        gains[at] = bad
+        with pytest.raises(ValueError):
+            ks_statistic(FADING, gains)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ks_statistic(FADING, np.array([]))
