@@ -20,13 +20,21 @@ with p_n the Poisson pmf and the negative-binomial probabilities in closed
 form (regularized incomplete beta). The Poisson weights confine each sum to
 a window of O(sqrt(beta x)) terms, plus about log(1 / P(G >= x)) for a
 tail, whatever r; summed over k it needs about 40 / (1 - r) terms, which
-grows without bound as the line of sight dominates. Each value depends on
-its own gain alone, bit for bit, whatever other gains share the call, so
-the partitions of many sweep points can be solved in one batch and each
-still equals the partition of its point alone.
-The 1F1 density and its quadrature are kept as the independent oracle.
+grows without bound as the line of sight dominates.
+
+Every series is summed in passes (_poisson_sum): one pass takes several
+series, each at its own gains, and forms all their terms together. A
+gain's terms come from the row of its cell on a fixed lattice of gains,
+which depends on the cell alone; a partition solve keeps each series'
+rows, so its root finder's passes only sum once its gains settle. Each
+value depends on its own gain alone, bit for bit, whatever other gains and
+series share the pass, so the partitions of many sweep points can be
+solved in one batch and each still equals the partition of its point
+alone. The 1F1 density and its quadrature are kept as the independent
+oracle.
 """
 
+import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -201,32 +209,38 @@ def _log_poisson(n, y):
     """log(e^-y y^n / n!) for arrays n >= 1 and y > 0 of one shape, in
     Loader's saddle-point form -stirlerr(n) - bd0(n, y) - log(2 pi n) / 2
     with the deviance bd0 = n log(n/y) - (n - y), which keeps the digits
-    that n log y - y - log n! loses to cancellation."""
-    big = np.maximum(n, 16.0)
-    inv = 1.0 / (big * big)
-    stirlerr = (1/12 - inv * (1/360 - inv * (1/1260 - inv * (1/1680 - inv / 1188)))) / big
-    small = n < 16.0
-    if small.any():
-        stirlerr[small] = _STIRLERR[n[small].astype(int)]
+    that n log y - y - log n! loses to cancellation. Each branch below is
+    formed only at the entries that take it."""
+    stirlerr = _STIRLERR[np.minimum(n, 15.0).astype(int)]
+    large = n >= 16.0
+    if np.count_nonzero(large):
+        big = n[large]
+        inv = 1.0 / (big * big)
+        stirlerr[large] = (1/12 - inv * (1/360 - inv * (1/1260 - inv * (1/1680 - inv / 1188)))) / big
     d = n - y
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # n log(n/y), through log1p where n/y is near 1 so it keeps its
-        # digits, and without forming n/y where that would overflow
-        n_log = np.where(d > -0.5 * y, xlog1py(n, d / y), xlogy(n, n / y))
-        n_log = np.where(d > y, xlogy(n, n) - xlogy(n, y), n_log)
-    bd0 = n_log - d
     # within 5% of y, bd0 = d v + 2 n v sum_k>=1 v^2k / (2k + 1),
-    # v = d / (n + y): the difference above would lose the digits of |d|
-    # to cancellation
+    # v = d / (n + y): the difference n log(n/y) - d would lose the digits
+    # of |d| to cancellation
     v = d / (n + y)
     near = np.abs(v) < 0.05
-    if near.any():
+    bd0 = np.empty_like(d)
+    if np.count_nonzero(near):
         v, dn, nn = v[near], d[near], n[near]
         v2 = v * v
-        series = 1.0 / (2 * _BD0_TERMS + 1)
+        series = np.full_like(v, 1.0 / (2 * _BD0_TERMS + 1))
         for k in range(_BD0_TERMS - 1, 0, -1):
-            series = series * v2 + 1.0 / (2 * k + 1)
+            series *= v2
+            series += 1.0 / (2 * k + 1)
         bd0[near] = v * (dn + 2.0 * nn * v2 * series)
+    far = ~near
+    if np.count_nonzero(far):
+        nf, yf, df = n[far], y[far], d[far]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # n log(n/y), through log1p where n/y is near 1 so it keeps its
+            # digits, and without forming n/y where that would overflow
+            n_log = np.where(df > -0.5 * yf, xlog1py(nf, df / yf), xlogy(nf, nf / yf))
+            n_log = np.where(df > yf, xlogy(nf, nf) - xlogy(nf, yf), n_log)
+        bd0[far] = n_log - df
     return -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * n)
 
 
@@ -266,74 +280,164 @@ def _cut_above(lam, a):
     return np.ceil(lam + a / 3.0 + np.sqrt(a * a / 9.0 + 2.0 * lam * a))
 
 
-def _poisson_sum(y: np.ndarray, log_coef, window) -> np.ndarray:
-    """sum over n in [lo_i, hi_i] of e^-y_i y_i^n / n! * c_n for each y_i > 0,
-    with log_coef(n) = log c_n and (lo, hi) = window(y).
+def _poisson_sum(*terms) -> list[np.ndarray]:
+    """One pass over several series: for each term (series, y), the sums
 
-    Each entry is a function of its own y alone, whichever entries share
-    the call. Its cell on a lattice of y fixed in advance (_cell) gives its
-    reference index n0: the largest term of the cell's middle y, from the
-    low end of the window at the cell's top edge to the high end of the
-    window at its bottom edge, indices that every window of the cell holds
-    as windows move with y. Each term is formed whole in log space relative
-    to n0, so no factor underflows on its own,
+        sum over n in [lo_i, hi_i] of e^-y_i y_i^n / n! * c_n
+
+    at each finite y_i > 0, with log c_n = series.log_coef(n) and
+    (lo, hi) = series.window(y).
+
+    Each sum is a function of its own y alone, whichever terms and entries
+    share the pass. Its cell on a lattice of y fixed in advance (_cell)
+    gives its reference index n0: the largest term of the cell's middle y,
+    from the low end of the window at the cell's top edge to the high end
+    of the window at its bottom edge, indices that every window of the cell
+    holds as windows move with y. Each term is formed whole in log space
+    relative to n0, so no factor underflows on its own,
 
         log p_n(y) = log p_n0(y) + (n - n0) log(y / n0) - log(n! / n0!),
 
-    each piece small where the terms matter; log(n! / n0!) is accumulated
-    outward from n0, one index after another. The terms of the entry's own
-    window are then added in an order fixed by their n alone (_row_sums),
-    which neither other entries nor block boundaries can change.
+    each piece small where the terms matter. The cell's row holds n0 and
+    g_n = log c_n - log(n! / n0!) + (n - n0) log n0 over a range of n, with
+    log(n! / n0!) accumulated outward from n0, one index after another, so
+    that both depend on the cell alone, whatever the range. A series keeps
+    its rows (_Series), and a pass forms only the rows of the cells that
+    its series has not met, or whose kept range misses a window. The terms
+    of each entry's own window are then added in an order fixed by their n
+    alone (_row_sums), which neither other entries nor block boundaries can
+    change.
 
     Cells go in chunks of at most _CHUNK index-by-cell entries (or one
-    cell); a chunk evaluates log_coef once over the union of its cells'
-    ranges and forms a few arrays of that many entries, then its points'
-    terms in blocks of about _BLOCK. Memory is thus a few arrays of the
-    larger of _CHUNK and the widest cell range, which spans its points'
-    windows; a window of more than _MAX_WINDOW terms raises ArithmeticError
-    before anything is formed.
+    cell), series after series in the order of their first terms. A chunk
+    forms its missing rows, each series' log_coef evaluated once over the
+    union of their ranges, and then the terms of all its entries with one
+    _log_poisson, one slope and one _row_sums, in blocks of about _BLOCK.
+    Memory is thus the kept rows, at most _KEEP entries a series, and a few
+    arrays of the larger of _CHUNK and the widest cell range, which spans
+    its entries' windows. A window of more than _MAX_WINDOW terms raises
+    ArithmeticError before any row is formed, for the first such term.
     """
-    out = np.empty_like(y)
-    if len(y) == 0:
-        return out
-    order = y.argsort(kind="stable")
-    ys = y[order]
-    cell = _cell(ys)
-    new = np.empty(len(ys), dtype=bool)
-    new[0] = True
-    np.not_equal(cell[1:], cell[:-1], out=new[1:])
-    first = new.nonzero()[0]
-    last = np.concatenate((first[1:], [len(ys)]))
-    # each cell's middle and edges
-    key = cell[first][:, None] + np.array([0.5, 0.0, 1.0])
-    yc, y_lo, y_hi = np.maximum((0.5 * key) ** 2 - 16.0, 1.0).T
-    octave = key[:, 0] < 0.0
-    if octave.any():
-        yc[octave], y_lo[octave], y_hi[octave] = np.exp2(key[octave]).T
-    # n0 is searched in [the low edge of y_hi's window, the high edge of
-    # y_lo's]; each cell's range holds that and its points' windows
-    lo, hi = window(np.concatenate((ys, y_hi, y_lo)))
-    near, reach = lo[len(ys):-len(yc)], np.maximum(hi[-len(yc):], lo[len(ys):-len(yc)])
-    lo, hi = lo[:len(ys)], hi[:len(ys)]
-    if (hi - lo >= _MAX_WINDOW).any():
-        i = np.argmax(hi - lo)
-        raise ArithmeticError(
-            f"series window too wide: {hi[i] - lo[i] + 1.0:.4g} terms at beta*x = "
-            f"{ys[i]:.6g}, more than {_MAX_WINDOW}")
-    start = np.minimum(near, np.minimum.reduceat(lo, first))
-    width = np.maximum(reach, np.maximum.reduceat(hi, first)) - start + 1.0
+    sums = [np.empty(0)] * len(terms)
+    by_series: dict[_Series, list[int]] = {}
+    for k, (series, y) in enumerate(terms):
+        if len(y):
+            by_series.setdefault(series, []).append(k)
+    if not by_series:
+        return sums
+    # every term's windows, checked in term order before any row is formed
+    groups, wide = [], False
+    for series, ks in by_series.items():
+        y = _join([terms[k][1] for k in ks])
+        lo, hi = series.window(y)
+        wide |= bool(np.count_nonzero(hi - lo >= _MAX_WINDOW))
+        groups.append((series, ks, [0, *itertools.accumulate(len(terms[k][1]) for k in ks)],
+                       y, lo, hi))
+    if wide:
+        _refuse_wide(terms, groups)
+
+    # each series' entries in order of y, and its cells, series after
+    # series: cell k holds entries at[k] .. at[k + 1] - 1, which need the
+    # indices need_lo[k] .. need_hi[k] of its row; cell_of gives each
+    # entry's cell
+    found, series_of, key, need_lo, need_hi, at = [], [], [], [], [], []
+    done = 0
+    for series, _, _, y, lo, hi in groups:
+        # entries in order, as a root finder's gains of one partition come,
+        # are not sorted again
+        order = None if np.all(y[1:] >= y[:-1]) else y.argsort(kind="stable")
+        if order is not None:
+            y, lo, hi = y[order], lo[order], hi[order]
+        cell = _cell(y)
+        new = np.empty(len(y), dtype=bool)
+        new[0] = True
+        np.not_equal(cell[1:], cell[:-1], out=new[1:])
+        first = new.nonzero()[0]
+        found.append((y, lo, hi, order, new.cumsum() + (len(key) - 1)))
+        at += (first + done).tolist()
+        need_lo += np.minimum.reduceat(lo, first).tolist()
+        need_hi += np.maximum.reduceat(hi, first).tolist()
+        cells = cell[first].tolist()
+        series_of += [series] * len(cells)
+        key += cells
+        done += len(y)
+    at.append(done)
+    y, lo, hi, orders, cell_of = zip(*found)
+    y, lo, hi, cell_of = map(_join, (y, lo, hi, cell_of))
+
+    # a cell without a kept row that holds its range gets a new one, over
+    # every window the cell can hold, its entries' windows and its n0
+    # search range; held is the width the pass holds of each cell's row:
+    # the needed range of a kept row, the whole of a new one
+    rows = [series.rows.get(c) for series, c in zip(series_of, key)]
+    held = [v - u + 1.0 for u, v in zip(need_lo, need_hi)]
+    missing: dict[_Series, list[int]] = {}
+    for k, row in enumerate(rows):
+        if row is None or not row[1] <= need_lo[k] <= need_hi[k] < row[1] + len(row[2]):
+            missing.setdefault(series_of[k], []).append(k)
+    plans = {}
+    for series, mine in missing.items():
+        yc, near, reach, low, high = _search_range(series, np.array([key[k] for k in mine]))
+        start = np.minimum.reduce([near, low, [need_lo[k] for k in mine]])
+        end = np.maximum.reduce([reach, high, [need_hi[k] for k in mine]])
+        plans[series] = dict(zip(mine, zip(yc, near, reach, start, end - start + 1.0)))
+        for k, width in zip(mine, (end - start + 1.0).tolist()):
+            rows[k], held[k] = None, width
+
+    total = np.empty(len(y))
     a = 0
-    while a < len(first):
-        b, span = a + 1, width[a]
-        while b < len(first) and (b + 1 - a) * max(span, width[b]) <= _CHUNK:
-            span = max(span, width[b])
+    while a < len(key):
+        b, span = a + 1, held[a]
+        while b < len(key) and (b + 1 - a) * max(span, held[b]) <= _CHUNK:
+            span = max(span, held[b])
             b += 1
-        rows = slice(first[a], last[b - 1])
-        cells = np.arange(b - a).repeat(last[a:b] - first[a:b])
-        out[order[rows]] = _cell_sums(ys[rows], lo[rows], hi[rows], cells, yc[a:b],
-                                      near[a:b], reach[a:b], start[a:b], width[a:b], log_coef)
+        for series, plan in plans.items():
+            _form(series, plan, key, rows, range(a, b))
+        # each entry's terms start at g[base]
+        parts = [row[2][int(u - row[1]):int(v - row[1]) + 1]
+                 for row, u, v in zip(rows[a:b], need_lo[a:b], need_hi[a:b])]
+        offset = np.array([0, *itertools.accumulate(len(p) for p in parts[:-1])]) - need_lo[a:b]
+        pts = slice(at[a], at[b])
+        cell = cell_of[pts] - a
+        n0 = np.array([row[0] for row in rows[a:b]])[cell]
+        total[pts] = _entry_sums(_join(parts), offset[cell] + lo[pts], y[pts], lo[pts], hi[pts], n0)
+        # a row not kept is a view of its chunk's array: let that go
+        rows[a:b] = [None] * (b - a)
+        del parts
         a = b
-    return out
+
+    done = 0
+    for (_, ks, bounds, *_), order in zip(groups, orders):
+        out = total[done:done + bounds[-1]]
+        if order is not None:
+            out = np.empty(len(order))
+            out[order] = total[done:done + len(order)]
+        done += bounds[-1]
+        for k, u, v in zip(ks, bounds, bounds[1:]):
+            sums[k] = out[u:v]
+    return sums
+
+
+def _join(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _refuse_wide(terms, groups) -> None:
+    """Raise ArithmeticError for the first term of _poisson_sum with a
+    window of more than _MAX_WINDOW terms, naming its widest, the lowest y
+    first; groups holds (series, its terms, their bounds, y, lo, hi)."""
+    windows = {}
+    for _, ks, bounds, _, lo, hi in groups:
+        for k, u, v in zip(ks, bounds, bounds[1:]):
+            windows[k] = hi[u:v] - lo[u:v]
+    for k in sorted(windows):
+        if np.count_nonzero(windows[k] >= _MAX_WINDOW):
+            order = terms[k][1].argsort(kind="stable")
+            w = windows[k][order]
+            i = np.argmax(w)
+            raise ArithmeticError(
+                f"series window too wide: {w[i] + 1.0:.4g} terms at beta*x = "
+                f"{terms[k][1][order][i]:.6g}, more than {_MAX_WINDOW}")
 
 
 def _cell(y):
@@ -347,10 +451,40 @@ def _cell(y):
     return np.floor(cell, out=cell)
 
 
-def _cell_sums(y, lo, hi, cell, yc, near, reach, start, width, log_coef) -> np.ndarray:
-    # The sums of _poisson_sum for the points y of one chunk of cells: point
-    # i lies in cell[i], and cell k has middle yc[k], searches n0 in
-    # [near[k], reach[k]] and has range start[k] + [0, width[k]).
+def _search_range(series, cell):
+    """Each cell's middle yc; the range [near, reach] in which its n0 is
+    searched, from the low end of the window at its top edge to the high
+    end of the window at its bottom edge; and the range [low, high] of
+    every window in the cell, from the low end of the window at its bottom
+    edge to the high end of the window at its top edge."""
+    key = cell[:, None] + np.array([0.5, 0.0, 1.0])
+    yc, y_lo, y_hi = np.maximum((0.5 * key) ** 2 - 16.0, 1.0).T
+    octave = key[:, 0] < 0.0
+    if octave.any():
+        yc[octave], y_lo[octave], y_hi[octave] = np.exp2(key[octave]).T
+    lo, hi = series.window(np.concatenate((y_hi, y_lo)))
+    near, low = lo[:len(cell)], lo[len(cell):]
+    return yc, near, np.maximum(hi[len(cell):], near), low, hi[:len(cell)]
+
+
+def _form(series: "_Series", plan: dict, key: list, rows: list, cells: range) -> None:
+    """Forms into rows[k] the row of each cell k among cells that plan
+    holds for series: (its middle yc, its n0 search range [near, reach],
+    its range start + [0, width)). A row that the series does not keep is
+    a view of one array of them all, which lives as long as it does."""
+    mine = [k for k in cells if k in plan]
+    if mine:
+        yc, near, reach, start, width = np.array([plan[k] for k in mine]).T
+        n0, g = _form_rows(series.log_coef, yc, near, reach, start, width)
+        for k, n0_k, start_k, g_k, width_k in zip(mine, n0.tolist(), start.tolist(), g,
+                                                 width.tolist()):
+            rows[k] = series.keep(key[k], n0_k, start_k, g_k[:int(width_k)])
+
+
+def _form_rows(log_coef, yc, near, reach, start, width):
+    """The rows of cells with middle yc[k], n0 search range [near[k],
+    reach[k]] and range start[k] + [0, width[k]): each cell's n0, and its
+    row g, padded to the widest."""
     h = int(width.max())
     # log_coef over the union of the cells' ranges
     union = []
@@ -379,18 +513,19 @@ def _cell_sums(y, lo, hi, cell, yc, near, reach, start, width, log_coef) -> np.n
     g -= up.cumsum(axis=1, out=up)
     down = np.log1p((np.minimum(n, n0 - 1.0) + 1.0 - n0) / n0)[:, ::-1]
     g += down.cumsum(axis=1, out=down)[:, ::-1]
-    del n, up, down
+    return n0[:, 0], g
 
-    n0 = n0[cell, 0]
+
+def _entry_sums(g, base, y, lo, hi, n0) -> np.ndarray:
+    # the sums of _poisson_sum at y, from their cells' n0 and rows: entry
+    # i's terms start at g[base[i]]
     ref = _log_poisson(n0, y)
     # log(y / n0), through log1p where y is near n0 so it keeps its digits
     slope = np.log1p(np.maximum((y - n0) / n0, -0.5))
     far = y < 0.5 * n0
     if far.any():
         slope[far] = np.log(y[far] / n0[far])
-    # point i's terms start at g[cell[i], lo[i] - start]
-    base = cell * h + (lo - start[cell]).astype(np.intp)
-    return _row_sums(g.ravel(), base, (hi - lo + 1.0).astype(np.intp), ref, slope, lo - n0)
+    return _row_sums(g, base.astype(np.intp), (hi - lo + 1.0).astype(np.intp), ref, slope, lo - n0)
 
 
 def _row_sums(g, base, w, ref, slope, d) -> np.ndarray:
@@ -408,24 +543,26 @@ def _row_sums(g, base, w, ref, slope, d) -> np.ndarray:
     # rows a..b-1 fit in _BLOCK terms, (b - a) span[b - 1] <= _BLOCK, when
     # last[b - 1] <= a; last rises with the row
     last = np.arange(1, len(w) + 1) - _BLOCK // span
+    span, widths = span.tolist(), w[by_width].tolist()
     a = 0
     while a < len(w):
-        b = max(a + 1, last.searchsorted(a, "right"))
+        b = max(a + 1, int(last.searchsorted(a, "right")))
         i = by_width[a:b, None]
+        base_i, d_i, slope_i, ref_i, w_i = base[i], d[i], slope[i], ref[i], w[i]
         step = min(span[b - 1], _RUN * max(1, _BLOCK // (_RUN * (b - a))))
         total = np.zeros(b - a)
         for c in range(0, span[b - 1], step):
             j = np.arange(c, min(c + step, span[b - 1]))
             # an index past a point's width may run off g; its term is set
             # to 0 below
-            terms = g.take(base[i] + j, mode="clip")
-            shift = d[i] + j
-            shift *= slope[i]
+            terms = g.take(base_i + j, mode="clip")
+            shift = d_i + j
+            shift *= slope_i
             terms += shift
-            terms += ref[i]
+            terms += ref_i
             # terms past a point's width, all past the narrowest row's, become 0
-            cut = max(w[by_width[a]] - c, 0)
-            terms[:, cut:][j[cut:] >= w[i]] = -np.inf
+            cut = max(widths[a] - c, 0)
+            np.copyto(terms[:, cut:], -np.inf, where=j[cut:] >= w_i)
             np.exp(terms, out=terms)
             terms = terms.reshape(b - a, -1, _RUN)
             runs = terms[..., 0] + terms[..., 1]
@@ -438,9 +575,99 @@ def _row_sums(g, base, w, ref, slope, d) -> np.ndarray:
     return out
 
 
-def _upper_sum(fading: SrFading, y: np.ndarray, s: int, m: float) -> np.ndarray:
-    """sum_k w_k Q(k+1+s, y) at y > 0, w_k the mixture weights with shape m:
-    P(N <= K + s) = sum_n p_n(y) P(K >= n - s), K ~ NB(m, r).
+class _Series:
+    """A series of _poisson_sum, named by key: log c_n = log_coef(n), each
+    value formed once (_Coefs), its window (lo, hi) = window(y), and the
+    rows of its cells, each (n0, start, g) with g over start + [0, len(g)).
+    Rows are kept while they hold at most room entries in all."""
+
+    def __init__(self, key, log_coef, window, room: int):
+        self.key = key
+        self.log_coef = _Coefs(log_coef)
+        self.window = window
+        self.rows: dict[float, tuple[float, float, np.ndarray]] = {}
+        self.size = 0
+        self.room = room
+
+    def keep(self, cell: float, n0: float, start: float, g: np.ndarray):
+        """The row (n0, start, g) of cell, kept in place of its old row
+        while the rows fit in the series' room."""
+        old = self.rows.get(cell)
+        size = self.size + len(g) - (0 if old is None else len(old[2]))
+        if size > self.room:
+            return n0, start, g
+        self.rows[cell] = row = (n0, start, g.copy())
+        self.size = size
+        return row
+
+
+# While a partition is solved, the series it sums are kept
+# (_keep_coefficients), with their coefficients and up to _KEEP entries of
+# rows: its root finder evaluates one fading near the same gains again and
+# again, and each coefficient depends on its n alone, each row on its cell
+# alone. Outside that scope a series lives for one pass, and keeps no row,
+# as a pass meets each cell once. Like np.errstate, the scope belongs to
+# the running context (a solve in another thread keeps its own), which
+# lets tail_mass keep its signature.
+_kept: ContextVar[dict | None] = ContextVar("_kept", default=None)
+_KEEP = 1 << 20
+
+
+@contextmanager
+def _keep_coefficients():
+    token = _kept.set({})
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
+def _series(key, log_coef, window) -> _Series:
+    """The series named key: the one kept by the running solve, else new."""
+    kept = _kept.get()
+    if kept is None:
+        return _Series(key, log_coef, window, 0)
+    if key not in kept:
+        kept[key] = _Series(key, log_coef, window, _KEEP)
+    return kept[key]
+
+
+class _Coefs:
+    """log_coef of _poisson_sum for one series, each value formed once: the
+    values are kept in one array indexed by n from its lowest, NaN where
+    not formed yet, while that array spans at most _KEEP indices."""
+
+    def __init__(self, log_coef):
+        self.log_coef = log_coef
+        self.start = 0.0
+        self.value = np.empty(0)
+
+    def __call__(self, n: np.ndarray) -> np.ndarray:
+        # n is sorted and distinct, as _form_rows passes it
+        end = self.start + len(self.value)
+        lo, hi = n[0], n[-1] + 1.0
+        if len(self.value):
+            lo, hi = min(lo, self.start), max(hi, end)
+        if hi - lo > _KEEP:
+            return self.log_coef(n)
+        if lo < self.start or hi > end:
+            grown = np.full(int(hi - lo), np.nan)
+            at = int(self.start - lo)
+            grown[at:at + len(self.value)] = self.value
+            self.start, self.value = lo, grown
+        i = (n - self.start).astype(np.intp)
+        out = self.value[i]
+        new = np.isnan(out)
+        if new.any():
+            out[new] = self.log_coef(n[new])
+            self.value[i[new]] = out[new]
+        return out
+
+
+def _tail(fading: SrFading, s: int, m: float) -> _Series:
+    """The series sum_k w_k Q(k+1+s, y) at y > 0, w_k the mixture weights
+    with shape m: P(N <= K + s) = sum_n p_n(y) P(K >= n - s), K ~ NB(m, r).
+    The tail mass P(G >= x) is its sum at s = 0, m = fading.m, y = beta x.
 
     P(K >= j) does not rise with j, so the omitted mass above the window is
     below _REL_TOL of the sum. Below it, the sum is e^-((1-r) y) times
@@ -463,61 +690,53 @@ def _upper_sum(fading: SrFading, y: np.ndarray, s: int, m: float) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.where(j >= 1.0, np.log(_nb_above(np.maximum(j, 1.0), m, r, q)), 0.0)
 
-    kept = _kept.get()
-    if kept is not None:
-        log_survival = kept.setdefault((fading, s, m), _Coefs(log_survival))
-    return _poisson_sum(y, log_survival, window)
+    return _series(("tail", fading, s, m), log_survival, window)
 
 
-# While a partition is solved, the coefficients of each series it sums are
-# kept (_keep_coefficients), over up to _KEEP indices: its root finder evaluates
-# one fading near the same gains again and again, and each log c_n depends
-# on n alone. Like np.errstate, the scope belongs to the running context
-# (a solve in another thread keeps its own), which lets tail_mass keep its
-# signature.
-_kept: ContextVar[dict | None] = ContextVar("_kept", default=None)
-_KEEP = 1 << 20
+def _below(fading: SrFading) -> _Series:
+    """The CDF's series sum_n p_n(y) P(K < n) at y = beta x, P(K < n) =
+    I_(1-r)(m, n).
+
+    The omitted mass below the window is below _REL_TOL of the sum, P(K < n)
+    being nondecreasing; above it, below _REL_TOL of the lower bound
+    max(w_0 P(1, y), p_n(y) w_(n-1)) at n near r y + m.
+    """
+    r, q = _mixture(fading)
+    m = fading.m
+
+    def window(y):
+        n = np.maximum(np.rint(r * y + m), 1.0)
+        log_lb = np.maximum(m * math.log(q) + np.log(-np.expm1(-y)),
+                            _log_poisson(n, y) + _log_nb_tilted(n - 1.0, m, q) + xlogy(n - 1.0, r))
+        a_hi = np.minimum(_LOG_2_OVER_TOL - log_lb, _LOG_FLOOR)
+        return _cut_below(y, _LOG_2_OVER_TOL), _cut_above(y, a_hi)
+
+    def log_below(n):
+        with np.errstate(divide="ignore"):
+            return np.where(n >= 1.0, np.log(_nb_below(np.maximum(n, 1.0), m, r, q)), -np.inf)
+
+    return _series(("cdf", fading), log_below, window)
 
 
-@contextmanager
-def _keep_coefficients():
-    token = _kept.set({})
-    try:
-        yield
-    finally:
-        _kept.reset(token)
+def _moments(fading: SrFading, x: np.ndarray):
+    """The terms of the two tail series of the first moment above each gain
+    x (tail_mean_gain), at the finite x > 0."""
+    y = _inner(fading, x)
+    return (_tail(fading, 1, fading.m), y), (_tail(fading, 2, fading.m + 1.0), y)
 
 
-class _Coefs:
-    """log_coef of _poisson_sum for one series, each value formed once: the
-    values are kept in one array indexed by n from its lowest, NaN where
-    not formed yet, while that array spans at most _KEEP indices."""
+def _inner(fading: SrFading, x: np.ndarray) -> np.ndarray:
+    """beta x at the gains x strictly between 0 and inf, where the series
+    are summed."""
+    return fading.beta * x[(x > 0.0) & (x < math.inf)]
 
-    def __init__(self, log_coef):
-        self.log_coef = log_coef
-        self.start = 0.0
-        self.value = np.empty(0)
 
-    def __call__(self, n: np.ndarray) -> np.ndarray:
-        # n is sorted and distinct, as _cell_sums passes it
-        end = self.start + len(self.value)
-        lo, hi = n[0], n[-1] + 1.0
-        if len(self.value):
-            lo, hi = min(lo, self.start), max(hi, end)
-        if hi - lo > _KEEP:
-            return self.log_coef(n)
-        if lo < self.start or hi > end:
-            grown = np.full(int(hi - lo), np.nan)
-            at = int(self.start - lo)
-            grown[at:at + len(self.value)] = self.value
-            self.start, self.value = lo, grown
-        i = (n - self.start).astype(np.intp)
-        out = self.value[i]
-        new = np.isnan(out)
-        if new.any():
-            out[new] = self.log_coef(n[new])
-            self.value[i[new]] = out[new]
-        return out
+def _fill(x: np.ndarray, sums: np.ndarray, at_zero: float) -> np.ndarray:
+    """A distribution's values at gains x >= 0, from its series' sums at
+    _inner(x), each at most 1: at_zero at x = 0 and 1 - at_zero at inf."""
+    out = np.where(x == math.inf, 1.0 - at_zero, at_zero)
+    out[(x > 0.0) & (x < math.inf)] = np.minimum(sums, 1.0)
+    return out
 
 
 def _gains(x) -> tuple[np.ndarray, bool]:
@@ -581,46 +800,26 @@ def sr_cdf_quadrature(fading: SrFading, x: float) -> float:
 
 def sr_cdf(fading: SrFading, x):
     """Power-gain CDF sum_n p_n(beta x) P(K < n) at a scalar or 1-D array of
-    gains x >= 0, with P(K < n) = I_(1-r)(m, n).
+    gains x >= 0, with P(K < n) = I_(1-r)(m, n) (_below).
 
-    Every term is positive, so small CDF values keep their digits. The
-    omitted mass below the window is below _REL_TOL of the sum, P(K < n)
-    being nondecreasing; above it, below _REL_TOL of the lower bound
-    max(w_0 P(1, y), p_n(y) w_(n-1)) at n near r y + m.
+    Every term is positive, so small CDF values keep their digits.
     """
     x, scalar = _gains(x)
-    inner = (x > 0.0) & (x < math.inf)
-    y = fading.beta * x[inner]
-    r, q = _mixture(fading)
-    m = fading.m
-
-    def window(y):
-        n = np.maximum(np.rint(r * y + m), 1.0)
-        log_lb = np.maximum(m * math.log(q) + np.log(-np.expm1(-y)),
-                            _log_poisson(n, y) + _log_nb_tilted(n - 1.0, m, q) + xlogy(n - 1.0, r))
-        a_hi = np.minimum(_LOG_2_OVER_TOL - log_lb, _LOG_FLOOR)
-        return _cut_below(y, _LOG_2_OVER_TOL), _cut_above(y, a_hi)
-
-    def log_below(n):
-        with np.errstate(divide="ignore"):
-            return np.where(n >= 1.0, np.log(_nb_below(np.maximum(n, 1.0), m, r, q)), -np.inf)
-
-    total = np.where(x == math.inf, 1.0, 0.0)
-    total[inner] = np.minimum(_poisson_sum(y, log_below, window), 1.0)
+    (below,) = _poisson_sum((_below(fading), _inner(fading, x)))
+    total = _fill(x, below, 0.0)
     return float(total[0]) if scalar else total
 
 
 def tail_mass(fading: SrFading, x):
     """Complementary CDF P(G >= x) = sum_n p_n(beta x) P(K >= n) at a scalar
-    or 1-D array of gains x >= 0.
+    or 1-D array of gains x >= 0 (_tail).
 
     The series has no cancellation, so tail probabilities far below 1e-16
     keep their digits.
     """
     x, scalar = _gains(x)
-    inner = (x > 0.0) & (x < math.inf)
-    total = np.where(x == math.inf, 0.0, 1.0)
-    total[inner] = np.minimum(_upper_sum(fading, fading.beta * x[inner], 0, fading.m), 1.0)
+    (tail,) = _poisson_sum((_tail(fading, 0, fading.m), _inner(fading, x)))
+    total = _fill(x, tail, 1.0)
     return float(total[0]) if scalar else total
 
 
@@ -697,13 +896,16 @@ def state_probs(fading: SrFading, part):
 
     pi_k = F(mu_k^2) - F(mu_{k-1}^2) for interior states; the top state
     takes the remaining tail mass. Given a sequence of partitions with one
-    state count, returns one row per partition from one tail_mass and one
-    sr_cdf call, each row equal to its partition's probabilities alone.
+    state count, returns one row per partition, from one pass over the tail
+    and the CDF series, each row equal to its partition's probabilities
+    alone.
     """
     single = isinstance(part, GainPartition)
     gains = np.array([p.thresholds for p in ([part] if single else part)]) ** 2
-    tails = tail_mass(fading, gains[:, 1:].ravel()).reshape(len(gains), -1)
-    pi = _state_probs(sr_cdf(fading, gains[:, 1]), tails)
+    x, _ = _gains(gains[:, 1:].ravel())
+    tails, below = _poisson_sum((_tail(fading, 0, fading.m), _inner(fading, x)),
+                                (_below(fading), _inner(fading, gains[:, 1])))
+    pi = _state_probs(_fill(gains[:, 1], below, 0.0), _fill(x, tails, 1.0).reshape(len(gains), -1))
     return pi[0] if single else pi
 
 
@@ -817,30 +1019,33 @@ def tail_mean_gain(fading: SrFading, x):
     The tail first moment sum_k w_k (k+1)/beta Q(k+2, beta x) over the tail
     mass. As k w_k(m) = m r/(1-r) w_(k-1)(m+1), the moment splits into two
     tail series, one with shape m + 1; none cancels, so the ratio stays
-    accurate even where each underflows relative to 1.
+    accurate even where each underflows relative to 1. All three series go
+    in one pass.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError(f"x must be >= 0, got {arr[arr < 0][0]}")
-    x = np.atleast_1d(arr)
-    out = _tail_mean(fading, x, tail_mass(fading, x))
+    x, _ = _gains(arr)
+    mass, first, second = _poisson_sum((_tail(fading, 0, fading.m), _inner(fading, x)),
+                                       *_moments(fading, x))
+    out = _tail_mean(fading, x, _fill(x, mass, 1.0), first, second)
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def _tail_mean(fading: SrFading, x: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _tail_mean(fading: SrFading, x: np.ndarray, mass: np.ndarray, first: np.ndarray,
+               second: np.ndarray) -> np.ndarray:
     """tail_mean_gain at a 1-D array of gains x >= 0, given the tail mass
-    at each."""
+    at each and the sums of the two series of _moments(fading, x). The
+    moment above x = inf is 0, and so is its mass: it is refused."""
     out = np.full(len(x), fading.mean_gain)
     tail = x != 0.0
     if tail.any():
-        mass = mass[tail]
         r, q = _mixture(fading)
-        y = fading.beta * x[tail]
-        m = fading.m
-        moment = (_upper_sum(fading, y, 1, m)
-                  + m * r / q * _upper_sum(fading, y, 2, m + 1.0)) / fading.beta
+        moment = np.zeros(len(x))
+        moment[(x > 0.0) & (x < math.inf)] = (first + fading.m * r / q * second) / fading.beta
+        mass = mass[tail]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[tail] = moment / mass
+            out[tail] = moment[tail] / mass
         bad = (mass <= 0.0) | ~np.isfinite(out[tail])
         if bad.any():
             raise ValueError(f"no resolvable tail mass above x={x[tail][bad][0]}")
@@ -933,77 +1138,95 @@ def equal_probability_partition(
     one its entry gives alone, bit for bit.
     """
     firsts = np.asarray(first_threshold, dtype=float)
-    parts, _ = _partitions(fading, np.atleast_1d(firsts), n_states, upper_thresholds)
+    parts = _partitions(fading, np.atleast_1d(firsts), n_states, upper_thresholds)[0]
     return parts[0] if firsts.ndim == 0 else parts
 
 
-def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int,
-                upper_thresholds) -> tuple[list[GainPartition], np.ndarray]:
+def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresholds
+                ) -> tuple[list[GainPartition], np.ndarray, np.ndarray]:
     """equal_probability_partition's partitions for a 1-D array of first
-    thresholds, and the tail masses at each one's gains mu_1^2 .. mu_{K-1}^2
+    thresholds; the tail masses at each one's gains mu_1^2 .. mu_{K-1}^2
     (one row each), which serve both its top mean gain and its state
-    probabilities (_state_probs).
+    probabilities (_state_probs); and the CDF at each first threshold's
+    gain, which gives the first state's probability and the mass in the
+    fade duration.
 
-    The whole solve keeps its series coefficients (_keep_coefficients), and
-    it evaluates each series at each gain once outside its root finder:
-    the tail at the first thresholds, the bracket ends hi and 2 hi in one
-    call, the tail at the other thresholds, and the two series of the top
-    mean gain.
+    The whole solve keeps its series (_keep_coefficients), and it makes one
+    pass over them before its root finder and one after, evaluating each
+    series at each gain once outside the root finder. The pass before holds
+    the tail at the first thresholds, the tail at the bracket ends hi and
+    2 hi, and the CDF at the first thresholds; the pass after, the tail at
+    the other thresholds and the two series of the top mean gain. In
+    between, each step of the root finder is one pass of the tail series.
     """
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")
     if np.any(firsts < 0):
         raise ValueError(f"first_threshold must be >= 0, got {firsts[firsts < 0][0]}")
     first = firsts[:, None]
+    if upper_thresholds is not None:
+        uppers = np.asarray(upper_thresholds, dtype=float)
+        if len(uppers) != n_states - 2:
+            raise ValueError(
+                f"need {n_states - 2} upper thresholds for K={n_states}, got {len(uppers)}"
+            )
+    x1, _ = _gains(firsts ** 2)
     with _keep_coefficients():
+        tail, below = _tail(fading, 0, fading.m), _below(fading)
+
+        def tail_at(g):
+            # tail_mass at finite gains g > 0, as the bracket and the root
+            # finder take them
+            return np.minimum(_poisson_sum((tail, fading.beta * g))[0], 1.0)
+
+        # Every target of a partition shares the bracket [first^2, hi]; hi
+        # doubles where the tail still exceeds the target. Most brackets
+        # close within one doubling, so the first pass takes both hi and
+        # 2 hi. The tail at the first thresholds goes first, so that a
+        # window too wide is refused for it before the others.
+        lo = np.repeat(x1, n_states - 2 if upper_thresholds is None else 0)
+        hi = np.maximum(2.0 * lo, fading.mean_gain)
+        s1, ends, cdf = _poisson_sum((tail, _inner(fading, x1)),
+                                     (tail, _inner(fading, np.concatenate((hi, 2.0 * hi)))),
+                                     (below, _inner(fading, x1)))
+        s1, cdf = _fill(x1, s1, 1.0), _fill(x1, cdf, 0.0)
         if upper_thresholds is not None:
-            uppers = np.asarray(upper_thresholds, dtype=float)
-            if len(uppers) != n_states - 2:
-                raise ValueError(
-                    f"need {n_states - 2} upper thresholds for K={n_states}, got {len(uppers)}"
-                )
             amplitudes = np.broadcast_to(uppers, (len(first), len(uppers)))
-            known = first[:, :0]
         else:
-            s1 = tail_mass(fading, first[:, 0] ** 2)
             # Below ~1e-290 the quantile targets leave the normal double range
             # and the root finder sees quantized garbage; fail explicitly.
+            # (A first threshold at inf has tail mass 0, and its bracket
+            # ends, left out of the pass, are never used.)
             if np.any(s1 < 1e-290):
                 i = np.flatnonzero(s1 < 1e-290)[0]
                 raise ArithmeticError(
                     f"no resolvable probability mass above threshold {first[i, 0]} "
                     f"(tail mass {s1[i]:.3g})"
                 )
-            # Every target of a partition shares the bracket [first^2, hi]; hi
-            # doubles where the tail still exceeds the target. The ratio form
-            # keeps the root finder stable when targets are deep in the tail.
-            # Most brackets close within one doubling, so the first call takes
-            # both hi and 2 hi.
+            # The ratio form keeps the root finder stable when targets are
+            # deep in the tail.
             targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1))
                        / (n_states - 1)).ravel()
-            lo = np.repeat(first[:, 0] ** 2, n_states - 2)
-            hi = np.maximum(2.0 * lo, fading.mean_gain)
-            f_hi, f_twice = np.split(
-                tail_mass(fading, np.concatenate((hi, 2.0 * hi))) / np.tile(targets, 2) - 1.0, 2)
+            f_hi, f_twice = np.split(np.minimum(ends, 1.0) / np.tile(targets, 2) - 1.0, 2)
             while np.any(up := f_hi > 0.0):
                 hi[up] *= 2.0
                 if hi.max() > 1e12:
                     raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
                 if f_twice is None:
-                    f_hi[up] = tail_mass(fading, hi[up]) / targets[up] - 1.0
+                    f_hi[up] = tail_at(hi[up]) / targets[up] - 1.0
                 else:
                     f_hi[up], f_twice = f_twice[up], None
-            gains = _find_root(lambda g, tg: tail_mass(fading, g) / tg - 1.0,
+            gains = _find_root(lambda g, tg: tail_at(g) / tg - 1.0,
                                lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
             amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
-            known = s1[:, None]
         thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
-        # the tails not known yet (an equal-mass solve knows s1), at the
-        # thresholds' squares as state_probs takes them: a solved gain and
-        # its threshold's square can differ by an ulp
-        rest = thresholds[:, 1 + known.shape[1]:]
-        tails = np.hstack((known, tail_mass(fading, rest.ravel() ** 2).reshape(rest.shape)))
-        tops = _tail_mean(fading, thresholds[:, -1] ** 2, tails[:, -1])
+        # the tails at the other thresholds' squares, as state_probs takes
+        # them: a solved gain and its threshold's square can differ by an ulp
+        rest, _ = _gains(thresholds[:, 2:].ravel() ** 2)
+        top = thresholds[:, -1] ** 2
+        rest_tail, *moments = _poisson_sum((tail, _inner(fading, rest)), *_moments(fading, top))
+        tails = np.hstack((s1[:, None], _fill(rest, rest_tail, 1.0).reshape(len(first), -1)))
+        tops = _tail_mean(fading, top, tails[:, -1], *moments)
     parts = [GainPartition(thresholds=t, top_mean_gain=float(top))
              for t, top in zip(thresholds, tops)]
-    return parts, tails
+    return parts, tails, cdf

@@ -14,7 +14,10 @@ holds at most about 3.6 MiB of arrays at once (7.1 arrays of _BLOCK
 doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme), so two
 blocks in flight take about as much as one block did before it worked in
 place. Each further thread adds a block's memory: at 4 threads the peak
-memory of a 1e6-replication run rose 13%.
+memory of a 1e6-replication run rose 13%. Drawing n gains at once, as
+`validate` does, the sampler holds three arrays of n doubles (the two
+scattered parts and the line-of-sight amplitude) plus a few arrays of
+_BLOCK doubles, as it works the phases one block at a time.
 """
 
 import concurrent.futures
@@ -109,14 +112,18 @@ def sample_sr_gain(fading: SrFading, rng: np.random.Generator, size: int | None 
     if fading.omega > 0.0:
         amp = rng.gamma(fading.m, fading.omega / fading.m, n)
         np.sqrt(amp, out=amp)
-        phase = rng.uniform(0.0, 2.0 * math.pi, n)
-        los = np.cos(phase)
-        los *= amp
-        re += los
-        np.sin(phase, out=los)
-        los *= amp
-        im += los
-        del amp, phase, los
+        # the phases one block at a time, drawn in stream order: the peak is
+        # re, im and amp, plus a few arrays of _BLOCK doubles
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            phase = rng.uniform(0.0, 2.0 * math.pi, b - a)
+            los = np.cos(phase)
+            los *= amp[a:b]
+            re[a:b] += los
+            np.sin(phase, out=los)
+            los *= amp[a:b]
+            im[a:b] += los
+        del amp
     re *= re
     im *= im
     re += im
@@ -205,9 +212,11 @@ def _block(
     t += t_wait
     t /= tl.slot_len_s
     np.ceil(t, out=t)
+    # wrapped before the cast, which a wait of more than about 9e18 slots
+    # would overflow; fmod is exact, so this is the integer remainder
+    np.fmod(t, tl.n_slots, out=t)
     slot = t.astype(np.int64)
     del t, u
-    slot %= tl.n_slots
     slot[slot == 0] = tl.n_slots
     slot -= 1
     if is_rat:

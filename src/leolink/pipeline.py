@@ -73,12 +73,12 @@ class _Solved:
 def _solve(scns: list[Scenario]) -> list[_Solved]:
     """_Solved of each scenario, each equal to that of the scenario alone.
 
-    Scenarios with equal fading share one evaluation of the CDF at their
-    first thresholds, which gives both the first state's probability and
-    the mass of the fade duration. Those with equal state count and pinned
-    thresholds too share one partition solve, which gives the tail masses
-    of the other states; those with equal Doppler spectrum too share one
-    fade-duration call.
+    Scenarios with equal fading, state count and pinned thresholds share
+    one partition solve, which solves each distinct first threshold once.
+    It gives the tail masses of the upper states, and the CDF at the first
+    threshold, which gives both the first state's probability and the mass
+    of the fade duration. Those with equal fading and Doppler spectrum
+    share one fade-duration call.
     """
     d_max = [distance_range(s.geometry)[1] for s in scns]
     firsts = [schemes.rat_first_threshold(s.budget, s.rat, d) if s.scheme == "rat"
@@ -86,15 +86,15 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
               for s, d in zip(scns, d_max)]
     first = np.array(firsts)
     partitions, pi, lams = [None] * len(scns), [None] * len(scns), [None] * len(scns)
+    below = np.empty(len(scns))
     for fading, idx in _groups(scns, range(len(scns)), lambda s: s.fading).items():
-        solves = [(sub, *channel._partitions(fading, first[sub], n_states, uppers))
-                  for (n_states, uppers), sub in _groups(
-                      scns, idx, lambda s: (s.n_states, s.upper_thresholds)).items()]
-        below = np.empty(len(scns))
-        below[idx] = channel.sr_cdf(fading, first[idx] ** 2)
-        for sub, parts, tails in solves:
-            for i, part, p in zip(sub, parts, channel._state_probs(below[sub], tails)):
-                partitions[i], pi[i] = part, p
+        for (n_states, uppers), sub in _groups(
+                scns, idx, lambda s: (s.n_states, s.upper_thresholds)).items():
+            distinct = list(dict.fromkeys(firsts[i] for i in sub))
+            parts, tails, cdf = channel._partitions(fading, np.array(distinct), n_states, uppers)
+            solved = dict(zip(distinct, zip(parts, channel._state_probs(cdf, tails), cdf.tolist())))
+            for i in sub:
+                partitions[i], pi[i], below[i] = solved[firsts[i]]
         for dop, sub in _groups(scns, idx, lambda s: s.doppler).items():
             lam = channel._afd(fading, dop, first[sub], below[sub])
             for i, lam_s in zip(sub, lam.tolist()):

@@ -310,6 +310,12 @@ class TestEqualProbabilityPartition:
         b = tail_mean_gain(TABLE_FADING, 2.0)
         assert TABLE_FADING.mean_gain < a < b
 
+    def test_tail_mean_above_infinity_is_refused(self):
+        # no mass lies above an infinite gain: refused, alone or among others
+        for x in (math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(ValueError, match="no resolvable tail mass above x=inf"):
+                tail_mean_gain(TABLE_FADING, x)
+
 
 # The partition solver's stopping rule, as find_root takes it.
 ROOT_TOL = {"xatol": channel._ROOT_XATOL, "xrtol": channel._ROOT_XRTOL,
@@ -440,8 +446,17 @@ class TestBrentq:
 # Every fading of the row-independence properties, with a gain whose tail
 # mass is about 1e-280.
 PROPERTY_SETS = {**ABDI_SETS, **LOS_SETS, "integer-m": (2.0, 0.2, 0.5)}
+# The sets of the kept-row property.
+KEPT_SETS = {**ABDI_SETS, "reference": (TABLE_FADING.m, TABLE_FADING.b0, TABLE_FADING.omega),
+             **LOS_SETS}
 DEEP_GAIN = {"light": 266.8, "average": 227.1, "heavy": 81.93, "los-m1.5": 432.2,
              "los-m0.5": 12820.0, "integer-m": 422.7}
+
+
+def upper_sum(fading, y, s, m):
+    """sum_k w_k Q(k+1+s, y) at y > 0, w_k the mixture weights with shape m,
+    in a pass of its own."""
+    return channel._poisson_sum((channel._tail(fading, s, m), y))[0]
 
 
 @st.composite
@@ -473,8 +488,8 @@ class TestRowIndependence:
             assert fn(fading, x[order][:k]).tolist() == alone[order][:k].tolist()
         y = fading.beta * x[(x > 0.0) & (x < math.inf)]
         for s, m in ((1, fading.m), (2, fading.m + 1.0)):
-            alone = [channel._upper_sum(fading, np.array([v]), s, m)[0] for v in y]
-            assert channel._upper_sum(fading, y, s, m).tolist() == alone
+            alone = [upper_sum(fading, np.array([v]), s, m)[0] for v in y]
+            assert upper_sum(fading, y, s, m).tolist() == alone
 
     @pytest.mark.parametrize("name", ["average", "heavy", "integer-m"])
     def test_many_gains_match_one_at_a_time(self, name):
@@ -498,13 +513,56 @@ class TestRowIndependence:
 
         def values():
             return [tail_mass(fading, x).tolist(), sr_cdf(fading, x).tolist(),
-                    channel._upper_sum(fading, y, 1, fading.m).tolist(),
-                    channel._upper_sum(fading, y, 2, fading.m + 1.0).tolist()]
+                    upper_sum(fading, y, 1, fading.m).tolist(),
+                    upper_sum(fading, y, 2, fading.m + 1.0).tolist()]
 
         whole = values()
         monkeypatch.setattr(channel, "_CHUNK", 64)
         monkeypatch.setattr(channel, "_BLOCK", 64)
         assert values() == whole
+
+    @pytest.mark.parametrize("params", list(KEPT_SETS.values()), ids=list(KEPT_SETS))
+    def test_kept_rows_change_no_bit(self, params):
+        # a pass that takes its rows from the kept ones, or forms a kept row
+        # that misses a window again, sums what a fresh one-series pass sums
+        fading = SrFading(*params)
+
+        def series():
+            return [channel._tail(fading, 0, fading.m), channel._below(fading),
+                    channel._tail(fading, 2, fading.m + 1.0)]
+
+        # the low and high ends of one cell, and a gain far above it
+        y = max(fading.beta * fading.mean_gain, 20.0)
+        c = math.floor(2.0 * math.sqrt(y + 16.0))
+        low, high = (0.5 * c) ** 2 - 16.0, (0.5 * c + 0.5) ** 2 - 16.0
+        y = np.array([low + 0.01 * (high - low), high - 0.01 * (high - low), 3.0 * y])
+        cell = channel._cell(y[:1])[0]
+        assert channel._cell(y[1:2])[0] == cell
+        with channel._keep_coefficients():
+            kept = series()
+            channel._poisson_sum(*[(s, y[:1]) for s in kept])
+            # a row spans every window of its cell: the high end takes it
+            formed = [s.rows[cell] for s in kept]
+            ends = channel._poisson_sum(*[(s, y[:2]) for s in kept])
+            assert all(s.rows[cell] is row for s, row in zip(kept, formed))
+            # a kept row that misses a window is formed again, over every
+            # window of its cell, and its entries do not move
+            for s, (n0, start, g) in zip(kept, formed):
+                s.rows[cell] = (n0, start + 3.0, g[3:-3])
+            grown = channel._poisson_sum(*[(s, y) for s in kept])
+            for s, (n0, start, g) in zip(kept, formed):
+                assert s.rows[cell][:2] == (n0, start)
+                assert s.rows[cell][2].tolist() == g.tolist()
+            # every row is kept now: this pass forms none
+            rows = [dict(s.rows) for s in kept]
+            again = channel._poisson_sum(*[(s, y[::-1]) for s in kept])
+            assert [len(s.rows) for s in kept] == [len(r) for r in rows]
+            assert all(s.rows[k] is row for s, r in zip(kept, rows) for k, row in r.items())
+        for fresh, sums_ends, sums, sums_again in zip(series(), ends, grown, again):
+            want = channel._poisson_sum((fresh, y))[0].tolist()
+            assert sums_ends.tolist() == want[:2]
+            assert sums.tolist() == want
+            assert sums_again[::-1].tolist() == want
 
     @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
     def test_kept_coefficients_change_no_bit(self, monkeypatch, name):

@@ -608,8 +608,10 @@ class TestErrorPaths:
                                     "16777216\n")
 
     def test_root_finder_nan_exits_3(self, monkeypatch, capsys):
-        # a NaN tail mass reaches the partition's root finder
-        monkeypatch.setattr(channel, "tail_mass", lambda fading, x: math.nan)
+        # NaN series sums: the tail mass at the first threshold, and so every
+        # quantile target, is NaN, and it reaches the partition's root finder
+        monkeypatch.setattr(channel, "_poisson_sum",
+                            lambda *terms: [np.full(len(y), math.nan) for _, y in terms])
         assert main(["analyze", "--scenario", RAT_SCN]) == 3
         err = capsys.readouterr().err
         assert err.startswith("E_NUMERIC NonConvergent")
@@ -617,7 +619,8 @@ class TestErrorPaths:
     def test_tail_quantile_search_diverged_exits_3(self, monkeypatch, capsys):
         # a tail mass that never falls to its targets: the bracket's upper
         # end doubles past 1e12
-        monkeypatch.setattr(channel, "tail_mass", lambda fading, x: 1.0)
+        monkeypatch.setattr(channel, "_poisson_sum",
+                            lambda *terms: [np.ones(len(y)) for _, y in terms])
         assert main(["analyze", "--scenario", RAT_SCN]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -102,6 +103,25 @@ def set_cores(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
+def check_textbook(fading: SrFading, n: int) -> None:
+    """sample_sr_gain's n draws equal the textbook expression, formed from
+    a clone of its generator."""
+    rng = rng_for(17)
+    clone = np.random.Generator(np.random.Philox())
+    clone.bit_generator.state = rng.bit_generator.state
+    gains = sample_sr_gain(fading, rng, n)
+    sigma = math.sqrt(fading.b0)
+    re = clone.normal(0.0, sigma, n)
+    im = clone.normal(0.0, sigma, n)
+    if fading.omega > 0.0:
+        los_power = clone.gamma(fading.m, fading.omega / fading.m, n)
+        phase = clone.uniform(0.0, 2.0 * math.pi, n)
+        re = re + np.sqrt(los_power) * np.cos(phase)
+        im = im + np.sqrt(los_power) * np.sin(phase)
+    assert np.array_equal(gains, re**2 + im**2)
+    assert rng.random() == clone.random()  # no draw left over
+
+
 class TestSampler:
     def test_rayleigh_limit_ks(self):
         # omega = 0 collapses to an exponential power gain with mean 2 b0
@@ -143,22 +163,28 @@ class TestSampler:
     def test_matches_textbook_expression(self, params):
         # (re + sqrt(L) cos phi)^2 + (im + sqrt(L) sin phi)^2 from the same
         # draws, in the same order, bit for bit
-        fading = SrFading(*params)
-        n = 10_000
-        rng = rng_for(17)
-        clone = np.random.Generator(np.random.Philox())
-        clone.bit_generator.state = rng.bit_generator.state
-        gains = sample_sr_gain(fading, rng, n)
-        sigma = math.sqrt(fading.b0)
-        re = clone.normal(0.0, sigma, n)
-        im = clone.normal(0.0, sigma, n)
-        if fading.omega > 0.0:
-            los_power = clone.gamma(fading.m, fading.omega / fading.m, n)
-            phase = clone.uniform(0.0, 2.0 * math.pi, n)
-            re = re + np.sqrt(los_power) * np.cos(phase)
-            im = im + np.sqrt(los_power) * np.sin(phase)
-        assert np.array_equal(gains, re**2 + im**2)
-        assert rng.random() == clone.random()  # no draw left over
+        check_textbook(SrFading(*params), 10_000)
+
+    @pytest.mark.parametrize("params", [
+        (FADING.m, FADING.b0, FADING.omega), ABDI_SETS["heavy"],
+    ], ids=["reference", "heavy"])
+    def test_phase_blocks_change_no_bit(self, monkeypatch, params):
+        # the phases go one block at a time, the last one short, and the
+        # draws stay in stream order
+        monkeypatch.setattr(montecarlo, "_BLOCK", 3_000)
+        check_textbook(SrFading(*params), 10_000)
+
+    def test_peak_memory(self):
+        # three arrays of the draws' doubles, and the phase work in blocks
+        n = 4 * _BLOCK
+        sample_sr_gain(FADING, rng_for(1), _BLOCK)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            sample_sr_gain(FADING, rng_for(1), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * n + 4 * _BLOCK)
 
     def test_scalar_draw(self):
         g = sample_sr_gain(FADING, rng_for(3))
@@ -347,6 +373,18 @@ class TestSimulateDor:
         cfg = SimConfig(n_samples=100_000, seed=77)
         res = simulate(GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
         assert abs(res.dor - closed) <= 3.0 * res.dor_se + 1e-9
+
+    def test_wait_beyond_int64_slots(self, timeline, rat_setup):
+        # a mean wait of 1e26 s puts completion slots past 2^63; they wrap
+        # onto the pass before the integer cast, with no warning, and every
+        # packet that waits is late
+        rat, part, probs, _ = rat_setup
+        cfg = SimConfig(n_samples=20_000, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, 1e26, cfg)
+        p1 = probs.probs[0, 0]
+        assert res.dor >= p1 - 4.0 * math.sqrt(p1 * (1.0 - p1) / cfg.n_samples)
 
     def test_rejects_unbounded_wait(self, timeline, rat_setup):
         rat, part, _, _ = rat_setup

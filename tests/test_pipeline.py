@@ -1,7 +1,7 @@
 """The partition solve behind prepare() and run_sweep: what it evaluates,
 and that the values it shares are the public functions' own."""
 
-import inspect
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +10,7 @@ import pytest
 
 from leolink import channel, pipeline
 from leolink.channel import SrFading, afd, state_probs, tail_mean_gain
-from leolink.scenario import parse_scenario, parse_sweep
+from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
 
 from fading_sets import ABDI_SETS, LOS_SETS
 
@@ -23,22 +23,27 @@ def reference(name: str):
 
 
 class TestCallBudget:
-    """A solve evaluates each series at each gain once outside its root
-    finder: the tail at the first thresholds, the bracket ends hi and 2 hi,
-    the tail at the other thresholds, the two series of the top mean gain,
-    and the CDF at the first thresholds."""
+    """A solve makes one series pass before its root finder, one for each
+    root-finder step and one after. The pass before holds the tail at the
+    first thresholds, the tail at the bracket ends hi and 2 hi, and the CDF
+    at the first thresholds; the pass after, the tail at the other
+    thresholds and the two series of the top mean gain. Outside the root
+    finder, each series is evaluated at each gain once."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        # (inside the root finder, series, gains) of each _poisson_sum call
-        calls, inside = [], []
+    def passes(self, monkeypatch):
+        # (inside the root finder, [(series, gains) of each term]) of each
+        # pass; a series is ("tail", s) or ("cdf", None)
+        passes, inside = [], []
         poisson_sum, find_root = channel._poisson_sum, channel._find_root
 
-        def counted_sum(y, log_coef, window):
-            fn = getattr(log_coef, "log_coef", log_coef)  # a kept series wraps it
-            series = (fn.__qualname__, inspect.getclosurevars(fn).nonlocals.get("s"))
-            calls.append((bool(inside), series, y.tolist()))
-            return poisson_sum(y, log_coef, window)
+        def name(series):
+            kind = series.key[0]
+            return kind, series.key[2] if kind == "tail" else None
+
+        def counted_sum(*terms):
+            passes.append((bool(inside), [(name(series), y.tolist()) for series, y in terms]))
+            return poisson_sum(*terms)
 
         def counted_root(*args):
             inside.append(True)
@@ -49,31 +54,49 @@ class TestCallBudget:
 
         monkeypatch.setattr(channel, "_poisson_sum", counted_sum)
         monkeypatch.setattr(channel, "_find_root", counted_root)
-        return calls
+        return passes
 
     @staticmethod
-    def check_outside_root(calls):
-        outside = [(series, ys) for inside, series, ys in calls if not inside]
-        tail, cdf = "_upper_sum.<locals>.log_survival", "sr_cdf.<locals>.log_below"
-        assert [series for series, _ in outside] == [
-            (tail, 0), (tail, 0), (tail, 0), (tail, 1), (tail, 2), (cdf, None)]
+    def check_passes(passes):
+        tail, cdf, top1, top2 = ("tail", 0), ("cdf", None), ("tail", 1), ("tail", 2)
+        outside = [terms for inside, terms in passes if not inside]
+        assert [[series for series, _ in terms] for terms in outside] == [
+            [tail, tail, cdf], [tail, top1, top2]]
         # the bracket's entries of one partition share its ends within one
-        # call; no (series, gain) is evaluated by two calls
-        pairs = [(series, y) for series, ys in outside for y in set(ys)]
+        # pass; no (series, gain) is evaluated by two passes
+        pairs = [(series, y) for terms in outside for series, ys in terms for y in set(ys)]
         assert len(pairs) == len(set(pairs))
+        # each step of the root finder is one pass of the tail series
+        assert all([series for series, _ in terms] == [tail]
+                   for inside, terms in passes if inside)
 
     @pytest.mark.parametrize("name", REFERENCES)
-    def test_prepare(self, calls, name):
+    def test_prepare(self, passes, name):
         pipeline.prepare(reference(name))
-        assert len(calls) == 16
-        self.check_outside_root(calls)
+        assert len(passes) == 12
+        self.check_passes(passes)
 
     @pytest.mark.parametrize("name", REFERENCES)
-    def test_height_sweep(self, calls, name):
+    def test_height_sweep(self, passes, name):
         pipeline.run_sweep(reference(name), parse_sweep("geometry.orbit_height=500e3:1100e3:4"))
-        assert len(calls) == 17
-        assert sum(inside for inside, _, _ in calls) == 11
-        self.check_outside_root(calls)
+        assert len(passes) == 13
+        assert sum(inside for inside, _ in passes) == 11
+        self.check_passes(passes)
+
+    @pytest.mark.parametrize("name", REFERENCES)
+    def test_first_threshold_solved_once(self, passes, name):
+        # the Doppler spectrum moves no first threshold: the 40 points share
+        # one, and the root finder solves its 6 equal-mass thresholds once
+        scn = reference(name)
+        sweep = parse_sweep("fading.aoa_width=1:30:40")
+        _, rows = pipeline.run_sweep(scn, sweep)
+        self.check_passes(passes)
+        assert max(len(ys) for inside, terms in passes if inside for _, ys in terms) == 6
+        # each row is byte-identical to the point analyzed on its own
+        for value, row in zip(sweep.values, rows):
+            report = pipeline.run_analyze(apply_sweep_value(scn, sweep.path, value))
+            assert row[1:] == [repr(float(getattr(report, c)))
+                               for c in pipeline.SWEEP_CSV_COLUMNS]
 
 
 SETS = {**ABDI_SETS, "reference": (10.1, 0.126, 0.825), **LOS_SETS}
@@ -101,3 +124,13 @@ class TestSharedValues:
         # the crossing-rate series runs at this first threshold on every set
         # (on line-of-sight sets it underflows to 0 there, and lambda is inf)
         assert parts.lam_s == afd(scn.fading, scn.doppler, parts.first_threshold)
+
+
+def test_line_of_sight_validate_warns_nothing():
+    # the mean wait is about 1.8e26 s on this line-of-sight copy of the RAT
+    # reference: completion slots pass 2^63 before they wrap onto the pass
+    scn = replace(reference("reference_rat.scn"), fading=SrFading(0.5, 1e-3, 10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = pipeline.run_validate(scn)
+    assert [c.name for c in checks if not c.passed] == []
