@@ -25,19 +25,17 @@ grows without bound as the line of sight dominates.
 Every series is summed in passes (_poisson_sum): one pass takes several
 series, each at its own gains, and forms all their terms together. A
 gain's terms come from the row of its cell on a fixed lattice of gains,
-which depends on the cell alone; a partition solve keeps each series'
-rows, so its root finder's passes only sum once its gains settle. Each
-value depends on its own gain alone, bit for bit, whatever other gains and
-series share the pass, so the partitions of many sweep points can be
-solved in one batch and each still equals the partition of its point
-alone. The 1F1 density and its quadrature are kept as the independent
-oracle.
+which depends on the cell alone; a partition solve keeps the rows of its
+tail series, the one series its root finder evaluates at every step, so
+those passes only sum once its gains settle. Each value depends on its
+own gain alone, bit for bit, whatever other gains and series share the
+pass, so the partitions of many sweep points can be solved in one batch
+and each still equals the partition of its point alone. The 1F1 density
+and its quadrature are kept as the independent oracle.
 """
 
 import itertools
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +83,9 @@ _LOG_FLOOR = 745.0
 _CHUNK = 1 << 18
 _BLOCK = 1 << 16
 _MAX_WINDOW = 1 << 24
+# A series keeps its coefficients over at most _KEEP indices (_Coefs); the
+# partition solve's tail series keeps rows of up to _KEEP entries in all.
+_KEEP = 1 << 20
 # Terms are summed in runs of _RUN, and the runs one after another.
 _RUN = 8
 # Terms of the deviance series in _log_poisson: with v^2 < 0.0025 the
@@ -301,19 +302,19 @@ def _poisson_sum(*terms) -> list[np.ndarray]:
     each piece small where the terms matter. The cell's row holds n0 and
     g_n = log c_n - log(n! / n0!) + (n - n0) log n0 over a range of n, with
     log(n! / n0!) accumulated outward from n0, one index after another, so
-    that both depend on the cell alone, whatever the range. A series keeps
-    its rows (_Series), and a pass forms only the rows of the cells that
-    its series has not met, or whose kept range misses a window. The terms
-    of each entry's own window are then added in an order fixed by their n
-    alone (_row_sums), which neither other entries nor block boundaries can
-    change.
+    that both depend on the cell alone, whatever the range. A series with
+    room keeps its rows (_Series), and a pass forms only the rows of the
+    cells that its series has not met, or whose kept range misses a window.
+    The terms of each entry's own window are then added in an order fixed
+    by their n alone (_row_sums), which neither other entries nor block
+    boundaries can change.
 
     Cells go in chunks of at most _CHUNK index-by-cell entries (or one
     cell), series after series in the order of their first terms. A chunk
     forms its missing rows, each series' log_coef evaluated once over the
     union of their ranges, and then the terms of all its entries with one
     _log_poisson, one slope and one _row_sums, in blocks of about _BLOCK.
-    Memory is thus the kept rows, at most _KEEP entries a series, and a few
+    Memory is thus the kept rows, at most room entries a series, and a few
     arrays of the larger of _CHUNK and the widest cell range, which spans
     its entries' windows. A window of more than _MAX_WINDOW terms raises
     ArithmeticError before any row is formed, for the first such term.
@@ -601,37 +602,6 @@ class _Series:
         return row
 
 
-# While a partition is solved, the series it sums are kept
-# (_keep_coefficients), with their coefficients and up to _KEEP entries of
-# rows: its root finder evaluates one fading near the same gains again and
-# again, and each coefficient depends on its n alone, each row on its cell
-# alone. Outside that scope a series lives for one pass, and keeps no row,
-# as a pass meets each cell once. Like np.errstate, the scope belongs to
-# the running context (a solve in another thread keeps its own), which
-# lets tail_mass keep its signature.
-_kept: ContextVar[dict | None] = ContextVar("_kept", default=None)
-_KEEP = 1 << 20
-
-
-@contextmanager
-def _keep_coefficients():
-    token = _kept.set({})
-    try:
-        yield
-    finally:
-        _kept.reset(token)
-
-
-def _series(key, log_coef, window) -> _Series:
-    """The series named key: the one kept by the running solve, else new."""
-    kept = _kept.get()
-    if kept is None:
-        return _Series(key, log_coef, window, 0)
-    if key not in kept:
-        kept[key] = _Series(key, log_coef, window, _KEEP)
-    return kept[key]
-
-
 class _Coefs:
     """log_coef of _poisson_sum for one series, each value formed once: the
     values are kept in one array indexed by n from its lowest, NaN where
@@ -664,10 +634,11 @@ class _Coefs:
         return out
 
 
-def _tail(fading: SrFading, s: int, m: float) -> _Series:
+def _tail(fading: SrFading, s: int, m: float, room: int = 0) -> _Series:
     """The series sum_k w_k Q(k+1+s, y) at y > 0, w_k the mixture weights
-    with shape m: P(N <= K + s) = sum_n p_n(y) P(K >= n - s), K ~ NB(m, r).
-    The tail mass P(G >= x) is its sum at s = 0, m = fading.m, y = beta x.
+    with shape m: P(N <= K + s) = sum_n p_n(y) P(K >= n - s), K ~ NB(m, r),
+    keeping rows of up to room entries. The tail mass P(G >= x) is its sum
+    at s = 0, m = fading.m, y = beta x.
 
     P(K >= j) does not rise with j, so the omitted mass above the window is
     below _REL_TOL of the sum. Below it, the sum is e^-((1-r) y) times
@@ -690,7 +661,7 @@ def _tail(fading: SrFading, s: int, m: float) -> _Series:
         with np.errstate(divide="ignore"):
             return np.where(j >= 1.0, np.log(_nb_above(np.maximum(j, 1.0), m, r, q)), 0.0)
 
-    return _series(("tail", fading, s, m), log_survival, window)
+    return _Series(("tail", fading, s, m), log_survival, window, room)
 
 
 def _below(fading: SrFading) -> _Series:
@@ -715,7 +686,7 @@ def _below(fading: SrFading) -> _Series:
         with np.errstate(divide="ignore"):
             return np.where(n >= 1.0, np.log(_nb_below(np.maximum(n, 1.0), m, r, q)), -np.inf)
 
-    return _series(("cdf", fading), log_below, window)
+    return _Series(("cdf", fading), log_below, window, 0)
 
 
 def _moments(fading: SrFading, x: np.ndarray):
@@ -891,22 +862,18 @@ class StateProbMatrix:
         return self.probs.shape[1]
 
 
-def state_probs(fading: SrFading, part):
+def state_probs(fading: SrFading, part: GainPartition) -> np.ndarray:
     """Steady-state probability of each gain state.
 
     pi_k = F(mu_k^2) - F(mu_{k-1}^2) for interior states; the top state
-    takes the remaining tail mass. Given a sequence of partitions with one
-    state count, returns one row per partition, from one pass over the tail
-    and the CDF series, each row equal to its partition's probabilities
-    alone.
+    takes the remaining tail mass. The tail and the CDF series go in one
+    pass.
     """
-    single = isinstance(part, GainPartition)
-    gains = np.array([p.thresholds for p in ([part] if single else part)]) ** 2
-    x, _ = _gains(gains[:, 1:].ravel())
+    gains = part.thresholds ** 2
+    x, _ = _gains(gains[1:])
     tails, below = _poisson_sum((_tail(fading, 0, fading.m), _inner(fading, x)),
-                                (_below(fading), _inner(fading, gains[:, 1])))
-    pi = _state_probs(_fill(gains[:, 1], below, 0.0), _fill(x, tails, 1.0).reshape(len(gains), -1))
-    return pi[0] if single else pi
+                                (_below(fading), _inner(fading, gains[1:2])))
+    return _state_probs(_fill(gains[1:2], below, 0.0), _fill(x, tails, 1.0)[None, :])[0]
 
 
 def _state_probs(below: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -933,23 +900,15 @@ def state_prob_matrix(fading: SrFading, part: GainPartition, n_slots: int) -> St
     return StateProbMatrix.constant(state_probs(fading, part), n_slots)
 
 
-def lcr(
-    fading: SrFading,
-    dop: DopplerSpec,
-    r_th: float,
-    xi_exponent: str = "squared",
-) -> float:
+def lcr(fading: SrFading, dop: DopplerSpec, r_th: float) -> float:
     """Level-crossing rate of the fading envelope at amplitude r_th.
 
     Series evaluation; each term couples a half-integer Pochhammer weight
-    with a pair of confluent-hypergeometric factors. xi_exponent selects how
-    the spectral-moment bracket enters each factor: "squared" (default)
-    keeps the fixed square, "index" raises it to the term index instead.
+    with a pair of confluent-hypergeometric factors, in each of which the
+    spectral-moment bracket enters squared.
     """
     if r_th <= 0:
         raise ValueError(f"r_th must be > 0, got {r_th}")
-    if xi_exponent not in ("squared", "index"):
-        raise ValueError(f"xi_exponent must be 'squared' or 'index', got {xi_exponent!r}")
     m, b0, om = fading.m, fading.b0, fading.omega
     b1, b2 = doppler_moments(fading, dop)
     det = b0 * b2 - b1 * b1
@@ -959,8 +918,7 @@ def lcr(
 
     def xi(n: int) -> float:
         scale = math.exp(math.lgamma(n + m) - n * math.log(2.0) - math.lgamma(n + 1.0))
-        power = 2.0 if xi_exponent == "squared" else float(n)
-        return (scale * bracket**power * q**n
+        return (scale * bracket**2.0 * q**n
                 * confluent_1f1(n + m, n + 1.0, z))
 
     prefactor = (
@@ -1120,44 +1078,40 @@ def _find_root(f, x1, x2, f1, f2, *args):
 
 def equal_probability_partition(
     fading: SrFading,
-    first_threshold,
+    first_threshold: float,
     n_states: int,
     upper_thresholds: np.ndarray | None = None,
-):
+) -> GainPartition:
     """Build the K-state partition above a scheme-defined first threshold.
 
     By default the states above the first threshold share the remaining
     probability mass equally (solved in tail-mass domain, which survives
     first thresholds far into the tail); pass upper_thresholds (amplitudes,
-    length K - 2) to pin them explicitly instead. The top state's
-    conditional mean gain is recorded for finite upper-bound evaluation.
-
-    Given a 1-D array of first thresholds, returns a list with one
-    partition per entry, all solved together: one root-finder call for
-    every equal-mass threshold of every entry. Each partition equals the
-    one its entry gives alone, bit for bit.
+    length K - 2, rising strictly above the first threshold) to pin them
+    explicitly instead. The top state's conditional mean gain is recorded
+    for finite upper-bound evaluation.
     """
-    firsts = np.asarray(first_threshold, dtype=float)
-    parts = _partitions(fading, np.atleast_1d(firsts), n_states, upper_thresholds)[0]
-    return parts[0] if firsts.ndim == 0 else parts
+    firsts = np.array([float(first_threshold)])
+    return _partitions(fading, firsts, n_states, upper_thresholds)[0][0]
 
 
 def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresholds
-                ) -> tuple[list[GainPartition], np.ndarray, np.ndarray]:
+                ) -> tuple[list[GainPartition], np.ndarray]:
     """equal_probability_partition's partitions for a 1-D array of first
-    thresholds; the tail masses at each one's gains mu_1^2 .. mu_{K-1}^2
-    (one row each), which serve both its top mean gain and its state
-    probabilities (_state_probs); and the CDF at each first threshold's
-    gain, which gives the first state's probability and the mass in the
-    fade duration.
+    thresholds, all solved together, and their state probabilities
+    (state_probs), one row each; the first column is the CDF at each first
+    threshold's gain, the mass in its fade duration. Each partition and
+    row equal those of its first threshold alone, bit for bit.
 
-    The whole solve keeps its series (_keep_coefficients), and it makes one
-    pass over them before its root finder and one after, evaluating each
-    series at each gain once outside the root finder. The pass before holds
-    the tail at the first thresholds, the tail at the bracket ends hi and
-    2 hi, and the CDF at the first thresholds; the pass after, the tail at
-    the other thresholds and the two series of the top mean gain. In
-    between, each step of the root finder is one pass of the tail series.
+    The solve owns the one series it evaluates again and again, the tail
+    mass, which keeps its coefficients and rows; every other series it
+    evaluates in one pass. It makes one pass before its root finder and one
+    after, evaluating each series at each gain once outside the root
+    finder. The pass before holds the tail at the first thresholds, the
+    tail at the bracket ends hi and 2 hi, and the CDF at the first
+    thresholds; the pass after, the tail at the other thresholds and the
+    two series of the top mean gain. In between, each step of the root
+    finder is one pass of the tail series.
     """
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")
@@ -1170,63 +1124,68 @@ def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thres
             raise ValueError(
                 f"need {n_states - 2} upper thresholds for K={n_states}, got {len(uppers)}"
             )
+        amplitudes = np.broadcast_to(uppers, (len(first), len(uppers)))
+        rising = np.diff(np.hstack((first, amplitudes))) > 0.0
+        if not rising.all():
+            i = np.flatnonzero(~rising.all(axis=1))[0]
+            raise ValueError(
+                f"upper_thresholds must rise strictly above the first threshold "
+                f"{float(firsts[i])!r}, got {uppers.tolist()}"
+            )
     x1, _ = _gains(firsts ** 2)
-    with _keep_coefficients():
-        tail, below = _tail(fading, 0, fading.m), _below(fading)
+    tail, below = _tail(fading, 0, fading.m, _KEEP), _below(fading)
 
-        def tail_at(g):
-            # tail_mass at finite gains g > 0, as the bracket and the root
-            # finder take them
-            return np.minimum(_poisson_sum((tail, fading.beta * g))[0], 1.0)
+    def tail_at(g):
+        # tail_mass at finite gains g > 0, as the bracket and the root
+        # finder take them
+        return np.minimum(_poisson_sum((tail, fading.beta * g))[0], 1.0)
 
-        # Every target of a partition shares the bracket [first^2, hi]; hi
-        # doubles where the tail still exceeds the target. Most brackets
-        # close within one doubling, so the first pass takes both hi and
-        # 2 hi. The tail at the first thresholds goes first, so that a
-        # window too wide is refused for it before the others.
-        lo = np.repeat(x1, n_states - 2 if upper_thresholds is None else 0)
-        hi = np.maximum(2.0 * lo, fading.mean_gain)
-        s1, ends, cdf = _poisson_sum((tail, _inner(fading, x1)),
-                                     (tail, _inner(fading, np.concatenate((hi, 2.0 * hi)))),
-                                     (below, _inner(fading, x1)))
-        s1, cdf = _fill(x1, s1, 1.0), _fill(x1, cdf, 0.0)
-        if upper_thresholds is not None:
-            amplitudes = np.broadcast_to(uppers, (len(first), len(uppers)))
-        else:
-            # Below ~1e-290 the quantile targets leave the normal double range
-            # and the root finder sees quantized garbage; fail explicitly.
-            # (A first threshold at inf has tail mass 0, and its bracket
-            # ends, left out of the pass, are never used.)
-            if np.any(s1 < 1e-290):
-                i = np.flatnonzero(s1 < 1e-290)[0]
-                raise ArithmeticError(
-                    f"no resolvable probability mass above threshold {first[i, 0]} "
-                    f"(tail mass {s1[i]:.3g})"
-                )
-            # The ratio form keeps the root finder stable when targets are
-            # deep in the tail.
-            targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1))
-                       / (n_states - 1)).ravel()
-            f_hi, f_twice = np.split(np.minimum(ends, 1.0) / np.tile(targets, 2) - 1.0, 2)
-            while np.any(up := f_hi > 0.0):
-                hi[up] *= 2.0
-                if hi.max() > 1e12:
-                    raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
-                if f_twice is None:
-                    f_hi[up] = tail_at(hi[up]) / targets[up] - 1.0
-                else:
-                    f_hi[up], f_twice = f_twice[up], None
-            gains = _find_root(lambda g, tg: tail_at(g) / tg - 1.0,
-                               lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
-            amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
-        thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
-        # the tails at the other thresholds' squares, as state_probs takes
-        # them: a solved gain and its threshold's square can differ by an ulp
-        rest, _ = _gains(thresholds[:, 2:].ravel() ** 2)
-        top = thresholds[:, -1] ** 2
-        rest_tail, *moments = _poisson_sum((tail, _inner(fading, rest)), *_moments(fading, top))
-        tails = np.hstack((s1[:, None], _fill(rest, rest_tail, 1.0).reshape(len(first), -1)))
-        tops = _tail_mean(fading, top, tails[:, -1], *moments)
+    # Every target of a partition shares the bracket [first^2, hi]; hi
+    # doubles where the tail still exceeds the target. Most brackets close
+    # within one doubling, so the first pass takes both hi and 2 hi. The
+    # tail at the first thresholds goes first, so that a window too wide is
+    # refused for it before the others.
+    lo = np.repeat(x1, n_states - 2 if upper_thresholds is None else 0)
+    hi = np.maximum(2.0 * lo, fading.mean_gain)
+    s1, ends, cdf = _poisson_sum((tail, _inner(fading, x1)),
+                                 (tail, _inner(fading, np.concatenate((hi, 2.0 * hi)))),
+                                 (below, _inner(fading, x1)))
+    s1, cdf = _fill(x1, s1, 1.0), _fill(x1, cdf, 0.0)
+    if upper_thresholds is None:
+        # Below ~1e-290 the quantile targets leave the normal double range
+        # and the root finder sees quantized garbage; fail explicitly. (A
+        # first threshold at inf has tail mass 0, and its bracket ends, left
+        # out of the pass, are never used.)
+        if np.any(s1 < 1e-290):
+            i = np.flatnonzero(s1 < 1e-290)[0]
+            raise ArithmeticError(
+                f"no resolvable probability mass above threshold {first[i, 0]} "
+                f"(tail mass {s1[i]:.3g})"
+            )
+        # The ratio form keeps the root finder stable when targets are deep
+        # in the tail.
+        targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1))
+                   / (n_states - 1)).ravel()
+        f_hi, f_twice = np.split(np.minimum(ends, 1.0) / np.tile(targets, 2) - 1.0, 2)
+        while np.any(up := f_hi > 0.0):
+            hi[up] *= 2.0
+            if hi.max() > 1e12:
+                raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
+            if f_twice is None:
+                f_hi[up] = tail_at(hi[up]) / targets[up] - 1.0
+            else:
+                f_hi[up], f_twice = f_twice[up], None
+        gains = _find_root(lambda g, tg: tail_at(g) / tg - 1.0,
+                           lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
+        amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
+    thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
+    # the tails at the other thresholds' squares, as state_probs takes them:
+    # a solved gain and its threshold's square can differ by an ulp
+    rest, _ = _gains(thresholds[:, 2:].ravel() ** 2)
+    top = thresholds[:, -1] ** 2
+    rest_tail, *moments = _poisson_sum((tail, _inner(fading, rest)), *_moments(fading, top))
+    tails = np.hstack((s1[:, None], _fill(rest, rest_tail, 1.0).reshape(len(first), -1)))
+    tops = _tail_mean(fading, top, tails[:, -1], *moments)
     parts = [GainPartition(thresholds=t, top_mean_gain=float(top))
              for t, top in zip(thresholds, tops)]
-    return parts, tails, cdf
+    return parts, _state_probs(cdf, tails)

@@ -75,10 +75,9 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
 
     Scenarios with equal fading, state count and pinned thresholds share
     one partition solve, which solves each distinct first threshold once.
-    It gives the tail masses of the upper states, and the CDF at the first
-    threshold, which gives both the first state's probability and the mass
-    of the fade duration. Those with equal fading and Doppler spectrum
-    share one fade-duration call.
+    It gives the state probabilities, whose first, the CDF at the first
+    threshold, is also the mass of the fade duration. Those with equal
+    fading and Doppler spectrum share one fade-duration call.
     """
     d_max = [distance_range(s.geometry)[1] for s in scns]
     firsts = [schemes.rat_first_threshold(s.budget, s.rat, d) if s.scheme == "rat"
@@ -86,17 +85,16 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
               for s, d in zip(scns, d_max)]
     first = np.array(firsts)
     partitions, pi, lams = [None] * len(scns), [None] * len(scns), [None] * len(scns)
-    below = np.empty(len(scns))
     for fading, idx in _groups(scns, range(len(scns)), lambda s: s.fading).items():
         for (n_states, uppers), sub in _groups(
                 scns, idx, lambda s: (s.n_states, s.upper_thresholds)).items():
             distinct = list(dict.fromkeys(firsts[i] for i in sub))
-            parts, tails, cdf = channel._partitions(fading, np.array(distinct), n_states, uppers)
-            solved = dict(zip(distinct, zip(parts, channel._state_probs(cdf, tails), cdf.tolist())))
+            parts, probs = channel._partitions(fading, np.array(distinct), n_states, uppers)
+            solved = dict(zip(distinct, zip(parts, probs)))
             for i in sub:
-                partitions[i], pi[i], below[i] = solved[firsts[i]]
+                partitions[i], pi[i] = solved[firsts[i]]
         for dop, sub in _groups(scns, idx, lambda s: s.doppler).items():
-            lam = channel._afd(fading, dop, first[sub], below[sub])
+            lam = channel._afd(fading, dop, first[sub], np.array([pi[i][0] for i in sub]))
             for i, lam_s in zip(sub, lam.tolist()):
                 lams[i] = lam_s
     return [_Solved(*fields) for fields in zip(d_max, firsts, partitions, pi, lams)]

@@ -130,6 +130,8 @@ class Scenario:
                 f"upper_thresholds must hold {self.n_states - 2} values for "
                 f"n_states={self.n_states}, got {len(uppers)}"
             )
+        if uppers is not None and any(b <= a for a, b in zip(uppers, uppers[1:])):
+            raise ValueError(f"upper_thresholds must be strictly increasing, got {uppers}")
 
 
 @dataclass(frozen=True)

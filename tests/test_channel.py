@@ -1,4 +1,3 @@
-import contextlib
 import math
 import threading
 import warnings
@@ -241,14 +240,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             StateProbMatrix(probs=np.array([[0.6, 0.6], [0.6, 0.6]]))
 
-    def test_many_partitions_match_one_at_a_time(self):
-        parts = [GainPartition(thresholds=np.array(t), top_mean_gain=9.0)
-                 for t in ([0.0, 0.3, 0.9], [0.0, 0.0, 1.7], [0.0, 2.9, 3.0])]
-        rows = state_probs(TABLE_FADING, parts)
-        assert rows.shape == (3, 3)
-        for part, row in zip(parts, rows):
-            assert row.tolist() == state_probs(TABLE_FADING, part).tolist()
-
 
 class TestEqualProbabilityPartition:
     def test_equal_upper_masses(self):
@@ -275,6 +266,16 @@ class TestEqualProbabilityPartition:
     def test_explicit_thresholds_wrong_count(self):
         with pytest.raises(ValueError):
             equal_probability_partition(TABLE_FADING, 0.3, 4, upper_thresholds=[0.8])
+
+    @pytest.mark.parametrize("uppers", [[0.3, 0.9], [0.9, 0.5], [0.9, 0.9]])
+    def test_explicit_thresholds_must_rise_above_first(self, uppers):
+        with pytest.raises(ValueError, match=r"^upper_thresholds must rise strictly above "
+                           r"the first threshold 0\.354, got \[") as err:
+            equal_probability_partition(TABLE_FADING, 0.354, 4, upper_thresholds=uppers)
+        assert str(uppers) in str(err.value)
+        # in a batch, the first threshold that the values do not rise above
+        with pytest.raises(ValueError, match="the first threshold 0.85, got"):
+            channel._partitions(TABLE_FADING, np.array([0.2, 0.85]), 4, [0.8, 1.2])
 
     def test_top_mean_gain_above_threshold(self):
         part = equal_probability_partition(TABLE_FADING, 0.354, 8)
@@ -385,7 +386,7 @@ class TestBrentq:
         first = 0.6 * math.sqrt(fading.mean_gain)
         equal_probability_partition(fading, first, 8)
         # and the one solve of three partitions at once
-        equal_probability_partition(fading, np.array([0.5, 1.0, 1.5]) * first, 8)
+        channel._partitions(fading, np.array([0.5, 1.0, 1.5]) * first, 8, None)
         assert len(solves) == 2
         for (got, want), n in zip(solves, (6, 18)):
             assert len(got) == n and want.success.all()
@@ -527,9 +528,9 @@ class TestRowIndependence:
         # that misses a window again, sums what a fresh one-series pass sums
         fading = SrFading(*params)
 
-        def series():
-            return [channel._tail(fading, 0, fading.m), channel._below(fading),
-                    channel._tail(fading, 2, fading.m + 1.0)]
+        def series(room):
+            return [channel._tail(fading, 0, fading.m, room),
+                    channel._tail(fading, 2, fading.m + 1.0, room)]
 
         # the low and high ends of one cell, and a gain far above it
         y = max(fading.beta * fading.mean_gain, 20.0)
@@ -538,44 +539,46 @@ class TestRowIndependence:
         y = np.array([low + 0.01 * (high - low), high - 0.01 * (high - low), 3.0 * y])
         cell = channel._cell(y[:1])[0]
         assert channel._cell(y[1:2])[0] == cell
-        with channel._keep_coefficients():
-            kept = series()
-            channel._poisson_sum(*[(s, y[:1]) for s in kept])
-            # a row spans every window of its cell: the high end takes it
-            formed = [s.rows[cell] for s in kept]
-            ends = channel._poisson_sum(*[(s, y[:2]) for s in kept])
-            assert all(s.rows[cell] is row for s, row in zip(kept, formed))
-            # a kept row that misses a window is formed again, over every
-            # window of its cell, and its entries do not move
-            for s, (n0, start, g) in zip(kept, formed):
-                s.rows[cell] = (n0, start + 3.0, g[3:-3])
-            grown = channel._poisson_sum(*[(s, y) for s in kept])
-            for s, (n0, start, g) in zip(kept, formed):
-                assert s.rows[cell][:2] == (n0, start)
-                assert s.rows[cell][2].tolist() == g.tolist()
-            # every row is kept now: this pass forms none
-            rows = [dict(s.rows) for s in kept]
-            again = channel._poisson_sum(*[(s, y[::-1]) for s in kept])
-            assert [len(s.rows) for s in kept] == [len(r) for r in rows]
-            assert all(s.rows[k] is row for s, r in zip(kept, rows) for k, row in r.items())
-        for fresh, sums_ends, sums, sums_again in zip(series(), ends, grown, again):
-            want = channel._poisson_sum((fresh, y))[0].tolist()
+        kept = series(channel._KEEP)
+        channel._poisson_sum(*[(s, y[:1]) for s in kept])
+        # a row spans every window of its cell: the high end takes it
+        formed = [s.rows[cell] for s in kept]
+        ends = channel._poisson_sum(*[(s, y[:2]) for s in kept])
+        assert all(s.rows[cell] is row for s, row in zip(kept, formed))
+        # a kept row that misses a window is formed again, over every
+        # window of its cell, and its entries do not move
+        for s, (n0, start, g) in zip(kept, formed):
+            s.rows[cell] = (n0, start + 3.0, g[3:-3])
+        grown = channel._poisson_sum(*[(s, y) for s in kept])
+        for s, (n0, start, g) in zip(kept, formed):
+            assert s.rows[cell][:2] == (n0, start)
+            assert s.rows[cell][2].tolist() == g.tolist()
+        # every row is kept now: this pass forms none
+        rows = [dict(s.rows) for s in kept]
+        again = channel._poisson_sum(*[(s, y[::-1]) for s in kept])
+        assert [len(s.rows) for s in kept] == [len(r) for r in rows]
+        assert all(s.rows[k] is row for s, r in zip(kept, rows) for k, row in r.items())
+        fresh = series(0)
+        for s, sums_ends, sums, sums_again in zip(fresh, ends, grown, again):
+            want = channel._poisson_sum((s, y))[0].tolist()
             assert sums_ends.tolist() == want[:2]
             assert sums.tolist() == want
             assert sums_again[::-1].tolist() == want
+        assert all(s.rows == {} for s in fresh)
 
     @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
     def test_kept_coefficients_change_no_bit(self, monkeypatch, name):
         # a partition solve forms each coefficient once; formed afresh on
-        # every call, they give the same partition
+        # every call, they give the same partitions and probabilities
         fading = SrFading(*PROPERTY_SETS[name])
         firsts = np.array([0.3, 0.6]) * math.sqrt(fading.mean_gain)
-        kept = equal_probability_partition(fading, firsts, 8)
-        monkeypatch.setattr(channel, "_keep_coefficients", contextlib.nullcontext)
-        for part, first in zip(kept, firsts):
-            fresh = equal_probability_partition(fading, first, 8)
+        kept, kept_pi = channel._partitions(fading, firsts, 8, None)
+        monkeypatch.setattr(channel, "_KEEP", 0)
+        for part, pi, first in zip(kept, kept_pi, firsts):
+            (fresh,), fresh_pi = channel._partitions(fading, np.array([first]), 8, None)
             assert part.thresholds.tolist() == fresh.thresholds.tolist()
             assert part.top_mean_gain == fresh.top_mean_gain
+            assert pi.tolist() == fresh_pi[0].tolist()
 
     def test_coefficients_formed_once(self):
         formed = []
@@ -590,19 +593,33 @@ class TestRowIndependence:
             assert coefs(n).tolist() == np.log1p(n).tolist()
         assert sorted(formed) == list(range(30)) + [40]
 
-    def test_kept_coefficients_belong_to_the_solve(self):
-        # kept only inside a solve, and not by solves in other threads
-        equal_probability_partition(SrFading(*PROPERTY_SETS["average"]), 0.6, 4)
-        assert channel._kept.get() is None
-        seen = []
-        with channel._keep_coefficients():
-            worker = threading.Thread(target=lambda: seen.append(channel._kept.get()))
-            worker.start()
-            worker.join(timeout=60)
-            assert not worker.is_alive()
-            assert channel._kept.get() == {}
-        assert seen == [None]
-        assert channel._kept.get() is None
+    def test_solves_share_no_state(self):
+        # two solves of different fading sets at once, each on its own
+        # thread, give what they give one after the other
+        cases = []
+        for name, scale in (("average", [0.3, 0.6, 0.9]), ("los-m0.5", [0.4, 0.8])):
+            fading = SrFading(*PROPERTY_SETS[name])
+            cases.append((fading, np.array(scale) * math.sqrt(fading.mean_gain)))
+
+        def solve(fading, firsts):
+            parts, pi = channel._partitions(fading, firsts, 8, None)
+            return [(p.thresholds.tolist(), p.top_mean_gain) for p in parts], pi.tolist()
+
+        in_turn = [solve(*case) for case in cases]
+        at_once = [None] * len(cases)
+        start = threading.Barrier(len(cases), timeout=60)
+
+        def worker(k):
+            start.wait()
+            at_once[k] = solve(*cases[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert at_once == in_turn
 
     def test_kept_coefficients_are_bounded(self, monkeypatch):
         monkeypatch.setattr(channel, "_KEEP", 25)
@@ -620,12 +637,13 @@ class TestRowIndependence:
     def test_batched_partition_matches_single(self, name, scale, repeat, n_states):
         fading = SrFading(*PROPERTY_SETS[name])
         firsts = np.array(scale + scale[:1] * repeat) * math.sqrt(fading.mean_gain)
-        parts = equal_probability_partition(fading, firsts, n_states)
-        assert len(parts) == len(firsts)
-        for first, part in zip(firsts, parts):
-            alone = equal_probability_partition(fading, float(first), n_states)
+        parts, pi = channel._partitions(fading, firsts, n_states, None)
+        assert len(parts) == len(firsts) and pi.shape == (len(firsts), n_states)
+        for first, part, row in zip(firsts, parts, pi):
+            (alone,), alone_pi = channel._partitions(fading, np.array([first]), n_states, None)
             assert part.thresholds.tolist() == alone.thresholds.tolist()
             assert part.top_mean_gain == alone.top_mean_gain
+            assert row.tolist() == alone_pi[0].tolist()
 
 
 class TestDoppler:
@@ -694,13 +712,6 @@ class TestLcr:
         peak = lcr(TABLE_FADING, TABLE_DOPPLER, 1.0)
         far = lcr(TABLE_FADING, TABLE_DOPPLER, 5.0)
         assert 0.0 <= far < 1e-6 * peak
-
-    def test_exponent_switch_changes_value(self):
-        squared = lcr(TABLE_FADING, TABLE_DOPPLER, 0.3)
-        indexed = lcr(TABLE_FADING, TABLE_DOPPLER, 0.3, xi_exponent="index")
-        assert squared != indexed
-        with pytest.raises(ValueError):
-            lcr(TABLE_FADING, TABLE_DOPPLER, 0.3, xi_exponent="bogus")
 
     # At b1 = 0 the rate is Rice's, sqrt(b2 / 2 pi) f_R(r) with the envelope
     # density f_R(r) = 2 r f_G(r^2); on Rayleigh fading that is

@@ -607,6 +607,24 @@ class TestErrorPaths:
                                     "3.764e+11 terms at beta*x = 4.9839e+11, more than "
                                     "16777216\n")
 
+    @pytest.mark.parametrize("uppers,error", [
+        # in order, but not above the first threshold: refused by the solve
+        ("0.3, 0.9", "E_VALIDATION ValueError: upper_thresholds must rise strictly above "
+                     "the first threshold 0.3543928915419708, got [0.3, 0.9]\n"),
+        # out of order: refused by the parser, which names the key and line
+        ("0.9, 0.5", "E_VALIDATION: partition.upper_thresholds (line 24): upper_thresholds "
+                     "must be strictly increasing, got (0.9, 0.5)\n"),
+    ])
+    def test_pinned_thresholds_not_rising_exit_2(self, tmp_path, capsys, uppers, error):
+        pinned = reduced_scenario(tmp_path, "reference_rat.scn", **{
+            "n_states = 8": f"n_states = 4\nupper_thresholds = {uppers}"})
+        for argv in (["analyze", "--scenario", pinned],
+                     ["sweep", "--scenario", pinned, "--sweep", "rat.tx_power=2000,1000"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == error
+
     def test_root_finder_nan_exits_3(self, monkeypatch, capsys):
         # NaN series sums: the tail mass at the first threshold, and so every
         # quantile target, is NaN, and it reaches the partition's root finder

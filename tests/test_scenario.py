@@ -256,6 +256,16 @@ class TestValidation:
         scn = parse_scenario(ok)
         assert scn.upper_thresholds == (0.8, 1.2)
 
+    @pytest.mark.parametrize("uppers", ["0.9, 0.5", "0.8, 0.8"])
+    def test_upper_threshold_order_checked(self, uppers):
+        new = f"upper_thresholds = {uppers}"
+        text = MINIMAL.replace("n_states = 4", f"n_states = 4\n{new}")
+        lineno = text.splitlines().index(new) + 1
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert str(err.value) == (f"partition.upper_thresholds (line {lineno}): upper_thresholds "
+                                  f"must be strictly increasing, got ({uppers})")
+
     def test_non_integer_count_rejected(self):
         with pytest.raises(ValidationError):
             parse_scenario(MINIMAL.replace("n_samples = 1000", "n_samples = 10.5"))
