@@ -26,8 +26,8 @@ Every series is summed in passes (_poisson_sum): one pass takes several
 series, each at its own gains, and forms all their terms together. A
 gain's terms come from the row of its cell on a fixed lattice of gains,
 which depends on the cell alone; a partition solve keeps the rows of its
-tail series, the one series its root finder evaluates at every step, so
-those passes only sum once its gains settle. Each value depends on its
+tail and density series, the two its Newton solve evaluates at every step,
+so those passes only sum once its gains settle. Each value depends on its
 own gain alone, bit for bit, whatever other gains and series share the
 pass, so the partitions of many sweep points can be solved in one batch
 and each still equals the partition of its point alone. The 1F1 density
@@ -63,8 +63,10 @@ __all__ = [
 ]
 
 _INT_M_TOL = 1e-9
-# The partition's root finder stops an entry once its bracket is within
-# about 2 ulp, or after _ROOT_MAXITER iterations (brentq's default cap).
+# The partition's Newton solve (_tail_quantiles) closes an entry once its
+# step is within _NEWTON_RTOL of its gain or its bracket within about 2 ulp,
+# and gives up after _ROOT_MAXITER steps.
+_NEWTON_RTOL = 1e-8
 _ROOT_XRTOL = 2.0 * np.finfo(float).eps
 _ROOT_XATOL = 4.0 * np.finfo(float).tiny
 _ROOT_MAXITER = 100
@@ -83,8 +85,8 @@ _LOG_FLOOR = 745.0
 _CHUNK = 1 << 18
 _BLOCK = 1 << 16
 _MAX_WINDOW = 1 << 24
-# A series keeps its coefficients over at most _KEEP indices (_Coefs); the
-# partition solve's tail series keeps rows of up to _KEEP entries in all.
+# A series keeps its coefficients over at most _KEEP indices (_Coefs); each
+# series the partition solve keeps holds rows of up to _KEEP entries in all.
 _KEEP = 1 << 20
 # Terms are summed in runs of _RUN, and the runs one after another.
 _RUN = 8
@@ -215,9 +217,7 @@ def _log_poisson(n, y):
     stirlerr = _STIRLERR[np.minimum(n, 15.0).astype(int)]
     large = n >= 16.0
     if np.count_nonzero(large):
-        big = n[large]
-        inv = 1.0 / (big * big)
-        stirlerr[large] = (1/12 - inv * (1/360 - inv * (1/1260 - inv * (1/1680 - inv / 1188)))) / big
+        stirlerr[large] = _stirlerr(n[large])
     d = n - y
     # within 5% of y, bd0 = d v + 2 n v sum_k>=1 v^2k / (2k + 1),
     # v = d / (n + y): the difference n log(n/y) - d would lose the digits
@@ -245,6 +245,13 @@ def _log_poisson(n, y):
     return -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * n)
 
 
+def _stirlerr(z):
+    # stirlerr(z) = log Gamma(z + 1) - (z + 1/2) log z + z - log(2 pi) / 2 by
+    # its asymptotic series, exact to double precision for z >= 15
+    inv = 1.0 / (z * z)
+    return (1/12 - inv * (1/360 - inv * (1/1260 - inv * (1/1680 - inv / 1188)))) / z
+
+
 def _nb_below(n, m: float, r: float, q: float):
     # P(K < n) = I_q(m, n) for K ~ NB(m, r) and n >= 1, taken from whichever
     # of r and q = 1 - r is the smaller, as the other loses digits to 1 - x.
@@ -265,8 +272,17 @@ def _nb_above(n, m: float, r: float, q: float):
 
 
 def _log_nb_tilted(n, m: float, q: float):
-    # log(w_n / r^n) = log((1 - r)^m (m)_n / n!), q = 1 - r
-    return gammaln(m + n) - gammaln(m) - gammaln(n + 1.0) + m * math.log(q)
+    # log(w_n / r^n) = log((1 - r)^m (m)_n / n!), q = 1 - r, at an array n.
+    # The difference of gammaln loses eps |gammaln(n)|, 1e-11 at n = 1e4; from
+    # n = 16 (a = n + m - 1 >= 15), log((m)_n / n!) takes Stirling's form
+    # (n + 1/2) log1p((m - 1) / n) + (m - 1)(log a - 1) + stirlerr(a) - stirlerr(n)
+    out = gammaln(m + n) - gammaln(m) - gammaln(n + 1.0) + m * math.log(q)
+    large = n >= 16.0
+    big = n[large]
+    a = big + (m - 1.0)
+    out[large] = ((big + 0.5) * np.log1p((m - 1.0) / big) + (m - 1.0) * (np.log(a) - 1.0)
+                  + _stirlerr(a) - _stirlerr(big) - gammaln(m) + m * math.log(q))
+    return out
 
 
 def _cut_below(lam, a):
@@ -664,6 +680,21 @@ def _tail(fading: SrFading, s: int, m: float, room: int = 0) -> _Series:
     return _Series(("tail", fading, s, m), log_survival, window, room)
 
 
+def _density(fading: SrFading, room: int = 0) -> _Series:
+    """The series sum_n p_n(y) P(K = n) at y = beta x, keeping rows of up
+    to room entries: beta times its sum is the power-gain density at x. Its
+    terms are at most the tail's (s = 0), so the tail's window omits at
+    most _REL_TOL of the tail from it, which the solve's slope can take."""
+    _, q = _mixture(fading)
+    m = fading.m
+
+    def log_pmf(n):
+        # n log r, through log1p of q = 1 - r, which keeps its digits
+        return _log_nb_tilted(n, m, q) + xlog1py(n, -q)
+
+    return _Series(("density", fading), log_pmf, _tail(fading, 0, m).window, room)
+
+
 def _below(fading: SrFading) -> _Series:
     """The CDF's series sum_n p_n(y) P(K < n) at y = beta x, P(K < n) =
     I_(1-r)(m, n).
@@ -1010,70 +1041,47 @@ def _tail_mean(fading: SrFading, x: np.ndarray, mass: np.ndarray, first: np.ndar
     return out
 
 
-def _find_root(f, x1, x2, f1, f2, *args):
-    """Roots of an elementwise function inside the brackets [x1, x2], by
-    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
-    (Adv. Eng. Software 28, 1997), with the steps of
-    scipy.optimize.elementwise.find_root.
-
-    f1 = f(x1, *args) and f2 = f(x2, *args) are given. Each iteration calls
-    f once, on the entries still open, with args cut to those entries. An
-    entry closes when f vanishes there or its bracket is narrower than
-    _ROOT_XRTOL |x| + _ROOT_XATOL, about 2 ulp.
-
-    Raises NonConvergent when f returns NaN or an entry is still open after
-    _ROOT_MAXITER iterations, and ArithmeticError when f1 and f2 share a sign.
+def _tail_quantiles(fading: SrFading, tail: _Series, density: _Series, lo, hi, mass_lo,
+                    mass_hi, targets) -> np.ndarray:
+    """The gains g in the brackets [lo, hi] at which the tail mass T(g) meets
+    its targets t, given the tail series' sums T(lo) > t >= T(hi), by a
+    safeguarded Newton solve of h(g) = log(T(g) / t) from regula falsi.
+    Each step is one pass of the tail and the density's series D at the
+    open gains, for the slope -beta D / T; the sign of h moves a bracket end
+    to g, and a step that would leave the bracket bisects it. An entry
+    closes at g + step once the step is within _NEWTON_RTOL g, where
+    quadratic convergence puts it within about an ulp of the root, or at g
+    once its bracket is within about 2 ulp. An error e in the slope moves a
+    gain by at most e _NEWTON_RTOL of itself. Raises NonConvergent where h
+    is NaN or an entry is open after _ROOT_MAXITER steps.
     """
-    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (x1, x2, f1, f2))
-    if np.any(np.isnan(f1) | np.isnan(f2)):
-        raise NonConvergent("root finder: f is NaN at a bracket end")
-    if np.any(np.sign(f1) * np.sign(f2) > 0.0):
-        raise ArithmeticError("root finder: f has the same sign at both ends of a bracket")
-    roots = np.empty_like(x1)
-    active = np.arange(len(x1))
-    t = 0.5
-    for it in range(_ROOT_MAXITER + 1):
-        near = np.abs(f1) < np.abs(f2)
-        xmin = np.where(near, x1, x2)
-        dx = np.abs(x2 - x1)
-        tol = np.abs(xmin) * _ROOT_XRTOL + _ROOT_XATOL
-        done = (np.where(near, f1, f2) == 0.0) | (dx < tol)
-        roots[active[done]] = xmin[done]
+    # h = log(T / t) keeps its digits however deep the targets lie; where T
+    # underflows to 0 it is -inf, and a step from there, or where D = 0, is
+    # not finite: it bisects, as regula falsi does when T(hi) = 0
+    with np.errstate(divide="ignore"):
+        h_lo, h_hi = (np.log(np.minimum(v, 1.0) / targets) for v in (mass_lo, mass_hi))
+    if np.isnan(h_lo).any() or np.isnan(h_hi).any():
+        raise NonConvergent("partition solve: the tail mass is NaN at a bracket end")
+    roots, active = np.empty_like(lo), np.arange(len(lo))
+    g = lo + (hi - lo) * (h_lo / (h_lo - h_hi))
+    for _ in range(_ROOT_MAXITER):
+        g = np.where((g > lo) & (g < hi), g, 0.5 * (lo + hi))
+        mass, dens = _poisson_sum((tail, fading.beta * g), (density, fading.beta * g))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h = np.log(np.minimum(mass, 1.0) / targets)
+            step = h * mass / (fading.beta * dens)
+        if np.isnan(h).any():
+            raise NonConvergent(
+                f"partition solve: the tail mass is NaN at gains {g[np.isnan(h)].tolist()}")
+        lo, hi = np.where(h > 0.0, g, lo), np.where(h < 0.0, g, hi)
+        x = g + step
+        newton = (np.abs(step) <= _NEWTON_RTOL * g) & (x >= lo) & (x <= hi)
+        done = newton | (hi - lo < _ROOT_XRTOL * g + _ROOT_XATOL)
+        roots[active[done]] = np.where(newton, x, g)[done]
         if done.all():
             return roots
-        if it == _ROOT_MAXITER:
-            break
-        if done.any():
-            keep = ~done
-            active, x1, x2, f1, f2, dx, tol = (v[keep] for v in (active, x1, x2, f1, f2, dx, tol))
-            args = [a[keep] for a in args]
-            if it > 0:
-                x3, f3 = x3[keep], f3[keep]
-        if it > 0:
-            # inverse quadratic interpolation where it stays inside the
-            # bracket (Chandrupatla's test on xi and phi), else bisection
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = (x1 - x2) / (x3 - x2)
-                phi = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
-                quad = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            # and no closer to an end than half the tolerance
-            tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1.0 - tl)
-        x = x1 + t * (x2 - x1)
-        fx = np.asarray(f(x, *args), dtype=float)
-        if np.isnan(fx).any():
-            raise NonConvergent(f"root finder: f is NaN at x = {x[np.isnan(fx)]!r}")
-        same = np.sign(fx) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, fx
-    raise NonConvergent(
-        f"root finder did not converge within {_ROOT_MAXITER} iterations "
-        f"(last x = {xmin[~done]!r})"
-    )
+        active, lo, hi, targets, g = (v[~done] for v in (active, lo, hi, targets, x))
+    raise NonConvergent(f"partition solve did not converge within {_ROOT_MAXITER} steps")
 
 
 def equal_probability_partition(
@@ -1103,15 +1111,15 @@ def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thres
     threshold's gain, the mass in its fade duration. Each partition and
     row equal those of its first threshold alone, bit for bit.
 
-    The solve owns the one series it evaluates again and again, the tail
-    mass, which keeps its coefficients and rows; every other series it
-    evaluates in one pass. It makes one pass before its root finder and one
-    after, evaluating each series at each gain once outside the root
-    finder. The pass before holds the tail at the first thresholds, the
-    tail at the bracket ends hi and 2 hi, and the CDF at the first
-    thresholds; the pass after, the tail at the other thresholds and the
-    two series of the top mean gain. In between, each step of the root
-    finder is one pass of the tail series.
+    The solve owns the two series it evaluates again and again, the tail
+    mass and the density, which keep their coefficients and rows; every
+    other series it evaluates in one pass. It makes one pass before its
+    Newton solve (_tail_quantiles) and one after, evaluating each series at
+    each gain once outside the solve. The pass before holds the tail at the
+    first thresholds, the tail at the bracket ends hi and 2 hi, and the CDF
+    at the first thresholds; the pass after, the tail at the other
+    thresholds and the two series of the top mean gain. In between, each
+    Newton step is one pass of the tail and the density at the same gains.
     """
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")
@@ -1134,12 +1142,6 @@ def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thres
             )
     x1, _ = _gains(firsts ** 2)
     tail, below = _tail(fading, 0, fading.m, _KEEP), _below(fading)
-
-    def tail_at(g):
-        # tail_mass at finite gains g > 0, as the bracket and the root
-        # finder take them
-        return np.minimum(_poisson_sum((tail, fading.beta * g))[0], 1.0)
-
     # Every target of a partition shares the bracket [first^2, hi]; hi
     # doubles where the tail still exceeds the target. Most brackets close
     # within one doubling, so the first pass takes both hi and 2 hi. The
@@ -1153,30 +1155,28 @@ def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thres
     s1, cdf = _fill(x1, s1, 1.0), _fill(x1, cdf, 0.0)
     if upper_thresholds is None:
         # Below ~1e-290 the quantile targets leave the normal double range
-        # and the root finder sees quantized garbage; fail explicitly. (A
-        # first threshold at inf has tail mass 0, and its bracket ends, left
-        # out of the pass, are never used.)
+        # and the solve sees quantized garbage; fail explicitly. (A first
+        # threshold at inf has tail mass 0, and its bracket ends, left out
+        # of the pass, are never used.)
         if np.any(s1 < 1e-290):
             i = np.flatnonzero(s1 < 1e-290)[0]
             raise ArithmeticError(
                 f"no resolvable probability mass above threshold {first[i, 0]} "
                 f"(tail mass {s1[i]:.3g})"
             )
-        # The ratio form keeps the root finder stable when targets are deep
-        # in the tail.
         targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1))
                    / (n_states - 1)).ravel()
-        f_hi, f_twice = np.split(np.minimum(ends, 1.0) / np.tile(targets, 2) - 1.0, 2)
-        while np.any(up := f_hi > 0.0):
+        at_hi, at_twice = np.split(ends, 2)
+        while np.any(up := at_hi > targets):
             hi[up] *= 2.0
             if hi.max() > 1e12:
                 raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
-            if f_twice is None:
-                f_hi[up] = tail_at(hi[up]) / targets[up] - 1.0
+            if at_twice is None:
+                (at_hi[up],) = _poisson_sum((tail, fading.beta * hi[up]))
             else:
-                f_hi[up], f_twice = f_twice[up], None
-        gains = _find_root(lambda g, tg: tail_at(g) / tg - 1.0,
-                           lo, hi, np.repeat(s1, n_states - 2) / targets - 1.0, f_hi, targets)
+                at_hi[up], at_twice = at_twice[up], None
+        gains = _tail_quantiles(fading, tail, _density(fading, _KEEP), lo, hi,
+                                np.repeat(s1, n_states - 2), at_hi, targets)
         amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
     thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
     # the tails at the other thresholds' squares, as state_probs takes them:

@@ -226,16 +226,16 @@ def rat_report(
     """All rate-adaptive metrics in one report, from one rate grid.
 
     Throughput is the slot average of sum_k pi R over each bound of the
-    grid; power is P_T whenever the channel leaves the bottom state. lam_s
-    is the mean waiting time in the bottom state (the average fade
-    duration at the first threshold).
+    grid; power is P_T times the transmitting states' mass, which keeps its
+    digits where 1 - pi_1 cannot. lam_s is the mean waiting time in the
+    bottom state (the average fade duration at the first threshold).
     """
     _check_grid(part, tl, probs)
     rate_lo, rate_hi = _rat_rate_grids(budget, rat, part, tl)
     n = tl.n_slots
     thr_lo = float(np.sum(probs.probs * rate_lo)) / n
     thr_hi = float(np.sum(probs.probs * rate_hi)) / n
-    power = rat.tx_power_w * float(np.mean(1.0 - probs.probs[0]))
+    power = rat.tx_power_w * float(np.sum(probs.probs[1:])) / n
     if power <= 0.0:
         raise ZeroPower("all probability mass sits in the no-transmission state")
     if lam_s <= 0:

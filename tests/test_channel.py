@@ -318,130 +318,145 @@ class TestEqualProbabilityPartition:
                 tail_mean_gain(TABLE_FADING, x)
 
 
-# The partition solver's stopping rule, as find_root takes it.
+# The partition solve's bracket tolerance, as find_root takes it.
 ROOT_TOL = {"xatol": channel._ROOT_XATOL, "xrtol": channel._ROOT_XRTOL,
             "fatol": 0.0, "frtol": 0.0}
-# A sign change inside [a, b]: smooth or stepped, values from 1e-200 to 1e300,
-# brackets up to 2e12 wide, a root at an end.
-ROOT_CASES = {
-    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 0.0, 4.0),
-    "exp": (lambda x: np.exp(x) - 3.0, -1.0, 5.0),
-    "cos": (lambda x: np.cos(x) - x, 0.0, 1.0),
-    "steep-atan": (lambda x: np.arctan(50.0 * (x - 0.3)), -2.0, 5.0),
-    "steep-tanh": (lambda x: np.tanh(1e3 * (x - 1.0 / 3.0)), 0.0, 1.0),
-    "x21": (lambda x: x**21 - 0.5, 0.5, 1.5),
-    "tiny-values": (lambda x: 1e-200 * (x - 0.123456789), 0.0, 1.0),
-    "step": (lambda x: np.where(x < 0.3, -1.0, 1e300), 0.0, 1.0),
-    "wide-cbrt": (lambda x: np.copysign(np.abs(x - 0.3) ** (1 / 9), x - 0.3), -1e12, 1e12),
-    "root-at-end": (lambda x: x - 2.0, 0.0, 2.0),
+REFERENCE = (TABLE_FADING.m, TABLE_FADING.b0, TABLE_FADING.omega)
+# Each fading set with its first threshold: 0.6 sqrt(mean gain), 0.354 on
+# the integer-m set, and 11.335 and 14 deep in the reference tail (2e-155
+# and 1e-241; at 14 the tail at both bracket ends underflows to 0).
+SOLVE_CASES = {
+    **{name: (p, 0.6 * math.sqrt(SrFading(*p).mean_gain))
+       for name, p in {**ABDI_SETS, **LOS_SETS}.items()},
+    "integer-m": ((2.0, 0.2, 0.5), 0.354),
+    "deep-tail": (REFERENCE, 11.335),
+    "underflowing-bracket": (REFERENCE, 14.0),
 }
 
 
-def solve(f, a, b):
-    """channel._find_root on one bracket of a one-argument function."""
-    fa, fb = f(np.array([a])), f(np.array([b]))
-    return channel._find_root(f, [a], [b], fa, fb)[0]
+def recorded_solve(monkeypatch, fading, first):
+    """The 8-state partition's one Newton solve: its arguments, its gains
+    and the number of its steps (passes holding the density series)."""
+    solves, steps = [], []
+    solver, poisson_sum = channel._tail_quantiles, channel._poisson_sum
+
+    def recorded(*args):
+        solves.append((args, solver(*args)))
+        return solves[-1][1]
+
+    def counted(*terms):
+        steps.extend(1 for series, _ in terms if series.key[0] == "density")
+        return poisson_sum(*terms)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(channel, "_tail_quantiles", recorded)
+        patched.setattr(channel, "_poisson_sum", counted)
+        equal_probability_partition(fading, first, 8)
+    assert len(solves) == 1
+    return (*solves[0], len(steps))
 
 
 class TestBrentq:
-    """channel._find_root, the partition's root finder. It replaced a port
-    of scipy's brentq, whose test ids the class keeps."""
+    """channel._tail_quantiles, the partition's Newton solve. The class
+    keeps the test ids of the bracketed root finders it replaced."""
 
-    @pytest.mark.parametrize("case", list(ROOT_CASES.values()), ids=list(ROOT_CASES))
-    def test_matches_scipy_bit_for_bit(self, case):
-        f, a, b = case
-        for lo, hi in ((a, b), (b, a)):
-            want = find_root(f, (lo, hi), tolerances=ROOT_TOL, maxiter=100)
-            assert want.success
-            assert solve(f, lo, hi) == want.x
-
-    def test_entries_solve_independently(self):
-        # many brackets at once give each entry the root it gets alone
-        c = np.linspace(-4.0, 30.0, 23)
-        lo, hi = np.full_like(c, -3.0), np.linspace(4.0, 40.0, 23)
-
-        def f(x, c):
-            return x**3 - 2.0 * x - c
-
-        roots = channel._find_root(f, lo, hi, f(lo, c), f(hi, c), c)
-        alone = [solve(lambda x, ci=ci: f(x, ci), a, b) for ci, a, b in zip(c, lo, hi)]
-        assert roots.tolist() == alone
-
-    @pytest.mark.parametrize("params", [*ABDI_SETS.values(), *LOS_SETS.values()],
-                             ids=[*ABDI_SETS, *LOS_SETS])
-    def test_partition_solves_match_scipy(self, monkeypatch, params):
-        # the one solve of an 8-state partition, against find_root on the
-        # same function, brackets and targets
-        solves = []
-        solver = channel._find_root
-
-        def both(f, x1, x2, f1, f2, *args):
-            got = solver(f, x1, x2, f1, f2, *args)
-            solves.append((got, find_root(f, (x1, x2), args=args, tolerances=ROOT_TOL,
-                                          maxiter=100)))
-            return got
-
-        monkeypatch.setattr(channel, "_find_root", both)
+    @pytest.mark.parametrize("params", [*ABDI_SETS.values(), REFERENCE, (2.0, 0.2, 0.5),
+                                        *LOS_SETS.values()],
+                             ids=[*ABDI_SETS, "reference", "integer-m", *LOS_SETS])
+    def test_density_is_the_pdf(self, params):
+        # beta times the density's series is the power-gain density: against
+        # sr_pdf, and against a 40-digit sum of the same closed form at the
+        # same beta x. On the line-of-sight sets sr_pdf's own 1F1 is off by
+        # up to 1.4e-12 at these gains, so there only the latter holds.
         fading = SrFading(*params)
-        first = 0.6 * math.sqrt(fading.mean_gain)
-        equal_probability_partition(fading, first, 8)
-        # and the one solve of three partitions at once
-        channel._partitions(fading, np.array([0.5, 1.0, 1.5]) * first, 8, None)
-        assert len(solves) == 2
-        for (got, want), n in zip(solves, (6, 18)):
-            assert len(got) == n and want.success.all()
-            assert got.tolist() == want.x.tolist()
+        x = np.array([1e-6, 0.1, 0.3, 0.6, 1.0, 1.5, 3.0, 8.0]) * fading.mean_gain
+        y = fading.beta * x
+        (dens,) = channel._poisson_sum((channel._density(fading), y))
+        with mpmath.workdps(40):
+            m, b0, omega = (mpmath.mpf(v) for v in params)
+            r = omega / (2 * b0 * m + omega)
+            want = [float(mpmath.exp(-mpmath.mpf(v)) * (1 - r) ** m
+                          * mpmath.hyp1f1(m, 1, r * mpmath.mpf(v))) for v in y.tolist()]
+        assert np.max(np.abs(dens / want - 1.0)) <= 1e-13
+        if params not in LOS_SETS.values():
+            assert np.max(np.abs(fading.beta * dens / sr_pdf(fading, x) - 1.0)) <= 1e-13
 
-    @pytest.mark.parametrize("params,first", [
-        *[(p, 0.6 * math.sqrt(SrFading(*p).mean_gain)) for p in ABDI_SETS.values()],
-        *[(p, 0.6 * math.sqrt(SrFading(*p).mean_gain)) for p in LOS_SETS.values()],
-        ((2.0, 0.2, 0.5), 0.354),
-        ((TABLE_FADING.m, TABLE_FADING.b0, TABLE_FADING.omega), 11.335),
-    ], ids=[*ABDI_SETS, *LOS_SETS, "integer-m", "deep-tail"])
+    @pytest.mark.parametrize("params,first", list(SOLVE_CASES.values()), ids=list(SOLVE_CASES))
+    def test_solved_gains_match_find_root(self, monkeypatch, params, first):
+        # each gain within 1e-14 of find_root's on the tail function, the
+        # brackets and the targets of the solve
+        fading = SrFading(*params)
+        (_, _, _, lo, hi, _, _, targets), gains, _ = recorded_solve(monkeypatch, fading, first)
+        want = find_root(lambda g, t: tail_mass(fading, g) / t - 1.0, (lo, hi), args=(targets,),
+                         tolerances=ROOT_TOL, maxiter=100)
+        assert want.success.all()
+        assert np.max(np.abs(gains / want.x - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("params,first", list(SOLVE_CASES.values()), ids=list(SOLVE_CASES))
     def test_partition_equal_tail_masses(self, monkeypatch, params, first):
         # every solved gain carries its target tail mass to 1e-13; the
-        # gains are taken before the partition stores their square roots
-        solved = []
-        solver = channel._find_root
-
-        def recorded(*args):
-            solved.append(solver(*args))
-            return solved[-1]
-
-        monkeypatch.setattr(channel, "_find_root", recorded)
+        # gains are taken before the partition stores their square roots.
+        # The solve takes at most 10 steps, the bracketed solve's count.
         fading = SrFading(*params)
-        equal_probability_partition(fading, first, 8)
+        _, gains, steps = recorded_solve(monkeypatch, fading, first)
         s1 = tail_mass(fading, first**2)
         targets = s1 * np.arange(6, 0, -1) / 7
-        tails = np.array([tail_mass(fading, float(g)) for g in solved[0]])
+        tails = np.array([tail_mass(fading, float(g)) for g in gains])
         assert np.max(np.abs(tails / targets - 1.0)) <= 1e-13
+        assert steps <= 10
 
-    def test_nan_raises_nonconvergent(self):
-        nan = lambda x: np.full_like(x, math.nan)
-        with pytest.raises(NonConvergent, match="NaN"):
-            channel._find_root(nan, [0.0], [1.0], [-1.0], [math.nan])
-        # finite at both ends, NaN at the first iterate
-        with pytest.raises(NonConvergent, match="NaN"):
-            channel._find_root(nan, [0.0], [1.0], [-0.25], [0.75])
+    def test_nan_raises_nonconvergent(self, monkeypatch):
+        # NaN at a bracket end, and at the first iterate
+        with monkeypatch.context() as patched:
+            patched.setattr(channel, "_poisson_sum",
+                            lambda *terms: [np.full(len(y), math.nan) for _, y in terms])
+            with pytest.raises(NonConvergent, match="NaN at a bracket end"):
+                equal_probability_partition(TABLE_FADING, 0.354, 8)
+        poisson_sum = channel._poisson_sum
 
-    def test_iteration_cap_raises_nonconvergent(self):
-        # a step inside [-1e300, 1e300]: every step bisects, and 100 halvings
-        # leave the bracket far wider than 2 ulp; find_root stops there too
-        def step(x):
-            return np.where(x < 0.3, -1.0, 1.0)
+        def nan_steps(*terms):
+            sums = poisson_sum(*terms)
+            if any(series.key[0] == "density" for series, _ in terms):
+                sums[0][:] = math.nan
+            return sums
 
-        res = find_root(step, (-1e300, 1e300), tolerances=ROOT_TOL, maxiter=100)
-        assert res.status == -2
-        with pytest.raises(NonConvergent, match="100 iterations"):
-            solve(step, -1e300, 1e300)
+        monkeypatch.setattr(channel, "_poisson_sum", nan_steps)
+        with pytest.raises(NonConvergent, match="NaN at gains \\["):
+            equal_probability_partition(TABLE_FADING, 0.354, 8)
 
-    def test_same_sign_raises(self):
-        with pytest.raises(ArithmeticError, match="same sign"):
-            solve(lambda x: x * x + 1.0, -1.0, 1.0)
-        # one bad bracket among good ones
-        with pytest.raises(ArithmeticError, match="same sign"):
-            channel._find_root(lambda x: x - 0.5, [0.0, 0.0], [1.0, 0.25], [-0.5, -0.5],
-                               [0.5, -0.25])
+    def test_iteration_cap_raises_nonconvergent(self, monkeypatch):
+        # the reference partition takes 4 steps: capped at 2, it gives up
+        monkeypatch.setattr(channel, "_ROOT_MAXITER", 2)
+        with pytest.raises(NonConvergent, match="within 2 steps"):
+            equal_probability_partition(TABLE_FADING, 0.354, 8)
+
+    def test_same_sign_raises(self, monkeypatch):
+        # a tail that never falls to its targets leaves no bracket: the
+        # upper end doubles past 1e12, and the search is refused
+        monkeypatch.setattr(channel, "_poisson_sum",
+                            lambda *terms: [np.ones(len(y)) for _, y in terms])
+        with pytest.raises(ArithmeticError, match="tail quantile search diverged"):
+            equal_probability_partition(TABLE_FADING, 0.354, 8)
+
+    def test_slope_only_steers(self, monkeypatch):
+        # an error e in the density moves a step by e of itself, and the
+        # last step is within 1e-8 of its gain: at e = 1e-9, far above the
+        # series' own 1e-14, the steps are as many and no gain moves by more
+        # than the few ulp of the solve's own precision
+        fading = SrFading(*ABDI_SETS["average"])
+        first = 0.6 * math.sqrt(fading.mean_gain)
+        _, gains, steps = recorded_solve(monkeypatch, fading, first)
+        poisson_sum = channel._poisson_sum
+
+        def skewed(*terms):
+            sums = poisson_sum(*terms)
+            return [v * (1.0 + 1e-9) if series.key[0] == "density" else v
+                    for (series, _), v in zip(terms, sums)]
+
+        monkeypatch.setattr(channel, "_poisson_sum", skewed)
+        _, skewed_gains, skewed_steps = recorded_solve(monkeypatch, fading, first)
+        assert skewed_steps == steps
+        assert np.max(np.abs(skewed_gains / gains - 1.0)) <= 1e-14
 
 
 # Every fading of the row-independence properties, with a gain whose tail

@@ -23,75 +23,75 @@ def reference(name: str):
 
 
 class TestCallBudget:
-    """A solve makes one series pass before its root finder, one for each
-    root-finder step and one after. The pass before holds the tail at the
-    first thresholds, the tail at the bracket ends hi and 2 hi, and the CDF
-    at the first thresholds; the pass after, the tail at the other
-    thresholds and the two series of the top mean gain. Outside the root
-    finder, each series is evaluated at each gain once."""
+    """A solve makes one series pass before its Newton solve, one for each
+    step and one after. The pass before holds the tail at the first
+    thresholds, the tail at the bracket ends hi and 2 hi, and the CDF at the
+    first thresholds; each step, the tail and the density at the same gains;
+    the pass after, the tail at the other thresholds and the two series of
+    the top mean gain. Outside the steps, each series is evaluated at each
+    gain once."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # (inside the root finder, [(series, gains) of each term]) of each
-        # pass; a series is ("tail", s) or ("cdf", None)
-        passes, inside = [], []
-        poisson_sum, find_root = channel._poisson_sum, channel._find_root
+        # [(series, gains) of each term] of each pass; a series is
+        # ("tail", s), ("cdf", None) or ("density", None)
+        passes = []
+        poisson_sum = channel._poisson_sum
 
         def name(series):
             kind = series.key[0]
             return kind, series.key[2] if kind == "tail" else None
 
         def counted_sum(*terms):
-            passes.append((bool(inside), [(name(series), y.tolist()) for series, y in terms]))
+            passes.append([(name(series), y.tolist()) for series, y in terms])
             return poisson_sum(*terms)
 
-        def counted_root(*args):
-            inside.append(True)
-            try:
-                return find_root(*args)
-            finally:
-                inside.pop()
-
         monkeypatch.setattr(channel, "_poisson_sum", counted_sum)
-        monkeypatch.setattr(channel, "_find_root", counted_root)
         return passes
 
     @staticmethod
-    def check_passes(passes):
+    def steps(passes):
+        """The passes of the Newton solve's steps."""
+        return [terms for terms in passes if ("density", None) in dict(terms)]
+
+    @classmethod
+    def check_passes(cls, passes):
         tail, cdf, top1, top2 = ("tail", 0), ("cdf", None), ("tail", 1), ("tail", 2)
-        outside = [terms for inside, terms in passes if not inside]
+        steps = cls.steps(passes)
+        outside = [terms for terms in passes if terms not in steps]
         assert [[series for series, _ in terms] for terms in outside] == [
             [tail, tail, cdf], [tail, top1, top2]]
         # the bracket's entries of one partition share its ends within one
         # pass; no (series, gain) is evaluated by two passes
         pairs = [(series, y) for terms in outside for series, ys in terms for y in set(ys)]
         assert len(pairs) == len(set(pairs))
-        # each step of the root finder is one pass of the tail series
-        assert all([series for series, _ in terms] == [tail]
-                   for inside, terms in passes if inside)
+        # each step is one pass of the tail and the density at the same gains
+        for terms in steps:
+            assert [series for series, _ in terms] == [tail, ("density", None)]
+            assert terms[0][1] == terms[1][1]
 
     @pytest.mark.parametrize("name", REFERENCES)
     def test_prepare(self, passes, name):
         pipeline.prepare(reference(name))
-        assert len(passes) == 12
+        assert len(passes) <= 7
         self.check_passes(passes)
 
     @pytest.mark.parametrize("name", REFERENCES)
     def test_height_sweep(self, passes, name):
         pipeline.run_sweep(reference(name), parse_sweep("geometry.orbit_height=500e3:1100e3:4"))
-        assert len(passes) == 13
-        assert sum(inside for inside, _ in passes) == 11
+        assert len(passes) <= 8
+        assert len(self.steps(passes)) <= 6
         self.check_passes(passes)
 
     @pytest.mark.parametrize("name", REFERENCES)
     def test_first_threshold_solved_once(self, passes, name):
         # the Doppler spectrum moves no first threshold: the 40 points share
-        # one, and the root finder solves its 6 equal-mass thresholds once
+        # one, and the solve takes its 6 equal-mass thresholds once
         scn = reference(name)
         sweep = parse_sweep("fading.aoa_width=1:30:40")
         _, rows = pipeline.run_sweep(scn, sweep)
         self.check_passes(passes)
-        assert max(len(ys) for inside, terms in passes if inside for _, ys in terms) == 6
+        assert max(len(ys) for terms in self.steps(passes) for _, ys in terms) == 6
         # each row is byte-identical to the point analyzed on its own
         for value, row in zip(sweep.values, rows):
             report = pipeline.run_analyze(apply_sweep_value(scn, sweep.path, value))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from leolink import schemes
-from leolink.pipeline import prepare
+from leolink.pipeline import prepare, run_analyze
 from leolink.scenario import apply_sweep_value, parse_scenario
 from leolink.channel import (
     DopplerSpec,
@@ -14,6 +14,7 @@ from leolink.channel import (
     afd,
     equal_probability_partition,
     state_prob_matrix,
+    tail_mass,
 )
 from leolink.geometry import PassGeometry, PassTimeline, build_timeline, distance_range, service_duration
 from leolink.schemes import (
@@ -264,6 +265,21 @@ class TestRatPowerAndEe:
         )
         with pytest.raises(ZeroPower):
             rat_report(BUDGET, rat, part, timeline, silent, TRAFFIC, lam)
+
+    @pytest.mark.parametrize("tx_power", [2.0, 0.8])
+    def test_deep_tail_power_keeps_its_digits(self, tx_power):
+        # at these powers the RAT reference transmits with probability about
+        # 1e-72 and 1e-191, far below the resolution of 1 - pi_1: the power
+        # is P_T times the tail mass above the first threshold
+        text = (Path(__file__).resolve().parent.parent / "scenarios"
+                / "reference_rat.scn").read_text()
+        scn = apply_sweep_value(parse_scenario(text), "rat.tx_power", tx_power)
+        parts = prepare(scn)
+        rep = run_analyze(scn, parts)
+        power = tx_power * tail_mass(scn.fading, parts.partition.thresholds[1] ** 2)
+        assert rep.avg_power_lo_w == pytest.approx(power, rel=1e-12)
+        assert rep.ee_lo_bpj == pytest.approx(rep.throughput_lo_bps / power, rel=1e-12)
+        assert rep.ee_hi_bpj == pytest.approx(rep.throughput_hi_bps / power, rel=1e-12)
 
     def test_ee_recomposition(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
