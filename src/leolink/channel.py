@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincc, gammaln, hyp1f1, ive, xlog1py, xlogy
 
-from .special import SERIES_MAX_TERMS, SERIES_REL_TOL, NonConvergent, confluent_1f1
+from .special import SERIES_MAX_TERMS, SERIES_REL_TOL, NonConvergent
 
 __all__ = [
     "SrFading",
@@ -255,10 +255,11 @@ def _stirlerr(z):
 def _nb_below(n, m: float, r: float, q: float):
     # P(K < n) = I_q(m, n) for K ~ NB(m, r) and n >= 1, taken from whichever
     # of r and q = 1 - r is the smaller, as the other loses digits to 1 - x.
-    # Against 40-50-digit mpmath (n = 1..5000) on the reference and Abdi's
-    # sets, the unbranched betainc(m, n, q) is within 6.3e-16 relative
-    # (betaincc here: 3.4e-16) and 4.9-5.5x cheaper; taking it moves the
-    # goldens in their last bits, so it waits for the precision ledger.
+    # Both branches stay: against 50-digit mpmath (n up to 2000, and 5e4 on
+    # line-of-sight sets), betainc(m, n, q) is off by 1.9e-15 at n = 3 on
+    # Abdi's average set (q = 0.753), where betaincc is within 8.2e-17, and
+    # on line-of-sight sets betaincc(n, m, r) is off by 1.0e-13 (m = 1.5)
+    # and 4.7e-13 (m = 0.5), where betainc is within 9.4e-16.
     return betainc(m, n, q) if q <= 0.5 else betaincc(n, m, r)
 
 
@@ -935,8 +936,10 @@ def lcr(fading: SrFading, dop: DopplerSpec, r_th: float) -> float:
     """Level-crossing rate of the fading envelope at amplitude r_th.
 
     Series evaluation; each term couples a half-integer Pochhammer weight
-    with a pair of confluent-hypergeometric factors, in each of which the
-    spectral-moment bracket enters squared.
+    with a pair of confluent-hypergeometric factors 1F1(n + m; n + 1; z)
+    from scipy.special.hyp1f1, in each of which the spectral-moment bracket
+    enters squared. A factor past double range (about e^z, z = delta r_th^2,
+    in the hundreds on line-of-sight fading) raises NonConvergent.
     """
     if r_th <= 0:
         raise ValueError(f"r_th must be > 0, got {r_th}")
@@ -948,9 +951,14 @@ def lcr(fading: SrFading, dop: DopplerSpec, r_th: float) -> float:
     z = fading.delta * r_th * r_th
 
     def xi(n: int) -> float:
+        factor = float(hyp1f1(n + m, n + 1.0, z))
+        if not math.isfinite(factor):
+            raise NonConvergent(
+                f"crossing-rate series at r_th={r_th}: 1F1({n + m}; {n + 1.0}; {z}) "
+                "overflows double precision"
+            )
         scale = math.exp(math.lgamma(n + m) - n * math.log(2.0) - math.lgamma(n + 1.0))
-        return (scale * bracket**2.0 * q**n
-                * confluent_1f1(n + m, n + 1.0, z))
+        return scale * bracket**2.0 * q**n * factor
 
     prefactor = (
         1.0 / (math.sqrt(2.0 * math.pi) * math.exp(math.lgamma(m)))

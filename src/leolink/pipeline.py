@@ -112,9 +112,12 @@ def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> Sce
     if finite_wait:
         _require_finite_wait(solved.lam_s)
     elif math.isinf(solved.lam_s):
+        mass = float(solved.pi[0])
         log.warning("lambda taken as infinite at first threshold %r: the fade "
-                    "duration there is undefined or beyond double precision",
-                    solved.first_threshold)
+                    "duration there is undefined or beyond double precision; "
+                    "mass below it %r, so %s", solved.first_threshold, mass,
+                    "the mass underflowed" if mass == 0.0 else
+                    "the crossing rate underflowed, or mass / rate overflowed")
     return ScenarioParts(
         timeline=timeline,
         d_max_m=solved.d_max_m,

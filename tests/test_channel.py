@@ -11,7 +11,6 @@ from scipy import integrate, special
 from scipy.optimize.elementwise import find_root
 
 from leolink import channel
-from leolink import special as series
 from leolink.channel import (
     DopplerSpec,
     GainPartition,
@@ -36,6 +35,7 @@ from fading_sets import ABDI_SETS, LOS_SETS
 
 TABLE_FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
 TABLE_DOPPLER = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=1.55, aoa_width=24.2)
+REFERENCE = (TABLE_FADING.m, TABLE_FADING.b0, TABLE_FADING.omega)
 
 
 class TestSrFading:
@@ -183,6 +183,29 @@ class TestSrCdf:
             want = float(scale * mpmath.quad(lambda u: pdf(x + u) / scale, [0, 1, 4, 16, 64]))
         assert tail_mass(f, x) == pytest.approx(want, rel=1e-13)
 
+    # n = 1..16 and log-spaced to 2000 on the property sets; log-spaced to
+    # 5e4 on the line-of-sight sets (mpmath stops converging not far above).
+    # Either route alone misses a bound: betainc(m, n, q) is off by 1.9e-15
+    # on Abdi's average set, betaincc(n, m, r) by 1.0e-13 and 4.7e-13 on the
+    # line-of-sight sets.
+    @pytest.mark.parametrize("params,n,bound", [
+        *[pytest.param(p, np.concatenate([np.arange(1.0, 17.0),
+                                          np.round(np.geomspace(17.0, 2000.0, 12))]),
+                       1e-15, id=name)
+          for name, p in {"reference": REFERENCE, **ABDI_SETS}.items()],
+        *[pytest.param(p, np.round(np.geomspace(1.0, 5e4, 16)), 4e-15, id=name)
+          for name, p in LOS_SETS.items()],
+    ])
+    def test_nb_below_matches_mpmath(self, params, n, bound):
+        # P(K < n) = I_q(m, n) for the mixture index K ~ NB(m, r), q = 1 - r
+        fading = SrFading(*params)
+        r, q = channel._mixture(fading)
+        with mpmath.workdps(50):
+            want = np.array([float(mpmath.betainc(fading.m, v, 0, q, regularized=True))
+                             for v in n.tolist()])
+        got = channel._nb_below(n, fading.m, r, q)
+        assert np.max(np.abs(got / want - 1.0)) <= bound
+
 
 class TestPartition:
     def test_requires_leading_zero(self):
@@ -321,7 +344,6 @@ class TestEqualProbabilityPartition:
 # The partition solve's bracket tolerance, as find_root takes it.
 ROOT_TOL = {"xatol": channel._ROOT_XATOL, "xrtol": channel._ROOT_XRTOL,
             "fatol": 0.0, "frtol": 0.0}
-REFERENCE = (TABLE_FADING.m, TABLE_FADING.b0, TABLE_FADING.omega)
 # Each fading set with its first threshold: 0.6 sqrt(mean gain), 0.354 on
 # the integer-m set, and 11.335 and 14 deep in the reference tail (2e-155
 # and 1e-241; at 14 the tail at both bracket ends underflows to 0).
@@ -661,6 +683,17 @@ class TestRowIndependence:
             assert row.tolist() == alone_pi[0].tolist()
 
 
+def quadrature_moment(fading: SrFading, dop: DopplerSpec, k: int) -> float:
+    """b_k = b0 (2 pi f)^k times the k-th moment of cos(theta) under the von
+    Mises angle of arrival, by direct quadrature over theta = mean + phi."""
+    mu, kappa = dop.mean_aoa_rad, dop.aoa_width
+    value, _ = integrate.quad(
+        lambda phi: math.cos(mu + phi) ** k * math.exp(kappa * (math.cos(phi) - 1.0)),
+        -math.pi, math.pi, epsabs=0.0, epsrel=1e-13)
+    return (fading.b0 * (2.0 * math.pi * dop.f_scatter_max_hz) ** k * value
+            / (2.0 * math.pi * special.ive(0, kappa)))
+
+
 class TestDoppler:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -681,6 +714,25 @@ class TestDoppler:
         assert b2 == pytest.approx(
             TABLE_FADING.b0 * 2.0 * math.pi**2 * 50.0**2, rel=1e-12
         )
+
+    @pytest.mark.parametrize("aoa,width", [(1.55, 24.2), (0.9, 5.0)])
+    def test_first_moment_matches_quadrature(self, aoa, width):
+        dop = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=aoa, aoa_width=width)
+        b1 = doppler_moments(TABLE_FADING, dop)[0]
+        assert b1 == pytest.approx(quadrature_moment(TABLE_FADING, dop, 1), rel=1e-15)
+
+    # The second moment needs cos(2 mu), where the code has cos(mu): b2 is
+    # 25347 against 2032 at (1.55, 24.2), 34807 against 21240 at (0.9, 5)
+    # and 24871 against 985 at (+-pi/2, 50). At (3.0, 5) the wrong b2 falls
+    # below b1^2 / b0, and doppler_moments refuses a valid spectrum.
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError),
+                       reason="ROADMAP item 1")
+    @pytest.mark.parametrize("aoa,width", [(1.55, 24.2), (0.9, 5.0), (3.0, 5.0),
+                                           (math.pi / 2, 50.0), (-math.pi / 2, 50.0)])
+    def test_second_moment_matches_quadrature(self, aoa, width):
+        dop = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=aoa, aoa_width=width)
+        b2 = doppler_moments(TABLE_FADING, dop)[1]
+        assert b2 == pytest.approx(quadrature_moment(TABLE_FADING, dop, 2), rel=1e-13)
 
 
 class TestLcr:
@@ -705,9 +757,8 @@ class TestLcr:
 
     def test_tolerance_refinement(self, monkeypatch):
         coarse = lcr(TABLE_FADING, TABLE_DOPPLER, 0.3)
-        # the crossing-rate series and its 1F1 factors, ten times tighter
+        # the crossing-rate series, ten times tighter
         monkeypatch.setattr(channel, "SERIES_REL_TOL", 1e-13)
-        monkeypatch.setattr(series, "SERIES_REL_TOL", 1e-13)
         fine = lcr(TABLE_FADING, TABLE_DOPPLER, 0.3)
         assert coarse == pytest.approx(fine, rel=1e-10)
 
@@ -727,6 +778,20 @@ class TestLcr:
         peak = lcr(TABLE_FADING, TABLE_DOPPLER, 1.0)
         far = lcr(TABLE_FADING, TABLE_DOPPLER, 5.0)
         assert 0.0 <= far < 1e-6 * peak
+
+    def test_overflowing_factor_is_refused(self):
+        # on line-of-sight fading z = delta r^2 is about 930 at r = 0.431, and
+        # 1F1(1.5; 1; z) ~ e^z is past double range: the series would form
+        # inf - inf, so it stops at the first such factor, without a warning
+        fading = SrFading(*LOS_SETS["los-m1.5"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent) as info:
+                lcr(fading, TABLE_DOPPLER, 0.431)
+        z = fading.delta * 0.431 * 0.431
+        assert z == pytest.approx(930.0, rel=2e-3)
+        assert str(info.value) == (f"crossing-rate series at r_th=0.431: 1F1(1.5; 1.0; {z}) "
+                                   "overflows double precision")
 
     # At b1 = 0 the rate is Rice's, sqrt(b2 / 2 pi) f_R(r) with the envelope
     # density f_R(r) = 2 r f_G(r^2); on Rayleigh fading that is

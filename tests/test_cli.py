@@ -81,6 +81,18 @@ class TestAnalyze:
         assert main(["analyze", "--scenario", path]) == 0
         assert "lambda_s = " in capsys.readouterr().out
 
+    # A valid spectrum: today the b2 of doppler_moments falls below b1^2 / b0
+    # here, and analyze exits 2 with "degenerate Doppler spectrum". With b2
+    # fixed, bracket * q / 2 is 7.3 there, past the crossing-rate series'
+    # radius, so it runs only once that series is replaced too.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 11")
+    def test_pat_backward_aoa_runs(self, tmp_path, capsys):
+        path = reduced_scenario(
+            tmp_path, "reference_pat.scn",
+            **{"mean_aoa = 1.55": "mean_aoa = 3.0", "aoa_width = 24.2": "aoa_width = 5"},
+        )
+        assert main(["analyze", "--scenario", path]) == 0
+
     def test_pat_below_knee_has_certain_outage(self, tmp_path, capsys):
         # delivery takes 8.33 ms; a 2 ms budget cannot be met
         path = reduced_scenario(
@@ -228,6 +240,18 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("WARNING leolink.pipeline: lambda taken as infinite")
+
+    def test_infinite_wait_warning_names_the_side_that_underflowed(self, capsys):
+        # at exponent 2.5 the mass below the first threshold is about 1, so
+        # it is the crossing rate there that underflowed
+        assert main(["sweep", "--scenario", RAT_SCN,
+                     "--sweep", "geometry.path_loss_exp=2,2.25,2.5"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 4  # the header and all three points
+        assert err == ("WARNING leolink.pipeline: lambda taken as infinite at first threshold "
+                       "10.27676090940344: the fade duration there is undefined or beyond "
+                       "double precision; mass below it 0.9999999999999998, so the crossing "
+                       "rate underflowed, or mass / rate overflowed\n")
 
     @pytest.mark.parametrize("spec", ["geometry.orbit_height=500e3:1100e3:5",
                                       "traffic.delay_threshold=0:0.02:5"])

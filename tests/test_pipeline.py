@@ -1,6 +1,8 @@
 """The partition solve behind prepare() and run_sweep: what it evaluates,
 and that the values it shares are the public functions' own."""
 
+import logging
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from leolink import channel, pipeline
 from leolink.channel import SrFading, afd, state_probs, tail_mean_gain
+from leolink.geometry import build_timeline
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
 
 from fading_sets import ABDI_SETS, LOS_SETS
@@ -134,3 +137,17 @@ def test_line_of_sight_validate_warns_nothing():
         warnings.simplefilter("error")
         checks = pipeline.run_validate(scn)
     assert [c.name for c in checks if not c.passed] == []
+
+
+def test_infinite_wait_warning_names_an_underflowed_mass(caplog):
+    # a mass of 0 below the first threshold, not the crossing rate, left
+    # lambda infinite (the CLI tests cover a positive mass)
+    scn = reference("reference_rat.scn")
+    solved = pipeline._solve([scn])[0]
+    pi = np.zeros_like(solved.pi)
+    pi[1] = 1.0
+    solved = replace(solved, pi=pi, lam_s=math.inf)
+    with caplog.at_level(logging.WARNING, logger="leolink"):
+        pipeline._assemble(build_timeline(scn.geometry, scn.slot_len_s), solved, False)
+    (record,) = caplog.records
+    assert record.getMessage().endswith("; mass below it 0.0, so the mass underflowed")
