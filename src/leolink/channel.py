@@ -70,6 +70,10 @@ _NEWTON_RTOL = 1e-8
 _ROOT_XRTOL = 2.0 * np.finfo(float).eps
 _ROOT_XATOL = 4.0 * np.finfo(float).tiny
 _ROOT_MAXITER = 100
+# The Newton solve starts from the tail and the density at 4 knots,
+# log-spaced from the first threshold's gain x1 to end = 4 max(2 x1, mean
+# gain): x1, then end (x1 / end)^p for these powers p.
+_KNOT_POWERS = np.array([2.0, 1.0, 0.0]) / 3.0
 
 # Each series omits at most _REL_TOL of its sum on either side of its
 # window; the CDF's upper cut, at most the larger of that and e^-_LOG_FLOOR
@@ -343,45 +347,48 @@ def _poisson_sum(*terms) -> list[np.ndarray]:
             by_series.setdefault(series, []).append(k)
     if not by_series:
         return sums
-    # every term's windows, checked in term order before any row is formed
-    groups, wide = [], False
-    for series, ks in by_series.items():
-        y = _join([terms[k][1] for k in ks])
-        lo, hi = series.window(y)
-        wide |= bool(np.count_nonzero(hi - lo >= _MAX_WINDOW))
-        groups.append((series, ks, [0, *itertools.accumulate(len(terms[k][1]) for k in ks)],
-                       y, lo, hi))
-    if wide:
-        _refuse_wide(terms, groups)
 
     # each series' entries in order of y, and its cells, series after
     # series: cell k holds entries at[k] .. at[k + 1] - 1, which need the
-    # indices need_lo[k] .. need_hi[k] of its row; cell_of gives each
-    # entry's cell
-    found, series_of, key, need_lo, need_hi, at = [], [], [], [], [], []
-    done = 0
-    for series, _, _, y, lo, hi in groups:
+    # indices need_lo[k] .. need_hi[k] of its row, and searched[k] is its
+    # n0 search range (_edges); cell_of gives each entry's cell. One window
+    # call per series takes its entries and its cells' edges.
+    groups, found, series_of, key, need_lo, need_hi, at, searched = [], [], [], [], [], [], [], []
+    done, wide = 0, False
+    for series, ks in by_series.items():
+        y = _join([terms[k][1] for k in ks])
         # entries in order, as a root finder's gains of one partition come,
         # are not sorted again
         order = None if np.all(y[1:] >= y[:-1]) else y.argsort(kind="stable")
         if order is not None:
-            y, lo, hi = y[order], lo[order], hi[order]
+            y = y[order]
         cell = _cell(y)
         new = np.empty(len(y), dtype=bool)
         new[0] = True
         np.not_equal(cell[1:], cell[:-1], out=new[1:])
         first = new.nonzero()[0]
-        found.append((y, lo, hi, order, new.cumsum() + (len(key) - 1)))
+        yc, y_lo, y_hi = _edges(cell[first])
+        lo, hi = series.window(np.concatenate((y, y_hi, y_lo)))
+        n, c = len(y), len(first)
+        near, low, high = lo[n:n + c], lo[n + c:], hi[n:n + c]
+        searched += zip(yc.tolist(), near.tolist(), np.maximum(hi[n + c:], near).tolist(),
+                        low.tolist(), high.tolist())
+        lo, hi = lo[:n], hi[:n]
+        wide |= bool(np.count_nonzero(hi - lo >= _MAX_WINDOW))
+        groups.append((ks, [0, *itertools.accumulate(len(terms[k][1]) for k in ks)], order))
+        found.append((y, lo, hi, new.cumsum() + (len(key) - 1)))
         at += (first + done).tolist()
         need_lo += np.minimum.reduceat(lo, first).tolist()
         need_hi += np.maximum.reduceat(hi, first).tolist()
         cells = cell[first].tolist()
         series_of += [series] * len(cells)
         key += cells
-        done += len(y)
+        done += n
+    # every term's windows, checked in term order before any row is formed
+    if wide:
+        _refuse_wide(terms)
     at.append(done)
-    y, lo, hi, orders, cell_of = zip(*found)
-    y, lo, hi, cell_of = map(_join, (y, lo, hi, cell_of))
+    y, lo, hi, cell_of = map(_join, zip(*found))
 
     # a cell without a kept row that holds its range gets a new one, over
     # every window the cell can hold, its entries' windows and its n0
@@ -395,7 +402,7 @@ def _poisson_sum(*terms) -> list[np.ndarray]:
             missing.setdefault(series_of[k], []).append(k)
     plans = {}
     for series, mine in missing.items():
-        yc, near, reach, low, high = _search_range(series, np.array([key[k] for k in mine]))
+        yc, near, reach, low, high = np.array([searched[k] for k in mine]).T
         start = np.minimum.reduce([near, low, [need_lo[k] for k in mine]])
         end = np.maximum.reduce([reach, high, [need_hi[k] for k in mine]])
         plans[series] = dict(zip(mine, zip(yc, near, reach, start, end - start + 1.0)))
@@ -425,7 +432,7 @@ def _poisson_sum(*terms) -> list[np.ndarray]:
         a = b
 
     done = 0
-    for (_, ks, bounds, *_), order in zip(groups, orders):
+    for ks, bounds, order in groups:
         out = total[done:done + bounds[-1]]
         if order is not None:
             out = np.empty(len(order))
@@ -440,22 +447,21 @@ def _join(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _refuse_wide(terms, groups) -> None:
+def _refuse_wide(terms) -> None:
     """Raise ArithmeticError for the first term of _poisson_sum with a
     window of more than _MAX_WINDOW terms, naming its widest, the lowest y
-    first; groups holds (series, its terms, their bounds, y, lo, hi)."""
-    windows = {}
-    for _, ks, bounds, _, lo, hi in groups:
-        for k, u, v in zip(ks, bounds, bounds[1:]):
-            windows[k] = hi[u:v] - lo[u:v]
-    for k in sorted(windows):
-        if np.count_nonzero(windows[k] >= _MAX_WINDOW):
-            order = terms[k][1].argsort(kind="stable")
-            w = windows[k][order]
+    first."""
+    for series, y in terms:
+        if not len(y):
+            continue
+        order = y.argsort(kind="stable")
+        lo, hi = series.window(y[order])
+        w = hi - lo
+        if np.count_nonzero(w >= _MAX_WINDOW):
             i = np.argmax(w)
             raise ArithmeticError(
                 f"series window too wide: {w[i] + 1.0:.4g} terms at beta*x = "
-                f"{terms[k][1][order][i]:.6g}, more than {_MAX_WINDOW}")
+                f"{y[order][i]:.6g}, more than {_MAX_WINDOW}")
 
 
 def _cell(y):
@@ -469,20 +475,18 @@ def _cell(y):
     return np.floor(cell, out=cell)
 
 
-def _search_range(series, cell):
-    """Each cell's middle yc; the range [near, reach] in which its n0 is
-    searched, from the low end of the window at its top edge to the high
-    end of the window at its bottom edge; and the range [low, high] of
-    every window in the cell, from the low end of the window at its bottom
-    edge to the high end of the window at its top edge."""
+def _edges(cell):
+    """Each cell's middle yc and its bottom and top edges y_lo and y_hi. A
+    cell's n0 is searched from the low end of the window at its top edge
+    to the high end of the window at its bottom edge, and every window in
+    the cell spans from the low end of the window at its bottom edge to the
+    high end of the window at its top edge."""
     key = cell[:, None] + np.array([0.5, 0.0, 1.0])
     yc, y_lo, y_hi = np.maximum((0.5 * key) ** 2 - 16.0, 1.0).T
     octave = key[:, 0] < 0.0
     if octave.any():
         yc[octave], y_lo[octave], y_hi[octave] = np.exp2(key[octave]).T
-    lo, hi = series.window(np.concatenate((y_hi, y_lo)))
-    near, low = lo[:len(cell)], lo[len(cell):]
-    return yc, near, np.maximum(hi[len(cell):], near), low, hi[:len(cell)]
+    return yc, y_lo, y_hi
 
 
 def _form(series: "_Series", plan: dict, key: list, rows: list, cells: range) -> None:
@@ -1050,10 +1054,11 @@ def _tail_mean(fading: SrFading, x: np.ndarray, mass: np.ndarray, first: np.ndar
 
 
 def _tail_quantiles(fading: SrFading, tail: _Series, density: _Series, lo, hi, mass_lo,
-                    mass_hi, targets) -> np.ndarray:
+                    mass_hi, targets, start) -> np.ndarray:
     """The gains g in the brackets [lo, hi] at which the tail mass T(g) meets
     its targets t, given the tail series' sums T(lo) > t >= T(hi), by a
-    safeguarded Newton solve of h(g) = log(T(g) / t) from regula falsi.
+    safeguarded Newton solve of h(g) = log(T(g) / t) from start, or from
+    regula falsi where start is NaN.
     Each step is one pass of the tail and the density's series D at the
     open gains, for the slope -beta D / T; the sign of h moves a bracket end
     to g, and a step that would leave the bracket bisects it. An entry
@@ -1071,7 +1076,7 @@ def _tail_quantiles(fading: SrFading, tail: _Series, density: _Series, lo, hi, m
     if np.isnan(h_lo).any() or np.isnan(h_hi).any():
         raise NonConvergent("partition solve: the tail mass is NaN at a bracket end")
     roots, active = np.empty_like(lo), np.arange(len(lo))
-    g = lo + (hi - lo) * (h_lo / (h_lo - h_hi))
+    g = np.where(np.isnan(start), lo + (hi - lo) * (h_lo / (h_lo - h_hi)), start)
     for _ in range(_ROOT_MAXITER):
         g = np.where((g > lo) & (g < hi), g, 0.5 * (lo + hi))
         mass, dens = _poisson_sum((tail, fading.beta * g), (density, fading.beta * g))
@@ -1090,6 +1095,44 @@ def _tail_quantiles(fading: SrFading, tail: _Series, density: _Series, lo, hi, m
             return roots
         active, lo, hi, targets, g = (v[~done] for v in (active, lo, hi, targets, x))
     raise NonConvergent(f"partition solve did not converge within {_ROOT_MAXITER} steps")
+
+
+def _knot_starts(fading: SrFading, knots, tails, dens, targets):
+    """Each target's bracket between two knots of its partition, and its
+    Newton start there. knots holds each partition's rising knots, one row
+    each, with the tail masses tails and density sums dens at them; targets,
+    one row per partition, the tail masses its gains must meet.
+
+    A target's bracket is the knots [lo, hi] with T(lo) > t >= T(hi), and
+    its start the cubic Hermite interpolant there of v = log g against
+    u = log(-log T), with slope dv/du = T (-log T) / (g beta D), at
+    u = log(-log t). Where T falls as e^-(beta - delta) g, far out, or as
+    1 - c g, near 0, v is close to linear in u. A start that is not finite
+    or not inside its bracket is NaN. Returns lo, hi, T(lo), T(hi) and the
+    start, flat in target order; past the last knot, hi and T(hi) are NaN.
+    """
+    last = knots.shape[1] - 1
+    at = np.maximum(np.count_nonzero(tails[:, None, :] > targets[:, :, None], axis=2) - 1, 0)
+    rows = np.arange(len(knots))[:, None]
+    # a tail of 0 or 1 puts u at +-inf, and a density of 0 the slope at inf:
+    # those starts are not finite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        neg_log = -np.log(tails)
+        # at each knot: g, T, v, u and dv/du
+        at_knots = np.stack((knots, tails, np.log(knots), np.log(neg_log),
+                             tails * neg_log / (knots * fading.beta * dens)))
+        lo, mass_lo, v_lo, u_lo, slope_lo = at_knots[:, rows, at]
+        hi, mass_hi, v_hi, u_hi, slope_hi = at_knots[:, rows, np.minimum(at + 1, last)]
+        width = u_hi - u_lo
+        s = (np.log(-np.log(targets)) - u_lo) / width
+        start = np.exp((1.0 + 2.0 * s) * (1.0 - s) ** 2 * v_lo
+                       + s * (1.0 - s) ** 2 * width * slope_lo
+                       + s * s * (3.0 - 2.0 * s) * v_hi
+                       + s * s * (s - 1.0) * width * slope_hi)
+    start[~((start > lo) & (start < hi))] = math.nan
+    past = at == last
+    hi[past] = mass_hi[past] = math.nan
+    return lo.ravel(), hi.ravel(), mass_lo.ravel(), mass_hi.ravel(), start.ravel()
 
 
 def equal_probability_partition(
@@ -1124,10 +1167,14 @@ def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thres
     other series it evaluates in one pass. It makes one pass before its
     Newton solve (_tail_quantiles) and one after, evaluating each series at
     each gain once outside the solve. The pass before holds the tail at the
-    first thresholds, the tail at the bracket ends hi and 2 hi, and the CDF
-    at the first thresholds; the pass after, the tail at the other
+    first thresholds and at three more knots each, the density at those
+    four knots (_knot_starts: each target's bracket and start), and the
+    CDF at the first thresholds; the pass after, the tail at the other
     thresholds and the two series of the top mean gain. In between, each
-    Newton step is one pass of the tail and the density at the same gains.
+    Newton step is one pass of the tail and the density at the same gains;
+    a target past its partition's last knot first doubles its bracket's
+    upper end, one pass each doubling, from there. With two states, or
+    pinned upper thresholds, there is no solve and no knot.
     """
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")
@@ -1150,42 +1197,52 @@ def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thres
             )
     x1, _ = _gains(firsts ** 2)
     tail, below = _tail(fading, 0, fading.m, _KEEP), _below(fading)
-    # Every target of a partition shares the bracket [first^2, hi]; hi
-    # doubles where the tail still exceeds the target. Most brackets close
-    # within one doubling, so the first pass takes both hi and 2 hi. The
-    # tail at the first thresholds goes first, so that a window too wide is
-    # refused for it before the others.
-    lo = np.repeat(x1, n_states - 2 if upper_thresholds is None else 0)
-    hi = np.maximum(2.0 * lo, fading.mean_gain)
-    s1, ends, cdf = _poisson_sum((tail, _inner(fading, x1)),
-                                 (tail, _inner(fading, np.concatenate((hi, 2.0 * hi)))),
-                                 (below, _inner(fading, x1)))
+    density = _density(fading, _KEEP)
+    n_targets = n_states - 2 if upper_thresholds is None else 0
+    # The knots of the Newton solve's start (_knot_starts): x1, where the
+    # tail is s1, and three more. The tail at the first thresholds goes
+    # first, so that a window too wide is refused for it before the others.
+    knots = np.empty((len(x1), 0))
+    if n_targets:
+        end = 4.0 * np.maximum(2.0 * x1, fading.mean_gain)
+        # at x1 = inf they are NaN, and left out of the pass
+        with np.errstate(invalid="ignore"):
+            knots = np.column_stack((x1, end[:, None] * (x1 / end)[:, None] ** _KNOT_POWERS))
+    s1, tails, dens, cdf = _poisson_sum((tail, _inner(fading, x1)),
+                                        (tail, _inner(fading, knots[:, 1:].ravel())),
+                                        (density, _inner(fading, knots.ravel())),
+                                        (below, _inner(fading, x1)))
     s1, cdf = _fill(x1, s1, 1.0), _fill(x1, cdf, 0.0)
     if upper_thresholds is None:
         # Below ~1e-290 the quantile targets leave the normal double range
         # and the solve sees quantized garbage; fail explicitly. (A first
-        # threshold at inf has tail mass 0, and its bracket ends, left out
-        # of the pass, are never used.)
+        # threshold at inf has tail mass 0, and its knots are never used.)
         if np.any(s1 < 1e-290):
             i = np.flatnonzero(s1 < 1e-290)[0]
             raise ArithmeticError(
                 f"no resolvable probability mass above threshold {first[i, 0]} "
                 f"(tail mass {s1[i]:.3g})"
             )
-        targets = (np.multiply.outer(s1, np.arange(n_states - 2, 0, -1))
-                   / (n_states - 1)).ravel()
-        at_hi, at_twice = np.split(ends, 2)
-        while np.any(up := at_hi > targets):
-            hi[up] *= 2.0
-            if hi.max() > 1e12:
+        amplitudes = np.empty((len(x1), 0))
+    if n_targets:
+        targets = np.multiply.outer(s1, np.arange(n_targets, 0, -1)) / (n_targets + 1)
+        tails = np.column_stack((s1, _fill(knots[:, 1:].ravel(), tails, 1.0).reshape(len(x1), -1)))
+        dens = _fill(knots.ravel(), dens, math.nan).reshape(knots.shape)
+        lo, hi, mass_lo, mass_hi, start = _knot_starts(fading, knots, tails, dens, targets)
+        targets = targets.ravel()
+        # past the last knot, hi doubles from it while the tail still
+        # exceeds the target, each doubling one pass
+        up = np.isnan(hi)
+        hi[up] = 2.0 * lo[up]
+        while np.any(up):
+            if hi[up].max() > 1e12:
                 raise ArithmeticError(f"tail quantile search diverged at targets {targets[up]}")
-            if at_twice is None:
-                (at_hi[up],) = _poisson_sum((tail, fading.beta * hi[up]))
-            else:
-                at_hi[up], at_twice = at_twice[up], None
-        gains = _tail_quantiles(fading, tail, _density(fading, _KEEP), lo, hi,
-                                np.repeat(s1, n_states - 2), at_hi, targets)
-        amplitudes = np.sqrt(gains).reshape(len(first), n_states - 2)
+            (mass_hi[up],) = _poisson_sum((tail, fading.beta * hi[up]))
+            up &= mass_hi > targets
+            lo[up], mass_lo[up] = hi[up], mass_hi[up]
+            hi[up] *= 2.0
+        gains = _tail_quantiles(fading, tail, density, lo, hi, mass_lo, mass_hi, targets, start)
+        amplitudes = np.sqrt(gains).reshape(len(first), n_targets)
     thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
     # the tails at the other thresholds' squares, as state_probs takes them:
     # a solved gain and its threshold's square can differ by an ulp

@@ -22,6 +22,7 @@ __all__ = [
     "distance_at",
     "distance_range",
     "build_timeline",
+    "slot_brackets",
     "half_track_from_plane",
     "circular_orbit_speed",
 ]
@@ -144,38 +145,77 @@ def build_timeline(geo: PassGeometry, slot_len_s: float) -> PassTimeline:
 
     The range is piecewise monotone with its single minimum at mid-pass, so
     per-slot extrema come from the slot endpoints plus the mid-pass point
-    when it falls inside the slot.
+    when it falls inside the slot. This is slot_brackets with one pass.
     """
-    if slot_len_s <= 0:
-        raise ValueError(f"slot_len_s must be > 0, got {slot_len_s}")
-    t_s = service_duration(geo)
-    if slot_len_s > t_s:
-        raise SlotTooLong(f"slot_len_s={slot_len_s} exceeds service duration {t_s}")
-    ratio = t_s / slot_len_s
-    n = int(math.floor(ratio))
-    if ratio - n > 1.0 - 1e-9:  # t_s is a whole number of slots up to rounding
-        n += 1
-    remainder = t_s - n * slot_len_s
-    if remainder > 1e-9 * t_s:
-        log.info(
-            "pass duration %.6g s is not a multiple of the %.6g s slot; "
-            "dropping the trailing %.6g s", t_s, slot_len_s, remainder,
-        )
-    t_mid = geo.half_track_m / sub_point_speed(geo)
-    t0 = np.arange(n) * slot_len_s
-    t1 = np.minimum(np.arange(1, n + 1) * slot_len_s, t_s)  # last edge can round past T_s
-    d0, d1 = distance_at(geo, t0), distance_at(geo, t1)
-    # NaN outside the one slot whose interior holds the mid-pass point
-    mid = np.where((t0 < t_mid) & (t_mid < t1), distance_at(geo, t_mid), np.nan)
-    d_min = np.fmin(np.minimum(d0, d1), mid)
-    d_max = np.fmax(np.maximum(d0, d1), mid)
+    (t_s,), n, d_min, d_max = slot_brackets([geo], [slot_len_s])
     return PassTimeline(
         service_time_s=t_s,
         slot_len_s=slot_len_s,
-        n_slots=n,
-        slot_dist_min=d_min,
-        slot_dist_max=d_max,
+        n_slots=int(n[0]),
+        slot_dist_min=d_min[0],
+        slot_dist_max=d_max[0],
     )
+
+
+def slot_brackets(geos: list[PassGeometry], slot_lens: list[float]
+                  ) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
+    """build_timeline of P passes at once: each pass's service time and
+    slot count, and the (min, max) slant range of its slots as the rows of
+    two P x N arrays, N the most slots of any pass. Past a pass's own
+    slots its rows hold finite values of no meaning. Each row equals the
+    pass's timeline alone, bit for bit: every value is formed from its own
+    pass's constants by the same operations. Raises build_timeline's error
+    for the first pass that fails.
+    """
+    times, counts, consts = [], [], []
+    for geo, slot_len_s in zip(geos, slot_lens):
+        if slot_len_s <= 0:
+            raise ValueError(f"slot_len_s must be > 0, got {slot_len_s}")
+        t_s = service_duration(geo)
+        if slot_len_s > t_s:
+            raise SlotTooLong(f"slot_len_s={slot_len_s} exceeds service duration {t_s}")
+        ratio = t_s / slot_len_s
+        n = int(math.floor(ratio))
+        if ratio - n > 1.0 - 1e-9:  # t_s is a whole number of slots up to rounding
+            n += 1
+        remainder = t_s - n * slot_len_s
+        if remainder > 1e-9 * t_s:
+            log.info(
+                "pass duration %.6g s is not a multiple of the %.6g s slot; "
+                "dropping the trailing %.6g s", t_s, slot_len_s, remainder,
+            )
+        speed = sub_point_speed(geo)
+        times.append(t_s)
+        counts.append(n)
+        # distance_at's constants: the range at time t is
+        # sqrt(along^2 + offset^2 + H^2), along = half_track - speed t
+        consts.append((geo.half_track_m, speed, geo.terminal_offset_m**2,
+                       geo.orbit_height_m**2, slot_len_s, t_s,
+                       geo.half_track_m / speed))
+    half, speed, offset2, height2, slot, t_s, t_mid = np.array(consts).T[:, :, None]
+
+    def distance(t):
+        # in t's own memory
+        t *= speed
+        np.subtract(half, t, out=t)
+        t *= t
+        t += offset2
+        t += height2
+        return np.sqrt(t, out=t)
+
+    j = np.arange(max(counts))
+    t0 = j * slot
+    t1 = (j + 1) * slot
+    np.minimum(t1, t_s, out=t1)  # last edge can round past T_s
+    # the one slot of each pass whose interior holds the mid-pass point
+    inside = ((t0 < t_mid) & (t_mid < t1)).nonzero()
+    d0, d1 = distance(t0), distance(t1)
+    d_min = np.minimum(d0, d1)
+    d_max = np.maximum(d0, d1, out=d1)
+    mid = distance(t_mid.copy())[inside[0], 0]
+    d_min[inside] = np.fmin(d_min[inside], mid)
+    d_max[inside] = np.fmax(d_max[inside], mid)
+    return times, np.array(counts), d_min, d_max
 
 
 def half_track_from_plane(earth_radius_m: float, sats_per_plane: int) -> float:

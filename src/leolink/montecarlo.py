@@ -276,8 +276,28 @@ def simulate(
     the slot's reference range, subject to the cap. For the outage, a packet
     arriving in the bottom state waits an exponential time with mean lam_s
     before draining in the slot where the wait ends; other packets drain
-    immediately at their state's rate.
+    immediately at their state's rate. This reduces the block partials of
+    _block_partials.
     """
+    return _reduce(_block_partials(geo, tl, fading, part, budget, scheme, traffic, lam_s, cfg),
+                   cfg.n_samples)
+
+
+def _block_partials(
+    geo: PassGeometry,
+    tl: PassTimeline,
+    fading: SrFading,
+    part: GainPartition,
+    budget: LinkBudget,
+    scheme: RatConfig | PatConfig,
+    traffic: TrafficSpec,
+    lam_s: float,
+    cfg: SimConfig,
+) -> list[tuple[float, float, float, float, float]]:
+    """simulate's partial sums of each block, in block order: (sum r,
+    sum r^2, sum p, sum p^2, outage count). Block i draws from the i-th
+    child of the seed's SeedSequence, whatever the replication count, so
+    the first blocks of a shorter pass are those of a longer one."""
     if lam_s <= 0 or not math.isfinite(lam_s):
         raise ValueError(f"lam_s must be positive and finite, got {lam_s}")
     blocks = _block_rngs(cfg.seed, cfg.n_samples)
@@ -289,29 +309,35 @@ def simulate(
     # peak memory of a 1e6-replication run rose 13% over one serial block
     workers = min(cores, len(blocks), 2)
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        partials = list(pool.map(
+        return list(pool.map(
             lambda block: _block(geo, tl, fading, part, budget, scheme, traffic, lam_s, *block),
             blocks,
         ))
+
+
+def _reduce(partials: list[tuple[float, float, float, float, float]], n_samples: int
+            ) -> SimResult:
+    """SimResult of n_samples replications from their block partials,
+    reduced in block order."""
     sum_r = sum_r2 = sum_p = sum_p2 = outages = 0.0
-    for r1, r2, p1, p2, c in partials:  # reduce in block order
+    for r1, r2, p1, p2, c in partials:
         sum_r += r1
         sum_r2 += r2
         sum_p += p1
         sum_p2 += p2
         outages += c
-    mean_rate, rate_se = _mean_se(sum_r, sum_r2, cfg.n_samples)
-    mean_power, power_se = _mean_se(sum_p, sum_p2, cfg.n_samples)
-    dor = outages / cfg.n_samples
+    mean_rate, rate_se = _mean_se(sum_r, sum_r2, n_samples)
+    mean_power, power_se = _mean_se(sum_p, sum_p2, n_samples)
+    dor = outages / n_samples
     return SimResult(
-        n_samples=cfg.n_samples,
+        n_samples=n_samples,
         rng=_RNG_NAME,
         mean_rate_bps=mean_rate,
         rate_se_bps=rate_se,
         mean_power_w=mean_power,
         power_se_w=power_se,
         dor=dor,
-        dor_se=math.sqrt(max(dor * (1.0 - dor), 0.0) / cfg.n_samples),
+        dor_se=math.sqrt(max(dor * (1.0 - dor), 0.0) / n_samples),
     )
 
 

@@ -6,13 +6,13 @@ suite behind the `validate` subcommand.
 import concurrent.futures
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import channel, montecarlo, schemes
 from .channel import GainPartition, StateProbMatrix
-from .geometry import PassTimeline, build_timeline, distance_range
+from .geometry import PassTimeline, build_timeline, distance_range, slot_brackets
 from .montecarlo import KS_CRIT_ALPHA01, ks_statistic, sample_sr_gain
 from .scenario import Scenario, SweepSpec, apply_sweep_value
 from .schemes import SchemeReport
@@ -108,7 +108,9 @@ def _groups(scns: list[Scenario], idx, key) -> dict[object, list[int]]:
     return groups
 
 
-def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> ScenarioParts:
+def _check_wait(solved: _Solved, finite_wait: bool) -> None:
+    """Raises ZeroCrossingRate, with finite_wait, or logs a warning where
+    the waiting-time mean is infinite."""
     if finite_wait:
         _require_finite_wait(solved.lam_s)
     elif math.isinf(solved.lam_s):
@@ -118,6 +120,14 @@ def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> Sce
                     "mass below it %r, so %s", solved.first_threshold, mass,
                     "the mass underflowed" if mass == 0.0 else
                     "the crossing rate underflowed, or mass / rate overflowed")
+
+
+def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> ScenarioParts:
+    _check_wait(solved, finite_wait)
+    return _parts(timeline, solved)
+
+
+def _parts(timeline: PassTimeline, solved: _Solved) -> ScenarioParts:
     return ScenarioParts(
         timeline=timeline,
         d_max_m=solved.d_max_m,
@@ -129,7 +139,8 @@ def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> Sce
 
 
 def run_analyze(scn: Scenario, parts: ScenarioParts | None = None) -> SchemeReport:
-    """Closed-form report for the scenario's scheme."""
+    """Closed-form report for the scenario's scheme: the P = 1 case of a
+    sweep's reports (_Sweep)."""
     p = parts or prepare(scn)
     if scn.scheme == "rat":
         return schemes.rat_report(
@@ -138,6 +149,50 @@ def run_analyze(scn: Scenario, parts: ScenarioParts | None = None) -> SchemeRepo
     return schemes.pat_report(
         scn.budget, scn.pat, p.partition, p.timeline, p.probs, scn.traffic, p.lam_s
     )
+
+
+class _Sweep:
+    """The reports of a sweep's points, all formed together.
+
+    prepare() reads neither the traffic nor the sim section, so points
+    equal apart from those share a key: point i has key which[i], and
+    distinct holds a point of each key. Each key has its timeline row
+    (geometry.slot_brackets) and its _Solved (_solve), and the points'
+    reports come from schemes._reports, one call per scheme, with the
+    state probabilities of their keys' solves. Each report, solve and
+    timeline equals its point's alone, bit for bit. Raises the first error
+    of any step; no warning is logged here.
+    """
+
+    def __init__(self, points: list[Scenario], distinct: list[Scenario], which: list[int]):
+        self.times, self.n_slots, self.dist_min, self.dist_max = slot_brackets(
+            [key.geometry for key in distinct], [key.slot_len_s for key in distinct])
+        self.solved = _solve(distinct)
+        self.reports: list[SchemeReport] = [None] * len(points)
+        for scheme, idx in _groups(points, range(len(points)), lambda s: s.scheme).items():
+            rows = [which[i] for i in idx]
+            solved = [self.solved[j] for j in rows]
+            pts = schemes._Points.of(
+                [points[i].budget for i in idx],
+                [getattr(points[i], scheme) for i in idx],
+                [s.partition for s in solved],
+                self.n_slots[rows], self.dist_min, self.dist_max, rows)
+            pi = np.zeros(pts.thresholds.shape + (1,))
+            for row, s in zip(pi, solved):
+                row[:len(s.pi), 0] = s.pi
+            reports = schemes._reports(pts, [points[i].traffic for i in idx], pi,
+                                       [s.lam_s for s in solved])
+            for i, report in zip(idx, reports):
+                self.reports[i] = report
+
+    def parts(self, point: Scenario, j: int) -> ScenarioParts:
+        """prepare(point) of a point of key j, from the sweep's own values,
+        less its wait check."""
+        n = int(self.n_slots[j])
+        timeline = PassTimeline(
+            service_time_s=self.times[j], slot_len_s=point.slot_len_s, n_slots=n,
+            slot_dist_min=self.dist_min[j, :n].copy(), slot_dist_max=self.dist_max[j, :n].copy())
+        return _parts(timeline, self.solved[j])
 
 
 def _fmt(x) -> str:
@@ -194,6 +249,10 @@ def sweep_column_name(path: str) -> str:
     return _SWEEP_COLUMN_NAMES.get(path, path.replace(".", "_"))
 
 
+# The fields of a scenario that prepare() reads: all but traffic and sim.
+_PREPARED_FIELDS = tuple(f.name for f in fields(Scenario) if f.name not in ("traffic", "sim"))
+
+
 def run_sweep(
     scn: Scenario,
     sweep: SweepSpec,
@@ -205,37 +264,51 @@ def run_sweep(
     Simulation columns (when requested) use the point's replication count,
     and point i is seeded with i plus its own sim.seed (or plus seed, when
     given), so a swept sim.seed takes effect.
-    prepare() reads neither the traffic nor the sim section, so points that
-    differ only there share one prepare(), kept until its last use. The
-    distinct points are solved together (see _solve), and each row equals
-    its point run alone; if that fails, each point is solved alone when it
-    comes up, so the sweep stops at its first failing point with that
-    point's own error.
+    The points' reports are formed together (_Sweep), and each row equals
+    its point run alone; the loop over the points only logs each key's
+    wait warning when it first comes up, formats and simulates. A point's
+    prepared parts, which only a simulation needs, are built when it comes
+    up and kept until the last point of its key. If the reports fail, each
+    point is prepared and analyzed alone when it comes up, so the sweep
+    stops at its first failing point with that point's own error.
     """
     header = [sweep_column_name(sweep.path)] + list(SWEEP_CSV_COLUMNS)
     if with_sim:
         header += _SIM_COLUMNS
     points = [apply_sweep_value(scn, sweep.path, value) for value in sweep.values]
-    keys = [replace(point, traffic=None, sim=None) for point in points]
-    last_use = {key: i for i, key in enumerate(keys)}
-    distinct = list(dict.fromkeys(keys))
+    # point i has key which[i]; each key's first point stands for it
+    index: dict[tuple, int] = {}
+    distinct, which = [], []
+    for point in points:
+        j = index.setdefault(tuple(getattr(point, f) for f in _PREPARED_FIELDS), len(index))
+        if j == len(distinct):
+            distinct.append(point)
+        which.append(j)
+    last_use = {j: i for i, j in enumerate(which)}
     try:
-        solved = dict(zip(distinct, _solve(distinct)))
+        batch = _Sweep(points, distinct, which)
     except (ArithmeticError, ValueError):
-        solved = {}
-    prepared: dict[Scenario, ScenarioParts] = {}
-    # Points that share a prepare() repeat most columns; equal cells share
-    # one string, so a long budget sweep keeps a fraction of the text.
+        batch = None
+    prepared: dict[int, ScenarioParts | None] = {}
+    # Points that share a key repeat most columns; equal cells share one
+    # string, so a long budget sweep keeps a fraction of the text.
     cells: dict[str, str] = {}
     rows = []
-    for i, (value, point, key) in enumerate(zip(sweep.values, points, keys)):
-        parts = prepared.pop(key, None)
-        if parts is None:
-            timeline = build_timeline(point.geometry, point.slot_len_s)
-            parts = _assemble(timeline, solved.pop(key, None) or _solve([point])[0], with_sim)
-        if last_use[key] > i:
-            prepared[key] = parts
-        report = run_analyze(point, parts)
+    for i, (value, point, j) in enumerate(zip(sweep.values, points, which)):
+        # an earlier point of key j that is not its last keeps its parts here
+        first = j not in prepared
+        parts = prepared.pop(j, None)
+        if batch is None:
+            parts = parts or prepare(point, with_sim)
+            report = run_analyze(point, parts)
+        else:
+            if first:
+                _check_wait(batch.solved[j], with_sim)
+            if with_sim and parts is None:
+                parts = batch.parts(point, j)
+            report = batch.reports[i]
+        if last_use[j] > i:
+            prepared[j] = parts
         row = [
             _fmt(value),
             _fmt(report.throughput_lo_bps),
@@ -269,12 +342,14 @@ SIMULATE_CSV_HEADER = [
 ]
 
 
-def _simulate(scn: Scenario, parts: ScenarioParts, cfg: montecarlo.SimConfig):
+def _sim_args(scn: Scenario, parts: ScenarioParts, cfg: montecarlo.SimConfig) -> tuple:
     scheme_cfg = scn.rat if scn.scheme == "rat" else scn.pat
-    return montecarlo.simulate(
-        scn.geometry, parts.timeline, scn.fading, parts.partition, scn.budget,
-        scheme_cfg, scn.traffic, parts.lam_s, cfg,
-    )
+    return (scn.geometry, parts.timeline, scn.fading, parts.partition, scn.budget,
+            scheme_cfg, scn.traffic, parts.lam_s, cfg)
+
+
+def _simulate(scn: Scenario, parts: ScenarioParts, cfg: montecarlo.SimConfig):
+    return montecarlo.simulate(*_sim_args(scn, parts, cfg))
 
 
 def run_simulate(scn: Scenario, seed: int | None = None) -> tuple[list[str], list[str]]:
@@ -321,15 +396,15 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     state probabilities against sampled frequencies, the sampler against
     the analytic CDF, the rate, EE and outage closed forms against one
     simulation pass, the outage closed form against its definitional time
-    integral, and a bit-identical repeat of a two-block simulation pass.
+    integral, and a bit-identical repeat of the pass's first two blocks.
 
-    One side thread runs the simulation pass and then the two repeat
-    passes, while the calling thread runs the quadrature and sampler
-    checks; numpy's draws and array operations release the interpreter
-    lock, so the two overlap on two cores. Every check draws from its own
-    seeded stream, so the rows are bit-identical at any core count. Errors
-    surface in row order: a quadrature or sampler error first, then one
-    from the simulation pass, then one from the repeat.
+    One side thread runs the simulation pass and then the repeat, while
+    the calling thread runs the quadrature and sampler checks; numpy's
+    draws and array operations release the interpreter lock, so the two
+    overlap on two cores. Every check draws from its own seeded stream, so
+    the rows are bit-identical at any core count. Errors surface in row
+    order: a quadrature or sampler error first, then one from the
+    simulation pass, then one from the repeat.
     """
     checks: list[CheckResult] = []
     parts = prepare(scn, finite_wait=True)
@@ -338,17 +413,16 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     base_seed = scn.sim.seed if seed is None else seed
     n_samples = scn.sim.n_samples
     cfg = replace(scn.sim, seed=base_seed + 1)
-    # Determinism of the simulation pipeline: rate, power and outage. Two
-    # blocks, where the scenario asks for that many, cover the seeding of
-    # each block and their reduction.
+    # Determinism of the simulation pipeline: rate, power and outage. A
+    # pass of two blocks, where the scenario asks for that many, repeats
+    # the seeding of the main pass's first two, whose block partials it
+    # must reproduce bit for bit.
     short = replace(cfg, n_samples=min(n_samples, 2 * montecarlo._BLOCK))
 
     side = concurrent.futures.ThreadPoolExecutor(1)
     try:
-        pending_sim = side.submit(_simulate, scn, parts, cfg)
-        pending_repeat = side.submit(
-            lambda: _simulate(scn, parts, short) == _simulate(scn, parts, short)
-        )
+        pending_sim = side.submit(montecarlo._block_partials, *_sim_args(scn, parts, cfg))
+        pending_repeat = side.submit(montecarlo._block_partials, *_sim_args(scn, parts, short))
 
         # Density normalization. Imported on first use: only the oracle needs it.
         from scipy import integrate
@@ -393,7 +467,8 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         ))
 
         # Closed forms against simulation, from one pass.
-        sim = pending_sim.result()
+        partials = pending_sim.result()
+        sim = montecarlo._reduce(partials, n_samples)
         slack = 3.0 * sim.rate_se_bps
         in_rate = (report.throughput_lo_bps - slack <= sim.mean_rate_bps
                    <= report.throughput_hi_bps + slack)
@@ -437,8 +512,9 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
             "dor_integral", diff < 1e-9, f"|integral - closed| = {diff:.3e}"
         ))
 
+        repeat = pending_repeat.result()
         checks.append(CheckResult(
-            "determinism", pending_repeat.result(), "bit-identical repeat run"
+            "determinism", repeat == partials[:len(repeat)], "bit-identical repeat run"
         ))
     finally:
         # after an error, drop the repeat if it has not started; a pass

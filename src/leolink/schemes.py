@@ -2,10 +2,17 @@
 rate-adaptive (fixed power) and power-adaptive (fixed rate) schemes.
 
 Each scheme has one route to its K x N grid of per-(state, slot) rates or
-powers, _rat_rate_grids or _pat_power_grids; lower bounds pair each state's
-lower gain edge with the slot's largest distance and upper bounds do the
+powers, _rat_grids or _pat_grids; lower bounds pair each state's lower
+gain edge with the slot's largest distance and upper bounds do the
 opposite. Throughput, mean power, energy efficiency and the delay outage
 rate are all read from that grid and the state probabilities.
+
+The route takes P points at once (_Points, _reports), as P x K x N grids
+padded to the most states and slots, and a report of one point is its
+P = 1 case. Every grid entry is formed from its own point's values by the
+same operations, and each point's sums add its own block of a grid in the
+order np.sum adds that block alone (_sums), so each report equals its
+point's alone, bit for bit.
 """
 
 import math
@@ -126,9 +133,11 @@ class SchemeReport:
             raise ValueError(f"lam_s must be > 0, got {self.lam_s}")
 
 
-def _step(x) -> np.ndarray:
-    """Unit step with the threshold included: 1 where x >= 0."""
-    return np.where(np.asarray(x) >= 0.0, 1.0, 0.0)
+# Entries of one P x K x N grid of _reports: points go in blocks of about
+# this many, so the grids of a long sweep take about 2 MiB at a time. On a
+# 1000-point height sweep of the RAT reference, 2^17 took as long and
+# peaked 3 MB higher.
+_CELLS = 1 << 15
 
 
 def _check_grid(part: GainPartition, tl: PassTimeline, probs: StateProbMatrix):
@@ -137,6 +146,102 @@ def _check_grid(part: GainPartition, tl: PassTimeline, probs: StateProbMatrix):
             f"probability grid is {probs.n_states}x{probs.n_slots}, expected "
             f"{part.n_states}x{tl.n_slots}"
         )
+
+
+@dataclass(frozen=True)
+class _Points:
+    """P points of one scheme, padded to the most states K and slots N.
+
+    Point p has n_states[p] states and n_slots[p] slots: its amplitude
+    thresholds fill row p of thresholds, padded with its top threshold,
+    top_gain[p] is its top state's mean gain, and its slots' (min, max)
+    slant ranges fill row slot_row[p] of dist_min and dist_max, which
+    points of one timeline share.
+    """
+
+    budgets: list[LinkBudget]
+    configs: list
+    thresholds: np.ndarray
+    top_gain: np.ndarray
+    n_states: np.ndarray
+    n_slots: np.ndarray
+    dist_min: np.ndarray
+    dist_max: np.ndarray
+    slot_row: np.ndarray
+
+    @classmethod
+    def of(cls, budgets: list[LinkBudget], configs: list, parts: list[GainPartition],
+           n_slots, dist_min: np.ndarray, dist_max: np.ndarray, slot_row) -> "_Points":
+        n_states = np.array([part.n_states for part in parts])
+        thresholds = np.empty((len(parts), n_states.max()))
+        for row, part in zip(thresholds, parts):
+            row[:part.n_states] = part.thresholds
+            row[part.n_states:] = part.thresholds[-1]
+        return cls(budgets, configs, thresholds,
+                   np.array([part.top_mean_gain for part in parts]), n_states,
+                   np.asarray(n_slots), dist_min, dist_max, np.asarray(slot_row))
+
+    @classmethod
+    def one(cls, budget: LinkBudget, config, part: GainPartition, tl: PassTimeline
+            ) -> "_Points":
+        return cls.of([budget], [config], [part], [tl.n_slots],
+                      np.asarray(tl.slot_dist_min, dtype=float)[None],
+                      np.asarray(tl.slot_dist_max, dtype=float)[None], [0])
+
+    def rows(self, a: int, b: int) -> "_Points":
+        return _Points(self.budgets[a:b], self.configs[a:b], self.thresholds[a:b],
+                       self.top_gain[a:b], self.n_states[a:b], self.n_slots[a:b],
+                       self.dist_min, self.dist_max, self.slot_row[a:b])
+
+    def column(self, attr: str, of_budget: bool = False) -> np.ndarray:
+        """One value per point, from its budget or its scheme's config, as
+        a P x 1 x 1 array."""
+        objs = self.budgets if of_budget else self.configs
+        return np.array([getattr(o, attr) for o in objs])[:, None, None]
+
+    def powered(self, dist: np.ndarray) -> np.ndarray:
+        """dist ** rho of each point's rows (dist ... x P x N), as the
+        scalar power of one point takes it: numpy squares at rho = 2, which
+        pow() need not match in the last bit."""
+        rhos = [b.path_loss_exp for b in self.budgets]
+        if len(set(rhos)) == 1:
+            return dist ** rhos[0]
+        out = np.empty_like(dist)
+        for rho in set(rhos):
+            at = [i for i, r in enumerate(rhos) if r == rho]
+            out[..., at, :] = dist[..., at, :] ** rho
+        return out
+
+
+def _shapes(pts: _Points) -> list[tuple[int, int, np.ndarray]]:
+    """The points of each (states, slots) shape: (K, N, their indices)."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, shape in enumerate(zip(pts.n_states.tolist(), pts.n_slots.tolist())):
+        groups.setdefault(shape, []).append(i)
+    return [(k, n, np.array(idx)) for (k, n), idx in groups.items()]
+
+
+def _sums(grids: np.ndarray, shapes, first: int = 0) -> np.ndarray:
+    """np.sum of each point's block of each of a stack of P x K x N grids,
+    its states first .. K_p - 1 in its N_p slots (of P x N grids, its N_p
+    slots), bit for bit, one row per grid. The blocks of one shape are
+    copied out as the contiguous rows of one array, and a row sum adds
+    each row in the order np.sum adds it alone."""
+    out = np.empty(grids.shape[:2])
+    for k, n, idx in shapes:
+        block = grids[:, idx, :n] if grids.ndim == 3 else grids[:, idx, first:k, :n]
+        out[:, idx] = block.reshape(len(grids), len(idx), -1).sum(axis=2)
+    return out
+
+
+def _check_reports(power: np.ndarray, lams) -> None:
+    """Raises, for the first point with one, the error of a point whose
+    transmit power is not positive or whose mean wait is not positive."""
+    for p, lam_s in zip(power.tolist(), lams):
+        if p <= 0.0:
+            raise ZeroPower("all probability mass sits in the no-transmission state")
+        if lam_s <= 0:
+            raise ValueError(f"lam_s must be > 0, got {lam_s}")
 
 
 def rat_first_threshold(budget: LinkBudget, rat: RatConfig, d_max_m: float) -> float:
@@ -150,20 +255,30 @@ def rat_first_threshold(budget: LinkBudget, rat: RatConfig, d_max_m: float) -> f
     )
 
 
+def _rat_grids(pts: _Points) -> np.ndarray:
+    # the (P, K, N) lower and upper data-rate grids, stacked, state-1 rows
+    # zero: each state's lower gain edge at the slot's largest distance,
+    # and its upper edge (the top state's mean gain) at the smallest
+    scale = np.array([r.tx_power_w / b.noise_power_w
+                      for r, b in zip(pts.configs, pts.budgets)])[:, None, None]
+    gains = np.empty((2,) + pts.thresholds.shape)
+    np.square(pts.thresholds, out=gains[0])
+    gains[1, :, :-1] = gains[0, :, 1:]
+    gains[1, :, -1] = gains[0, :, -1]
+    gains[1, np.arange(len(pts.top_gain)), pts.n_states - 1] = pts.top_gain
+    dist = pts.powered(np.stack((pts.dist_max[pts.slot_row], pts.dist_min[pts.slot_row])))
+    # thresholds[0] = 0 gives log2(1) = 0 in state 1 of the lower grid
+    rates = pts.column("bandwidth_hz", of_budget=True) * np.log2(
+        1.0 + scale * gains[..., None] / dist[:, :, None, :])
+    rates[1, :, 0] = 0.0
+    return rates
+
+
 def _rat_rate_grids(
     budget: LinkBudget, rat: RatConfig, part: GainPartition, tl: PassTimeline
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (K, N) lower/upper data-rate grids, state-1 rows zero.
-    rho = budget.path_loss_exp
-    scale = rat.tx_power_w / budget.noise_power_w
-    gains_lo = part.thresholds**2
-    gains_hi = np.append(part.thresholds[2:] ** 2, part.top_mean_gain)
-    d_max = np.asarray(tl.slot_dist_max, dtype=float) ** rho
-    d_min = np.asarray(tl.slot_dist_min, dtype=float) ** rho
-    rate_lo = np.zeros((part.n_states, tl.n_slots))
-    rate_hi = np.zeros((part.n_states, tl.n_slots))
-    rate_lo[1:] = budget.bandwidth_hz * np.log2(1.0 + scale * gains_lo[1:, None] / d_max)
-    rate_hi[1:] = budget.bandwidth_hz * np.log2(1.0 + scale * gains_hi[:, None] / d_min)
+    # (K, N) lower/upper data-rate grids of one point, state-1 rows zero.
+    rate_lo, rate_hi = _rat_grids(_Points.one(budget, rat, part, tl))[:, 0]
     return rate_lo, rate_hi
 
 
@@ -231,36 +346,35 @@ def rat_report(
     bottom state (the average fade duration at the first threshold).
     """
     _check_grid(part, tl, probs)
-    rate_lo, rate_hi = _rat_rate_grids(budget, rat, part, tl)
-    n = tl.n_slots
-    thr_lo = float(np.sum(probs.probs * rate_lo)) / n
-    thr_hi = float(np.sum(probs.probs * rate_hi)) / n
-    power = rat.tx_power_w * float(np.sum(probs.probs[1:])) / n
-    if power <= 0.0:
-        raise ZeroPower("all probability mass sits in the no-transmission state")
-    if lam_s <= 0:
-        raise ValueError(f"lam_s must be > 0, got {lam_s}")
+    return _reports(_Points.one(budget, rat, part, tl), [traffic], probs.probs[None], [lam_s])[0]
 
-    t_th = traffic.delay_threshold_s
+
+def _rat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
+                 ) -> list[SchemeReport]:
+    shapes = _shapes(pts)
+    n = pts.n_slots
+    rates = _rat_grids(pts)
+    every = np.broadcast_to(probs, rates.shape[1:])
+    thr_lo, thr_hi = _sums(probs * rates, shapes) / n
+    t_th = np.array([t.delay_threshold_s for t in traffics])[:, None, None]
+    bits = np.array([t.packet_bits for t in traffics])[:, None, None]
+    # the drain time at each state's lower-edge rate, infinite at rate 0,
+    # and the states that drain within the budget
     with np.errstate(divide="ignore"):
-        drain = np.where(rate_lo[1:] > 0.0, traffic.packet_bits / rate_lo[1:], np.inf)
-    term_states = float(np.sum(probs.probs[1:] * _step(t_th - drain))) / n
+        drain = bits / rates[0]
+    mass, in_time = _sums(np.stack((every, every * (t_th - drain >= 0.0))), shapes, first=1)
+    power = pts.column("tx_power_w")[:, 0, 0] * mass / n
+    _check_reports(power, lams)
+    term_states = in_time / n
     # After a wait the packet drains at the state-2 lower-edge rate.
-    margin = t_th - drain[0]
-    decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / lam_s)
-    term_wait = float(np.sum(probs.probs[0] * decay * _step(margin))) / n
-    dor = min(max(1.0 - term_states - term_wait, 0.0), 1.0)
-
-    return SchemeReport(
-        throughput_lo_bps=thr_lo,
-        throughput_hi_bps=thr_hi,
-        avg_power_lo_w=power,
-        avg_power_hi_w=power,
-        ee_lo_bpj=thr_lo / power,
-        ee_hi_bpj=thr_hi / power,
-        dor=dor,
-        lam_s=lam_s,
-    )
+    margin = t_th[:, 0] - drain[:, 1]
+    decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / np.array(lams)[:, None])
+    (term_wait,) = _sums((every[:, 0] * decay * (margin >= 0.0))[None], shapes) / n
+    dor = np.minimum(np.maximum(1.0 - term_states - term_wait, 0.0), 1.0)
+    return [SchemeReport(throughput_lo_bps=lo, throughput_hi_bps=hi, avg_power_lo_w=p,
+                         avg_power_hi_w=p, ee_lo_bpj=lo / p, ee_hi_bpj=hi / p, dor=d, lam_s=lam)
+            for lo, hi, p, d, lam in zip(thr_lo.tolist(), thr_hi.tolist(), power.tolist(),
+                                         dor.tolist(), lams)]
 
 
 def pat_first_threshold(budget: LinkBudget, pat: PatConfig, d_max_m: float) -> float:
@@ -275,20 +389,28 @@ def pat_first_threshold(budget: LinkBudget, pat: PatConfig, d_max_m: float) -> f
     )
 
 
+def _pat_grids(pts: _Points) -> np.ndarray:
+    # the (P, K, N) lower and upper transmit-power grids, stacked, capped at
+    # max_power_w: each state's power at its lower gain edge bounds it from
+    # above, at its upper edge from below. The top state's gain is
+    # open-ended, so its power can be arbitrarily small.
+    noise_snr = np.array([b.noise_power_w * (2.0 ** (c.fixed_rate_bps / b.bandwidth_hz) - 1.0)
+                          for c, b in zip(pts.configs, pts.budgets)])[:, None]
+    base = (noise_snr * pts.powered(pts.dist_max[pts.slot_row]))[:, None, :]
+    power = np.minimum(base / (pts.thresholds[:, 1:] ** 2)[:, :, None], pts.column("max_power_w"))
+    powers = np.zeros((2,) + pts.thresholds.shape + base.shape[2:])
+    powers[1, :, 1:] = power
+    powers[0, :, 1:-1] = power[:, 1:]
+    # the top state, and the padding, of a point with fewer states than the grid
+    powers[0, np.arange(powers.shape[2]) >= (pts.n_states - 1)[:, None]] = 0.0
+    return powers
+
+
 def _pat_power_grids(
     budget: LinkBudget, pat: PatConfig, part: GainPartition, tl: PassTimeline
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (K, N) lower/upper transmit-power grids, capped at max_power_w. The
-    # top state's gain is open-ended, so its power can be arbitrarily small.
-    rho = budget.path_loss_exp
-    snr_needed = 2.0 ** (pat.fixed_rate_bps / budget.bandwidth_hz) - 1.0
-    d = np.asarray(tl.slot_dist_max, dtype=float) ** rho
-    base = budget.noise_power_w * snr_needed * d
-    gains = part.thresholds**2
-    power_lo = np.zeros((part.n_states, tl.n_slots))
-    power_hi = np.zeros((part.n_states, tl.n_slots))
-    power_hi[1:] = np.minimum(base / gains[1:, None], pat.max_power_w)
-    power_lo[1:-1] = np.minimum(base / gains[2:, None], pat.max_power_w)
+    # (K, N) lower/upper transmit-power grids of one point.
+    power_lo, power_hi = _pat_grids(_Points.one(budget, pat, part, tl))[:, 0]
     return power_lo, power_hi
 
 
@@ -309,34 +431,52 @@ def pat_report(
     pi_1 exp(-margin / lam_s) above it.
     """
     _check_grid(part, tl, probs)
-    power_lo, power_hi = _pat_power_grids(budget, pat, part, tl)
-    n = tl.n_slots
-    throughput = pat.fixed_rate_bps * float(np.sum(probs.probs[1:])) / n
-    p_lo = float(np.sum(probs.probs * power_lo)) / n
-    p_hi = float(np.sum(probs.probs * power_hi)) / n
-    if p_hi <= 0.0:
-        raise ZeroPower("all probability mass sits in the no-transmission state")
-    ee_lo = throughput / p_hi
-    ee_hi = throughput / p_lo if p_lo > 0.0 else math.inf
-    if lam_s <= 0:
-        raise ValueError(f"lam_s must be > 0, got {lam_s}")
-    service_time = traffic.packet_bits / pat.fixed_rate_bps
-    if traffic.delay_threshold_s < service_time:
-        dor = 1.0
-    else:
-        margin = traffic.delay_threshold_s - service_time
-        dor = float(np.mean(probs.probs[0])) * math.exp(-margin / lam_s)
-        dor = min(max(dor, 0.0), 1.0)
-    return SchemeReport(
-        throughput_lo_bps=throughput,
-        throughput_hi_bps=throughput,
-        avg_power_lo_w=p_lo,
-        avg_power_hi_w=p_hi,
-        ee_lo_bpj=ee_lo,
-        ee_hi_bpj=ee_hi,
-        dor=dor,
-        lam_s=lam_s,
-    )
+    return _reports(_Points.one(budget, pat, part, tl), [traffic], probs.probs[None], [lam_s])[0]
+
+
+def _pat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
+                 ) -> list[SchemeReport]:
+    shapes = _shapes(pts)
+    n = pts.n_slots
+    powers = _pat_grids(pts)
+    every = np.broadcast_to(probs, powers.shape[1:])
+    rate = pts.column("fixed_rate_bps")[:, 0, 0]
+    throughput = rate * _sums(every[None], shapes, first=1)[0] / n
+    p_lo, p_hi = _sums(probs * powers, shapes) / n
+    _check_reports(p_hi, lams)
+    (waiting,) = _sums(every[None, :, 0], shapes) / n
+    reports = []
+    for tput, lo, hi, r, wait, traffic, lam_s in zip(
+            throughput.tolist(), p_lo.tolist(), p_hi.tolist(), rate.tolist(), waiting.tolist(),
+            traffics, lams):
+        service_time = traffic.packet_bits / r
+        if traffic.delay_threshold_s < service_time:
+            dor = 1.0
+        else:
+            margin = traffic.delay_threshold_s - service_time
+            dor = min(max(wait * math.exp(-margin / lam_s), 0.0), 1.0)
+        reports.append(SchemeReport(
+            throughput_lo_bps=tput, throughput_hi_bps=tput, avg_power_lo_w=lo,
+            avg_power_hi_w=hi, ee_lo_bpj=tput / hi,
+            ee_hi_bpj=tput / lo if lo > 0.0 else math.inf, dor=dor, lam_s=lam_s))
+    return reports
+
+
+def _reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
+             ) -> list[SchemeReport]:
+    """rat_report or pat_report of each of P points of one scheme, all
+    together: probs holds each point's state probabilities, P x K x N or
+    P x K x 1 for probabilities constant over the slots, padded with 0.
+    Points go in blocks of about _CELLS grid entries. Raises, for the first
+    point with one, the error its report alone raises.
+    """
+    report = _rat_reports if isinstance(pts.configs[0], RatConfig) else _pat_reports
+    size = max(1, _CELLS // (pts.thresholds.shape[1] * pts.dist_max.shape[1]))
+    out = []
+    for a in range(0, len(lams), size):
+        b = a + size
+        out += report(pts.rows(a, b), traffics[a:b], probs[a:b], lams[a:b])
+    return out
 
 
 def pat_dor_integral(

@@ -356,9 +356,17 @@ SOLVE_CASES = {
 }
 
 
+def is_step(terms) -> bool:
+    """Whether a pass is a Newton step: it holds the density series, and
+    not the CDF of the pass before the solve, which holds the density at
+    the knots of the start."""
+    kinds = [series.key[0] for series, _ in terms]
+    return "density" in kinds and "cdf" not in kinds
+
+
 def recorded_solve(monkeypatch, fading, first):
     """The 8-state partition's one Newton solve: its arguments, its gains
-    and the number of its steps (passes holding the density series)."""
+    and the number of its steps."""
     solves, steps = [], []
     solver, poisson_sum = channel._tail_quantiles, channel._poisson_sum
 
@@ -367,7 +375,7 @@ def recorded_solve(monkeypatch, fading, first):
         return solves[-1][1]
 
     def counted(*terms):
-        steps.extend(1 for series, _ in terms if series.key[0] == "density")
+        steps.extend([1] * is_step(terms))
         return poisson_sum(*terms)
 
     with monkeypatch.context() as patched:
@@ -408,7 +416,7 @@ class TestBrentq:
         # each gain within 1e-14 of find_root's on the tail function, the
         # brackets and the targets of the solve
         fading = SrFading(*params)
-        (_, _, _, lo, hi, _, _, targets), gains, _ = recorded_solve(monkeypatch, fading, first)
+        (_, _, _, lo, hi, _, _, targets, _), gains, _ = recorded_solve(monkeypatch, fading, first)
         want = find_root(lambda g, t: tail_mass(fading, g) / t - 1.0, (lo, hi), args=(targets,),
                          tolerances=ROOT_TOL, maxiter=100)
         assert want.success.all()
@@ -438,7 +446,7 @@ class TestBrentq:
 
         def nan_steps(*terms):
             sums = poisson_sum(*terms)
-            if any(series.key[0] == "density" for series, _ in terms):
+            if is_step(terms):
                 sums[0][:] = math.nan
             return sums
 
@@ -447,10 +455,78 @@ class TestBrentq:
             equal_probability_partition(TABLE_FADING, 0.354, 8)
 
     def test_iteration_cap_raises_nonconvergent(self, monkeypatch):
-        # the reference partition takes 4 steps: capped at 2, it gives up
-        monkeypatch.setattr(channel, "_ROOT_MAXITER", 2)
-        with pytest.raises(NonConvergent, match="within 2 steps"):
+        # the reference partition takes 2 steps: capped at 1, it gives up
+        monkeypatch.setattr(channel, "_ROOT_MAXITER", 1)
+        with pytest.raises(NonConvergent, match="within 1 steps"):
             equal_probability_partition(TABLE_FADING, 0.354, 8)
+
+    @pytest.mark.parametrize("params", [*ABDI_SETS.values(), REFERENCE, (2.0, 0.2, 0.5),
+                                        *LOS_SETS.values()],
+                             ids=[*ABDI_SETS, "reference", "integer-m", *LOS_SETS])
+    def test_start_is_near_its_root(self, monkeypatch, params):
+        # at 0.6 sqrt(mean gain), every start from the knots' interpolant is
+        # within 1e-4 of its solved gain, and the solve takes at most 2 steps
+        fading = SrFading(*params)
+        args, gains, steps = recorded_solve(monkeypatch, fading,
+                                            0.6 * math.sqrt(fading.mean_gain))
+        start = args[-1]
+        assert np.max(np.abs(start / gains - 1.0)) <= 1e-4
+        assert steps <= 2
+
+    def test_underflowed_knot_tail_falls_back_to_regula_falsi(self, monkeypatch):
+        # at 14 the reference tail is 1e-241 and underflows to 0 at every
+        # knot past the first threshold: no start is finite, and each
+        # target starts from regula falsi, without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (_, _, _, lo, hi, mass_lo, mass_hi, _, start), gains, _ = recorded_solve(
+                monkeypatch, TABLE_FADING, 14.0)
+        assert mass_hi.tolist() == [0.0] * 6
+        assert np.isnan(start).all()
+        assert ((lo < gains) & (gains < hi)).all()
+
+    def test_infinite_first_threshold_is_refused(self):
+        # its knots are NaN, and its tail mass 0 is refused before they are
+        # used, without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="no resolvable probability mass"):
+                equal_probability_partition(TABLE_FADING, math.inf, 8)
+
+    def test_start_outside_its_segment_is_refused(self):
+        # a slope far too steep at the lower knot carries the interpolant
+        # past its segment: that start is NaN, and only that one
+        knots = np.array([[1.0, 2.0, 4.0, 8.0]])
+        tails = np.exp(-knots)
+        dens = tails / TABLE_FADING.beta
+        targets = np.exp(-np.array([[1.5, 3.0, 6.0]]))
+        lo, hi, mass_lo, mass_hi, start = channel._knot_starts(
+            TABLE_FADING, knots, tails, dens, targets)
+        assert lo.tolist() == [1.0, 2.0, 4.0] and hi.tolist() == [2.0, 4.0, 8.0]
+        assert ((lo < start) & (start < hi)).all()
+        dens[0, 1] *= 1e-6
+        _, _, _, _, steep = channel._knot_starts(TABLE_FADING, knots, tails, dens, targets)
+        assert np.isnan(steep[:2]).all() and steep[2] == start[2]
+
+    def test_nan_start_begins_at_regula_falsi(self, monkeypatch):
+        # the first step of a NaN start evaluates the regula falsi point
+        fading = TABLE_FADING
+        tail, density = channel._tail(fading, 0, fading.m), channel._density(fading)
+        lo, hi = np.array([0.2, 0.5]), np.array([0.5, 1.5])
+        mass_lo, mass_hi = tail_mass(fading, lo), tail_mass(fading, hi)
+        targets = np.sqrt(mass_lo * mass_hi)
+        poisson_sum, first = channel._poisson_sum, []
+
+        def recorded(*terms):
+            first.append(terms[0][1])
+            return poisson_sum(*terms)
+
+        monkeypatch.setattr(channel, "_poisson_sum", recorded)
+        channel._tail_quantiles(fading, tail, density, lo, hi, mass_lo, mass_hi, targets,
+                                np.array([math.nan, 0.9]))
+        h_lo, h_hi = np.log(mass_lo[0] / targets[0]), np.log(mass_hi[0] / targets[0])
+        falsi = lo[0] + (hi[0] - lo[0]) * (h_lo / (h_lo - h_hi))
+        assert first[0].tolist() == (fading.beta * np.array([falsi, 0.9])).tolist()
 
     def test_same_sign_raises(self, monkeypatch):
         # a tail that never falls to its targets leaves no bracket: the

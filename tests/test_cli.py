@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leolink import channel, montecarlo, pipeline
+from leolink import channel, montecarlo, pipeline, schemes
 from leolink.cli import main
 from leolink.geometry import distance_range
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
@@ -256,24 +256,28 @@ class TestSweep:
     @pytest.mark.parametrize("spec", ["geometry.orbit_height=500e3:1100e3:5",
                                       "traffic.delay_threshold=0:0.02:5"])
     def test_sweep_holds_one_prepared_point_at_a_time(self, monkeypatch, spec):
-        # the points are solved together, but each point's timeline and
-        # probability matrix are built when it comes up and dropped after
-        # its last use
+        # the points' reports are formed together, and no point is
+        # prepared for them; with simulation columns, each point's timeline
+        # and probability matrix are built when it comes up and dropped
+        # after its last use
         built, held = [], []
-        assemble, analyze = pipeline._assemble, pipeline.run_analyze
+        parts_of = pipeline._parts
 
         def tracked(*args):
-            parts = assemble(*args)
+            parts = parts_of(*args)
             built.append(weakref.ref(parts))
             return parts
 
-        def counting(point, parts=None):
+        def simulated(point, parts, cfg):
             held.append(sum(ref() is not None for ref in built))
-            return analyze(point, parts)
+            return montecarlo.SimResult(cfg.n_samples, "rng", 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
-        monkeypatch.setattr(pipeline, "_assemble", tracked)
-        monkeypatch.setattr(pipeline, "run_analyze", counting)
-        pipeline.run_sweep(parse_scenario(Path(RAT_SCN).read_text()), parse_sweep(spec))
+        monkeypatch.setattr(pipeline, "_parts", tracked)
+        monkeypatch.setattr(pipeline, "_simulate", simulated)
+        scn = parse_scenario(Path(RAT_SCN).read_text())
+        pipeline.run_sweep(scn, parse_sweep(spec))
+        assert built == []
+        pipeline.run_sweep(scn, parse_sweep(spec), with_sim=True)
         assert held == [1] * 5
 
     def test_sweep_warns_only_for_points_it_reached(self, monkeypatch, caplog):
@@ -282,14 +286,14 @@ class TestSweep:
         # as when the points run one at a time
         scn = parse_scenario(Path(PAT_SCN).read_text())
         sweep = parse_sweep("pat.fixed_rate=600e6,60e6,650e6")
-        analyze = pipeline.run_analyze
+        reports = schemes._reports
 
-        def failing(point, parts=None):
-            if point.pat.fixed_rate_bps == 60e6:
+        def failing(pts, *args):
+            if any(pat.fixed_rate_bps == 60e6 for pat in pts.configs):
                 raise ArithmeticError("report failed")
-            return analyze(point, parts)
+            return reports(pts, *args)
 
-        monkeypatch.setattr(pipeline, "run_analyze", failing)
+        monkeypatch.setattr(schemes, "_reports", failing)
         with caplog.at_level(logging.WARNING, logger="leolink"):
             with pytest.raises(ArithmeticError, match="report failed"):
                 pipeline.run_sweep(scn, sweep)
@@ -299,6 +303,31 @@ class TestSweep:
         records = [r for r in caplog.records if r.name == "leolink.pipeline"]
         assert len(records) == 1
         assert f"at first threshold {threshold!r}:" in records[0].getMessage()
+
+    # Points that differ in their slot or state counts, and points whose
+    # rate grids sit deep in the tail; a fixed-rate sweep moves the first
+    # threshold and the power grid alike.
+    @pytest.mark.parametrize("base,spec", [
+        (RAT_SCN, "geometry.slot_len=0.5,1,2"),
+        (PAT_SCN, "geometry.slot_len=0.5,1,2"),
+        (RAT_SCN, "partition.n_states=2:17:16"),
+        (PAT_SCN, "partition.n_states=2:17:16"),
+        (RAT_SCN, "rat.tx_power=2,1,0.8"),
+        (PAT_SCN, "pat.fixed_rate=20e6,60e6,100e6,600e6"),
+    ])
+    def test_rows_equal_points_analyzed_alone(self, monkeypatch, base, spec):
+        # every row is byte-identical to its point analyzed on its own, also
+        # when the reports go in blocks of one point
+        scn = parse_scenario(Path(base).read_text())
+        sweep = parse_sweep(spec)
+        _, rows = pipeline.run_sweep(scn, sweep)
+        want = []
+        for value in sweep.values:
+            report = pipeline.run_analyze(apply_sweep_value(scn, sweep.path, value))
+            want.append([repr(float(getattr(report, c))) for c in pipeline.SWEEP_CSV_COLUMNS])
+        assert [row[1:] for row in rows] == want
+        monkeypatch.setattr(schemes, "_CELLS", 1)
+        assert pipeline.run_sweep(scn, sweep)[1] == rows
 
     def test_fractional_integer_sweep_exits_2(self, capsys):
         assert main([
@@ -427,8 +456,9 @@ class TestValidate:
             assert f"PASS {name}" in out
 
     def test_determinism_fails_with_unseeded_blocks(self, monkeypatch):
-        # the repeat is two runs of the scenario's own pass, capped at two
-        # blocks; with generators that ignore the seed, they differ
+        # the repeat is one run of the scenario's own pass, capped at two
+        # blocks, against the main pass's first two; with generators that
+        # ignore the seed, they differ
         scn = parse_scenario(Path(RAT_SCN).read_text())
         scn = replace(scn, sim=replace(scn.sim, n_samples=20_000))
         seeded = montecarlo._block_rngs
@@ -442,7 +472,7 @@ class TestValidate:
         checks = {c.name: c for c in pipeline.run_validate(scn)}
         assert not checks["determinism"].passed
         assert checks["determinism"].detail == "bit-identical repeat run"
-        assert passes == [20_000, 20_000, 20_000]
+        assert passes == [20_000, 20_000]
 
     def test_determinism_repeat_capped_at_two_blocks(self, monkeypatch):
         # a scenario of more than two blocks repeats two of them
@@ -459,7 +489,7 @@ class TestValidate:
         monkeypatch.setattr(montecarlo, "_block_rngs", counted)
         checks = {c.name: c for c in pipeline.run_validate(scn)}
         assert checks["determinism"].passed
-        assert passes == [20_000, 8192, 8192]
+        assert passes == [20_000, 8192]
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_sorted_state_counts_equal_classify(self, k):
@@ -487,7 +517,7 @@ class TestValidate:
         def fail(*args):
             raise ArithmeticError("x")
 
-        monkeypatch.setattr(montecarlo, "simulate", fail)
+        monkeypatch.setattr(montecarlo, "_block", fail)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError) as raised:
             pipeline.run_validate(_validate_scenario(RAT_SCN))
@@ -509,7 +539,7 @@ class TestValidate:
             raise ArithmeticError("x")
 
         monkeypatch.setattr(pipeline, "sample_sr_gain", with_nan)
-        monkeypatch.setattr(montecarlo, "simulate", fail)
+        monkeypatch.setattr(montecarlo, "_block", fail)
         threads = threading.active_count()
         with pytest.raises(ValueError, match=r"^power gain must be >= 0, got nan$"):
             pipeline.run_validate(_validate_scenario(RAT_SCN))

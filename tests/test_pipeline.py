@@ -28,11 +28,11 @@ def reference(name: str):
 class TestCallBudget:
     """A solve makes one series pass before its Newton solve, one for each
     step and one after. The pass before holds the tail at the first
-    thresholds, the tail at the bracket ends hi and 2 hi, and the CDF at the
-    first thresholds; each step, the tail and the density at the same gains;
-    the pass after, the tail at the other thresholds and the two series of
-    the top mean gain. Outside the steps, each series is evaluated at each
-    gain once."""
+    thresholds and at three more knots each, the density at the four
+    knots, and the CDF at the first thresholds; each step, the tail and
+    the density at the same gains; the pass after, the tail at the other
+    thresholds and the two series of the top mean gain. Outside the steps,
+    each series is evaluated at each gain once."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -54,46 +54,56 @@ class TestCallBudget:
 
     @staticmethod
     def steps(passes):
-        """The passes of the Newton solve's steps."""
-        return [terms for terms in passes if ("density", None) in dict(terms)]
+        """The passes of the Newton solve's steps: those holding the
+        density and not the CDF."""
+        return [terms for terms in passes
+                if ("density", None) in dict(terms) and ("cdf", None) not in dict(terms)]
 
     @classmethod
     def check_passes(cls, passes):
         tail, cdf, top1, top2 = ("tail", 0), ("cdf", None), ("tail", 1), ("tail", 2)
+        density = ("density", None)
         steps = cls.steps(passes)
         outside = [terms for terms in passes if terms not in steps]
         assert [[series for series, _ in terms] for terms in outside] == [
-            [tail, tail, cdf], [tail, top1, top2]]
-        # the bracket's entries of one partition share its ends within one
-        # pass; no (series, gain) is evaluated by two passes
+            [tail, tail, density, cdf], [tail, top1, top2]]
+        # the knots of one partition share no gain within one pass; no
+        # (series, gain) is evaluated by two passes
         pairs = [(series, y) for terms in outside for series, ys in terms for y in set(ys)]
         assert len(pairs) == len(set(pairs))
+        # four knots a partition: the first threshold and three more
+        (_, firsts), (_, knots), (_, at_knots), _ = outside[0]
+        assert len(knots) == 3 * len(firsts) and len(at_knots) == 4 * len(firsts)
+        assert sorted(firsts + knots) == sorted(at_knots)
         # each step is one pass of the tail and the density at the same gains
         for terms in steps:
-            assert [series for series, _ in terms] == [tail, ("density", None)]
+            assert [series for series, _ in terms] == [tail, density]
             assert terms[0][1] == terms[1][1]
 
     @pytest.mark.parametrize("name", REFERENCES)
     def test_prepare(self, passes, name):
         pipeline.prepare(reference(name))
-        assert len(passes) <= 7
+        assert len(passes) <= 4
+        assert len(self.steps(passes)) <= 2
         self.check_passes(passes)
 
     @pytest.mark.parametrize("name", REFERENCES)
     def test_height_sweep(self, passes, name):
         pipeline.run_sweep(reference(name), parse_sweep("geometry.orbit_height=500e3:1100e3:4"))
-        assert len(passes) <= 8
-        assert len(self.steps(passes)) <= 6
+        assert len(passes) <= 4
+        assert len(self.steps(passes)) <= 2
         self.check_passes(passes)
 
     @pytest.mark.parametrize("name", REFERENCES)
     def test_first_threshold_solved_once(self, passes, name):
         # the Doppler spectrum moves no first threshold: the 40 points share
-        # one, and the solve takes its 6 equal-mass thresholds once
+        # one, and the solve takes its 4 knots and 6 equal-mass thresholds
+        # once
         scn = reference(name)
         sweep = parse_sweep("fading.aoa_width=1:30:40")
         _, rows = pipeline.run_sweep(scn, sweep)
         self.check_passes(passes)
+        assert [len(ys) for _, ys in passes[0]] == [1, 3, 4, 1]
         assert max(len(ys) for terms in self.steps(passes) for _, ys in terms) == 6
         # each row is byte-identical to the point analyzed on its own
         for value, row in zip(sweep.values, rows):

@@ -14,6 +14,7 @@ from leolink.channel import (
     afd,
     equal_probability_partition,
     state_prob_matrix,
+    state_probs,
     tail_mass,
 )
 from leolink.geometry import PassGeometry, PassTimeline, build_timeline, distance_range, service_duration
@@ -354,16 +355,18 @@ class TestRatReport:
     def test_one_rate_grid_per_report(self, monkeypatch, timeline, rat_setup):
         # the report builds one grid and reads its throughput bounds from it
         rat, part, probs, lam = rat_setup
-        grids = []
+        grids, rat_grids = [], schemes._rat_grids
 
-        def counted(*args):
-            grids.append(_rat_rate_grids(*args))
+        def counted(pts):
+            grids.append(rat_grids(pts))
             return grids[-1]
 
-        monkeypatch.setattr(schemes, "_rat_rate_grids", counted)
+        monkeypatch.setattr(schemes, "_rat_grids", counted)
         rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
         assert len(grids) == 1
-        rate_lo, rate_hi = grids[0]
+        rate_lo, rate_hi = grids[0][:, 0]
+        assert (rate_lo.tolist(), rate_hi.tolist()) == tuple(
+            grid.tolist() for grid in _rat_rate_grids(BUDGET, rat, part, timeline))
         n = timeline.n_slots
         assert rep.throughput_lo_bps == float(np.sum(probs.probs * rate_lo)) / n
         assert rep.throughput_hi_bps == float(np.sum(probs.probs * rate_hi)) / n
@@ -426,12 +429,12 @@ class TestPatPowerBounds:
 
     def test_gains_are_squared_thresholds(self):
         # each state's gain edge is thresholds**2 bit for bit, as in
-        # GainPartition.classify; at 17 states and 720 km the PAT reference
+        # GainPartition.classify; at 17 states and 1000 km the PAT reference
         # has a threshold whose libm square is one ulp off
         text = (Path(__file__).resolve().parent.parent / "scenarios"
                 / "reference_pat.scn").read_text()
         scn = apply_sweep_value(parse_scenario(text), "partition.n_states", 17)
-        scn = apply_sweep_value(scn, "geometry.orbit_height", 720e3)
+        scn = apply_sweep_value(scn, "geometry.orbit_height", 1000e3)
         p = prepare(scn)
         gains = p.partition.thresholds**2
         assert any(g != float(t) ** 2 for g, t in zip(gains, p.partition.thresholds))
@@ -590,3 +593,53 @@ class TestMonotoneDorInPower:
             val = pat_report_dor(pat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-12
             prev = val
+
+
+class TestPointsTogether:
+    """schemes._reports answers points of different state and slot counts
+    in one call, padded to the most of each."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=60e6)
+        rat = RatConfig(tx_power_w=dbw(30.0), min_snr=1.0)
+        cases = []
+        for k, height, slot in ((2, 500e3, 1.0), (8, 900e3, 0.5), (5, 700e3, 3.0)):
+            geo = PassGeometry(earth_radius_m=6371e3, orbit_height_m=height,
+                               coverage_radius_m=500e3, half_track_m=500e3,
+                               sat_speed_ms=7600.0)
+            tl = build_timeline(geo, slot)
+            d_max = distance_range(geo)[1]
+            rat_part = equal_probability_partition(
+                FADING, rat_first_threshold(BUDGET, rat, d_max), k)
+            pat_part = equal_probability_partition(
+                FADING, pat_first_threshold(BUDGET, pat, d_max), k)
+            cases.append((tl, (rat, rat_part), (pat, pat_part)))
+        return cases
+
+    @pytest.mark.parametrize("scheme", [0, 1], ids=["rat", "pat"])
+    def test_grids_and_reports_match_each_point_alone(self, points, scheme):
+        configs = [case[1 + scheme][0] for case in points]
+        parts = [case[1 + scheme][1] for case in points]
+        tls = [case[0] for case in points]
+        n = max(tl.n_slots for tl in tls)
+
+        def padded(rows):
+            return np.array([np.pad(r, (0, n - len(r)), mode="edge") for r in rows])
+
+        pts = schemes._Points.of([BUDGET] * 3, configs, parts, [tl.n_slots for tl in tls],
+                                 padded([tl.slot_dist_min for tl in tls]),
+                                 padded([tl.slot_dist_max for tl in tls]), [0, 1, 2])
+        grids = (schemes._rat_grids, schemes._pat_grids)[scheme](pts)
+        assert np.isfinite(grids).all()
+        alone = (_rat_rate_grids, _pat_power_grids)[scheme]
+        probs = np.zeros(pts.thresholds.shape + (1,))
+        for config, part, tl, row, *blocks in zip(configs, parts, tls, probs, *grids):
+            # each point's own block is its grid alone, bit for bit
+            for block, want in zip(blocks, alone(BUDGET, config, part, tl)):
+                assert block[:part.n_states, :tl.n_slots].tolist() == want.tolist()
+            row[:part.n_states, 0] = state_probs(FADING, part)
+        report = (rat_report, pat_report)[scheme]
+        want = [report(BUDGET, config, part, tl, state_prob_matrix(FADING, part, tl.n_slots),
+                       TRAFFIC, 0.01) for config, part, tl in zip(configs, parts, tls)]
+        assert schemes._reports(pts, [TRAFFIC] * 3, probs, [0.01] * 3) == want
