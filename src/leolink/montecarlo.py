@@ -1,8 +1,11 @@
 """Stochastic oracle for the closed forms: draws shadowed-Rician gains,
 arrival times, and waiting periods, and reports empirical rate, power, and
 delay-outage estimates with standard errors. One pass gives all three: each
-replication's arrival time, gain and state serve the rate, the power and the
-outage alike.
+replication's arrival time and gain serve the rate, the power and the
+outage alike. The fixed-power scheme reads the gain's state, for the
+rate at which a packet drains, and the slot where a wait ends; the
+fixed-rate scheme drains at its one rate, so it reads neither, only
+whether the gain lies in the bottom state.
 
 Replications are split into fixed-size blocks, each driven by its own
 counter-based generator spawned from the master seed. Blocks run on
@@ -10,7 +13,7 @@ min(cores, blocks, 2) threads, counting the cores this process may use: the
 numpy draws and arithmetic that make up a block release the interpreter
 lock. Block results are reduced in block order, so every output is
 bit-identical whatever the thread count. A block of _BLOCK replications
-holds at most about 3.6 MiB of arrays at once (7.1 arrays of _BLOCK
+holds at most about 3.6 MiB of arrays at once (7.13 arrays of _BLOCK
 doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme), so two
 blocks in flight take about as much as one block did before it worked in
 place. Each further thread adds a block's memory: at 4 threads the peak
@@ -154,49 +157,44 @@ def _block(
     """One block of replications; returns (sum r, sum r^2, sum p, sum p^2,
     outage count).
 
-    Each replication draws one arrival fraction u and one gain. The rate and
-    power use the instant u * span_s of the discretized pass; the packet
-    arriving at u * service_time_s then draws its wait.
+    Each replication draws one arrival fraction u and one gain, then the
+    wait of a packet that arrives in the bottom state. The rate and power
+    use the instant u * span_s of the discretized pass; the packet arrives
+    at u * service_time_s. Only the fixed-power scheme reads the gain's
+    state and the slot where the wait ends, for its drain at the state's
+    lower-edge rate; the fixed-rate scheme drains at its fixed rate
+    everywhere and reads only whether the gain lies in the bottom state.
     """
-    u = rng.random(count)
-    g = sample_sr_gain(fading, rng, count)
+    # u and g are drawn in stream order, as arguments, so that no frame but
+    # the callee's holds them: arrays are updated in place and dropped once
+    # dead, and blocks run side by side, so a block's peak memory is paid
+    # once per worker
+    sums = _rat_sums if isinstance(scheme, RatConfig) else _pat_sums
+    return sums(geo, tl, part, budget, scheme, traffic, lam_s, rng,
+                rng.random(count), sample_sr_gain(fading, rng, count))
+
+
+def _rat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
+    """_block of the fixed-power scheme, from its drawn u and g."""
+    count = len(u)
     state = part.classify(g)
     rho = budget.path_loss_exp
-    is_rat = isinstance(scheme, RatConfig)
-
-    # Arrays are updated in place and dropped once dead: blocks run side by
-    # side, so a block's peak memory is paid once per worker.
     off = state < 2
     t = u * tl.span_s
-    if is_rat:
-        # span_s can pass the service time by rounding when the pass is a
-        # whole number of slots
-        np.minimum(t, tl.service_time_s, out=t)
-        dist = distance_at(geo, t)
-        del t
-        dist **= rho
-        rate = g
-        rate *= scheme.tx_power_w / budget.noise_power_w
-        rate /= dist
-        del g, dist
-        rate += 1.0
-        np.log2(rate, out=rate)
-        rate *= budget.bandwidth_hz
-        power = np.full(count, scheme.tx_power_w, dtype=float)
-    else:
-        t //= tl.slot_len_s
-        slot = t.astype(np.int64)
-        del t
-        np.minimum(slot, tl.n_slots - 1, out=slot)
-        power = np.asarray(tl.slot_dist_max)[slot]
-        del slot
-        power **= rho
-        power *= budget.noise_power_w
-        power *= 2.0 ** (scheme.fixed_rate_bps / budget.bandwidth_hz) - 1.0
-        power /= g
-        del g
-        off |= ~(power <= scheme.max_power_w)
-        rate = np.full(count, scheme.fixed_rate_bps, dtype=float)
+    # span_s can pass the service time by rounding when the pass is a whole
+    # number of slots
+    np.minimum(t, tl.service_time_s, out=t)
+    dist = distance_at(geo, t)
+    del t
+    dist **= rho
+    rate = g
+    rate *= scheme.tx_power_w / budget.noise_power_w
+    rate /= dist
+    del g, dist
+    rate += 1.0
+    np.log2(rate, out=rate)
+    rate *= budget.bandwidth_hz
+    power = np.full(count, scheme.tx_power_w, dtype=float)
     rate[off] = 0.0
     power[off] = 0.0
     del off
@@ -220,24 +218,22 @@ def _block(
     del t, u
     slot[slot == 0] = tl.n_slots
     slot -= 1
-    if is_rat:
-        # Drain at the lower-edge rate of the state (state 2 after a wait).
-        state[waiting] = 2
-        state -= 1
-        rate = np.asarray(part.thresholds)[state]
-        del state
-        rate **= 2
-        rate *= scheme.tx_power_w / budget.noise_power_w
-        dist = np.asarray(tl.slot_dist_max)[slot]
-        dist **= rho
-        rate /= dist
-        del dist
-        rate += 1.0
-        np.log2(rate, out=rate)
-        rate *= budget.bandwidth_hz
-    else:
-        rate = np.full(count, scheme.fixed_rate_bps, dtype=float)
-    del slot, waiting
+    # Drain at the lower-edge rate of the state (state 2 after a wait).
+    state[waiting] = 2
+    del waiting
+    state -= 1
+    rate = np.asarray(part.thresholds)[state]
+    del state
+    rate **= 2
+    rate *= scheme.tx_power_w / budget.noise_power_w
+    dist = np.asarray(tl.slot_dist_max)[slot]
+    del slot
+    dist **= rho
+    rate /= dist
+    del dist
+    rate += 1.0
+    np.log2(rate, out=rate)
+    rate *= budget.bandwidth_hz
     # the drain time, infinite where the rate is not positive (or NaN)
     no_rate = ~(rate > 0.0)
     with np.errstate(divide="ignore"):
@@ -246,7 +242,44 @@ def _block(
     del no_rate
     t_wait += rate
     del rate
-    return sums + (float(np.sum(t_wait > traffic.delay_threshold_s)),)
+    return sums + (float(np.count_nonzero(t_wait > traffic.delay_threshold_s)),)
+
+
+def _pat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
+    """_block of the fixed-rate scheme, from its drawn u and g."""
+    count = len(u)
+    bottom = g < (part.thresholds**2)[1]
+    t = u  # instants in the pass, in u's memory: u is not read again
+    del u
+    t *= tl.span_s
+    t //= tl.slot_len_s
+    slot = t.astype(np.int64)
+    del t
+    np.minimum(slot, tl.n_slots - 1, out=slot)
+    power = np.asarray(tl.slot_dist_max)[slot]
+    del slot
+    power **= budget.path_loss_exp
+    power *= budget.noise_power_w
+    power *= 2.0 ** (scheme.fixed_rate_bps / budget.bandwidth_hz) - 1.0
+    power /= g
+    del g
+    off = ~(power <= scheme.max_power_w)
+    off |= bottom
+    rate = np.full(count, scheme.fixed_rate_bps, dtype=float)
+    rate[off] = 0.0
+    power[off] = 0.0
+    del off
+    sums = _sum_and_squares(rate) + _sum_and_squares(power)
+    del rate, power
+
+    # Arrivals in the bottom state wait; every packet drains at the fixed
+    # rate, in a time infinite where that rate is NaN.
+    t_wait = rng.exponential(lam_s, count)
+    t_wait[~bottom] = 0.0
+    del bottom
+    rate = scheme.fixed_rate_bps
+    t_wait += traffic.packet_bits / rate if rate > 0.0 else math.inf
+    return sums + (float(np.count_nonzero(t_wait > traffic.delay_threshold_s)),)
 
 
 def _sum_and_squares(x: np.ndarray) -> tuple[float, float]:

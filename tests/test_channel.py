@@ -244,6 +244,26 @@ class TestPartition:
         # amplitude regions [0, .5), [.5, 1), [1, inf) in gain: [0,.25), [.25,1), [1,inf)
         assert list(part.classify(gains)) == [1, 1, 2, 2, 3, 3]
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        uppers=st.lists(st.floats(0.0, 1e100), min_size=1, max_size=63, unique=True),
+        drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+    )
+    def test_classify_equals_binary_search(self, uppers, drawn):
+        # K = 2 .. 64 states; the gains sit on every squared threshold and
+        # its two neighbours, with 0, -1, inf, NaN and arbitrary floats
+        thresholds = np.array([0.0] + sorted(uppers))
+        part = GainPartition(thresholds=thresholds, top_mean_gain=math.inf)
+        sq = thresholds**2
+        gains = np.concatenate([
+            sq, np.nextafter(sq, -np.inf), np.nextafter(sq, np.inf),
+            [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan], drawn,
+        ])
+        want = np.searchsorted(sq, gains, side="right")
+        got = part.classify(gains)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
     def test_matrix_shape_and_columns(self):
         part = GainPartition(thresholds=np.array([0.0, 0.3, 0.9]), top_mean_gain=1.0)
         pi = state_probs(TABLE_FADING, part)

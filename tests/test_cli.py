@@ -491,7 +491,7 @@ class TestValidate:
         assert checks["determinism"].passed
         assert passes == [20_000, 8192]
 
-    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("k", [2, 3, 8, 17, 64])
     def test_sorted_state_counts_equal_classify(self, k):
         thresholds = np.concatenate([[0.0], np.geomspace(0.3, 2.0, k - 1)])
         part = channel.GainPartition(thresholds, top_mean_gain=10.0)
