@@ -128,11 +128,11 @@ class SrFading:
     omega: float
 
     def __post_init__(self):
-        if self.m < 0.5:
+        if not self.m >= 0.5:
             raise ValueError(f"m must be >= 0.5, got {self.m}")
-        if self.b0 <= 0:
+        if not self.b0 > 0:
             raise ValueError(f"b0 must be > 0, got {self.b0}")
-        if self.omega < 0:
+        if not self.omega >= 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
 
     @property
@@ -176,11 +176,11 @@ class DopplerSpec:
     aoa_width: float = 0.0
 
     def __post_init__(self):
-        if self.f_scatter_max_hz <= 0:
+        if not self.f_scatter_max_hz > 0:
             raise ValueError(f"f_scatter_max_hz must be > 0, got {self.f_scatter_max_hz}")
         if not (-math.pi <= self.mean_aoa_rad < math.pi):
             raise ValueError(f"mean_aoa_rad must be in [-pi, pi), got {self.mean_aoa_rad}")
-        if self.aoa_width < 0:
+        if not self.aoa_width >= 0:
             raise ValueError(f"aoa_width must be >= 0, got {self.aoa_width}")
 
 
@@ -850,9 +850,9 @@ class GainPartition:
             raise ValueError("need at least two thresholds (K >= 2)")
         if t[0] != 0.0:
             raise ValueError(f"mu_0 must be 0, got {t[0]}")
-        if t[1] < 0.0 or np.any(np.diff(t[1:]) <= 0.0):
+        if not (t[1] >= 0.0 and np.all(np.diff(t[1:]) > 0.0)):
             raise ValueError("thresholds must be strictly increasing above mu_0")
-        if self.top_mean_gain < t[-1] ** 2:
+        if not self.top_mean_gain >= t[-1] ** 2:
             raise ValueError("top_mean_gain below the top threshold's gain")
 
     @property
@@ -891,7 +891,7 @@ class StateProbMatrix:
         object.__setattr__(self, "probs", p)
         if p.ndim != 2:
             raise ValueError("probs must be a K x N matrix")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         colsums = p.sum(axis=0)
         if np.any(np.abs(colsums - 1.0) > 1e-9):

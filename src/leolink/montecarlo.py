@@ -8,24 +8,33 @@ fixed-rate scheme drains at its one rate, so it reads neither, only
 whether the gain lies in the bottom state.
 
 Replications are split into fixed-size blocks, each driven by its own
-counter-based generator spawned from the master seed. Blocks run on
-min(cores, blocks, 2) threads, counting the cores this process may use: the
-numpy draws and arithmetic that make up a block release the interpreter
-lock. Block results are reduced in block order, so every output is
-bit-identical whatever the thread count. A block of _BLOCK replications
-holds at most about 3.6 MiB of arrays at once (7.13 arrays of _BLOCK
-doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme), so two
-blocks in flight take about as much as one block did before it worked in
-place. Each further thread adds a block's memory: at 4 threads the peak
-memory of a 1e6-replication run rose 13%. Drawing n gains at once, as
-`validate` does, the sampler holds three arrays of n doubles (the two
+counter-based generator spawned from the master seed. `simulate` runs its
+blocks on a pool of min(cores, blocks, 2) threads, counting the cores this
+process may use: the numpy draws and arithmetic that make up a block
+release the interpreter lock. `validate` (pipeline.run_validate) takes the
+same blocks through _blocks but starts no pool of its own: it hands them to
+its one side worker and has the calling thread run, once its sampler checks
+are done, every block that worker has not started, so it too runs at most
+two compute threads. Block results are reduced in block order, so every
+output is bit-identical whatever thread ran which block. A block of _BLOCK
+replications holds at most about 3.6 MiB of arrays at once (7.13 arrays of
+_BLOCK doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme),
+so two blocks in flight take about as much as one block did before it
+worked in place. Each further thread adds a block's memory: at 4 threads
+the peak memory of a 1e6-replication run rose 13%. Drawing n gains at once,
+as `validate` does, the sampler holds three arrays of n doubles (the two
 scattered parts and the line-of-sight amplitude) plus a few arrays of
-_BLOCK doubles, as it works the phases one block at a time.
+_BLOCK doubles, as it works the phases one block at a time. Every draw
+takes the standard distribution and scales it in place, as
+Generator.normal, gamma, uniform and exponential would scale it, so the
+draws are theirs bit for bit, without their per-call broadcasting.
 """
 
 import concurrent.futures
+import functools
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +60,13 @@ _RNG_NAME = "philox4x64-10"
 # reject when D > KS_CRIT_ALPHA01 / sqrt(n).
 KS_CRIT_ALPHA01 = float(kolmogi(0.01))
 
-# Sorted-sample stride of ks_statistic's first CDF pass. Measured on 1e6
-# sampled gains of the reference fading, Abdi's three sets and two
-# line-of-sight sets (r > 0.999): s = 64 evaluates F at 1.9-4.7% of the
-# samples and was fastest, or within 10% of the fastest, on five of the six;
-# s = 16 evaluates 6.4%, s = 128 up to 9% and s = 256 up to 36%.
-_KS_STRIDE = 64
+# Sorted-sample strides of ks_statistic's CDF levels, each dividing the one
+# before. On 1e6 gains sampled at seed 1234, F is evaluated at 14 088
+# samples of the reference fading, 9 324 of Abdi's light set, 7 336 of his
+# heavy set, and 5 433 and 11 448 of the two line-of-sight sets (r > 0.999):
+# 0.5% to 1.4% of them, where a pass at every 64th sample and one inside its
+# open segments evaluated 19 154 to 46 559, and D is the same bit for bit.
+_KS_LEVELS = (256, 32, 4, 1)
 
 
 @dataclass(frozen=True)
@@ -111,16 +121,20 @@ def sample_sr_gain(fading: SrFading, rng: np.random.Generator, size: int | None 
     """
     n = 1 if size is None else size
     sigma = math.sqrt(fading.b0)
-    re = rng.normal(0.0, sigma, n)
-    im = rng.normal(0.0, sigma, n)
+    re = rng.standard_normal(n)
+    re *= sigma
+    im = rng.standard_normal(n)
+    im *= sigma
     if fading.omega > 0.0:
-        amp = rng.gamma(fading.m, fading.omega / fading.m, n)
+        amp = rng.standard_gamma(fading.m, n)
+        amp *= fading.omega / fading.m
         np.sqrt(amp, out=amp)
         # the phases one block at a time, drawn in stream order: the peak is
         # re, im and amp, plus a few arrays of _BLOCK doubles
         for a in range(0, n, _BLOCK):
             b = min(a + _BLOCK, n)
-            phase = rng.uniform(0.0, 2.0 * math.pi, b - a)
+            phase = rng.random(b - a)
+            phase *= 2.0 * math.pi
             los = np.cos(phase)
             los *= amp[a:b]
             re[a:b] += los
@@ -164,7 +178,11 @@ def _block(
     state and the slot where the wait ends, for its drain at the state's
     lower-edge rate; the fixed-rate scheme drains at its fixed rate
     everywhere and reads only whether the gain lies in the bottom state.
+    Raises ValueError for a wait mean lam_s that is not positive and
+    finite, in block order like any other error of a block.
     """
+    if lam_s <= 0 or not math.isfinite(lam_s):
+        raise ValueError(f"lam_s must be positive and finite, got {lam_s}")
     # u and g are drawn in stream order, as arguments, so that no frame but
     # the callee's holds them: arrays are updated in place and dropped once
     # dead, and blocks run side by side, so a block's peak memory is paid
@@ -204,7 +222,8 @@ def _rat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
     # Arrivals in the bottom state wait; completion slot is
     # ceil((t + wait)/slot) wrapped onto 1..N, then 0-based.
     waiting = state == 1
-    t_wait = rng.exponential(lam_s, count)
+    t_wait = rng.standard_exponential(count)
+    t_wait *= lam_s
     t_wait[~waiting] = 0.0
     t = u  # arrival instants, in u's memory
     t *= tl.service_time_s
@@ -274,7 +293,8 @@ def _pat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
 
     # Arrivals in the bottom state wait; every packet drains at the fixed
     # rate, in a time infinite where that rate is NaN.
-    t_wait = rng.exponential(lam_s, count)
+    t_wait = rng.standard_exponential(count)
+    t_wait *= lam_s
     t_wait[~bottom] = 0.0
     del bottom
     rate = scheme.fixed_rate_bps
@@ -309,14 +329,24 @@ def simulate(
     the slot's reference range, subject to the cap. For the outage, a packet
     arriving in the bottom state waits an exponential time with mean lam_s
     before draining in the slot where the wait ends; other packets drain
-    immediately at their state's rate. This reduces the block partials of
-    _block_partials.
+    immediately at their state's rate. The blocks of _blocks run on a pool
+    of min(cores, blocks, 2) threads, and their partials reduce in block
+    order.
     """
-    return _reduce(_block_partials(geo, tl, fading, part, budget, scheme, traffic, lam_s, cfg),
-                   cfg.n_samples)
+    blocks = _blocks(geo, tl, fading, part, budget, scheme, traffic, lam_s, cfg)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    # at most 2 blocks in flight: each holds about 3.6 MiB, and at 4 the
+    # peak memory of a 1e6-replication run rose 13% over one serial block
+    workers = min(cores, len(blocks), 2)
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        partials = list(pool.map(lambda block: block(), blocks))
+    return _reduce(partials, cfg.n_samples)
 
 
-def _block_partials(
+def _blocks(
     geo: PassGeometry,
     tl: PassTimeline,
     fading: SrFading,
@@ -326,26 +356,15 @@ def _block_partials(
     traffic: TrafficSpec,
     lam_s: float,
     cfg: SimConfig,
-) -> list[tuple[float, float, float, float, float]]:
-    """simulate's partial sums of each block, in block order: (sum r,
-    sum r^2, sum p, sum p^2, outage count). Block i draws from the i-th
-    child of the seed's SeedSequence, whatever the replication count, so
-    the first blocks of a shorter pass are those of a longer one."""
-    if lam_s <= 0 or not math.isfinite(lam_s):
-        raise ValueError(f"lam_s must be positive and finite, got {lam_s}")
-    blocks = _block_rngs(cfg.seed, cfg.n_samples)
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    # at most 2 blocks in flight: each holds about 3.6 MiB, and at 4 the
-    # peak memory of a 1e6-replication run rose 13% over one serial block
-    workers = min(cores, len(blocks), 2)
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(
-            lambda block: _block(geo, tl, fading, part, budget, scheme, traffic, lam_s, *block),
-            blocks,
-        ))
+) -> list[Callable[[], tuple[float, float, float, float, float]]]:
+    """simulate's blocks, in block order, each a call that returns the
+    block's partial sums (sum r, sum r^2, sum p, sum p^2, outage count).
+    Block i draws from the i-th child of the seed's SeedSequence, whatever
+    the replication count, so the first blocks of a shorter pass are those
+    of a longer one."""
+    return [functools.partial(_block, geo, tl, fading, part, budget, scheme, traffic, lam_s,
+                              rng, count)
+            for rng, count in _block_rngs(cfg.seed, cfg.n_samples)]
 
 
 def _reduce(partials: list[tuple[float, float, float, float, float]], n_samples: int
@@ -386,15 +405,17 @@ def ks_statistic(fading: SrFading, gains: np.ndarray) -> float:
     D is exact, but F is evaluated only where it can set D. F does not fall,
     so for evaluated sorted positions a < b (0-based) every sample i between
     them has F_a <= F_i <= F_b, and its gap max((i+1)/n - F_i, F_i - i/n)
-    is at most max(b/n - F_a, F_b - (a+1)/n). A first pass evaluates F at
-    every _KS_STRIDE-th sorted sample and at the last one; a second pass
-    evaluates it inside each segment whose bound exceeds the largest gap
-    found so far. Every sample left out is thus proven not to exceed the
-    returned D. The first and last sorted samples are always evaluated, so
-    NaN and negative gains are rejected. At worst every segment is refined,
-    and F is evaluated once at every sample, as by a full pass, over two
-    calls. Gains already in ascending order, as run_validate passes them,
-    are not sorted again.
+    is at most max(b/n - F_a, F_b - (a+1)/n). The first level evaluates F at
+    every _KS_LEVELS[0]-th sorted sample and at the last one. Each further
+    level keeps only the segments whose bound exceeds the largest gap found
+    so far and evaluates F inside them at every sample whose position is a
+    multiple of its stride; the last level's stride is 1, so it evaluates
+    every sample of the segments still open. Every sample left out is thus
+    proven not to exceed the returned D. The first and last sorted samples
+    are always evaluated, so NaN and negative gains are rejected. At worst
+    every segment stays open, and F is evaluated once at every sample, as
+    by a full pass. Gains already in ascending order, as run_validate
+    passes them, are not sorted again.
     """
     xs = np.asarray(gains, dtype=float)
     # NaN compares false, so gains holding one are sorted, NaN last
@@ -403,15 +424,30 @@ def ks_statistic(fading: SrFading, gains: np.ndarray) -> float:
     n = len(xs)
     if n < 1:
         raise ValueError("need at least one sample")
-    knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
-    f_knots = sr_cdf(fading, xs[knots])
-    d = _ks_gap(knots, f_knots, n)
-    a, b = knots[:-1], knots[1:]
-    hot = np.maximum(b / n - f_knots[:-1], f_knots[1:] - (a + 1) / n) > d
-    # positions 0 .. n-2 by segment, less the knots already evaluated
-    refine = np.repeat(hot, b - a)
-    refine[a] = False
-    inner = np.flatnonzero(refine)
-    if len(inner):
-        d = max(d, _ks_gap(inner, sr_cdf(fading, xs[inner]), n))
+    knots = np.append(np.arange(0, n - 1, _KS_LEVELS[0]), n - 1)
+    f = sr_cdf(fading, xs[knots])
+    d = _ks_gap(knots, f, n)
+    # the segments (a, b) between evaluated positions, with F at each end;
+    # every a is a multiple of the stride of the level that evaluated it
+    a, b, fa, fb = knots[:-1], knots[1:], f[:-1], f[1:]
+    for stride in _KS_LEVELS[1:]:
+        hot = np.maximum(b / n - fa, fb - (a + 1) / n) > d
+        a, b, fa, fb = a[hot], b[hot], fa[hot], fb[hot]
+        if not len(a):
+            break
+        # segment k splits into pieces at a_k + j * stride, j = 1 .. c_k,
+        # below b_k: each piece ends where the next begins, the last at b_k
+        pieces = (b - a - 1) // stride + 1
+        ends = np.cumsum(pieces)
+        seg = np.repeat(np.arange(len(a)), pieces)
+        j = np.arange(ends[-1]) - np.repeat(ends - pieces, pieces)
+        left = a[seg] + j * stride
+        f_left = fa[seg]
+        inner = np.flatnonzero(j)
+        if len(inner):
+            f_left[inner] = sr_cdf(fading, xs[left[inner]])
+            d = max(d, _ks_gap(left[inner], f_left[inner], n))
+        right, f_right = np.append(left[1:], 0), np.append(f_left[1:], 0.0)
+        right[ends - 1], f_right[ends - 1] = b, fb
+        a, b, fa, fb = left, right, f_left, f_right
     return float(d)

@@ -398,13 +398,19 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     simulation pass, the outage closed form against its definitional time
     integral, and a bit-identical repeat of the pass's first two blocks.
 
-    One side thread runs the simulation pass and then the repeat, while
-    the calling thread runs the quadrature and sampler checks; numpy's
-    draws and array operations release the interpreter lock, so the two
-    overlap on two cores. Every check draws from its own seeded stream, so
-    the rows are bit-identical at any core count. Errors surface in row
-    order: a quadrature or sampler error first, then one from the
-    simulation pass, then one from the repeat.
+    The blocks of the simulation pass and then those of the repeat go, in
+    block order, to one side worker, while the calling thread runs the
+    quadrature and sampler checks; numpy's draws and array operations
+    release the interpreter lock, so the two overlap on two cores. Then the
+    calling thread takes every block of the pass that the worker has not
+    started and runs it (_finish), and does the same for the repeat once
+    the rows of the pass are formed. At most two threads compute, and no
+    block starts a pool. Every check and block draws from its own seeded
+    stream, and block partials reduce in block order, so the rows are
+    bit-identical whichever thread ran which block, at any core count.
+    Errors surface in row order: a quadrature or sampler error first, then
+    the first in block order of the simulation pass, then one of the rows
+    after it, then the first of the repeat.
     """
     checks: list[CheckResult] = []
     parts = prepare(scn, finite_wait=True)
@@ -421,8 +427,10 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
 
     side = concurrent.futures.ThreadPoolExecutor(1)
     try:
-        pending_sim = side.submit(montecarlo._block_partials, *_sim_args(scn, parts, cfg))
-        pending_repeat = side.submit(montecarlo._block_partials, *_sim_args(scn, parts, short))
+        sim_blocks = montecarlo._blocks(*_sim_args(scn, parts, cfg))
+        repeat_blocks = montecarlo._blocks(*_sim_args(scn, parts, short))
+        pending_sim = [side.submit(block) for block in sim_blocks]
+        pending_repeat = [side.submit(block) for block in repeat_blocks]
 
         # Density normalization. Imported on first use: only the oracle needs it.
         from scipy import integrate
@@ -467,7 +475,7 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         ))
 
         # Closed forms against simulation, from one pass.
-        partials = pending_sim.result()
+        partials = _finish(sim_blocks, pending_sim)
         sim = montecarlo._reduce(partials, n_samples)
         slack = 3.0 * sim.rate_se_bps
         in_rate = (report.throughput_lo_bps - slack <= sim.mean_rate_bps
@@ -512,12 +520,39 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
             "dor_integral", diff < 1e-9, f"|integral - closed| = {diff:.3e}"
         ))
 
-        repeat = pending_repeat.result()
+        repeat = _finish(repeat_blocks, pending_repeat)
         checks.append(CheckResult(
             "determinism", repeat == partials[:len(repeat)], "bit-identical repeat run"
         ))
     finally:
-        # after an error, drop the repeat if it has not started; a pass
-        # already running runs to its end
+        # after an error, drop the blocks the worker has not started; a
+        # block already running runs to its end
         side.shutdown(cancel_futures=True)
     return checks
+
+
+def _finish(blocks: list, pending: list[concurrent.futures.Future]) -> list:
+    """The results of blocks, in block order, where pending[i] is block i
+    submitted to a side worker.
+
+    Each block the worker has not started is cancelled and run here, in
+    block order, and then the worker's results are read. The first error
+    in block order is raised, whichever thread ran its block: the blocks
+    run here stop at their first error, and a block the worker ran before
+    it raises first.
+    """
+    results: list = [None] * len(blocks)
+    mine = [i for i, future in enumerate(pending) if future.cancel()]
+    failed, error = len(blocks), None
+    for i in mine:
+        try:
+            results[i] = blocks[i]()
+        except Exception as exc:
+            failed, error = i, exc
+            break
+    for i in range(failed):
+        if not pending[i].cancelled():
+            results[i] = pending[i].result()
+    if error is not None:
+        raise error
+    return results

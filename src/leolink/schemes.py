@@ -57,11 +57,11 @@ class LinkBudget:
     path_loss_exp: float = 2.0
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if self.noise_power_w <= 0:
+        if not self.noise_power_w > 0:
             raise ValueError(f"noise_power_w must be > 0, got {self.noise_power_w}")
-        if self.path_loss_exp < 2:
+        if not self.path_loss_exp >= 2:
             raise ValueError(f"path_loss_exp must be >= 2, got {self.path_loss_exp}")
 
 
@@ -73,9 +73,9 @@ class RatConfig:
     min_snr: float
 
     def __post_init__(self):
-        if self.tx_power_w <= 0:
+        if not self.tx_power_w > 0:
             raise ValueError(f"tx_power_w must be > 0, got {self.tx_power_w}")
-        if self.min_snr <= 0:
+        if not self.min_snr > 0:
             raise ValueError(f"min_snr must be > 0, got {self.min_snr}")
 
 
@@ -87,9 +87,9 @@ class PatConfig:
     fixed_rate_bps: float
 
     def __post_init__(self):
-        if self.max_power_w <= 0:
+        if not self.max_power_w > 0:
             raise ValueError(f"max_power_w must be > 0, got {self.max_power_w}")
-        if self.fixed_rate_bps <= 0:
+        if not self.fixed_rate_bps > 0:
             raise ValueError(f"fixed_rate_bps must be > 0, got {self.fixed_rate_bps}")
 
 
@@ -101,9 +101,9 @@ class TrafficSpec:
     delay_threshold_s: float
 
     def __post_init__(self):
-        if self.packet_bits <= 0:
+        if not self.packet_bits > 0:
             raise ValueError(f"packet_bits must be > 0, got {self.packet_bits}")
-        if self.delay_threshold_s < 0:
+        if not self.delay_threshold_s >= 0:
             raise ValueError(f"delay_threshold_s must be >= 0, got {self.delay_threshold_s}")
 
 
@@ -129,7 +129,7 @@ class SchemeReport:
             raise ValueError("need 0 <= avg_power_lo <= avg_power_hi")
         if not (0.0 <= self.dor <= 1.0):
             raise ValueError(f"dor must be in [0, 1], got {self.dor}")
-        if self.lam_s <= 0:
+        if not self.lam_s > 0:
             raise ValueError(f"lam_s must be > 0, got {self.lam_s}")
 
 
@@ -240,14 +240,14 @@ def _check_reports(power: np.ndarray, lams) -> None:
     for p, lam_s in zip(power.tolist(), lams):
         if p <= 0.0:
             raise ZeroPower("all probability mass sits in the no-transmission state")
-        if lam_s <= 0:
+        if not lam_s > 0:
             raise ValueError(f"lam_s must be > 0, got {lam_s}")
 
 
 def rat_first_threshold(budget: LinkBudget, rat: RatConfig, d_max_m: float) -> float:
     """Amplitude below which the fixed-power link cannot reach min_snr even
     at the worst-case distance: sigma * sqrt(min_snr * d_max^rho / P_T)."""
-    if d_max_m <= 0:
+    if not d_max_m > 0:
         raise ValueError(f"d_max_m must be > 0, got {d_max_m}")
     return math.sqrt(
         budget.noise_power_w * rat.min_snr * d_max_m**budget.path_loss_exp
@@ -298,7 +298,7 @@ def rat_dor_integral(
     resulting outage probability is averaged over the pass with the
     trapezoid rule. Cross-checks the closed form in rat_report.
     """
-    if lam_s <= 0:
+    if not lam_s > 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
     _check_grid(part, tl, probs)
     t_th = traffic.delay_threshold_s
@@ -380,7 +380,7 @@ def _rat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, l
 def pat_first_threshold(budget: LinkBudget, pat: PatConfig, d_max_m: float) -> float:
     """Amplitude below which holding the fixed rate at the worst-case
     distance would need more than the power cap."""
-    if d_max_m <= 0:
+    if not d_max_m > 0:
         raise ValueError(f"d_max_m must be > 0, got {d_max_m}")
     snr_needed = 2.0 ** (pat.fixed_rate_bps / budget.bandwidth_hz) - 1.0
     return math.sqrt(
@@ -492,7 +492,7 @@ def pat_dor_integral(
     fixed service time elsewhere) and averages the outage probability over
     arrival times with the trapezoid rule. Cross-checks pat_report.
     """
-    if lam_s <= 0:
+    if not lam_s > 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
     t_th = traffic.delay_threshold_s
     margin = t_th - traffic.packet_bits / pat.fixed_rate_bps

@@ -49,6 +49,16 @@ class TestSrFading:
         with pytest.raises(ValueError):
             SrFading(m=1.0, b0=0.1, omega=-0.1)
 
+    @pytest.mark.parametrize("field, message", [
+        ("m", "m must be >= 0.5, got nan"),
+        ("b0", "b0 must be > 0, got nan"),
+        ("omega", "omega must be >= 0, got nan"),
+    ])
+    def test_rejects_nan(self, field, message):
+        values = {"m": 10.1, "b0": 0.126, "omega": 0.825, field: math.nan}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SrFading(**values)
+
     def test_derived_parameters(self):
         f = TABLE_FADING
         assert f.beta == pytest.approx(1.0 / 0.252, rel=1e-12)
@@ -216,6 +226,17 @@ class TestPartition:
         with pytest.raises(ValueError):
             GainPartition(thresholds=np.array([0.0, 0.5, 0.4]), top_mean_gain=1.0)
 
+    @pytest.mark.parametrize("thresholds", [[0.0, math.nan], [0.0, math.nan, 1.0],
+                                            [0.0, 0.5, math.nan]])
+    def test_rejects_nan_threshold(self, thresholds):
+        with pytest.raises(ValueError,
+                           match="^thresholds must be strictly increasing above mu_0$"):
+            GainPartition(thresholds=np.array(thresholds), top_mean_gain=2.0)
+
+    def test_rejects_nan_top_mean_gain(self):
+        with pytest.raises(ValueError, match="^top_mean_gain below the top threshold's gain$"):
+            GainPartition(thresholds=np.array([0.0, 0.5]), top_mean_gain=math.nan)
+
     def test_degenerate_two_state(self):
         part = GainPartition(thresholds=np.array([0.0, 0.0]), top_mean_gain=1.0)
         pi = state_probs(TABLE_FADING, part)
@@ -282,6 +303,10 @@ class TestPartition:
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
             StateProbMatrix(probs=np.array([[0.6, 0.6], [0.6, 0.6]]))
+
+    def test_matrix_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+            StateProbMatrix(probs=np.array([[math.nan, 0.5], [0.5, 0.5]]))
 
 
 class TestEqualProbabilityPartition:
@@ -798,6 +823,16 @@ class TestDoppler:
             DopplerSpec(f_scatter_max_hz=10.0, mean_aoa_rad=3.15)
         with pytest.raises(ValueError):
             DopplerSpec(f_scatter_max_hz=10.0, aoa_width=-1.0)
+
+    @pytest.mark.parametrize("values, message", [
+        (dict(f_scatter_max_hz=math.nan), "f_scatter_max_hz must be > 0, got nan"),
+        (dict(f_scatter_max_hz=10.0, mean_aoa_rad=math.nan),
+         r"mean_aoa_rad must be in \[-pi, pi\), got nan"),
+        (dict(f_scatter_max_hz=10.0, aoa_width=math.nan), "aoa_width must be >= 0, got nan"),
+    ])
+    def test_rejects_nan(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DopplerSpec(**values)
 
     def test_moment_determinant_positive(self):
         b1, b2 = doppler_moments(TABLE_FADING, TABLE_DOPPLER)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -506,7 +507,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("base", [RAT_SCN, PAT_SCN])
     def test_rows_do_not_depend_on_core_count(self, monkeypatch, base):
-        # five blocks, so the simulation's own pool follows the core count too
+        # five blocks, shared by the side worker and the calling thread
         monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
         scn = _validate_scenario(base)
         all_cores = pipeline.run_validate(scn)
@@ -552,6 +553,122 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+def run_scheduled(monkeypatch, base: str, schedule: str, fail=frozenset()):
+    """run_validate of a reference at 20 000 replications in blocks of 4096:
+    blocks 0-4 of the simulation pass, then blocks 5 and 6 of the repeat.
+
+    schedule forces which thread runs them: "none" holds the calling
+    thread's KS check until the side worker has run every block, so the
+    calling thread runs none; "all" holds the side worker on a task of its
+    own until run_validate shuts it down, so the calling thread runs every
+    block; and
+    "some" holds the worker's first block until the calling thread starts
+    one, so each runs some. Blocks in fail raise ArithmeticError("block i").
+    Returns the rows, whether the calling thread ran each block, and the
+    most threads seen alive by any block.
+    """
+    monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
+    caller = threading.get_ident()
+    index, ran, done, alive = {}, {}, [], []
+    every_block_done, worker_started, caller_started = (
+        threading.Event(), threading.Event(), threading.Event())
+    numbered, block, ks = montecarlo._block_rngs, montecarlo._block, pipeline.ks_statistic
+
+    def counted_rngs(seed, n_samples):
+        blocks = numbered(seed, n_samples)
+        for rng, _ in blocks:
+            index[id(rng)] = len(index)
+        return blocks
+
+    def scheduled_block(*args):
+        i = index[id(args[-2])]
+        ran[i] = here = threading.get_ident() == caller
+        alive.append(threading.active_count())
+        try:
+            (caller_started if here else worker_started).set()
+            if schedule == "some" and i == 0:
+                assert caller_started.wait(30)
+            if i in fail:
+                raise ArithmeticError(f"block {i}")
+            return block(*args)
+        finally:
+            done.append(i)
+            if len(done) == 7:
+                every_block_done.set()
+
+    def held_ks(fading, gains):
+        if schedule == "none":
+            assert every_block_done.wait(30)
+        elif schedule == "some":
+            assert worker_started.wait(30)
+        return ks(fading, gains)
+
+    release, pool = threading.Event(), concurrent.futures.ThreadPoolExecutor
+
+    class HeldWorker(pool):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            # let go after 30 s, so that a schedule that waits for it fails
+            self.submit(release.wait, 30)
+
+        def shutdown(self, *args, **kwargs):
+            release.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_block_rngs", counted_rngs)
+    monkeypatch.setattr(montecarlo, "_block", scheduled_block)
+    monkeypatch.setattr(pipeline, "ks_statistic", held_ks)
+    if schedule == "all":
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldWorker)
+    rows = pipeline.run_validate(_validate_scenario(base))
+    return rows, ran, max(alive)
+
+
+class TestValidateSchedule:
+    @pytest.mark.parametrize("schedule", ["none", "all", "some"])
+    @pytest.mark.parametrize("base", [RAT_SCN, PAT_SCN], ids=["rat", "pat"])
+    def test_rows_do_not_depend_on_which_thread_runs_a_block(self, monkeypatch, base,
+                                                             schedule):
+        monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
+        want = pipeline.run_validate(_validate_scenario(base))
+        threads = threading.active_count()
+        rows, ran, alive = run_scheduled(monkeypatch, base, schedule)
+        assert rows == want
+        assert sorted(ran) == list(range(7))
+        here = {i for i, by_caller in ran.items() if by_caller}
+        if schedule == "none":
+            assert here == set()
+        elif schedule == "all":
+            assert here == set(range(7))
+        else:
+            assert 0 not in here and {1, 2, 3, 4} <= here
+        # the calling thread and one side worker: no block starts a pool
+        assert alive <= threads + 1
+        assert threading.active_count() == threads
+
+    def test_rows_under_fast_thread_switching(self, monkeypatch):
+        # 20 blocks of the pass and 2 of the repeat, while the threads
+        # switch every microsecond
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1024)
+        scn = _validate_scenario(RAT_SCN)
+        want = pipeline.run_validate(scn)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert pipeline.run_validate(scn) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("fail, first", [({0, 3}, 0), ({1, 3}, 1), ({4, 5}, 4), ({6}, 6)])
+    @pytest.mark.parametrize("schedule", ["none", "all", "some"])
+    def test_first_failing_block_surfaces(self, monkeypatch, schedule, fail, first):
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"^block {first}$"):
+            run_scheduled(monkeypatch, RAT_SCN, schedule, fail)
+        assert threading.active_count() == threads
 
 
 class TestErrorPaths:

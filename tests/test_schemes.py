@@ -51,6 +51,43 @@ D_MAX = distance_range(GEO)[1]
 TRAFFIC = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e-3)
 
 
+class TestValueChecks:
+    """Every value check rejects NaN, with the message it gives a value out
+    of range."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LinkBudget(math.nan, SIGMA2), "bandwidth_hz must be > 0, got nan"),
+        (lambda: LinkBudget(60e6, math.nan), "noise_power_w must be > 0, got nan"),
+        (lambda: LinkBudget(60e6, SIGMA2, math.nan), "path_loss_exp must be >= 2, got nan"),
+        (lambda: RatConfig(math.nan, 1.0), "tx_power_w must be > 0, got nan"),
+        (lambda: RatConfig(1000.0, math.nan), "min_snr must be > 0, got nan"),
+        (lambda: PatConfig(math.nan, 60e6), "max_power_w must be > 0, got nan"),
+        (lambda: PatConfig(1000.0, math.nan), "fixed_rate_bps must be > 0, got nan"),
+        (lambda: TrafficSpec(math.nan, 1e-3), "packet_bits must be > 0, got nan"),
+        (lambda: TrafficSpec(500e3, math.nan), "delay_threshold_s must be >= 0, got nan"),
+        (lambda: SchemeReport(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, math.nan),
+         "lam_s must be > 0, got nan"),
+    ], ids=["bandwidth", "noise", "path_loss", "tx_power", "min_snr", "max_power",
+            "fixed_rate", "packet_bits", "delay_threshold", "report_lam"])
+    def test_classes_reject_nan(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_functions_reject_nan(self, timeline, rat_setup, pat_setup):
+        rat, part, probs, _ = rat_setup
+        pat, _, pat_probs, _ = pat_setup
+        with pytest.raises(ValueError, match="^d_max_m must be > 0, got nan$"):
+            rat_first_threshold(BUDGET, rat, math.nan)
+        with pytest.raises(ValueError, match="^d_max_m must be > 0, got nan$"):
+            pat_first_threshold(BUDGET, pat, math.nan)
+        with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
+            rat_dor_integral(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
+        with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
+            pat_dor_integral(pat_probs, pat, timeline, TRAFFIC, math.nan)
+        with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
+            rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
+
+
 def dbw(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
