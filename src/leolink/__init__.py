@@ -13,7 +13,6 @@ from .channel import (
     SrFading,
     StateProbMatrix,
     afd,
-    equal_probability_partition,
     lcr,
     sr_cdf,
     sr_pdf,

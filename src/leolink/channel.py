@@ -58,8 +58,7 @@ __all__ = [
     "lcr",
     "afd",
     "doppler_moments",
-    "tail_mean_gain",
-    "equal_probability_partition",
+    "partitions",
 ]
 
 _INT_M_TOL = 1e-9
@@ -727,7 +726,10 @@ def _below(fading: SrFading) -> _Series:
 
 def _moments(fading: SrFading, x: np.ndarray):
     """The terms of the two tail series of the first moment above each gain
-    x (tail_mean_gain), at the finite x > 0."""
+    x, at the finite x > 0: sum_k w_k (k+1)/beta Q(k+2, beta x), split by
+    k w_k(m) = m r/(1-r) w_(k-1)(m+1) into one series of shape m and one of
+    shape m + 1 (_tail_mean). Neither cancels, so the mean stays accurate
+    where each underflows relative to 1."""
     y = _inner(fading, x)
     return (_tail(fading, 1, fading.m), y), (_tail(fading, 2, fading.m + 1.0), y)
 
@@ -942,12 +944,8 @@ def _state_probs(below: np.ndarray, tails: np.ndarray) -> np.ndarray:
 
 
 def state_prob_matrix(fading: SrFading, part: GainPartition, n_slots: int) -> StateProbMatrix:
-    """Per-slot state probabilities.
-
-    Fading parameters are constant within a pass here, so every column is
-    the same vector; the matrix shape stays so slot-varying fading can be
-    introduced without touching consumers.
-    """
+    """Per-slot state probabilities: state_probs in each of n_slots
+    columns, as the fading parameters are constant within a pass."""
     return StateProbMatrix.constant(state_probs(fading, part), n_slots)
 
 
@@ -960,7 +958,7 @@ def lcr(fading: SrFading, dop: DopplerSpec, r_th: float) -> float:
     enters squared. A factor past double range (about e^z, z = delta r_th^2,
     in the hundreds on line-of-sight fading) raises NonConvergent.
     """
-    if r_th <= 0:
+    if not r_th > 0:
         raise ValueError(f"r_th must be > 0, got {r_th}")
     m, b0, om = fading.m, fading.b0, fading.omega
     b1, b2 = doppler_moments(fading, dop)
@@ -1003,56 +1001,29 @@ def lcr(fading: SrFading, dop: DopplerSpec, r_th: float) -> float:
     )
 
 
-def afd(fading: SrFading, dop: DopplerSpec, r_th):
-    """Average fade duration below amplitude r_th: CDF mass / crossing rate.
+def afd(fading: SrFading, dop: DopplerSpec, amplitudes: np.ndarray,
+        masses: np.ndarray) -> np.ndarray:
+    """Average fade duration below each of a 1-D array of amplitudes: the
+    CDF mass below it (masses, one each) over the crossing rate there.
 
-    Given a 1-D array of amplitudes, returns an array, with the CDF masses
-    from one sr_cdf call and the crossing rate taken at each amplitude.
-    Where the crossing rate or the mass below the amplitude underflowed to
-    0 the duration is undefined, and it is returned as inf, as it is where
-    the ratio overflows; no warning is raised for either.
+    Where the crossing rate or the mass underflowed to 0 the duration is
+    undefined, and it is returned as inf, as it is where the ratio
+    overflows; no warning is raised for either.
     """
-    arr = np.asarray(r_th, dtype=float)
-    amplitudes = np.atleast_1d(arr)
-    out = _afd(fading, dop, amplitudes, sr_cdf(fading, amplitudes * amplitudes))
-    return float(out[0]) if arr.ndim == 0 else out
-
-
-def _afd(fading: SrFading, dop: DopplerSpec, amplitudes: np.ndarray,
-         masses: np.ndarray) -> np.ndarray:
-    """afd at a 1-D array of amplitudes, given the CDF mass below each."""
-    if np.any(amplitudes <= 0):
-        raise ValueError(f"r_th must be > 0, got {amplitudes[amplitudes <= 0][0]}")
+    bad = ~(amplitudes > 0)
+    if bad.any():
+        raise ValueError(f"r_th must be > 0, got {amplitudes[bad][0]}")
     rates = np.array([lcr(fading, dop, amp) for amp in amplitudes.tolist()])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where((rates > 0.0) & (masses > 0.0), masses / rates, np.inf)
 
 
-def tail_mean_gain(fading: SrFading, x):
-    """Conditional mean power gain E[G | G >= x] at a scalar or 1-D array
-    of gains x >= 0.
-
-    The tail first moment sum_k w_k (k+1)/beta Q(k+2, beta x) over the tail
-    mass. As k w_k(m) = m r/(1-r) w_(k-1)(m+1), the moment splits into two
-    tail series, one with shape m + 1; none cancels, so the ratio stays
-    accurate even where each underflows relative to 1. All three series go
-    in one pass.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError(f"x must be >= 0, got {arr[arr < 0][0]}")
-    x, _ = _gains(arr)
-    mass, first, second = _poisson_sum((_tail(fading, 0, fading.m), _inner(fading, x)),
-                                       *_moments(fading, x))
-    out = _tail_mean(fading, x, _fill(x, mass, 1.0), first, second)
-    return float(out[0]) if arr.ndim == 0 else out
-
-
 def _tail_mean(fading: SrFading, x: np.ndarray, mass: np.ndarray, first: np.ndarray,
                second: np.ndarray) -> np.ndarray:
-    """tail_mean_gain at a 1-D array of gains x >= 0, given the tail mass
-    at each and the sums of the two series of _moments(fading, x). The
-    moment above x = inf is 0, and so is its mass: it is refused."""
+    """The conditional mean power gain E[G | G >= x] at a 1-D array of gains
+    x >= 0, given the tail mass at each and the sums of the two series of
+    _moments(fading, x). The moment above x = inf is 0, and so is its mass:
+    it is refused."""
     out = np.full(len(x), fading.mean_gain)
     tail = x != 0.0
     if tail.any():
@@ -1150,32 +1121,20 @@ def _knot_starts(fading: SrFading, knots, tails, dens, targets):
     return lo.ravel(), hi.ravel(), mass_lo.ravel(), mass_hi.ravel(), start.ravel()
 
 
-def equal_probability_partition(
-    fading: SrFading,
-    first_threshold: float,
-    n_states: int,
-    upper_thresholds: np.ndarray | None = None,
-) -> GainPartition:
-    """Build the K-state partition above a scheme-defined first threshold.
+def partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresholds
+               ) -> tuple[list[GainPartition], np.ndarray]:
+    """The K-state partitions above a 1-D array of first thresholds, all
+    solved together, and their state probabilities (state_probs), one row
+    each; the first column is the CDF at each first threshold's gain, the
+    mass in its fade duration. Each partition and row equal those of its
+    first threshold alone, bit for bit.
 
-    By default the states above the first threshold share the remaining
-    probability mass equally (solved in tail-mass domain, which survives
-    first thresholds far into the tail); pass upper_thresholds (amplitudes,
-    length K - 2, rising strictly above the first threshold) to pin them
-    explicitly instead. The top state's conditional mean gain is recorded
+    By default the states above a first threshold share the remaining
+    probability mass equally, solved in tail-mass domain, which survives
+    first thresholds far into the tail; upper_thresholds (amplitudes,
+    length K - 2, rising strictly above every first threshold) pins them
+    instead. Each partition records its top state's conditional mean gain
     for finite upper-bound evaluation.
-    """
-    firsts = np.array([float(first_threshold)])
-    return _partitions(fading, firsts, n_states, upper_thresholds)[0][0]
-
-
-def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresholds
-                ) -> tuple[list[GainPartition], np.ndarray]:
-    """equal_probability_partition's partitions for a 1-D array of first
-    thresholds, all solved together, and their state probabilities
-    (state_probs), one row each; the first column is the CDF at each first
-    threshold's gain, the mass in its fade duration. Each partition and
-    row equal those of its first threshold alone, bit for bit.
 
     The solve owns the two series it evaluates again and again, the tail
     mass and the density, which keep their coefficients and rows; every
@@ -1185,11 +1144,11 @@ def _partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thres
     first thresholds and at three more knots each, the density at those
     four knots (_knot_starts: each target's bracket and start), and the
     CDF at the first thresholds; the pass after, the tail at the other
-    thresholds and the two series of the top mean gain. In between, each
-    Newton step is one pass of the tail and the density at the same gains;
-    a target past its partition's last knot first doubles its bracket's
-    upper end, one pass each doubling, from there. With two states, or
-    pinned upper thresholds, there is no solve and no knot.
+    thresholds and the two series of the top mean gain (_moments). In
+    between, each Newton step is one pass of the tail and the density at
+    the same gains; a target past its partition's last knot first doubles
+    its bracket's upper end, one pass each doubling, from there. With two
+    states, or pinned upper thresholds, there is no solve and no knot.
     """
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")

@@ -52,17 +52,17 @@ class PassGeometry:
     terminal_offset_m: float = 0.0
 
     def __post_init__(self):
-        if self.earth_radius_m <= 0:
+        if not self.earth_radius_m > 0:
             raise ValueError(f"earth_radius_m must be > 0, got {self.earth_radius_m}")
-        if self.orbit_height_m <= 0:
+        if not self.orbit_height_m > 0:
             raise ValueError(f"orbit_height_m must be > 0, got {self.orbit_height_m}")
-        if self.coverage_radius_m <= 0:
+        if not self.coverage_radius_m > 0:
             raise ValueError(f"coverage_radius_m must be > 0, got {self.coverage_radius_m}")
-        if self.half_track_m <= 0:
+        if not self.half_track_m > 0:
             raise ValueError(f"half_track_m must be > 0, got {self.half_track_m}")
-        if self.sat_speed_ms <= 0:
+        if not self.sat_speed_ms > 0:
             raise ValueError(f"sat_speed_ms must be > 0, got {self.sat_speed_ms}")
-        if self.terminal_offset_m < 0:
+        if not self.terminal_offset_m >= 0:
             raise ValueError(f"terminal_offset_m must be >= 0, got {self.terminal_offset_m}")
 
 
@@ -82,7 +82,7 @@ class PassTimeline:
     slot_dist_max: np.ndarray
 
     def __post_init__(self):
-        if self.n_slots < 1:
+        if not self.n_slots >= 1:
             raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
         tol = 1e-9 * max(self.service_time_s, self.slot_len_s)
         if not (self.n_slots * self.slot_len_s <= self.service_time_s + tol
@@ -93,7 +93,7 @@ class PassTimeline:
             )
         if len(self.slot_dist_min) != self.n_slots or len(self.slot_dist_max) != self.n_slots:
             raise ValueError("slot distance arrays must have length n_slots")
-        if np.any(self.slot_dist_min > self.slot_dist_max):
+        if not np.all(self.slot_dist_min <= self.slot_dist_max):
             raise ValueError("slot_dist_min must not exceed slot_dist_max")
 
     @property
@@ -169,7 +169,7 @@ def slot_brackets(geos: list[PassGeometry], slot_lens: list[float]
     """
     times, counts, consts = [], [], []
     for geo, slot_len_s in zip(geos, slot_lens):
-        if slot_len_s <= 0:
+        if not slot_len_s > 0:
             raise ValueError(f"slot_len_s must be > 0, got {slot_len_s}")
         t_s = service_duration(geo)
         if slot_len_s > t_s:
@@ -220,15 +220,15 @@ def slot_brackets(geos: list[PassGeometry], slot_lens: list[float]
 
 def half_track_from_plane(earth_radius_m: float, sats_per_plane: int) -> float:
     """Half the sub-satellite arc spacing for evenly spaced satellites."""
-    if sats_per_plane < 1:
+    if not sats_per_plane >= 1:
         raise ValueError(f"sats_per_plane must be >= 1, got {sats_per_plane}")
     return math.pi * earth_radius_m / sats_per_plane
 
 
 def circular_orbit_speed(earth_radius_m: float, orbit_height_m: float) -> float:
     """Orbital speed of a circular orbit at the given altitude."""
-    if earth_radius_m <= 0:
+    if not earth_radius_m > 0:
         raise ValueError(f"earth_radius_m must be > 0, got {earth_radius_m}")
-    if orbit_height_m <= 0:
+    if not orbit_height_m > 0:
         raise ValueError(f"orbit_height_m must be > 0, got {orbit_height_m}")
     return math.sqrt(MU_EARTH / (earth_radius_m + orbit_height_m))

@@ -77,7 +77,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_samples < 1:
+        if not self.n_samples >= 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 

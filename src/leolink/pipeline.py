@@ -89,12 +89,12 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
         for (n_states, uppers), sub in _groups(
                 scns, idx, lambda s: (s.n_states, s.upper_thresholds)).items():
             distinct = list(dict.fromkeys(firsts[i] for i in sub))
-            parts, probs = channel._partitions(fading, np.array(distinct), n_states, uppers)
+            parts, probs = channel.partitions(fading, np.array(distinct), n_states, uppers)
             solved = dict(zip(distinct, zip(parts, probs)))
             for i in sub:
                 partitions[i], pi[i] = solved[firsts[i]]
         for dop, sub in _groups(scns, idx, lambda s: s.doppler).items():
-            lam = channel._afd(fading, dop, first[sub], np.array([pi[i][0] for i in sub]))
+            lam = channel.afd(fading, dop, first[sub], np.array([pi[i][0] for i in sub]))
             for i, lam_s in zip(sub, lam.tolist()):
                 lams[i] = lam_s
     return [_Solved(*fields) for fields in zip(d_max, firsts, partitions, pi, lams)]
@@ -142,12 +142,13 @@ def run_analyze(scn: Scenario, parts: ScenarioParts | None = None) -> SchemeRepo
     """Closed-form report for the scenario's scheme: the P = 1 case of a
     sweep's reports (_Sweep)."""
     p = parts or prepare(scn)
+    pi = p.probs.probs[:, 0]
     if scn.scheme == "rat":
         return schemes.rat_report(
-            scn.budget, scn.rat, p.partition, p.timeline, p.probs, scn.traffic, p.lam_s
+            scn.budget, scn.rat, p.partition, p.timeline, pi, scn.traffic, p.lam_s
         )
     return schemes.pat_report(
-        scn.budget, scn.pat, p.partition, p.timeline, p.probs, scn.traffic, p.lam_s
+        scn.budget, scn.pat, p.partition, p.timeline, pi, scn.traffic, p.lam_s
     )
 
 
@@ -177,9 +178,9 @@ class _Sweep:
                 [getattr(points[i], scheme) for i in idx],
                 [s.partition for s in solved],
                 self.n_slots[rows], self.dist_min, self.dist_max, rows)
-            pi = np.zeros(pts.thresholds.shape + (1,))
+            pi = np.zeros(pts.thresholds.shape)
             for row, s in zip(pi, solved):
-                row[:len(s.pi), 0] = s.pi
+                row[:len(s.pi)] = s.pi
             reports = schemes._reports(pts, [points[i].traffic for i in idx], pi,
                                        [s.lam_s for s in solved])
             for i, report in zip(idx, reports):
@@ -415,6 +416,7 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     checks: list[CheckResult] = []
     parts = prepare(scn, finite_wait=True)
     report = run_analyze(scn, parts)
+    pi = parts.probs.probs[:, 0]
     fading = scn.fading
     base_seed = scn.sim.seed if seed is None else seed
     n_samples = scn.sim.n_samples
@@ -453,7 +455,6 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         checks.append(CheckResult("cdf_routes_agree", worst < 1e-8, f"max diff = {worst:.3e}"))
 
         # State probabilities: normalization and sampled frequencies.
-        pi = parts.probs.probs[:, 0]
         sum_err = abs(float(pi.sum()) - 1.0)
         checks.append(CheckResult("state_probs_sum", sum_err < 1e-9, f"|sum-1| = {sum_err:.3e}"))
 
@@ -508,12 +509,12 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         # Outage closed form against the definitional time integral.
         if scn.scheme == "rat":
             integral = schemes.rat_dor_integral(
-                scn.budget, scn.rat, parts.partition, parts.timeline, parts.probs,
+                scn.budget, scn.rat, parts.partition, parts.timeline, pi,
                 scn.traffic, parts.lam_s,
             )
         else:
             integral = schemes.pat_dor_integral(
-                parts.probs, scn.pat, parts.timeline, scn.traffic, parts.lam_s
+                pi, scn.pat, parts.timeline, scn.traffic, parts.lam_s
             )
         diff = abs(integral - report.dor)
         checks.append(CheckResult(

@@ -120,9 +120,9 @@ class Scenario:
     sim: SimConfig
 
     def __post_init__(self):
-        if self.slot_len_s <= 0:
+        if not self.slot_len_s > 0:
             raise ValueError(f"slot_len_s must be > 0, got {self.slot_len_s}")
-        if self.n_states < 2:
+        if not self.n_states >= 2:
             raise ValueError(f"n_states must be >= 2, got {self.n_states}")
         uppers = self.upper_thresholds
         if uppers is not None and len(uppers) != self.n_states - 2:

@@ -5,7 +5,8 @@ Each scheme has one route to its K x N grid of per-(state, slot) rates or
 powers, _rat_grids or _pat_grids; lower bounds pair each state's lower
 gain edge with the slot's largest distance and upper bounds do the
 opposite. Throughput, mean power, energy efficiency and the delay outage
-rate are all read from that grid and the state probabilities.
+rate are all read from that grid and the K state probabilities pi, which
+hold in every slot: the fading does not change over the pass.
 
 The route takes P points at once (_Points, _reports), as P x K x N grids
 padded to the most states and slots, and a report of one point is its
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainPartition, StateProbMatrix
+from .channel import GainPartition
 from .geometry import PassTimeline
 
 __all__ = [
@@ -45,7 +46,7 @@ class ZeroPower(ArithmeticError):
 
 
 class DimensionMismatch(ValueError):
-    """Partition, timeline, and probability grid disagree on K or N."""
+    """Partition and state probabilities disagree on K."""
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,14 @@ class SchemeReport:
 _CELLS = 1 << 15
 
 
-def _check_grid(part: GainPartition, tl: PassTimeline, probs: StateProbMatrix):
-    if probs.n_states != part.n_states or probs.n_slots != tl.n_slots:
+def _check_pi(part: GainPartition, pi: np.ndarray) -> np.ndarray:
+    """pi as a float array, refused unless it holds one probability per
+    state of part."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (part.n_states,):
         raise DimensionMismatch(
-            f"probability grid is {probs.n_states}x{probs.n_slots}, expected "
-            f"{part.n_states}x{tl.n_slots}"
-        )
+            f"state probabilities have shape {pi.shape}, expected ({part.n_states},)")
+    return pi
 
 
 @dataclass(frozen=True)
@@ -274,20 +277,12 @@ def _rat_grids(pts: _Points) -> np.ndarray:
     return rates
 
 
-def _rat_rate_grids(
-    budget: LinkBudget, rat: RatConfig, part: GainPartition, tl: PassTimeline
-) -> tuple[np.ndarray, np.ndarray]:
-    # (K, N) lower/upper data-rate grids of one point, state-1 rows zero.
-    rate_lo, rate_hi = _rat_grids(_Points.one(budget, rat, part, tl))[:, 0]
-    return rate_lo, rate_hi
-
-
 def rat_dor_integral(
     budget: LinkBudget,
     rat: RatConfig,
     part: GainPartition,
     tl: PassTimeline,
-    probs: StateProbMatrix,
+    pi: np.ndarray,
     traffic: TrafficSpec,
     lam_s: float,
 ) -> float:
@@ -300,10 +295,10 @@ def rat_dor_integral(
     """
     if not lam_s > 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
-    _check_grid(part, tl, probs)
+    pi = _check_pi(part, pi)
     t_th = traffic.delay_threshold_s
     d_bits = traffic.packet_bits
-    rate_lo, _ = _rat_rate_grids(budget, rat, part, tl)
+    rate_lo = _rat_grids(_Points.one(budget, rat, part, tl))[0, 0]
     r2 = rate_lo[1]  # drain rate once the wait in the bottom state ends
 
     def delivery_cdf_at_threshold(m: int) -> float:
@@ -312,11 +307,11 @@ def rat_dor_integral(
         if r2[m] > 0.0:
             wait_margin = t_th - d_bits / float(r2[m])
             if wait_margin >= 0.0:
-                f += probs.probs[0, m] * (1.0 - math.exp(-wait_margin / lam_s))
+                f += pi[0] * (1.0 - math.exp(-wait_margin / lam_s))
         for k in range(1, part.n_states):
             rate = float(rate_lo[k, m])
             if rate > 0.0 and t_th - d_bits / rate >= 0.0:
-                f += probs.probs[k, m]
+                f += pi[k]
         return f
 
     per_slot = np.array(
@@ -334,7 +329,7 @@ def rat_report(
     rat: RatConfig,
     part: GainPartition,
     tl: PassTimeline,
-    probs: StateProbMatrix,
+    pi: np.ndarray,
     traffic: TrafficSpec,
     lam_s: float,
 ) -> SchemeReport:
@@ -345,8 +340,8 @@ def rat_report(
     digits where 1 - pi_1 cannot. lam_s is the mean waiting time in the
     bottom state (the average fade duration at the first threshold).
     """
-    _check_grid(part, tl, probs)
-    return _reports(_Points.one(budget, rat, part, tl), [traffic], probs.probs[None], [lam_s])[0]
+    pi = _check_pi(part, pi)
+    return _reports(_Points.one(budget, rat, part, tl), [traffic], pi[None], [lam_s])[0]
 
 
 def _rat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
@@ -406,20 +401,12 @@ def _pat_grids(pts: _Points) -> np.ndarray:
     return powers
 
 
-def _pat_power_grids(
-    budget: LinkBudget, pat: PatConfig, part: GainPartition, tl: PassTimeline
-) -> tuple[np.ndarray, np.ndarray]:
-    # (K, N) lower/upper transmit-power grids of one point.
-    power_lo, power_hi = _pat_grids(_Points.one(budget, pat, part, tl))[:, 0]
-    return power_lo, power_hi
-
-
 def pat_report(
     budget: LinkBudget,
     pat: PatConfig,
     part: GainPartition,
     tl: PassTimeline,
-    probs: StateProbMatrix,
+    pi: np.ndarray,
     traffic: TrafficSpec,
     lam_s: float,
 ) -> SchemeReport:
@@ -430,8 +417,8 @@ def pat_report(
     delay outage rate is 1 below the service time D / R_fix and
     pi_1 exp(-margin / lam_s) above it.
     """
-    _check_grid(part, tl, probs)
-    return _reports(_Points.one(budget, pat, part, tl), [traffic], probs.probs[None], [lam_s])[0]
+    pi = _check_pi(part, pi)
+    return _reports(_Points.one(budget, pat, part, tl), [traffic], pi[None], [lam_s])[0]
 
 
 def _pat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
@@ -465,13 +452,14 @@ def _pat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, l
 def _reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
              ) -> list[SchemeReport]:
     """rat_report or pat_report of each of P points of one scheme, all
-    together: probs holds each point's state probabilities, P x K x N or
-    P x K x 1 for probabilities constant over the slots, padded with 0.
-    Points go in blocks of about _CELLS grid entries. Raises, for the first
-    point with one, the error its report alone raises.
+    together: probs holds each point's state probabilities, P x K, padded
+    with 0. Points go in blocks of about _CELLS grid entries. Raises, for
+    the first point with one, the error its report alone raises.
     """
     report = _rat_reports if isinstance(pts.configs[0], RatConfig) else _pat_reports
     size = max(1, _CELLS // (pts.thresholds.shape[1] * pts.dist_max.shape[1]))
+    # one column, which every slot of the grids shares
+    probs = probs[:, :, None]
     out = []
     for a in range(0, len(lams), size):
         b = a + size
@@ -480,7 +468,7 @@ def _reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
 
 
 def pat_dor_integral(
-    probs: StateProbMatrix,
+    pi: np.ndarray,
     pat: PatConfig,
     tl: PassTimeline,
     traffic: TrafficSpec,
@@ -494,15 +482,16 @@ def pat_dor_integral(
     """
     if not lam_s > 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
+    pi = np.asarray(pi, dtype=float)
     t_th = traffic.delay_threshold_s
     margin = t_th - traffic.packet_bits / pat.fixed_rate_bps
 
     def delivery_cdf_at_threshold() -> float:
         if margin < 0:
             return 0.0
-        pi1 = probs.probs[0]
-        rest = probs.probs[1:].sum(axis=0)
-        per_slot = pi1 * (1.0 - math.exp(-margin / lam_s)) + rest
+        # the states above the first, added in state order
+        rest = np.cumsum(pi[1:])[-1]
+        per_slot = np.full(tl.n_slots, pi[0] * (1.0 - math.exp(-margin / lam_s)) + rest)
         return float(np.mean(per_slot))
 
     dor_now = 1.0 - delivery_cdf_at_threshold()

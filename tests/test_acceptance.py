@@ -14,10 +14,9 @@ from leolink.channel import (
     DopplerSpec,
     SrFading,
     afd,
-    equal_probability_partition,
+    partitions,
     sr_cdf,
     sr_cdf_quadrature,
-    state_prob_matrix,
 )
 from leolink.cli import main
 from leolink.geometry import (
@@ -69,6 +68,13 @@ def make_geo(height_m: float = 500e3) -> PassGeometry:
     )
 
 
+def solve(first: float, n_states: int = 8):
+    """The partition above first, its state probabilities and the mean wait
+    at first, by the pipeline's route."""
+    (part,), pi = partitions(FADING, np.array([first]), n_states, None)
+    return part, pi[0], afd(FADING, DOPPLER, np.array([first]), pi[:, 0])[0]
+
+
 def rat_stack(height_m: float, p_t_w: float, n_states: int = 8):
     from leolink.schemes import LinkBudget
 
@@ -77,10 +83,7 @@ def rat_stack(height_m: float, p_t_w: float, n_states: int = 8):
     budget = LinkBudget(bandwidth_hz=60e6, noise_power_w=SIGMA2, path_loss_exp=2.0)
     rat = RatConfig(tx_power_w=p_t_w, min_snr=1.0)
     d_max = distance_range(geo)[1]
-    mu1 = rat_first_threshold(budget, rat, d_max)
-    part = equal_probability_partition(FADING, mu1, n_states)
-    probs = state_prob_matrix(FADING, part, tl.n_slots)
-    lam = afd(FADING, DOPPLER, mu1)
+    part, probs, lam = solve(rat_first_threshold(budget, rat, d_max), n_states)
     return geo, tl, budget, rat, part, probs, lam
 
 
@@ -92,10 +95,7 @@ def pat_stack(p_max_w: float, rate_bps: float = 60e6):
     budget = LinkBudget(bandwidth_hz=60e6, noise_power_w=SIGMA2, path_loss_exp=2.0)
     pat = PatConfig(max_power_w=p_max_w, fixed_rate_bps=rate_bps)
     d_max = distance_range(geo)[1]
-    u1 = pat_first_threshold(budget, pat, d_max)
-    part = equal_probability_partition(FADING, u1, 8)
-    probs = state_prob_matrix(FADING, part, tl.n_slots)
-    lam = afd(FADING, DOPPLER, u1)
+    part, probs, lam = solve(pat_first_threshold(budget, pat, d_max))
     return geo, tl, budget, pat, part, probs, lam
 
 
@@ -124,22 +124,21 @@ def test_acceptance_1_sr_distribution_correctness():
 
 def test_acceptance_2_fsmc_consistency():
     start = time.monotonic()
-    _, tl, _, _, part, probs, _ = rat_stack(500e3, dbw(30.0))
-    col_err = float(np.max(np.abs(probs.probs.sum(axis=0) - 1.0)))
-    assert col_err < 1e-9
+    _, tl, _, _, part, pi, _ = rat_stack(500e3, dbw(30.0))
+    sum_err = abs(float(pi.sum()) - 1.0)
+    assert sum_err < 1e-9
 
     n = 1_000_000
     rng = np.random.Generator(np.random.Philox(77))
     gains = sample_sr_gain(FADING, rng, n)
     freq = np.bincount(part.classify(gains), minlength=part.n_states + 1)[1:] / n
-    pi = probs.probs[:, 0]
     se = np.sqrt(pi * (1.0 - pi) / n)
     z = np.abs(freq - pi) / se
     assert float(z.max()) <= 3.0
 
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    print(f"\nACCEPTANCE 2 PASS: column-sum error {col_err:.1e} (< 1e-9); "
+    print(f"\nACCEPTANCE 2 PASS: probability-sum error {sum_err:.1e} (< 1e-9); "
           f"max |z| over {part.n_states} states at 1e6 samples "
           f"{float(z.max()):.2f} (<= 3); {elapsed:.1f}s")
 
@@ -210,7 +209,7 @@ def test_acceptance_5_pat_outage_piecewise_law():
     assert below == 1.0
 
     at_knee = pat_report_dor(TrafficSpec(TRAFFIC_BITS, knee))
-    assert at_knee == pytest.approx(float(np.mean(probs.probs[0])), rel=1e-12)
+    assert at_knee == pytest.approx(probs[0], rel=1e-12)
 
     traffic = TrafficSpec(TRAFFIC_BITS, 1.2 * knee)
     closed = pat_report_dor(traffic)

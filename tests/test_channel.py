@@ -18,15 +18,14 @@ from leolink.channel import (
     StateProbMatrix,
     afd,
     doppler_moments,
-    equal_probability_partition,
     lcr,
+    partitions,
     sr_cdf,
     sr_cdf_quadrature,
     sr_pdf,
     state_prob_matrix,
     state_probs,
     tail_mass,
-    tail_mean_gain,
 )
 from leolink.montecarlo import sample_sr_gain
 from leolink.special import NonConvergent
@@ -311,7 +310,7 @@ class TestPartition:
 
 class TestEqualProbabilityPartition:
     def test_equal_upper_masses(self):
-        part = equal_probability_partition(TABLE_FADING, 0.354, 8)
+        part = partitions(TABLE_FADING, np.array([0.354]), 8, None)[0][0]
         pi = state_probs(TABLE_FADING, part)
         upper = pi[1:]
         assert np.allclose(upper, upper[0], rtol=1e-6)
@@ -320,38 +319,36 @@ class TestEqualProbabilityPartition:
     @pytest.mark.parametrize("params", list(LOS_SETS.values()), ids=list(LOS_SETS))
     def test_line_of_sight_partition(self, params):
         f = SrFading(*params)
-        part = equal_probability_partition(f, 0.6 * math.sqrt(f.omega), 8)
+        part = partitions(f, np.array([0.6 * math.sqrt(f.omega)]), 8, None)[0][0]
         pi = state_probs(f, part)
         assert np.allclose(pi[1:], pi[1], rtol=1e-6)
         assert abs(pi.sum() - 1.0) < 1e-9
 
     def test_explicit_thresholds(self):
-        part = equal_probability_partition(
-            TABLE_FADING, 0.3, 4, upper_thresholds=[0.8, 1.2]
-        )
+        part = partitions(TABLE_FADING, np.array([0.3]), 4, [0.8, 1.2])[0][0]
         assert np.allclose(part.thresholds, [0.0, 0.3, 0.8, 1.2])
 
     def test_explicit_thresholds_wrong_count(self):
         with pytest.raises(ValueError):
-            equal_probability_partition(TABLE_FADING, 0.3, 4, upper_thresholds=[0.8])
+            partitions(TABLE_FADING, np.array([0.3]), 4, [0.8])
 
     @pytest.mark.parametrize("uppers", [[0.3, 0.9], [0.9, 0.5], [0.9, 0.9]])
     def test_explicit_thresholds_must_rise_above_first(self, uppers):
         with pytest.raises(ValueError, match=r"^upper_thresholds must rise strictly above "
                            r"the first threshold 0\.354, got \[") as err:
-            equal_probability_partition(TABLE_FADING, 0.354, 4, upper_thresholds=uppers)
+            partitions(TABLE_FADING, np.array([0.354]), 4, uppers)
         assert str(uppers) in str(err.value)
         # in a batch, the first threshold that the values do not rise above
         with pytest.raises(ValueError, match="the first threshold 0.85, got"):
-            channel._partitions(TABLE_FADING, np.array([0.2, 0.85]), 4, [0.8, 1.2])
+            partitions(TABLE_FADING, np.array([0.2, 0.85]), 4, [0.8, 1.2])
 
     def test_top_mean_gain_above_threshold(self):
-        part = equal_probability_partition(TABLE_FADING, 0.354, 8)
+        part = partitions(TABLE_FADING, np.array([0.354]), 8, None)[0][0]
         assert part.top_mean_gain > float(part.thresholds[-1]) ** 2
 
     def test_deep_tail_first_threshold(self):
         # first threshold far beyond the 1 - F float resolution
-        part = equal_probability_partition(TABLE_FADING, 11.335, 8)
+        part = partitions(TABLE_FADING, np.array([11.335]), 8, None)[0][0]
         assert np.all(np.diff(part.thresholds[1:]) > 0.0)
         masses = [
             tail_mass(TABLE_FADING, float(a) ** 2) - tail_mass(TABLE_FADING, float(b) ** 2)
@@ -361,7 +358,7 @@ class TestEqualProbabilityPartition:
         assert np.allclose(masses, masses[0], rtol=1e-6)
 
     def test_tail_mean_unconditional(self):
-        assert tail_mean_gain(TABLE_FADING, 0.0) == TABLE_FADING.mean_gain
+        assert top_mean_gain(TABLE_FADING, 0.0) == TABLE_FADING.mean_gain
 
     @pytest.mark.parametrize("params", [*ABDI_SETS.values(), *LOS_SETS.values()],
                              ids=[*ABDI_SETS, *LOS_SETS])
@@ -372,18 +369,25 @@ class TestEqualProbabilityPartition:
             mass, _ = integrate.quad(lambda y: sr_pdf(f, y), x, hi, epsabs=0, epsrel=1e-12)
             moment, _ = integrate.quad(lambda y: y * sr_pdf(f, y), x, hi, epsabs=0,
                                        epsrel=1e-12)
-            assert tail_mean_gain(f, x) == pytest.approx(moment / mass, rel=1e-9)
+            assert top_mean_gain(f, x) == pytest.approx(moment / mass, rel=1e-9)
 
     def test_tail_mean_increases(self):
-        a = tail_mean_gain(TABLE_FADING, 0.5)
-        b = tail_mean_gain(TABLE_FADING, 2.0)
+        a = top_mean_gain(TABLE_FADING, 0.5)
+        b = top_mean_gain(TABLE_FADING, 2.0)
         assert TABLE_FADING.mean_gain < a < b
 
     def test_tail_mean_above_infinity_is_refused(self):
-        # no mass lies above an infinite gain: refused, alone or among others
-        for x in (math.inf, np.array([1.0, math.inf])):
+        # no mass lies above an infinite gain: a top threshold pinned there
+        # is refused, alone or among others
+        for firsts in ([math.inf], [1.0, math.inf]):
             with pytest.raises(ValueError, match="no resolvable tail mass above x=inf"):
-                tail_mean_gain(TABLE_FADING, x)
+                partitions(TABLE_FADING, np.array(firsts), 2, [])
+
+
+def top_mean_gain(fading: SrFading, x: float) -> float:
+    """E[G | G >= x]: the top mean gain of the two-state partition whose
+    one threshold, the first, is pinned at amplitude sqrt(x)."""
+    return partitions(fading, np.array([math.sqrt(x)]), 2, [])[0][0].top_mean_gain
 
 
 # The partition solve's bracket tolerance, as find_root takes it.
@@ -426,7 +430,7 @@ def recorded_solve(monkeypatch, fading, first):
     with monkeypatch.context() as patched:
         patched.setattr(channel, "_tail_quantiles", recorded)
         patched.setattr(channel, "_poisson_sum", counted)
-        equal_probability_partition(fading, first, 8)
+        partitions(fading, np.array([first]), 8, None)
     assert len(solves) == 1
     return (*solves[0], len(steps))
 
@@ -486,7 +490,7 @@ class TestBrentq:
             patched.setattr(channel, "_poisson_sum",
                             lambda *terms: [np.full(len(y), math.nan) for _, y in terms])
             with pytest.raises(NonConvergent, match="NaN at a bracket end"):
-                equal_probability_partition(TABLE_FADING, 0.354, 8)
+                partitions(TABLE_FADING, np.array([0.354]), 8, None)
         poisson_sum = channel._poisson_sum
 
         def nan_steps(*terms):
@@ -497,13 +501,13 @@ class TestBrentq:
 
         monkeypatch.setattr(channel, "_poisson_sum", nan_steps)
         with pytest.raises(NonConvergent, match="NaN at gains \\["):
-            equal_probability_partition(TABLE_FADING, 0.354, 8)
+            partitions(TABLE_FADING, np.array([0.354]), 8, None)
 
     def test_iteration_cap_raises_nonconvergent(self, monkeypatch):
         # the reference partition takes 2 steps: capped at 1, it gives up
         monkeypatch.setattr(channel, "_ROOT_MAXITER", 1)
         with pytest.raises(NonConvergent, match="within 1 steps"):
-            equal_probability_partition(TABLE_FADING, 0.354, 8)
+            partitions(TABLE_FADING, np.array([0.354]), 8, None)
 
     @pytest.mark.parametrize("params", [*ABDI_SETS.values(), REFERENCE, (2.0, 0.2, 0.5),
                                         *LOS_SETS.values()],
@@ -536,7 +540,7 @@ class TestBrentq:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="no resolvable probability mass"):
-                equal_probability_partition(TABLE_FADING, math.inf, 8)
+                partitions(TABLE_FADING, np.array([math.inf]), 8, None)
 
     def test_start_outside_its_segment_is_refused(self):
         # a slope far too steep at the lower knot carries the interpolant
@@ -579,7 +583,7 @@ class TestBrentq:
         monkeypatch.setattr(channel, "_poisson_sum",
                             lambda *terms: [np.ones(len(y)) for _, y in terms])
         with pytest.raises(ArithmeticError, match="tail quantile search diverged"):
-            equal_probability_partition(TABLE_FADING, 0.354, 8)
+            partitions(TABLE_FADING, np.array([0.354]), 8, None)
 
     def test_slope_only_steers(self, monkeypatch):
         # an error e in the density moves a step by e of itself, and the
@@ -730,10 +734,10 @@ class TestRowIndependence:
         # every call, they give the same partitions and probabilities
         fading = SrFading(*PROPERTY_SETS[name])
         firsts = np.array([0.3, 0.6]) * math.sqrt(fading.mean_gain)
-        kept, kept_pi = channel._partitions(fading, firsts, 8, None)
+        kept, kept_pi = partitions(fading, firsts, 8, None)
         monkeypatch.setattr(channel, "_KEEP", 0)
         for part, pi, first in zip(kept, kept_pi, firsts):
-            (fresh,), fresh_pi = channel._partitions(fading, np.array([first]), 8, None)
+            (fresh,), fresh_pi = partitions(fading, np.array([first]), 8, None)
             assert part.thresholds.tolist() == fresh.thresholds.tolist()
             assert part.top_mean_gain == fresh.top_mean_gain
             assert pi.tolist() == fresh_pi[0].tolist()
@@ -760,7 +764,7 @@ class TestRowIndependence:
             cases.append((fading, np.array(scale) * math.sqrt(fading.mean_gain)))
 
         def solve(fading, firsts):
-            parts, pi = channel._partitions(fading, firsts, 8, None)
+            parts, pi = partitions(fading, firsts, 8, None)
             return [(p.thresholds.tolist(), p.top_mean_gain) for p in parts], pi.tolist()
 
         in_turn = [solve(*case) for case in cases]
@@ -795,10 +799,10 @@ class TestRowIndependence:
     def test_batched_partition_matches_single(self, name, scale, repeat, n_states):
         fading = SrFading(*PROPERTY_SETS[name])
         firsts = np.array(scale + scale[:1] * repeat) * math.sqrt(fading.mean_gain)
-        parts, pi = channel._partitions(fading, firsts, n_states, None)
+        parts, pi = partitions(fading, firsts, n_states, None)
         assert len(parts) == len(firsts) and pi.shape == (len(firsts), n_states)
         for first, part, row in zip(firsts, parts, pi):
-            (alone,), alone_pi = channel._partitions(fading, np.array([first]), n_states, None)
+            (alone,), alone_pi = partitions(fading, np.array([first]), n_states, None)
             assert part.thresholds.tolist() == alone.thresholds.tolist()
             assert part.top_mean_gain == alone.top_mean_gain
             assert row.tolist() == alone_pi[0].tolist()
@@ -876,6 +880,10 @@ class TestLcr:
         with pytest.raises(ValueError):
             lcr(TABLE_FADING, TABLE_DOPPLER, 0.0)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="^r_th must be > 0, got nan$"):
+            lcr(TABLE_FADING, TABLE_DOPPLER, math.nan)
+
     def test_linear_in_scatter_doppler(self):
         # b1 ~ f and b2 ~ f^2 leave the series factors unchanged, so the
         # crossing rate recomputed at 2f must be exactly twice the rate at f.
@@ -944,31 +952,40 @@ class TestLcr:
             assert lcr(fading, dop, r) == pytest.approx(want, rel=1e-9)
 
 
+def fade_durations(r) -> np.ndarray:
+    """afd at the amplitudes r, with the masses below them from sr_cdf."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    return afd(TABLE_FADING, TABLE_DOPPLER, r, sr_cdf(TABLE_FADING, r * r))
+
+
 class TestAfd:
     def test_componentwise(self):
-        lam = afd(TABLE_FADING, TABLE_DOPPLER, 0.3)
+        (lam,) = fade_durations(0.3)
         want = sr_cdf(TABLE_FADING, 0.09) / lcr(TABLE_FADING, TABLE_DOPPLER, 0.3)
         assert lam == pytest.approx(want, rel=1e-12)
 
     def test_positive(self):
         for r in [0.1, 0.3, 1.0, 2.5]:
-            assert afd(TABLE_FADING, TABLE_DOPPLER, r) > 0.0
+            assert fade_durations(r)[0] > 0.0
 
     def test_underflow_is_infinite(self):
         # exp(-r^2/b0) underflows: crossing rate is numerically zero
         assert lcr(TABLE_FADING, TABLE_DOPPLER, 12.0) == 0.0
-        assert afd(TABLE_FADING, TABLE_DOPPLER, 12.0) == math.inf
+        assert fade_durations(12.0)[0] == math.inf
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
-            afd(TABLE_FADING, TABLE_DOPPLER, 0.0)
-        with pytest.raises(ValueError):
-            afd(TABLE_FADING, TABLE_DOPPLER, np.array([0.3, 0.0]))
+            fade_durations(0.0)
+        with pytest.raises(ValueError, match="^r_th must be > 0, got 0.0$"):
+            fade_durations([0.3, 0.0])
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="^r_th must be > 0, got nan$"):
+            afd(TABLE_FADING, TABLE_DOPPLER, np.array([0.3, math.nan]), np.array([0.1, 0.1]))
 
     def test_many_thresholds_match_one_at_a_time(self):
         r = np.array([2.5, 0.1, 0.3, 0.1])
-        assert afd(TABLE_FADING, TABLE_DOPPLER, r).tolist() == [
-            afd(TABLE_FADING, TABLE_DOPPLER, float(v)) for v in r]
+        assert fade_durations(r).tolist() == [fade_durations(v)[0] for v in r]
 
     def test_underflow_among_many_is_infinite(self):
         # one pass over finite and underflowing amplitudes, entry for entry
@@ -976,8 +993,8 @@ class TestAfd:
         r = np.array([0.3, 12.0, 2.5, 13.0, 0.3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = afd(TABLE_FADING, TABLE_DOPPLER, r)
-            alone = [afd(TABLE_FADING, TABLE_DOPPLER, float(v)) for v in r]
+            lam = fade_durations(r)
+            alone = [fade_durations(v)[0] for v in r]
         assert lam.tolist() == alone
         assert np.isinf(lam).tolist() == [False, True, False, True, False]
 
@@ -985,4 +1002,4 @@ class TestAfd:
         # no resolvable mass below the amplitude: lambda is undefined too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert afd(TABLE_FADING, TABLE_DOPPLER, 1e-300) == math.inf
+            assert fade_durations(1e-300)[0] == math.inf

@@ -194,14 +194,14 @@ class TestSweep:
                                                    n_partitions):
         # partitions built, and one solve for all points of equal fading
         built, solves = [], []
-        build = channel._partitions
+        build = channel.partitions
 
         def counted(fading, first, *args):
             built.extend(first)
             solves.append(fading)
             return build(fading, first, *args)
 
-        monkeypatch.setattr(channel, "_partitions", counted)
+        monkeypatch.setattr(channel, "partitions", counted)
         scn = parse_scenario((SCENARIO_DIR / base).read_text())
         sweep = parse_sweep(spec)
         _, rows = pipeline.run_sweep(scn, sweep)

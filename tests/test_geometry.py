@@ -272,6 +272,44 @@ class TestTimelineInvariants:
             )
 
 
+class TestValueChecks:
+    """Every value check rejects NaN, with the message it gives a value out
+    of range."""
+
+    @pytest.mark.parametrize("field, message", [
+        ("earth_radius_m", "earth_radius_m must be > 0, got nan"),
+        ("orbit_height_m", "orbit_height_m must be > 0, got nan"),
+        ("coverage_radius_m", "coverage_radius_m must be > 0, got nan"),
+        ("half_track_m", "half_track_m must be > 0, got nan"),
+        ("sat_speed_ms", "sat_speed_ms must be > 0, got nan"),
+        ("terminal_offset_m", "terminal_offset_m must be >= 0, got nan"),
+    ], ids=["earth_radius", "orbit_height", "coverage_radius", "half_track", "sat_speed",
+            "terminal_offset"])
+    def test_pass_geometry_rejects_nan(self, field, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_geo(**{field: math.nan})
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: build_timeline(make_geo(), math.nan), "slot_len_s must be > 0, got nan"),
+        (lambda: slot_brackets([make_geo(), make_geo()], [1.0, math.nan]),
+         "slot_len_s must be > 0, got nan"),
+        (lambda: PassTimeline(service_time_s=2.0, slot_len_s=1.0, n_slots=math.nan,
+                              slot_dist_min=np.ones(2), slot_dist_max=np.ones(2)),
+         "n_slots must be >= 1, got nan"),
+        (lambda: PassTimeline(service_time_s=2.0, slot_len_s=1.0, n_slots=2,
+                              slot_dist_min=np.array([math.nan, 1.0]),
+                              slot_dist_max=np.ones(2)),
+         "slot_dist_min must not exceed slot_dist_max"),
+        (lambda: half_track_from_plane(6371e3, math.nan), "sats_per_plane must be >= 1, got nan"),
+        (lambda: circular_orbit_speed(math.nan, 500e3), "earth_radius_m must be > 0, got nan"),
+        (lambda: circular_orbit_speed(6371e3, math.nan), "orbit_height_m must be > 0, got nan"),
+    ], ids=["build_timeline", "slot_brackets", "timeline_slots", "timeline_distances",
+            "sats_per_plane", "orbit_earth_radius", "orbit_height"])
+    def test_functions_reject_nan(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
 class TestHelpers:
     def test_half_track_from_plane(self):
         assert half_track_from_plane(6371e3, 40) == pytest.approx(

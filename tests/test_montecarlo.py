@@ -14,9 +14,8 @@ from leolink.channel import (
     GainPartition,
     SrFading,
     afd,
-    equal_probability_partition,
+    partitions,
     sr_cdf,
-    state_prob_matrix,
     state_probs,
 )
 from leolink.geometry import (
@@ -78,24 +77,23 @@ def timeline():
     return build_timeline(GEO, 1.0)
 
 
+def solve(first: float):
+    """The 8-state partition above first, its state probabilities and the
+    mean wait at first, by the pipeline's route."""
+    (part,), pi = partitions(FADING, np.array([first]), 8, None)
+    return part, pi[0], afd(FADING, DOPPLER, np.array([first]), pi[:, 0])[0]
+
+
 @pytest.fixture(scope="module")
 def rat_setup(timeline):
     rat = RatConfig(tx_power_w=1000.0, min_snr=1.0)
-    mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-    part = equal_probability_partition(FADING, mu1, 8)
-    probs = state_prob_matrix(FADING, part, timeline.n_slots)
-    lam = afd(FADING, DOPPLER, mu1)
-    return rat, part, probs, lam
+    return (rat, *solve(rat_first_threshold(BUDGET, rat, D_MAX)))
 
 
 @pytest.fixture(scope="module")
 def pat_setup(timeline):
     pat = PatConfig(max_power_w=1000.0, fixed_rate_bps=60e6)
-    u1 = pat_first_threshold(BUDGET, pat, D_MAX)
-    part = equal_probability_partition(FADING, u1, 8)
-    probs = state_prob_matrix(FADING, part, timeline.n_slots)
-    lam = afd(FADING, DOPPLER, u1)
-    return pat, part, probs, lam
+    return (pat, *solve(pat_first_threshold(BUDGET, pat, D_MAX)))
 
 
 def set_cores(monkeypatch, n: int) -> None:
@@ -393,8 +391,8 @@ class TestSimulateDor:
 
     def test_pat_below_knee_exact(self, timeline):
         pat = PatConfig(max_power_w=1000.0, fixed_rate_bps=60e6)
-        u1 = pat_first_threshold(BUDGET, pat, D_MAX)
-        part = equal_probability_partition(FADING, u1, 8)
+        part = partitions(FADING, np.array([pat_first_threshold(BUDGET, pat, D_MAX)]), 8,
+                          None)[0][0]
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=5e-3)
         cfg = SimConfig(n_samples=5_000, seed=4)
         res = simulate(GEO, timeline, FADING, part, BUDGET, pat, traffic, 80.0, cfg)
@@ -403,10 +401,7 @@ class TestSimulateDor:
     @pytest.mark.parametrize("p_dbw,t_th", [(30.0, 1e-3), (50.0, 1e-3), (50.0, 9e-3)])
     def test_rat_matches_closed_form(self, timeline, p_dbw, t_th):
         rat = RatConfig(tx_power_w=10.0 ** (p_dbw / 10.0), min_snr=1.0)
-        mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-        part = equal_probability_partition(FADING, mu1, 8)
-        probs = state_prob_matrix(FADING, part, timeline.n_slots)
-        lam = afd(FADING, DOPPLER, mu1)
+        part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
         closed = rat_report(BUDGET, rat, part, timeline, probs, traffic, lam).dor
         cfg = SimConfig(n_samples=100_000, seed=77)
@@ -422,7 +417,7 @@ class TestSimulateDor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, 1e26, cfg)
-        p1 = probs.probs[0, 0]
+        p1 = probs[0]
         assert res.dor >= p1 - 4.0 * math.sqrt(p1 * (1.0 - p1) / cfg.n_samples)
 
     def test_rejects_unbounded_wait(self, timeline, rat_setup):
@@ -606,3 +601,7 @@ class TestSimResultValidation:
     def test_sim_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_samples=0, seed=1)
+
+    def test_sim_config_rejects_nan(self):
+        with pytest.raises(ValueError, match="^n_samples must be >= 1, got nan$"):
+            SimConfig(n_samples=math.nan, seed=1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from leolink import channel, pipeline
-from leolink.channel import SrFading, afd, state_probs, tail_mean_gain
+from leolink.channel import SrFading, afd, partitions, sr_cdf, state_probs
 from leolink.geometry import build_timeline
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
 
@@ -117,8 +117,10 @@ SETS = {**ABDI_SETS, "reference": (10.1, 0.126, 0.825), **LOS_SETS}
 
 class TestSharedValues:
     """prepare() takes the state probabilities, the top mean gain and the
-    fade duration from values its solve shares; each equals the public
-    function's own, bit for bit."""
+    fade duration from values its solve shares; each equals the value of
+    its own public call, bit for bit: state_probs of the partition, the top
+    mean gain of a two-state partition pinned at the top threshold, and
+    afd with the mass from sr_cdf."""
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["equal-mass", "pinned"])
     @pytest.mark.parametrize("params", list(SETS.values()), ids=list(SETS))
@@ -133,10 +135,13 @@ class TestSharedValues:
         if pinned:
             assert part.thresholds[2:].tolist() == list(scn.upper_thresholds)
         assert parts.probs.probs[:, 0].tolist() == state_probs(scn.fading, part).tolist()
-        assert part.top_mean_gain == tail_mean_gain(scn.fading, part.thresholds[-1] ** 2)
+        (top,), _ = partitions(scn.fading, part.thresholds[-1:], 2, [])
+        assert part.top_mean_gain == top.top_mean_gain
         # the crossing-rate series runs at this first threshold on every set
         # (on line-of-sight sets it underflows to 0 there, and lambda is inf)
-        assert parts.lam_s == afd(scn.fading, scn.doppler, parts.first_threshold)
+        first = np.array([parts.first_threshold])
+        assert parts.lam_s == afd(scn.fading, scn.doppler, first,
+                                  sr_cdf(scn.fading, first * first))[0]
 
 
 def test_line_of_sight_validate_warns_nothing():

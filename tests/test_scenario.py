@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -156,6 +157,15 @@ class TestUnits:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field, message", [
+        ("slot_len_s", "slot_len_s must be > 0, got nan"),
+        ("n_states", "n_states must be >= 2, got nan"),
+    ], ids=["slot_len", "n_states"])
+    def test_scenario_rejects_nan(self, field, message):
+        scn = parse_scenario(MINIMAL)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(scn, **{field: math.nan})
+
     def test_small_m_names_key(self):
         with pytest.raises(ValidationError) as err:
             parse_scenario(MINIMAL.replace("m = 2", "m = 0.2"))

@@ -7,16 +7,7 @@ import pytest
 from leolink import schemes
 from leolink.pipeline import prepare, run_analyze
 from leolink.scenario import apply_sweep_value, parse_scenario
-from leolink.channel import (
-    DopplerSpec,
-    SrFading,
-    StateProbMatrix,
-    afd,
-    equal_probability_partition,
-    state_prob_matrix,
-    state_probs,
-    tail_mass,
-)
+from leolink.channel import DopplerSpec, SrFading, afd, partitions, state_probs, tail_mass
 from leolink.geometry import PassGeometry, PassTimeline, build_timeline, distance_range, service_duration
 from leolink.schemes import (
     DimensionMismatch,
@@ -26,8 +17,6 @@ from leolink.schemes import (
     SchemeReport,
     TrafficSpec,
     ZeroPower,
-    _pat_power_grids,
-    _rat_rate_grids,
     pat_dor_integral,
     pat_first_threshold,
     pat_report,
@@ -92,6 +81,24 @@ def dbw(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
+def solve(first: float, n_states: int = 8):
+    """The partition above first, its state probabilities and the mean wait
+    at first, by the pipeline's route: one partition solve, and the fade
+    duration with the mass below first that the solve gives."""
+    (part,), pi = partitions(FADING, np.array([first]), n_states, None)
+    return part, pi[0], afd(FADING, DOPPLER, np.array([first]), pi[:, 0])[0]
+
+
+def rate_grids(budget, rat, part, tl):
+    """The (K, N) lower and upper data-rate grids of one point."""
+    return schemes._rat_grids(schemes._Points.one(budget, rat, part, tl))[:, 0]
+
+
+def power_grids(budget, pat, part, tl):
+    """The (K, N) lower and upper transmit-power grids of one point."""
+    return schemes._pat_grids(schemes._Points.one(budget, pat, part, tl))[:, 0]
+
+
 @pytest.fixture(scope="module")
 def timeline():
     return build_timeline(GEO, 1.0)
@@ -100,29 +107,21 @@ def timeline():
 @pytest.fixture(scope="module")
 def rat_setup(timeline):
     rat = RatConfig(tx_power_w=dbw(30.0), min_snr=1.0)
-    mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-    part = equal_probability_partition(FADING, mu1, 8)
-    probs = state_prob_matrix(FADING, part, timeline.n_slots)
-    lam = afd(FADING, DOPPLER, mu1)
-    return rat, part, probs, lam
+    return (rat, *solve(rat_first_threshold(BUDGET, rat, D_MAX)))
 
 
 @pytest.fixture(scope="module")
 def pat_setup(timeline):
     pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=60e6)
-    u1 = pat_first_threshold(BUDGET, pat, D_MAX)
-    part = equal_probability_partition(FADING, u1, 8)
-    probs = state_prob_matrix(FADING, part, timeline.n_slots)
-    lam = afd(FADING, DOPPLER, u1)
-    return pat, part, probs, lam
+    return (pat, *solve(pat_first_threshold(BUDGET, pat, D_MAX)))
 
 
 def single_slot_setup(n_states: int = 4, tx_power_w: float = dbw(30.0)):
     t_s = service_duration(GEO)
     tl = build_timeline(GEO, t_s)
     rat = RatConfig(tx_power_w=tx_power_w, min_snr=1.0)
-    mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-    part = equal_probability_partition(FADING, mu1, n_states)
+    part = partitions(FADING, np.array([rat_first_threshold(BUDGET, rat, D_MAX)]), n_states,
+                      None)[0][0]
     return tl, rat, part
 
 
@@ -169,12 +168,12 @@ def spectral_efficiency(rate_bps):
 class TestRatSnrBounds:
     def test_bottom_state_is_silent(self, timeline, rat_setup):
         rat, part, _, _ = rat_setup
-        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, timeline)
+        rate_lo, rate_hi = rate_grids(BUDGET, rat, part, timeline)
         assert not rate_lo[0].any() and not rate_hi[0].any()
 
     def test_ordering(self, timeline, rat_setup):
         rat, part, _, _ = rat_setup
-        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, timeline)
+        rate_lo, rate_hi = rate_grids(BUDGET, rat, part, timeline)
         assert np.all(rate_lo <= rate_hi)
         # each state's lower edge is the state below's upper gain edge
         assert np.all(rate_lo[1:-1] < rate_lo[2:])
@@ -182,7 +181,7 @@ class TestRatSnrBounds:
     def test_single_slot_hand_evaluation(self):
         tl, rat, part = single_slot_setup()
         assert tl.n_slots == 1
-        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, tl)
+        rate_lo, rate_hi = rate_grids(BUDGET, rat, part, tl)
         # slot max equals d_max here, so the state-2 lower SNR is exactly
         # gamma_min; the upper edge pairs mu_2^2 with the overhead range H.
         assert spectral_efficiency(rate_lo[1, 0]) == pytest.approx(1.0, rel=1e-9)
@@ -196,7 +195,7 @@ class TestRatSnrBounds:
     def test_rows_match_per_state_formula(self, timeline, rat_setup):
         # the one-broadcast grid equals a state-by-state evaluation bit for bit
         rat, part, _, _ = rat_setup
-        rate_lo, rate_hi = _rat_rate_grids(BUDGET, rat, part, timeline)
+        rate_lo, rate_hi = rate_grids(BUDGET, rat, part, timeline)
         scale = rat.tx_power_w / SIGMA2
         gains_hi = [*(part.thresholds[2:] ** 2), part.top_mean_gain]
         for k in range(1, part.n_states):
@@ -208,7 +207,7 @@ class TestRatSnrBounds:
     def test_index_errors(self, timeline, rat_setup):
         # one row per state and one column per slot, and no cell outside them
         rat, part, _, _ = rat_setup
-        for grid in _rat_rate_grids(BUDGET, rat, part, timeline):
+        for grid in rate_grids(BUDGET, rat, part, timeline):
             assert grid.shape == (part.n_states, timeline.n_slots)
             with pytest.raises(IndexError):
                 grid[part.n_states, 0]
@@ -221,12 +220,11 @@ class TestRatThroughput:
         # mass moved into the bottom state carries no throughput: halving
         # every other state's share halves both bounds
         rat, part, probs, _ = rat_setup
-        half = probs.probs.copy()
+        half = probs.copy()
         half[1:] /= 2.0
-        half[0] = 1.0 - half[1:].sum(axis=0)
+        half[0] = 1.0 - half[1:].sum()
         lo, hi = rat_report_throughput(rat, part, timeline, probs)
-        half_lo, half_hi = rat_report_throughput(
-            rat, part, timeline, StateProbMatrix(probs=half))
+        half_lo, half_hi = rat_report_throughput(rat, part, timeline, half)
         assert half_lo == pytest.approx(lo / 2.0, rel=1e-12)
         assert half_hi == pytest.approx(hi / 2.0, rel=1e-12)
 
@@ -235,19 +233,28 @@ class TestRatThroughput:
         lo, hi = rat_report_throughput(rat, part, timeline, probs)
         assert 0.0 < lo <= hi < math.inf
 
-    def test_dimension_mismatch(self, timeline, rat_setup):
+    def test_dimension_mismatch(self, timeline, rat_setup, pat_setup):
+        # one probability per state, or the report is refused
         rat, part, _, _ = rat_setup
-        bad = StateProbMatrix(probs=np.full((part.n_states, 3), 1.0 / part.n_states))
+        pat = pat_setup[0]
+        for k in (part.n_states - 1, part.n_states + 1):
+            bad = np.full(k, 1.0 / k)
+            with pytest.raises(DimensionMismatch, match=rf"^state probabilities have shape "
+                               rf"\({k},\), expected \({part.n_states},\)$"):
+                rat_report(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
+            with pytest.raises(DimensionMismatch):
+                pat_report(BUDGET, pat, part, timeline, bad, TRAFFIC, 1.0)
+            with pytest.raises(DimensionMismatch):
+                rat_dor_integral(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
         with pytest.raises(DimensionMismatch):
-            rat_report(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
+            rat_report(BUDGET, rat, part, timeline, np.full((part.n_states, 2), 0.5), TRAFFIC,
+                       1.0)
 
     def test_monotone_in_power(self, timeline):
         prev_lo = prev_hi = 0.0
         for p_dbw in [24.0, 30.0, 36.0, 42.0]:
             rat = RatConfig(tx_power_w=dbw(p_dbw), min_snr=1.0)
-            mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-            part = equal_probability_partition(FADING, mu1, 8)
-            probs = state_prob_matrix(FADING, part, timeline.n_slots)
+            part, probs, _ = solve(rat_first_threshold(BUDGET, rat, D_MAX))
             lo, hi = rat_report_throughput(rat, part, timeline, probs)
             assert lo >= prev_lo and hi >= prev_hi
             prev_lo, prev_hi = lo, hi
@@ -262,9 +269,7 @@ class TestRatThroughput:
             )
             tl = build_timeline(geo, 1.0)
             d_max = distance_range(geo)[1]
-            mu1 = rat_first_threshold(BUDGET, rat, d_max)
-            part = equal_probability_partition(FADING, mu1, 8)
-            probs = state_prob_matrix(FADING, part, tl.n_slots)
+            part, probs, _ = solve(rat_first_threshold(BUDGET, rat, d_max))
             lo, hi = rat_report_throughput(rat, part, tl, probs)
             assert lo <= prev_lo and hi <= prev_hi
             prev_lo, prev_hi = lo, hi
@@ -274,33 +279,28 @@ class TestRatPowerAndEe:
     def test_all_waiting(self):
         # two states, all mass in the bottom one: nothing is ever sent
         tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
-        probs = StateProbMatrix(probs=np.array([[1.0], [0.0]]))
+        probs = np.array([1.0, 0.0])
         with pytest.raises(ZeroPower):
             rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
 
     def test_always_transmitting(self, timeline):
         rat = RatConfig(tx_power_w=500.0, min_snr=1.0)
-        part = equal_probability_partition(FADING, rat_first_threshold(BUDGET, rat, D_MAX), 2)
-        probs = StateProbMatrix(
-            probs=np.vstack([np.zeros((1, timeline.n_slots)), np.ones(timeline.n_slots)])
-        )
+        part = partitions(FADING, np.array([rat_first_threshold(BUDGET, rat, D_MAX)]), 2,
+                          None)[0][0]
+        probs = np.array([0.0, 1.0])
         rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, 1.0)
         assert rep.avg_power_lo_w == pytest.approx(500.0, rel=1e-12)
 
     def test_mixed_column(self):
         tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
-        probs = StateProbMatrix(probs=np.array([[0.3], [0.7]]))
+        probs = np.array([0.3, 0.7])
         rep = rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
         assert rep.avg_power_lo_w == pytest.approx(0.7 * 500.0, rel=1e-12)
 
     def test_zero_power_guard(self, timeline, rat_setup):
         rat, part, _, lam = rat_setup
-        silent = StateProbMatrix(
-            probs=np.vstack([
-                np.ones(timeline.n_slots),
-                np.zeros((part.n_states - 1, timeline.n_slots)),
-            ])
-        )
+        silent = np.zeros(part.n_states)
+        silent[0] = 1.0
         with pytest.raises(ZeroPower):
             rat_report(BUDGET, rat, part, timeline, silent, TRAFFIC, lam)
 
@@ -353,10 +353,7 @@ class TestRatDor:
     @pytest.mark.parametrize("t_th", [2e-4, 5e-4, 1e-3, 8e-3, 1.2e-2])
     def test_closed_form_equals_time_integral(self, timeline, p_dbw, t_th):
         rat = RatConfig(tx_power_w=dbw(p_dbw), min_snr=1.0)
-        mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-        part = equal_probability_partition(FADING, mu1, 8)
-        probs = state_prob_matrix(FADING, part, timeline.n_slots)
-        lam = afd(FADING, DOPPLER, mu1)
+        part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
         closed = rat_report_dor(rat, part, timeline, probs, traffic, lam)
         integral = rat_dor_integral(BUDGET, rat, part, timeline, probs, traffic, lam)
@@ -366,10 +363,7 @@ class TestRatDor:
         # 50 dBW pushes top-state deliveries under 1 ms while a 12 ms budget
         # also arms the waiting-period branch
         rat = RatConfig(tx_power_w=dbw(50.0), min_snr=1.0)
-        mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-        part = equal_probability_partition(FADING, mu1, 8)
-        probs = state_prob_matrix(FADING, part, timeline.n_slots)
-        lam = afd(FADING, DOPPLER, mu1)
+        part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
         short = rat_report_dor(rat, part, timeline, probs, TrafficSpec(500e3, 1e-3), lam)
         assert 0.0 < short < 1.0
 
@@ -403,10 +397,10 @@ class TestRatReport:
         assert len(grids) == 1
         rate_lo, rate_hi = grids[0][:, 0]
         assert (rate_lo.tolist(), rate_hi.tolist()) == tuple(
-            grid.tolist() for grid in _rat_rate_grids(BUDGET, rat, part, timeline))
+            grid.tolist() for grid in rate_grids(BUDGET, rat, part, timeline))
         n = timeline.n_slots
-        assert rep.throughput_lo_bps == float(np.sum(probs.probs * rate_lo)) / n
-        assert rep.throughput_hi_bps == float(np.sum(probs.probs * rate_hi)) / n
+        assert rep.throughput_lo_bps == float(np.sum(probs[:, None] * rate_lo)) / n
+        assert rep.throughput_hi_bps == float(np.sum(probs[:, None] * rate_hi)) / n
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -438,12 +432,12 @@ class TestPatFirstThreshold:
 class TestPatPowerBounds:
     def test_bottom_state_is_silent(self, timeline, pat_setup):
         pat, part, _, _ = pat_setup
-        power_lo, power_hi = _pat_power_grids(BUDGET, pat, part, timeline)
+        power_lo, power_hi = power_grids(BUDGET, pat, part, timeline)
         assert not power_lo[0].any() and not power_hi[0].any()
 
     def test_ordering(self, timeline, pat_setup):
         pat, part, _, _ = pat_setup
-        power_lo, power_hi = _pat_power_grids(BUDGET, pat, part, timeline)
+        power_lo, power_hi = power_grids(BUDGET, pat, part, timeline)
         assert np.all((0.0 <= power_lo) & (power_lo <= power_hi)
                       & (power_hi <= pat.max_power_w))
 
@@ -454,13 +448,13 @@ class TestPatPowerBounds:
         tl = build_timeline(GEO, t_s)
         pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=60e6)
         u1 = pat_first_threshold(BUDGET, pat, D_MAX)
-        part = equal_probability_partition(FADING, u1, 4)
-        _, power_hi = _pat_power_grids(BUDGET, pat, part, tl)
+        part = partitions(FADING, np.array([u1]), 4, None)[0][0]
+        _, power_hi = power_grids(BUDGET, pat, part, tl)
         assert power_hi[1, 0] == pytest.approx(pat.max_power_w, rel=1e-12)
 
     def test_top_state_lower_bound_is_zero(self, timeline, pat_setup):
         pat, part, _, _ = pat_setup
-        power_lo, power_hi = _pat_power_grids(BUDGET, pat, part, timeline)
+        power_lo, power_hi = power_grids(BUDGET, pat, part, timeline)
         assert not power_lo[-1].any()
         assert np.all(power_hi[-1] > 0.0)
 
@@ -478,7 +472,7 @@ class TestPatPowerBounds:
         snr_needed = 2.0 ** (scn.pat.fixed_rate_bps / scn.budget.bandwidth_hz) - 1.0
         base = scn.budget.noise_power_w * snr_needed * p.timeline.slot_dist_max**2.0
         cap = scn.pat.max_power_w
-        power_lo, power_hi = _pat_power_grids(scn.budget, scn.pat, p.partition, p.timeline)
+        power_lo, power_hi = power_grids(scn.budget, scn.pat, p.partition, p.timeline)
         for k in range(1, p.partition.n_states):
             assert np.array_equal(power_hi[k], np.minimum(base / gains[k], cap))
             if k + 1 < p.partition.n_states:
@@ -487,7 +481,7 @@ class TestPatPowerBounds:
     def test_index_errors(self, timeline, pat_setup):
         # one row per state and one column per slot, and no cell outside them
         pat, part, _, _ = pat_setup
-        for grid in _pat_power_grids(BUDGET, pat, part, timeline):
+        for grid in power_grids(BUDGET, pat, part, timeline):
             assert grid.shape == (part.n_states, timeline.n_slots)
             with pytest.raises(IndexError):
                 grid[part.n_states, 0]
@@ -498,7 +492,7 @@ class TestPatPowerBounds:
 class TestTwoStates:
     # One slot at the envelope distance, so the state-2 lower edge sits
     # exactly at the scheme's first threshold; 30% of the mass waits.
-    PROBS = StateProbMatrix(probs=np.array([[0.3], [0.7]]))
+    PROBS = np.array([0.3, 0.7])
     TRAFFIC = TrafficSpec(packet_bits=500e3, delay_threshold_s=20e-3)
     LAM = 0.01
 
@@ -523,7 +517,8 @@ class TestTwoStates:
     def test_pat_hand_values(self):
         tl = single_slot_setup()[0]
         pat = PatConfig(max_power_w=500.0, fixed_rate_bps=60e6)
-        part = equal_probability_partition(FADING, pat_first_threshold(BUDGET, pat, D_MAX), 2)
+        part = partitions(FADING, np.array([pat_first_threshold(BUDGET, pat, D_MAX)]), 2,
+                          None)[0][0]
         rep = pat_report(BUDGET, pat, part, tl, self.PROBS, self.TRAFFIC, self.LAM)
         assert rep.throughput_lo_bps == rep.throughput_hi_bps == pytest.approx(0.7 * 60e6,
                                                                               rel=1e-12)
@@ -548,7 +543,7 @@ class TestPatReport:
         knee = 500e3 / pat.fixed_rate_bps
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=knee)
         rep = pat_report(BUDGET, pat, part, timeline, probs, traffic, lam)
-        assert rep.dor == pytest.approx(float(np.mean(probs.probs[0])), rel=1e-12)
+        assert rep.dor == pytest.approx(probs[0], rel=1e-12)
 
     def test_above_knee_decays(self, timeline, pat_setup):
         pat, part, probs, lam = pat_setup
@@ -574,19 +569,15 @@ class TestPatReport:
     def test_throughput_single_valued(self, timeline, pat_setup):
         pat, part, probs, lam = pat_setup
         rep = pat_report(BUDGET, pat, part, timeline, probs, TRAFFIC, lam)
-        want = pat.fixed_rate_bps * float(np.mean(1.0 - probs.probs[0]))
+        want = pat.fixed_rate_bps * (1.0 - probs[0])
         assert rep.throughput_lo_bps == rep.throughput_hi_bps == pytest.approx(
             want, rel=1e-12
         )
 
     def test_zero_power_guard(self, timeline, pat_setup):
         pat, part, _, lam = pat_setup
-        silent = StateProbMatrix(
-            probs=np.vstack([
-                np.ones(timeline.n_slots),
-                np.zeros((part.n_states - 1, timeline.n_slots)),
-            ])
-        )
+        silent = np.zeros(part.n_states)
+        silent[0] = 1.0
         with pytest.raises(ZeroPower):
             pat_report(BUDGET, pat, part, timeline, silent, TRAFFIC, lam)
 
@@ -595,11 +586,10 @@ class TestPatReport:
         # magnitude into the tail; the report must still assemble, with the
         # outage dominated by the waiting state
         pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=600e6)
-        u1 = pat_first_threshold(BUDGET, pat, D_MAX)
-        part = equal_probability_partition(FADING, u1, 8)
-        probs = state_prob_matrix(FADING, part, timeline.n_slots)
+        (part,), probs = partitions(FADING, np.array([pat_first_threshold(BUDGET, pat, D_MAX)]),
+                                    8, None)
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e-3)
-        rep = pat_report(BUDGET, pat, part, timeline, probs, traffic, lam_s=1e6)
+        rep = pat_report(BUDGET, pat, part, timeline, probs[0], traffic, lam_s=1e6)
         assert rep.dor == pytest.approx(1.0, abs=1e-6)
         assert rep.throughput_lo_bps < 1e-100
 
@@ -610,10 +600,7 @@ class TestMonotoneDorInPower:
         prev = 1.0 + 1e-12
         for p_dbw in [30.0, 36.0, 42.0, 48.0, 54.0]:
             rat = RatConfig(tx_power_w=dbw(p_dbw), min_snr=1.0)
-            mu1 = rat_first_threshold(BUDGET, rat, D_MAX)
-            part = equal_probability_partition(FADING, mu1, 8)
-            probs = state_prob_matrix(FADING, part, timeline.n_slots)
-            lam = afd(FADING, DOPPLER, mu1)
+            part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
             val = rat_report_dor(rat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-12
             prev = val
@@ -623,10 +610,7 @@ class TestMonotoneDorInPower:
         prev = 1.0 + 1e-12
         for p_dbw in [24.0, 30.0, 36.0, 42.0, 48.0]:
             pat = PatConfig(max_power_w=dbw(p_dbw), fixed_rate_bps=60e6)
-            u1 = pat_first_threshold(BUDGET, pat, D_MAX)
-            part = equal_probability_partition(FADING, u1, 8)
-            probs = state_prob_matrix(FADING, part, timeline.n_slots)
-            lam = afd(FADING, DOPPLER, u1)
+            part, probs, lam = solve(pat_first_threshold(BUDGET, pat, D_MAX))
             val = pat_report_dor(pat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-12
             prev = val
@@ -647,10 +631,10 @@ class TestPointsTogether:
                                sat_speed_ms=7600.0)
             tl = build_timeline(geo, slot)
             d_max = distance_range(geo)[1]
-            rat_part = equal_probability_partition(
-                FADING, rat_first_threshold(BUDGET, rat, d_max), k)
-            pat_part = equal_probability_partition(
-                FADING, pat_first_threshold(BUDGET, pat, d_max), k)
+            firsts = (rat_first_threshold(BUDGET, rat, d_max),
+                      pat_first_threshold(BUDGET, pat, d_max))
+            rat_part, pat_part = (partitions(FADING, np.array([first]), k, None)[0][0]
+                                  for first in firsts)
             cases.append((tl, (rat, rat_part), (pat, pat_part)))
         return cases
 
@@ -669,14 +653,14 @@ class TestPointsTogether:
                                  padded([tl.slot_dist_max for tl in tls]), [0, 1, 2])
         grids = (schemes._rat_grids, schemes._pat_grids)[scheme](pts)
         assert np.isfinite(grids).all()
-        alone = (_rat_rate_grids, _pat_power_grids)[scheme]
-        probs = np.zeros(pts.thresholds.shape + (1,))
+        alone = (rate_grids, power_grids)[scheme]
+        probs = np.zeros(pts.thresholds.shape)
         for config, part, tl, row, *blocks in zip(configs, parts, tls, probs, *grids):
             # each point's own block is its grid alone, bit for bit
             for block, want in zip(blocks, alone(BUDGET, config, part, tl)):
                 assert block[:part.n_states, :tl.n_slots].tolist() == want.tolist()
-            row[:part.n_states, 0] = state_probs(FADING, part)
+            row[:part.n_states] = state_probs(FADING, part)
         report = (rat_report, pat_report)[scheme]
-        want = [report(BUDGET, config, part, tl, state_prob_matrix(FADING, part, tl.n_slots),
-                       TRAFFIC, 0.01) for config, part, tl in zip(configs, parts, tls)]
+        want = [report(BUDGET, config, part, tl, state_probs(FADING, part), TRAFFIC, 0.01)
+                for config, part, tl in zip(configs, parts, tls)]
         assert schemes._reports(pts, [TRAFFIC] * 3, probs, [0.01] * 3) == want
