@@ -748,14 +748,14 @@ def _fill(x: np.ndarray, sums: np.ndarray, at_zero: float) -> np.ndarray:
     return out
 
 
-def _gains(x) -> tuple[np.ndarray, bool]:
-    """x as a 1-D float array of power gains, and whether it was a scalar."""
+def _gains(x) -> np.ndarray:
+    """x as a 1-D float array of power gains."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim > 1:
-        raise ValueError("power gains must be a scalar or a 1-D array")
+    if arr.ndim != 1:
+        raise ValueError("power gains must be a 1-D array")
     if not (arr >= 0.0).all():  # false at NaN too
         raise ValueError(f"power gain must be >= 0, got {float(np.min(arr))}")
-    return np.atleast_1d(arr), arr.ndim == 0
+    return arr
 
 
 def sr_pdf(fading: SrFading, y):
@@ -807,29 +807,27 @@ def sr_cdf_quadrature(fading: SrFading, x: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def sr_cdf(fading: SrFading, x):
-    """Power-gain CDF sum_n p_n(beta x) P(K < n) at a scalar or 1-D array of
-    gains x >= 0, with P(K < n) = I_(1-r)(m, n) (_below).
+def sr_cdf(fading: SrFading, x) -> np.ndarray:
+    """Power-gain CDF sum_n p_n(beta x) P(K < n) at a 1-D array of gains
+    x >= 0, with P(K < n) = I_(1-r)(m, n) (_below).
 
     Every term is positive, so small CDF values keep their digits.
     """
-    x, scalar = _gains(x)
+    x = _gains(x)
     (below,) = _poisson_sum((_below(fading), _inner(fading, x)))
-    total = _fill(x, below, 0.0)
-    return float(total[0]) if scalar else total
+    return _fill(x, below, 0.0)
 
 
-def tail_mass(fading: SrFading, x):
-    """Complementary CDF P(G >= x) = sum_n p_n(beta x) P(K >= n) at a scalar
-    or 1-D array of gains x >= 0 (_tail).
+def tail_mass(fading: SrFading, x) -> np.ndarray:
+    """Complementary CDF P(G >= x) = sum_n p_n(beta x) P(K >= n) at a 1-D
+    array of gains x >= 0 (_tail).
 
     The series has no cancellation, so tail probabilities far below 1e-16
     keep their digits.
     """
-    x, scalar = _gains(x)
+    x = _gains(x)
     (tail,) = _poisson_sum((_tail(fading, 0, fading.m), _inner(fading, x)))
-    total = _fill(x, tail, 1.0)
-    return float(total[0]) if scalar else total
+    return _fill(x, tail, 1.0)
 
 
 @dataclass(frozen=True)
@@ -923,7 +921,7 @@ def state_probs(fading: SrFading, part: GainPartition) -> np.ndarray:
     pass.
     """
     gains = part.thresholds ** 2
-    x, _ = _gains(gains[1:])
+    x = _gains(gains[1:])
     tails, below = _poisson_sum((_tail(fading, 0, fading.m), _inner(fading, x)),
                                 (_below(fading), _inner(fading, gains[1:2])))
     return _state_probs(_fill(gains[1:2], below, 0.0), _fill(x, tails, 1.0)[None, :])[0]
@@ -1152,11 +1150,13 @@ def partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresh
     """
     if n_states < 2:
         raise ValueError(f"n_states must be >= 2, got {n_states}")
-    if np.any(firsts < 0):
-        raise ValueError(f"first_threshold must be >= 0, got {firsts[firsts < 0][0]}")
+    if not (firsts >= 0).all():  # false at NaN too
+        raise ValueError(f"first_threshold must be >= 0, got {firsts[~(firsts >= 0)][0]}")
     first = firsts[:, None]
     if upper_thresholds is not None:
         uppers = np.asarray(upper_thresholds, dtype=float)
+        if not np.isfinite(uppers).all():
+            raise ValueError(f"upper_thresholds must be finite, got {uppers.tolist()}")
         if len(uppers) != n_states - 2:
             raise ValueError(
                 f"need {n_states - 2} upper thresholds for K={n_states}, got {len(uppers)}"
@@ -1169,7 +1169,7 @@ def partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresh
                 f"upper_thresholds must rise strictly above the first threshold "
                 f"{float(firsts[i])!r}, got {uppers.tolist()}"
             )
-    x1, _ = _gains(firsts ** 2)
+    x1 = _gains(firsts ** 2)
     tail, below = _tail(fading, 0, fading.m, _KEEP), _below(fading)
     density = _density(fading, _KEEP)
     n_targets = n_states - 2 if upper_thresholds is None else 0
@@ -1220,7 +1220,7 @@ def partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresh
     thresholds = np.hstack((np.zeros_like(first), first, amplitudes))
     # the tails at the other thresholds' squares, as state_probs takes them:
     # a solved gain and its threshold's square can differ by an ulp
-    rest, _ = _gains(thresholds[:, 2:].ravel() ** 2)
+    rest = _gains(thresholds[:, 2:].ravel() ** 2)
     top = thresholds[:, -1] ** 2
     rest_tail, *moments = _poisson_sum((tail, _inner(fading, rest)), *_moments(fading, top))
     tails = np.hstack((s1[:, None], _fill(rest, rest_tail, 1.0).reshape(len(first), -1)))

@@ -124,15 +124,16 @@ def service_duration(geo: PassGeometry) -> float:
     return 2.0 * geo.half_track_m / sub_point_speed(geo)
 
 
-def distance_at(geo: PassGeometry, t):
-    """Slant range at elapsed pass time t in [0, T_s], a scalar or an array."""
+def distance_at(geo: PassGeometry, t) -> np.ndarray:
+    """Slant range at a 1-D array of elapsed pass times t in [0, T_s]."""
     t_s = service_duration(geo)
     arr = np.asarray(t, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("pass times must be a 1-D array")
     if not np.all((0.0 <= arr) & (arr <= t_s)):
         raise OutOfPass(f"t={t} outside [0, {t_s}]")
     along = geo.half_track_m - sub_point_speed(geo) * arr
-    d = np.sqrt(along * along + geo.terminal_offset_m**2 + geo.orbit_height_m**2)
-    return float(d) if arr.ndim == 0 else d
+    return np.sqrt(along * along + geo.terminal_offset_m**2 + geo.orbit_height_m**2)
 
 
 def distance_range(geo: PassGeometry) -> tuple[float, float]:

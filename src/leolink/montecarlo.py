@@ -112,16 +112,19 @@ def _block_rngs(seed: int, n_samples: int):
     return out
 
 
-def sample_sr_gain(fading: SrFading, rng: np.random.Generator, size: int | None = None):
-    """Power-gain draws from the generative shadowed-Rician model.
+def sample_sr_gain(fading: SrFading, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size power-gain draws, a 1-D array, from the generative
+    shadowed-Rician model.
 
     Scattered part: complex Gaussian with per-dimension variance b0.
     Line of sight: Nakagami-distributed amplitude (gamma power with shape m
     and mean omega) at a uniform phase. Returns |sum|^2.
     """
-    n = 1 if size is None else size
+    re = rng.standard_normal(size)
+    if np.ndim(re) != 1:
+        raise ValueError(f"size must be a number of draws, got {size!r}")
+    n = len(re)
     sigma = math.sqrt(fading.b0)
-    re = rng.standard_normal(n)
     re *= sigma
     im = rng.standard_normal(n)
     im *= sigma
@@ -145,7 +148,7 @@ def sample_sr_gain(fading: SrFading, rng: np.random.Generator, size: int | None 
     re *= re
     im *= im
     re += im
-    return float(re[0]) if size is None else re
+    return re
 
 
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:

@@ -105,7 +105,7 @@ def test_acceptance_1_sr_distribution_correctness():
     for m in (1, 2, 5):
         fading = SrFading(m=float(m), b0=0.126, omega=0.825)
         for x in np.linspace(0.01, 10.0, 100):
-            diff = abs(sr_cdf(fading, float(x)) - sr_cdf_quadrature(fading, float(x)))
+            diff = abs(sr_cdf(fading, np.array([x]))[0] - sr_cdf_quadrature(fading, float(x)))
             worst = max(worst, diff)
             assert diff < 1e-8
 
@@ -273,8 +273,9 @@ def test_acceptance_7_geometry_identities():
     start = time.monotonic()
     geo = make_geo()
     t_s = service_duration(geo)
-    assert distance_at(geo, t_s / 2.0) == geo.orbit_height_m
-    assert distance_at(geo, 0.0) == pytest.approx(distance_at(geo, t_s), rel=1e-12)
+    assert distance_at(geo, np.array([t_s / 2.0]))[0] == geo.orbit_height_m
+    assert distance_at(geo, np.array([0.0]))[0] == pytest.approx(
+        distance_at(geo, np.array([t_s]))[0], rel=1e-12)
     lo, hi = distance_range(geo)
     assert lo == geo.orbit_height_m
     assert hi == math.hypot(geo.orbit_height_m, geo.coverage_radius_m)

@@ -106,15 +106,15 @@ class TestSrPdf:
 
 class TestSrCdf:
     def test_zero(self):
-        assert sr_cdf(TABLE_FADING, 0.0) == 0.0
+        assert sr_cdf(TABLE_FADING, np.array([0.0]))[0] == 0.0
 
     def test_total_probability(self):
         for fading in [TABLE_FADING, SrFading(2.0, 0.2, 0.5)]:
-            assert sr_cdf(fading, 1e6) == pytest.approx(1.0, abs=1e-8)
+            assert sr_cdf(fading, np.array([1e6]))[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_integer_m_closed_vs_quadrature(self):
         f = SrFading(2.0, 0.2, 0.5)
-        closed = sr_cdf(f, 0.7)
+        closed = sr_cdf(f, np.array([0.7]))[0]
         quad = sr_cdf_quadrature(f, 0.7)
         assert closed == pytest.approx(0.518263618025867237, rel=1e-10)
         assert abs(closed - quad) < 1e-8
@@ -128,27 +128,28 @@ class TestSrCdf:
         f = SrFading(*params)
         for x in np.linspace(0.02, 8.0, 25) * f.mean_gain:
             quad = sr_cdf_quadrature(f, float(x))
-            assert abs(sr_cdf(f, float(x)) - quad) < 1e-8
-            assert abs(tail_mass(f, float(x)) - (1.0 - quad)) < 1e-8
+            assert abs(sr_cdf(f, np.array([x]))[0] - quad) < 1e-8
+            assert abs(tail_mass(f, np.array([x]))[0] - (1.0 - quad)) < 1e-8
 
     def test_infinite_and_nan_gains(self):
-        assert sr_cdf(TABLE_FADING, math.inf) == 1.0
-        assert tail_mass(TABLE_FADING, math.inf) == 0.0
+        assert sr_cdf(TABLE_FADING, np.array([math.inf]))[0] == 1.0
+        assert tail_mass(TABLE_FADING, np.array([math.inf]))[0] == 0.0
         for fn in (sr_cdf, tail_mass):
             with pytest.raises(ValueError):
-                fn(TABLE_FADING, math.nan)
+                fn(TABLE_FADING, np.array([math.nan]))
 
     def test_nakagami_limit(self):
         # b0 -> 0 leaves the Nakagami line of sight, power Gamma(m, omega/m);
         # here r = 1 - 4e-8, about 1e9 terms summed over the mixture index
         f = SrFading(2.0, 1e-8, 1.0)
         for x in (0.5, 1.0, 2.0):
-            assert sr_cdf(f, x) == pytest.approx(special.gammainc(2.0, 2.0 * x), abs=1e-7)
-            assert tail_mass(f, x) == pytest.approx(special.gammaincc(2.0, 2.0 * x), abs=1e-7)
+            (cdf,), (tail,) = sr_cdf(f, np.array([x])), tail_mass(f, np.array([x]))
+            assert cdf == pytest.approx(special.gammainc(2.0, 2.0 * x), abs=1e-7)
+            assert tail == pytest.approx(special.gammaincc(2.0, 2.0 * x), abs=1e-7)
 
     def test_monotone(self):
         xs = np.linspace(0.0, 8.0, 60)
-        vals = [sr_cdf(TABLE_FADING, float(x)) for x in xs]
+        vals = [sr_cdf(TABLE_FADING, np.array([x]))[0] for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] == 0.0
         assert vals[-1] <= 1.0
@@ -160,18 +161,18 @@ class TestSrCdf:
             many = fn(TABLE_FADING, xs)
             assert many.shape == xs.shape
             for x, v in zip(xs, many):
-                assert abs(v - fn(TABLE_FADING, float(x))) <= 1e-15
+                assert abs(v - fn(TABLE_FADING, np.array([x]))[0]) <= 1e-15
 
     def test_tail_mass_complements_cdf(self):
         for fading in [TABLE_FADING, SrFading(3.0, 0.2, 0.6)]:
             for x in [0.05, 0.5, 1.0, 2.5, 5.0]:
-                assert tail_mass(fading, x) == pytest.approx(
-                    1.0 - sr_cdf(fading, x), abs=1e-9
+                assert tail_mass(fading, np.array([x]))[0] == pytest.approx(
+                    1.0 - sr_cdf(fading, np.array([x]))[0], abs=1e-9
                 )
 
     def test_tail_mass_deep_tail_positive(self):
         # far beyond float complement resolution, but representable directly
-        s = tail_mass(TABLE_FADING, 128.0)
+        s = tail_mass(TABLE_FADING, np.array([128.0]))[0]
         assert 0.0 < s < 1e-100
 
     @pytest.mark.parametrize("x", [84.0, 226.0])  # tails near 5e-99 and 4e-280
@@ -190,7 +191,7 @@ class TestSrCdf:
             # to its value at x
             scale = pdf(x)
             want = float(scale * mpmath.quad(lambda u: pdf(x + u) / scale, [0, 1, 4, 16, 64]))
-        assert tail_mass(f, x) == pytest.approx(want, rel=1e-13)
+        assert tail_mass(f, np.array([x]))[0] == pytest.approx(want, rel=1e-13)
 
     # n = 1..16 and log-spaced to 2000 on the property sets; log-spaced to
     # 5e4 on the line-of-sight sets (mpmath stops converging not far above).
@@ -342,6 +343,15 @@ class TestEqualProbabilityPartition:
         with pytest.raises(ValueError, match="the first threshold 0.85, got"):
             partitions(TABLE_FADING, np.array([0.2, 0.85]), 4, [0.8, 1.2])
 
+    def test_nan_first_threshold_is_refused_as_such(self):
+        with pytest.raises(ValueError, match=r"^first_threshold must be >= 0, got nan$"):
+            partitions(TABLE_FADING, np.array([np.nan]), 8, None)
+
+    def test_nan_upper_threshold_is_refused_as_such(self):
+        with pytest.raises(ValueError,
+                           match=r"^upper_thresholds must be finite, got \[nan, 1\.2\]$"):
+            partitions(TABLE_FADING, np.array([0.3]), 4, [np.nan, 1.2])
+
     def test_top_mean_gain_above_threshold(self):
         part = partitions(TABLE_FADING, np.array([0.354]), 8, None)[0][0]
         assert part.top_mean_gain > float(part.thresholds[-1]) ** 2
@@ -350,10 +360,8 @@ class TestEqualProbabilityPartition:
         # first threshold far beyond the 1 - F float resolution
         part = partitions(TABLE_FADING, np.array([11.335]), 8, None)[0][0]
         assert np.all(np.diff(part.thresholds[1:]) > 0.0)
-        masses = [
-            tail_mass(TABLE_FADING, float(a) ** 2) - tail_mass(TABLE_FADING, float(b) ** 2)
-            for a, b in zip(part.thresholds[1:-1], part.thresholds[2:])
-        ]
+        tails = tail_mass(TABLE_FADING, part.thresholds[1:] ** 2)
+        masses = tails[:-1] - tails[1:]
         assert all(m > 0.0 for m in masses)
         assert np.allclose(masses, masses[0], rtol=1e-6)
 
@@ -478,9 +486,9 @@ class TestBrentq:
         # The solve takes at most 10 steps, the bracketed solve's count.
         fading = SrFading(*params)
         _, gains, steps = recorded_solve(monkeypatch, fading, first)
-        s1 = tail_mass(fading, first**2)
+        s1 = tail_mass(fading, np.array([first]) ** 2)[0]
         targets = s1 * np.arange(6, 0, -1) / 7
-        tails = np.array([tail_mass(fading, float(g)) for g in gains])
+        tails = np.array([tail_mass(fading, np.array([g]))[0] for g in gains])
         assert np.max(np.abs(tails / targets - 1.0)) <= 1e-13
         assert steps <= 10
 
@@ -646,7 +654,7 @@ class TestRowIndependence:
     def test_series_entries_match_one_at_a_time(self, case):
         fading, x, order, k = case
         for fn in (tail_mass, sr_cdf):
-            alone = np.array([fn(fading, float(v)) for v in x])
+            alone = np.array([fn(fading, np.array([v]))[0] for v in x])
             assert fn(fading, x).tolist() == alone.tolist()
             assert fn(fading, x[order][:k]).tolist() == alone[order][:k].tolist()
         y = fading.beta * x[(x > 0.0) & (x < math.inf)]
@@ -661,7 +669,7 @@ class TestRowIndependence:
         fading = SrFading(*PROPERTY_SETS[name])
         x = np.random.default_rng(5).exponential(fading.mean_gain, 300)
         for fn in (tail_mass, sr_cdf):
-            assert fn(fading, x).tolist() == [fn(fading, float(v)) for v in x]
+            assert fn(fading, x).tolist() == [fn(fading, np.array([v]))[0] for v in x]
 
     @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
     def test_block_boundaries_change_no_bit(self, monkeypatch, name):
@@ -961,7 +969,7 @@ def fade_durations(r) -> np.ndarray:
 class TestAfd:
     def test_componentwise(self):
         (lam,) = fade_durations(0.3)
-        want = sr_cdf(TABLE_FADING, 0.09) / lcr(TABLE_FADING, TABLE_DOPPLER, 0.3)
+        want = sr_cdf(TABLE_FADING, np.array([0.09]))[0] / lcr(TABLE_FADING, TABLE_DOPPLER, 0.3)
         assert lam == pytest.approx(want, rel=1e-12)
 
     def test_positive(self):

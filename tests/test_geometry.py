@@ -82,42 +82,42 @@ class TestDistanceAt:
     def test_midpass_overhead(self):
         geo = make_geo(terminal_offset_m=0.0)
         t_s = service_duration(geo)
-        assert distance_at(geo, t_s / 2.0) == geo.orbit_height_m
+        assert distance_at(geo, np.array([t_s / 2.0]))[0] == geo.orbit_height_m
 
     def test_symmetric_endpoints(self):
         geo = make_geo(terminal_offset_m=120e3)
         t_s = service_duration(geo)
-        assert distance_at(geo, 0.0) == pytest.approx(
-            distance_at(geo, t_s), rel=1e-12
+        assert distance_at(geo, np.array([0.0]))[0] == pytest.approx(
+            distance_at(geo, np.array([t_s]))[0], rel=1e-12
         )
 
     def test_boundary_entry_distance(self):
         # pass begins exactly at the coverage edge when half_track = R, d_P = 0
         geo = make_geo(half_track_m=500e3, terminal_offset_m=0.0)
         want = math.hypot(geo.orbit_height_m, geo.coverage_radius_m)
-        assert distance_at(geo, 0.0) == pytest.approx(want, rel=1e-12)
+        assert distance_at(geo, np.array([0.0]))[0] == pytest.approx(want, rel=1e-12)
 
     def test_quarter_pass_value(self):
         # |half_track - v (T_s/4)| = half_track/2 = 5e5; sqrt(5.1e11)
         geo = make_geo(terminal_offset_m=100e3)
         t_s = service_duration(geo)
-        assert distance_at(geo, t_s / 4.0) == pytest.approx(
+        assert distance_at(geo, np.array([t_s / 4.0]))[0] == pytest.approx(
             714142.842854285, rel=1e-12
         )
 
     def test_out_of_pass(self):
         geo = make_geo()
         with pytest.raises(OutOfPass):
-            distance_at(geo, -0.1)
+            distance_at(geo, np.array([-0.1]))
         with pytest.raises(OutOfPass):
-            distance_at(geo, service_duration(geo) + 0.1)
+            distance_at(geo, np.array([service_duration(geo) + 0.1]))
         with pytest.raises(OutOfPass):
             distance_at(geo, np.array([0.0, 1.0, service_duration(geo) + 0.1]))
 
     def test_array_matches_scalar(self):
         geo = make_geo(terminal_offset_m=100e3)
         ts = np.linspace(0.0, service_duration(geo), 41)
-        assert distance_at(geo, ts).tolist() == [distance_at(geo, float(t)) for t in ts]
+        assert distance_at(geo, ts).tolist() == [distance_at(geo, np.array([t]))[0] for t in ts]
 
 
 class TestDistanceRange:
@@ -169,7 +169,7 @@ class TestBuildTimeline:
         assert np.all(tl.slot_dist_min >= geo.orbit_height_m)
         for n in [0, 1, 70, 140, tl.n_slots - 1]:
             ts = np.linspace(n * tl.slot_len_s, (n + 1) * tl.slot_len_s, 1000)
-            ds = np.array([distance_at(geo, float(t)) for t in ts])
+            ds = distance_at(geo, ts)
             assert ds.min() >= tl.slot_dist_min[n] * (1 - 1e-12)
             assert ds.max() <= tl.slot_dist_max[n] * (1 + 1e-12)
 
@@ -185,9 +185,9 @@ class TestBuildTimeline:
         t_mid = geo.half_track_m / sub_point_speed(geo)
         for i in range(tl.n_slots):
             t0, t1 = i * slot_len, min((i + 1) * slot_len, t_s)
-            ds = [distance_at(geo, t0), distance_at(geo, t1)]
+            ds = [distance_at(geo, np.array([t0]))[0], distance_at(geo, np.array([t1]))[0]]
             if t0 < t_mid < t1:
-                ds.append(distance_at(geo, t_mid))
+                ds.append(distance_at(geo, np.array([t_mid]))[0])
             assert (tl.slot_dist_min[i], tl.slot_dist_max[i]) == (min(ds), max(ds))
 
     def test_slot_too_long(self):
@@ -245,7 +245,7 @@ class TestBuildTimeline:
         for n in range(tl.n_slots):
             for u in (0.0, 0.25, 0.5, 0.75, 1.0):
                 t = (n + u) * tl.slot_len_s
-                d = distance_at(geo, min(t, t_s))
+                d = distance_at(geo, np.array([min(t, t_s)]))[0]
                 assert tl.slot_dist_min[n] * (1 - 1e-12) <= d
                 assert d <= tl.slot_dist_max[n] * (1 + 1e-12)
 

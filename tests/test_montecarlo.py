@@ -207,10 +207,6 @@ class TestSampler:
             assert np.array_equal(got, want())
         assert rng.random() == clone.random()
 
-    def test_scalar_draw(self):
-        g = sample_sr_gain(FADING, rng_for(3))
-        assert isinstance(g, float) and g >= 0.0
-
 
 def ks_full(fading: SrFading, gains: np.ndarray) -> float:
     # the analytic CDF at every sorted sample

@@ -314,7 +314,7 @@ class TestRatPowerAndEe:
         scn = apply_sweep_value(parse_scenario(text), "rat.tx_power", tx_power)
         parts = prepare(scn)
         rep = run_analyze(scn, parts)
-        power = tx_power * tail_mass(scn.fading, parts.partition.thresholds[1] ** 2)
+        power = tx_power * tail_mass(scn.fading, parts.partition.thresholds[1:2] ** 2)[0]
         assert rep.avg_power_lo_w == pytest.approx(power, rel=1e-12)
         assert rep.ee_lo_bpj == pytest.approx(rep.throughput_lo_bps / power, rel=1e-12)
         assert rep.ee_hi_bpj == pytest.approx(rep.throughput_hi_bps / power, rel=1e-12)
