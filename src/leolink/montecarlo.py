@@ -8,32 +8,28 @@ fixed-rate scheme drains at its one rate, so it reads neither, only
 whether the gain lies in the bottom state.
 
 Replications are split into fixed-size blocks, each driven by its own
-counter-based generator spawned from the master seed. `simulate` runs its
-blocks on a pool of min(cores, blocks, 2) threads, counting the cores this
-process may use: the numpy draws and arithmetic that make up a block
-release the interpreter lock. `validate` (pipeline.run_validate) takes the
-same blocks through _blocks but starts no pool of its own: it hands them to
-its one side worker and has the calling thread run, once its sampler checks
-are done, every block that worker has not started, so it too runs at most
-two compute threads. Block results are reduced in block order, so every
-output is bit-identical whatever thread ran which block. A block of _BLOCK
+counter-based generator spawned from the master seed. Every pass runs its
+blocks through one runner, _finish: a side worker takes them from the
+first up, while the calling thread takes them from the last down, until
+the two meet. The numpy draws and arithmetic that make up a block release
+the interpreter lock, so the two overlap on two cores, and no more than
+two compute. Block results are reduced in block order, so every output is
+bit-identical whatever thread ran which block. A block of _BLOCK
 replications holds at most about 3.6 MiB of arrays at once (7.13 arrays of
 _BLOCK doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme),
 so two blocks in flight take about as much as one block did before it
-worked in place. Each further thread adds a block's memory: at 4 threads
-the peak memory of a 1e6-replication run rose 13%. Drawing n gains at once,
-as `validate` does, the sampler holds three arrays of n doubles (the two
-scattered parts and the line-of-sight amplitude) plus a few arrays of
-_BLOCK doubles, as it works the phases one block at a time. Every draw
-takes the standard distribution and scales it in place, as
-Generator.normal, gamma, uniform and exponential would scale it, so the
-draws are theirs bit for bit, without their per-call broadcasting.
+worked in place. Drawing n gains at once, as `validate` does, the sampler
+holds three arrays of n doubles (the two scattered parts and the
+line-of-sight amplitude) plus a few arrays of _BLOCK doubles, as it works
+the phases one block at a time. Every draw takes the standard distribution
+and scales it in place, as Generator.normal, gamma, uniform and exponential
+would scale it, so the draws are theirs bit for bit, without their per-call
+broadcasting.
 """
 
 import concurrent.futures
 import functools
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -332,20 +328,15 @@ def simulate(
     the slot's reference range, subject to the cap. For the outage, a packet
     arriving in the bottom state waits an exponential time with mean lam_s
     before draining in the slot where the wait ends; other packets drain
-    immediately at their state's rate. The blocks of _blocks run on a pool
-    of min(cores, blocks, 2) threads, and their partials reduce in block
-    order.
+    immediately at their state's rate. The blocks of _blocks go to one side
+    worker and to the calling thread (_finish), and their partials reduce
+    in block order.
     """
     blocks = _blocks(geo, tl, fading, part, budget, scheme, traffic, lam_s, cfg)
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    # at most 2 blocks in flight: each holds about 3.6 MiB, and at 4 the
-    # peak memory of a 1e6-replication run rose 13% over one serial block
-    workers = min(cores, len(blocks), 2)
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        partials = list(pool.map(lambda block: block(), blocks))
+    # when _finish raises, the worker has at most the one block it started
+    # left to run, and the pool's exit waits for it
+    with concurrent.futures.ThreadPoolExecutor(1) as side:
+        partials = _finish(blocks, [side.submit(block) for block in blocks])
     return _reduce(partials, cfg.n_samples)
 
 
@@ -368,6 +359,38 @@ def _blocks(
     return [functools.partial(_block, geo, tl, fading, part, budget, scheme, traffic, lam_s,
                               rng, count)
             for rng, count in _block_rngs(cfg.seed, cfg.n_samples)]
+
+
+def _finish(blocks: list, pending: list[concurrent.futures.Future]) -> list:
+    """The results of blocks, in block order, where pending[i] is block i
+    submitted to a side worker of one thread, which starts them in order.
+
+    The calling thread cancels and runs the blocks from the last one down,
+    until it reaches one the worker has started, and then reads the
+    worker's results. The first error in block order is raised, whichever
+    thread ran its block: every block the worker ran comes before every
+    block run here, and those run here go on past an error, to the lowest.
+    """
+    # On glibc a block's peak passes the main arena's trim limit, so blocks
+    # run on the main thread gave their pages back and faulted them in anew
+    # (about 1350 faults, 20% slower than on the side worker). Freeing one
+    # untouched array of 8 blocks' doubles raises that limit above a
+    # block's peak for the process, and touches no page.
+    np.empty(8 * _BLOCK)
+    results: list = [None] * len(blocks)
+    error = None
+    i = len(blocks)
+    while i and pending[i - 1].cancel():
+        i -= 1
+        try:
+            results[i] = blocks[i]()
+        except Exception as exc:
+            error = exc
+    for j in range(i):
+        results[j] = pending[j].result()
+    if error is not None:
+        raise error
+    return results
 
 
 def _reduce(partials: list[tuple[float, float, float, float, float]], n_samples: int

@@ -403,12 +403,13 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     block order, to one side worker, while the calling thread runs the
     quadrature and sampler checks; numpy's draws and array operations
     release the interpreter lock, so the two overlap on two cores. Then the
-    calling thread takes every block of the pass that the worker has not
-    started and runs it (_finish), and does the same for the repeat once
-    the rows of the pass are formed. At most two threads compute, and no
-    block starts a pool. Every check and block draws from its own seeded
-    stream, and block partials reduce in block order, so the rows are
-    bit-identical whichever thread ran which block, at any core count.
+    calling thread finishes the pass with montecarlo's one block runner,
+    _finish, running the blocks the worker has not reached from the last
+    down, and does the same for the repeat once the rows of the pass are
+    formed. At most two threads compute. Every check and block draws from
+    its own seeded stream, and block partials reduce in block order, so the
+    rows are bit-identical whichever thread ran which block, at any core
+    count.
     Errors surface in row order: a quadrature or sampler error first, then
     the first in block order of the simulation pass, then one of the rows
     after it, then the first of the repeat.
@@ -476,7 +477,7 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         ))
 
         # Closed forms against simulation, from one pass.
-        partials = _finish(sim_blocks, pending_sim)
+        partials = montecarlo._finish(sim_blocks, pending_sim)
         sim = montecarlo._reduce(partials, n_samples)
         slack = 3.0 * sim.rate_se_bps
         in_rate = (report.throughput_lo_bps - slack <= sim.mean_rate_bps
@@ -521,7 +522,7 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
             "dor_integral", diff < 1e-9, f"|integral - closed| = {diff:.3e}"
         ))
 
-        repeat = _finish(repeat_blocks, pending_repeat)
+        repeat = montecarlo._finish(repeat_blocks, pending_repeat)
         checks.append(CheckResult(
             "determinism", repeat == partials[:len(repeat)], "bit-identical repeat run"
         ))
@@ -531,29 +532,3 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         side.shutdown(cancel_futures=True)
     return checks
 
-
-def _finish(blocks: list, pending: list[concurrent.futures.Future]) -> list:
-    """The results of blocks, in block order, where pending[i] is block i
-    submitted to a side worker.
-
-    Each block the worker has not started is cancelled and run here, in
-    block order, and then the worker's results are read. The first error
-    in block order is raised, whichever thread ran its block: the blocks
-    run here stop at their first error, and a block the worker ran before
-    it raises first.
-    """
-    results: list = [None] * len(blocks)
-    mine = [i for i, future in enumerate(pending) if future.cancel()]
-    failed, error = len(blocks), None
-    for i in mine:
-        try:
-            results[i] = blocks[i]()
-        except Exception as exc:
-            failed, error = i, exc
-            break
-    for i in range(failed):
-        if not pending[i].cancelled():
-            results[i] = pending[i].result()
-    if error is not None:
-        raise error
-    return results

@@ -23,7 +23,6 @@ __all__ = [
     "ValidationError",
     "UnknownKey",
     "parse_scenario",
-    "render_scenario",
     "parse_sweep",
     "apply_sweep_value",
 ]
@@ -351,22 +350,6 @@ def _value(scn: Scenario, field: str | None, sub: str | None):
     """What scn holds under one key of _KEYS, or None if it holds nothing."""
     obj = getattr(scn, field) if field else None
     return getattr(obj, sub) if sub and obj is not None else obj
-
-
-def render_scenario(scn: Scenario) -> str:
-    """Canonical text form; parse_scenario(render_scenario(s)) == s."""
-    out = []
-    for section, keys in _KEYS.items():
-        entries = []
-        for key, (field, sub, _, _) in keys.items():
-            value = _value(scn, field, sub)
-            if isinstance(value, tuple):
-                entries.append(f"{key} = {', '.join(repr(v) for v in value)}")
-            elif value is not None:
-                entries.append(f"{key} = {value!r}")
-        if entries:
-            out += [f"[{section}]", *entries, ""]
-    return "\n".join(out)
 
 
 def parse_sweep(arg: str) -> SweepSpec:

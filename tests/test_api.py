@@ -23,9 +23,6 @@ UNCALLED = {
     # bench/selftest.py builds a state probability matrix at a moved
     # threshold with it, to check that the benchmark's checks reject it
     "channel.state_prob_matrix",
-    # the parser's round-trip oracle: a rendered scenario parses back to
-    # itself (tests/test_scenario.py)
-    "scenario.render_scenario",
 }
 # The package root: the four commands and what they take.
 ROOT = {"parse_scenario", "Scenario", "SweepSpec", "prepare", "run_analyze", "run_sweep",

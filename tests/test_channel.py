@@ -1,3 +1,4 @@
+import csv
 import math
 import threading
 import warnings
@@ -31,6 +32,8 @@ from leolink.montecarlo import sample_sr_gain
 from leolink.special import NonConvergent
 
 from fading_sets import ABDI_SETS, LOS_SETS
+from make_lcr_table import TABLE as LCR_TABLE
+from make_lcr_table import reference_thresholds
 
 TABLE_FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
 TABLE_DOPPLER = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=1.55, aoa_width=24.2)
@@ -958,6 +961,39 @@ class TestLcr:
                 assert want == pytest.approx(
                     math.sqrt(2.0 * math.pi) * 100.0 * rho * math.exp(-rho * rho), rel=1e-12)
             assert lcr(fading, dop, r) == pytest.approx(want, rel=1e-9)
+
+
+def lcr_table() -> list[dict[str, str]]:
+    """The rows of tests/lcr_table.csv, written by tests/make_lcr_table.py."""
+    with LCR_TABLE.open(newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestLcrTable:
+    # The crossing rate against the nested quadrature of the model and the
+    # Rayleigh and Rice closed forms, wherever the series converges (x < 1).
+    # Today's series fails each: b2, the bracket's power and the prefactor's
+    # exponent are wrong, and at b1 = 0 it never meets its tolerance.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("row", [pytest.param(row, id=row["case"])
+                                     for row in lcr_table() if float(row["x"]) < 1.0])
+    def test_matches_table(self, row):
+        fading = SrFading(float(row["m"]), float(row["b0"]), float(row["omega"]))
+        dop = DopplerSpec(float(row["f_scatter_max_hz"]), float(row["mean_aoa_rad"]),
+                          float(row["aoa_width"]))
+        assert lcr(fading, dop, float(row["r"])) == pytest.approx(float(row["lcr_per_s"]),
+                                                                  rel=1e-9)
+
+    def test_holds_the_reference_thresholds(self):
+        # the fade durations of the reference partition read N at these
+        held = [float(row["r"]) for row in lcr_table() if row["case"].startswith(
+            "reference-threshold-")]
+        assert held == reference_thresholds()
+
+    def test_holds_both_closed_forms_and_divergent_rows(self):
+        sources = {row["source"] for row in lcr_table()}
+        assert sources == {"quadrature", "rayleigh", "rice"}
+        assert any(float(row["x"]) >= 1.0 for row in lcr_table())
 
 
 def fade_durations(r) -> np.ndarray:

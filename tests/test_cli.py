@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import io
 import json
@@ -21,6 +20,9 @@ from leolink.cli import main
 from leolink.geometry import distance_range
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
 from leolink.schemes import pat_first_threshold
+
+import make_goldens
+from block_schedule import BlockSchedule
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -557,73 +559,21 @@ class TestValidate:
 
 def run_scheduled(monkeypatch, base: str, schedule: str, fail=frozenset()):
     """run_validate of a reference at 20 000 replications in blocks of 4096:
-    blocks 0-4 of the simulation pass, then blocks 5 and 6 of the repeat.
-
-    schedule forces which thread runs them: "none" holds the calling
-    thread's KS check until the side worker has run every block, so the
-    calling thread runs none; "all" holds the side worker on a task of its
-    own until run_validate shuts it down, so the calling thread runs every
-    block; and
-    "some" holds the worker's first block until the calling thread starts
-    one, so each runs some. Blocks in fail raise ArithmeticError("block i").
+    blocks 0-4 of the simulation pass, then blocks 5 and 6 of the repeat,
+    under a BlockSchedule whose calling thread waits in its KS check.
     Returns the rows, whether the calling thread ran each block, and the
     most threads seen alive by any block.
     """
-    monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
-    caller = threading.get_ident()
-    index, ran, done, alive = {}, {}, [], []
-    every_block_done, worker_started, caller_started = (
-        threading.Event(), threading.Event(), threading.Event())
-    numbered, block, ks = montecarlo._block_rngs, montecarlo._block, pipeline.ks_statistic
-
-    def counted_rngs(seed, n_samples):
-        blocks = numbered(seed, n_samples)
-        for rng, _ in blocks:
-            index[id(rng)] = len(index)
-        return blocks
-
-    def scheduled_block(*args):
-        i = index[id(args[-2])]
-        ran[i] = here = threading.get_ident() == caller
-        alive.append(threading.active_count())
-        try:
-            (caller_started if here else worker_started).set()
-            if schedule == "some" and i == 0:
-                assert caller_started.wait(30)
-            if i in fail:
-                raise ArithmeticError(f"block {i}")
-            return block(*args)
-        finally:
-            done.append(i)
-            if len(done) == 7:
-                every_block_done.set()
+    plan = BlockSchedule(monkeypatch, schedule, 7, fail)
+    ks = pipeline.ks_statistic
 
     def held_ks(fading, gains):
-        if schedule == "none":
-            assert every_block_done.wait(30)
-        elif schedule == "some":
-            assert worker_started.wait(30)
+        plan.hold_caller()
         return ks(fading, gains)
 
-    release, pool = threading.Event(), concurrent.futures.ThreadPoolExecutor
-
-    class HeldWorker(pool):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            # let go after 30 s, so that a schedule that waits for it fails
-            self.submit(release.wait, 30)
-
-        def shutdown(self, *args, **kwargs):
-            release.set()
-            super().shutdown(*args, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "_block_rngs", counted_rngs)
-    monkeypatch.setattr(montecarlo, "_block", scheduled_block)
     monkeypatch.setattr(pipeline, "ks_statistic", held_ks)
-    if schedule == "all":
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldWorker)
     rows = pipeline.run_validate(_validate_scenario(base))
-    return rows, ran, max(alive)
+    return rows, plan.ran, max(plan.alive)
 
 
 class TestValidateSchedule:
@@ -643,7 +593,9 @@ class TestValidateSchedule:
         elif schedule == "all":
             assert here == set(range(7))
         else:
-            assert 0 not in here and {1, 2, 3, 4} <= here
+            # the worker holds block 0 until the calling thread has taken
+            # the pass's last block
+            assert 0 not in here and 4 in here
         # the calling thread and one side worker: no block starts a pool
         assert alive <= threads + 1
         assert threading.active_count() == threads
@@ -869,3 +821,29 @@ class TestImports:
         assert loaded == []
         assert failed == []
         assert integrate_loaded
+
+
+class TestMakeGoldens:
+    def test_names_every_golden(self):
+        named = {*make_goldens.COMMANDS, make_goldens.BLOCK_GOLDEN.name}
+        assert named == {p.name for p in GOLDEN_DIR.iterdir()}
+
+    @pytest.mark.parametrize("name", ["reference_rat_analyze.txt", "reference_pat_simulate.csv"])
+    def test_command_writes_its_golden(self, name):
+        assert make_goldens.golden_text(name) == (GOLDEN_DIR / name).read_text()
+
+    def test_changes_name_each_moved_field(self):
+        analyze = "dor = 1.0\nlambda_s = 80.8\n"
+        assert make_goldens.changes("a.txt", analyze, analyze.replace("80.8", "0.00795")) == [
+            "a.txt lambda_s: 80.8 -> 0.00795"]
+        rows = "PASS sampler_ks: D = 0.1\nPASS determinism: bit-identical repeat run\n"
+        assert make_goldens.changes("v.txt", rows, rows.replace("PASS sampler_ks: D = 0.1",
+                                                                "FAIL sampler_ks: D = 0.2")) == [
+            "v.txt sampler_ks: PASS sampler_ks: D = 0.1 -> FAIL sampler_ks: D = 0.2"]
+        table = "h_m,dor\n500000.0,1.0\n800000.0,1.0\n"
+        assert make_goldens.changes("s.csv", table, "h_m,dor\n500000.0,1.0\n800000.0,0.5\n"
+                                    "900000.0,0.4\n") == [
+            "s.csv row 2 dor: 1.0 -> 0.5",
+            "s.csv row 3 h_m: (none) -> 900000.0",
+            "s.csv row 3 dor: (none) -> 0.4",
+        ]

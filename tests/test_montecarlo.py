@@ -1,9 +1,15 @@
 import concurrent.futures
 import math
 import os
+import platform
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,9 +55,11 @@ from leolink.schemes import (
     rat_report,
 )
 
+from block_schedule import BlockSchedule
 from fading_sets import ABDI_SETS, LOS_SETS
 from make_block_golden import CAP_ABOVE_STATE_1, GOLDEN, block_golden_text, case_scenario
 
+ROOT = Path(__file__).resolve().parent.parent
 FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
 DOPPLER = DopplerSpec(f_scatter_max_hz=100.0, mean_aoa_rad=1.55, aoa_width=24.2)
 SIGMA2 = 10.0 ** ((-66.0 - 30.0) / 10.0)
@@ -97,7 +105,7 @@ def pat_setup(timeline):
 
 
 def set_cores(monkeypatch, n: int) -> None:
-    # the cores this process may use, as simulate counts them
+    # the cores this process may use, as os reports them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
 
@@ -487,7 +495,7 @@ class TestDeterminismAndBlocks:
         for cores in (1, 8):
             set_cores(monkeypatch, cores)
             results.append(simulate(GEO, timeline, FADING, part, BUDGET, scheme, traffic, lam, cfg))
-        assert workers == [1, 2]  # two workers share five blocks
+        assert workers == [1, 1]  # one side worker beside the calling thread
         assert 0.0 < results[0].dor < 1.0
         assert results[0] == results[1]
 
@@ -502,6 +510,34 @@ class TestDeterminismAndBlocks:
         results = [simulate(GEO, timeline, FADING, part, BUDGET, s, TRAFFIC, lam, cfg)
                    for s in (scheme, as_int)]
         assert results[0] == results[1]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the page reuse is glibc's allocator's")
+    def test_blocks_reuse_their_pages(self):
+        # In a fresh interpreter, where no large array has been freed yet, a
+        # 1e6-replication simulate reuses the memory of its earlier blocks.
+        # Where the calling thread gave each block's pages back, the second
+        # call faulted in about 12 600 pages; now it faults in a few.
+        script = textwrap.dedent("""
+            import resource
+            from dataclasses import replace
+            from pathlib import Path
+            from leolink.pipeline import run_simulate
+            from leolink.scenario import parse_scenario
+            scn = parse_scenario(Path("scenarios/reference_rat.scn").read_text())
+            scn = replace(scn, sim=replace(scn.sim, n_samples=1_000_000))
+            run_simulate(scn)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_simulate(scn)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH"))
+                                            if p)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 300
 
     def test_worker_errors_propagate(self, timeline, rat_setup, monkeypatch):
         rat, part, _, lam = rat_setup
@@ -561,6 +597,88 @@ class TestDeterminismAndBlocks:
         assert ses[0] / ses[1] == pytest.approx(math.sqrt(10.0), rel=0.4)
         assert ses[1] / ses[2] == pytest.approx(math.sqrt(10.0), rel=0.4)
 
+
+SCHEDULED_TRAFFIC = TrafficSpec(packet_bits=500e3, delay_threshold_s=20e-3)
+
+
+def simulate_scheduled(monkeypatch, timeline, setup, schedule: str, fail=frozenset()):
+    """simulate of a scheme at 20 000 replications in blocks of 4096: blocks
+    0-4, with a packet budget whose outage lies strictly inside (0, 1),
+    under a BlockSchedule whose calling thread waits as it enters the block
+    runner. Returns the result, whether the calling thread ran each block,
+    and the most threads seen alive by any block.
+    """
+    plan = BlockSchedule(monkeypatch, schedule, 5, fail)
+    finish = montecarlo._finish
+
+    def held_finish(blocks, pending):
+        plan.hold_caller()
+        return finish(blocks, pending)
+
+    monkeypatch.setattr(montecarlo, "_finish", held_finish)
+    scheme, part, _, lam = setup
+    res = simulate(GEO, timeline, FADING, part, BUDGET, scheme, SCHEDULED_TRAFFIC, lam,
+                   SimConfig(n_samples=20_000, seed=123))
+    return res, plan.ran, max(plan.alive)
+
+
+class TestSimulateSchedule:
+    @pytest.mark.parametrize("schedule", ["none", "all", "some"])
+    @pytest.mark.parametrize("kind", ["rat", "pat"])
+    def test_result_does_not_depend_on_which_thread_runs_a_block(
+            self, timeline, kind, schedule, request, monkeypatch):
+        setup = request.getfixturevalue(f"{kind}_setup")
+        threads = threading.active_count()
+        res, ran, alive = simulate_scheduled(monkeypatch, timeline, setup, schedule)
+        monkeypatch.undo()
+        monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
+        scheme, part, _, lam = setup
+        # the same five blocks, run in block order on this thread alone
+        want = montecarlo._reduce(
+            [_block(GEO, timeline, FADING, part, BUDGET, scheme, SCHEDULED_TRAFFIC, lam, rng,
+                    count)
+             for rng, count in _block_rngs(123, 20_000)], 20_000)
+        assert 0.0 < want.dor < 1.0
+        assert res == want
+        assert sorted(ran) == list(range(5))
+        here = {i for i, by_caller in ran.items() if by_caller}
+        if schedule == "none":
+            assert here == set()
+        elif schedule == "all":
+            assert here == set(range(5))
+        else:
+            # the worker holds block 0 until the calling thread has taken
+            # the last block
+            assert 0 not in here and 4 in here
+        # the calling thread and one side worker
+        assert alive <= threads + 1
+        assert threading.active_count() == threads
+
+    def test_result_under_fast_thread_switching(self, timeline, rat_setup, monkeypatch):
+        # 20 blocks, while the two threads switch every microsecond
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1024)
+        rat, part, _, lam = rat_setup
+        args = (GEO, timeline, FADING, part, BUDGET, rat, SCHEDULED_TRAFFIC, lam)
+        cfg = SimConfig(n_samples=20_000, seed=123)
+        want = montecarlo._reduce([_block(*args, rng, count)
+                                   for rng, count in _block_rngs(cfg.seed, cfg.n_samples)],
+                                  cfg.n_samples)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert simulate(*args, cfg) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("fail, first", [({0, 3}, 0), ({1, 3}, 1), ({2, 4}, 2), ({4}, 4)])
+    @pytest.mark.parametrize("schedule", ["none", "all", "some"])
+    def test_first_failing_block_surfaces(self, timeline, rat_setup, monkeypatch, schedule,
+                                          fail, first):
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"^block {first}$"):
+            simulate_scheduled(monkeypatch, timeline, rat_setup, schedule, fail)
+        assert threading.active_count() == threads
 
 def sim_result(**fields) -> SimResult:
     estimates = dict(mean_rate_bps=1.0, rate_se_bps=0.0, mean_power_w=1.0,

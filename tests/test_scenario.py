@@ -6,15 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leolink.scenario import (
+    _KEYS,
     ParseError,
     Scenario,
     UnknownKey,
     ValidationError,
+    _value,
     apply_sweep_value,
     parse_scenario,
     parse_sweep,
-    render_scenario,
 )
+
+
+def render_scenario(scn: Scenario) -> str:
+    """Canonical text form of scn, the parser's round-trip oracle:
+    parse_scenario(render_scenario(s)) == s."""
+    out = []
+    for section, keys in _KEYS.items():
+        entries = []
+        for key, (field, sub, _, _) in keys.items():
+            value = _value(scn, field, sub)
+            if isinstance(value, tuple):
+                entries.append(f"{key} = {', '.join(repr(v) for v in value)}")
+            elif value is not None:
+                entries.append(f"{key} = {value!r}")
+        if entries:
+            out += [f"[{section}]", *entries, ""]
+    return "\n".join(out)
+
 
 MINIMAL = """
 [geometry]
