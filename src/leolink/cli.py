@@ -5,7 +5,7 @@ parameter, optionally with simulation columns), simulate (Monte-Carlo
 estimates), validate (oracle cross-check suite).
 
 Exit codes: 0 success, 1 validation-suite failure, 2 scenario parse or
-validation error, 3 numerical failure.
+validation error or unwritable output, 3 numerical failure.
 """
 
 import argparse
@@ -96,27 +96,23 @@ def _run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"E_IO: cannot read scenario: {exc}", file=sys.stderr)
         return 2
+    code = 0
     try:
         scn = parse_scenario(scenario_text)
         if args.command == "analyze":
-            report = run_analyze(scn)
-            _write(args.out, "\n".join(report_lines(scn, report)) + "\n")
+            text = "\n".join(report_lines(scn, run_analyze(scn))) + "\n"
         elif args.command == "sweep":
             sweep = parse_sweep(args.sweep)
-            header, rows = run_sweep(scn, sweep, with_sim=args.with_sim, seed=args.seed)
-            _write(args.out, _csv_text(header, rows))
+            text = _csv_text(*run_sweep(scn, sweep, with_sim=args.with_sim, seed=args.seed))
         elif args.command == "simulate":
             header, row = run_simulate(scn, seed=args.seed)
-            _write(args.out, _csv_text(header, [row]))
+            text = _csv_text(header, [row])
         else:  # validate
             checks = run_validate(scn, seed=args.seed)
-            lines = [
-                f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}"
-                for c in checks
-            ]
-            _write(args.out, "\n".join(lines) + "\n")
+            text = "\n".join(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}"
+                             for c in checks) + "\n"
             if not all(c.passed for c in checks):
-                return 1
+                code = 1
     except ScenarioError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2
@@ -126,7 +122,12 @@ def _run(args: argparse.Namespace) -> int:
     except ValueError as exc:  # configuration rejected outside the parser
         print(f"E_VALIDATION {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
+    try:
+        _write(args.out, text)
+    except OSError as exc:
+        print(f"E_IO: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -56,7 +56,9 @@ def prepare(scn: Scenario, finite_wait: bool = False) -> ScenarioParts:
     instead of being sampled. This is a sweep's route with one point.
     """
     timeline = build_timeline(scn.geometry, scn.slot_len_s)
-    return _assemble(timeline, _solve([scn])[0], finite_wait)
+    solved = _solve([scn])[0]
+    _check_wait(solved, finite_wait)
+    return _parts(timeline, solved)
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,7 @@ def _solve(scns: list[Scenario]) -> list[_Solved]:
     fading and Doppler spectrum share one fade-duration call.
     """
     d_max = [distance_range(s.geometry)[1] for s in scns]
-    firsts = [schemes.rat_first_threshold(s.budget, s.rat, d) if s.scheme == "rat"
-              else schemes.pat_first_threshold(s.budget, s.pat, d)
+    firsts = [schemes.first_threshold(s.budget, getattr(s, s.scheme), d)
               for s, d in zip(scns, d_max)]
     first = np.array(firsts)
     partitions, pi, lams = [None] * len(scns), [None] * len(scns), [None] * len(scns)
@@ -122,11 +123,6 @@ def _check_wait(solved: _Solved, finite_wait: bool) -> None:
                     "the crossing rate underflowed, or mass / rate overflowed")
 
 
-def _assemble(timeline: PassTimeline, solved: _Solved, finite_wait: bool) -> ScenarioParts:
-    _check_wait(solved, finite_wait)
-    return _parts(timeline, solved)
-
-
 def _parts(timeline: PassTimeline, solved: _Solved) -> ScenarioParts:
     return ScenarioParts(
         timeline=timeline,
@@ -142,14 +138,8 @@ def run_analyze(scn: Scenario, parts: ScenarioParts | None = None) -> SchemeRepo
     """Closed-form report for the scenario's scheme: the P = 1 case of a
     sweep's reports (_Sweep)."""
     p = parts or prepare(scn)
-    pi = p.probs.probs[:, 0]
-    if scn.scheme == "rat":
-        return schemes.rat_report(
-            scn.budget, scn.rat, p.partition, p.timeline, pi, scn.traffic, p.lam_s
-        )
-    return schemes.pat_report(
-        scn.budget, scn.pat, p.partition, p.timeline, pi, scn.traffic, p.lam_s
-    )
+    return schemes.report(scn.budget, getattr(scn, scn.scheme), p.partition, p.timeline,
+                          p.probs.probs[:, 0], scn.traffic, p.lam_s)
 
 
 class _Sweep:
@@ -159,32 +149,27 @@ class _Sweep:
     equal apart from those share a key: point i has key which[i], and
     distinct holds a point of each key. Each key has its timeline row
     (geometry.slot_brackets) and its _Solved (_solve), and the points'
-    reports come from schemes._reports, one call per scheme, with the
-    state probabilities of their keys' solves. Each report, solve and
-    timeline equals its point's alone, bit for bit. Raises the first error
-    of any step; no warning is logged here.
+    reports come from one schemes._reports call, with the state
+    probabilities of their keys' solves: no swept key changes the scheme.
+    Each report, solve and timeline equals its point's alone, bit for bit.
+    Raises the first error of any step; no warning is logged here.
     """
 
     def __init__(self, points: list[Scenario], distinct: list[Scenario], which: list[int]):
         self.times, self.n_slots, self.dist_min, self.dist_max = slot_brackets(
             [key.geometry for key in distinct], [key.slot_len_s for key in distinct])
         self.solved = _solve(distinct)
-        self.reports: list[SchemeReport] = [None] * len(points)
-        for scheme, idx in _groups(points, range(len(points)), lambda s: s.scheme).items():
-            rows = [which[i] for i in idx]
-            solved = [self.solved[j] for j in rows]
-            pts = schemes._Points.of(
-                [points[i].budget for i in idx],
-                [getattr(points[i], scheme) for i in idx],
-                [s.partition for s in solved],
-                self.n_slots[rows], self.dist_min, self.dist_max, rows)
-            pi = np.zeros(pts.thresholds.shape)
-            for row, s in zip(pi, solved):
-                row[:len(s.pi)] = s.pi
-            reports = schemes._reports(pts, [points[i].traffic for i in idx], pi,
-                                       [s.lam_s for s in solved])
-            for i, report in zip(idx, reports):
-                self.reports[i] = report
+        solved = [self.solved[j] for j in which]
+        pts = schemes._Points.of(
+            [point.budget for point in points],
+            [getattr(point, point.scheme) for point in points],
+            [s.partition for s in solved],
+            self.n_slots[which], self.dist_min, self.dist_max, which)
+        pi = np.zeros(pts.thresholds.shape)
+        for row, s in zip(pi, solved):
+            row[:len(s.pi)] = s.pi
+        self.reports = schemes._reports(pts, [point.traffic for point in points], pi,
+                                        [s.lam_s for s in solved])
 
     def parts(self, point: Scenario, j: int) -> ScenarioParts:
         """prepare(point) of a point of key j, from the sweep's own values,
@@ -266,12 +251,13 @@ def run_sweep(
     and point i is seeded with i plus its own sim.seed (or plus seed, when
     given), so a swept sim.seed takes effect.
     The points' reports are formed together (_Sweep), and each row equals
-    its point run alone; the loop over the points only logs each key's
-    wait warning when it first comes up, formats and simulates. A point's
-    prepared parts, which only a simulation needs, are built when it comes
-    up and kept until the last point of its key. If the reports fail, each
-    point is prepared and analyzed alone when it comes up, so the sweep
-    stops at its first failing point with that point's own error.
+    its point run alone. Each key's wait check runs once, in key order,
+    before the first row; the loop over the points then formats each row
+    and, with simulation columns, simulates the point from parts built out
+    of the sweep's own values when its row comes up. If the reports fail,
+    the distinct points are prepared and analyzed alone, in order, so the
+    sweep stops at its first failing point with that point's own error and
+    the warnings of the points before it.
     """
     header = [sweep_column_name(sweep.path)] + list(SWEEP_CSV_COLUMNS)
     if with_sim:
@@ -285,31 +271,20 @@ def run_sweep(
         if j == len(distinct):
             distinct.append(point)
         which.append(j)
-    last_use = {j: i for i, j in enumerate(which)}
     try:
         batch = _Sweep(points, distinct, which)
     except (ArithmeticError, ValueError):
-        batch = None
-    prepared: dict[int, ScenarioParts | None] = {}
+        for point in distinct:
+            run_analyze(point, prepare(point, with_sim))
+        raise
+    for solved in batch.solved:
+        _check_wait(solved, with_sim)
     # Points that share a key repeat most columns; equal cells share one
     # string, so a long budget sweep keeps a fraction of the text.
     cells: dict[str, str] = {}
     rows = []
-    for i, (value, point, j) in enumerate(zip(sweep.values, points, which)):
-        # an earlier point of key j that is not its last keeps its parts here
-        first = j not in prepared
-        parts = prepared.pop(j, None)
-        if batch is None:
-            parts = parts or prepare(point, with_sim)
-            report = run_analyze(point, parts)
-        else:
-            if first:
-                _check_wait(batch.solved[j], with_sim)
-            if with_sim and parts is None:
-                parts = batch.parts(point, j)
-            report = batch.reports[i]
-        if last_use[j] > i:
-            prepared[j] = parts
+    for i, (value, point, j, report) in enumerate(zip(sweep.values, points, which,
+                                                      batch.reports)):
         row = [
             _fmt(value),
             _fmt(report.throughput_lo_bps),
@@ -320,7 +295,7 @@ def run_sweep(
         ]
         if with_sim:
             base_seed = point.sim.seed if seed is None else seed
-            sim = _simulate(point, parts, replace(point.sim, seed=base_seed + i))
+            sim = _simulate(point, batch.parts(point, j), replace(point.sim, seed=base_seed + i))
             row += [
                 _fmt(sim.mean_rate_bps),
                 _fmt(sim.rate_se_bps),
@@ -344,9 +319,8 @@ SIMULATE_CSV_HEADER = [
 
 
 def _sim_args(scn: Scenario, parts: ScenarioParts, cfg: montecarlo.SimConfig) -> tuple:
-    scheme_cfg = scn.rat if scn.scheme == "rat" else scn.pat
     return (scn.geometry, parts.timeline, scn.fading, parts.partition, scn.budget,
-            scheme_cfg, scn.traffic, parts.lam_s, cfg)
+            getattr(scn, scn.scheme), scn.traffic, parts.lam_s, cfg)
 
 
 def _simulate(scn: Scenario, parts: ScenarioParts, cfg: montecarlo.SimConfig):

@@ -1,12 +1,16 @@
 """Closed-form throughput, energy efficiency, and delay outage rate for the
 rate-adaptive (fixed power) and power-adaptive (fixed rate) schemes.
 
-Each scheme has one route to its K x N grid of per-(state, slot) rates or
-powers, _rat_grids or _pat_grids; lower bounds pair each state's lower
-gain edge with the slot's largest distance and upper bounds do the
-opposite. Throughput, mean power, energy efficiency and the delay outage
-rate are all read from that grid and the K state probabilities pi, which
-hold in every slot: the fading does not change over the pass.
+first_threshold and report serve both schemes and read the scheme from
+the config's type, a RatConfig or a PatConfig. Each scheme fixes one of
+power or rate and has one route to its K x N grid of the other per
+(state, slot), _rat_grids rates or _pat_grids powers; lower bounds pair
+each state's lower gain edge with the slot's largest distance and upper
+bounds do the opposite. The fixed side times the transmitting states'
+mass, and the grid's sums against the K state probabilities pi, which
+hold in every slot (the fading does not change over the pass), give
+throughput, mean power and energy efficiency by one body for both
+schemes; only the delay outage rate keeps an expression per scheme.
 
 The route takes P points at once (_Points, _reports), as P x K x N grids
 padded to the most states and slots, and a report of one point is its
@@ -32,11 +36,9 @@ __all__ = [
     "SchemeReport",
     "ZeroPower",
     "DimensionMismatch",
-    "rat_first_threshold",
+    "first_threshold",
+    "report",
     "rat_dor_integral",
-    "rat_report",
-    "pat_first_threshold",
-    "pat_report",
     "pat_dor_integral",
 ]
 
@@ -247,15 +249,20 @@ def _check_reports(power: np.ndarray, lams) -> None:
             raise ValueError(f"lam_s must be > 0, got {lam_s}")
 
 
-def rat_first_threshold(budget: LinkBudget, rat: RatConfig, d_max_m: float) -> float:
-    """Amplitude below which the fixed-power link cannot reach min_snr even
-    at the worst-case distance: sigma * sqrt(min_snr * d_max^rho / P_T)."""
+def first_threshold(budget: LinkBudget, config: RatConfig | PatConfig, d_max_m: float
+                    ) -> float:
+    """Amplitude below which the link cannot serve at the worst-case
+    distance: sigma * sqrt(snr * d_max^rho / P), where a RatConfig needs
+    min_snr at its fixed power P_T and a PatConfig the SNR that holds its
+    fixed rate, 2^(R_fix / B) - 1, at its power cap."""
     if not d_max_m > 0:
         raise ValueError(f"d_max_m must be > 0, got {d_max_m}")
-    return math.sqrt(
-        budget.noise_power_w * rat.min_snr * d_max_m**budget.path_loss_exp
-        / rat.tx_power_w
-    )
+    if isinstance(config, RatConfig):
+        snr, power = config.min_snr, config.tx_power_w
+    else:
+        snr = 2.0 ** (config.fixed_rate_bps / budget.bandwidth_hz) - 1.0
+        power = config.max_power_w
+    return math.sqrt(budget.noise_power_w * snr * d_max_m**budget.path_loss_exp / power)
 
 
 def _rat_grids(pts: _Points) -> np.ndarray:
@@ -291,7 +298,8 @@ def rat_dor_integral(
     At each arrival instant the delivery-time CDF is assembled from the
     per-state outcomes with the completion slot uniform over 1..N, and the
     resulting outage probability is averaged over the pass with the
-    trapezoid rule. Cross-checks the closed form in rat_report.
+    trapezoid rule. Cross-checks report's closed form for a RatConfig
+    (_rat_dor).
     """
     if not lam_s > 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
@@ -324,66 +332,6 @@ def rat_dor_integral(
     return min(max(float(integral), 0.0), 1.0)
 
 
-def rat_report(
-    budget: LinkBudget,
-    rat: RatConfig,
-    part: GainPartition,
-    tl: PassTimeline,
-    pi: np.ndarray,
-    traffic: TrafficSpec,
-    lam_s: float,
-) -> SchemeReport:
-    """All rate-adaptive metrics in one report, from one rate grid.
-
-    Throughput is the slot average of sum_k pi R over each bound of the
-    grid; power is P_T times the transmitting states' mass, which keeps its
-    digits where 1 - pi_1 cannot. lam_s is the mean waiting time in the
-    bottom state (the average fade duration at the first threshold).
-    """
-    pi = _check_pi(part, pi)
-    return _reports(_Points.one(budget, rat, part, tl), [traffic], pi[None], [lam_s])[0]
-
-
-def _rat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
-                 ) -> list[SchemeReport]:
-    shapes = _shapes(pts)
-    n = pts.n_slots
-    rates = _rat_grids(pts)
-    every = np.broadcast_to(probs, rates.shape[1:])
-    thr_lo, thr_hi = _sums(probs * rates, shapes) / n
-    t_th = np.array([t.delay_threshold_s for t in traffics])[:, None, None]
-    bits = np.array([t.packet_bits for t in traffics])[:, None, None]
-    # the drain time at each state's lower-edge rate, infinite at rate 0,
-    # and the states that drain within the budget
-    with np.errstate(divide="ignore"):
-        drain = bits / rates[0]
-    mass, in_time = _sums(np.stack((every, every * (t_th - drain >= 0.0))), shapes, first=1)
-    power = pts.column("tx_power_w")[:, 0, 0] * mass / n
-    _check_reports(power, lams)
-    term_states = in_time / n
-    # After a wait the packet drains at the state-2 lower-edge rate.
-    margin = t_th[:, 0] - drain[:, 1]
-    decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / np.array(lams)[:, None])
-    (term_wait,) = _sums((every[:, 0] * decay * (margin >= 0.0))[None], shapes) / n
-    dor = np.minimum(np.maximum(1.0 - term_states - term_wait, 0.0), 1.0)
-    return [SchemeReport(throughput_lo_bps=lo, throughput_hi_bps=hi, avg_power_lo_w=p,
-                         avg_power_hi_w=p, ee_lo_bpj=lo / p, ee_hi_bpj=hi / p, dor=d, lam_s=lam)
-            for lo, hi, p, d, lam in zip(thr_lo.tolist(), thr_hi.tolist(), power.tolist(),
-                                         dor.tolist(), lams)]
-
-
-def pat_first_threshold(budget: LinkBudget, pat: PatConfig, d_max_m: float) -> float:
-    """Amplitude below which holding the fixed rate at the worst-case
-    distance would need more than the power cap."""
-    if not d_max_m > 0:
-        raise ValueError(f"d_max_m must be > 0, got {d_max_m}")
-    snr_needed = 2.0 ** (pat.fixed_rate_bps / budget.bandwidth_hz) - 1.0
-    return math.sqrt(
-        budget.noise_power_w * snr_needed * d_max_m**budget.path_loss_exp
-        / pat.max_power_w
-    )
-
-
 def _pat_grids(pts: _Points) -> np.ndarray:
     # the (P, K, N) lower and upper transmit-power grids, stacked, capped at
     # max_power_w: each state's power at its lower gain edge bounds it from
@@ -401,69 +349,93 @@ def _pat_grids(pts: _Points) -> np.ndarray:
     return powers
 
 
-def pat_report(
+def _rat_dor(pts: _Points, rate_lo: np.ndarray, every: np.ndarray, shapes, traffics, lams
+             ) -> list[float]:
+    # 1 less the mass of states 2..K that drain the packet within the
+    # budget at their lower-edge rate, infinite drain time at rate 0, and
+    # less state 1's mass times the chance its wait ends in time to drain
+    # at the state-2 lower-edge rate
+    n = pts.n_slots
+    t_th = np.array([t.delay_threshold_s for t in traffics])[:, None, None]
+    bits = np.array([t.packet_bits for t in traffics])[:, None, None]
+    with np.errstate(divide="ignore"):
+        drain = bits / rate_lo
+    (in_time,) = _sums((every * (t_th - drain >= 0.0))[None], shapes, first=1) / n
+    margin = t_th[:, 0] - drain[:, 1]
+    decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / np.array(lams)[:, None])
+    (waited,) = _sums((every[:, 0] * decay * (margin >= 0.0))[None], shapes) / n
+    return np.minimum(np.maximum(1.0 - in_time - waited, 0.0), 1.0).tolist()
+
+
+def _pat_dor(pts: _Points, every: np.ndarray, shapes, traffics, lams) -> list[float]:
+    # 1 below the service time D / R_fix, and pi_1 exp(-margin / lam_s)
+    # above it: the packet is late only if it still waits in state 1
+    (waiting,) = _sums(every[None, :, 0], shapes) / pts.n_slots
+    dors = []
+    for pat, wait, traffic, lam_s in zip(pts.configs, waiting.tolist(), traffics, lams):
+        margin = traffic.delay_threshold_s - traffic.packet_bits / pat.fixed_rate_bps
+        dors.append(1.0 if margin < 0.0 else min(max(wait * math.exp(-margin / lam_s), 0.0), 1.0))
+    return dors
+
+
+def report(
     budget: LinkBudget,
-    pat: PatConfig,
+    config: RatConfig | PatConfig,
     part: GainPartition,
     tl: PassTimeline,
     pi: np.ndarray,
     traffic: TrafficSpec,
     lam_s: float,
 ) -> SchemeReport:
-    """All power-adaptive metrics in one report.
+    """All metrics of the config's scheme in one report, from its one grid.
 
-    The partition's first threshold must be the pat_first_threshold value
-    for the same scenario; the power cap then binds only in state 1. The
-    delay outage rate is 1 below the service time D / R_fix and
-    pi_1 exp(-margin / lam_s) above it.
+    The adapted side, rate or power, is the slot average of sum_k pi x over
+    each bound of the grid; the fixed side, P_T or R_fix, scales the
+    transmitting states' mass, which keeps its digits where 1 - pi_1
+    cannot. The partition's first threshold must be first_threshold's
+    value for the same scenario; a PatConfig's power cap then binds only
+    in state 1. lam_s is the mean waiting time in the bottom state (the
+    average fade duration at the first threshold).
     """
     pi = _check_pi(part, pi)
-    return _reports(_Points.one(budget, pat, part, tl), [traffic], pi[None], [lam_s])[0]
+    return _reports(_Points.one(budget, config, part, tl), [traffic], pi[None], [lam_s])[0]
 
 
-def _pat_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
-                 ) -> list[SchemeReport]:
+def _block_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
+                   ) -> list[SchemeReport]:
     shapes = _shapes(pts)
     n = pts.n_slots
-    powers = _pat_grids(pts)
-    every = np.broadcast_to(probs, powers.shape[1:])
-    rate = pts.column("fixed_rate_bps")[:, 0, 0]
-    throughput = rate * _sums(every[None], shapes, first=1)[0] / n
-    p_lo, p_hi = _sums(probs * powers, shapes) / n
+    rat = isinstance(pts.configs[0], RatConfig)
+    grids = (_rat_grids if rat else _pat_grids)(pts)
+    every = np.broadcast_to(probs, grids.shape[1:])
+    lo, hi = _sums(probs * grids, shapes) / n
+    fixed = pts.column("tx_power_w" if rat else "fixed_rate_bps")[:, 0, 0]
+    flat = fixed * _sums(every[None], shapes, first=1)[0] / n
+    (thr_lo, thr_hi), (p_lo, p_hi) = ((lo, hi), (flat, flat)) if rat else ((flat, flat), (lo, hi))
     _check_reports(p_hi, lams)
-    (waiting,) = _sums(every[None, :, 0], shapes) / n
-    reports = []
-    for tput, lo, hi, r, wait, traffic, lam_s in zip(
-            throughput.tolist(), p_lo.tolist(), p_hi.tolist(), rate.tolist(), waiting.tolist(),
-            traffics, lams):
-        service_time = traffic.packet_bits / r
-        if traffic.delay_threshold_s < service_time:
-            dor = 1.0
-        else:
-            margin = traffic.delay_threshold_s - service_time
-            dor = min(max(wait * math.exp(-margin / lam_s), 0.0), 1.0)
-        reports.append(SchemeReport(
-            throughput_lo_bps=tput, throughput_hi_bps=tput, avg_power_lo_w=lo,
-            avg_power_hi_w=hi, ee_lo_bpj=tput / hi,
-            ee_hi_bpj=tput / lo if lo > 0.0 else math.inf, dor=dor, lam_s=lam_s))
-    return reports
+    dors = (_rat_dor(pts, grids[0], every, shapes, traffics, lams) if rat
+            else _pat_dor(pts, every, shapes, traffics, lams))
+    return [SchemeReport(throughput_lo_bps=tlo, throughput_hi_bps=thi, avg_power_lo_w=plo,
+                         avg_power_hi_w=phi, ee_lo_bpj=tlo / phi,
+                         ee_hi_bpj=thi / plo if plo > 0.0 else math.inf, dor=dor, lam_s=lam)
+            for tlo, thi, plo, phi, dor, lam in zip(thr_lo.tolist(), thr_hi.tolist(),
+                                                    p_lo.tolist(), p_hi.tolist(), dors, lams)]
 
 
 def _reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
              ) -> list[SchemeReport]:
-    """rat_report or pat_report of each of P points of one scheme, all
-    together: probs holds each point's state probabilities, P x K, padded
-    with 0. Points go in blocks of about _CELLS grid entries. Raises, for
-    the first point with one, the error its report alone raises.
+    """report of each of P points of one scheme, all together: probs
+    holds each point's state probabilities, P x K, padded with 0. Points
+    go in blocks of about _CELLS grid entries. Raises, for the first point
+    with one, the error its report alone raises.
     """
-    report = _rat_reports if isinstance(pts.configs[0], RatConfig) else _pat_reports
     size = max(1, _CELLS // (pts.thresholds.shape[1] * pts.dist_max.shape[1]))
     # one column, which every slot of the grids shares
     probs = probs[:, :, None]
     out = []
     for a in range(0, len(lams), size):
         b = a + size
-        out += report(pts.rows(a, b), traffics[a:b], probs[a:b], lams[a:b])
+        out += _block_reports(pts.rows(a, b), traffics[a:b], probs[a:b], lams[a:b])
     return out
 
 
@@ -478,7 +450,8 @@ def pat_dor_integral(
 
     Assembles the delivery-time CDF (exponential wait in state 1 plus the
     fixed service time elsewhere) and averages the outage probability over
-    arrival times with the trapezoid rule. Cross-checks pat_report.
+    arrival times with the trapezoid rule. Cross-checks report's closed
+    form for a PatConfig (_pat_dor).
     """
     if not lam_s > 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")

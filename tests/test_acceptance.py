@@ -38,11 +38,9 @@ from leolink.schemes import (
     PatConfig,
     RatConfig,
     TrafficSpec,
-    pat_first_threshold,
-    pat_report,
+    first_threshold,
     rat_dor_integral,
-    rat_first_threshold,
-    rat_report,
+    report,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -83,7 +81,7 @@ def rat_stack(height_m: float, p_t_w: float, n_states: int = 8):
     budget = LinkBudget(bandwidth_hz=60e6, noise_power_w=SIGMA2, path_loss_exp=2.0)
     rat = RatConfig(tx_power_w=p_t_w, min_snr=1.0)
     d_max = distance_range(geo)[1]
-    part, probs, lam = solve(rat_first_threshold(budget, rat, d_max), n_states)
+    part, probs, lam = solve(first_threshold(budget, rat, d_max), n_states)
     return geo, tl, budget, rat, part, probs, lam
 
 
@@ -95,7 +93,7 @@ def pat_stack(p_max_w: float, rate_bps: float = 60e6):
     budget = LinkBudget(bandwidth_hz=60e6, noise_power_w=SIGMA2, path_loss_exp=2.0)
     pat = PatConfig(max_power_w=p_max_w, fixed_rate_bps=rate_bps)
     d_max = distance_range(geo)[1]
-    part, probs, lam = solve(pat_first_threshold(budget, pat, d_max))
+    part, probs, lam = solve(first_threshold(budget, pat, d_max))
     return geo, tl, budget, pat, part, probs, lam
 
 
@@ -151,7 +149,7 @@ def test_acceptance_3_bracket_reproduction():
         for h_km in (500.0, 800.0, 1100.0):
             geo, tl, budget, rat, part, probs, lam = rat_stack(h_km * 1e3, dbw(p_dbw))
             traffic = TrafficSpec(TRAFFIC_BITS, 1e-3)
-            rep = rat_report(budget, rat, part, tl, probs, traffic, lam)
+            rep = report(budget, rat, part, tl, probs, traffic, lam)
             lo, hi = rep.throughput_lo_bps, rep.throughput_hi_bps
             ee_lo, ee_hi = rep.ee_lo_bpj, rep.ee_hi_bpj
             cfg = SimConfig(n_samples=100_000, seed=seed)
@@ -181,7 +179,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
         geo, tl, budget, rat, part, probs, lam = rat_stack(500e3, dbw(p_dbw))
         for t_th in (0.2e-3, 0.5e-3, 1.0e-3):
             traffic = TrafficSpec(packet_bits=TRAFFIC_BITS, delay_threshold_s=t_th)
-            closed = rat_report(budget, rat, part, tl, probs, traffic, lam).dor
+            closed = report(budget, rat, part, tl, probs, traffic, lam).dor
             integral = rat_dor_integral(budget, rat, part, tl, probs, traffic, lam)
             gap = abs(closed - integral)
             worst_gap = max(worst_gap, gap)
@@ -202,17 +200,17 @@ def test_acceptance_5_pat_outage_piecewise_law():
     geo, tl, budget, pat, part, probs, lam = pat_stack(dbw(30.0))
     knee = TRAFFIC_BITS / pat.fixed_rate_bps
 
-    def pat_report_dor(traffic):
-        return pat_report(budget, pat, part, tl, probs, traffic, lam).dor
+    def pat_dor(traffic):
+        return report(budget, pat, part, tl, probs, traffic, lam).dor
 
-    below = pat_report_dor(TrafficSpec(TRAFFIC_BITS, 0.9 * knee))
+    below = pat_dor(TrafficSpec(TRAFFIC_BITS, 0.9 * knee))
     assert below == 1.0
 
-    at_knee = pat_report_dor(TrafficSpec(TRAFFIC_BITS, knee))
+    at_knee = pat_dor(TrafficSpec(TRAFFIC_BITS, knee))
     assert at_knee == pytest.approx(probs[0], rel=1e-12)
 
     traffic = TrafficSpec(TRAFFIC_BITS, 1.2 * knee)
-    closed = pat_report_dor(traffic)
+    closed = pat_dor(traffic)
     cfg = SimConfig(n_samples=100_000, seed=51_000)
     sim = simulate(geo, tl, FADING, part, budget, pat, traffic, lam, cfg)
     assert abs(sim.dor - closed) <= 3.0 * sim.dor_se + 1e-9
@@ -231,7 +229,7 @@ def test_acceptance_6_monotonicity_suite():
     thr = []
     for h in heights:
         _, tl, budget, rat, part, probs, lam = rat_stack(h, dbw(36.0))
-        rep = rat_report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, 1e-3), lam)
+        rep = report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, 1e-3), lam)
         thr.append((rep.throughput_lo_bps, rep.throughput_hi_bps))
     assert all(b[0] <= a[0] + 1e-9 and b[1] <= a[1] + 1e-9
                for a, b in zip(thr, thr[1:]))
@@ -241,7 +239,7 @@ def test_acceptance_6_monotonicity_suite():
     traffic = TrafficSpec(TRAFFIC_BITS, 1e-3)
     for p in powers:
         _, tl, budget, rat, part, probs, lam = rat_stack(500e3, p)
-        rep = rat_report(budget, rat, part, tl, probs, traffic, lam)
+        rep = report(budget, rat, part, tl, probs, traffic, lam)
         thr_p.append((rep.throughput_lo_bps, rep.throughput_hi_bps))
         dor_p.append(rep.dor)
     assert all(a[0] <= b[0] + 1e-9 and a[1] <= b[1] + 1e-9
@@ -250,7 +248,7 @@ def test_acceptance_6_monotonicity_suite():
 
     _, tl, budget, rat, part, probs, lam = rat_stack(500e3, dbw(40.0))
     dor_t = [
-        rat_report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, t), lam).dor
+        report(budget, rat, part, tl, probs, TrafficSpec(TRAFFIC_BITS, t), lam).dor
         for t in (0.0, 0.5e-3, 1e-3, 3e-3, 6e-3, 9e-3, 15e-3)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(dor_t, dor_t[1:]))
@@ -259,7 +257,7 @@ def test_acceptance_6_monotonicity_suite():
     dor_cap = []
     for p in powers:
         _, tl, budget, pat, part, probs, lam = pat_stack(p)
-        dor_cap.append(pat_report(budget, pat, part, tl, probs, knee_traffic, lam).dor)
+        dor_cap.append(report(budget, pat, part, tl, probs, knee_traffic, lam).dor)
     assert all(b <= a + 1e-12 for a, b in zip(dor_cap, dor_cap[1:]))
 
     elapsed = time.monotonic() - start

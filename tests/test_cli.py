@@ -19,7 +19,7 @@ from leolink import channel, montecarlo, pipeline, schemes
 from leolink.cli import main
 from leolink.geometry import distance_range
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
-from leolink.schemes import pat_first_threshold
+from leolink.schemes import first_threshold
 
 import make_goldens
 from block_schedule import BlockSchedule
@@ -261,8 +261,8 @@ class TestSweep:
     def test_sweep_holds_one_prepared_point_at_a_time(self, monkeypatch, spec):
         # the points' reports are formed together, and no point is
         # prepared for them; with simulation columns, each point's timeline
-        # and probability matrix are built when it comes up and dropped
-        # after its last use
+        # and probability matrix are built from the sweep's values when its
+        # row comes up, and dropped once its row is done
         built, held = [], []
         parts_of = pipeline._parts
 
@@ -301,8 +301,34 @@ class TestSweep:
             with pytest.raises(ArithmeticError, match="report failed"):
                 pipeline.run_sweep(scn, sweep)
         first = apply_sweep_value(scn, sweep.path, sweep.values[0])
-        threshold = pat_first_threshold(first.budget, first.pat,
-                                        distance_range(first.geometry)[1])
+        threshold = first_threshold(first.budget, first.pat, distance_range(first.geometry)[1])
+        records = [r for r in caplog.records if r.name == "leolink.pipeline"]
+        assert len(records) == 1
+        assert f"at first threshold {threshold!r}:" in records[0].getMessage()
+
+    def test_sweep_raises_the_first_point_error_across_stages(self, monkeypatch, caplog):
+        # the 600 Mbit/s point waits forever and fails in the reports; the
+        # 1000 Mbit/s point after it fails in the partition solve, which the
+        # batch reaches first. Run one at a time, the points stop at the
+        # first one's report, with its warning and nothing of the second.
+        scn = parse_scenario(Path(PAT_SCN).read_text())
+        sweep = parse_sweep("pat.fixed_rate=600e6,1000e6")
+        reports = schemes._reports
+
+        def failing(pts, *args):
+            if any(pat.fixed_rate_bps == 600e6 for pat in pts.configs):
+                raise ArithmeticError("report failed")
+            return reports(pts, *args)
+
+        monkeypatch.setattr(schemes, "_reports", failing)
+        points = [apply_sweep_value(scn, sweep.path, v) for v in sweep.values]
+        with pytest.raises(ArithmeticError, match="no resolvable probability mass"):
+            pipeline._Sweep(points, points, [0, 1])
+        with caplog.at_level(logging.WARNING, logger="leolink"):
+            with pytest.raises(ArithmeticError, match="report failed"):
+                pipeline.run_sweep(scn, sweep)
+        first = points[0]
+        threshold = first_threshold(first.budget, first.pat, distance_range(first.geometry)[1])
         records = [r for r in caplog.records if r.name == "leolink.pipeline"]
         assert len(records) == 1
         assert f"at first threshold {threshold!r}:" in records[0].getMessage()
@@ -509,12 +535,12 @@ class TestValidate:
 
     @pytest.mark.parametrize("base", [RAT_SCN, PAT_SCN])
     def test_rows_do_not_depend_on_core_count(self, monkeypatch, base):
-        # five blocks, shared by the side worker and the calling thread
+        # five blocks, shared by the side worker and the calling thread in
+        # whichever split the two reach; no core count enters the runner
         monkeypatch.setattr(montecarlo, "_BLOCK", 4096)
         scn = _validate_scenario(base)
-        all_cores = pipeline.run_validate(scn)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert pipeline.run_validate(scn) == all_cores
+        rows = pipeline.run_validate(scn)
+        assert pipeline.run_validate(scn) == rows
 
     def test_simulation_error_surfaces_unchanged(self, monkeypatch):
         def fail(*args):
@@ -647,6 +673,20 @@ class TestErrorPaths:
         assert main(["analyze", "--scenario", "/nonexistent.scn"]) == 2
         assert "E_IO" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        # exit 1 would read as a failed validate row; a failed write is an
+        # input error, like an unreadable scenario, with one line and no
+        # traceback
+        out = tmp_path / "missing" / "x.txt"
+        scn = reduced_scenario(tmp_path, "reference_rat.scn")
+        assert main([command, "--scenario", scn, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"E_IO: cannot write output: [Errno 2] No such file or "
+                                f"directory: '{out}'\n")
+        assert not out.parent.exists()
+
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         bad = reduced_scenario(tmp_path, "reference_rat.scn", **{"m = 10.1": "m = 0.2"})
         assert main(["analyze", "--scenario", bad]) == 2
@@ -694,7 +734,7 @@ class TestErrorPaths:
         assert dor == pytest.approx(1.0, abs=1e-9)
 
         scn = parse_scenario(Path(extreme).read_text())
-        first = pat_first_threshold(
+        first = first_threshold(
             scn.budget, scn.pat, distance_range(scn.geometry)[1]
         )
         records = [r for r in caplog.records if r.name == "leolink.pipeline"]

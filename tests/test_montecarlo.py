@@ -50,9 +50,8 @@ from leolink.schemes import (
     PatConfig,
     RatConfig,
     TrafficSpec,
-    pat_first_threshold,
-    rat_first_threshold,
-    rat_report,
+    first_threshold,
+    report,
 )
 
 from block_schedule import BlockSchedule
@@ -95,19 +94,13 @@ def solve(first: float):
 @pytest.fixture(scope="module")
 def rat_setup(timeline):
     rat = RatConfig(tx_power_w=1000.0, min_snr=1.0)
-    return (rat, *solve(rat_first_threshold(BUDGET, rat, D_MAX)))
+    return (rat, *solve(first_threshold(BUDGET, rat, D_MAX)))
 
 
 @pytest.fixture(scope="module")
 def pat_setup(timeline):
     pat = PatConfig(max_power_w=1000.0, fixed_rate_bps=60e6)
-    return (pat, *solve(pat_first_threshold(BUDGET, pat, D_MAX)))
-
-
-def set_cores(monkeypatch, n: int) -> None:
-    # the cores this process may use, as os reports them
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    return (pat, *solve(first_threshold(BUDGET, pat, D_MAX)))
 
 
 def check_textbook(fading: SrFading, n: int) -> None:
@@ -341,7 +334,7 @@ class TestSimulateRatePower:
         rat, part, probs, lam = rat_setup
         cfg = SimConfig(n_samples=100_000, seed=42)
         res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
-        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        rep = report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
         slack = 3.0 * res.rate_se_bps
         assert rep.throughput_lo_bps - slack <= res.mean_rate_bps <= rep.throughput_hi_bps + slack
 
@@ -349,7 +342,7 @@ class TestSimulateRatePower:
         rat, part, probs, lam = rat_setup
         cfg = SimConfig(n_samples=100_000, seed=43)
         res = simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
-        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        rep = report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
         assert abs(res.mean_power_w - rep.avg_power_lo_w) <= 3.0 * res.power_se_w
 
     def test_rate_at_the_end_of_a_whole_slot_pass(self, rat_setup):
@@ -395,7 +388,7 @@ class TestSimulateDor:
 
     def test_pat_below_knee_exact(self, timeline):
         pat = PatConfig(max_power_w=1000.0, fixed_rate_bps=60e6)
-        part = partitions(FADING, np.array([pat_first_threshold(BUDGET, pat, D_MAX)]), 8,
+        part = partitions(FADING, np.array([first_threshold(BUDGET, pat, D_MAX)]), 8,
                           None)[0][0]
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=5e-3)
         cfg = SimConfig(n_samples=5_000, seed=4)
@@ -405,9 +398,9 @@ class TestSimulateDor:
     @pytest.mark.parametrize("p_dbw,t_th", [(30.0, 1e-3), (50.0, 1e-3), (50.0, 9e-3)])
     def test_rat_matches_closed_form(self, timeline, p_dbw, t_th):
         rat = RatConfig(tx_power_w=10.0 ** (p_dbw / 10.0), min_snr=1.0)
-        part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
+        part, probs, lam = solve(first_threshold(BUDGET, rat, D_MAX))
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-        closed = rat_report(BUDGET, rat, part, timeline, probs, traffic, lam).dor
+        closed = report(BUDGET, rat, part, timeline, probs, traffic, lam).dor
         cfg = SimConfig(n_samples=100_000, seed=77)
         res = simulate(GEO, timeline, FADING, part, BUDGET, rat, traffic, lam, cfg)
         assert abs(res.dor - closed) <= 3.0 * res.dor_se + 1e-9
@@ -491,10 +484,9 @@ class TestDeterminismAndBlocks:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        results = []
-        for cores in (1, 8):
-            set_cores(monkeypatch, cores)
-            results.append(simulate(GEO, timeline, FADING, part, BUDGET, scheme, traffic, lam, cfg))
+        # the worker count reads no core count: two runs take one side worker each
+        results = [simulate(GEO, timeline, FADING, part, BUDGET, scheme, traffic, lam, cfg)
+                   for _ in range(2)]
         assert workers == [1, 1]  # one side worker beside the calling thread
         assert 0.0 < results[0].dor < 1.0
         assert results[0] == results[1]
@@ -550,7 +542,6 @@ class TestDeterminismAndBlocks:
             return distance_at(geo, t)
 
         monkeypatch.setattr(montecarlo, "distance_at", failing_in_last_block)
-        set_cores(monkeypatch, 4)
         with pytest.raises(ValueError) as err:
             simulate(GEO, timeline, FADING, part, BUDGET, rat, TRAFFIC, lam, cfg)
         assert type(err.value) is OutOfPass

@@ -12,7 +12,6 @@ import pytest
 
 from leolink import channel, pipeline
 from leolink.channel import SrFading, afd, partitions, sr_cdf, state_probs
-from leolink.geometry import build_timeline
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
 
 from fading_sets import ABDI_SETS, LOS_SETS
@@ -163,6 +162,6 @@ def test_infinite_wait_warning_names_an_underflowed_mass(caplog):
     pi[1] = 1.0
     solved = replace(solved, pi=pi, lam_s=math.inf)
     with caplog.at_level(logging.WARNING, logger="leolink"):
-        pipeline._assemble(build_timeline(scn.geometry, scn.slot_len_s), solved, False)
+        pipeline._check_wait(solved, False)
     (record,) = caplog.records
     assert record.getMessage().endswith("; mass below it 0.0, so the mass underflowed")

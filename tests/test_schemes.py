@@ -17,12 +17,10 @@ from leolink.schemes import (
     SchemeReport,
     TrafficSpec,
     ZeroPower,
+    first_threshold,
     pat_dor_integral,
-    pat_first_threshold,
-    pat_report,
     rat_dor_integral,
-    rat_first_threshold,
-    rat_report,
+    report,
 )
 
 FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
@@ -66,15 +64,15 @@ class TestValueChecks:
         rat, part, probs, _ = rat_setup
         pat, _, pat_probs, _ = pat_setup
         with pytest.raises(ValueError, match="^d_max_m must be > 0, got nan$"):
-            rat_first_threshold(BUDGET, rat, math.nan)
+            first_threshold(BUDGET, rat, math.nan)
         with pytest.raises(ValueError, match="^d_max_m must be > 0, got nan$"):
-            pat_first_threshold(BUDGET, pat, math.nan)
+            first_threshold(BUDGET, pat, math.nan)
         with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
             rat_dor_integral(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
         with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
             pat_dor_integral(pat_probs, pat, timeline, TRAFFIC, math.nan)
         with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
-            rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
+            report(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
 
 
 def dbw(x: float) -> float:
@@ -107,54 +105,54 @@ def timeline():
 @pytest.fixture(scope="module")
 def rat_setup(timeline):
     rat = RatConfig(tx_power_w=dbw(30.0), min_snr=1.0)
-    return (rat, *solve(rat_first_threshold(BUDGET, rat, D_MAX)))
+    return (rat, *solve(first_threshold(BUDGET, rat, D_MAX)))
 
 
 @pytest.fixture(scope="module")
 def pat_setup(timeline):
     pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=60e6)
-    return (pat, *solve(pat_first_threshold(BUDGET, pat, D_MAX)))
+    return (pat, *solve(first_threshold(BUDGET, pat, D_MAX)))
 
 
 def single_slot_setup(n_states: int = 4, tx_power_w: float = dbw(30.0)):
     t_s = service_duration(GEO)
     tl = build_timeline(GEO, t_s)
     rat = RatConfig(tx_power_w=tx_power_w, min_snr=1.0)
-    part = partitions(FADING, np.array([rat_first_threshold(BUDGET, rat, D_MAX)]), n_states,
+    part = partitions(FADING, np.array([first_threshold(BUDGET, rat, D_MAX)]), n_states,
                       None)[0][0]
     return tl, rat, part
 
 
-def rat_report_throughput(rat, part, tl, probs):
-    rep = rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
+def rat_throughput(rat, part, tl, probs):
+    rep = report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
     return rep.throughput_lo_bps, rep.throughput_hi_bps
 
 
-def rat_report_dor(rat, part, tl, probs, traffic, lam):
-    return rat_report(BUDGET, rat, part, tl, probs, traffic, lam).dor
+def rat_dor(rat, part, tl, probs, traffic, lam):
+    return report(BUDGET, rat, part, tl, probs, traffic, lam).dor
 
 
-def pat_report_dor(pat, part, tl, probs, traffic, lam):
-    return pat_report(BUDGET, pat, part, tl, probs, traffic, lam).dor
+def pat_dor(pat, part, tl, probs, traffic, lam):
+    return report(BUDGET, pat, part, tl, probs, traffic, lam).dor
 
 
 class TestRatFirstThreshold:
     def test_unit_identity(self):
         rat = RatConfig(tx_power_w=SIGMA2 * 1.0 * 1000.0**2, min_snr=1.0)
-        assert rat_first_threshold(BUDGET, rat, 1000.0) == pytest.approx(1.0, rel=1e-12)
+        assert first_threshold(BUDGET, rat, 1000.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_quadrupled_power_halves_threshold(self):
         r1 = RatConfig(tx_power_w=100.0, min_snr=1.0)
         r4 = RatConfig(tx_power_w=400.0, min_snr=1.0)
-        assert rat_first_threshold(BUDGET, r4, D_MAX) == pytest.approx(
-            rat_first_threshold(BUDGET, r1, D_MAX) / 2.0, rel=1e-12
+        assert first_threshold(BUDGET, r4, D_MAX) == pytest.approx(
+            first_threshold(BUDGET, r1, D_MAX) / 2.0, rel=1e-12
         )
 
     def test_reference_value(self):
         # sigma sqrt(gmin d^2 / P): sqrt(10^-9.6 * 707106.78^2 / 1000)
         rat = RatConfig(tx_power_w=dbw(30.0), min_snr=1.0)
         want = math.sqrt(SIGMA2 * 707106.78**2 / 1000.0)
-        assert rat_first_threshold(BUDGET, rat, 707106.78) == pytest.approx(
+        assert first_threshold(BUDGET, rat, 707106.78) == pytest.approx(
             want, rel=1e-12
         )
         assert want == pytest.approx(0.3543928909, rel=1e-9)
@@ -223,14 +221,14 @@ class TestRatThroughput:
         half = probs.copy()
         half[1:] /= 2.0
         half[0] = 1.0 - half[1:].sum()
-        lo, hi = rat_report_throughput(rat, part, timeline, probs)
-        half_lo, half_hi = rat_report_throughput(rat, part, timeline, half)
+        lo, hi = rat_throughput(rat, part, timeline, probs)
+        half_lo, half_hi = rat_throughput(rat, part, timeline, half)
         assert half_lo == pytest.approx(lo / 2.0, rel=1e-12)
         assert half_hi == pytest.approx(hi / 2.0, rel=1e-12)
 
     def test_bounds_ordered(self, timeline, rat_setup):
         rat, part, probs, _ = rat_setup
-        lo, hi = rat_report_throughput(rat, part, timeline, probs)
+        lo, hi = rat_throughput(rat, part, timeline, probs)
         assert 0.0 < lo <= hi < math.inf
 
     def test_dimension_mismatch(self, timeline, rat_setup, pat_setup):
@@ -241,21 +239,20 @@ class TestRatThroughput:
             bad = np.full(k, 1.0 / k)
             with pytest.raises(DimensionMismatch, match=rf"^state probabilities have shape "
                                rf"\({k},\), expected \({part.n_states},\)$"):
-                rat_report(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
+                report(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
             with pytest.raises(DimensionMismatch):
-                pat_report(BUDGET, pat, part, timeline, bad, TRAFFIC, 1.0)
+                report(BUDGET, pat, part, timeline, bad, TRAFFIC, 1.0)
             with pytest.raises(DimensionMismatch):
                 rat_dor_integral(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
         with pytest.raises(DimensionMismatch):
-            rat_report(BUDGET, rat, part, timeline, np.full((part.n_states, 2), 0.5), TRAFFIC,
-                       1.0)
+            report(BUDGET, rat, part, timeline, np.full((part.n_states, 2), 0.5), TRAFFIC, 1.0)
 
     def test_monotone_in_power(self, timeline):
         prev_lo = prev_hi = 0.0
         for p_dbw in [24.0, 30.0, 36.0, 42.0]:
             rat = RatConfig(tx_power_w=dbw(p_dbw), min_snr=1.0)
-            part, probs, _ = solve(rat_first_threshold(BUDGET, rat, D_MAX))
-            lo, hi = rat_report_throughput(rat, part, timeline, probs)
+            part, probs, _ = solve(first_threshold(BUDGET, rat, D_MAX))
+            lo, hi = rat_throughput(rat, part, timeline, probs)
             assert lo >= prev_lo and hi >= prev_hi
             prev_lo, prev_hi = lo, hi
 
@@ -269,8 +266,8 @@ class TestRatThroughput:
             )
             tl = build_timeline(geo, 1.0)
             d_max = distance_range(geo)[1]
-            part, probs, _ = solve(rat_first_threshold(BUDGET, rat, d_max))
-            lo, hi = rat_report_throughput(rat, part, tl, probs)
+            part, probs, _ = solve(first_threshold(BUDGET, rat, d_max))
+            lo, hi = rat_throughput(rat, part, tl, probs)
             assert lo <= prev_lo and hi <= prev_hi
             prev_lo, prev_hi = lo, hi
 
@@ -281,20 +278,20 @@ class TestRatPowerAndEe:
         tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
         probs = np.array([1.0, 0.0])
         with pytest.raises(ZeroPower):
-            rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
+            report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
 
     def test_always_transmitting(self, timeline):
         rat = RatConfig(tx_power_w=500.0, min_snr=1.0)
-        part = partitions(FADING, np.array([rat_first_threshold(BUDGET, rat, D_MAX)]), 2,
+        part = partitions(FADING, np.array([first_threshold(BUDGET, rat, D_MAX)]), 2,
                           None)[0][0]
         probs = np.array([0.0, 1.0])
-        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, 1.0)
+        rep = report(BUDGET, rat, part, timeline, probs, TRAFFIC, 1.0)
         assert rep.avg_power_lo_w == pytest.approx(500.0, rel=1e-12)
 
     def test_mixed_column(self):
         tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
         probs = np.array([0.3, 0.7])
-        rep = rat_report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
+        rep = report(BUDGET, rat, part, tl, probs, TRAFFIC, 1.0)
         assert rep.avg_power_lo_w == pytest.approx(0.7 * 500.0, rel=1e-12)
 
     def test_zero_power_guard(self, timeline, rat_setup):
@@ -302,7 +299,7 @@ class TestRatPowerAndEe:
         silent = np.zeros(part.n_states)
         silent[0] = 1.0
         with pytest.raises(ZeroPower):
-            rat_report(BUDGET, rat, part, timeline, silent, TRAFFIC, lam)
+            report(BUDGET, rat, part, timeline, silent, TRAFFIC, lam)
 
     @pytest.mark.parametrize("tx_power", [2.0, 0.8])
     def test_deep_tail_power_keeps_its_digits(self, tx_power):
@@ -321,7 +318,7 @@ class TestRatPowerAndEe:
 
     def test_ee_recomposition(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
-        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        rep = report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
         assert rep.avg_power_lo_w == rep.avg_power_hi_w
         assert rep.ee_lo_bpj == rep.throughput_lo_bps / rep.avg_power_lo_w
         assert rep.ee_hi_bpj == rep.throughput_hi_bps / rep.avg_power_lo_w
@@ -331,12 +328,12 @@ class TestRatDor:
     def test_zero_threshold(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=0.0)
-        assert rat_report_dor(rat, part, timeline, probs, traffic, lam) == 1.0
+        assert rat_dor(rat, part, timeline, probs, traffic, lam) == 1.0
 
     def test_huge_threshold(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e9)
-        assert rat_report_dor(rat, part, timeline, probs, traffic, lam) == pytest.approx(
+        assert rat_dor(rat, part, timeline, probs, traffic, lam) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -345,7 +342,7 @@ class TestRatDor:
         prev = 1.0
         for t_th in [0.0, 2e-4, 5e-4, 1e-3, 5e-3, 9e-3, 2e-2, 1e-1]:
             traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-            val = rat_report_dor(rat, part, timeline, probs, traffic, lam)
+            val = rat_dor(rat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-15
             prev = val
 
@@ -353,9 +350,9 @@ class TestRatDor:
     @pytest.mark.parametrize("t_th", [2e-4, 5e-4, 1e-3, 8e-3, 1.2e-2])
     def test_closed_form_equals_time_integral(self, timeline, p_dbw, t_th):
         rat = RatConfig(tx_power_w=dbw(p_dbw), min_snr=1.0)
-        part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
+        part, probs, lam = solve(first_threshold(BUDGET, rat, D_MAX))
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-        closed = rat_report_dor(rat, part, timeline, probs, traffic, lam)
+        closed = rat_dor(rat, part, timeline, probs, traffic, lam)
         integral = rat_dor_integral(BUDGET, rat, part, timeline, probs, traffic, lam)
         assert abs(closed - integral) < 1e-9
 
@@ -363,20 +360,20 @@ class TestRatDor:
         # 50 dBW pushes top-state deliveries under 1 ms while a 12 ms budget
         # also arms the waiting-period branch
         rat = RatConfig(tx_power_w=dbw(50.0), min_snr=1.0)
-        part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
-        short = rat_report_dor(rat, part, timeline, probs, TrafficSpec(500e3, 1e-3), lam)
+        part, probs, lam = solve(first_threshold(BUDGET, rat, D_MAX))
+        short = rat_dor(rat, part, timeline, probs, TrafficSpec(500e3, 1e-3), lam)
         assert 0.0 < short < 1.0
 
     def test_rejects_bad_lambda(self, timeline, rat_setup):
         rat, part, probs, _ = rat_setup
         with pytest.raises(ValueError):
-            rat_report_dor(rat, part, timeline, probs, TRAFFIC, 0.0)
+            rat_dor(rat, part, timeline, probs, TRAFFIC, 0.0)
 
 
 class TestRatReport:
     def test_composition(self, timeline, rat_setup):
         rat, part, probs, lam = rat_setup
-        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        rep = report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
         assert rep.throughput_lo_bps <= rep.throughput_hi_bps
         assert rep.avg_power_lo_w == rep.avg_power_hi_w
         assert rep.ee_lo_bpj <= rep.ee_hi_bpj
@@ -393,7 +390,7 @@ class TestRatReport:
             return grids[-1]
 
         monkeypatch.setattr(schemes, "_rat_grids", counted)
-        rep = rat_report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
+        rep = report(BUDGET, rat, part, timeline, probs, TRAFFIC, lam)
         assert len(grids) == 1
         rate_lo, rate_hi = grids[0][:, 0]
         assert (rate_lo.tolist(), rate_hi.tolist()) == tuple(
@@ -415,10 +412,10 @@ class TestPatFirstThreshold:
     def test_unit_identity(self):
         # fixed rate equal to bandwidth needs SNR 1; P_max = sigma^2 d^rho
         pat = PatConfig(max_power_w=SIGMA2 * 1000.0**2, fixed_rate_bps=60e6)
-        assert pat_first_threshold(BUDGET, pat, 1000.0) == pytest.approx(1.0, rel=1e-12)
+        assert first_threshold(BUDGET, pat, 1000.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_vanishes_with_large_cap(self):
-        small = pat_first_threshold(
+        small = first_threshold(
             BUDGET, PatConfig(max_power_w=1e15, fixed_rate_bps=60e6), D_MAX
         )
         assert small < 1e-4
@@ -426,7 +423,7 @@ class TestPatFirstThreshold:
     def test_reference_value(self):
         pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=60e6)
         want = math.sqrt(SIGMA2 * 1.0 * D_MAX**2 / dbw(30.0))
-        assert pat_first_threshold(BUDGET, pat, D_MAX) == pytest.approx(want, rel=1e-12)
+        assert first_threshold(BUDGET, pat, D_MAX) == pytest.approx(want, rel=1e-12)
 
 
 class TestPatPowerBounds:
@@ -447,7 +444,7 @@ class TestPatPowerBounds:
         t_s = service_duration(GEO)
         tl = build_timeline(GEO, t_s)
         pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=60e6)
-        u1 = pat_first_threshold(BUDGET, pat, D_MAX)
+        u1 = first_threshold(BUDGET, pat, D_MAX)
         part = partitions(FADING, np.array([u1]), 4, None)[0][0]
         _, power_hi = power_grids(BUDGET, pat, part, tl)
         assert power_hi[1, 0] == pytest.approx(pat.max_power_w, rel=1e-12)
@@ -503,7 +500,7 @@ class TestTwoStates:
 
     def test_rat_hand_values(self):
         tl, rat, part = single_slot_setup(n_states=2, tx_power_w=500.0)
-        rep = rat_report(BUDGET, rat, part, tl, self.PROBS, self.TRAFFIC, self.LAM)
+        rep = report(BUDGET, rat, part, tl, self.PROBS, self.TRAFFIC, self.LAM)
         b = BUDGET.bandwidth_hz
         top_snr = rat.tx_power_w / SIGMA2 * part.top_mean_gain / GEO.orbit_height_m**2
         # min_snr = 1 at the lower edge: one bit per second per hertz
@@ -517,9 +514,9 @@ class TestTwoStates:
     def test_pat_hand_values(self):
         tl = single_slot_setup()[0]
         pat = PatConfig(max_power_w=500.0, fixed_rate_bps=60e6)
-        part = partitions(FADING, np.array([pat_first_threshold(BUDGET, pat, D_MAX)]), 2,
+        part = partitions(FADING, np.array([first_threshold(BUDGET, pat, D_MAX)]), 2,
                           None)[0][0]
-        rep = pat_report(BUDGET, pat, part, tl, self.PROBS, self.TRAFFIC, self.LAM)
+        rep = report(BUDGET, pat, part, tl, self.PROBS, self.TRAFFIC, self.LAM)
         assert rep.throughput_lo_bps == rep.throughput_hi_bps == pytest.approx(0.7 * 60e6,
                                                                               rel=1e-12)
         # the top state is open-ended: no lower power bound, no upper EE bound
@@ -535,14 +532,14 @@ class TestPatReport:
         pat, part, probs, lam = pat_setup
         # D / R_fix = 8.33 ms; a 5 ms budget cannot be met
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=5e-3)
-        rep = pat_report(BUDGET, pat, part, timeline, probs, traffic, lam)
+        rep = report(BUDGET, pat, part, timeline, probs, traffic, lam)
         assert rep.dor == 1.0
 
     def test_at_knee_equals_bottom_state_mass(self, timeline, pat_setup):
         pat, part, probs, lam = pat_setup
         knee = 500e3 / pat.fixed_rate_bps
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=knee)
-        rep = pat_report(BUDGET, pat, part, timeline, probs, traffic, lam)
+        rep = report(BUDGET, pat, part, timeline, probs, traffic, lam)
         assert rep.dor == pytest.approx(probs[0], rel=1e-12)
 
     def test_above_knee_decays(self, timeline, pat_setup):
@@ -550,7 +547,7 @@ class TestPatReport:
         knee = 500e3 / pat.fixed_rate_bps
         prev = 1.0
         for t_th in [knee, knee * 1.5, knee * 4.0, knee * 20.0]:
-            rep = pat_report(
+            rep = report(
                 BUDGET, pat, part, timeline, probs,
                 TrafficSpec(500e3, t_th), lam,
             )
@@ -562,13 +559,13 @@ class TestPatReport:
         knee = 500e3 / pat.fixed_rate_bps
         for t_th in [0.0, knee * 0.7, knee, knee * 1.3, knee * 10.0]:
             traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
-            closed = pat_report_dor(pat, part, timeline, probs, traffic, lam)
+            closed = pat_dor(pat, part, timeline, probs, traffic, lam)
             integral = pat_dor_integral(probs, pat, timeline, traffic, lam)
             assert abs(closed - integral) < 1e-9
 
     def test_throughput_single_valued(self, timeline, pat_setup):
         pat, part, probs, lam = pat_setup
-        rep = pat_report(BUDGET, pat, part, timeline, probs, TRAFFIC, lam)
+        rep = report(BUDGET, pat, part, timeline, probs, TRAFFIC, lam)
         want = pat.fixed_rate_bps * (1.0 - probs[0])
         assert rep.throughput_lo_bps == rep.throughput_hi_bps == pytest.approx(
             want, rel=1e-12
@@ -579,17 +576,17 @@ class TestPatReport:
         silent = np.zeros(part.n_states)
         silent[0] = 1.0
         with pytest.raises(ZeroPower):
-            pat_report(BUDGET, pat, part, timeline, silent, TRAFFIC, lam)
+            report(BUDGET, pat, part, timeline, silent, TRAFFIC, lam)
 
     def test_deep_tail_rate_still_reports(self, timeline):
         # 600 Mbit/s at a 30 dBW cap: the first threshold sits ~150 orders of
         # magnitude into the tail; the report must still assemble, with the
         # outage dominated by the waiting state
         pat = PatConfig(max_power_w=dbw(30.0), fixed_rate_bps=600e6)
-        (part,), probs = partitions(FADING, np.array([pat_first_threshold(BUDGET, pat, D_MAX)]),
+        (part,), probs = partitions(FADING, np.array([first_threshold(BUDGET, pat, D_MAX)]),
                                     8, None)
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e-3)
-        rep = pat_report(BUDGET, pat, part, timeline, probs[0], traffic, lam_s=1e6)
+        rep = report(BUDGET, pat, part, timeline, probs[0], traffic, lam_s=1e6)
         assert rep.dor == pytest.approx(1.0, abs=1e-6)
         assert rep.throughput_lo_bps < 1e-100
 
@@ -600,8 +597,8 @@ class TestMonotoneDorInPower:
         prev = 1.0 + 1e-12
         for p_dbw in [30.0, 36.0, 42.0, 48.0, 54.0]:
             rat = RatConfig(tx_power_w=dbw(p_dbw), min_snr=1.0)
-            part, probs, lam = solve(rat_first_threshold(BUDGET, rat, D_MAX))
-            val = rat_report_dor(rat, part, timeline, probs, traffic, lam)
+            part, probs, lam = solve(first_threshold(BUDGET, rat, D_MAX))
+            val = rat_dor(rat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-12
             prev = val
 
@@ -610,8 +607,8 @@ class TestMonotoneDorInPower:
         prev = 1.0 + 1e-12
         for p_dbw in [24.0, 30.0, 36.0, 42.0, 48.0]:
             pat = PatConfig(max_power_w=dbw(p_dbw), fixed_rate_bps=60e6)
-            part, probs, lam = solve(pat_first_threshold(BUDGET, pat, D_MAX))
-            val = pat_report_dor(pat, part, timeline, probs, traffic, lam)
+            part, probs, lam = solve(first_threshold(BUDGET, pat, D_MAX))
+            val = pat_dor(pat, part, timeline, probs, traffic, lam)
             assert val <= prev + 1e-12
             prev = val
 
@@ -631,8 +628,8 @@ class TestPointsTogether:
                                sat_speed_ms=7600.0)
             tl = build_timeline(geo, slot)
             d_max = distance_range(geo)[1]
-            firsts = (rat_first_threshold(BUDGET, rat, d_max),
-                      pat_first_threshold(BUDGET, pat, d_max))
+            firsts = (first_threshold(BUDGET, rat, d_max),
+                      first_threshold(BUDGET, pat, d_max))
             rat_part, pat_part = (partitions(FADING, np.array([first]), k, None)[0][0]
                                   for first in firsts)
             cases.append((tl, (rat, rat_part), (pat, pat_part)))
@@ -660,7 +657,6 @@ class TestPointsTogether:
             for block, want in zip(blocks, alone(BUDGET, config, part, tl)):
                 assert block[:part.n_states, :tl.n_slots].tolist() == want.tolist()
             row[:part.n_states] = state_probs(FADING, part)
-        report = (rat_report, pat_report)[scheme]
         want = [report(BUDGET, config, part, tl, state_probs(FADING, part), TRAFFIC, 0.01)
                 for config, part, tl in zip(configs, parts, tls)]
         assert schemes._reports(pts, [TRAFFIC] * 3, probs, [0.01] * 3) == want
