@@ -370,8 +370,9 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     Exercises the density normalization, the two CDF evaluation routes,
     state probabilities against sampled frequencies, the sampler against
     the analytic CDF, the rate, EE and outage closed forms against one
-    simulation pass, the outage closed form against its definitional time
-    integral, and a bit-identical repeat of the pass's first two blocks.
+    simulation pass, the outage closed form against its definitional
+    complement, the slot mean of 1 - F_DT(T), and a bit-identical repeat
+    of the pass's first two blocks.
 
     The blocks of the simulation pass and then those of the repeat go, in
     block order, to one side worker, while the calling thread runs the
@@ -481,16 +482,10 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
             f"sim {sim.dor:.6g} vs closed {report.dor:.6g} (tol {tol:.3g})",
         ))
 
-        # Outage closed form against the definitional time integral.
-        if scn.scheme == "rat":
-            integral = schemes.rat_dor_integral(
-                scn.budget, scn.rat, parts.partition, parts.timeline, pi,
-                scn.traffic, parts.lam_s,
-            )
-        else:
-            integral = schemes.pat_dor_integral(
-                pi, scn.pat, parts.timeline, scn.traffic, parts.lam_s
-            )
+        # Outage closed form against its definitional complement.
+        integral = schemes.dor_integral(scn.budget, getattr(scn, scn.scheme),
+                                        parts.partition, parts.timeline, pi, scn.traffic,
+                                        parts.lam_s)
         diff = abs(integral - report.dor)
         checks.append(CheckResult(
             "dor_integral", diff < 1e-9, f"|integral - closed| = {diff:.3e}"

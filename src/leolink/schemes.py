@@ -10,7 +10,9 @@ bounds do the opposite. The fixed side times the transmitting states'
 mass, and the grid's sums against the K state probabilities pi, which
 hold in every slot (the fading does not change over the pass), give
 throughput, mean power and energy efficiency by one body for both
-schemes; only the delay outage rate keeps an expression per scheme.
+schemes. The delay outage rate is one expression too, _dor, fed with the
+scheme's lower-edge drain rates: the rate grid's lower bound, or R_fix in
+every transmitting state. dor_integral is its definitional oracle.
 
 The route takes P points at once (_Points, _reports), as P x K x N grids
 padded to the most states and slots, and a report of one point is its
@@ -38,8 +40,7 @@ __all__ = [
     "DimensionMismatch",
     "first_threshold",
     "report",
-    "rat_dor_integral",
-    "pat_dor_integral",
+    "dor_integral",
 ]
 
 
@@ -284,54 +285,6 @@ def _rat_grids(pts: _Points) -> np.ndarray:
     return rates
 
 
-def rat_dor_integral(
-    budget: LinkBudget,
-    rat: RatConfig,
-    part: GainPartition,
-    tl: PassTimeline,
-    pi: np.ndarray,
-    traffic: TrafficSpec,
-    lam_s: float,
-) -> float:
-    """Delay outage rate from its definition, by numerical time integration.
-
-    At each arrival instant the delivery-time CDF is assembled from the
-    per-state outcomes with the completion slot uniform over 1..N, and the
-    resulting outage probability is averaged over the pass with the
-    trapezoid rule. Cross-checks report's closed form for a RatConfig
-    (_rat_dor).
-    """
-    if not lam_s > 0:
-        raise ValueError(f"lam_s must be > 0, got {lam_s}")
-    pi = _check_pi(part, pi)
-    t_th = traffic.delay_threshold_s
-    d_bits = traffic.packet_bits
-    rate_lo = _rat_grids(_Points.one(budget, rat, part, tl))[0, 0]
-    r2 = rate_lo[1]  # drain rate once the wait in the bottom state ends
-
-    def delivery_cdf_at_threshold(m: int) -> float:
-        # F_DT(T_th) for a delivery completing in slot m (0-based).
-        f = 0.0
-        if r2[m] > 0.0:
-            wait_margin = t_th - d_bits / float(r2[m])
-            if wait_margin >= 0.0:
-                f += pi[0] * (1.0 - math.exp(-wait_margin / lam_s))
-        for k in range(1, part.n_states):
-            rate = float(rate_lo[k, m])
-            if rate > 0.0 and t_th - d_bits / rate >= 0.0:
-                f += pi[k]
-        return f
-
-    per_slot = np.array(
-        [1.0 - delivery_cdf_at_threshold(m) for m in range(tl.n_slots)]
-    )
-
-    times = np.linspace(0.0, tl.span_s, 1001)
-    dor_t = np.full_like(times, float(np.mean(per_slot)))
-    integral = np.trapezoid(dor_t, times) / tl.span_s
-    return min(max(float(integral), 0.0), 1.0)
-
-
 def _pat_grids(pts: _Points) -> np.ndarray:
     # the (P, K, N) lower and upper transmit-power grids, stacked, capped at
     # max_power_w: each state's power at its lower gain edge bounds it from
@@ -349,33 +302,26 @@ def _pat_grids(pts: _Points) -> np.ndarray:
     return powers
 
 
-def _rat_dor(pts: _Points, rate_lo: np.ndarray, every: np.ndarray, shapes, traffics, lams
-             ) -> list[float]:
-    # 1 less the mass of states 2..K that drain the packet within the
-    # budget at their lower-edge rate, infinite drain time at rate 0, and
-    # less state 1's mass times the chance its wait ends in time to drain
-    # at the state-2 lower-edge rate
-    n = pts.n_slots
+def _dor(pts: _Points, rates: np.ndarray, every: np.ndarray, shapes, traffics, lams
+         ) -> list[float]:
+    # the late and the delivered mass, from the same per-state terms: a
+    # state k >= 2 is late if the packet does not drain within the budget
+    # at its lower-edge rate (never, at rate 0), and state 1 by pi_1 times
+    # exp(-margin / lam_s), the chance that its wait outlasts the margin
+    # left to drain at the state-2 rate (all of pi_1 where none is left).
+    # The late mass keeps its digits deep in the outage tail, where
+    # 1 - delivered cannot, and 1 - delivered is exactly 1 where nothing
+    # is delivered in time.
     t_th = np.array([t.delay_threshold_s for t in traffics])[:, None, None]
     bits = np.array([t.packet_bits for t in traffics])[:, None, None]
     with np.errstate(divide="ignore"):
-        drain = bits / rate_lo
-    (in_time,) = _sums((every * (t_th - drain >= 0.0))[None], shapes, first=1) / n
-    margin = t_th[:, 0] - drain[:, 1]
-    decay = 1.0 - np.exp(-np.maximum(margin, 0.0) / np.array(lams)[:, None])
-    (waited,) = _sums((every[:, 0] * decay * (margin >= 0.0))[None], shapes) / n
-    return np.minimum(np.maximum(1.0 - in_time - waited, 0.0), 1.0).tolist()
-
-
-def _pat_dor(pts: _Points, every: np.ndarray, shapes, traffics, lams) -> list[float]:
-    # 1 below the service time D / R_fix, and pi_1 exp(-margin / lam_s)
-    # above it: the packet is late only if it still waits in state 1
-    (waiting,) = _sums(every[None, :, 0], shapes) / pts.n_slots
-    dors = []
-    for pat, wait, traffic, lam_s in zip(pts.configs, waiting.tolist(), traffics, lams):
-        margin = traffic.delay_threshold_s - traffic.packet_bits / pat.fixed_rate_bps
-        dors.append(1.0 if margin < 0.0 else min(max(wait * math.exp(-margin / lam_s), 0.0), 1.0))
-    return dors
+        margin = t_th - bits / rates
+    late = margin < 0.0
+    wait = np.exp(-np.maximum(margin[:, 1], 0.0) / np.array(lams)[:, None])
+    rest = _sums(np.stack((every * late, every * ~late)), shapes, first=1)
+    bottom = _sums(np.stack((every[:, 0] * wait, every[:, 0] * (1.0 - wait))), shapes)
+    late_mass, delivered = (rest + bottom) / pts.n_slots
+    return np.where(late_mass < 0.5, late_mass, 1.0 - delivered).tolist()
 
 
 def report(
@@ -409,12 +355,13 @@ def _block_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray,
     grids = (_rat_grids if rat else _pat_grids)(pts)
     every = np.broadcast_to(probs, grids.shape[1:])
     lo, hi = _sums(probs * grids, shapes) / n
-    fixed = pts.column("tx_power_w" if rat else "fixed_rate_bps")[:, 0, 0]
-    flat = fixed * _sums(every[None], shapes, first=1)[0] / n
+    fixed = pts.column("tx_power_w" if rat else "fixed_rate_bps")
+    flat = fixed[:, 0, 0] * _sums(every[None], shapes, first=1)[0] / n
     (thr_lo, thr_hi), (p_lo, p_hi) = ((lo, hi), (flat, flat)) if rat else ((flat, flat), (lo, hi))
     _check_reports(p_hi, lams)
-    dors = (_rat_dor(pts, grids[0], every, shapes, traffics, lams) if rat
-            else _pat_dor(pts, every, shapes, traffics, lams))
+    # each state's drain rate at its lower edge: R_fix, and 0 in state 1
+    rates = grids[0] if rat else fixed * (np.arange(every.shape[1]) > 0)[:, None]
+    dors = _dor(pts, rates, every, shapes, traffics, lams)
     return [SchemeReport(throughput_lo_bps=tlo, throughput_hi_bps=thi, avg_power_lo_w=plo,
                          avg_power_hi_w=phi, ee_lo_bpj=tlo / phi,
                          ee_hi_bpj=thi / plo if plo > 0.0 else math.inf, dor=dor, lam_s=lam)
@@ -439,35 +386,38 @@ def _reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
     return out
 
 
-def pat_dor_integral(
-    pi: np.ndarray,
-    pat: PatConfig,
+def dor_integral(
+    budget: LinkBudget,
+    config: RatConfig | PatConfig,
+    part: GainPartition,
     tl: PassTimeline,
+    pi: np.ndarray,
     traffic: TrafficSpec,
     lam_s: float,
 ) -> float:
-    """Power-adaptive delay outage rate from its definition.
-
-    Assembles the delivery-time CDF (exponential wait in state 1 plus the
-    fixed service time elsewhere) and averages the outage probability over
-    arrival times with the trapezoid rule. Cross-checks report's closed
-    form for a PatConfig (_pat_dor).
+    """Delay outage rate from its definition: the slot mean of 1 - F_DT(T),
+    the delivery-time CDF at the budget T, for a delivery completing in
+    each slot. A state k >= 2 drains the packet at its lower-edge rate,
+    B log2(1 + P_T mu_{k-1}^2 / (sigma^2 d_max^rho)) at the slot's largest
+    distance d_max for a RatConfig and R_fix for a PatConfig, and delivers
+    in time if that takes at most T; state 1 delivers in time if its
+    exponential wait, of mean lam_s, ends with the state-2 drain time still
+    left. Forms its own rates, and sums the delivered mass where report's
+    closed form sums the late one, to cross-check report's dor.
     """
     if not lam_s > 0:
         raise ValueError(f"lam_s must be > 0, got {lam_s}")
-    pi = np.asarray(pi, dtype=float)
-    t_th = traffic.delay_threshold_s
-    margin = t_th - traffic.packet_bits / pat.fixed_rate_bps
-
-    def delivery_cdf_at_threshold() -> float:
-        if margin < 0:
-            return 0.0
-        # the states above the first, added in state order
-        rest = np.cumsum(pi[1:])[-1]
-        per_slot = np.full(tl.n_slots, pi[0] * (1.0 - math.exp(-margin / lam_s)) + rest)
-        return float(np.mean(per_slot))
-
-    dor_now = 1.0 - delivery_cdf_at_threshold()
-    times = np.linspace(0.0, tl.span_s, 1001)
-    integral = np.trapezoid(np.full_like(times, dor_now), times) / tl.span_s
-    return min(max(float(integral), 0.0), 1.0)
+    pi = _check_pi(part, pi)
+    gains = part.thresholds[1:, None] ** 2
+    dist = np.asarray(tl.slot_dist_max, dtype=float) ** budget.path_loss_exp
+    if isinstance(config, RatConfig):
+        snr = config.tx_power_w / budget.noise_power_w * gains / dist
+        rates = budget.bandwidth_hz * np.log2(1.0 + snr)
+    else:
+        rates = np.full((len(gains), len(dist)), config.fixed_rate_bps)
+    with np.errstate(divide="ignore"):
+        drain = traffic.packet_bits / rates
+    in_time = pi[1:] @ (drain <= traffic.delay_threshold_s)
+    margin = traffic.delay_threshold_s - drain[0]
+    waited = pi[0] * -np.expm1(-np.maximum(margin, 0.0) / lam_s)
+    return float(np.mean(1.0 - (waited + in_time)))

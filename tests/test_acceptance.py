@@ -33,13 +33,12 @@ from leolink.montecarlo import (
     sample_sr_gain,
     simulate,
 )
-from leolink.scenario import parse_scenario
 from leolink.schemes import (
     PatConfig,
     RatConfig,
     TrafficSpec,
+    dor_integral,
     first_threshold,
-    rat_dor_integral,
     report,
 )
 
@@ -180,7 +179,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
         for t_th in (0.2e-3, 0.5e-3, 1.0e-3):
             traffic = TrafficSpec(packet_bits=TRAFFIC_BITS, delay_threshold_s=t_th)
             closed = report(budget, rat, part, tl, probs, traffic, lam).dor
-            integral = rat_dor_integral(budget, rat, part, tl, probs, traffic, lam)
+            integral = dor_integral(budget, rat, part, tl, probs, traffic, lam)
             gap = abs(closed - integral)
             worst_gap = max(worst_gap, gap)
             assert gap < 1e-9
@@ -191,7 +190,7 @@ def test_acceptance_4_waiting_time_outage_closed_form():
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     print(f"\nACCEPTANCE 4 PASS: outage closed form equals its definitional "
-          f"time integral (max gap {worst_gap:.1e} < 1e-9) and matches "
+          f"complement (max gap {worst_gap:.1e} < 1e-9) and matches "
           f"simulation within 3 sigma on the (P_T, T_th) grid; {elapsed:.1f}s")
 
 

@@ -16,7 +16,8 @@ from leolink.channel import SrFading, sr_cdf, tail_mass
 from leolink.geometry import PassGeometry, distance_at
 from leolink.montecarlo import sample_sr_gain
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "leolink"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "leolink"
 MODULES = ("channel", "schemes", "geometry", "montecarlo", "pipeline", "scenario")
 # The public functions that no module calls, and why each stays.
 UNCALLED = {
@@ -68,6 +69,29 @@ def test_every_public_function_is_called():
                 uncalled.add(f"{short}.{name}")
     assert uncalled == UNCALLED
 
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads; a name its __all__
+    lists counts as read."""
+    tree = ast.parse(path.read_text())
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # import a.b binds a
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert [entry for path in paths for entry in unused_imports(path)] == []
 
 
 def test_package_root_holds_the_four_commands():

@@ -22,7 +22,6 @@ from leolink.channel import (
     afd,
     partitions,
     sr_cdf,
-    state_probs,
 )
 from leolink.geometry import (
     OutOfPass,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leolink import channel, pipeline
+from leolink import channel, pipeline, schemes
 from leolink.channel import SrFading, afd, partitions, sr_cdf, state_probs
 from leolink.scenario import apply_sweep_value, parse_scenario, parse_sweep
 
@@ -151,6 +151,29 @@ def test_line_of_sight_validate_warns_nothing():
         warnings.simplefilter("error")
         checks = pipeline.run_validate(scn)
     assert [c.name for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("name, budget", [("reference_rat.scn", 0.02),
+                                          ("reference_pat.scn", None)])
+def test_dor_integral_row_fails_without_the_wait_term(monkeypatch, name, budget):
+    # at these budgets 0 < DOR < 1, and state 1's wait sets all of it: a
+    # closed form that drops state 1 from its masses must fail the row
+    scn = reference(name)
+    if budget is not None:
+        scn = apply_sweep_value(scn, "traffic.delay_threshold", budget)
+    scn = replace(scn, sim=replace(scn.sim, n_samples=1000))
+    assert 0.0 < pipeline.run_analyze(scn).dor < 1.0
+    dor = schemes._dor
+
+    def no_wait(pts, rates, every, *rest):
+        every = every.copy()
+        every[:, 0] = 0.0
+        return dor(pts, rates, every, *rest)
+
+    for mutant, passed in ((dor, True), (no_wait, False)):
+        monkeypatch.setattr(schemes, "_dor", mutant)
+        (row,) = [c for c in pipeline.run_validate(scn) if c.name == "dor_integral"]
+        assert row.passed is passed, row.detail
 
 
 def test_infinite_wait_warning_names_an_underflowed_mass(caplog):

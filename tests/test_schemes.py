@@ -8,7 +8,7 @@ from leolink import schemes
 from leolink.pipeline import prepare, run_analyze
 from leolink.scenario import apply_sweep_value, parse_scenario
 from leolink.channel import DopplerSpec, SrFading, afd, partitions, state_probs, tail_mass
-from leolink.geometry import PassGeometry, PassTimeline, build_timeline, distance_range, service_duration
+from leolink.geometry import PassGeometry, build_timeline, distance_range, service_duration
 from leolink.schemes import (
     DimensionMismatch,
     LinkBudget,
@@ -17,9 +17,8 @@ from leolink.schemes import (
     SchemeReport,
     TrafficSpec,
     ZeroPower,
+    dor_integral,
     first_threshold,
-    pat_dor_integral,
-    rat_dor_integral,
     report,
 )
 
@@ -62,15 +61,15 @@ class TestValueChecks:
 
     def test_functions_reject_nan(self, timeline, rat_setup, pat_setup):
         rat, part, probs, _ = rat_setup
-        pat, _, pat_probs, _ = pat_setup
+        pat, pat_part, pat_probs, _ = pat_setup
         with pytest.raises(ValueError, match="^d_max_m must be > 0, got nan$"):
             first_threshold(BUDGET, rat, math.nan)
         with pytest.raises(ValueError, match="^d_max_m must be > 0, got nan$"):
             first_threshold(BUDGET, pat, math.nan)
         with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
-            rat_dor_integral(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
+            dor_integral(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
         with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
-            pat_dor_integral(pat_probs, pat, timeline, TRAFFIC, math.nan)
+            dor_integral(BUDGET, pat, pat_part, timeline, pat_probs, TRAFFIC, math.nan)
         with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
             report(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
 
@@ -243,7 +242,9 @@ class TestRatThroughput:
             with pytest.raises(DimensionMismatch):
                 report(BUDGET, pat, part, timeline, bad, TRAFFIC, 1.0)
             with pytest.raises(DimensionMismatch):
-                rat_dor_integral(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
+                dor_integral(BUDGET, rat, part, timeline, bad, TRAFFIC, 1.0)
+            with pytest.raises(DimensionMismatch):
+                dor_integral(BUDGET, pat, part, timeline, bad, TRAFFIC, 1.0)
         with pytest.raises(DimensionMismatch):
             report(BUDGET, rat, part, timeline, np.full((part.n_states, 2), 0.5), TRAFFIC, 1.0)
 
@@ -312,7 +313,7 @@ class TestRatPowerAndEe:
         parts = prepare(scn)
         rep = run_analyze(scn, parts)
         power = tx_power * tail_mass(scn.fading, parts.partition.thresholds[1:2] ** 2)[0]
-        assert rep.avg_power_lo_w == pytest.approx(power, rel=1e-12)
+        assert rep.avg_power_lo_w == pytest.approx(power, rel=1e-12, abs=0.0)
         assert rep.ee_lo_bpj == pytest.approx(rep.throughput_lo_bps / power, rel=1e-12)
         assert rep.ee_hi_bpj == pytest.approx(rep.throughput_hi_bps / power, rel=1e-12)
 
@@ -353,7 +354,7 @@ class TestRatDor:
         part, probs, lam = solve(first_threshold(BUDGET, rat, D_MAX))
         traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
         closed = rat_dor(rat, part, timeline, probs, traffic, lam)
-        integral = rat_dor_integral(BUDGET, rat, part, timeline, probs, traffic, lam)
+        integral = dor_integral(BUDGET, rat, part, timeline, probs, traffic, lam)
         assert abs(closed - integral) < 1e-9
 
     def test_nontrivial_value_exercises_both_terms(self, timeline):
@@ -368,6 +369,30 @@ class TestRatDor:
         rat, part, probs, _ = rat_setup
         with pytest.raises(ValueError):
             rat_dor(rat, part, timeline, probs, TRAFFIC, 0.0)
+
+    @pytest.mark.parametrize("tx_power, lam, t_th", [
+        (1e6, None, 1000.0), (1e3, 7.95e-3, 0.3), (1e3, 7.95e-3, 3.0),
+    ], ids=["60dBW-1000s", "lam7.95ms-0.3s", "lam7.95ms-3s"])
+    def test_deep_outage_keeps_its_digits(self, tx_power, lam, t_th):
+        # every state above the first drains within the budget, so the DOR
+        # is state 1's wait alone, pi_1 times the slot mean of
+        # exp(-(T - D / r_2) / lam), at 1e-241 to 1e-165: far below the
+        # resolution of 1 less the delivered mass
+        text = (Path(__file__).resolve().parent.parent / "scenarios"
+                / "reference_rat.scn").read_text()
+        scn = apply_sweep_value(parse_scenario(text), "rat.tx_power", tx_power)
+        parts = prepare(scn)
+        lam = parts.lam_s if lam is None else lam
+        pi, first = parts.probs.probs[:, 0], parts.partition.thresholds[1]
+        budget, tl = scn.budget, parts.timeline
+        r2 = budget.bandwidth_hz * np.log2(
+            1.0 + tx_power * first**2
+            / (budget.noise_power_w * np.asarray(tl.slot_dist_max) ** budget.path_loss_exp))
+        want = pi[0] * np.mean(np.exp(-(t_th - 500e3 / r2) / lam))
+        traffic = TrafficSpec(500e3, t_th)
+        dor = report(budget, scn.rat, parts.partition, tl, pi, traffic, lam).dor
+        assert 0.0 < want < 1e-17
+        assert dor == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestRatReport:
@@ -560,7 +585,7 @@ class TestPatReport:
         for t_th in [0.0, knee * 0.7, knee, knee * 1.3, knee * 10.0]:
             traffic = TrafficSpec(packet_bits=500e3, delay_threshold_s=t_th)
             closed = pat_dor(pat, part, timeline, probs, traffic, lam)
-            integral = pat_dor_integral(probs, pat, timeline, traffic, lam)
+            integral = dor_integral(BUDGET, pat, part, timeline, probs, traffic, lam)
             assert abs(closed - integral) < 1e-9
 
     def test_throughput_single_valued(self, timeline, pat_setup):
