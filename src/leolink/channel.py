@@ -904,14 +904,6 @@ class StateProbMatrix:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
         return cls(probs=np.tile(pi[:, None], (1, n_slots)))
 
-    @property
-    def n_states(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_slots(self) -> int:
-        return self.probs.shape[1]
-
 
 def state_probs(fading: SrFading, part: GainPartition) -> np.ndarray:
     """Steady-state probability of each gain state.

@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario file path")
         p.add_argument("--out", type=Path, default=None,
                        help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario's simulation seed")
 
     p_analyze = sub.add_parser("analyze", help="closed-form report")
     add_common(p_analyze)
@@ -56,6 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="oracle cross-check suite")
     add_common(p_val)
+
+    # analyze runs no simulation, so it takes no seed
+    for p in (p_sweep, p_sim, p_val):
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario's simulation seed")
 
     return parser
 

@@ -22,7 +22,7 @@ __all__ = [
     "distance_at",
     "distance_range",
     "build_timeline",
-    "slot_brackets",
+    "build_timelines",
     "half_track_from_plane",
     "circular_orbit_speed",
 ]
@@ -142,31 +142,23 @@ def distance_range(geo: PassGeometry) -> tuple[float, float]:
 
 
 def build_timeline(geo: PassGeometry, slot_len_s: float) -> PassTimeline:
-    """Split the pass into slots and bracket the slant range in each.
+    """Split the pass into slots and bracket the slant range in each: the
+    one-pass case of build_timelines."""
+    return build_timelines([geo], [slot_len_s])[0]
+
+
+def build_timelines(geos: list[PassGeometry], slot_lens: list[float]
+                    ) -> list[PassTimeline]:
+    """The timeline of each of P passes, all bracketed at once.
 
     The range is piecewise monotone with its single minimum at mid-pass, so
     per-slot extrema come from the slot endpoints plus the mid-pass point
-    when it falls inside the slot. This is slot_brackets with one pass.
-    """
-    (t_s,), n, d_min, d_max = slot_brackets([geo], [slot_len_s])
-    return PassTimeline(
-        service_time_s=t_s,
-        slot_len_s=slot_len_s,
-        n_slots=int(n[0]),
-        slot_dist_min=d_min[0],
-        slot_dist_max=d_max[0],
-    )
-
-
-def slot_brackets(geos: list[PassGeometry], slot_lens: list[float]
-                  ) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
-    """build_timeline of P passes at once: each pass's service time and
-    slot count, and the (min, max) slant range of its slots as the rows of
-    two P x N arrays, N the most slots of any pass. Past a pass's own
-    slots its rows hold finite values of no meaning. Each row equals the
-    pass's timeline alone, bit for bit: every value is formed from its own
-    pass's constants by the same operations. Raises build_timeline's error
-    for the first pass that fails.
+    when it falls inside the slot. The passes' slots are bracketed as the
+    rows of two P x N arrays, N the most slots of any pass, and each
+    timeline holds its own row's first slots. Each equals the pass's
+    timeline alone, bit for bit: every value is formed from its own pass's
+    constants by the same operations. Raises the error of the first pass
+    that fails.
     """
     times, counts, consts = [], [], []
     for geo, slot_len_s in zip(geos, slot_lens):
@@ -216,7 +208,9 @@ def slot_brackets(geos: list[PassGeometry], slot_lens: list[float]
     mid = distance(t_mid.copy())[inside[0], 0]
     d_min[inside] = np.fmin(d_min[inside], mid)
     d_max[inside] = np.fmax(d_max[inside], mid)
-    return times, np.array(counts), d_min, d_max
+    return [PassTimeline(service_time_s=t, slot_len_s=s, n_slots=n,
+                         slot_dist_min=lo[:n], slot_dist_max=hi[:n])
+            for t, s, n, lo, hi in zip(times, slot_lens, counts, d_min, d_max)]
 
 
 def half_track_from_plane(earth_radius_m: float, sats_per_plane: int) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import channel, montecarlo, schemes
 from .channel import GainPartition, StateProbMatrix
-from .geometry import PassTimeline, build_timeline, distance_range, slot_brackets
+from .geometry import PassTimeline, build_timeline, build_timelines, distance_range
 from .montecarlo import KS_CRIT_ALPHA01, ks_statistic, sample_sr_gain
 from .scenario import Scenario, SweepSpec, apply_sweep_value
 from .schemes import SchemeReport
@@ -136,49 +136,35 @@ def _parts(timeline: PassTimeline, solved: _Solved) -> ScenarioParts:
 
 def run_analyze(scn: Scenario, parts: ScenarioParts | None = None) -> SchemeReport:
     """Closed-form report for the scenario's scheme: the P = 1 case of a
-    sweep's reports (_Sweep)."""
+    sweep's reports (_sweep)."""
     p = parts or prepare(scn)
     return schemes.report(scn.budget, getattr(scn, scn.scheme), p.partition, p.timeline,
                           p.probs.probs[:, 0], scn.traffic, p.lam_s)
 
 
-class _Sweep:
-    """The reports of a sweep's points, all formed together.
+def _sweep(points: list[Scenario], distinct: list[Scenario], which: list[int]
+           ) -> tuple[list[PassTimeline], list[_Solved], list[SchemeReport]]:
+    """The timelines and solves of a sweep's keys, and its points' reports,
+    all formed together.
 
     prepare() reads neither the traffic nor the sim section, so points
     equal apart from those share a key: point i has key which[i], and
-    distinct holds a point of each key. Each key has its timeline row
-    (geometry.slot_brackets) and its _Solved (_solve), and the points'
-    reports come from one schemes._reports call, with the state
-    probabilities of their keys' solves: no swept key changes the scheme.
-    Each report, solve and timeline equals its point's alone, bit for bit.
-    Raises the first error of any step; no warning is logged here.
+    distinct holds a point of each key. Each key has its timeline
+    (geometry.build_timelines) and its _Solved (_solve), and the points'
+    reports come from one schemes._reports call, with their keys'
+    timelines and solves: no swept key changes the scheme. Each report,
+    solve and timeline equals its point's alone, bit for bit. Raises the
+    first error of any step; no warning is logged here.
     """
-
-    def __init__(self, points: list[Scenario], distinct: list[Scenario], which: list[int]):
-        self.times, self.n_slots, self.dist_min, self.dist_max = slot_brackets(
-            [key.geometry for key in distinct], [key.slot_len_s for key in distinct])
-        self.solved = _solve(distinct)
-        solved = [self.solved[j] for j in which]
-        pts = schemes._Points.of(
-            [point.budget for point in points],
-            [getattr(point, point.scheme) for point in points],
-            [s.partition for s in solved],
-            self.n_slots[which], self.dist_min, self.dist_max, which)
-        pi = np.zeros(pts.thresholds.shape)
-        for row, s in zip(pi, solved):
-            row[:len(s.pi)] = s.pi
-        self.reports = schemes._reports(pts, [point.traffic for point in points], pi,
-                                        [s.lam_s for s in solved])
-
-    def parts(self, point: Scenario, j: int) -> ScenarioParts:
-        """prepare(point) of a point of key j, from the sweep's own values,
-        less its wait check."""
-        n = int(self.n_slots[j])
-        timeline = PassTimeline(
-            service_time_s=self.times[j], slot_len_s=point.slot_len_s, n_slots=n,
-            slot_dist_min=self.dist_min[j, :n].copy(), slot_dist_max=self.dist_max[j, :n].copy())
-        return _parts(timeline, self.solved[j])
+    timelines = build_timelines([key.geometry for key in distinct],
+                                [key.slot_len_s for key in distinct])
+    solved = _solve(distinct)
+    own = [solved[j] for j in which]
+    reports = schemes._reports(schemes._Points.of(
+        [point.budget for point in points], [getattr(point, point.scheme) for point in points],
+        [s.partition for s in own], [timelines[j] for j in which], [s.pi for s in own],
+        [point.traffic for point in points], [s.lam_s for s in own]))
+    return timelines, solved, reports
 
 
 def _fmt(x) -> str:
@@ -250,7 +236,7 @@ def run_sweep(
     Simulation columns (when requested) use the point's replication count,
     and point i is seeded with i plus its own sim.seed (or plus seed, when
     given), so a swept sim.seed takes effect.
-    The points' reports are formed together (_Sweep), and each row equals
+    The points' reports are formed together (_sweep), and each row equals
     its point run alone. Each key's wait check runs once, in key order,
     before the first row; the loop over the points then formats each row
     and, with simulation columns, simulates the point from parts built out
@@ -272,19 +258,18 @@ def run_sweep(
             distinct.append(point)
         which.append(j)
     try:
-        batch = _Sweep(points, distinct, which)
+        timelines, solved, reports = _sweep(points, distinct, which)
     except (ArithmeticError, ValueError):
         for point in distinct:
             run_analyze(point, prepare(point, with_sim))
         raise
-    for solved in batch.solved:
-        _check_wait(solved, with_sim)
+    for s in solved:
+        _check_wait(s, with_sim)
     # Points that share a key repeat most columns; equal cells share one
     # string, so a long budget sweep keeps a fraction of the text.
     cells: dict[str, str] = {}
     rows = []
-    for i, (value, point, j, report) in enumerate(zip(sweep.values, points, which,
-                                                      batch.reports)):
+    for i, (value, point, j, report) in enumerate(zip(sweep.values, points, which, reports)):
         row = [
             _fmt(value),
             _fmt(report.throughput_lo_bps),
@@ -295,7 +280,8 @@ def run_sweep(
         ]
         if with_sim:
             base_seed = point.sim.seed if seed is None else seed
-            sim = _simulate(point, batch.parts(point, j), replace(point.sim, seed=base_seed + i))
+            sim = _simulate(point, _parts(timelines[j], solved[j]),
+                            replace(point.sim, seed=base_seed + i))
             row += [
                 _fmt(sim.mean_rate_bps),
                 _fmt(sim.rate_se_bps),

@@ -14,16 +14,18 @@ schemes. The delay outage rate is one expression too, _dor, fed with the
 scheme's lower-edge drain rates: the rate grid's lower bound, or R_fix in
 every transmitting state. dor_integral is its definitional oracle.
 
-The route takes P points at once (_Points, _reports), as P x K x N grids
-padded to the most states and slots, and a report of one point is its
-P = 1 case. Every grid entry is formed from its own point's values by the
-same operations, and each point's sums add its own block of a grid in the
-order np.sum adds that block alone (_sums), so each report equals its
-point's alone, bit for bit.
+The route takes P points at once (_reports), as P x K x N grids padded
+to the most states and slots, and a report of one point is its P = 1
+case. _Points.of is the one place that pads: each point's thresholds,
+state probabilities and path loss d^rho at its timeline's slot ranges,
+raised to its own exponent. Every grid entry is formed from its own
+point's values by the same operations, and each point's sums add its own
+block of a grid in the order np.sum adds that block alone (_sums), so
+each report equals its point's alone, bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,63 +162,56 @@ class _Points:
 
     Point p has n_states[p] states and n_slots[p] slots: its amplitude
     thresholds fill row p of thresholds, padded with its top threshold,
-    top_gain[p] is its top state's mean gain, and its slots' (min, max)
-    slant ranges fill row slot_row[p] of dist_min and dist_max, which
-    points of one timeline share.
+    and its state probabilities row p of probs, padded with 0. top_gain[p]
+    is its top state's mean gain, and row p of loss_far and of loss_near
+    holds its path loss d^rho at its slots' largest and smallest slant
+    range, padded with its last slot's value. Every field holds one entry
+    or row per point.
     """
 
     budgets: list[LinkBudget]
     configs: list
+    traffics: list[TrafficSpec]
+    lams: list[float]
     thresholds: np.ndarray
+    probs: np.ndarray
     top_gain: np.ndarray
     n_states: np.ndarray
     n_slots: np.ndarray
-    dist_min: np.ndarray
-    dist_max: np.ndarray
-    slot_row: np.ndarray
+    loss_far: np.ndarray
+    loss_near: np.ndarray
 
     @classmethod
     def of(cls, budgets: list[LinkBudget], configs: list, parts: list[GainPartition],
-           n_slots, dist_min: np.ndarray, dist_max: np.ndarray, slot_row) -> "_Points":
+           timelines: list[PassTimeline], pis: list[np.ndarray],
+           traffics: list[TrafficSpec], lams: list[float]) -> "_Points":
+        """The points padded together; the only place that pads them."""
         n_states = np.array([part.n_states for part in parts])
+        n_slots = np.array([tl.n_slots for tl in timelines])
         thresholds = np.empty((len(parts), n_states.max()))
-        for row, part in zip(thresholds, parts):
-            row[:part.n_states] = part.thresholds
-            row[part.n_states:] = part.thresholds[-1]
-        return cls(budgets, configs, thresholds,
-                   np.array([part.top_mean_gain for part in parts]), n_states,
-                   np.asarray(n_slots), dist_min, dist_max, np.asarray(slot_row))
-
-    @classmethod
-    def one(cls, budget: LinkBudget, config, part: GainPartition, tl: PassTimeline
-            ) -> "_Points":
-        return cls.of([budget], [config], [part], [tl.n_slots],
-                      np.asarray(tl.slot_dist_min, dtype=float)[None],
-                      np.asarray(tl.slot_dist_max, dtype=float)[None], [0])
+        probs = np.zeros(thresholds.shape)
+        far, near = np.empty((2, len(parts), n_slots.max()))
+        for p, (budget, part, tl, pi) in enumerate(zip(budgets, parts, timelines, pis)):
+            thresholds[p, :part.n_states] = part.thresholds
+            thresholds[p, part.n_states:] = part.thresholds[-1]
+            probs[p, :part.n_states] = pi
+            # the scalar power of the point alone: numpy squares at rho =
+            # 2, which pow() need not match in the last bit
+            for loss, dist in ((far, tl.slot_dist_max), (near, tl.slot_dist_min)):
+                loss[p, :tl.n_slots] = np.asarray(dist, dtype=float) ** budget.path_loss_exp
+                loss[p, tl.n_slots:] = loss[p, tl.n_slots - 1]
+        return cls(budgets, configs, traffics, lams, thresholds, probs,
+                   np.array([part.top_mean_gain for part in parts]), n_states, n_slots,
+                   far, near)
 
     def rows(self, a: int, b: int) -> "_Points":
-        return _Points(self.budgets[a:b], self.configs[a:b], self.thresholds[a:b],
-                       self.top_gain[a:b], self.n_states[a:b], self.n_slots[a:b],
-                       self.dist_min, self.dist_max, self.slot_row[a:b])
+        return _Points(*(getattr(self, f.name)[a:b] for f in fields(self)))
 
     def column(self, attr: str, of_budget: bool = False) -> np.ndarray:
         """One value per point, from its budget or its scheme's config, as
         a P x 1 x 1 array."""
         objs = self.budgets if of_budget else self.configs
         return np.array([getattr(o, attr) for o in objs])[:, None, None]
-
-    def powered(self, dist: np.ndarray) -> np.ndarray:
-        """dist ** rho of each point's rows (dist ... x P x N), as the
-        scalar power of one point takes it: numpy squares at rho = 2, which
-        pow() need not match in the last bit."""
-        rhos = [b.path_loss_exp for b in self.budgets]
-        if len(set(rhos)) == 1:
-            return dist ** rhos[0]
-        out = np.empty_like(dist)
-        for rho in set(rhos):
-            at = [i for i, r in enumerate(rhos) if r == rho]
-            out[..., at, :] = dist[..., at, :] ** rho
-        return out
 
 
 def _shapes(pts: _Points) -> list[tuple[int, int, np.ndarray]]:
@@ -277,7 +272,7 @@ def _rat_grids(pts: _Points) -> np.ndarray:
     gains[1, :, :-1] = gains[0, :, 1:]
     gains[1, :, -1] = gains[0, :, -1]
     gains[1, np.arange(len(pts.top_gain)), pts.n_states - 1] = pts.top_gain
-    dist = pts.powered(np.stack((pts.dist_max[pts.slot_row], pts.dist_min[pts.slot_row])))
+    dist = np.stack((pts.loss_far, pts.loss_near))
     # thresholds[0] = 0 gives log2(1) = 0 in state 1 of the lower grid
     rates = pts.column("bandwidth_hz", of_budget=True) * np.log2(
         1.0 + scale * gains[..., None] / dist[:, :, None, :])
@@ -292,7 +287,7 @@ def _pat_grids(pts: _Points) -> np.ndarray:
     # open-ended, so its power can be arbitrarily small.
     noise_snr = np.array([b.noise_power_w * (2.0 ** (c.fixed_rate_bps / b.bandwidth_hz) - 1.0)
                           for c, b in zip(pts.configs, pts.budgets)])[:, None]
-    base = (noise_snr * pts.powered(pts.dist_max[pts.slot_row]))[:, None, :]
+    base = (noise_snr * pts.loss_far)[:, None, :]
     power = np.minimum(base / (pts.thresholds[:, 1:] ** 2)[:, :, None], pts.column("max_power_w"))
     powers = np.zeros((2,) + pts.thresholds.shape + base.shape[2:])
     powers[1, :, 1:] = power
@@ -302,8 +297,7 @@ def _pat_grids(pts: _Points) -> np.ndarray:
     return powers
 
 
-def _dor(pts: _Points, rates: np.ndarray, every: np.ndarray, shapes, traffics, lams
-         ) -> list[float]:
+def _dor(pts: _Points, rates: np.ndarray, every: np.ndarray, shapes) -> list[float]:
     # the late and the delivered mass, from the same per-state terms: a
     # state k >= 2 is late if the packet does not drain within the budget
     # at its lower-edge rate (never, at rate 0), and state 1 by pi_1 times
@@ -312,12 +306,12 @@ def _dor(pts: _Points, rates: np.ndarray, every: np.ndarray, shapes, traffics, l
     # The late mass keeps its digits deep in the outage tail, where
     # 1 - delivered cannot, and 1 - delivered is exactly 1 where nothing
     # is delivered in time.
-    t_th = np.array([t.delay_threshold_s for t in traffics])[:, None, None]
-    bits = np.array([t.packet_bits for t in traffics])[:, None, None]
+    t_th = np.array([t.delay_threshold_s for t in pts.traffics])[:, None, None]
+    bits = np.array([t.packet_bits for t in pts.traffics])[:, None, None]
     with np.errstate(divide="ignore"):
         margin = t_th - bits / rates
     late = margin < 0.0
-    wait = np.exp(-np.maximum(margin[:, 1], 0.0) / np.array(lams)[:, None])
+    wait = np.exp(-np.maximum(margin[:, 1], 0.0) / np.array(pts.lams)[:, None])
     rest = _sums(np.stack((every * late, every * ~late)), shapes, first=1)
     bottom = _sums(np.stack((every[:, 0] * wait, every[:, 0] * (1.0 - wait))), shapes)
     late_mass, delivered = (rest + bottom) / pts.n_slots
@@ -344,12 +338,13 @@ def report(
     average fade duration at the first threshold).
     """
     pi = _check_pi(part, pi)
-    return _reports(_Points.one(budget, config, part, tl), [traffic], pi[None], [lam_s])[0]
+    return _reports(_Points.of([budget], [config], [part], [tl], [pi], [traffic], [lam_s]))[0]
 
 
-def _block_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
-                   ) -> list[SchemeReport]:
+def _block_reports(pts: _Points) -> list[SchemeReport]:
     shapes = _shapes(pts)
+    # one column, which every slot of the grids shares
+    probs = pts.probs[:, :, None]
     n = pts.n_slots
     rat = isinstance(pts.configs[0], RatConfig)
     grids = (_rat_grids if rat else _pat_grids)(pts)
@@ -358,31 +353,27 @@ def _block_reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray,
     fixed = pts.column("tx_power_w" if rat else "fixed_rate_bps")
     flat = fixed[:, 0, 0] * _sums(every[None], shapes, first=1)[0] / n
     (thr_lo, thr_hi), (p_lo, p_hi) = ((lo, hi), (flat, flat)) if rat else ((flat, flat), (lo, hi))
-    _check_reports(p_hi, lams)
+    _check_reports(p_hi, pts.lams)
     # each state's drain rate at its lower edge: R_fix, and 0 in state 1
     rates = grids[0] if rat else fixed * (np.arange(every.shape[1]) > 0)[:, None]
-    dors = _dor(pts, rates, every, shapes, traffics, lams)
+    dors = _dor(pts, rates, every, shapes)
     return [SchemeReport(throughput_lo_bps=tlo, throughput_hi_bps=thi, avg_power_lo_w=plo,
                          avg_power_hi_w=phi, ee_lo_bpj=tlo / phi,
                          ee_hi_bpj=thi / plo if plo > 0.0 else math.inf, dor=dor, lam_s=lam)
             for tlo, thi, plo, phi, dor, lam in zip(thr_lo.tolist(), thr_hi.tolist(),
-                                                    p_lo.tolist(), p_hi.tolist(), dors, lams)]
+                                                    p_lo.tolist(), p_hi.tolist(), dors,
+                                                    pts.lams)]
 
 
-def _reports(pts: _Points, traffics: list[TrafficSpec], probs: np.ndarray, lams
-             ) -> list[SchemeReport]:
-    """report of each of P points of one scheme, all together: probs
-    holds each point's state probabilities, P x K, padded with 0. Points
-    go in blocks of about _CELLS grid entries. Raises, for the first point
+def _reports(pts: _Points) -> list[SchemeReport]:
+    """report of each of P points of one scheme, all together. Points go
+    in blocks of about _CELLS grid entries. Raises, for the first point
     with one, the error its report alone raises.
     """
-    size = max(1, _CELLS // (pts.thresholds.shape[1] * pts.dist_max.shape[1]))
-    # one column, which every slot of the grids shares
-    probs = probs[:, :, None]
+    size = max(1, _CELLS // (pts.thresholds.shape[1] * pts.loss_far.shape[1]))
     out = []
-    for a in range(0, len(lams), size):
-        b = a + size
-        out += _block_reports(pts.rows(a, b), traffics[a:b], probs[a:b], lams[a:b])
+    for a in range(0, len(pts.lams), size):
+        out += _block_reports(pts.rows(a, a + size))
     return out
 
 

@@ -194,7 +194,7 @@ class TestSrCdf:
             # to its value at x
             scale = pdf(x)
             want = float(scale * mpmath.quad(lambda u: pdf(x + u) / scale, [0, 1, 4, 16, 64]))
-        assert tail_mass(f, np.array([x]))[0] == pytest.approx(want, rel=1e-13)
+        assert tail_mass(f, np.array([x]))[0] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     # n = 1..16 and log-spaced to 2000 on the property sets; log-spaced to
     # 5e4 on the line-of-sight sets (mpmath stops converging not far above).

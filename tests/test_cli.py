@@ -66,6 +66,15 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert out == (GOLDEN_DIR / "reference_pat_analyze.txt").read_text()
 
+    def test_seed_is_refused(self, capsys):
+        # analyze runs no simulation: a seed would have no effect
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--scenario", RAT_SCN, "--seed", "7"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 7" in captured.err
+
     def test_rat_zero_delay_budget_has_certain_outage(self, tmp_path, capsys):
         path = reduced_scenario(
             tmp_path, "reference_rat.scn",
@@ -260,9 +269,9 @@ class TestSweep:
                                       "traffic.delay_threshold=0:0.02:5"])
     def test_sweep_holds_one_prepared_point_at_a_time(self, monkeypatch, spec):
         # the points' reports are formed together, and no point is
-        # prepared for them; with simulation columns, each point's timeline
-        # and probability matrix are built from the sweep's values when its
-        # row comes up, and dropped once its row is done
+        # prepared for them; with simulation columns, each point's parts
+        # are built from its key's timeline and solve when its row comes
+        # up, and dropped once its row is done
         built, held = [], []
         parts_of = pipeline._parts
 
@@ -291,10 +300,10 @@ class TestSweep:
         sweep = parse_sweep("pat.fixed_rate=600e6,60e6,650e6")
         reports = schemes._reports
 
-        def failing(pts, *args):
+        def failing(pts):
             if any(pat.fixed_rate_bps == 60e6 for pat in pts.configs):
                 raise ArithmeticError("report failed")
-            return reports(pts, *args)
+            return reports(pts)
 
         monkeypatch.setattr(schemes, "_reports", failing)
         with caplog.at_level(logging.WARNING, logger="leolink"):
@@ -315,15 +324,15 @@ class TestSweep:
         sweep = parse_sweep("pat.fixed_rate=600e6,1000e6")
         reports = schemes._reports
 
-        def failing(pts, *args):
+        def failing(pts):
             if any(pat.fixed_rate_bps == 600e6 for pat in pts.configs):
                 raise ArithmeticError("report failed")
-            return reports(pts, *args)
+            return reports(pts)
 
         monkeypatch.setattr(schemes, "_reports", failing)
         points = [apply_sweep_value(scn, sweep.path, v) for v in sweep.values]
         with pytest.raises(ArithmeticError, match="no resolvable probability mass"):
-            pipeline._Sweep(points, points, [0, 1])
+            pipeline._sweep(points, points, [0, 1])
         with caplog.at_level(logging.WARNING, logger="leolink"):
             with pytest.raises(ArithmeticError, match="report failed"):
                 pipeline.run_sweep(scn, sweep)
@@ -343,6 +352,9 @@ class TestSweep:
         (PAT_SCN, "partition.n_states=2:17:16"),
         (RAT_SCN, "rat.tx_power=2,1,0.8"),
         (PAT_SCN, "pat.fixed_rate=20e6,60e6,100e6,600e6"),
+        # each point's path loss is raised to its own exponent
+        (RAT_SCN, "geometry.path_loss_exp=2,2.25,2.1,2"),
+        (PAT_SCN, "geometry.path_loss_exp=2,2.25,2.1,2"),
     ])
     def test_rows_equal_points_analyzed_alone(self, monkeypatch, base, spec):
         # every row is byte-identical to its point analyzed on its own, also
@@ -385,6 +397,28 @@ class TestSweep:
         assert sim_columns("--sweep", "sim.seed=1,9")[0] != five_nine[0]
         assert sim_columns("--sweep", "sim.seed=1,9", "--seed", "5") == [
             simulated(5), simulated(6)]
+
+    # on the PAT reference no column moves with the timeline; the RAT one
+    # catches a point simulated on another point's timeline
+    @pytest.mark.parametrize("base", ["reference_rat.scn", "reference_pat.scn"])
+    def test_swept_slot_len_simulates_as_alone(self, tmp_path, capsys, base):
+        # each point simulates on its own key's timeline from the sweep's
+        # bracketing: its columns are those of the point alone at seed
+        # sim.seed + i
+        path = reduced_scenario(tmp_path, base, n_samples=2_000)
+        assert main(["sweep", "--scenario", path, "--with-sim",
+                     "--sweep", "geometry.slot_len=0.5,1,2"]) == 0
+        rows = read_csv(capsys.readouterr().out)[1]
+        seed = parse_scenario(Path(path).read_text()).sim.seed
+        want = []
+        for i, slot in enumerate(("0.5", "1", "2")):
+            (tmp_path / slot).mkdir()
+            alone = reduced_scenario(tmp_path / slot, base, n_samples=2_000,
+                                     **{"slot_len = 1 s": f"slot_len = {slot} s"})
+            assert main(["simulate", "--scenario", alone, "--seed", str(seed + i)]) == 0
+            row = read_csv(capsys.readouterr().out)[1][0]
+            want.append([row[0], row[1], row[4], row[5]])
+        assert [row[6:] for row in rows] == want
 
     def test_bad_sweep_path_exits_2(self, capsys):
         assert main([

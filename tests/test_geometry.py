@@ -16,7 +16,7 @@ from leolink.geometry import (
     distance_range,
     half_track_from_plane,
     service_duration,
-    slot_brackets,
+    build_timelines,
     sub_point_speed,
 )
 
@@ -208,26 +208,25 @@ class TestBuildTimeline:
         assert tl.span_s == tl.n_slots * tl.slot_len_s
 
     def test_slot_brackets_rows_match_each_pass_alone(self):
-        # passes of different slot counts in one call: each row, to its own
-        # slot count, is the pass's timeline alone, bit for bit, and past it
-        # finite
+        # passes of different slot counts in one call: each timeline is the
+        # pass's timeline alone, bit for bit
         geos = [make_geo(orbit_height_m=h, terminal_offset_m=o)
                 for h, o in ((300e3, 0.0), (550e3, 150e3), (1200e3, 0.0))]
         slots = [0.5, 7.3, 1.0]
-        times, counts, d_min, d_max = slot_brackets(geos, slots)
-        assert d_min.shape == d_max.shape == (3, max(counts))
-        assert np.isfinite(d_min).all() and np.isfinite(d_max).all()
-        for geo, slot, t_s, n, lo, hi in zip(geos, slots, times, counts, d_min, d_max):
-            tl = build_timeline(geo, slot)
-            assert (t_s, n) == (tl.service_time_s, tl.n_slots)
-            assert lo[:n].tolist() == tl.slot_dist_min.tolist()
-            assert hi[:n].tolist() == tl.slot_dist_max.tolist()
+        tls = build_timelines(geos, slots)
+        assert len({tl.n_slots for tl in tls}) == 3
+        for geo, slot, tl in zip(geos, slots, tls):
+            alone = build_timeline(geo, slot)
+            assert ((tl.service_time_s, tl.slot_len_s, tl.n_slots)
+                    == (alone.service_time_s, alone.slot_len_s, alone.n_slots))
+            assert tl.slot_dist_min.tolist() == alone.slot_dist_min.tolist()
+            assert tl.slot_dist_max.tolist() == alone.slot_dist_max.tolist()
 
     def test_slot_brackets_raise_for_the_first_failing_pass(self):
         geo = make_geo()
         too_long = service_duration(geo) + 1.0
         with pytest.raises(SlotTooLong, match=f"slot_len_s={too_long}"):
-            slot_brackets([geo, geo, geo], [1.0, too_long, 0.0])
+            build_timelines([geo, geo, geo], [1.0, too_long, 0.0])
 
     @given(
         height=st.floats(min_value=300e3, max_value=2000e3),
@@ -291,7 +290,7 @@ class TestValueChecks:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: build_timeline(make_geo(), math.nan), "slot_len_s must be > 0, got nan"),
-        (lambda: slot_brackets([make_geo(), make_geo()], [1.0, math.nan]),
+        (lambda: build_timelines([make_geo(), make_geo()], [1.0, math.nan]),
          "slot_len_s must be > 0, got nan"),
         (lambda: PassTimeline(service_time_s=2.0, slot_len_s=1.0, n_slots=math.nan,
                               slot_dist_min=np.ones(2), slot_dist_max=np.ones(2)),

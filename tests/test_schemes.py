@@ -86,14 +86,21 @@ def solve(first: float, n_states: int = 8):
     return part, pi[0], afd(FADING, DOPPLER, np.array([first]), pi[:, 0])[0]
 
 
+def one_point(budget, config, part, tl):
+    """One point, with state probabilities, traffic and wait the grids do
+    not read."""
+    return schemes._Points.of([budget], [config], [part], [tl], [np.zeros(part.n_states)],
+                              [TRAFFIC], [1.0])
+
+
 def rate_grids(budget, rat, part, tl):
     """The (K, N) lower and upper data-rate grids of one point."""
-    return schemes._rat_grids(schemes._Points.one(budget, rat, part, tl))[:, 0]
+    return schemes._rat_grids(one_point(budget, rat, part, tl))[:, 0]
 
 
 def power_grids(budget, pat, part, tl):
     """The (K, N) lower and upper transmit-power grids of one point."""
-    return schemes._pat_grids(schemes._Points.one(budget, pat, part, tl))[:, 0]
+    return schemes._pat_grids(one_point(budget, pat, part, tl))[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -665,23 +672,16 @@ class TestPointsTogether:
         configs = [case[1 + scheme][0] for case in points]
         parts = [case[1 + scheme][1] for case in points]
         tls = [case[0] for case in points]
-        n = max(tl.n_slots for tl in tls)
-
-        def padded(rows):
-            return np.array([np.pad(r, (0, n - len(r)), mode="edge") for r in rows])
-
-        pts = schemes._Points.of([BUDGET] * 3, configs, parts, [tl.n_slots for tl in tls],
-                                 padded([tl.slot_dist_min for tl in tls]),
-                                 padded([tl.slot_dist_max for tl in tls]), [0, 1, 2])
+        pis = [state_probs(FADING, part) for part in parts]
+        pts = schemes._Points.of([BUDGET] * 3, configs, parts, tls, pis, [TRAFFIC] * 3,
+                                 [0.01] * 3)
         grids = (schemes._rat_grids, schemes._pat_grids)[scheme](pts)
         assert np.isfinite(grids).all()
         alone = (rate_grids, power_grids)[scheme]
-        probs = np.zeros(pts.thresholds.shape)
-        for config, part, tl, row, *blocks in zip(configs, parts, tls, probs, *grids):
+        for config, part, tl, *blocks in zip(configs, parts, tls, *grids):
             # each point's own block is its grid alone, bit for bit
             for block, want in zip(blocks, alone(BUDGET, config, part, tl)):
                 assert block[:part.n_states, :tl.n_slots].tolist() == want.tolist()
-            row[:part.n_states] = state_probs(FADING, part)
-        want = [report(BUDGET, config, part, tl, state_probs(FADING, part), TRAFFIC, 0.01)
-                for config, part, tl in zip(configs, parts, tls)]
-        assert schemes._reports(pts, [TRAFFIC] * 3, probs, [0.01] * 3) == want
+        want = [report(BUDGET, config, part, tl, pi, TRAFFIC, 0.01)
+                for config, part, tl, pi in zip(configs, parts, tls, pis)]
+        assert schemes._reports(pts) == want
