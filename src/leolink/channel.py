@@ -25,17 +25,21 @@ grows without bound as the line of sight dominates.
 Every series is summed in passes (_poisson_sum): one pass takes several
 series, each at its own gains, and forms all their terms together. A
 gain's terms come from the row of its cell on a fixed lattice of gains,
-which depends on the cell alone; a partition solve keeps the rows of its
-tail and density series, the two its Newton solve evaluates at every step,
-so those passes only sum once its gains settle. Each value depends on its
-own gain alone, bit for bit, whatever other gains and series share the
-pass, so the partitions of many sweep points can be solved in one batch
-and each still equals the partition of its point alone. The 1F1 density
-and its quadrature are kept as the independent oracle.
+which depends on the cell alone. Each thread keeps the series of the last
+fading it asked for, with their coefficients and rows (_stored), so a pass
+forms only the rows that no earlier call of that thread formed: the Newton
+steps of a partition solve, once its gains settle, and the calls of later
+sweeps, points and schemes of one fading only sum. Each value depends on
+its own gain alone, bit for bit, whatever other gains and series share
+the pass and whatever rows were kept, so the partitions of many sweep
+points can be solved in one batch and each still equals the partition of
+its point alone. The 1F1 density and its quadrature are kept as the
+independent oracle.
 """
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +92,11 @@ _LOG_FLOOR = 745.0
 _CHUNK = 1 << 18
 _BLOCK = 1 << 16
 _MAX_WINDOW = 1 << 24
-# A series keeps its coefficients over at most _KEEP indices (_Coefs); each
-# series the partition solve keeps holds rows of up to _KEEP entries in all.
+# A series keeps its coefficients over at most _KEEP indices (_Coefs), and
+# rows of up to _KEEP entries in all (_Series).
 _KEEP = 1 << 20
+# Each thread keeps the series of the last fading it asked for (_stored).
+_STORE = threading.local()
 # Terms are summed in runs of _RUN, and the runs one after another.
 _RUN = 8
 # Terms of the deviance series in _log_poisson: with v^2 < 0.0025 the
@@ -322,9 +328,9 @@ def _poisson_sum(*terms) -> list[np.ndarray]:
     each piece small where the terms matter. The cell's row holds n0 and
     g_n = log c_n - log(n! / n0!) + (n - n0) log n0 over a range of n, with
     log(n! / n0!) accumulated outward from n0, one index after another, so
-    that both depend on the cell alone, whatever the range. A series with
-    room keeps its rows (_Series), and a pass forms only the rows of the
-    cells that its series has not met, or whose kept range misses a window.
+    that both depend on the cell alone, whatever the range. A series keeps
+    its rows (_Series), and a pass forms only the rows of the cells that its
+    series has not met, or whose kept range misses a window.
     The terms of each entry's own window are then added in an order fixed
     by their n alone (_row_sums), which neither other entries nor block
     boundaries can change.
@@ -334,9 +340,10 @@ def _poisson_sum(*terms) -> list[np.ndarray]:
     forms its missing rows, each series' log_coef evaluated once over the
     union of their ranges, and then the terms of all its entries with one
     _log_poisson, one slope and one _row_sums, in blocks of about _BLOCK.
-    Memory is thus the kept rows, at most room entries a series, and a few
-    arrays of the larger of _CHUNK and the widest cell range, which spans
-    its entries' windows. A window of more than _MAX_WINDOW terms raises
+    Memory is thus the kept rows and coefficients, at most _KEEP entries of
+    each a series and five series a thread (_stored), and a few arrays of
+    the larger of _CHUNK and the widest cell range, which spans its
+    entries' windows. A window of more than _MAX_WINDOW terms raises
     ArithmeticError before any row is formed, for the first such term.
     """
     sums = [np.empty(0)] * len(terms)
@@ -600,22 +607,21 @@ class _Series:
     """A series of _poisson_sum, named by key: log c_n = log_coef(n), each
     value formed once (_Coefs), its window (lo, hi) = window(y), and the
     rows of its cells, each (n0, start, g) with g over start + [0, len(g)).
-    Rows are kept while they hold at most room entries in all."""
+    Rows are kept while they hold at most _KEEP entries in all."""
 
-    def __init__(self, key, log_coef, window, room: int):
+    def __init__(self, key, log_coef, window):
         self.key = key
         self.log_coef = _Coefs(log_coef)
         self.window = window
         self.rows: dict[float, tuple[float, float, np.ndarray]] = {}
         self.size = 0
-        self.room = room
 
     def keep(self, cell: float, n0: float, start: float, g: np.ndarray):
         """The row (n0, start, g) of cell, kept in place of its old row
-        while the rows fit in the series' room."""
+        while the rows fit in _KEEP entries."""
         old = self.rows.get(cell)
         size = self.size + len(g) - (0 if old is None else len(old[2]))
-        if size > self.room:
+        if size > _KEEP:
             return n0, start, g
         self.rows[cell] = row = (n0, start, g.copy())
         self.size = size
@@ -654,11 +660,23 @@ class _Coefs:
         return out
 
 
-def _tail(fading: SrFading, s: int, m: float, room: int = 0) -> _Series:
+def _stored(key, log_coef, window) -> _Series:
+    """The series named by key, of the fading key[1]: the one this thread
+    keeps, else a new one of log_coef and window, kept. A thread keeps the
+    series of the last fading it asked for alone. No sum depends on which
+    rows are kept (_poisson_sum): only time and memory do."""
+    if getattr(_STORE, "fading", None) != key[1]:
+        _STORE.fading, _STORE.series = key[1], {}
+    series = _STORE.series.get(key)
+    if series is None:
+        series = _STORE.series[key] = _Series(key, log_coef, window)
+    return series
+
+
+def _tail(fading: SrFading, s: int, m: float) -> _Series:
     """The series sum_k w_k Q(k+1+s, y) at y > 0, w_k the mixture weights
-    with shape m: P(N <= K + s) = sum_n p_n(y) P(K >= n - s), K ~ NB(m, r),
-    keeping rows of up to room entries. The tail mass P(G >= x) is its sum
-    at s = 0, m = fading.m, y = beta x.
+    with shape m: P(N <= K + s) = sum_n p_n(y) P(K >= n - s), K ~ NB(m, r).
+    The tail mass P(G >= x) is its sum at s = 0, m = fading.m, y = beta x.
 
     P(K >= j) does not rise with j, so the omitted mass above the window is
     below _REL_TOL of the sum. Below it, the sum is e^-((1-r) y) times
@@ -681,14 +699,14 @@ def _tail(fading: SrFading, s: int, m: float, room: int = 0) -> _Series:
         with np.errstate(divide="ignore"):
             return np.where(j >= 1.0, np.log(_nb_above(np.maximum(j, 1.0), m, r, q)), 0.0)
 
-    return _Series(("tail", fading, s, m), log_survival, window, room)
+    return _stored(("tail", fading, s, m), log_survival, window)
 
 
-def _density(fading: SrFading, room: int = 0) -> _Series:
-    """The series sum_n p_n(y) P(K = n) at y = beta x, keeping rows of up
-    to room entries: beta times its sum is the power-gain density at x. Its
-    terms are at most the tail's (s = 0), so the tail's window omits at
-    most _REL_TOL of the tail from it, which the solve's slope can take."""
+def _density(fading: SrFading) -> _Series:
+    """The series sum_n p_n(y) P(K = n) at y = beta x: beta times its sum
+    is the power-gain density at x. Its terms are at most the tail's
+    (s = 0), so the tail's window omits at most _REL_TOL of the tail from
+    it, which the solve's slope can take."""
     _, q = _mixture(fading)
     m = fading.m
 
@@ -696,7 +714,7 @@ def _density(fading: SrFading, room: int = 0) -> _Series:
         # n log r, through log1p of q = 1 - r, which keeps its digits
         return _log_nb_tilted(n, m, q) + xlog1py(n, -q)
 
-    return _Series(("density", fading), log_pmf, _tail(fading, 0, m).window, room)
+    return _stored(("density", fading), log_pmf, _tail(fading, 0, m).window)
 
 
 def _below(fading: SrFading) -> _Series:
@@ -721,7 +739,7 @@ def _below(fading: SrFading) -> _Series:
         with np.errstate(divide="ignore"):
             return np.where(n >= 1.0, np.log(_nb_below(np.maximum(n, 1.0), m, r, q)), -np.inf)
 
-    return _Series(("cdf", fading), log_below, window, 0)
+    return _stored(("cdf", fading), log_below, window)
 
 
 def _moments(fading: SrFading, x: np.ndarray):
@@ -1126,18 +1144,19 @@ def partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresh
     instead. Each partition records its top state's conditional mean gain
     for finite upper-bound evaluation.
 
-    The solve owns the two series it evaluates again and again, the tail
-    mass and the density, which keep their coefficients and rows; every
-    other series it evaluates in one pass. It makes one pass before its
-    Newton solve (_tail_quantiles) and one after, evaluating each series at
-    each gain once outside the solve. The pass before holds the tail at the
-    first thresholds and at three more knots each, the density at those
-    four knots (_knot_starts: each target's bracket and start), and the
-    CDF at the first thresholds; the pass after, the tail at the other
+    The solve evaluates the tail mass and the density again and again, and
+    every other series in one pass; each series is the one its thread keeps
+    for the fading (_stored), so the solve reads the coefficients and rows
+    that earlier calls formed and keeps those it forms. It makes one pass
+    before its Newton solve (_tail_quantiles) and one after, evaluating each
+    series at each gain once outside the solve. The pass before holds the
+    tail at the first thresholds and at three more knots each, the density
+    at those four knots (_knot_starts: each target's bracket and start), and
+    the CDF at the first thresholds; the pass after, the tail at the other
     thresholds and the two series of the top mean gain (_moments). In
-    between, each Newton step is one pass of the tail and the density at
-    the same gains; a target past its partition's last knot first doubles
-    its bracket's upper end, one pass each doubling, from there. With two
+    between, each Newton step is one pass of the tail and the density at the
+    same gains; a target past its partition's last knot first doubles its
+    bracket's upper end, one pass each doubling, from there. With two
     states, or pinned upper thresholds, there is no solve and no knot.
     """
     if n_states < 2:
@@ -1162,8 +1181,7 @@ def partitions(fading: SrFading, firsts: np.ndarray, n_states: int, upper_thresh
                 f"{float(firsts[i])!r}, got {uppers.tolist()}"
             )
     x1 = _gains(firsts ** 2)
-    tail, below = _tail(fading, 0, fading.m, _KEEP), _below(fading)
-    density = _density(fading, _KEEP)
+    tail, below, density = _tail(fading, 0, fading.m), _below(fading), _density(fading)
     n_targets = n_states - 2 if upper_thresholds is None else 0
     # The knots of the Newton solve's start (_knot_starts): x1, where the
     # tail is s1, and three more. The tail at the first thresholds goes

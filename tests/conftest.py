@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leolink import channel
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -41,3 +43,14 @@ def rat_scenario_text() -> str:
 @pytest.fixture(scope="session")
 def pat_scenario_text() -> str:
     return (SCENARIO_DIR / "reference_pat.scn").read_text()
+
+
+@pytest.fixture
+def cold_store():
+    """Empties the running thread's store of series (channel._stored) now
+    and on each call, so that the next call forms its series afresh."""
+    def clear():
+        vars(channel._STORE).clear()
+
+    clear()
+    return clear

@@ -675,11 +675,12 @@ class TestRowIndependence:
             assert fn(fading, x).tolist() == [fn(fading, np.array([v]))[0] for v in x]
 
     @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
-    def test_block_boundaries_change_no_bit(self, monkeypatch, name):
+    def test_block_boundaries_change_no_bit(self, monkeypatch, cold_store, name):
         # with chunks and blocks of 64 terms, cells go one chunk each,
         # points a few rows at a time, and a line-of-sight window of
         # thousands of terms many blocks of columns; every sum adds the same
-        # terms in the same order
+        # terms in the same order. On a cold store every row is formed
+        # again, in chunks of at most 64 entries or one cell.
         fading = SrFading(*PROPERTY_SETS[name])
         x = np.random.default_rng(6).exponential(fading.mean_gain, 300)
         x = np.append(x, DEEP_GAIN[name])
@@ -691,19 +692,28 @@ class TestRowIndependence:
                     upper_sum(fading, y, 2, fading.m + 1.0).tolist()]
 
         whole = values()
+        form_rows, chunks = channel._form_rows, []
+
+        def recorded(log_coef, yc, near, reach, start, width):
+            chunks.append((len(yc), width.max()))
+            return form_rows(log_coef, yc, near, reach, start, width)
+
         monkeypatch.setattr(channel, "_CHUNK", 64)
         monkeypatch.setattr(channel, "_BLOCK", 64)
+        monkeypatch.setattr(channel, "_form_rows", recorded)
+        cold_store()
         assert values() == whole
+        assert chunks and all(cells == 1 or cells * width <= 64 for cells, width in chunks)
 
     @pytest.mark.parametrize("params", list(KEPT_SETS.values()), ids=list(KEPT_SETS))
-    def test_kept_rows_change_no_bit(self, params):
+    def test_kept_rows_change_no_bit(self, params, cold_store):
         # a pass that takes its rows from the kept ones, or forms a kept row
-        # that misses a window again, sums what a fresh one-series pass sums
+        # that misses a window again, sums what a one-series pass on a cold
+        # store sums
         fading = SrFading(*params)
 
-        def series(room):
-            return [channel._tail(fading, 0, fading.m, room),
-                    channel._tail(fading, 2, fading.m + 1.0, room)]
+        def series():
+            return [channel._tail(fading, 0, fading.m), channel._tail(fading, 2, fading.m + 1.0)]
 
         # the low and high ends of one cell, and a gain far above it
         y = max(fading.beta * fading.mean_gain, 20.0)
@@ -712,7 +722,8 @@ class TestRowIndependence:
         y = np.array([low + 0.01 * (high - low), high - 0.01 * (high - low), 3.0 * y])
         cell = channel._cell(y[:1])[0]
         assert channel._cell(y[1:2])[0] == cell
-        kept = series(channel._KEEP)
+        kept = series()
+        assert all(s.rows == {} for s in kept)
         channel._poisson_sum(*[(s, y[:1]) for s in kept])
         # a row spans every window of its cell: the high end takes it
         formed = [s.rows[cell] for s in kept]
@@ -731,24 +742,30 @@ class TestRowIndependence:
         again = channel._poisson_sum(*[(s, y[::-1]) for s in kept])
         assert [len(s.rows) for s in kept] == [len(r) for r in rows]
         assert all(s.rows[k] is row for s, r in zip(kept, rows) for k, row in r.items())
-        fresh = series(0)
+        cold_store()
+        fresh = series()
+        assert all(s.rows == {} for s in fresh)
         for s, sums_ends, sums, sums_again in zip(fresh, ends, grown, again):
             want = channel._poisson_sum((s, y))[0].tolist()
             assert sums_ends.tolist() == want[:2]
             assert sums.tolist() == want
             assert sums_again[::-1].tolist() == want
-        assert all(s.rows == {} for s in fresh)
 
     @pytest.mark.parametrize("name", sorted(PROPERTY_SETS))
-    def test_kept_coefficients_change_no_bit(self, monkeypatch, name):
+    def test_kept_coefficients_change_no_bit(self, monkeypatch, cold_store, name):
         # a partition solve forms each coefficient once; formed afresh on
-        # every call, they give the same partitions and probabilities
+        # every call, with no row kept, they give the same partitions and
+        # probabilities
         fading = SrFading(*PROPERTY_SETS[name])
         firsts = np.array([0.3, 0.6]) * math.sqrt(fading.mean_gain)
         kept, kept_pi = partitions(fading, firsts, 8, None)
+        assert all(len(s.log_coef.value) for s in channel._STORE.series.values())
         monkeypatch.setattr(channel, "_KEEP", 0)
         for part, pi, first in zip(kept, kept_pi, firsts):
+            cold_store()
             (fresh,), fresh_pi = partitions(fading, np.array([first]), 8, None)
+            assert all(not len(s.log_coef.value) and s.rows == {}
+                       for s in channel._STORE.series.values())
             assert part.thresholds.tolist() == fresh.thresholds.tolist()
             assert part.top_mean_gain == fresh.top_mean_gain
             assert pi.tolist() == fresh_pi[0].tolist()
