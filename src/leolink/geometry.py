@@ -127,13 +127,24 @@ def service_duration(geo: PassGeometry) -> float:
 def distance_at(geo: PassGeometry, t) -> np.ndarray:
     """Slant range at a 1-D array of elapsed pass times t in [0, T_s]."""
     t_s = service_duration(geo)
-    arr = np.asarray(t, dtype=float)
+    arr = np.array(t, dtype=float)  # a copy, for _slant_range to overwrite
     if arr.ndim != 1:
         raise ValueError("pass times must be a 1-D array")
     if not np.all((0.0 <= arr) & (arr <= t_s)):
         raise OutOfPass(f"t={t} outside [0, {t_s}]")
-    along = geo.half_track_m - sub_point_speed(geo) * arr
-    return np.sqrt(along * along + geo.terminal_offset_m**2 + geo.orbit_height_m**2)
+    return _slant_range(arr, geo.half_track_m, sub_point_speed(geo),
+                        geo.terminal_offset_m**2, geo.orbit_height_m**2)
+
+
+def _slant_range(t: np.ndarray, half, speed, offset2, height2) -> np.ndarray:
+    """sqrt((half - speed t)^2 + offset2 + height2), in the memory of t, a
+    fresh float array."""
+    t *= speed
+    np.subtract(half, t, out=t)
+    t *= t
+    t += offset2
+    t += height2
+    return np.sqrt(t, out=t)
 
 
 def distance_range(geo: PassGeometry) -> tuple[float, float]:
@@ -151,9 +162,9 @@ def build_timelines(geos: list[PassGeometry], slot_lens: list[float]
                     ) -> list[PassTimeline]:
     """The timeline of each of P passes, all bracketed at once.
 
-    The range is piecewise monotone with its single minimum at mid-pass, so
-    per-slot extrema come from the slot endpoints plus the mid-pass point
-    when it falls inside the slot. The passes' slots are bracketed as the
+    The range falls to its single minimum at mid-pass and rises after it,
+    so a slot's largest range is at one of its edges and its least at the
+    slot's point nearest mid-pass. The passes' slots are bracketed as the
     rows of two P x N arrays, N the most slots of any pass, and each
     timeline holds its own row's first slots. Each equals the pass's
     timeline alone, bit for bit: every value is formed from its own pass's
@@ -180,34 +191,18 @@ def build_timelines(geos: list[PassGeometry], slot_lens: list[float]
         speed = sub_point_speed(geo)
         times.append(t_s)
         counts.append(n)
-        # distance_at's constants: the range at time t is
-        # sqrt(along^2 + offset^2 + H^2), along = half_track - speed t
+        # _slant_range's constants, and the mid-pass time
         consts.append((geo.half_track_m, speed, geo.terminal_offset_m**2,
                        geo.orbit_height_m**2, slot_len_s, t_s,
                        geo.half_track_m / speed))
     half, speed, offset2, height2, slot, t_s, t_mid = np.array(consts).T[:, :, None]
-
-    def distance(t):
-        # in t's own memory
-        t *= speed
-        np.subtract(half, t, out=t)
-        t *= t
-        t += offset2
-        t += height2
-        return np.sqrt(t, out=t)
-
     j = np.arange(max(counts))
     t0 = j * slot
     t1 = (j + 1) * slot
     np.minimum(t1, t_s, out=t1)  # last edge can round past T_s
-    # the one slot of each pass whose interior holds the mid-pass point
-    inside = ((t0 < t_mid) & (t_mid < t1)).nonzero()
-    d0, d1 = distance(t0), distance(t1)
-    d_min = np.minimum(d0, d1)
-    d_max = np.maximum(d0, d1, out=d1)
-    mid = distance(t_mid.copy())[inside[0], 0]
-    d_min[inside] = np.fmin(d_min[inside], mid)
-    d_max[inside] = np.fmax(d_max[inside], mid)
+    d_min = _slant_range(np.clip(t_mid, t0, t1), half, speed, offset2, height2)
+    d_max = np.maximum(_slant_range(t0, half, speed, offset2, height2),
+                       _slant_range(t1, half, speed, offset2, height2), out=t1)
     return [PassTimeline(service_time_s=t, slot_len_s=s, n_slots=n,
                          slot_dist_min=lo[:n], slot_dist_max=hi[:n])
             for t, s, n, lo, hi in zip(times, slot_lens, counts, d_min, d_max)]

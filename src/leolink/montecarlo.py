@@ -14,17 +14,18 @@ first up, while the calling thread takes them from the last down, until
 the two meet. The numpy draws and arithmetic that make up a block release
 the interpreter lock, so the two overlap on two cores, and no more than
 two compute. Block results are reduced in block order, so every output is
-bit-identical whatever thread ran which block. A block of _BLOCK
-replications holds at most about 3.6 MiB of arrays at once (7.13 arrays of
-_BLOCK doubles for the fixed-power scheme, 6.0 for the fixed-rate scheme),
-so two blocks in flight take about as much as one block did before it
-worked in place. Drawing n gains at once, as `validate` does, the sampler
-holds three arrays of n doubles (the two scattered parts and the
-line-of-sight amplitude) plus a few arrays of _BLOCK doubles, as it works
-the phases one block at a time. Every draw takes the standard distribution
-and scales it in place, as Generator.normal, gamma, uniform and exponential
-would scale it, so the draws are theirs bit for bit, without their per-call
-broadcasting.
+bit-identical whatever thread ran which block. A block reads its
+per-state and per-slot constants from small tables formed once per block,
+not per replication. A block of _BLOCK replications holds at most about
+3.0 MiB of arrays at once (6.0 arrays of _BLOCK doubles in both schemes,
+the sampler's peak beside the arrival fractions), so two blocks in flight
+take no more than one block did before it worked in place. Drawing n
+gains at once, as `validate` does, the sampler holds three arrays of n
+doubles (the two scattered parts and the line-of-sight amplitude) plus a
+few arrays of _BLOCK doubles, as it works the phases one block at a
+time. Every draw takes the standard distribution and scales it in place,
+as Generator.normal, gamma, uniform and exponential would scale it, so the
+draws are theirs bit for bit, without their per-call broadcasting.
 """
 
 import concurrent.futures
@@ -193,17 +194,17 @@ def _block(
 
 def _rat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
     """_block of the fixed-power scheme, from its drawn u and g."""
-    count = len(u)
     state = part.classify(g)
-    rho = budget.path_loss_exp
-    off = state < 2
+    # the bottom state, where a packet sends nothing and waits: classify
+    # gives state 0 to no gain >= 0
+    bottom = state < 2
     t = u * tl.span_s
     # span_s can pass the service time by rounding when the pass is a whole
     # number of slots
     np.minimum(t, tl.service_time_s, out=t)
     dist = distance_at(geo, t)
     del t
-    dist **= rho
+    dist **= budget.path_loss_exp
     rate = g
     rate *= scheme.tx_power_w / budget.noise_power_w
     rate /= dist
@@ -211,20 +212,18 @@ def _rat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
     rate += 1.0
     np.log2(rate, out=rate)
     rate *= budget.bandwidth_hz
-    power = np.full(count, scheme.tx_power_w, dtype=float)
-    rate[off] = 0.0
-    power[off] = 0.0
-    del off
+    power = np.full(len(u), scheme.tx_power_w, dtype=float)
+    rate[bottom] = 0.0
+    power[bottom] = 0.0
     sums = _sum_and_squares(rate) + _sum_and_squares(power)
     del rate, power
 
-    # Arrivals in the bottom state wait; completion slot is
-    # ceil((t + wait)/slot) wrapped onto 1..N, then 0-based.
-    waiting = state == 1
-    t_wait = rng.standard_exponential(count)
-    t_wait *= lam_s
-    t_wait[~waiting] = 0.0
+    t_wait = _waits(rng, lam_s, bottom)
+    del bottom
+    # Each packet drains at its state's rate in the slot where its wait
+    # ends, ceil((t + wait) / slot) wrapped onto 1..N
     t = u  # arrival instants, in u's memory
+    del u
     t *= tl.service_time_s
     t += t_wait
     t /= tl.slot_len_s
@@ -232,40 +231,35 @@ def _rat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
     # wrapped before the cast, which a wait of more than about 9e18 slots
     # would overflow; fmod is exact, so this is the integer remainder
     np.fmod(t, tl.n_slots, out=t)
-    slot = t.astype(np.int64)
-    del t, u
-    slot[slot == 0] = tl.n_slots
-    slot -= 1
-    # Drain at the lower-edge rate of the state (state 2 after a wait).
-    state[waiting] = 2
-    del waiting
+    # the flat (state, slot) index of _drain_times, in state's memory
     state -= 1
-    rate = np.asarray(part.thresholds)[state]
-    del state
-    rate **= 2
+    state *= tl.n_slots
+    state += t.astype(np.int64)
+    del t
+    t_wait += _drain_times(tl, part, budget, scheme, traffic).take(state)
+    return sums + (float(np.count_nonzero(t_wait > traffic.delay_threshold_s)),)
+
+
+def _drain_times(tl, part, budget, scheme, traffic) -> np.ndarray:
+    """The fixed-power scheme's K x N drain times. Entry (k, c) is the time
+    to send a packet at the lower gain edge of state k + 1 (of state 2,
+    after a wait in state 1) and the largest range of slot c, 1-based, with
+    slot N in column 0; infinite where that rate is not positive (or NaN)."""
+    rate = np.asarray(part.thresholds)[:, None] ** 2
     rate *= scheme.tx_power_w / budget.noise_power_w
-    dist = np.asarray(tl.slot_dist_max)[slot]
-    del slot
-    dist **= rho
-    rate /= dist
-    del dist
+    rate = rate / np.roll(tl.slot_dist_max, 1) ** budget.path_loss_exp
     rate += 1.0
     np.log2(rate, out=rate)
     rate *= budget.bandwidth_hz
-    # the drain time, infinite where the rate is not positive (or NaN)
-    no_rate = ~(rate > 0.0)
     with np.errstate(divide="ignore"):
-        np.divide(traffic.packet_bits, rate, out=rate)
-    rate[no_rate] = np.inf
-    del no_rate
-    t_wait += rate
-    del rate
-    return sums + (float(np.count_nonzero(t_wait > traffic.delay_threshold_s)),)
+        times = traffic.packet_bits / rate
+    times[~(rate > 0.0)] = np.inf
+    times[0] = times[1]
+    return times
 
 
 def _pat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
     """_block of the fixed-rate scheme, from its drawn u and g."""
-    count = len(u)
     bottom = g < (part.thresholds**2)[1]
     t = u  # instants in the pass, in u's memory: u is not read again
     del u
@@ -274,31 +268,38 @@ def _pat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
     slot = t.astype(np.int64)
     del t
     np.minimum(slot, tl.n_slots - 1, out=slot)
-    power = np.asarray(tl.slot_dist_max)[slot]
+    # per slot, the power that holds the fixed rate at unit gain and the
+    # slot's largest range
+    unit = np.asarray(tl.slot_dist_max) ** budget.path_loss_exp
+    unit *= budget.noise_power_w
+    unit *= 2.0 ** (scheme.fixed_rate_bps / budget.bandwidth_hz) - 1.0
+    power = unit.take(slot)
     del slot
-    power **= budget.path_loss_exp
-    power *= budget.noise_power_w
-    power *= 2.0 ** (scheme.fixed_rate_bps / budget.bandwidth_hz) - 1.0
     power /= g
     del g
     off = ~(power <= scheme.max_power_w)
     off |= bottom
-    rate = np.full(count, scheme.fixed_rate_bps, dtype=float)
+    rate = np.full(len(power), scheme.fixed_rate_bps, dtype=float)
     rate[off] = 0.0
     power[off] = 0.0
     del off
     sums = _sum_and_squares(rate) + _sum_and_squares(power)
     del rate, power
 
-    # Arrivals in the bottom state wait; every packet drains at the fixed
-    # rate, in a time infinite where that rate is NaN.
-    t_wait = rng.standard_exponential(count)
+    # every packet drains at the fixed rate, after its wait
+    t_wait = _waits(rng, lam_s, bottom)
+    del bottom
+    t_wait += traffic.packet_bits / scheme.fixed_rate_bps
+    return sums + (float(np.count_nonzero(t_wait > traffic.delay_threshold_s)),)
+
+
+def _waits(rng: np.random.Generator, lam_s: float, bottom: np.ndarray) -> np.ndarray:
+    """The waits of a block's packets: Exp(lam_s) for those that arrive in
+    the bottom state, where bottom is True, and 0 for the rest."""
+    t_wait = rng.standard_exponential(len(bottom))
     t_wait *= lam_s
     t_wait[~bottom] = 0.0
-    del bottom
-    rate = scheme.fixed_rate_bps
-    t_wait += traffic.packet_bits / rate if rate > 0.0 else math.inf
-    return sums + (float(np.count_nonzero(t_wait > traffic.delay_threshold_s)),)
+    return t_wait
 
 
 def _sum_and_squares(x: np.ndarray) -> tuple[float, float]:

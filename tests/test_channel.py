@@ -61,6 +61,17 @@ class TestSrFading:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SrFading(**values)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("m", math.nextafter(0.5, 0.0), "m must be >= 0.5, got 0.49999999999999994"),
+        ("b0", 0.0, "b0 must be > 0, got 0.0"),
+        ("omega", -5e-324, "omega must be >= 0, got -5e-324"),
+    ], ids=["m", "b0", "omega"])
+    def test_rejects_its_bound(self, field, value, message):
+        # a > check refuses its bound, a >= check the float just below it
+        values = {"m": 10.1, "b0": 0.126, "omega": 0.825, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SrFading(**values)
+
     def test_derived_parameters(self):
         f = TABLE_FADING
         assert f.beta == pytest.approx(1.0 / 0.252, rel=1e-12)
@@ -861,6 +872,8 @@ class TestDoppler:
         (dict(f_scatter_max_hz=10.0, mean_aoa_rad=math.nan),
          r"mean_aoa_rad must be in \[-pi, pi\), got nan"),
         (dict(f_scatter_max_hz=10.0, aoa_width=math.nan), "aoa_width must be >= 0, got nan"),
+        (dict(f_scatter_max_hz=0.0), "f_scatter_max_hz must be > 0, got 0.0"),
+        (dict(f_scatter_max_hz=10.0, aoa_width=-5e-324), "aoa_width must be >= 0, got -5e-324"),
     ])
     def test_rejects_nan(self, values, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

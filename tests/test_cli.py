@@ -728,6 +728,19 @@ class TestErrorPaths:
         assert err.startswith("E_VALIDATION")
         assert "fading.m" in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("packet_bits = 500 Kbits", "packet_bits = 0 bits",
+         "traffic.packet_bits (line 36): packet_bits must be > 0, got 0.0"),
+        ("max_power = 30 dBW", "max_power = 0 W",
+         "pat.max_power (line 32): max_power_w must be > 0, got 0.0"),
+    ], ids=["packet_bits", "max_power"])
+    def test_zero_value_exits_2(self, tmp_path, capsys, old, new, message):
+        bad = reduced_scenario(tmp_path, "reference_pat.scn", **{old: new})
+        assert main(["analyze", "--scenario", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"E_VALIDATION: {message}\n"
+
     def test_simulation_of_unbounded_wait_exits_3(self, tmp_path, capsys):
         # 600 Mbit/s under a 30 dBW cap: the crossing rate at the first
         # threshold underflows, so the waiting time cannot be sampled

@@ -273,20 +273,29 @@ class TestTimelineInvariants:
 
 class TestValueChecks:
     """Every value check rejects NaN, with the message it gives a value out
-    of range."""
+    of range, and rejects its bound (> b) or the value just below it
+    (>= b)."""
 
-    @pytest.mark.parametrize("field, message", [
-        ("earth_radius_m", "earth_radius_m must be > 0, got nan"),
-        ("orbit_height_m", "orbit_height_m must be > 0, got nan"),
-        ("coverage_radius_m", "coverage_radius_m must be > 0, got nan"),
-        ("half_track_m", "half_track_m must be > 0, got nan"),
-        ("sat_speed_ms", "sat_speed_ms must be > 0, got nan"),
-        ("terminal_offset_m", "terminal_offset_m must be >= 0, got nan"),
+    @pytest.mark.parametrize("field, value, message", [
+        ("earth_radius_m", math.nan, "earth_radius_m must be > 0, got nan"),
+        ("orbit_height_m", math.nan, "orbit_height_m must be > 0, got nan"),
+        ("coverage_radius_m", math.nan, "coverage_radius_m must be > 0, got nan"),
+        ("half_track_m", math.nan, "half_track_m must be > 0, got nan"),
+        ("sat_speed_ms", math.nan, "sat_speed_ms must be > 0, got nan"),
+        ("terminal_offset_m", math.nan, "terminal_offset_m must be >= 0, got nan"),
+        ("earth_radius_m", 0.0, "earth_radius_m must be > 0, got 0.0"),
+        ("orbit_height_m", 0.0, "orbit_height_m must be > 0, got 0.0"),
+        ("coverage_radius_m", 0.0, "coverage_radius_m must be > 0, got 0.0"),
+        ("half_track_m", 0.0, "half_track_m must be > 0, got 0.0"),
+        ("sat_speed_ms", 0.0, "sat_speed_ms must be > 0, got 0.0"),
+        ("terminal_offset_m", -5e-324, "terminal_offset_m must be >= 0, got -5e-324"),
     ], ids=["earth_radius", "orbit_height", "coverage_radius", "half_track", "sat_speed",
-            "terminal_offset"])
-    def test_pass_geometry_rejects_nan(self, field, message):
+            "terminal_offset", "earth_radius_bound", "orbit_height_bound",
+            "coverage_radius_bound", "half_track_bound", "sat_speed_bound",
+            "terminal_offset_bound"])
+    def test_pass_geometry_rejects_nan(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            make_geo(**{field: math.nan})
+            make_geo(**{field: value})
 
     @pytest.mark.parametrize("make, message", [
         (lambda: build_timeline(make_geo(), math.nan), "slot_len_s must be > 0, got nan"),
@@ -302,8 +311,19 @@ class TestValueChecks:
         (lambda: half_track_from_plane(6371e3, math.nan), "sats_per_plane must be >= 1, got nan"),
         (lambda: circular_orbit_speed(math.nan, 500e3), "earth_radius_m must be > 0, got nan"),
         (lambda: circular_orbit_speed(6371e3, math.nan), "orbit_height_m must be > 0, got nan"),
+        (lambda: build_timeline(make_geo(), 0.0), "slot_len_s must be > 0, got 0.0"),
+        (lambda: build_timelines([make_geo(), make_geo()], [1.0, 0.0]),
+         "slot_len_s must be > 0, got 0.0"),
+        (lambda: PassTimeline(service_time_s=2.0, slot_len_s=1.0, n_slots=0,
+                              slot_dist_min=np.ones(2), slot_dist_max=np.ones(2)),
+         "n_slots must be >= 1, got 0"),
+        (lambda: half_track_from_plane(6371e3, 0), "sats_per_plane must be >= 1, got 0"),
+        (lambda: circular_orbit_speed(0.0, 500e3), "earth_radius_m must be > 0, got 0.0"),
+        (lambda: circular_orbit_speed(6371e3, 0.0), "orbit_height_m must be > 0, got 0.0"),
     ], ids=["build_timeline", "slot_brackets", "timeline_slots", "timeline_distances",
-            "sats_per_plane", "orbit_earth_radius", "orbit_height"])
+            "sats_per_plane", "orbit_earth_radius", "orbit_height", "build_timeline_bound",
+            "slot_brackets_bound", "timeline_slots_bound", "sats_per_plane_bound",
+            "orbit_earth_radius_bound", "orbit_height_bound"])
     def test_functions_reject_nan(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()

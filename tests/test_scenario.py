@@ -176,14 +176,17 @@ class TestUnits:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("field, message", [
-        ("slot_len_s", "slot_len_s must be > 0, got nan"),
-        ("n_states", "n_states must be >= 2, got nan"),
-    ], ids=["slot_len", "n_states"])
-    def test_scenario_rejects_nan(self, field, message):
+    @pytest.mark.parametrize("field, value, message", [
+        ("slot_len_s", math.nan, "slot_len_s must be > 0, got nan"),
+        ("n_states", math.nan, "n_states must be >= 2, got nan"),
+        ("slot_len_s", 0.0, "slot_len_s must be > 0, got 0.0"),
+        ("n_states", 1, "n_states must be >= 2, got 1"),
+    ], ids=["slot_len", "n_states", "slot_len_bound", "n_states_bound"])
+    def test_scenario_rejects_nan(self, field, value, message):
+        # and each check's bound (> b) or the integer below it (>= b)
         scn = parse_scenario(MINIMAL)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            dataclasses.replace(scn, **{field: math.nan})
+            dataclasses.replace(scn, **{field: value})
 
     def test_small_m_names_key(self):
         with pytest.raises(ValidationError) as err:

@@ -39,7 +39,8 @@ TRAFFIC = TrafficSpec(packet_bits=500e3, delay_threshold_s=1e-3)
 
 class TestValueChecks:
     """Every value check rejects NaN, with the message it gives a value out
-    of range."""
+    of range, and rejects its bound (> b) or the float just below it
+    (>= b)."""
 
     @pytest.mark.parametrize("make, message", [
         (lambda: LinkBudget(math.nan, SIGMA2), "bandwidth_hz must be > 0, got nan"),
@@ -53,8 +54,23 @@ class TestValueChecks:
         (lambda: TrafficSpec(500e3, math.nan), "delay_threshold_s must be >= 0, got nan"),
         (lambda: SchemeReport(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, math.nan),
          "lam_s must be > 0, got nan"),
+        (lambda: LinkBudget(0.0, SIGMA2), "bandwidth_hz must be > 0, got 0.0"),
+        (lambda: LinkBudget(60e6, 0.0), "noise_power_w must be > 0, got 0.0"),
+        (lambda: LinkBudget(60e6, SIGMA2, math.nextafter(2.0, 0.0)),
+         "path_loss_exp must be >= 2, got 1.9999999999999998"),
+        (lambda: RatConfig(0.0, 1.0), "tx_power_w must be > 0, got 0.0"),
+        (lambda: RatConfig(1000.0, 0.0), "min_snr must be > 0, got 0.0"),
+        (lambda: PatConfig(0.0, 60e6), "max_power_w must be > 0, got 0.0"),
+        (lambda: PatConfig(1000.0, 0.0), "fixed_rate_bps must be > 0, got 0.0"),
+        (lambda: TrafficSpec(0.0, 1e-3), "packet_bits must be > 0, got 0.0"),
+        (lambda: TrafficSpec(500e3, -5e-324), "delay_threshold_s must be >= 0, got -5e-324"),
+        (lambda: SchemeReport(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.0),
+         "lam_s must be > 0, got 0.0"),
     ], ids=["bandwidth", "noise", "path_loss", "tx_power", "min_snr", "max_power",
-            "fixed_rate", "packet_bits", "delay_threshold", "report_lam"])
+            "fixed_rate", "packet_bits", "delay_threshold", "report_lam",
+            "bandwidth_bound", "noise_bound", "path_loss_bound", "tx_power_bound",
+            "min_snr_bound", "max_power_bound", "fixed_rate_bound", "packet_bits_bound",
+            "delay_threshold_bound", "report_lam_bound"])
     def test_classes_reject_nan(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
@@ -72,6 +88,12 @@ class TestValueChecks:
             dor_integral(BUDGET, pat, pat_part, timeline, pat_probs, TRAFFIC, math.nan)
         with pytest.raises(ValueError, match="^lam_s must be > 0, got nan$"):
             report(BUDGET, rat, part, timeline, probs, TRAFFIC, math.nan)
+        with pytest.raises(ValueError, match="^d_max_m must be > 0, got 0.0$"):
+            first_threshold(BUDGET, pat, 0.0)
+        with pytest.raises(ValueError, match="^lam_s must be > 0, got 0.0$"):
+            dor_integral(BUDGET, pat, pat_part, timeline, pat_probs, TRAFFIC, 0.0)
+        with pytest.raises(ValueError, match="^lam_s must be > 0, got 0.0$"):
+            report(BUDGET, rat, part, timeline, probs, TRAFFIC, 0.0)
 
 
 def dbw(x: float) -> float:
