@@ -34,9 +34,11 @@ its own gain alone, bit for bit, whatever other gains and series share
 the pass and whatever rows were kept, so the partitions of many sweep
 points can be solved in one batch and each still equals the partition of
 its point alone. The 1F1 density and its quadrature are kept as the
-independent oracle.
+independent oracle: an adaptive Gauss-Legendre rule (quadrature) that
+evaluates the density on whole panels at once.
 """
 
+import functools
 import itertools
 import math
 import threading
@@ -56,6 +58,7 @@ __all__ = [
     "sr_pdf",
     "sr_cdf",
     "sr_cdf_quadrature",
+    "quadrature",
     "tail_mass",
     "state_probs",
     "state_prob_matrix",
@@ -99,6 +102,10 @@ _KEEP = 1 << 20
 _STORE = threading.local()
 # Terms are summed in runs of _RUN, and the runs one after another.
 _RUN = 8
+# quadrature integrates each panel with a Gauss-Legendre rule of _GL_ORDER
+# nodes, and gives up past _QUAD_MAX_PANELS panels.
+_GL_ORDER = 20
+_QUAD_MAX_PANELS = 1000
 # Terms of the deviance series in _log_poisson: with v^2 < 0.0025 the
 # omitted part is below 1e-16 of the sum.
 _BD0_TERMS = 6
@@ -800,29 +807,79 @@ def _tail_cutoff(fading: SrFading) -> float:
     return fading.mean_gain + (80.0 + 20.0 * max(fading.m, 1.0)) / bd
 
 
-def sr_cdf_quadrature(fading: SrFading, x: float) -> float:
-    """CDF by adaptive quadrature of the density over [0, x].
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _GL_ORDER Gauss-Legendre nodes on [-1, 1] and their weights
+    (Golub & Welsch 1969), formed on first use: only the oracle integrates.
+    Read-only, as every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    The interval is split at the distribution mean so the quadrature sees
-    the exponential tail separately; absolute tolerance 1e-10.
+
+def quadrature(f, edges, epsabs: float, epsrel: float) -> float:
+    """Integral of f from edges[0] to edges[-1], where each two neighbouring
+    edges bound one first panel.
+
+    Adaptive Gauss-Legendre: each pass calls f once, on one 2-D array of
+    the nodes of every open panel and of its two halves. The sum over the
+    halves is the panel's value, and its distance from the panel's own rule
+    is the panel's error. The integral is done once the errors of all
+    panels sum to at most max(epsabs, epsrel |I|), QUADPACK's global
+    criterion (Piessens et al. 1983). Until then, each pass closes the open
+    panels of least error while the closed errors sum to at most half that
+    bound, and halves the others. Raises NonConvergent where f is not finite
+    at a node, or where more than _QUAD_MAX_PANELS panels would be needed.
     """
-    # Imported on first use: only the oracle needs it, and it is slow to import.
-    from scipy import integrate
+    nodes, weights = _gauss_legendre()
+    edges = np.asarray(edges, dtype=float)
+    where = f"quadrature over [{edges[0]}, {edges[-1]}]"
+    lo, hi = edges[:-1], edges[1:]
+    closed_value = closed_error = 0.0
+    n_closed = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        a, b = np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])
+        half = 0.5 * (b - a)
+        y = f((a + half)[:, None] + half[:, None] * nodes)
+        if not np.isfinite(y).all():
+            raise NonConvergent(f"{where}: the integrand is not finite")
+        whole, left, right = (half * (y @ weights)).reshape(3, -1)
+        value = left + right
+        error = np.abs(whole - value)
+        total = closed_value + float(value.sum())
+        bound = max(epsabs, epsrel * abs(total))
+        if closed_error + float(error.sum()) <= bound:
+            return total
+        # errors are >= 0, so the panels to close are a prefix of this order
+        order = np.argsort(error)
+        n = int(np.count_nonzero(closed_error + np.cumsum(error[order]) <= 0.5 * bound))
+        close, split = order[:n], order[n:]
+        closed_value += float(value[close].sum())
+        closed_error += float(error[close].sum())
+        n_closed += n
+        if n_closed + 2 * len(split) > _QUAD_MAX_PANELS:
+            raise NonConvergent(f"{where} did not converge within {_QUAD_MAX_PANELS} panels")
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
 
-    if x < 0:
-        raise ValueError(f"power gain must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    hi = min(x, _tail_cutoff(fading))
-    mean = fading.mean_gain
-    f = lambda y: sr_pdf(fading, y)
-    if hi <= mean:
-        val, _ = integrate.quad(f, 0.0, hi, epsabs=1e-10, epsrel=1e-10, limit=200)
-    else:
-        v1, _ = integrate.quad(f, 0.0, mean, epsabs=1e-10, epsrel=1e-10, limit=200)
-        v2, _ = integrate.quad(f, mean, hi, epsabs=1e-10, epsrel=1e-10, limit=200)
-        val = v1 + v2
-    return min(max(val, 0.0), 1.0)
+
+def sr_cdf_quadrature(fading: SrFading, x) -> np.ndarray:
+    """CDF at a 1-D array of gains x >= 0, each value the quadrature of the
+    density sr_pdf over [0, x].
+
+    Each interval is split at the mean gain, so the rule meets the
+    exponential tail apart from the bulk, and ends at the tail cutoff,
+    past which the mass is far below 1e-16; tolerance 1e-10, absolute and
+    relative. The independent oracle of sr_cdf and tail_mass.
+    """
+    x = _gains(x)
+    mean, cutoff = fading.mean_gain, _tail_cutoff(fading)
+    pdf = functools.partial(sr_pdf, fading)
+    out = np.array([
+        quadrature(pdf, [0.0, hi] if hi <= mean else [0.0, mean, hi], 1e-10, 1e-10)
+        for hi in np.minimum(x, cutoff).tolist()
+    ])
+    return np.clip(out, 0.0, 1.0)
 
 
 def sr_cdf(fading: SrFading, x) -> np.ndarray:

@@ -4,6 +4,7 @@ suite behind the `validate` subcommand.
 """
 
 import concurrent.futures
+import functools
 import logging
 import math
 from dataclasses import dataclass, fields, replace
@@ -396,24 +397,18 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         pending_sim = [side.submit(block) for block in sim_blocks]
         pending_repeat = [side.submit(block) for block in repeat_blocks]
 
-        # Density normalization. Imported on first use: only the oracle needs it.
-        from scipy import integrate
-
-        cutoff = channel._tail_cutoff(fading)
-        mass, _ = integrate.quad(
-            lambda y: channel.sr_pdf(fading, y), 0.0, cutoff,
-            epsabs=1e-12, epsrel=1e-12, limit=300,
-            points=[fading.mean_gain],
+        # Density normalization.
+        mass = channel.quadrature(
+            functools.partial(channel.sr_pdf, fading),
+            [0.0, fading.mean_gain, channel._tail_cutoff(fading)], 1e-12, 1e-12,
         )
         err = abs(mass - 1.0)
         checks.append(CheckResult("pdf_normalization", err < 1e-6, f"|integral-1| = {err:.3e}"))
 
         # Two independent CDF routes agree.
         grid = np.linspace(0.05, 4.0, 25) * fading.mean_gain
-        worst = max(
-            abs((1.0 - channel.sr_cdf_quadrature(fading, x)) - tail)
-            for x, tail in zip(grid.tolist(), channel.tail_mass(fading, grid).tolist())
-        )
+        diff = (1.0 - channel.sr_cdf_quadrature(fading, grid)) - channel.tail_mass(fading, grid)
+        worst = float(np.max(np.abs(diff)))
         checks.append(CheckResult("cdf_routes_agree", worst < 1e-8, f"max diff = {worst:.3e}"))
 
         # State probabilities: normalization and sampled frequencies.

@@ -129,7 +129,7 @@ class TestSrCdf:
     def test_integer_m_closed_vs_quadrature(self):
         f = SrFading(2.0, 0.2, 0.5)
         closed = sr_cdf(f, np.array([0.7]))[0]
-        quad = sr_cdf_quadrature(f, 0.7)
+        (quad,) = sr_cdf_quadrature(f, np.array([0.7]))
         assert closed == pytest.approx(0.518263618025867237, rel=1e-10)
         assert abs(closed - quad) < 1e-8
 
@@ -140,17 +140,22 @@ class TestSrCdf:
     )
     def test_closed_vs_quadrature_grid(self, params):
         f = SrFading(*params)
-        for x in np.linspace(0.02, 8.0, 25) * f.mean_gain:
-            quad = sr_cdf_quadrature(f, float(x))
-            assert abs(sr_cdf(f, np.array([x]))[0] - quad) < 1e-8
-            assert abs(tail_mass(f, np.array([x]))[0] - (1.0 - quad)) < 1e-8
+        xs = np.linspace(0.02, 8.0, 25) * f.mean_gain
+        quad = sr_cdf_quadrature(f, xs)
+        assert np.max(np.abs(sr_cdf(f, xs) - quad)) < 1e-8
+        assert np.max(np.abs(tail_mass(f, xs) - (1.0 - quad))) < 1e-8
 
     def test_infinite_and_nan_gains(self):
         assert sr_cdf(TABLE_FADING, np.array([math.inf]))[0] == 1.0
         assert tail_mass(TABLE_FADING, np.array([math.inf]))[0] == 0.0
-        for fn in (sr_cdf, tail_mass):
-            with pytest.raises(ValueError):
-                fn(TABLE_FADING, np.array([math.nan]))
+        assert sr_cdf_quadrature(TABLE_FADING, np.array([math.inf]))[0] == pytest.approx(
+            1.0, abs=1e-10)
+        for fn in (sr_cdf, tail_mass, sr_cdf_quadrature):
+            for x in (math.nan, -1.0):
+                with pytest.raises(ValueError, match="power gain must be >= 0"):
+                    fn(TABLE_FADING, np.array([0.5, x]))
+            with pytest.raises(ValueError, match="1-D"):
+                fn(TABLE_FADING, 0.5)
 
     def test_nakagami_limit(self):
         # b0 -> 0 leaves the Nakagami line of sight, power Gamma(m, omega/m);
@@ -229,6 +234,83 @@ class TestSrCdf:
                              for v in n.tolist()])
         got = channel._nb_below(n, fading.m, r, q)
         assert np.max(np.abs(got / want - 1.0)) <= bound
+
+
+ORACLE_SETS = {**ABDI_SETS, **LOS_SETS, "reference": REFERENCE, "m2": (2.0, 0.2, 0.5)}
+
+
+def quad_cdf(fading: SrFading, x: float) -> float:
+    """The CDF at x by scipy's quad, on the intervals and at the tolerance
+    of sr_cdf_quadrature."""
+    hi, mean = min(x, channel._tail_cutoff(fading)), fading.mean_gain
+    pieces = [(0.0, hi)] if hi <= mean else [(0.0, mean), (mean, hi)]
+    return sum(integrate.quad(lambda y: sr_pdf(fading, y), a, b, epsabs=1e-10, epsrel=1e-10,
+                              limit=200)[0] for a, b in pieces)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("params", ORACLE_SETS.values(), ids=ORACLE_SETS)
+    def test_normalization_matches_quad(self, params):
+        f = SrFading(*params)
+        cutoff = channel._tail_cutoff(f)
+        want, _ = integrate.quad(lambda y: sr_pdf(f, y), 0.0, cutoff, epsabs=1e-12,
+                                 epsrel=1e-12, limit=300, points=[f.mean_gain])
+        got = channel.quadrature(lambda y: sr_pdf(f, y), [0.0, f.mean_gain, cutoff],
+                                 1e-12, 1e-12)
+        assert abs(got - want) <= 1e-13
+
+    @pytest.mark.parametrize("params", ORACLE_SETS.values(), ids=ORACLE_SETS)
+    def test_cdf_matches_quad(self, params):
+        f = SrFading(*params)
+        xs = np.linspace(0.05, 4.0, 25) * f.mean_gain
+        want = np.array([quad_cdf(f, x) for x in xs.tolist()])
+        assert np.max(np.abs(sr_cdf_quadrature(f, xs) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("f, edges, want", [
+        (np.sin, [0.0, math.pi], 2.0),
+        (np.exp, [0.0, 1.0, 5.0], math.expm1(5.0)),
+        (np.sqrt, [0.0, 4.0], 16.0 / 3.0),  # the slope is infinite at 0
+        (np.cos, [1.0, 1.0], 0.0),
+    ])
+    def test_known_integrals(self, f, edges, want):
+        assert channel.quadrature(f, edges, 0.0, 1e-12) == pytest.approx(want, rel=1e-12)
+
+    def test_calls_the_integrand_once_per_pass_on_a_2d_array(self):
+        shapes = []
+
+        def f(y):
+            shapes.append(y.shape)
+            return np.exp(-y)
+
+        channel.quadrature(f, [0.0, 1.0, 30.0], 1e-12, 1e-12)
+        # the two panels and their four halves, then only the panels still open
+        assert shapes[0] == (6, channel._GL_ORDER)
+        assert all(len(s) == 2 and s[1] == channel._GL_ORDER and s[0] % 3 == 0 for s in shapes)
+
+    def test_nan_integrand_raises(self):
+        calls = []
+
+        def f(y):
+            calls.append(y.size)
+            return np.where(y > 0.5, np.nan, 1.0)
+
+        with pytest.raises(NonConvergent, match=r"^quadrature over \[0.0, 1.0\]: the integrand "
+                                                r"is not finite$"):
+            channel.quadrature(f, [0.0, 1.0], 1e-12, 1e-12)
+        assert len(calls) == 1
+
+    def test_panel_cap_raises(self):
+        calls = []
+
+        def f(y):
+            calls.append(y.size)
+            return np.sin(1e6 * y)
+
+        with pytest.raises(NonConvergent, match=r"^quadrature over \[0.0, 1.0\] did not "
+                                                r"converge within 1000 panels$"):
+            channel.quadrature(f, [0.0, 1.0], 1e-12, 1e-12)
+        # every open panel halves each pass: ten passes reach the cap
+        assert len(calls) <= 11
 
 
 class TestPartition:

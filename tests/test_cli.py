@@ -608,6 +608,23 @@ class TestValidate:
             pipeline.run_validate(_validate_scenario(RAT_SCN))
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("name, failing", [
+        ("sr_pdf", {"pdf_normalization", "cdf_routes_agree"}),
+        ("tail_mass", {"cdf_routes_agree"}),
+    ])
+    def test_oracle_rows_fail_on_a_scaled_route(self, monkeypatch, tmp_path, capsys, name,
+                                                failing):
+        # a density 1e-5 too large fails both of its rows; a tail 1e-6 too
+        # large fails only the comparison of the two CDF routes
+        scale = {"sr_pdf": 1.0 + 1e-5, "tail_mass": 1.0 + 1e-6}[name]
+        route = getattr(channel, name)
+        monkeypatch.setattr(channel, name, lambda fading, x: route(fading, x) * scale)
+        path = reduced_scenario(tmp_path, "reference_rat.scn")
+        assert main(["validate", "--scenario", path]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert {row.split()[1].rstrip(":") for row in rows if row.startswith("FAIL ")} == failing
+        assert len(rows) == 10
+
     def test_integer_severity_scenario_passes(self, tmp_path, capsys):
         # an integer severity end to end, with the outage strictly inside (0, 1)
         path = tmp_path / "integer_m.scn"
@@ -881,20 +898,24 @@ class TestSubprocess:
 
 
 class TestImports:
-    def test_analyze_loads_neither_optimize_nor_integrate(self):
-        # In a fresh interpreter: analyze must not import scipy.optimize or
-        # scipy.integrate; validate imports scipy.integrate on first use.
+    @pytest.mark.parametrize("argv, oracle", [
+        (["analyze", "--scenario", RAT_SCN], False),
+        (["sweep", "--scenario", RAT_SCN, "--sweep", "geometry.orbit_height=500e3:1100e3:3"],
+         False),
+        (["simulate", "--scenario", PAT_SCN], False),
+        (["validate", "--scenario", RAT_SCN], True),
+    ], ids=["analyze", "sweep", "simulate", "validate"])
+    def test_commands_load_neither_optimize_nor_integrate(self, argv, oracle):
+        # In a fresh interpreter: no command imports scipy.optimize or
+        # scipy.integrate, and only validate forms the quadrature nodes.
         script = textwrap.dedent(f"""
-            import json, sys
-            from pathlib import Path
+            import contextlib, io, json, sys
+            from leolink import channel
             from leolink.cli import main
-            from leolink.pipeline import run_validate
-            from leolink.scenario import parse_scenario
-            code = main(["analyze", "--scenario", {RAT_SCN!r}])
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main({argv!r})
             loaded = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
-            checks = run_validate(parse_scenario(Path({RAT_SCN!r}).read_text()))
-            failed = [c.name for c in checks if not c.passed]
-            print(json.dumps([code, loaded, failed, "scipy.integrate" in sys.modules]))
+            print(json.dumps([code, loaded, channel._gauss_legendre.cache_info().currsize]))
         """)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -903,11 +924,10 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        code, loaded, failed, integrate_loaded = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, nodes = json.loads(proc.stdout)
         assert code == 0
         assert loaded == []
-        assert failed == []
-        assert integrate_loaded
+        assert nodes == int(oracle)
 
 
 class TestMakeGoldens:
