@@ -792,8 +792,8 @@ def sr_pdf(fading: SrFading, y):
     overflow nor underflow before the denormal floor.
     """
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("power gain must be >= 0")
+    if not (arr >= 0.0).all():  # false at NaN too
+        raise ValueError(f"power gain must be >= 0, got {float(np.min(arr))}")
     log_pdf = (math.log(fading.alpha)
                - (fading.beta - fading.delta) * arr
                + np.log(hyp1f1(1.0 - fading.m, 1.0, -fading.delta * arr)))

@@ -1,14 +1,18 @@
 """Every golden under tests/golden/, regenerated from the commands that
-tests/test_cli.py runs, plus the Monte-Carlo branch golden of
-tests/make_block_golden.py. Prints old -> new for each field that
-changed, one line each, and rewrites the goldens that changed.
+tests/test_cli.py runs, the CSVs of scripts/figures.py (under figures/)
+and the Monte-Carlo branch golden of tests/make_block_golden.py. Prints
+old -> new for each field that changed, one line each, and rewrites the
+goldens that changed.
 
     PYTHONPATH=src python tests/make_goldens.py
 """
 
 import contextlib
 import csv
+import functools
 import io
+import runpy
+import tempfile
 from pathlib import Path
 
 from leolink.cli import main
@@ -39,11 +43,25 @@ def _commands() -> dict[str, list[str]]:
 
 COMMANDS = _commands()
 
+FIGURES_PY = runpy.run_path(str(ROOT / "scripts" / "figures.py"))
+FIGURE_GOLDENS = [f"figures/{fig.csv_name.format(level)}"
+                  for fig in FIGURES_PY["FIGURES"].values() for level in fig.levels_dbw]
+
+
+@functools.cache
+def figure_texts() -> dict[str, str]:
+    """Every CSV of scripts/figures.py at its defaults, by golden name."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        FIGURES_PY["main"](["--out-dir", tmp])
+        return {f"figures/{p.name}": p.read_text(encoding="utf-8") for p in Path(tmp).iterdir()}
+
 
 def golden_text(name: str) -> str:
     """The golden file name as the program writes it now."""
     if name == BLOCK_GOLDEN.name:
         return block_golden_text()
+    if name in FIGURE_GOLDENS:
+        return figure_texts()[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(COMMANDS[name])
@@ -83,12 +101,13 @@ def changes(name: str, old: str, new: str) -> list[str]:
 def regenerate() -> list[str]:
     """Rewrite every golden that changed; returns the changed fields."""
     lines = []
-    for name in [*COMMANDS, BLOCK_GOLDEN.name]:
+    for name in [*COMMANDS, *FIGURE_GOLDENS, BLOCK_GOLDEN.name]:
         path = GOLDEN_DIR / name
         old = path.read_text(encoding="utf-8") if path.exists() else ""
         new = golden_text(name)
         if new != old:
             lines += changes(name, old, new) if old else [f"{name}: new file"]
+            path.parent.mkdir(exist_ok=True)
             path.write_text(new, encoding="utf-8")
     return lines
 

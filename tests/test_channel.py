@@ -117,6 +117,14 @@ class TestSrPdf:
     def test_nonnegative(self, y):
         assert sr_pdf(TABLE_FADING, y) >= 0.0
 
+    @pytest.mark.parametrize("y,got", [
+        (-1.0, "-1.0"), (math.nan, "nan"),
+        (np.array([1.0, -1.0]), "-1.0"), (np.array([1.0, math.nan]), "nan"),
+    ], ids=["negative", "nan", "negative-array", "nan-array"])
+    def test_refuses_negative_and_nan_gains(self, y, got):
+        with pytest.raises(ValueError, match=f"^power gain must be >= 0, got {got}$"):
+            sr_pdf(TABLE_FADING, y)
+
 
 class TestSrCdf:
     def test_zero(self):
@@ -322,6 +330,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             GainPartition(thresholds=np.array([0.0, 0.5, 0.4]), top_mean_gain=1.0)
 
+    def test_requires_two_thresholds(self):
+        with pytest.raises(ValueError, match=r"^need at least two thresholds \(K >= 2\)$"):
+            GainPartition(thresholds=np.array([0.0]), top_mean_gain=1.0)
+
     @pytest.mark.parametrize("thresholds", [[0.0, math.nan], [0.0, math.nan, 1.0],
                                             [0.0, 0.5, math.nan]])
     def test_rejects_nan_threshold(self, thresholds):
@@ -404,6 +416,10 @@ class TestPartition:
         with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
             StateProbMatrix(probs=np.array([[math.nan, 0.5], [0.5, 0.5]]))
 
+    def test_matrix_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="^probs must be a K x N matrix$"):
+            StateProbMatrix(probs=np.array([0.5, 0.5]))
+
 
 class TestEqualProbabilityPartition:
     def test_equal_upper_masses(self):
@@ -424,6 +440,10 @@ class TestEqualProbabilityPartition:
     def test_explicit_thresholds(self):
         part = partitions(TABLE_FADING, np.array([0.3]), 4, [0.8, 1.2])[0][0]
         assert np.allclose(part.thresholds, [0.0, 0.3, 0.8, 1.2])
+
+    def test_needs_two_states(self):
+        with pytest.raises(ValueError, match="^n_states must be >= 2, got 1$"):
+            partitions(TABLE_FADING, np.array([0.3]), 1, None)
 
     def test_explicit_thresholds_wrong_count(self):
         with pytest.raises(ValueError):

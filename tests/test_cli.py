@@ -464,6 +464,14 @@ class TestSimulate:
         assert rows[0][6] == "5000"
         assert rows[0][7] == "philox4x64-10"
 
+    @pytest.mark.parametrize("scheme", ["rat", "pat"])
+    def test_one_replication_has_zero_standard_errors(self, tmp_path, capsys, scheme):
+        path = reduced_scenario(tmp_path, f"reference_{scheme}.scn", n_samples=1)
+        assert main(["simulate", "--scenario", path]) == 0
+        header, (row,) = read_csv(capsys.readouterr().out)
+        assert [row[i] for i, name in enumerate(header) if name.endswith("_se")] == ["0.0"] * 3
+        assert row[6] == "1"
+
 
 INTEGER_M_SCENARIO = """
 [geometry]
@@ -932,8 +940,10 @@ class TestImports:
 
 class TestMakeGoldens:
     def test_names_every_golden(self):
-        named = {*make_goldens.COMMANDS, make_goldens.BLOCK_GOLDEN.name}
-        assert named == {p.name for p in GOLDEN_DIR.iterdir()}
+        named = {*make_goldens.COMMANDS, *make_goldens.FIGURE_GOLDENS,
+                 make_goldens.BLOCK_GOLDEN.name}
+        assert named == {p.relative_to(GOLDEN_DIR).as_posix()
+                         for p in GOLDEN_DIR.rglob("*") if p.is_file()}
 
     @pytest.mark.parametrize("name", ["reference_rat_analyze.txt", "reference_pat_simulate.csv"])
     def test_command_writes_its_golden(self, name):

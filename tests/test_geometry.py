@@ -260,6 +260,12 @@ class TestTimelineInvariants:
                 slot_dist_max=np.ones(20),
             )
 
+    @pytest.mark.parametrize("n_min,n_max", [(1, 2), (2, 3)], ids=["min_short", "max_long"])
+    def test_rejects_slot_arrays_of_another_length(self, n_min, n_max):
+        with pytest.raises(ValueError, match="^slot distance arrays must have length n_slots$"):
+            PassTimeline(service_time_s=2.0, slot_len_s=1.0, n_slots=2,
+                         slot_dist_min=np.ones(n_min), slot_dist_max=np.ones(n_max))
+
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
             PassTimeline(

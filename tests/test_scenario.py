@@ -9,6 +9,7 @@ from leolink.scenario import (
     _KEYS,
     ParseError,
     Scenario,
+    SweepSpec,
     UnknownKey,
     ValidationError,
     _value,
@@ -248,6 +249,25 @@ class TestValidation:
             parse_scenario(MINIMAL.replace("seed = 7", "what is this"))
         assert "line" in str(err.value)
 
+    @pytest.mark.parametrize("text,error,message", [
+        (MINIMAL.replace("[partition]", "[ ]"), ParseError, "line 16: empty section name"),
+        (MINIMAL + "\n[sim]\n", ParseError, "line 35: duplicate section [sim]"),
+        ("seed = 7\n" + MINIMAL, ParseError, "line 1: key before any [section] header"),
+        (MINIMAL.replace("seed = 7", "seed ="), ParseError,
+         "line 33: expected 'key = value', got 'seed ='"),
+        (MINIMAL.replace("m = 2", "m = 10.1 dB extra"), ParseError,
+         "line 11: fading.m: cannot parse value '10.1 dB extra'"),
+        (MINIMAL.replace("m = 2", "m = ten"), ParseError,
+         "line 11: fading.m: cannot parse number 'ten'"),
+        (MINIMAL.replace("omega = 0.5\n", ""), ValidationError,
+         "missing required key fading.omega"),
+    ], ids=["empty-section", "repeated-section", "key-before-header", "empty-value",
+            "three-words", "not-a-number", "missing-key"])
+    def test_refusal_message(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_scenario(text)
+        assert str(err.value) == message
+
     def test_half_track_and_plane_exclusive(self):
         with pytest.raises(ValidationError):
             parse_scenario(MINIMAL.replace("half_track = 500 km",
@@ -333,6 +353,23 @@ class TestSweep:
             parse_sweep("a.b=1:2")
         with pytest.raises(ParseError):
             parse_sweep("a.b=x,y")
+
+    @pytest.mark.parametrize("arg,error,message", [
+        ("x.y=a:2:3", ParseError, "cannot parse sweep range 'a:2:3'"),
+        ("x.y=1:2:0", ValidationError, "sweep needs >= 1 steps, got 0"),
+    ], ids=["range-not-a-number", "zero-steps"])
+    def test_range_refusal_message(self, arg, error, message):
+        with pytest.raises(error) as err:
+            parse_sweep(arg)
+        assert str(err.value) == message
+
+    def test_one_step_range_is_its_start(self):
+        assert parse_sweep("x.y=1:2:1") == SweepSpec("x.y", (1.0,))
+
+    def test_spec_needs_a_value(self):
+        with pytest.raises(ValidationError) as err:
+            SweepSpec("x", ())
+        assert str(err.value) == "sweep needs at least one value"
 
     @pytest.mark.parametrize("arg", [
         "geometry.orbit_height=500e3:inf:3",

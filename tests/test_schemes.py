@@ -75,6 +75,16 @@ class TestValueChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize("fields, message", [
+        ((1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.5), r"need 0 <= ee_lo <= ee_hi"),
+        ((1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.5), r"need 0 <= avg_power_lo <= avg_power_hi"),
+        ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5), r"dor must be in \[0, 1\], got 1.5"),
+        ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.5), r"dor must be in \[0, 1\], got -0.5"),
+    ], ids=["ee_order", "avg_power_order", "dor_above", "dor_below"])
+    def test_report_rejects_crossed_bounds(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SchemeReport(*fields, 1.0)
+
     def test_functions_reject_nan(self, timeline, rat_setup, pat_setup):
         rat, part, probs, _ = rat_setup
         pat, pat_part, pat_probs, _ = pat_setup
