@@ -17,15 +17,16 @@ two compute. Block results are reduced in block order, so every output is
 bit-identical whatever thread ran which block. A block reads its
 per-state and per-slot constants from small tables formed once per block,
 not per replication. A block of _BLOCK replications holds at most about
-3.0 MiB of arrays at once (6.0 arrays of _BLOCK doubles in both schemes,
-the sampler's peak beside the arrival fractions), so two blocks in flight
-take no more than one block did before it worked in place. Drawing n
-gains at once, as `validate` does, the sampler holds three arrays of n
-doubles (the two scattered parts and the line-of-sight amplitude) plus a
-few arrays of _BLOCK doubles, as it works the phases one block at a
-time. Every draw takes the standard distribution and scales it in place,
-as Generator.normal, gamma, uniform and exponential would scale it, so the
-draws are theirs bit for bit, without their per-call broadcasting.
+2.8 MiB of arrays at once: 5.5 arrays of _BLOCK doubles in the fixed-power
+scheme, at its range computation, and 3.1 in the fixed-rate scheme. The
+sampler draws the line of sight at phase 0, which leaves the gain's law
+unchanged, since the scattered part is circularly symmetric (Abdi, Lau,
+Alouini & Kaveh, IEEE TWC 2003). Drawing n gains at once, as `validate`
+does, it holds two arrays of n doubles: the real part, and the amplitude
+whose memory the imaginary part then takes. Every draw takes the standard
+distribution and scales it in place, as Generator.normal, gamma, uniform
+and exponential would scale it, so the draws are theirs bit for bit,
+without their per-call broadcasting.
 """
 
 import concurrent.futures
@@ -58,11 +59,12 @@ _RNG_NAME = "philox4x64-10"
 KS_CRIT_ALPHA01 = float(kolmogi(0.01))
 
 # Sorted-sample strides of ks_statistic's CDF levels, each dividing the one
-# before. On 1e6 gains sampled at seed 1234, F is evaluated at 14 088
-# samples of the reference fading, 9 324 of Abdi's light set, 7 336 of his
-# heavy set, and 5 433 and 11 448 of the two line-of-sight sets (r > 0.999):
-# 0.5% to 1.4% of them, where a pass at every 64th sample and one inside its
-# open segments evaluated 19 154 to 46 559, and D is the same bit for bit.
+# before. On 1e6 gains sampled at seed 1234, F is evaluated at 10 074
+# samples of the reference fading, 6 687, 8 820 and 8 339 of Abdi's light,
+# average and heavy sets, and 8 130 and 8 525 of the two line-of-sight sets
+# (r > 0.999): 0.7% to 1.0% of them, where a pass at every 64th sample and
+# one inside its open segments evaluated 20 477 to 24 572, and D is the same
+# bit for bit.
 _KS_LEVELS = (256, 32, 4, 1)
 
 
@@ -115,33 +117,27 @@ def sample_sr_gain(fading: SrFading, rng: np.random.Generator, size: int) -> np.
 
     Scattered part: complex Gaussian with per-dimension variance b0.
     Line of sight: Nakagami-distributed amplitude (gamma power with shape m
-    and mean omega) at a uniform phase. Returns |sum|^2.
+    and mean omega), added at phase 0. Returns |sum|^2. The scattered part
+    is circularly symmetric, so |A e^(j phi) + Z|^2 has the same law at
+    every phase phi (Abdi, Lau, Alouini & Kaveh, IEEE TWC 2003), and no
+    phase is drawn. The draws are the real part, the amplitude and then the
+    imaginary part, which takes the amplitude's memory: two arrays of size
+    doubles.
     """
     re = rng.standard_normal(size)
     if np.ndim(re) != 1:
         raise ValueError(f"size must be a number of draws, got {size!r}")
-    n = len(re)
     sigma = math.sqrt(fading.b0)
     re *= sigma
-    im = rng.standard_normal(n)
-    im *= sigma
     if fading.omega > 0.0:
-        amp = rng.standard_gamma(fading.m, n)
+        amp = rng.standard_gamma(fading.m, len(re))
         amp *= fading.omega / fading.m
         np.sqrt(amp, out=amp)
-        # the phases one block at a time, drawn in stream order: the peak is
-        # re, im and amp, plus a few arrays of _BLOCK doubles
-        for a in range(0, n, _BLOCK):
-            b = min(a + _BLOCK, n)
-            phase = rng.random(b - a)
-            phase *= 2.0 * math.pi
-            los = np.cos(phase)
-            los *= amp[a:b]
-            re[a:b] += los
-            np.sin(phase, out=los)
-            los *= amp[a:b]
-            im[a:b] += los
-        del amp
+        re += amp
+        im = rng.standard_normal(out=amp)  # in the amplitude's memory
+    else:
+        im = rng.standard_normal(len(re))
+    im *= sigma
     re *= re
     im *= im
     re += im
