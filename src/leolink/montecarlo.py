@@ -78,6 +78,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.n_samples >= 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

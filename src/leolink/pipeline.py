@@ -377,11 +377,13 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     after it, then the first of the repeat.
     """
     checks: list[CheckResult] = []
+    # SimConfig refuses a negative seed here: the pass's seed + 1 would let -1 through
+    sim_cfg = scn.sim if seed is None else replace(scn.sim, seed=seed)
     parts = prepare(scn, finite_wait=True)
     report = run_analyze(scn, parts)
     pi = parts.probs.probs[:, 0]
     fading = scn.fading
-    base_seed = scn.sim.seed if seed is None else seed
+    base_seed = sim_cfg.seed
     n_samples = scn.sim.n_samples
     cfg = replace(scn.sim, seed=base_seed + 1)
     # Determinism of the simulation pipeline: rate, power and outage. A

@@ -6,7 +6,6 @@ import pytest
 from leolink import channel
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 _APPROX_ABS = 1e-12  # pytest.approx's default absolute tolerance
 _approx = pytest.approx

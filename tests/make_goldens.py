@@ -1,30 +1,32 @@
-"""Every golden under tests/golden/, regenerated from the commands that
-tests/test_cli.py runs, the CSVs of scripts/figures.py (under figures/)
-and the Monte-Carlo branch golden of tests/make_block_golden.py. Prints
-old -> new for each field that changed, one line each, and rewrites the
-goldens that changed.
+"""The one list of goldens under tests/golden/ and what writes each: the
+analyze, sweep, simulate and validate output of both reference scenarios,
+the CSVs of scripts/figures.py (under figures/), and the simulate rows of
+the cases that reach every branch of the Monte-Carlo block. The test
+test_golden_is_current in tests/test_cli.py checks every file against
+golden_text. Run as a script, it prints old -> new for each field that
+changed, one line each, and rewrites the goldens that changed.
 
     PYTHONPATH=src python tests/make_goldens.py
 """
 
 import contextlib
 import csv
-import functools
 import io
 import runpy
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from leolink.cli import main
-
-from make_block_golden import GOLDEN as BLOCK_GOLDEN, block_golden_text
+from leolink.pipeline import run_simulate
+from leolink.scenario import Scenario, apply_sweep_value, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 def _commands() -> dict[str, list[str]]:
-    """CLI arguments per golden file name, as tests/test_cli.py passes them."""
+    """CLI arguments per golden file name."""
     commands = {}
     for scheme in ("rat", "pat"):
         scn = ["--scenario", str(ROOT / "scenarios" / f"reference_{scheme}.scn")]
@@ -44,24 +46,97 @@ def _commands() -> dict[str, list[str]]:
 COMMANDS = _commands()
 
 FIGURES_PY = runpy.run_path(str(ROOT / "scripts" / "figures.py"))
-FIGURE_GOLDENS = [f"figures/{fig.csv_name.format(level)}"
-                  for fig in FIGURES_PY["FIGURES"].values() for level in fig.levels_dbw]
+# golden name -> the figure of scripts/figures.py that writes it
+FIGURE_OF = {f"figures/{fig.csv_name.format(level)}": key
+             for key, fig in FIGURES_PY["FIGURES"].items() for level in fig.levels_dbw}
 
 
-@functools.cache
-def figure_texts() -> dict[str, str]:
-    """Every CSV of scripts/figures.py at its defaults, by golden name."""
+def figure_text(name: str) -> str:
+    """One CSV of scripts/figures.py at its defaults."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        FIGURES_PY["main"](["--out-dir", tmp])
-        return {f"figures/{p.name}": p.read_text(encoding="utf-8") for p in Path(tmp).iterdir()}
+        FIGURES_PY["main"]([FIGURE_OF[name], "--out-dir", tmp])
+        return (Path(tmp) / Path(name).name).read_text(encoding="utf-8")
+
+
+# The Monte-Carlo branch golden: per case of _cases, which together reach
+# every branch of both schemes' blocks, one simulate row at N_SAMPLES
+# replications and the scenario's seed.
+BLOCK_GOLDEN = "block_branches_simulate.csv"
+N_SAMPLES = 20_000
+# the line-of-sight copy of a reference: a mean wait of 1.8e26 s, so the
+# completion slots of the fixed-power scheme pass 2^63 before they wrap
+LOS = (("fading.m", 0.5), ("fading.b0", 1e-3), ("fading.omega", 10.0))
+# a terminal 200 km off the track: the edge slots lie beyond the coverage
+# radius whose range sets the first threshold, so there the cap refuses
+# gains above it
+CAP_ABOVE_STATE_1 = (("geometry.terminal_offset", 200e3), ("pat.max_power", 100.0))
+
+
+def _cases() -> list[tuple[str, str, tuple]]:
+    """(name, reference scheme, (sweep path, value) overrides) per case."""
+    cases = []
+    for scheme in ("rat", "pat"):
+        power = "rat.tx_power" if scheme == "rat" else "pat.max_power"
+        for ms in (3, 20, 300):
+            cases.append((f"{scheme}-budget-{ms}ms", scheme,
+                          (("traffic.delay_threshold", ms * 1e-3),)))
+        # at 3 ms the drain at each state's lower edge decides the
+        # fixed-power outage; the fixed-rate drain alone takes 8.3 ms
+        budget = 3e-3 if scheme == "rat" else 20e-3
+        for k in (2, 17):
+            cases.append((f"{scheme}-states-{k}", scheme,
+                          (("partition.n_states", k), ("traffic.delay_threshold", budget))))
+        # at 2.5 the reference power leaves a first-threshold mass that
+        # underflows; 60 dBW keeps the wait finite
+        cases.append((f"{scheme}-path-loss-2.5", scheme,
+                      (("geometry.path_loss_exp", 2.5), (power, 1e6),
+                       ("traffic.delay_threshold", 20e-3))))
+        cases.append((f"{scheme}-slot-0.5s", scheme,
+                      (("geometry.slot_len", 0.5), ("traffic.delay_threshold", 20e-3))))
+        cases.append((f"{scheme}-los-m0.5", scheme, LOS))
+        cases.append((f"{scheme}-integer-values", scheme, (("traffic.delay_threshold", 20e-3),)))
+    cases.append(("pat-cap-above-state-1", "pat", CAP_ABOVE_STATE_1))
+    return cases
+
+
+def case_scenario(scheme: str, overrides: tuple, integer_values: bool = False) -> Scenario:
+    """The reference scenario of the scheme with the overrides applied, at
+    N_SAMPLES replications; integer_values gives the scheme's values as
+    Python ints."""
+    scn = parse_scenario((ROOT / "scenarios" / f"reference_{scheme}.scn").read_text())
+    for path, value in overrides:
+        scn = apply_sweep_value(scn, path, value)
+    if integer_values:
+        config = scn.rat if scheme == "rat" else scn.pat
+        names = ("tx_power_w",) if scheme == "rat" else ("max_power_w", "fixed_rate_bps")
+        as_int = {f: int(getattr(config, f)) for f in names}
+        assert all(v == getattr(config, f) for f, v in as_int.items())
+        scn = replace(scn, **{scheme: replace(config, **as_int)})
+    return replace(scn, sim=replace(scn.sim, n_samples=N_SAMPLES))
+
+
+def block_text() -> str:
+    """The branch golden: one simulate row per case, led by its name."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for i, (name, scheme, overrides) in enumerate(_cases()):
+        scn = case_scenario(scheme, overrides, name.endswith("-integer-values"))
+        header, row = run_simulate(scn)
+        if i == 0:
+            writer.writerow(["case"] + header)
+        writer.writerow([name] + row)
+    return buf.getvalue()
+
+
+GOLDENS = [*COMMANDS, *FIGURE_OF, BLOCK_GOLDEN]
 
 
 def golden_text(name: str) -> str:
     """The golden file name as the program writes it now."""
-    if name == BLOCK_GOLDEN.name:
-        return block_golden_text()
-    if name in FIGURE_GOLDENS:
-        return figure_texts()[name]
+    if name == BLOCK_GOLDEN:
+        return block_text()
+    if name in FIGURE_OF:
+        return figure_text(name)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(COMMANDS[name])
@@ -101,7 +176,7 @@ def changes(name: str, old: str, new: str) -> list[str]:
 def regenerate() -> list[str]:
     """Rewrite every golden that changed; returns the changed fields."""
     lines = []
-    for name in [*COMMANDS, *FIGURE_GOLDENS, BLOCK_GOLDEN.name]:
+    for name in GOLDENS:
         path = GOLDEN_DIR / name
         old = path.read_text(encoding="utf-8") if path.exists() else ""
         new = golden_text(name)

@@ -4,10 +4,12 @@ import json
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -56,16 +58,6 @@ def read_csv(text: str):
 
 
 class TestAnalyze:
-    def test_rat_matches_golden(self, capsys):
-        assert main(["analyze", "--scenario", RAT_SCN]) == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN_DIR / "reference_rat_analyze.txt").read_text()
-
-    def test_pat_matches_golden(self, capsys):
-        assert main(["analyze", "--scenario", PAT_SCN]) == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN_DIR / "reference_pat_analyze.txt").read_text()
-
     def test_seed_is_refused(self, capsys):
         # analyze runs no simulation: a seed would have no effect
         with pytest.raises(SystemExit) as exc:
@@ -116,25 +108,6 @@ class TestAnalyze:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("scheme", ["rat", "pat"])
-    @pytest.mark.parametrize("sweep,golden", [
-        ("geometry.orbit_height=500e3:1100e3:7", "sweep_height"),
-        ("traffic.delay_threshold=0.001:0.3:6", "sweep_delay"),
-    ])
-    def test_matches_golden(self, capsys, scheme, sweep, golden):
-        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
-        assert main(["sweep", "--scenario", scn, "--sweep", sweep]) == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN_DIR / f"reference_{scheme}_{golden}.csv").read_text()
-
-    @pytest.mark.parametrize("scheme", ["rat", "pat"])
-    def test_with_sim_matches_golden(self, capsys, scheme):
-        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
-        assert main(["sweep", "--scenario", scn, "--with-sim",
-                     "--sweep", "geometry.orbit_height=500e3:1100e3:3"]) == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN_DIR / f"reference_{scheme}_sweep_height_sim.csv").read_text()
-
     def test_height_sweep_monotone(self, capsys):
         assert main([
             "sweep", "--scenario", RAT_SCN,
@@ -428,13 +401,6 @@ class TestSweep:
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("scheme", ["rat", "pat"])
-    def test_matches_golden(self, capsys, scheme):
-        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
-        assert main(["simulate", "--scenario", scn]) == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN_DIR / f"reference_{scheme}_simulate.csv").read_text()
-
     def test_byte_identical_repeats(self, tmp_path):
         path = reduced_scenario(tmp_path, "reference_rat.scn", n_samples=30_000)
         out1 = tmp_path / "a.csv"
@@ -506,13 +472,6 @@ seed = 99
 
 
 class TestValidate:
-    @pytest.mark.parametrize("scheme", ["rat", "pat"])
-    def test_matches_golden(self, capsys, scheme):
-        scn = str(SCENARIO_DIR / f"reference_{scheme}.scn")
-        assert main(["validate", "--scenario", scn]) == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN_DIR / f"reference_{scheme}_validate.txt").read_text()
-
     @pytest.mark.parametrize("base", ["reference_rat.scn", "reference_pat.scn"])
     def test_reference_scenarios_pass(self, tmp_path, capsys, base):
         path = reduced_scenario(tmp_path, base)
@@ -728,6 +687,19 @@ class TestErrorPaths:
         assert captured.err == ("E_VALIDATION: sweep sim.seed: '9007199254740993' reaches 2^53, "
                                 "where a float no longer holds every integer\n")
 
+    @pytest.mark.parametrize("argv,err", [
+        (["simulate", "--seed", "-5"], "E_VALIDATION ValueError: seed must be >= 0, got -5"),
+        # validate's pass draws from seed + 1, so -1 must be refused before it
+        (["validate", "--seed", "-1"], "E_VALIDATION ValueError: seed must be >= 0, got -1"),
+        (["sweep", "--with-sim", "--seed", "-3", "--sweep", "geometry.orbit_height=5e5,6e5"],
+         "E_VALIDATION ValueError: seed must be >= 0, got -3"),
+        (["sweep", "--with-sim", "--sweep", "sim.seed=-3,4"],
+         "E_VALIDATION: sim.seed: seed must be >= 0, got -3"),
+    ], ids=["simulate", "validate", "sweep", "swept"])
+    def test_negative_seed_exits_2(self, capsys, argv, err):
+        assert main([*argv, "--scenario", RAT_SCN]) == 2
+        assert capsys.readouterr() == ("", err + "\n")
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "--scenario", "/nonexistent.scn"]) == 2
         assert "E_IO" in capsys.readouterr().err
@@ -940,14 +912,29 @@ class TestImports:
 
 class TestMakeGoldens:
     def test_names_every_golden(self):
-        named = {*make_goldens.COMMANDS, *make_goldens.FIGURE_GOLDENS,
-                 make_goldens.BLOCK_GOLDEN.name}
-        assert named == {p.relative_to(GOLDEN_DIR).as_posix()
-                         for p in GOLDEN_DIR.rglob("*") if p.is_file()}
+        assert sorted(make_goldens.GOLDENS) == sorted(
+            p.relative_to(GOLDEN_DIR).as_posix() for p in GOLDEN_DIR.rglob("*") if p.is_file())
 
-    @pytest.mark.parametrize("name", ["reference_rat_analyze.txt", "reference_pat_simulate.csv"])
-    def test_command_writes_its_golden(self, name):
-        assert make_goldens.golden_text(name) == (GOLDEN_DIR / name).read_text()
+    # every output whose bytes are pinned, produced in process; a warning of
+    # any category on its path fails it
+    @pytest.mark.parametrize("name", make_goldens.GOLDENS)
+    def test_golden_is_current(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = make_goldens.golden_text(name)
+        assert text.encode() == (GOLDEN_DIR / name).read_bytes()
+
+    def test_regenerate_restores_each_golden(self, tmp_path, monkeypatch):
+        copy = shutil.copytree(GOLDEN_DIR, tmp_path / "golden")
+        monkeypatch.setattr(make_goldens, "GOLDEN_DIR", copy)
+        assert make_goldens.regenerate() == []
+        analyze = copy / "reference_rat_analyze.txt"
+        analyze.write_text(analyze.read_text().replace("dor = 1.0\n", "dor = 0.5\n"))
+        (copy / make_goldens.BLOCK_GOLDEN).unlink()
+        assert make_goldens.regenerate() == ["reference_rat_analyze.txt dor: 0.5 -> 1.0",
+                                             f"{make_goldens.BLOCK_GOLDEN}: new file"]
+        for name in make_goldens.GOLDENS:
+            assert (copy / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
     def test_changes_name_each_moved_field(self):
         analyze = "dor = 1.0\nlambda_s = 80.8\n"

@@ -55,7 +55,7 @@ from leolink.schemes import (
 
 from block_schedule import BlockSchedule
 from fading_sets import ABDI_SETS, LOS_SETS
-from make_block_golden import CAP_ABOVE_STATE_1, GOLDEN, block_golden_text, case_scenario
+from make_goldens import CAP_ABOVE_STATE_1, case_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 FADING = SrFading(m=10.1, b0=0.126, omega=0.825)
@@ -722,12 +722,9 @@ def sim_result(**fields) -> SimResult:
 
 
 class TestBlockBranchesGolden:
-    # simulate rows of cases that reach every branch of both schemes'
-    # blocks, written by tests/make_block_golden.py; they must stay bit
-    # for bit whatever work the blocks skip
-    def test_rows_match_golden(self):
-        assert block_golden_text().encode() == GOLDEN.read_bytes()
-
+    # the cases of tests/make_goldens.py whose simulate rows reach every
+    # branch of both schemes' blocks; test_golden_is_current holds their
+    # rows bit for bit whatever work the blocks skip
     def test_cap_binds_above_state_1(self):
         # the first threshold holds the fixed rate within the cap out to
         # the coverage radius's range; the edge slots reach past it
@@ -754,3 +751,9 @@ class TestSimResultValidation:
     def test_sim_config_rejects_nan(self):
         with pytest.raises(ValueError, match="^n_samples must be >= 1, got nan$"):
             SimConfig(n_samples=math.nan, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, math.nan])
+    def test_sim_config_rejects_negative_seed(self, seed):
+        # SeedSequence would refuse it only at the first draw, naming no key
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            SimConfig(n_samples=1, seed=seed)

@@ -328,6 +328,13 @@ class TestValidation:
         assert scn.sim.seed == 9007199254740993
         assert parse_scenario(MINIMAL.replace("seed = 7", "seed = 1e3")).sim.seed == 1000
 
+    def test_negative_seed_rejected(self):
+        text = MINIMAL.replace("seed = 7", "seed = -1")
+        lineno = text.splitlines().index("seed = -1") + 1
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert str(err.value) == f"sim.seed (line {lineno}): seed must be >= 0, got -1"
+
     def test_integer_through_a_float_beyond_2_53_rejected(self):
         with pytest.raises(ValidationError) as err:
             parse_scenario(MINIMAL.replace("seed = 7", "seed = 9007199254740993.0"))
