@@ -236,7 +236,7 @@ def run_sweep(
 
     Simulation columns (when requested) use the point's replication count,
     and point i is seeded with i plus its own sim.seed (or plus seed, when
-    given), so a swept sim.seed takes effect.
+    given), so a swept sim.seed takes effect; seed without with_sim is refused.
     The points' reports are formed together (_sweep), and each row equals
     its point run alone. Each key's wait check runs once, in key order,
     before the first row; the loop over the points then formats each row
@@ -246,6 +246,10 @@ def run_sweep(
     sweep stops at its first failing point with that point's own error and
     the warnings of the points before it.
     """
+    if seed is not None:
+        if not with_sim:
+            raise ValueError("seed given without with_sim: the sweep runs no simulation")
+        replace(scn.sim, seed=seed)  # SimConfig refuses a negative seed before any solve
     header = [sweep_column_name(sweep.path)] + list(SWEEP_CSV_COLUMNS)
     if with_sim:
         header += _SIM_COLUMNS
@@ -317,8 +321,8 @@ def _simulate(scn: Scenario, parts: ScenarioParts, cfg: montecarlo.SimConfig):
 def run_simulate(scn: Scenario, seed: int | None = None) -> tuple[list[str], list[str]]:
     """Monte-Carlo rate, power and outage estimates for the scenario itself
     (header, one row), all from one simulation pass."""
-    parts = prepare(scn, finite_wait=True)
     cfg = scn.sim if seed is None else replace(scn.sim, seed=seed)
+    parts = prepare(scn, finite_wait=True)
     sim = _simulate(scn, parts, cfg)
     row = [
         _fmt(sim.mean_rate_bps),

@@ -29,21 +29,19 @@ __all__ = [
 
 
 class ScenarioError(Exception):
-    """Base for scenario-file problems; .code drives the CLI exit status."""
-
-    code = "E_SCENARIO"
+    """Base for scenario-file problems."""
 
 
 class ParseError(ScenarioError):
-    code = "E_PARSE"
+    """Scenario or sweep text that does not read as keys, values and units."""
 
 
 class ValidationError(ScenarioError):
-    code = "E_VALIDATION"
+    """A value out of range or of the wrong kind, named by its key."""
 
 
 class UnknownKey(ScenarioError):
-    code = "E_UNKNOWN_KEY"
+    """A section, key or sweep path that the scenario does not take."""
 
 
 def _db(v: float) -> float:

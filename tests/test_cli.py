@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from leolink.schemes import first_threshold
 
 import make_goldens
 from block_schedule import BlockSchedule
+from refusals import REFUSALS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -58,15 +60,6 @@ def read_csv(text: str):
 
 
 class TestAnalyze:
-    def test_seed_is_refused(self, capsys):
-        # analyze runs no simulation: a seed would have no effect
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--scenario", RAT_SCN, "--seed", "7"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --seed 7" in captured.err
-
     def test_rat_zero_delay_budget_has_certain_outage(self, tmp_path, capsys):
         path = reduced_scenario(
             tmp_path, "reference_rat.scn",
@@ -198,23 +191,6 @@ class TestSweep:
             assert row[1:] == [repr(float(getattr(report, c)))
                                for c in pipeline.SWEEP_CSV_COLUMNS]
 
-    # A later point fails in the timeline, the partition or the crossing
-    # rate; each expectation is the output of running the points one at a
-    # time, which stops at the failing point with its own error.
-    @pytest.mark.parametrize("spec,code,error", [
-        ("geometry.slot_len=0.5,1,200", 2, "E_VALIDATION SlotTooLong: slot_len_s=200.0 "
-         "exceeds service duration 141.90534411684524"),
-        ("rat.tx_power=1000,0.3", 3, "E_NUMERIC ArithmeticError: no resolvable probability "
-         "mass above threshold 20.46088313306467 (tail mass 0)"),
-        ("fading.aoa_width=24.2,0", 3, "E_NUMERIC NonConvergent: crossing-rate series at "
-         "r_th=0.3543928915419708 did not reach rel_tol=1e-12 within 10000 terms"),
-    ])
-    def test_failing_later_point_fails_as_alone(self, capsys, spec, code, error):
-        assert main(["sweep", "--scenario", RAT_SCN, "--sweep", spec]) == code
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == error + "\n"
-
     def test_unbounded_wait_budget_sweep_warns_once(self, tmp_path, capsys):
         extreme = reduced_scenario(
             tmp_path, "reference_pat.scn",
@@ -343,15 +319,6 @@ class TestSweep:
         monkeypatch.setattr(schemes, "_CELLS", 1)
         assert pipeline.run_sweep(scn, sweep)[1] == rows
 
-    def test_fractional_integer_sweep_exits_2(self, capsys):
-        assert main([
-            "sweep", "--scenario", RAT_SCN, "--sweep", "partition.n_states=2,2.9,3",
-        ]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("E_VALIDATION")
-        assert "partition.n_states" in captured.err and "2.9" in captured.err
-
     def test_swept_seed_seeds_the_simulation(self, tmp_path, capsys):
         # point i runs with its own sim.seed + i, or with --seed + i
         path = reduced_scenario(tmp_path, "reference_pat.scn", n_samples=2_000)
@@ -392,12 +359,6 @@ class TestSweep:
             row = read_csv(capsys.readouterr().out)[1][0]
             want.append([row[0], row[1], row[4], row[5]])
         assert [row[6:] for row in rows] == want
-
-    def test_bad_sweep_path_exits_2(self, capsys):
-        assert main([
-            "sweep", "--scenario", RAT_SCN, "--sweep", "nope.key=1:2:2",
-        ]) == 2
-        assert "E_UNKNOWN_KEY" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -668,99 +629,6 @@ class TestValidateSchedule:
 
 
 class TestErrorPaths:
-    def test_default_speed_of_bad_height_exits_2(self, tmp_path, capsys):
-        bad = reduced_scenario(tmp_path, "reference_rat.scn", **{
-            "sat_speed = 7600             # m/s\n": "",
-            "orbit_height = 500 km": "orbit_height = -7000 km",
-        })
-        assert main(["analyze", "--scenario", bad]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("E_VALIDATION: geometry.orbit_height (line 6): ")
-
-    def test_integer_sweep_beyond_2_53_exits_2(self, capsys):
-        # 2^53 + 1 has no float of its own, so a sweep refuses it as typed
-        assert main(["sweep", "--scenario", RAT_SCN, "--with-sim",
-                     "--sweep", "sim.seed=9007199254740993"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("E_VALIDATION: sweep sim.seed: ")
-        assert captured.err == ("E_VALIDATION: sweep sim.seed: '9007199254740993' reaches 2^53, "
-                                "where a float no longer holds every integer\n")
-
-    @pytest.mark.parametrize("argv,err", [
-        (["simulate", "--seed", "-5"], "E_VALIDATION ValueError: seed must be >= 0, got -5"),
-        # validate's pass draws from seed + 1, so -1 must be refused before it
-        (["validate", "--seed", "-1"], "E_VALIDATION ValueError: seed must be >= 0, got -1"),
-        (["sweep", "--with-sim", "--seed", "-3", "--sweep", "geometry.orbit_height=5e5,6e5"],
-         "E_VALIDATION ValueError: seed must be >= 0, got -3"),
-        (["sweep", "--with-sim", "--sweep", "sim.seed=-3,4"],
-         "E_VALIDATION: sim.seed: seed must be >= 0, got -3"),
-    ], ids=["simulate", "validate", "sweep", "swept"])
-    def test_negative_seed_exits_2(self, capsys, argv, err):
-        assert main([*argv, "--scenario", RAT_SCN]) == 2
-        assert capsys.readouterr() == ("", err + "\n")
-
-    def test_missing_file_exits_2(self, capsys):
-        assert main(["analyze", "--scenario", "/nonexistent.scn"]) == 2
-        assert "E_IO" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["analyze", "validate"])
-    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
-        # exit 1 would read as a failed validate row; a failed write is an
-        # input error, like an unreadable scenario, with one line and no
-        # traceback
-        out = tmp_path / "missing" / "x.txt"
-        scn = reduced_scenario(tmp_path, "reference_rat.scn")
-        assert main([command, "--scenario", scn, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"E_IO: cannot write output: [Errno 2] No such file or "
-                                f"directory: '{out}'\n")
-        assert not out.parent.exists()
-
-    def test_invalid_scenario_exits_2(self, tmp_path, capsys):
-        bad = reduced_scenario(tmp_path, "reference_rat.scn", **{"m = 10.1": "m = 0.2"})
-        assert main(["analyze", "--scenario", bad]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("E_VALIDATION")
-        assert "fading.m" in err
-
-    @pytest.mark.parametrize("old, new, message", [
-        ("packet_bits = 500 Kbits", "packet_bits = 0 bits",
-         "traffic.packet_bits (line 36): packet_bits must be > 0, got 0.0"),
-        ("max_power = 30 dBW", "max_power = 0 W",
-         "pat.max_power (line 32): max_power_w must be > 0, got 0.0"),
-    ], ids=["packet_bits", "max_power"])
-    def test_zero_value_exits_2(self, tmp_path, capsys, old, new, message):
-        bad = reduced_scenario(tmp_path, "reference_pat.scn", **{old: new})
-        assert main(["analyze", "--scenario", bad]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"E_VALIDATION: {message}\n"
-
-    def test_simulation_of_unbounded_wait_exits_3(self, tmp_path, capsys):
-        # 600 Mbit/s under a 30 dBW cap: the crossing rate at the first
-        # threshold underflows, so the waiting time cannot be sampled
-        extreme = reduced_scenario(
-            tmp_path, "reference_pat.scn",
-            **{"fixed_rate = 60 Mbit/s": "fixed_rate = 600 Mbit/s"},
-        )
-        assert main(["simulate", "--scenario", extreme]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("E_NUMERIC")
-
-    def test_simulation_of_unbounded_wait_prints_only_the_error(self, tmp_path, capsys):
-        # simulate refuses the infinite-wait limit rather than taking it, so
-        # stderr holds the one error line and no fallback warning
-        extreme = reduced_scenario(
-            tmp_path, "reference_pat.scn",
-            **{"fixed_rate = 60 Mbit/s": "fixed_rate = 600 Mbit/s"},
-        )
-        for command in ("simulate", "validate"):
-            assert main([command, "--scenario", extreme]) == 3
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("E_NUMERIC ZeroCrossingRate")
-
     def test_analyze_takes_unbounded_wait_limit(self, tmp_path, capsys, caplog):
         # same configuration analytically: closed forms evaluate in the
         # infinite-wait limit, where the outage sticks at the bottom-state
@@ -799,39 +667,6 @@ class TestErrorPaths:
             assert len(err) == 1
             assert err[0].startswith("WARNING leolink.pipeline: lambda taken as infinite")
 
-    def test_window_too_wide_exits_3(self, tmp_path, capsys):
-        # at 1e-9 W the first threshold lies so far in the tail (beta x about
-        # 5e11) that its series window would hold 3.8e11 terms; it is refused
-        # before any of it is formed
-        far = reduced_scenario(tmp_path, "reference_rat.scn",
-                               **{"tx_power = 30 dBW": "tx_power = 1e-9 W"})
-        for argv in (["sweep", "--scenario", RAT_SCN, "--sweep", "rat.tx_power=1000,1e-9"],
-                     ["analyze", "--scenario", far]):
-            assert main(argv) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == ("E_NUMERIC ArithmeticError: series window too wide: "
-                                    "3.764e+11 terms at beta*x = 4.9839e+11, more than "
-                                    "16777216\n")
-
-    @pytest.mark.parametrize("uppers,error", [
-        # in order, but not above the first threshold: refused by the solve
-        ("0.3, 0.9", "E_VALIDATION ValueError: upper_thresholds must rise strictly above "
-                     "the first threshold 0.3543928915419708, got [0.3, 0.9]\n"),
-        # out of order: refused by the parser, which names the key and line
-        ("0.9, 0.5", "E_VALIDATION: partition.upper_thresholds (line 24): upper_thresholds "
-                     "must be strictly increasing, got (0.9, 0.5)\n"),
-    ])
-    def test_pinned_thresholds_not_rising_exit_2(self, tmp_path, capsys, uppers, error):
-        pinned = reduced_scenario(tmp_path, "reference_rat.scn", **{
-            "n_states = 8": f"n_states = 4\nupper_thresholds = {uppers}"})
-        for argv in (["analyze", "--scenario", pinned],
-                     ["sweep", "--scenario", pinned, "--sweep", "rat.tx_power=2000,1000"]):
-            assert main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == error
-
     def test_root_finder_nan_exits_3(self, monkeypatch, capsys):
         # NaN series sums: the tail mass at the first threshold, and so every
         # quantile target, is NaN, and it reaches the partition's root finder
@@ -852,11 +687,36 @@ class TestErrorPaths:
         assert captured.err.startswith(
             "E_NUMERIC ArithmeticError: tail quantile search diverged at targets [")
 
-    def test_parse_error_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "garbage.scn"
-        path.write_text("[geometry\nearth_radius = 1")
-        assert main(["analyze", "--scenario", str(path)]) == 2
-        assert "E_PARSE" in capsys.readouterr().err
+
+class TestRefusals:
+    # every row of the table, in process, with every warning an error: the
+    # exit status, no stdout, the one stderr line, and no file written
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_refusal(self, tmp_path, capsys, name):
+        argv, edit, status, line = REFUSALS[name]
+        assert re.match(r"E_[A-Z_]+ [A-Za-z]+: \S", line)
+        argv = argv.replace("{tmp}", str(tmp_path)).split()
+        copies = [i + 1 for i, arg in enumerate(argv[:-1])
+                  if arg == "--scenario" and (SCENARIO_DIR / argv[i + 1]).is_file()]
+        for i in copies:
+            argv[i] = reduced_scenario(tmp_path, argv[i], 100_000, **(edit or {}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == status
+        assert capsys.readouterr() == ("", line.replace("{tmp}", str(tmp_path)) + "\n")
+        assert [str(path) for path in tmp_path.iterdir()] == [argv[i] for i in copies]
+
+    def test_readme_lists_every_refusal(self):
+        # each row's class and exit status are in its code's entry of
+        # README's list, and README names no code that no row prints
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("### Exit codes\n")[1].split("\n#")[0]
+        entries = dict(re.findall(r"^- `(E_[A-Z_]+)`(.*(?:\n  .*)*)", section, re.M))
+        for *_, status, line in REFUSALS.values():
+            code, cls = line.split(":")[0].split()
+            assert f"exit {status}" in entries[code] and f"`{cls}`" in entries[code], line
+        assert set(re.findall(r"\bE_[A-Z_]+", readme)) == {
+            line.split()[0] for *_, line in REFUSALS.values()}
 
 
 class TestSubprocess:

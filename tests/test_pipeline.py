@@ -188,3 +188,19 @@ def test_infinite_wait_warning_names_an_underflowed_mass(caplog):
         pipeline._check_wait(solved, False)
     (record,) = caplog.records
     assert record.getMessage().endswith("; mass below it 0.0, so the mass underflowed")
+
+
+def test_seed_is_refused_before_the_partition_solve(monkeypatch):
+    # a negative seed, or a sweep's seed without simulation columns
+    def unreached(*args):
+        raise AssertionError("the partition solve ran")
+
+    monkeypatch.setattr(channel, "partitions", unreached)
+    scn, sweep = reference("reference_rat.scn"), parse_sweep("geometry.orbit_height=5e5,6e5")
+    # the messages are pinned by rows of tests/refusals.py
+    for run in (lambda: pipeline.run_simulate(scn, seed=-1),
+                lambda: pipeline.run_validate(scn, seed=-1),
+                lambda: pipeline.run_sweep(scn, sweep, with_sim=True, seed=-3),
+                lambda: pipeline.run_sweep(scn, sweep, seed=3)):
+        with pytest.raises(ValueError, match="^seed "):
+            run()
