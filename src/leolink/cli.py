@@ -101,8 +101,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    with _cannot("read scenario"):
-        scn = parse_scenario(args.scenario.read_text(encoding="utf-8"))
+    try:
+        with _cannot("read scenario"):
+            text = args.scenario.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read scenario as UTF-8: '{args.scenario}': {exc}") from exc
+    scn = parse_scenario(text)
     code = 0
     if args.command == "analyze":
         text = "\n".join(report_lines(scn, run_analyze(scn))) + "\n"

@@ -21,9 +21,12 @@ not per replication. A block of _BLOCK replications holds at most about
 scheme, at its range computation, and 3.1 in the fixed-rate scheme. The
 sampler draws the line of sight at phase 0, which leaves the gain's law
 unchanged, since the scattered part is circularly symmetric (Abdi, Lau,
-Alouini & Kaveh, IEEE TWC 2003). Drawing n gains at once, as `validate`
-does, it holds two arrays of n doubles: the real part, and the amplitude
-whose memory the imaginary part then takes. Every draw takes the standard
+Alouini & Kaveh, IEEE TWC 2003). Drawing n gains, it holds two arrays of
+n doubles: the real part, and the amplitude whose memory the imaginary
+part then takes. A block draws its gains at once, and where it is given a
+slice of a buffer, as `validate`'s main pass gives each block its own, it
+copies them there before consuming them, so that the sampler checks read
+the pass's gains and no gain is drawn twice. Every draw takes the standard
 distribution and scales it in place, as Generator.normal, gamma, uniform
 and exponential would scale it, so the draws are theirs bit for bit,
 without their per-call broadcasting.
@@ -165,9 +168,11 @@ def _block(
     lam_s: float,
     rng: np.random.Generator,
     count: int,
+    keep: np.ndarray | None = None,
 ) -> tuple[float, float, float, float, float]:
     """One block of replications; returns (sum r, sum r^2, sum p, sum p^2,
-    outage count).
+    outage count). Where keep is given, count doubles, the block copies
+    its gains into it before it consumes them.
 
     Each replication draws one arrival fraction u and one gain, then the
     wait of a packet that arrives in the bottom state. The rate and power
@@ -187,7 +192,14 @@ def _block(
     # once per worker
     sums = _rat_sums if isinstance(scheme, RatConfig) else _pat_sums
     return sums(geo, tl, part, budget, scheme, traffic, lam_s, rng,
-                rng.random(count), sample_sr_gain(fading, rng, count))
+                rng.random(count), _kept(sample_sr_gain(fading, rng, count), keep))
+
+
+def _kept(g: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """g, after copying it into keep where keep is given."""
+    if keep is not None:
+        keep[...] = g
+    return g
 
 
 def _rat_sums(geo, tl, part, budget, scheme, traffic, lam_s, rng, u, g):
@@ -349,15 +361,18 @@ def _blocks(
     traffic: TrafficSpec,
     lam_s: float,
     cfg: SimConfig,
+    keep: np.ndarray | None = None,
 ) -> list[Callable[[], tuple[float, float, float, float, float]]]:
     """simulate's blocks, in block order, each a call that returns the
     block's partial sums (sum r, sum r^2, sum p, sum p^2, outage count).
     Block i draws from the i-th child of the seed's SeedSequence, whatever
     the replication count, so the first blocks of a shorter pass are those
-    of a longer one."""
+    of a longer one. Where keep, of cfg.n_samples doubles, is given, each
+    block copies its gains into its own slice of it, in block order."""
     return [functools.partial(_block, geo, tl, fading, part, budget, scheme, traffic, lam_s,
-                              rng, count)
-            for rng, count in _block_rngs(cfg.seed, cfg.n_samples)]
+                              rng, count,
+                              keep=None if keep is None else keep[i * _BLOCK:][:count])
+            for i, (rng, count) in enumerate(_block_rngs(cfg.seed, cfg.n_samples))]
 
 
 def _finish(blocks: list, pending: list[concurrent.futures.Future]) -> list:

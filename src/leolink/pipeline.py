@@ -14,7 +14,7 @@ import numpy as np
 from . import channel, montecarlo, schemes
 from .channel import GainPartition, StateProbMatrix
 from .geometry import PassTimeline, build_timeline, build_timelines, distance_range
-from .montecarlo import KS_CRIT_ALPHA01, ks_statistic, sample_sr_gain
+from .montecarlo import KS_CRIT_ALPHA01, ks_statistic
 from .scenario import Scenario, SweepSpec, apply_sweep_value
 from .schemes import SchemeReport
 
@@ -363,22 +363,25 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     the analytic CDF, the rate, EE and outage closed forms against one
     simulation pass, the outage closed form against its definitional
     complement, the slot mean of 1 - F_DT(T), and a bit-identical repeat
-    of the pass's first two blocks.
+    of the pass's first two blocks. The sampler checks read the gains that
+    the pass drew, so each gain is drawn once.
 
     The blocks of the simulation pass and then those of the repeat go, in
     block order, to one side worker, while the calling thread runs the
-    quadrature and sampler checks; numpy's draws and array operations
-    release the interpreter lock, so the two overlap on two cores. Then the
-    calling thread finishes the pass with montecarlo's one block runner,
-    _finish, running the blocks the worker has not reached from the last
-    down, and does the same for the repeat once the rows of the pass are
-    formed. At most two threads compute. Every check and block draws from
-    its own seeded stream, and block partials reduce in block order, so the
-    rows are bit-identical whichever thread ran which block, at any core
-    count.
-    Errors surface in row order: a quadrature or sampler error first, then
-    the first in block order of the simulation pass, then one of the rows
-    after it, then the first of the repeat.
+    quadrature checks; numpy's draws and array operations release the
+    interpreter lock, so the two overlap on two cores. Then the calling
+    thread finishes the pass with montecarlo's one block runner, _finish,
+    running the blocks the worker has not reached from the last down. Each
+    block of the pass copies its gains into its own slice of one buffer,
+    which the calling thread then sorts in place for the sampler checks,
+    while the worker runs the repeat; then it forms the closed-form rows
+    and finishes the repeat the same way. At most two threads compute.
+    Every pass draws from its own seeded blocks, and block partials reduce
+    in block order, so the rows are bit-identical whichever thread ran
+    which block, at any core count.
+    Errors surface in this order: a quadrature error first, then the first
+    in block order of the simulation pass, then a sampler error, then one
+    of the closed-form rows, then the first of the repeat.
     """
     checks: list[CheckResult] = []
     # SimConfig refuses a negative seed here: the pass's seed + 1 would let -1 through
@@ -396,9 +399,11 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
     # must reproduce bit for bit.
     short = replace(cfg, n_samples=min(n_samples, 2 * montecarlo._BLOCK))
 
+    # the pass's gains, each block's in its own slice
+    gains = np.empty(n_samples)
     side = concurrent.futures.ThreadPoolExecutor(1)
     try:
-        sim_blocks = montecarlo._blocks(*_sim_args(scn, parts, cfg))
+        sim_blocks = montecarlo._blocks(*_sim_args(scn, parts, cfg), keep=gains)
         repeat_blocks = montecarlo._blocks(*_sim_args(scn, parts, short))
         pending_sim = [side.submit(block) for block in sim_blocks]
         pending_repeat = [side.submit(block) for block in repeat_blocks]
@@ -421,8 +426,9 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         sum_err = abs(float(pi.sum()) - 1.0)
         checks.append(CheckResult("state_probs_sum", sum_err < 1e-9, f"|sum-1| = {sum_err:.3e}"))
 
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(base_seed)))
-        gains = sample_sr_gain(fading, rng, n_samples)
+        # The pass, whose gains the sampler checks read, sorted in place
+        # while the worker runs the repeat.
+        partials = montecarlo._finish(sim_blocks, pending_sim)
         gains.sort()
         freq = _state_counts(parts.partition, gains) / n_samples
         se = np.sqrt(np.maximum(pi * (1.0 - pi), 1e-300) / n_samples)
@@ -439,7 +445,6 @@ def run_validate(scn: Scenario, seed: int | None = None) -> list[CheckResult]:
         ))
 
         # Closed forms against simulation, from one pass.
-        partials = montecarlo._finish(sim_blocks, pending_sim)
         sim = montecarlo._reduce(partials, n_samples)
         slack = 3.0 * sim.rate_se_bps
         in_rate = (report.throughput_lo_bps - slack <= sim.mean_rate_bps

@@ -40,7 +40,7 @@ class BlockSchedule:
                 index[id(rng)] = len(index)
             return blocks
 
-        def scheduled_block(*args):
+        def scheduled_block(*args, **kwargs):
             i = index[id(args[-2])]
             self.ran[i] = here = threading.get_ident() == caller
             self.alive.append(threading.active_count())
@@ -50,7 +50,7 @@ class BlockSchedule:
                     assert self.caller_started.wait(30)
                 if i in fail:
                     raise ArithmeticError(f"block {i}")
-                return block(*args)
+                return block(*args, **kwargs)
             finally:
                 done.append(i)
                 if len(done) == n_blocks:

@@ -2,8 +2,9 @@
 test_readme_lists_every_refusal in tests/test_cli.py. A row is (argv split
 at spaces, scenario edit, exit status, the one stderr line). `--scenario
 NAME` of a file under scenarios/ runs on a copy of it in a fresh directory,
-with each old text of the edit replaced by its new text; "{tmp}" in argv
-and in the line stands for that directory.
+with each old text of the edit replaced by its new text, or, where the edit
+is bytes, with those bytes in place of the whole file; "{tmp}" in argv and
+in the line stands for that directory.
 """
 
 RAT, PAT = "reference_rat.scn", "reference_pat.scn"
@@ -41,6 +42,12 @@ REFUSALS = {
     # a failed write is an input error, not a failed validate row (exit 1)
     "missing-scenario": ("analyze --scenario {tmp}/x.scn", None, 2,
                          NO_FILE.format("read scenario:", "x.scn")),
+    # a scenario saved as UTF-16, led by its byte-order mark ff fe
+    "scenario-not-utf-8": (f"analyze --scenario {RAT}",
+                           b"\xff\xfe" + "[geometry]\n".encode("utf-16-le"), 2,
+                           f"E_PARSE ParseError: cannot read scenario as UTF-8: '{{tmp}}/{RAT}': "
+                           "'utf-8' codec can't decode byte 0xff in position 0: invalid start "
+                           "byte"),
     "scenario-is-a-directory": ("analyze --scenario {tmp}", None, 2,
                                 "E_IO IsADirectoryError: cannot read scenario: [Errno 21] Is a "
                                 "directory: '{tmp}'"),

@@ -505,7 +505,7 @@ class TestValidate:
         assert pipeline.run_validate(scn) == rows
 
     def test_simulation_error_surfaces_unchanged(self, monkeypatch):
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise ArithmeticError("x")
 
         monkeypatch.setattr(montecarlo, "_block", fail)
@@ -516,25 +516,69 @@ class TestValidate:
         assert str(raised.value) == "x"
         assert threading.active_count() == threads
 
-    def test_sampler_error_comes_before_the_simulation(self, monkeypatch):
-        # a NaN gain fails the KS check's CDF; that row comes before the
-        # simulation's, so its error wins over a failing simulation pass
-        drawn = pipeline.sample_sr_gain
+    def test_simulation_error_comes_before_the_sampler(self, monkeypatch):
+        # a NaN gain of the pass fails the KS check's CDF; the sampler rows
+        # read the pass's gains once it has finished, so an error of the
+        # pass wins over that of its gains
+        drawn, block = montecarlo.sample_sr_gain, montecarlo._block
 
         def with_nan(fading, rng, size):
             gains = drawn(fading, rng, size)
             gains[size // 2] = np.nan
             return gains
 
-        def fail(*args):
+        def fail(*args, **kwargs):
+            block(*args, **kwargs)
             raise ArithmeticError("x")
 
-        monkeypatch.setattr(pipeline, "sample_sr_gain", with_nan)
-        monkeypatch.setattr(montecarlo, "_block", fail)
+        monkeypatch.setattr(montecarlo, "sample_sr_gain", with_nan)
         threads = threading.active_count()
         with pytest.raises(ValueError, match=r"^power gain must be >= 0, got nan$"):
             pipeline.run_validate(_validate_scenario(RAT_SCN))
+        monkeypatch.setattr(montecarlo, "_block", fail)
+        with pytest.raises(ArithmeticError, match="^x$"):
+            pipeline.run_validate(_validate_scenario(RAT_SCN))
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("block", [montecarlo._BLOCK, 4096])
+    def test_each_gain_is_drawn_once(self, monkeypatch, block):
+        # the pass's n gains serve the sampler rows too; only the repeat,
+        # at most two blocks, draws again
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        drawn, sizes = montecarlo.sample_sr_gain, []
+
+        def counted(fading, rng, size):
+            sizes.append(size)
+            return drawn(fading, rng, size)
+
+        # every module that holds the sampler by name
+        for module in (montecarlo, pipeline):
+            if vars(module).get("sample_sr_gain") is drawn:
+                monkeypatch.setattr(module, "sample_sr_gain", counted)
+        pipeline.run_validate(_validate_scenario(RAT_SCN))
+        assert sum(sizes) == 20_000 + min(20_000, 2 * block)
+
+    @pytest.mark.parametrize("base", [RAT_SCN, PAT_SCN], ids=["rat", "pat"])
+    def test_sampler_rows_read_the_pass_gains(self, base):
+        # the gains of the pass at seed + 1, rebuilt block by block: each
+        # block draws its arrival fractions and then its gains
+        scn = _validate_scenario(base)
+        n = scn.sim.n_samples
+        gains = []
+        for rng, count in montecarlo._block_rngs(scn.sim.seed + 1, n):
+            rng.random(count)
+            gains.append(montecarlo.sample_sr_gain(scn.fading, rng, count))
+        gains = np.sort(np.concatenate(gains))
+        parts = pipeline.prepare(scn, finite_wait=True)
+        pi = parts.probs.probs[:, 0]
+        freq = np.bincount(parts.partition.classify(gains), minlength=len(pi) + 1)[1:] / n
+        worst_z = float(np.max(np.abs(freq - pi) / np.sqrt(pi * (1.0 - pi) / n)))
+        d = montecarlo.ks_statistic(scn.fading, gains)
+        crit = montecarlo.KS_CRIT_ALPHA01 / math.sqrt(n)
+        checks = {c.name: c for c in pipeline.run_validate(scn)}
+        assert checks["state_frequencies"].detail == f"max |z| = {worst_z:.2f} (limit 3)"
+        assert checks["sampler_ks"].detail == f"D = {d:.5f}, crit(1%) = {crit:.5f}"
+        assert checks["state_frequencies"].passed and checks["sampler_ks"].passed
 
     @pytest.mark.parametrize("name, failing", [
         ("sr_pdf", {"pdf_normalization", "cdf_routes_agree"}),
@@ -565,18 +609,19 @@ class TestValidate:
 def run_scheduled(monkeypatch, base: str, schedule: str, fail=frozenset()):
     """run_validate of a reference at 20 000 replications in blocks of 4096:
     blocks 0-4 of the simulation pass, then blocks 5 and 6 of the repeat,
-    under a BlockSchedule whose calling thread waits in its KS check.
-    Returns the rows, whether the calling thread ran each block, and the
-    most threads seen alive by any block.
+    under a BlockSchedule whose calling thread waits in the tail mass of
+    its cdf_routes_agree check, before it finishes the pass. Returns the
+    rows, whether the calling thread ran each block, and the most threads
+    seen alive by any block.
     """
     plan = BlockSchedule(monkeypatch, schedule, 7, fail)
-    ks = pipeline.ks_statistic
+    tail_mass = channel.tail_mass
 
-    def held_ks(fading, gains):
+    def held_tail_mass(fading, x):
         plan.hold_caller()
-        return ks(fading, gains)
+        return tail_mass(fading, x)
 
-    monkeypatch.setattr(pipeline, "ks_statistic", held_ks)
+    monkeypatch.setattr(channel, "tail_mass", held_tail_mass)
     rows = pipeline.run_validate(_validate_scenario(base))
     return rows, plan.ran, max(plan.alive)
 
@@ -699,7 +744,11 @@ class TestRefusals:
         copies = [i + 1 for i, arg in enumerate(argv[:-1])
                   if arg == "--scenario" and (SCENARIO_DIR / argv[i + 1]).is_file()]
         for i in copies:
-            argv[i] = reduced_scenario(tmp_path, argv[i], 100_000, **(edit or {}))
+            if isinstance(edit, bytes):
+                (tmp_path / argv[i]).write_bytes(edit)
+                argv[i] = str(tmp_path / argv[i])
+            else:
+                argv[i] = reduced_scenario(tmp_path, argv[i], 100_000, **(edit or {}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == status
